@@ -22,6 +22,12 @@ class NotParabolic(ValueError):
     pass
 
 
+class InternalInconsistency(RuntimeError):
+    """A check that holds by construction failed: the recovered parameters
+    contradict the matrix image.  This indicates a bug in the code or in its
+    calibration, never bad input."""
+
+
 @dataclass(frozen=True)
 class SL2Matrix:
     """An integer matrix [[a, b], [c, d]] of determinant one."""
@@ -60,20 +66,37 @@ class SL2Matrix:
 
 IDENTITY = SL2Matrix(1, 0, 0, 1)
 
-_GENERATOR_MATRIX = {
-    ("x", 1): SL2Matrix(1, 1, 0, 1),
-    ("x", -1): SL2Matrix(1, -1, 0, 1),
-    ("y", 1): SL2Matrix(1, 0, -1, 1),
-    ("y", -1): SL2Matrix(1, 0, 1, 1),
+# The generator images as plain entries (a, b, c, d), keyed by letter.
+_GENERATOR_ENTRIES = {
+    ("x", 1): (1, 1, 0, 1),
+    ("x", -1): (1, -1, 0, 1),
+    ("y", 1): (1, 0, -1, 1),
+    ("y", -1): (1, 0, 1, 1),
 }
 
 
 def image(w: BraidWord) -> SL2Matrix:
-    """Product of the per-letter matrices, multiplicative over concatenation."""
-    result = IDENTITY
-    for letter in w:
-        result = result * _GENERATOR_MATRIX[letter]
-    return result
+    """Product of the per-letter matrices, multiplicative over concatenation.
+
+    The product is balanced.  A binary counter holds partial products of
+    power-of-two spans of letters, at most about log2(L) of them, and merges
+    the top two whenever their spans are equal.  Entry bit lengths grow
+    about linearly along the word, so big factors meet big factors instead
+    of one letter at a time.  The determinant is checked once, on the result.
+    """
+    stack: list[tuple[int, int, int, int, int]] = []  # (span, a, b, c, d)
+    for letter in w.letters:
+        a, b, c, d = _GENERATOR_ENTRIES[letter]
+        span = 1
+        while stack and stack[-1][0] == span:
+            _, p, q, r, s = stack.pop()
+            a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+            span *= 2
+        stack.append((span, a, b, c, d))
+    a, b, c, d = 1, 0, 0, 1
+    for _, p, q, r, s in reversed(stack):
+        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+    return SL2Matrix(a, b, c, d)
 
 
 @dataclass(frozen=True)
@@ -130,13 +153,32 @@ def smith_normal_form(m) -> AbelianGroup:
     )
 
 
-def h1_branched_cover(w: BraidWord) -> AbelianGroup:
-    """First homology of the double cover of S^3 branched over the closure.
+def h1_from_image(m: SL2Matrix) -> AbelianGroup:
+    """First homology of the branched double cover of the closure of a braid
+    with image m: the cokernel of m - I on the homology of the fiber torus."""
+    return smith_normal_form(m.minus_identity())
 
-    This is the cokernel of (image(w) - I) acting on the homology of the
-    fiber torus.
+
+def determinant_from_image(m: SL2Matrix) -> int:
+    """|det(m - I)|, which is |2 - tr m| because det m = 1."""
+    return abs(2 - m.trace)
+
+
+def components_from_image(m: SL2Matrix) -> int:
+    """Components of the closure of a braid with image m, read from m mod 2.
+
+    Reduction mod 2 maps the braid group onto SL(2, F_2), which is the
+    symmetric group on the three strands: the identity has three cycles, the
+    three transpositions have even trace and the two 3-cycles odd trace.
     """
-    return smith_normal_form(image(w).minus_identity())
+    if m.b % 2 == 0 and m.c % 2 == 0:
+        return 3
+    return 2 if m.trace % 2 == 0 else 1
+
+
+def h1_branched_cover(w: BraidWord) -> AbelianGroup:
+    """First homology of the double cover of S^3 branched over the closure."""
+    return h1_from_image(image(w))
 
 
 def determinant(w: BraidWord) -> int:
@@ -144,8 +186,7 @@ def determinant(w: BraidWord) -> int:
 
     Zero signals positive first Betti number (infinite homology).
     """
-    (a, b), (c, d) = image(w).minus_identity()
-    return abs(a * d - b * c)
+    return determinant_from_image(image(w))
 
 
 CENTRAL = "Central"
@@ -215,10 +256,12 @@ def parabolic_invariant(m: SL2Matrix) -> tuple[int, int]:
     n = m if epsilon == 1 else -m
     v = _primitive_kernel_vector(n.minus_identity())
     g, s, t = _extended_gcd(v[0], v[1])
-    assert g == 1
+    if g != 1:
+        raise InternalInconsistency(f"fixed vector {v} of {m} is not primitive")
     u = (-t, s)  # det of columns (v, u) is v0*s - v1*(-t) = 1
     nu = n.apply(u)
     w = (nu[0] - u[0], nu[1] - u[1])
     k = w[0] // v[0] if v[0] else w[1] // v[1]
-    assert w == (k * v[0], k * v[1])
+    if w != (k * v[0], k * v[1]):
+        raise InternalInconsistency(f"{v} is not a fixed vector of {n}")
     return epsilon, k

@@ -162,11 +162,15 @@ class InvariantReport:
 
 def analyze_word(w: BraidWord, raw_text: str | None = None,
                  include_torus_bundle: bool = False) -> InvariantReport:
-    """Aggregate every invariant of one word into a report."""
-    form = murasugi.classify(w)
-    components = w_.components(w)
-    det = homology.determinant(w)
-    h1 = homology.h1_branched_cover(w)
+    """Aggregate every invariant of one word into a report.
+
+    The word's image in SL(2,Z) is computed once; the normal form, the
+    component count, the determinant and H1 are all read from it."""
+    matrix = homology.image(w)
+    form = murasugi.classify(w, matrix)
+    components = homology.components_from_image(matrix)
+    det = homology.determinant_from_image(matrix)
+    h1 = homology.h1_from_image(matrix)
 
     is_knot = components == 1
     floer_defined = det != 0

@@ -26,10 +26,11 @@ L = SU^2 (the image of y^-1), from which the family-1 block tuple is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from . import homology
 from . import words as w_
+from .homology import InternalInconsistency, SL2Matrix
 from .words import BraidWord
 
 
@@ -37,9 +38,34 @@ class InvalidForm(ValueError):
     pass
 
 
-class InternalInconsistency(RuntimeError):
-    """The recovered parameters contradict the matrix image.  This indicates a
-    calibration bug in the dictionary, never bad input."""
+def least_rotation(seq: Sequence) -> tuple:
+    """The lexicographically least cyclic rotation of seq, in linear time.
+
+    Booth's algorithm ("Lexicographically least circular substrings", IPL 10,
+    1980): a Knuth-Morris-Pratt failure function over the doubled sequence,
+    reset whenever a smaller rotation start k is found.
+
+    >>> least_rotation((3, 0, 1))
+    (0, 1, 3)
+    """
+    n = len(seq)
+    doubled = tuple(seq) * 2
+    failure = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        item = doubled[j]
+        i = failure[j - k - 1]
+        while i != -1 and item != doubled[k + i + 1]:
+            if item < doubled[k + i + 1]:
+                k = j - i - 1
+            i = failure[i]
+        if i == -1 and item != doubled[k]:
+            if item < doubled[k]:
+                k = j
+            failure[j - k] = -1
+        else:
+            failure[j - k] = i + 1
+    return doubled[k:k + n]
 
 
 # --- the free product Z/2 * Z/3 -------------------------------------------
@@ -75,38 +101,45 @@ class FreeProductWord:
 
     def cyclic_key(self) -> tuple[Syllable, ...]:
         """Canonical representative of the rotation class, for conjugacy tests."""
-        if not self.syllables:
-            return ()
-        rotations = [self.syllables[i:] + self.syllables[:i]
-                     for i in range(len(self.syllables))]
-        return min(rotations)
-
-
-def _push(stack: list[Syllable], syllable: Syllable) -> None:
-    while True:
-        if not stack or stack[-1][0] != syllable[0]:
-            stack.append(syllable)
-            return
-        top = stack.pop()
-        if syllable[0] == "s":
-            return  # S * S = 1
-        e = (top[1] + syllable[1]) % 3
-        if e == 0:
-            return
-        syllable = ("u", e)
+        return least_rotation(self.syllables)
 
 
 def _cyclic_reduce(syllables: list[Syllable]) -> list[Syllable]:
-    while len(syllables) >= 2 and syllables[0][0] == syllables[-1][0]:
-        first = syllables[0]
-        middle = syllables[1:-1]
-        last = syllables[-1]
-        if first[0] == "s":
-            syllables = middle  # conjugating away S ... S
-        else:
-            e = (first[1] + last[1]) % 3
-            syllables = middle + ([("u", e)] if e else [])
-    return syllables
+    """Conjugate away matching end syllables, moving two indices inward."""
+    first, last = 0, len(syllables) - 1
+    while first < last and syllables[first][0] == syllables[last][0]:
+        head, tail = syllables[first], syllables[last]
+        first += 1
+        last -= 1
+        if head[0] == "u":
+            e = (head[1] + tail[1]) % 3
+            if e:
+                # The merged power is followed by an S, so reduction stops.
+                return syllables[first:last + 1] + [("u", e)]
+    return syllables[first:last + 1]
+
+
+def _syllable_pass(w: BraidWord) -> tuple[FreeProductWord, int]:
+    """The cyclically reduced image in Z/2 * Z/3 and the exponent sum, read
+    in one pass over the word.
+
+    The stack alternates S and U-powers, so a pushed syllable meets at most
+    one syllable of its own kind: S cancels S, and U-powers add mod 3.
+    """
+    stack: list[Syllable] = []
+    exponent_sum = 0
+    for letter in w.letters:
+        exponent_sum += letter.sign
+        for syllable in _LETTER_SYLLABLES[letter]:
+            if not stack or stack[-1][0] != syllable[0]:
+                stack.append(syllable)
+            elif syllable[0] == "s":
+                stack.pop()
+            else:
+                e = (stack.pop()[1] + syllable[1]) % 3
+                if e:
+                    stack.append(("u", e))
+    return FreeProductWord(tuple(_cyclic_reduce(stack))), exponent_sum
 
 
 def psl2_normal_form(w: BraidWord) -> FreeProductWord:
@@ -117,18 +150,10 @@ def psl2_normal_form(w: BraidWord) -> FreeProductWord:
     >>> str(psl2_normal_form(w_.parse("x^-2 y^-1")))
     'S'
     """
-    stack: list[Syllable] = []
-    for letter in w:
-        for syllable in _LETTER_SYLLABLES[letter]:
-            _push(stack, syllable)
-    return FreeProductWord(tuple(_cyclic_reduce(stack)))
+    return _syllable_pass(w)[0]
 
 
 # --- the three families -----------------------------------------------------
-
-
-def _least_rotation(a: tuple[int, ...]) -> tuple[int, ...]:
-    return min(a[i:] + a[:i] for i in range(len(a)))
 
 
 @dataclass(frozen=True)
@@ -141,7 +166,7 @@ class Family1:
 
     def __post_init__(self):
         if self.a:
-            object.__setattr__(self, "a", _least_rotation(tuple(self.a)))
+            object.__setattr__(self, "a", least_rotation(self.a))
 
     def __str__(self) -> str:
         return f"family 1, d = {self.d}, a = {self.a}"
@@ -200,41 +225,43 @@ def _blocks(syllables: tuple[Syllable, ...]) -> list[int]:
     most one syllable aligns it into blocks (S, U^e)."""
     if syllables[0][0] != "s":
         syllables = syllables[1:] + syllables[:1]
-    assert all(s[0] == ("s" if i % 2 == 0 else "u")
-               for i, s in enumerate(syllables))
-    return [syllables[i][1] for i in range(1, len(syllables), 2)]
+    powers = syllables[1::2]
+    if len(syllables) % 2 or S in powers \
+            or any(s != S for s in syllables[0::2]):
+        raise InternalInconsistency(
+            f"{FreeProductWord(syllables)} does not alternate S and U-powers")
+    return [power for _, power in powers]
 
 
 def _block_tuple(exponents: list[int]) -> tuple[int, ...]:
     """Convert a cyclic R/L word (R where e=1, L where e=2) into the family-1
-    tuple: each R opens a block whose entry counts the following run of Ls."""
-    k = len(exponents)
-    candidates = []
-    for start, e in enumerate(exponents):
-        if e != 1:
-            continue
-        entry: list[int] = []
-        for offset in range(k):
-            current = exponents[(start + offset) % k]
-            if current == 1:
-                entry.append(0)
-            else:
-                entry[-1] += 1
-        candidates.append(tuple(entry))
-    return min(candidates)
+    tuple: each R opens a block whose entry counts the following run of Ls.
+
+    Reading from any R gives one rotation of the tuple; reading from each R
+    gives every rotation, and the least of them is the normal form."""
+    start = exponents.index(1)
+    entry: list[int] = []
+    for e in exponents[start:] + exponents[:start]:
+        if e == 1:
+            entry.append(0)
+        else:
+            entry[-1] += 1
+    return least_rotation(entry)
 
 
-def classify(w: BraidWord) -> MurasugiForm:
+def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
     """The conjugacy normal form of a word.
+
+    ``matrix`` is ``homology.image(w)``, computed here when not given.
 
     >>> classify(w_.parse("x x y x x"))
     Family2(d=1, m=-1)
     >>> classify(w_.parse("y x^5"))
     Family1(d=1, a=(1,))
     """
-    fp = psl2_normal_form(w)
-    e = w_.exponent_sum(w)
-    matrix = homology.image(w)
+    fp, e = _syllable_pass(w)
+    if matrix is None:
+        matrix = homology.image(w)
 
     if len(fp) == 0:
         d = _exact_quotient(e, 6)

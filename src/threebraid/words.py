@@ -77,8 +77,6 @@ class BraidWord:
 
 EMPTY = BraidWord()
 
-_BASE_GENERATOR = {"x": "x", "s1": "x", "y": "y", "s2": "y"}
-
 
 def word(letters) -> BraidWord:
     """Build a word from any iterable of letters."""
@@ -103,25 +101,35 @@ def parse(text: str) -> BraidWord:
         if caret and not _is_int(exponent_text):
             raise MalformedExponent(f"bad exponent {exponent_text!r} in {token!r}",
                                     position)
-        if base not in _BASE_GENERATOR and base != "h":
+        if base not in _BASE_LETTERS:
             raise UnknownToken(f"unknown generator {base!r}", position)
         exponent = int(exponent_text) if caret else 1
-        if base == "h":
-            block = H_LETTERS if exponent >= 0 else _inverse_letters(H_LETTERS)
-            letters.extend(block * abs(exponent))
-        else:
-            letter = Letter(_BASE_GENERATOR[base], 1 if exponent >= 0 else -1)
-            letters.extend((letter,) * abs(exponent))
+        positive, negative = _BASE_LETTERS[base]
+        letters.extend((positive if exponent >= 0 else negative) * abs(exponent))
     return BraidWord(tuple(letters))
 
 
 def _is_int(text: str) -> bool:
+    """Whether text is ``-?[0-9]+``; other Unicode digits are rejected."""
     body = text[1:] if text.startswith("-") else text
-    return body.isdigit()
+    return body.isascii() and body.isdigit()
+
+
+_INVERSE = {letter: letter.inverse() for letter in (X, X_INV, Y, Y_INV)}
 
 
 def _inverse_letters(letters) -> tuple[Letter, ...]:
-    return tuple(letter.inverse() for letter in reversed(letters))
+    return tuple(map(_INVERSE.__getitem__, reversed(letters)))
+
+
+# Each base token, expanded for a positive and for a negative exponent.
+_BASE_LETTERS = {
+    "x": ((X,), (X_INV,)),
+    "s1": ((X,), (X_INV,)),
+    "y": ((Y,), (Y_INV,)),
+    "s2": ((Y,), (Y_INV,)),
+    "h": (H_LETTERS, _inverse_letters(H_LETTERS)),
+}
 
 
 def exponent_sum(w: BraidWord) -> int:
@@ -196,15 +204,28 @@ IDENTITY_PERM = Perm3((1, 2, 3))
 # Both generators and their inverses act as the same transposition.
 _LETTER_PERM = {"x": Perm3((2, 1, 3)), "y": Perm3((1, 3, 2))}
 
+# S_3 as constant tables: _S3 lists the six permutations (the identity
+# first), _S3_THEN[g][i] is the index of _S3[i] followed by the transposition
+# of generator g, and _S3_CYCLES[i] is the cycle count of _S3[i].
+_S3 = (IDENTITY_PERM, Perm3((2, 1, 3)), Perm3((1, 3, 2)), Perm3((3, 2, 1)),
+       Perm3((2, 3, 1)), Perm3((3, 1, 2)))
+_S3_THEN = {generator: tuple(_S3.index(p.then(t)) for p in _S3)
+            for generator, t in _LETTER_PERM.items()}
+_S3_CYCLES = tuple(p.cycle_count for p in _S3)
+
+
+def _s3_index(w: BraidWord) -> int:
+    index = 0
+    for letter in w.letters:
+        index = _S3_THEN[letter.generator][index]
+    return index
+
 
 def permutation(w: BraidWord) -> Perm3:
     """Image under the quotient to the symmetric group on the strands."""
-    result = IDENTITY_PERM
-    for letter in w:
-        result = result.then(_LETTER_PERM[letter.generator])
-    return result
+    return _S3[_s3_index(w)]
 
 
 def components(w: BraidWord) -> int:
     """Number of components of the braid closure (cycles of the permutation)."""
-    return permutation(w).cycle_count
+    return _S3_CYCLES[_s3_index(w)]

@@ -1,0 +1,85 @@
+"""Internal consistency checks are real raises, so they survive python -O.
+
+Each check is fed a corrupted input that can only arise from a bug, and
+must raise rather than return a wrong answer.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import threebraid
+from threebraid import homology, murasugi
+from threebraid.homology import InternalInconsistency, image
+from threebraid.murasugi import S, U
+from threebraid.words import parse
+
+
+def test_blocks_rejects_a_non_alternating_word():
+    with pytest.raises(InternalInconsistency):
+        murasugi._blocks((S, S))
+    with pytest.raises(InternalInconsistency):
+        murasugi._blocks((S, U, U, S))
+    with pytest.raises(InternalInconsistency):
+        murasugi._blocks((S, U, S))
+
+
+def test_parabolic_invariant_rejects_a_non_primitive_fixed_vector(monkeypatch):
+    monkeypatch.setattr(homology, "_primitive_kernel_vector",
+                        lambda _k: (0, 2))
+    with pytest.raises(InternalInconsistency):
+        homology.parabolic_invariant(image(parse("y^3")))
+
+
+def test_parabolic_invariant_rejects_a_vector_that_is_not_fixed(monkeypatch):
+    monkeypatch.setattr(homology, "_primitive_kernel_vector",
+                        lambda _k: (1, 1))
+    with pytest.raises(InternalInconsistency):
+        homology.parabolic_invariant(image(parse("y^3")))
+
+
+def test_image_checks_the_determinant_of_the_product(monkeypatch):
+    monkeypatch.setitem(homology._GENERATOR_ENTRIES, ("x", 1), (1, 1, 1, 1))
+    with pytest.raises(ValueError):
+        image(parse("y x y"))
+
+
+def test_murasugi_reexports_the_same_exception():
+    assert murasugi.InternalInconsistency is InternalInconsistency
+
+
+CORRUPTED_UNDER_O = """
+from threebraid import homology, murasugi
+from threebraid.homology import InternalInconsistency, image
+from threebraid.words import parse
+
+assert False, "asserts must be stripped under -O"
+raised = 0
+try:
+    murasugi._blocks((murasugi.S, murasugi.S))
+except InternalInconsistency:
+    raised += 1
+homology._primitive_kernel_vector = lambda _k: (1, 1)
+try:
+    homology.parabolic_invariant(image(parse("y^3")))
+except InternalInconsistency:
+    raised += 1
+homology._GENERATOR_ENTRIES[("x", 1)] = (1, 1, 1, 1)
+try:
+    image(parse("x"))
+except ValueError:
+    raised += 1
+print(raised)
+"""
+
+
+def test_checks_survive_python_dash_o():
+    src = str(Path(threebraid.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", f"import sys; sys.path.insert(0, {src!r})"
+         + CORRUPTED_UNDER_O],
+        capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "3"

@@ -45,6 +45,14 @@ def test_analyze_parse_error_exit_code(capsys):
     assert "token 2" in err
 
 
+def test_analyze_non_ascii_exponent_is_a_parse_error(capsys):
+    for text in ("x^\u00b2", "x^\u0663"):
+        code, out, err = run(capsys, "analyze", text, "--json")
+        assert code == 2, text
+        assert out == ""
+        assert "bad exponent" in err
+
+
 def test_analyze_oracle_agreement(capsys):
     code, out, _ = run(capsys, "analyze", "x y x y", "--json", "--oracle")
     assert code == 0

@@ -45,6 +45,14 @@ def test_parse_malformed_exponent():
             parse(text)
 
 
+def test_parse_accepts_only_ascii_digits():
+    # Superscript two and Arabic-Indic three are Unicode digits, not [0-9].
+    for text in ("x^\u00b2", "x^\u0663", "y^-\u0663", "h^1_0", "x^+1"):
+        with pytest.raises(MalformedExponent):
+            parse(text)
+    assert parse("x^-03") == parse("x^-3")
+
+
 def test_exponent_sum():
     assert exponent_sum(BraidWord()) == 0
     assert exponent_sum(parse("h")) == 6
