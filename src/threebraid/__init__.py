@@ -9,6 +9,8 @@ quasi-alternating status, and Stein-filling obstructions.  A Seifert-matrix
 oracle provides diagram-level cross-checks of the algebraic route.
 """
 
+from types import ModuleType as _ModuleType
+
 from .floer import (
     FIGURE_EIGHT_LIKE,
     LEFT_TREFOIL_LIKE,
@@ -79,4 +81,5 @@ from .words import (
     word,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

@@ -136,7 +136,7 @@ def _batch(args) -> int:
     try:
         with open(args.path, encoding="utf-8") as handle:
             raw_lines = handle.read().splitlines()
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         print(f"cannot read {args.path}: {error}", file=sys.stderr)
         return EXIT_IO
 
@@ -150,13 +150,16 @@ def _batch(args) -> int:
             word = w_.parse(text)
             report = invariants.analyze_word(
                 word, raw_text=text, include_torus_bundle=args.torus_bundle)
-        except ParseError as error:
+        except (ParseError, InternalInconsistency) as error:
             failed += 1
+            record = {"type": type(error).__name__}
+            if isinstance(error, ParseError):
+                record["position"] = error.position
+            else:
+                consistent = False
+            record["message"] = str(error)
             if args.json:
-                print(_dumps({"word": text, "error": {
-                    "type": type(error).__name__,
-                    "position": error.position,
-                    "message": str(error)}}))
+                print(_dumps({"word": text, "error": record}))
             else:
                 print(f"{text!r}: error: {error}")
             continue

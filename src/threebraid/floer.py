@@ -122,13 +122,6 @@ def zero_surgery_table(tag: str) -> GradedModule:
     raise ValueError(f"unknown knot type tag {tag!r}")
 
 
-# The weak-inequality rows of the surgery table meet at n = 0, where both
-# must give HF+(S^3), a bare tower at grading zero.
-assert surgery_table(FIGURE_EIGHT_LIKE, 0) == _module([0])
-assert surgery_table(RIGHT_TREFOIL_LIKE, 0) == _module([0])
-assert surgery_table(LEFT_TREFOIL_LIKE, 0) == _module([0])
-
-
 def form_determinant(f: MurasugiForm) -> int:
     """Determinant of the closure of the model word of f."""
     return homology.determinant(murasugi.canonical_word(f))

@@ -4,8 +4,9 @@ Applying Seifert's algorithm to the closure of a 3-braid diagram gives three
 disks joined by one twisted band per crossing.  A basis of the surface's
 first homology is given, per generator column, by consecutive pairs of
 crossings in that column; the Seifert matrix records band linking numbers.
-Everything is exact: signatures come from rational congruence
-diagonalization, never from floating point.
+Everything is exact: one congruence diagonalization of V + V^T over the
+rationals gives both the signature and the determinant, with no floating
+point anywhere.
 
 This module is deliberately independent of the matrix-representation route:
 it sees only the diagram.  Its outputs (determinant and signature of the
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import prod
 
 from .words import BraidWord, free_reduce
 
@@ -44,6 +47,56 @@ class SeifertMatrix:
         n = self.size
         return [[self.entries[i][j] + self.entries[j][i] for j in range(n)]
                 for i in range(n)]
+
+    @cached_property
+    def _pivots(self) -> tuple[int | Fraction, ...]:
+        """Diagonal of an exact congruence diagonalization of V + V^T.
+
+        Rows are sparse and taken in crossing order (generators sorted by
+        their first crossing), in which the matrix is banded.  Every move has
+        determinant +-1, and a row that is zero when its turn comes records
+        a 0, so the pivots give both the signature and |det|.
+        """
+        a = self.symmetrized()
+        order = sorted(range(self.size), key=lambda i: self.generators[i][1])
+        rows = [{new: a[i][j] for new, j in enumerate(order) if a[i][j]}
+                for i in order]
+        pivots = []
+
+        def eliminate(k: int) -> None:
+            row, rows[k] = rows[k], None
+            pivot = row.pop(k)
+            pivots.append(pivot)
+            band = [(i, x) for i, x in row.items() if x]
+            for index, (i, x) in enumerate(band):
+                del rows[i][k]
+                for j, y in band[index:]:
+                    rows[i][j] = rows[j][i] = \
+                        rows[i].get(j, 0) - Fraction(x * y, pivot)
+
+        for k, row in enumerate(rows):
+            if row is None:
+                continue  # eliminated early, by a transposition
+            if not row.get(k):
+                band = [j for j, x in row.items() if x and j != k]
+                if not band:
+                    pivots.append(0)
+                    continue
+                swap = next((j for j in band if rows[j].get(j)), None)
+                if swap is not None:
+                    # Congruence by the transposition of k and swap. Taking
+                    # swap first makes a[k][k] = -a[k][swap]^2 / pivot != 0.
+                    eliminate(swap)
+                else:
+                    # Congruence by adding row/column j to k: as a[k][k] and
+                    # a[j][j] are zero, the diagonal becomes 2a[k][j].
+                    j = band[0]
+                    for l, x in rows[j].items():
+                        if x and l != k:
+                            row[l] = rows[l][k] = row.get(l, 0) + x
+                    row[k] = 2 * row[j]
+            eliminate(k)
+        return tuple(pivots)
 
 
 def seifert_matrix(w: BraidWord) -> SeifertMatrix:
@@ -100,74 +153,14 @@ def seifert_matrix(w: BraidWord) -> SeifertMatrix:
     return SeifertMatrix(tuple(tuple(row) for row in v), tuple(generators))
 
 
-def _symmetric_signature(rows: list[list[int]]) -> int:
-    """Signature of a symmetric integer matrix by congruence diagonalization
-    over the rationals."""
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    signature = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            pivot = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if pivot is not None:
-                # Congruence by a transposition.
-                a[k], a[pivot] = a[pivot], a[k]
-                for row in a:
-                    row[k], row[pivot] = row[pivot], row[k]
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if j is None:
-                    continue  # the whole row/column is zero
-                # Congruence by adding row/column j: diagonal becomes 2a[k][j].
-                for col in range(n):
-                    a[k][col] += a[j][col]
-                for row in a:
-                    row[k] += row[j]
-        pivot_value = a[k][k]
-        signature += 1 if pivot_value > 0 else -1
-        for j in range(k + 1, n):
-            factor = a[j][k] / pivot_value
-            if factor == 0:
-                continue
-            for col in range(n):
-                a[j][col] -= factor * a[k][col]
-            for row in a:
-                row[j] -= factor * row[k]
-    return signature
-
-
 def sym_signature(v: SeifertMatrix) -> int:
     """Signature of V + V^T, exactly."""
-    return _symmetric_signature(v.symmetrized())
-
-
-def _integer_determinant(rows: list[list[int]]) -> int:
-    """Determinant by fraction-free elimination (Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    a = [row[:] for row in rows]
-    sign = 1
-    previous_pivot = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((j for j in range(k + 1, n) if a[j][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) \
-                    // previous_pivot
-            a[i][k] = 0
-        previous_pivot = a[k][k]
-    return sign * a[-1][-1]
+    return sum(1 if pivot > 0 else -1 for pivot in v._pivots if pivot)
 
 
 def sym_determinant(v: SeifertMatrix) -> int:
     """|det(V + V^T)|."""
-    return abs(_integer_determinant(v.symmetrized()))
+    return int(abs(prod(v._pivots)))
 
 
 def oracle_determinant(w: BraidWord) -> int:

@@ -182,3 +182,42 @@ def test_internal_inconsistency_maps_to_exit_three(capsys, monkeypatch):
     code, _, err = run(capsys, "analyze", "x y")
     assert code == 3
     assert "internal inconsistency" in err
+
+
+def test_batch_non_utf8_file_is_an_io_error(tmp_path, capsys):
+    path = tmp_path / "words.txt"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "batch", str(path))
+    assert code == 4
+    assert out == ""
+    assert "cannot read" in err
+
+
+def test_batch_internal_inconsistency_is_a_line_error(tmp_path, capsys,
+                                                      monkeypatch):
+    from threebraid import invariants
+    from threebraid.murasugi import InternalInconsistency
+
+    analyze_word = invariants.analyze_word
+
+    def explode_on_second(word, **kwargs):
+        if str(word) == "y x":
+            raise InternalInconsistency("forced for the test")
+        return analyze_word(word, **kwargs)
+
+    monkeypatch.setattr(invariants, "analyze_word", explode_on_second)
+    path = tmp_path / "words.txt"
+    path.write_text("x y\ny x\nx x y\n")
+    code, out, _ = run(capsys, "batch", str(path), "--json")
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 3
+    assert len(records) == 4
+    assert records[1] == {"word": "y x", "error": {
+        "type": "InternalInconsistency", "message": "forced for the test"}}
+    assert records[-1] == {"summary": {"ok": 2, "failed": 1}}
+
+    code, out, _ = run(capsys, "batch", str(path))
+    lines = out.strip().splitlines()
+    assert code == 3
+    assert lines[1] == "'y x': error: forced for the test"
+    assert lines[-1] == "2 ok, 1 failed"

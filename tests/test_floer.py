@@ -87,6 +87,8 @@ def test_surgery_table_figure_eight_rows():
 
 
 def test_surgery_table_n_zero_is_three_sphere():
+    # The weak-inequality rows of the surgery table meet at n = 0, where both
+    # must give HF+(S^3), a bare tower at grading zero.
     for tag in (RIGHT_TREFOIL_LIKE, LEFT_TREFOIL_LIKE, FIGURE_EIGHT_LIKE):
         assert surgery_table(tag, 0) == module([0])
 

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 
 from threebraid import words as w_
@@ -107,3 +110,46 @@ def test_signature_bounded_by_size(rng):
         word = random_nonsplit_word(rng, 16)
         matrix = seifert_matrix(word)
         assert abs(sym_signature(matrix)) <= matrix.size
+
+
+def _leibniz(rows):
+    """Determinant as the signed sum over permutations."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b]
+                         for a, b in itertools.combinations(range(n), 2))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]]
+                                                for i in range(n))
+    return total
+
+
+def _descartes_signature(rows):
+    """Signature of a symmetric matrix from Descartes' rule of signs on
+    det(tI - S), which is exact because every root is real."""
+    n = len(rows)
+    coefficients = [  # of t^n, t^(n-1), ..., t^0
+        (-1) ** k * sum(_leibniz([[rows[i][j] for j in minor] for i in minor])
+                        for minor in itertools.combinations(range(n), k))
+        for k in range(n + 1)]
+
+    def sign_changes(values):
+        signs = [value > 0 for value in values if value]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    positive = sign_changes(coefficients)
+    negative = sign_changes([c * (-1) ** (n - k)
+                             for k, c in enumerate(coefficients)])
+    return positive - negative
+
+
+def test_elimination_matches_brute_force_on_all_small_matrices():
+    # First positions in reverse, so crossing order reverses the rows.  The
+    # inputs reach the zero-row, transposition and row/column-add moves.
+    generators = tuple((0, first, first + 1) for first in (2, 1, 0))
+    values = (-1, 0, 1)
+    for a, b, c, d, e, f in itertools.product(values, repeat=6):
+        matrix = SeifertMatrix(((a, 0, 0), (b, c, 0), (d, e, f)), generators)
+        symmetric = matrix.symmetrized()
+        assert sym_determinant(matrix) == abs(_leibniz(symmetric))
+        assert sym_signature(matrix) == _descartes_signature(symmetric)
