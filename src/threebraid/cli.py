@@ -15,6 +15,7 @@ Exit codes: 0 ok, 1 not conjugate, 2 parse error, 3 internal inconsistency
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -52,12 +53,19 @@ def _fraction_str(q) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _canonical_str(form) -> str:
+    """The model word with its twist power kept as one token, ``h^d``."""
+    twist = "" if form.d == 0 else "h" if form.d == 1 else f"h^{form.d}"
+    tail = str(murasugi.canonical_word(dataclasses.replace(form, d=0)))
+    return " ".join(filter(None, (twist, tail))) or "(empty)"
+
+
 def _pretty_report(report, oracle: dict | None,
                    torus_requested: bool = False) -> str:
     lines = [
         f"word:                {report.word or '(empty)'}",
         f"normal form:         {report.normal_form}",
-        f"canonical word:      {murasugi.canonical_word(report.normal_form) or '(empty)'}",
+        f"canonical word:      {_canonical_str(report.normal_form)}",
         f"components:          {report.components}",
         f"determinant:         {report.determinant}",
         f"H1 of double cover:  {report.h1}",

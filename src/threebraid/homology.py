@@ -75,18 +75,44 @@ _GENERATOR_ENTRIES = {
 }
 
 
+def _mul(m, n):
+    p, q, r, s = m
+    a, b, c, d = n
+    return p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+
+
+def _run_entries(generator: str, exponent: int):
+    """The image of the run generator^exponent: h^e is (-1)^e I, and a
+    generator power is taken by square-and-multiply."""
+    if generator == "h":
+        sign = -1 if exponent % 2 else 1
+        return sign, 0, 0, sign
+    base = _GENERATOR_ENTRIES[generator, 1 if exponent > 0 else -1]
+    result = (1, 0, 0, 1)
+    n = abs(exponent)
+    while n:
+        if n & 1:
+            result = _mul(result, base)
+        base = _mul(base, base)
+        n >>= 1
+    return result
+
+
 def image(w: BraidWord) -> SL2Matrix:
-    """Product of the per-letter matrices, multiplicative over concatenation.
+    """Product of the per-run matrices, multiplicative over concatenation.
 
     The product is balanced.  A binary counter holds partial products of
-    power-of-two spans of letters, at most about log2(L) of them, and merges
+    power-of-two spans of runs, at most about log2(runs) of them, and merges
     the top two whenever their spans are equal.  Entry bit lengths grow
     about linearly along the word, so big factors meet big factors instead
-    of one letter at a time.  The determinant is checked once, on the result.
+    of one run at a time.  The determinant is checked once, on the result.
     """
     stack: list[tuple[int, int, int, int, int]] = []  # (span, a, b, c, d)
-    for letter in w.letters:
-        a, b, c, d = _GENERATOR_ENTRIES[letter]
+    for run in w.runs:
+        try:
+            a, b, c, d = _GENERATOR_ENTRIES[run]
+        except KeyError:  # not a letter: a power run
+            a, b, c, d = _run_entries(*run)
         span = 1
         while stack and stack[-1][0] == span:
             _, p, q, r, s = stack.pop()

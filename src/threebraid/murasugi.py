@@ -78,12 +78,23 @@ S: Syllable = ("s", 1)
 U: Syllable = ("u", 1)
 UU: Syllable = ("u", 2)
 
+# The syllables and the exponent sum of each letter.
 _LETTER_SYLLABLES = {
-    w_.X: (S, U),
-    w_.X_INV: (UU, S),
-    w_.Y: (U, S),
-    w_.Y_INV: (S, UU),
+    w_.X: ((S, U), 1),
+    w_.X_INV: ((UU, S), -1),
+    w_.Y: ((U, S), 1),
+    w_.Y_INV: ((S, UU), -1),
 }
+
+
+def _run_syllables(generator: str, exponent: int) -> tuple[tuple, int]:
+    """The syllables and the exponent sum of a run.  h is central and
+    trivial in PSL(2,Z); a generator power repeats the letter's syllables."""
+    if generator == "h":
+        return (), 6 * exponent
+    sign = 1 if exponent > 0 else -1
+    syllables, _ = _LETTER_SYLLABLES[generator, sign]
+    return syllables * (exponent * sign), exponent
 
 
 @dataclass(frozen=True)
@@ -121,16 +132,20 @@ def _cyclic_reduce(syllables: list[Syllable]) -> list[Syllable]:
 
 def _syllable_pass(w: BraidWord) -> tuple[FreeProductWord, int]:
     """The cyclically reduced image in Z/2 * Z/3 and the exponent sum, read
-    in one pass over the word.
+    in one pass over the runs of the word.
 
     The stack alternates S and U-powers, so a pushed syllable meets at most
     one syllable of its own kind: S cancels S, and U-powers add mod 3.
     """
     stack: list[Syllable] = []
     exponent_sum = 0
-    for letter in w.letters:
-        exponent_sum += letter.sign
-        for syllable in _LETTER_SYLLABLES[letter]:
+    for run in w.runs:
+        try:
+            syllables, weight = _LETTER_SYLLABLES[run]
+        except KeyError:  # not a letter: a power run
+            syllables, weight = _run_syllables(*run)
+        exponent_sum += weight
+        for syllable in syllables:
             if not stack or stack[-1][0] != syllable[0]:
                 stack.append(syllable)
             elif syllable[0] == "s":
@@ -307,23 +322,26 @@ def _validate(f: MurasugiForm) -> None:
 
 
 def canonical_word(f: MurasugiForm) -> BraidWord:
-    """The model word of a normal form: h^d (expanded) followed by the tail.
+    """The model word of a normal form: the run h^d followed by the tail.
 
     >>> str(canonical_word(Family3(1, -1)))
     'x y x y x y x^-1 y^-1'
+    >>> canonical_word(Family2(10**9, 2)).runs
+    (('h', 1000000000), ('y', 2))
     """
     _validate(f)
-    letters = list(w_.power(w_.word(w_.H_LETTERS), f.d))
+    runs: list[w_.Run] = [("h", f.d)] if f.d else []
     if isinstance(f, Family1):
         for ai in f.a:
-            letters.append(w_.X)
-            letters.extend((w_.Y_INV,) * ai)
+            runs.append(w_.X)
+            if ai:
+                runs.append(("y", -ai))
     elif isinstance(f, Family2):
-        letters.extend((w_.Y if f.m > 0 else w_.Y_INV,) * abs(f.m))
+        if f.m:
+            runs.append(("y", f.m))
     else:
-        letters.extend((w_.X_INV,) * (-f.m))
-        letters.append(w_.Y_INV)
-    return w_.word(letters)
+        runs += [("x", f.m), w_.Y_INV]
+    return BraidWord(tuple(runs))
 
 
 def is_conjugate(w1: BraidWord, w2: BraidWord) -> bool:

@@ -4,11 +4,19 @@ A word is a finite sequence of signed letters in the generators ``x`` and
 ``y`` (the elementary braid generators sigma_1 and sigma_2, equivalently the
 Dehn twists about the two dual curves on a once-punctured torus).  Everything
 here is a pure function on immutable values.
+
+A word is stored as runs ``(generator, exponent)`` with generator ``x``,
+``y`` or ``h`` (the full twist ``x y x y x y``), so ``x^n`` and ``h^d`` each
+cost one run whatever their exponent.  A ``Letter`` is the run
+``(generator, +-1)``, so a letter sequence is already a run sequence.  The
+letter sequence itself is expanded only on demand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, groupby
 from typing import Iterator, NamedTuple
 
 
@@ -29,6 +37,16 @@ class MalformedExponent(ParseError):
     pass
 
 
+class WordTooLong(ParseError):
+    """The word has more than ``MAX_LETTERS`` letters outside ``h`` runs."""
+
+
+# Input bounds: an exponent literal has at most this many digits, and a
+# word at most this many x/y letters (h runs do not count: they cost O(1)).
+MAX_EXPONENT_DIGITS = 18
+MAX_LETTERS = 10**6
+
+
 class Letter(NamedTuple):
     generator: str  # 'x' or 'y'
     sign: int       # +1 or -1
@@ -46,32 +64,82 @@ Y_INV = Letter("y", -1)
 # and h^2 is the boundary-parallel twist.
 H_LETTERS = (X, Y, X, Y, X, Y)
 
+# A run: (generator, nonzero exponent), generator 'x', 'y' or 'h'.
+Run = tuple[str, int]
 
-@dataclass(frozen=True)
+
+class _Inverses(dict):
+    """Each letter's inverse letter; any other run is inverted on lookup."""
+
+    def __missing__(self, run: Run) -> Run:
+        generator, exponent = run
+        return generator, -exponent
+
+
+_INVERSE = _Inverses({letter: letter.inverse()
+                      for letter in (X, X_INV, Y, Y_INV)})
+
+
+def _inverse_runs(runs) -> tuple[Run, ...]:
+    return tuple(map(_INVERSE.__getitem__, reversed(runs)))
+
+
+# The letters of one run with exponent +1 and -1, by generator.
+_UNIT_LETTERS = {
+    "x": ((X,), (X_INV,)),
+    "y": ((Y,), (Y_INV,)),
+    "h": (H_LETTERS, _inverse_runs(H_LETTERS)),
+}
+
+
+def _run_letters(run: Run) -> tuple[Letter, ...]:
+    generator, exponent = run
+    positive, negative = _UNIT_LETTERS[generator]
+    return (positive if exponent > 0 else negative) * abs(exponent)
+
+
+@dataclass(frozen=True, eq=False)
 class BraidWord:
-    """An immutable letter sequence; the empty word is the identity braid."""
+    """An immutable word, stored as runs; the empty word is the identity.
 
-    letters: tuple[Letter, ...] = ()
+    Length, iteration, equality, hashing and the string are those of the
+    letter sequence: ``parse("h") == word(H_LETTERS)``.  Words with equal
+    runs compare equal at once; any other comparison, and the hash, expand
+    the letters.
+    """
+
+    runs: tuple[Run, ...] = ()
+
+    @cached_property
+    def letters(self) -> tuple[Letter, ...]:
+        """The letter sequence, expanded once and cached."""
+        return tuple(chain.from_iterable(map(_run_letters, self.runs)))
+
+    @cached_property
+    def _length(self) -> int:
+        return sum(6 * abs(e) if g == "h" else abs(e) for g, e in self.runs)
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return self._length
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BraidWord):
+            return NotImplemented
+        return self.runs == other.runs or \
+            (len(self) == len(other) and self.letters == other.letters)
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
 
     def __str__(self) -> str:
-        if not self.letters:
-            return ""
         tokens = []
-        run_letter, run = self.letters[0], 0
-        for letter in self.letters + (None,):
-            if letter == run_letter:
-                run += 1
-                continue
-            exponent = run * run_letter.sign
-            tokens.append(run_letter.generator if exponent == 1
-                          else f"{run_letter.generator}^{exponent}")
-            run_letter, run = letter, 1
+        for letter, group in groupby(self.letters):
+            exponent = sum(1 for _ in group) * letter.sign
+            tokens.append(letter.generator if exponent == 1
+                          else f"{letter.generator}^{exponent}")
         return " ".join(tokens)
 
 
@@ -79,7 +147,7 @@ EMPTY = BraidWord()
 
 
 def word(letters) -> BraidWord:
-    """Build a word from any iterable of letters."""
+    """Build a word from any iterable of letters (or runs)."""
     return BraidWord(tuple(letters))
 
 
@@ -88,61 +156,76 @@ def parse(text: str) -> BraidWord:
 
     Grammar: whitespace-separated tokens ``base('^'int)?`` with base one of
     ``x``, ``y``, ``s1``, ``s2``, ``h`` (``x`` = ``s1``, ``y`` = ``s2``,
-    ``h`` = the full twist ``x y x y x y``).  Exponents may be negative.
+    ``h`` = the full twist ``x y x y x y``).  Exponents may be negative and
+    have at most ``MAX_EXPONENT_DIGITS`` digits.  Each token becomes one
+    run; the x/y letters of a word total at most ``MAX_LETTERS``.
 
     >>> str(parse("x y^-2"))
     'x y^-2'
     >>> len(parse("h"))
     6
+    >>> parse("h^1000000000 x").runs
+    (('h', 1000000000), Letter(generator='x', sign=1))
     """
-    letters: list[Letter] = []
+    runs: list[Run] = []
+    letter_count = 0
     for position, token in enumerate(text.split(), start=1):
         base, caret, exponent_text = token.partition("^")
-        if caret and not _is_int(exponent_text):
-            raise MalformedExponent(f"bad exponent {exponent_text!r} in {token!r}",
-                                    position)
-        if base not in _BASE_LETTERS:
-            raise UnknownToken(f"unknown generator {base!r}", position)
-        exponent = int(exponent_text) if caret else 1
-        positive, negative = _BASE_LETTERS[base]
-        letters.extend((positive if exponent >= 0 else negative) * abs(exponent))
-    return BraidWord(tuple(letters))
+        exponent = _exponent(exponent_text, token, position) if caret else 1
+        try:
+            positive, negative = _BASE_UNITS[base]
+        except KeyError:
+            raise UnknownToken(f"unknown generator {base!r}", position) from None
+        if exponent == 1:
+            run = positive
+        elif exponent == -1:
+            run = negative
+        elif exponent:
+            run = (positive[0], exponent)
+        else:
+            continue
+        if run[0] != "h":
+            letter_count += abs(exponent)
+            if letter_count > MAX_LETTERS:
+                raise WordTooLong(f"more than {MAX_LETTERS} x/y letters",
+                                  position)
+        runs.append(run)
+    return BraidWord(tuple(runs))
 
 
-def _is_int(text: str) -> bool:
-    """Whether text is ``-?[0-9]+``; other Unicode digits are rejected."""
-    body = text[1:] if text.startswith("-") else text
-    return body.isascii() and body.isdigit()
+def _exponent(text: str, token: str, position: int) -> int:
+    """The exponent literal ``-?[0-9]+``, at most MAX_EXPONENT_DIGITS digits
+    long; other Unicode digits are rejected."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise MalformedExponent(f"bad exponent {text!r} in {token!r}", position)
+    if len(digits) > MAX_EXPONENT_DIGITS:
+        raise MalformedExponent(
+            f"exponent has more than {MAX_EXPONENT_DIGITS} digits", position)
+    return int(text)
 
 
-_INVERSE = {letter: letter.inverse() for letter in (X, X_INV, Y, Y_INV)}
-
-
-def _inverse_letters(letters) -> tuple[Letter, ...]:
-    return tuple(map(_INVERSE.__getitem__, reversed(letters)))
-
-
-# Each base token, expanded for a positive and for a negative exponent.
-_BASE_LETTERS = {
-    "x": ((X,), (X_INV,)),
-    "s1": ((X,), (X_INV,)),
-    "y": ((Y,), (Y_INV,)),
-    "s2": ((Y,), (Y_INV,)),
-    "h": (H_LETTERS, _inverse_letters(H_LETTERS)),
+# Each base token as its runs with exponent +1 and -1.
+_BASE_UNITS = {
+    "x": (X, X_INV),
+    "s1": (X, X_INV),
+    "y": (Y, Y_INV),
+    "s2": (Y, Y_INV),
+    "h": (("h", 1), ("h", -1)),
 }
 
 
 def exponent_sum(w: BraidWord) -> int:
     """Sum of the letter signs (the algebraic crossing number of the closure)."""
-    return sum(letter.sign for letter in w)
+    return sum(6 * e if g == "h" else e for g, e in w.runs)
 
 
 def inverse(w: BraidWord) -> BraidWord:
-    return BraidWord(_inverse_letters(w.letters))
+    return BraidWord(_inverse_runs(w.runs))
 
 
 def concat(u: BraidWord, w: BraidWord) -> BraidWord:
-    return BraidWord(u.letters + w.letters)
+    return BraidWord(u.runs + w.runs)
 
 
 def conjugate(w: BraidWord, u: BraidWord) -> BraidWord:
@@ -169,7 +252,7 @@ def free_reduce(w: BraidWord) -> BraidWord:
 def power(w: BraidWord, n: int) -> BraidWord:
     if n < 0:
         return power(inverse(w), -n)
-    return BraidWord(w.letters * n)
+    return BraidWord(w.runs * n)
 
 
 @dataclass(frozen=True)
@@ -215,9 +298,11 @@ _S3_CYCLES = tuple(p.cycle_count for p in _S3)
 
 
 def _s3_index(w: BraidWord) -> int:
+    """h runs and even runs act trivially; an odd run acts as its letter."""
     index = 0
-    for letter in w.letters:
-        index = _S3_THEN[letter.generator][index]
+    for generator, exponent in w.runs:
+        if exponent % 2 and generator != "h":
+            index = _S3_THEN[generator][index]
     return index
 
 

@@ -221,3 +221,33 @@ def test_batch_internal_inconsistency_is_a_line_error(tmp_path, capsys,
     assert code == 3
     assert lines[1] == "'y x': error: forced for the test"
     assert lines[-1] == "2 ok, 1 failed"
+
+
+def test_pretty_canonical_word_keeps_the_twist_as_one_token(capsys):
+    code, out, _ = run(capsys, "analyze", "h^999999999999 x y^-3 x y^-1")
+    assert code == 0
+    assert "canonical word:      h^999999999999 x y^-1 x y^-3\n" in out
+    for text, line in (("", "(empty)"), ("h", "h"), ("h^-2", "h^-2"),
+                       ("h x^-2 y^-1", "h x^-2 y^-1"), ("y x^5", "h x y^-1")):
+        _, out, _ = run(capsys, "analyze", text)
+        assert f"canonical word:      {line}\n" in out, text
+
+
+def test_oversized_input_is_a_parse_error(tmp_path, capsys):
+    long_exponent = "h^" + "9" * 5000
+    too_many_letters = "x^999999 y^2"
+    for text, error in ((long_exponent, "more than 18 digits"),
+                        (too_many_letters, "more than 1000000 x/y letters")):
+        code, out, err = run(capsys, "analyze", text, "--json")
+        assert code == 2, text
+        assert out == ""
+        assert error in err
+    path = tmp_path / "words.txt"
+    path.write_text(f"x y\n{long_exponent}\n{too_many_letters}\n")
+    code, out, _ = run(capsys, "batch", str(path), "--json")
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert code == 0
+    assert [r["error"]["type"] for r in records[1:3]] == \
+        ["MalformedExponent", "WordTooLong"]
+    assert records[2]["error"]["position"] == 2
+    assert records[-1] == {"summary": {"ok": 1, "failed": 2}}

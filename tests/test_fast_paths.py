@@ -1,8 +1,9 @@
 """Fast paths of the word layer checked against the slow code they replace.
 
 The slow references live here only: the minimum over all rotations, the
-left-to-right matrix product, and the per-letter permutation fold.  Short
-inputs are enumerated exhaustively; long words are drawn at random.
+left-to-right matrix product, the per-letter permutation fold, and words
+stored one letter per run.  Short inputs are enumerated exhaustively; long
+words are drawn at random.
 """
 
 import itertools
@@ -14,8 +15,26 @@ from threebraid.homology import (
     determinant_from_image,
     image,
 )
-from threebraid.murasugi import least_rotation
-from threebraid.words import Perm3, components, permutation
+from threebraid.invariants import analyze_word
+from threebraid.murasugi import (
+    Family1,
+    Family2,
+    Family3,
+    canonical_word,
+    classify,
+    least_rotation,
+    mirror_form,
+    psl2_normal_form,
+)
+from threebraid.words import (
+    BraidWord,
+    Perm3,
+    components,
+    exponent_sum,
+    inverse,
+    parse,
+    permutation,
+)
 
 LETTERS = (w_.X, w_.Y, w_.X_INV, w_.Y_INV)
 
@@ -85,3 +104,87 @@ def test_tree_product_matches_left_to_right_on_long_words(rng):
         for alphabet in (LETTERS, (w_.X, w_.Y)):
             letters = tuple(rng.choice(alphabet) for _ in range(length))
             assert image(w_.BraidWord(letters)) == slow_image(letters), length
+
+
+def assert_runs_match_letters(w):
+    """A run-stored word and the same letters stored one per run agree."""
+    letters = BraidWord(w.letters)
+    assert all(abs(e) == 1 and g != "h" for g, e in letters.runs)
+    assert image(w) == image(letters) == slow_image(w.letters), w.runs
+    assert classify(w) == classify(letters), w.runs
+    assert psl2_normal_form(w) == psl2_normal_form(letters), w.runs
+    assert components(w) == components(letters), w.runs
+    assert permutation(w) == permutation(letters), w.runs
+    assert exponent_sum(w) == exponent_sum(letters) == \
+        sum(letter.sign for letter in w.letters), w.runs
+    assert len(w) == len(letters) == len(w.letters), w.runs
+    assert str(w) == str(letters), w.runs
+    assert inverse(w).letters == inverse(letters).letters, w.runs
+    assert w == letters and hash(w) == hash(letters), w.runs
+
+
+def test_runs_match_letters_on_all_words_of_three_tokens():
+    tokens = [(g, e) for g in "xyh" for e in (1, -1, 2, -2, 3, -3)]
+    checked = 0
+    for count in range(4):
+        for runs in itertools.product(tokens, repeat=count):
+            assert_runs_match_letters(BraidWord(runs))
+            checked += 1
+    assert checked == 1 + 18 + 18**2 + 18**3
+
+
+def test_runs_match_letters_on_long_words(rng):
+    for _ in range(4):
+        runs = []
+        while sum(6 * abs(e) if g == "h" else abs(e) for g, e in runs) < 10**4:
+            runs.append((rng.choice("xxxyyyh"),
+                         rng.choice((1, -1)) * rng.randint(1, 50)))
+        w = BraidWord(tuple(runs))
+        assert_runs_match_letters(w)
+        assert parse(" ".join(f"{g}^{e}" for g, e in runs)) == w
+
+
+def old_canonical_letters(f):
+    """The model word as it was built letter by letter: h^d expanded, then
+    the tail."""
+    letters = list(w_.power(w_.word(w_.H_LETTERS), f.d).letters)
+    if isinstance(f, Family1):
+        for ai in f.a:
+            letters += [w_.X] + [w_.Y_INV] * ai
+    elif isinstance(f, Family2):
+        letters += [w_.Y if f.m > 0 else w_.Y_INV] * abs(f.m)
+    else:
+        letters += [w_.X_INV] * -f.m + [w_.Y_INV]
+    return tuple(letters)
+
+
+def test_canonical_word_expands_to_the_old_model_word():
+    for d in range(-5, 6):
+        forms = [Family1(d, a) for a in ((1,), (0, 2), (3, 1, 0))]
+        forms += [Family2(d, m) for m in range(-3, 4)]
+        forms += [Family3(d, m) for m in (-1, -2, -3)]
+        for f in forms:
+            model = canonical_word(f)
+            assert model.letters == old_canonical_letters(f), f
+            assert len(model) == len(model.letters), f
+            assert sum(1 for g, _ in model.runs if g == "h") == (d != 0), f
+
+
+def test_mirror_form_shifts_d_by_the_twist_power():
+    tails = [Family1(0, (1, 3)), Family1(0, (2,)), Family2(0, 4),
+             Family2(0, -1), Family2(0, 0), Family3(0, -1), Family3(0, -2),
+             Family3(0, -3)]
+    for big in (10**17, -10**17):
+        for f in tails:
+            shifted = type(f)(big, f.a if isinstance(f, Family1) else f.m)
+            mirror = mirror_form(f)
+            expected = type(mirror)(
+                mirror.d - big,
+                mirror.a if isinstance(mirror, Family1) else mirror.m)
+            assert mirror_form(shifted) == expected, (big, f)
+
+
+def test_huge_twist_power_is_classified_from_one_run():
+    w = parse("h^100000000000000000 x y^-3 x y^-1")
+    assert w.runs[0] == ("h", 10**17)
+    assert analyze_word(w, raw_text="").normal_form == Family1(10**17, (1, 3))

@@ -3,8 +3,10 @@ import pytest
 from threebraid import words as w_
 from threebraid.words import (
     BraidWord,
+    MAX_LETTERS,
     MalformedExponent,
     UnknownToken,
+    WordTooLong,
     components,
     concat,
     exponent_sum,
@@ -51,6 +53,25 @@ def test_parse_accepts_only_ascii_digits():
         with pytest.raises(MalformedExponent):
             parse(text)
     assert parse("x^-03") == parse("x^-3")
+
+
+def test_parse_bounds_exponent_digits():
+    for text in ("h^" + "9" * 19, "x^-" + "1" * 19, "y^" + "0" * 4299 + "1"):
+        with pytest.raises(MalformedExponent) as excinfo:
+            parse(text)
+        assert "more than 18 digits" in str(excinfo.value)
+    assert parse("h^-" + "9" * 18).runs == (("h", -(10**18 - 1)),)
+
+
+def test_parse_bounds_letters_outside_h_runs():
+    assert len(parse(f"x^{MAX_LETTERS}")) == MAX_LETTERS
+    assert len(parse(f"h^{10**17} y^-{MAX_LETTERS}")) == \
+        6 * 10**17 + MAX_LETTERS
+    with pytest.raises(WordTooLong) as excinfo:
+        parse(f"x^{MAX_LETTERS - 1} h^5 s2^-1 x")
+    assert excinfo.value.position == 4
+    with pytest.raises(WordTooLong):
+        parse("x^999999999")
 
 
 def test_exponent_sum():
