@@ -37,16 +37,35 @@ def _dumps(obj) -> str:
 
 def _oracle_block(word, report) -> tuple[dict, bool]:
     """Oracle determinant/signature plus an agreement verdict against the
-    representation-theoretic values.  Split closures get an error record."""
+    representation-theoretic values.  Split closures and diagrams past the
+    crossing cap get an error record."""
     try:
         matrix = seifert.seifert_matrix(word)
-    except seifert.SplitClosure as error:
+    except (seifert.SplitClosure, seifert.DiagramTooLarge) as error:
         return {"error": str(error)}, True
     det = seifert.sym_determinant(matrix)
     sig = seifert.sym_signature(matrix)
     agrees = det == report.determinant and \
         (report.signature is None or report.signature == sig)
     return {"determinant": det, "signature": sig, "agrees": agrees}, agrees
+
+
+def _report(text: str, args) -> tuple:
+    """The per-word pipeline of analyze and batch: parse, report, and the
+    oracle block when asked.  Returns (report, oracle or None, agrees)."""
+    word = w_.parse(text)
+    report = invariants.analyze_word(word, raw_text=text,
+                                     include_torus_bundle=args.torus_bundle)
+    if not args.oracle:
+        return report, None, True
+    return (report, *_oracle_block(word, report))
+
+
+def _json_line(report, oracle: dict | None) -> str:
+    payload = invariants.report_json(report)
+    if oracle is not None:
+        payload["oracle"] = oracle
+    return _dumps(payload)
 
 
 def _fraction_str(q) -> str:
@@ -110,21 +129,12 @@ def _pretty_report(report, oracle: dict | None,
 
 def _analyze(args) -> int:
     try:
-        word = w_.parse(args.word)
-        report = invariants.analyze_word(word, raw_text=args.word,
-                                         include_torus_bundle=args.torus_bundle)
+        report, oracle, consistent = _report(args.word, args)
     except ParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
         return EXIT_PARSE
-    oracle = None
-    consistent = True
-    if args.oracle:
-        oracle, consistent = _oracle_block(word, report)
     if args.json:
-        payload = invariants.report_json(report)
-        if oracle is not None:
-            payload["oracle"] = oracle
-        print(_dumps(payload))
+        print(_json_line(report, oracle))
     else:
         print(_pretty_report(report, oracle, torus_requested=args.torus_bundle))
     return EXIT_OK if consistent else EXIT_INCONSISTENT
@@ -135,8 +145,8 @@ def _batch_line(report, oracle: dict | None) -> str:
                f"components {report.components}; det {report.determinant}; "
                f"L-space {report.l_space}; tight {report.tight}; qa {report.qa}")
     if oracle is not None:
-        summary += (f"; oracle {oracle.get('determinant', 'n/a')}"
-                    if "error" not in oracle else "; oracle split")
+        summary += (f"; oracle error: {oracle['error']}" if "error" in oracle
+                    else f"; oracle {oracle['determinant']}")
     return summary
 
 
@@ -155,9 +165,7 @@ def _batch(args) -> int:
         if not text or text.startswith("#"):
             continue
         try:
-            word = w_.parse(text)
-            report = invariants.analyze_word(
-                word, raw_text=text, include_torus_bundle=args.torus_bundle)
+            report, oracle, agrees = _report(text, args)
         except (ParseError, InternalInconsistency) as error:
             failed += 1
             record = {"type": type(error).__name__}
@@ -172,15 +180,9 @@ def _batch(args) -> int:
                 print(f"{text!r}: error: {error}")
             continue
         ok += 1
-        oracle = None
-        if args.oracle:
-            oracle, agrees = _oracle_block(word, report)
-            consistent = consistent and agrees
+        consistent = consistent and agrees
         if args.json:
-            payload = invariants.report_json(report)
-            if oracle is not None:
-                payload["oracle"] = oracle
-            print(_dumps(payload))
+            print(_json_line(report, oracle))
         else:
             print(_batch_line(report, oracle))
     if args.json:

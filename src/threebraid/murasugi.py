@@ -356,5 +356,17 @@ def is_conjugate(w1: BraidWord, w2: BraidWord) -> bool:
 
 
 def mirror_form(f: MurasugiForm) -> MurasugiForm:
-    """Normal form of the inverse mapping class (mirror of the closure)."""
-    return classify(w_.inverse(canonical_word(f)))
+    """Normal form of the inverse mapping class (mirror of the closure), in
+    O(n + sum(a)) with no word built.  Inversion reverses the cyclic R/L
+    word R L^a1 ... R L^an of a family-1 form and swaps R and L.
+
+    >>> mirror_form(Family1(1, (5,)))
+    Family1(d=-1, a=(0, 0, 0, 0, 1))
+    """
+    _validate(f)
+    if isinstance(f, Family1):
+        return Family1(-f.d, _block_tuple(
+            [e for ai in reversed(f.a) for e in (1,) * ai + (2,)]))
+    if isinstance(f, Family2):
+        return Family2(-f.d, -f.m)
+    return Family3(1 - f.d, -4 - f.m)

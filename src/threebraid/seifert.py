@@ -28,6 +28,15 @@ class SplitClosure(ValueError):
     closure is a split link and the surface is disconnected."""
 
 
+class DiagramTooLarge(ValueError):
+    """The diagram has more than ``MAX_CROSSINGS`` crossings."""
+
+
+# The matrix is built densely, in time and memory quadratic in the number of
+# crossings, so larger diagrams are refused before any letter is expanded.
+MAX_CROSSINGS = 3000
+
+
 @dataclass(frozen=True)
 class SeifertMatrix:
     """Band linking matrix plus bookkeeping for the homology generators.
@@ -105,7 +114,13 @@ def seifert_matrix(w: BraidWord) -> SeifertMatrix:
     The sign rules are pinned by two calibration fixtures in the test suite:
     the closure of (x y)^2 must have signature -2 and determinant 3, the
     closure of (x y^-1)^2 signature 0 and determinant 5.
+
+    Raises ``DiagramTooLarge`` past ``MAX_CROSSINGS`` letters, counted
+    before free reduction and from the runs, with h^d as 6|d|.
     """
+    if len(w) > MAX_CROSSINGS:
+        raise DiagramTooLarge(
+            f"{len(w)} crossings, more than the oracle's cap of {MAX_CROSSINGS}")
     reduced = free_reduce(w)
     crossings = [(0 if letter.generator == "x" else 1, letter.sign)
                  for letter in reduced]

@@ -68,27 +68,11 @@ H_LETTERS = (X, Y, X, Y, X, Y)
 Run = tuple[str, int]
 
 
-class _Inverses(dict):
-    """Each letter's inverse letter; any other run is inverted on lookup."""
-
-    def __missing__(self, run: Run) -> Run:
-        generator, exponent = run
-        return generator, -exponent
-
-
-_INVERSE = _Inverses({letter: letter.inverse()
-                      for letter in (X, X_INV, Y, Y_INV)})
-
-
-def _inverse_runs(runs) -> tuple[Run, ...]:
-    return tuple(map(_INVERSE.__getitem__, reversed(runs)))
-
-
 # The letters of one run with exponent +1 and -1, by generator.
 _UNIT_LETTERS = {
     "x": ((X,), (X_INV,)),
     "y": ((Y,), (Y_INV,)),
-    "h": (H_LETTERS, _inverse_runs(H_LETTERS)),
+    "h": (H_LETTERS, tuple(map(Letter.inverse, reversed(H_LETTERS)))),
 }
 
 
@@ -221,7 +205,7 @@ def exponent_sum(w: BraidWord) -> int:
 
 
 def inverse(w: BraidWord) -> BraidWord:
-    return BraidWord(_inverse_runs(w.runs))
+    return BraidWord(tuple((g, -e) for g, e in reversed(w.runs)))
 
 
 def concat(u: BraidWord, w: BraidWord) -> BraidWord:

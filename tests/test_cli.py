@@ -251,3 +251,19 @@ def test_oversized_input_is_a_parse_error(tmp_path, capsys):
         ["MalformedExponent", "WordTooLong"]
     assert records[2]["error"]["position"] == 2
     assert records[-1] == {"summary": {"ok": 1, "failed": 2}}
+
+
+def test_analyze_and_batch_print_the_same_line(capsys, tmp_path):
+    # Hyperbolic, split, twisted, and past the oracle's crossing cap.
+    words = ["x y^-1 x y^-3", "y^3", "h^5 x y^-2", "x^3001 y"]
+    flags = ["--json", "--torus-bundle", "--oracle"]
+    path = tmp_path / "words.txt"
+    path.write_text("\n".join(words) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "batch", *flags, str(path))
+    assert code == 0
+    batch_lines = out.splitlines()[:-1]
+    assert len(batch_lines) == len(words)
+    for text, line in zip(words, batch_lines):
+        code, out, _ = run(capsys, "analyze", *flags, text)
+        assert code == 0
+        assert out == line + "\n", text

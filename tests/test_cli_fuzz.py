@@ -20,7 +20,7 @@ SPACES = (" ", "  ", "\t", " ", "　", "\n")
 
 # Inputs that once escaped as a traceback or exhausted memory, always run.
 FIXED = ("", "h^" + "9" * 5000, "x^999999999", "h^99999999999999999",
-         "-x", "x^-", " \t ")
+         "-x", "x^-", " \t ", "h^100000000 x", "x^20000 y")
 
 
 def fuzz_strings(rng, count):
@@ -50,7 +50,8 @@ def test_every_string_ends_in_a_documented_exit_code(tmp_path, capsys):
     strings = fuzz_strings(random.Random(0xF022), 300)
     for text in strings:
         for argv in (["analyze", text],
-                     ["analyze", "--json", "--torus-bundle", text]):
+                     ["analyze", "--json", "--torus-bundle", text],
+                     ["analyze", "--json", "--oracle", text]):
             code = exit_code(argv)
             assert code in range(5) and code != EXIT_NOT_CONJUGATE, (argv, code)
         code = exit_code(["conjugate", text, "x"])
@@ -59,6 +60,6 @@ def test_every_string_ends_in_a_documented_exit_code(tmp_path, capsys):
 
     path = tmp_path / "fuzz.txt"
     path.write_text("\n".join(strings) + "\n", encoding="utf-8")
-    for flags in ([], ["--json", "--torus-bundle"]):
+    for flags in ([], ["--json", "--torus-bundle"], ["--oracle"]):
         code = exit_code(["batch", *flags, str(path)])
         assert code in range(5) and code != EXIT_NOT_CONJUGATE, (flags, code)

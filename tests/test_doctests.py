@@ -1,8 +1,9 @@
-"""The examples in the package's docstrings run as tests."""
+"""The examples in the package's docstrings and in README.md run as tests."""
 
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -23,3 +24,9 @@ def test_the_examples_are_found():
     attempted = sum(doctest.testmod(importlib.import_module(name)).attempted
                     for name in MODULES)
     assert attempted >= 13
+
+
+def test_readme_examples():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.attempted and result.failed == 0

@@ -1,8 +1,9 @@
 """Fast paths of the word layer checked against the slow code they replace.
 
 The slow references live here only: the minimum over all rotations, the
-left-to-right matrix product, the per-letter permutation fold, and words
-stored one letter per run.  Short inputs are enumerated exhaustively; long
+left-to-right matrix product, the per-letter permutation fold, words
+stored one letter per run, and the mirror read by classifying the inverse
+of the model word.  Short inputs are enumerated exhaustively; long
 words are drawn at random.
 """
 
@@ -188,3 +189,33 @@ def test_huge_twist_power_is_classified_from_one_run():
     w = parse("h^100000000000000000 x y^-3 x y^-1")
     assert w.runs[0] == ("h", 10**17)
     assert analyze_word(w, raw_text="").normal_form == Family1(10**17, (1, 3))
+
+
+def slow_mirror_form(f):
+    return classify(inverse(canonical_word(f)))
+
+
+def assert_mirror_matches_round_trip(f):
+    mirror = mirror_form(f)
+    assert mirror == slow_mirror_form(f), f
+    assert mirror_form(mirror) == f, f
+
+
+def test_mirror_form_matches_round_trip_on_short_forms():
+    checked = 0
+    for d in range(-2, 3):
+        forms = [Family2(d, m) for m in range(-6, 7)]
+        forms += [Family3(d, m) for m in (-1, -2, -3)]
+        forms += [Family1(d, a) for n in range(1, 6)
+                  for a in itertools.product(range(4), repeat=n) if any(a)]
+        for f in forms:
+            assert_mirror_matches_round_trip(f)
+            checked += 1
+    assert checked == 5 * (13 + 3 + sum(4**n - 1 for n in range(1, 6)))
+
+
+def test_mirror_form_matches_round_trip_on_long_tuples(rng):
+    for _ in range(50):
+        a = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 400)))
+        assert_mirror_matches_round_trip(
+            Family1(rng.randint(-10**6, 10**6), a + (1,)))

@@ -84,6 +84,10 @@ def test_canonical_word_rejects_invalid_forms():
         canonical_word(Family1(1, (2, -1)))
     with pytest.raises(InvalidForm):
         canonical_word(Family3(0, -4))
+    for form in (Family1(0, ()), Family1(1, (0, 0)), Family1(1, (2, -1)),
+                 Family3(0, -4), Family3(2, 0), (0, 1)):
+        with pytest.raises(InvalidForm):
+            mirror_form(form)
 
 
 def test_family1_tuple_stored_as_least_rotation():

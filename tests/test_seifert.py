@@ -6,6 +6,8 @@ import pytest
 from threebraid import words as w_
 from threebraid.homology import determinant
 from threebraid.seifert import (
+    MAX_CROSSINGS,
+    DiagramTooLarge,
     SeifertMatrix,
     SplitClosure,
     oracle_determinant,
@@ -153,3 +155,15 @@ def test_elimination_matches_brute_force_on_all_small_matrices():
         symmetric = matrix.symmetrized()
         assert sym_determinant(matrix) == abs(_leibniz(symmetric))
         assert sym_signature(matrix) == _descartes_signature(symmetric)
+
+
+def test_oversized_diagrams_are_refused_before_expansion():
+    # h^d counts 6|d| crossings and is refused without expanding its
+    # letters; the cap counts letters before free reduction.
+    half = MAX_CROSSINGS // 2
+    for text in ("h^100000000 x", f"x^{MAX_CROSSINGS + 1} y",
+                 f"x^{half} x^-{half} x y"):
+        with pytest.raises(DiagramTooLarge):
+            seifert_matrix(parse(text))
+    at_cap = seifert_matrix(parse(f"x^{half - 1} x^-{half - 1} x y"))
+    assert sym_determinant(at_cap) == 1
