@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -214,7 +215,10 @@ def _conjugate(args) -> int:
     return EXIT_OK if conjugate else EXIT_NOT_CONJUGATE
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    ``main`` call in the process."""
     parser = argparse.ArgumentParser(
         prog="threebraid",
         description="Normal forms and closure invariants of 3-braid words.")

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import homology, murasugi
 from .murasugi import Family1, Family2, MurasugiForm
 
 Grading = Fraction
@@ -110,21 +109,45 @@ def surgery_table(tag: str, n: int) -> GradedModule:
     raise ValueError(f"unknown knot type tag {tag!r}")
 
 
+# The 0-surgery rows do not depend on n, so each is built once; a
+# GradedModule is frozen and safe to share.
+_ZERO_SURGERY_ROWS = {
+    RIGHT_TREFOIL_LIKE: _module([Fraction(-1, 2), Fraction(-3, 2)]),
+    LEFT_TREFOIL_LIKE: _module([Fraction(3, 2), Fraction(1, 2)]),
+    FIGURE_EIGHT_LIKE: _module([Fraction(1, 2), Fraction(-1, 2)],
+                               [(1, Fraction(-1, 2))]),
+}
+
+
 def zero_surgery_table(tag: str) -> GradedModule:
     """HF+ of 0-surgery on the model knot, in its supporting spin-c structure."""
-    if tag == RIGHT_TREFOIL_LIKE:
-        return _module([Fraction(-1, 2), Fraction(-3, 2)])
-    if tag == LEFT_TREFOIL_LIKE:
-        return _module([Fraction(3, 2), Fraction(1, 2)])
-    if tag == FIGURE_EIGHT_LIKE:
-        return _module([Fraction(1, 2), Fraction(-1, 2)],
-                       [(1, Fraction(-1, 2))])
-    raise ValueError(f"unknown knot type tag {tag!r}")
+    try:
+        return _ZERO_SURGERY_ROWS[tag]
+    except KeyError:
+        raise ValueError(f"unknown knot type tag {tag!r}") from None
 
 
 def form_determinant(f: MurasugiForm) -> int:
-    """Determinant of the closure of the model word of f."""
-    return homology.determinant(murasugi.canonical_word(f))
+    """Determinant of the closure of the model word of f: |2 - tr M| with
+    M = (-1)^d T, since h maps to -I and the tail maps to T.
+
+    The tails x y^-a1 ... x y^-an, y^m and x^m y^-1 map to the products of
+    [[1 + ai, 1], [ai, 1]], to a matrix of trace 2, and to [[1 + m, m],
+    [1, 1]]; the family-1 trace is folded in plain ints.
+
+    >>> form_determinant(Family1(1, (5,)))
+    9
+    """
+    if isinstance(f, Family1):
+        a, b, c, d = 1, 0, 0, 1
+        for ai in f.a:
+            a, b, c, d = a + (a + b) * ai, a + b, c + (c + d) * ai, c + d
+        trace = a + d
+    elif isinstance(f, Family2):
+        trace = 2
+    else:
+        trace = 2 + f.m
+    return abs(2 - (-trace if f.d % 2 else trace))
 
 
 def is_l_space(f: MurasugiForm) -> bool:
@@ -145,13 +168,24 @@ def is_tight(f: MurasugiForm) -> bool:
     return f.d > 0
 
 
+def is_tight_inverse(f: MurasugiForm) -> bool:
+    """``is_tight(mirror_form(f))``, read off f: the mirror of Family1(d, a)
+    has twist power -d, that of Family2(d, m) is Family2(-d, -m), and that
+    of Family3(d, m) has twist power 1 - d."""
+    if isinstance(f, Family1):
+        return f.d < 0
+    if isinstance(f, Family2):
+        return f.d < 0 or (f.d == 0 and f.m <= 0)
+    return f.d <= 0
+
+
 def knot_type(f: MurasugiForm) -> str:
     """Which model knot the binding behaves like: the right trefoil when the
     contact structure is tight, the left trefoil when the inverse's is, and
     the figure-eight when both invariants vanish."""
     if is_tight(f):
         return RIGHT_TREFOIL_LIKE
-    if is_tight(murasugi.mirror_form(f)):
+    if is_tight_inverse(f):
         return LEFT_TREFOIL_LIKE
     return FIGURE_EIGHT_LIKE
 
@@ -190,8 +224,16 @@ def hf_plus_s0(f: MurasugiForm) -> GradedModule:
 
 def correction_term(f: MurasugiForm) -> Grading:
     """d-invariant of the cover in the distinguished spin-c structure: the
-    bottom grading of the tower of hf_plus_s0."""
-    return min(hf_plus_s0(f).towers)
+    bottom grading of the tower of hf_plus_s0, read off the table row's
+    tower and the shift without building the module."""
+    tag, n, delta = _assembly(f)
+    if tag == RIGHT_TREFOIL_LIKE:
+        bottom = -2 if n > 0 else 0
+    elif tag == LEFT_TREFOIL_LIKE:
+        bottom = 0 if n >= 0 else 2
+    else:
+        bottom = 0
+    return bottom + delta
 
 
 @dataclass(frozen=True)
@@ -211,6 +253,10 @@ class TorusBundleModules:
     fiber_structures_vanish: bool = True
 
 
+_NON_S0_RELATIVE = GradedModule(
+    (Fraction(1, 2), Fraction(-1, 2)), (), absolute=False)
+
+
 def torus_bundle_hf(f: MurasugiForm) -> TorusBundleModules:
     determinant = form_determinant(f)
     if determinant == 0:
@@ -220,8 +266,7 @@ def torus_bundle_hf(f: MurasugiForm) -> TorusBundleModules:
     return TorusBundleModules(
         s0=shift(zero_surgery_table(tag), delta),
         non_s0_count=determinant - 1,
-        non_s0_relative=GradedModule(
-            (Fraction(1, 2), Fraction(-1, 2)), (), absolute=False),
+        non_s0_relative=_NON_S0_RELATIVE,
     )
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import floer, homology, murasugi
-from . import words as w_
 from .floer import GradedModule, TorusBundleModules
 from .homology import AbelianGroup
 from .murasugi import Family1, Family2, Family3, MurasugiForm
@@ -115,10 +114,20 @@ class SteinReport:
     dehn_twist_count_bound: int
 
 
+def _model_exponent_sum(f: MurasugiForm) -> int:
+    """Exponent sum of the model word h^d x y^-a1 ... x y^-an, h^d y^m or
+    h^d x^m y^-1, with h counting 6."""
+    if isinstance(f, Family1):
+        return 6 * f.d + len(f.a) - sum(f.a)
+    if isinstance(f, Family2):
+        return 6 * f.d + f.m
+    return 6 * f.d + f.m - 1
+
+
 def stein_report(f: MurasugiForm) -> SteinReport:
     l_space = floer.is_l_space(f)
     tight = floer.is_tight(f)
-    twist_bound = w_.exponent_sum(murasugi.canonical_word(f))
+    twist_bound = _model_exponent_sum(f)
     if not tight:
         return SteinReport(l_space, tight, NO, None, twist_bound)
     if not l_space:
@@ -165,7 +174,9 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
     """Aggregate every invariant of one word into a report.
 
     The word's image in SL(2,Z) is computed once; the normal form, the
-    component count, the determinant and H1 are all read from it."""
+    component count, the determinant and H1 are all read from it.  The
+    Floer and Stein values are read off the normal form, and the module
+    HF+ is built once."""
     matrix = homology.image(w)
     form = murasugi.classify(w, matrix)
     components = homology.components_from_image(matrix)
@@ -187,7 +198,7 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
         b1=h1.free_rank,
         l_space=floer.is_l_space(form),
         tight=floer.is_tight(form),
-        tight_inverse=floer.is_tight(murasugi.mirror_form(form)),
+        tight_inverse=floer.is_tight_inverse(form),
         knot_type_tag=floer.knot_type(form),
         hf_plus_s0=floer.hf_plus_s0(form) if floer_defined else None,
         spin_c_count=det if floer_defined else None,

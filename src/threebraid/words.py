@@ -151,9 +151,26 @@ def parse(text: str) -> BraidWord:
     >>> parse("h^1000000000 x").runs
     (('h', 1000000000), Letter(generator='x', sign=1))
     """
+    tokens = text.split()
+    try:
+        # A list first: a tuple grown from an iterator is resized step by
+        # step, which fragments the heap.
+        runs = tuple([_UNIT_TOKENS[token] for token in tokens])
+    except KeyError:
+        pass
+    else:
+        # Each unit token is one letter, so this is the letter count.
+        if len(runs) <= MAX_LETTERS:
+            return BraidWord(runs)
+    return _parse_tokens(tokens)
+
+
+def _parse_tokens(tokens: list[str]) -> BraidWord:
+    """The grammar of ``parse``, token by token; it alone raises the parse
+    errors, so their class and position do not depend on the table."""
     runs: list[Run] = []
     letter_count = 0
-    for position, token in enumerate(text.split(), start=1):
+    for position, token in enumerate(tokens, start=1):
         base, caret, exponent_text = token.partition("^")
         exponent = _exponent(exponent_text, token, position) if caret else 1
         try:
@@ -196,6 +213,14 @@ _BASE_UNITS = {
     "y": (Y, Y_INV),
     "s2": (Y, Y_INV),
     "h": (("h", 1), ("h", -1)),
+}
+
+# Every x/y token with exponent 1 or -1, written out, as its run; parse
+# looks whole tokens up here before it falls back to the grammar.
+_UNIT_TOKENS = {
+    base + suffix: units[index]
+    for base, units in _BASE_UNITS.items() if base != "h"
+    for suffix, index in (("", 0), ("^1", 0), ("^-1", 1))
 }
 
 

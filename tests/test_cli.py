@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from threebraid import cli
 from threebraid.cli import main
 
 
@@ -267,3 +270,16 @@ def test_analyze_and_batch_print_the_same_line(capsys, tmp_path):
         code, out, _ = run(capsys, "analyze", *flags, text)
         assert code == 0
         assert out == line + "\n", text
+
+
+def test_usage_error_leaves_the_shared_parser_intact(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    argv = ("analyze", "h x y^-5", "--json", "--torus-bundle")
+    after_error = run(capsys, *argv)
+    cli._parser.cache_clear()
+    fresh = run(capsys, *argv)
+    assert after_error == fresh
+    assert after_error[0] == 0 and "torus_bundle" in after_error[1]

@@ -1,22 +1,35 @@
-"""Fast paths of the word layer checked against the slow code they replace.
+"""Fast paths checked against the slow code they replace.
 
 The slow references live here only: the minimum over all rotations, the
 left-to-right matrix product, the per-letter permutation fold, words
-stored one letter per run, and the mirror read by classifying the inverse
-of the model word.  Short inputs are enumerated exhaustively; long
-words are drawn at random.
+stored one letter per run, the mirror read by classifying the inverse
+of the model word, the report's closed forms read from the model word or
+the Floer module, and the token grammar behind the table-driven parse.
+Short inputs are enumerated exhaustively; long words and forms are drawn
+at random.
 """
 
 import itertools
 
+import pytest
+
+from threebraid import homology
 from threebraid import words as w_
+from threebraid.floer import (
+    PositiveB1,
+    correction_term,
+    form_determinant,
+    hf_plus_s0,
+    is_tight,
+    is_tight_inverse,
+)
 from threebraid.homology import (
     SL2Matrix,
     components_from_image,
     determinant_from_image,
     image,
 )
-from threebraid.invariants import analyze_word
+from threebraid.invariants import analyze_word, stein_report
 from threebraid.murasugi import (
     Family1,
     Family2,
@@ -28,14 +41,19 @@ from threebraid.murasugi import (
     psl2_normal_form,
 )
 from threebraid.words import (
+    MAX_LETTERS,
     BraidWord,
+    ParseError,
     Perm3,
+    WordTooLong,
     components,
     exponent_sum,
     inverse,
     parse,
     permutation,
 )
+
+from test_floer import all_forms
 
 LETTERS = (w_.X, w_.Y, w_.X_INV, w_.Y_INV)
 
@@ -219,3 +237,69 @@ def test_mirror_form_matches_round_trip_on_long_tuples(rng):
         a = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 400)))
         assert_mirror_matches_round_trip(
             Family1(rng.randint(-10**6, 10**6), a + (1,)))
+
+
+def assert_closed_forms_match_model_word(f):
+    """Each value the report reads off the form equals the one the model
+    word or the Floer module gave."""
+    model = canonical_word(f)
+    assert form_determinant(f) == homology.determinant(model), f
+    assert is_tight_inverse(f) == is_tight(mirror_form(f)), f
+    assert stein_report(f).dehn_twist_count_bound == exponent_sum(model), f
+    try:
+        bottom = min(hf_plus_s0(f).towers)
+    except PositiveB1:
+        with pytest.raises(PositiveB1):
+            correction_term(f)
+    else:
+        assert correction_term(f) == bottom, f
+
+
+def test_closed_forms_match_model_word_on_short_forms():
+    forms = all_forms(range(-6, 7), 4)
+    assert len(forms) == 3094
+    for f in forms:
+        assert_closed_forms_match_model_word(f)
+
+
+def test_closed_forms_match_model_word_on_random_forms(rng):
+    for _ in range(50):
+        d = rng.randint(-10**17, 10**17)
+        a = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 400)))
+        for f in (Family1(d, a if any(a) else a + (1,)),
+                  Family2(d, rng.randint(-10**6, 10**6)),
+                  Family3(d, rng.choice((-1, -2, -3)))):
+            assert_closed_forms_match_model_word(f)
+
+
+PARSE_TOKENS = [base + suffix for base in ("x", "y", "s1", "s2", "h")
+                for suffix in ("", "^1", "^-1", "^01", "^-0", "^2")]
+PARSE_TOKENS += ["z", "x^", "x^+1", "x^\u00b2"]
+
+
+def parse_outcome(parser, text):
+    try:
+        return parser(text).runs
+    except ParseError as error:
+        return type(error), error.position
+
+
+def test_table_parse_matches_grammar_on_all_strings_of_three_tokens():
+    def grammar(text):
+        return w_._parse_tokens(text.split())
+
+    checked = 0
+    for count in range(4):
+        for tokens in itertools.product(PARSE_TOKENS, repeat=count):
+            text = " ".join(tokens)
+            assert parse_outcome(parse, text) == \
+                parse_outcome(grammar, text), text
+            checked += 1
+    assert checked == sum(34**n for n in range(4))
+
+
+def test_table_parse_keeps_the_letter_cap():
+    assert len(parse("x " * MAX_LETTERS)) == MAX_LETTERS
+    with pytest.raises(WordTooLong) as excinfo:
+        parse("s2^-1 " * (MAX_LETTERS + 1))
+    assert excinfo.value.position == MAX_LETTERS + 1

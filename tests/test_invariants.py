@@ -1,7 +1,9 @@
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
+from threebraid import floer, homology, murasugi
 from threebraid.floer import correction_term, is_l_space
 from threebraid.invariants import (
     CONSTRAINED,
@@ -201,3 +203,32 @@ def test_report_optional_fields_follow_components():
     report = analyze_word(parse("x y"))  # unknot
     assert report.delta == 0
     assert report.signature is None  # no closed form outside family 1
+
+
+def test_one_derivation_per_report(monkeypatch):
+    """A report multiplies the word out once, builds no model word and no
+    mirror, and builds HF+ at most once."""
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(homology, "image")
+    count(murasugi, "canonical_word")
+    count(murasugi, "mirror_form")
+    count(floer, "hf_plus_s0")
+    for text, form in (("h x y^-5", Family1(1, (5,))),
+                       ("h^3 y^2", Family2(3, 2)),
+                       ("h^-2 x^-2 y^-1", Family3(-2, -2))):
+        calls.clear()
+        report = analyze_word(parse(text), include_torus_bundle=True)
+        assert report.normal_form == form
+        assert report.torus_bundle is not None
+        assert calls["image"] == 1, text
+        assert calls["canonical_word"] == calls["mirror_form"] == 0, text
+        assert calls["hf_plus_s0"] <= 1, text
