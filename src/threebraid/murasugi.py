@@ -252,8 +252,8 @@ def _block_tuple(exponents: list[int]) -> tuple[int, ...]:
     """Convert a cyclic R/L word (R where e=1, L where e=2) into the family-1
     tuple: each R opens a block whose entry counts the following run of Ls.
 
-    Reading from any R gives one rotation of the tuple; reading from each R
-    gives every rotation, and the least of them is the normal form."""
+    Reading from any R gives one rotation of the tuple; ``Family1`` stores
+    the least of them, which is the normal form."""
     start = exponents.index(1)
     entry: list[int] = []
     for e in exponents[start:] + exponents[:start]:
@@ -261,7 +261,7 @@ def _block_tuple(exponents: list[int]) -> tuple[int, ...]:
             entry.append(0)
         else:
             entry[-1] += 1
-    return least_rotation(entry)
+    return tuple(entry)
 
 
 def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:

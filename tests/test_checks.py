@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import threebraid
-from threebraid import homology, murasugi
+from threebraid import homology, murasugi, seifert
 from threebraid.homology import InternalInconsistency, image
 from threebraid.murasugi import S, U
 from threebraid.words import parse
@@ -46,12 +46,27 @@ def test_image_checks_the_determinant_of_the_product(monkeypatch):
         image(parse("y x y"))
 
 
+# Sparse rows with entries (value, stamp).  The diagonal of row 2 claims to
+# be scaled by the first leading minor, 2, which it is not a multiple of, so
+# the second step's division is inexact.
+NON_MINOR_ROWS = [{0: (2, 0), 1: (1, 0)},
+                  {0: (1, 0), 1: (1, 0), 2: (1, 0)},
+                  {1: (1, 0), 2: (1, 1)}]
+
+
+def test_elimination_rejects_a_non_minor_entry():
+    rows = [{0: (2, 0), 1: (1, 0)}, {0: (1, 0), 1: (1, 0)}]
+    assert seifert._eliminate(rows) == (2, 1)
+    with pytest.raises(InternalInconsistency):
+        seifert._eliminate([dict(row) for row in NON_MINOR_ROWS])
+
+
 def test_murasugi_reexports_the_same_exception():
     assert murasugi.InternalInconsistency is InternalInconsistency
 
 
 CORRUPTED_UNDER_O = """
-from threebraid import homology, murasugi
+from threebraid import homology, murasugi, seifert
 from threebraid.homology import InternalInconsistency, image
 from threebraid.words import parse
 
@@ -71,6 +86,10 @@ try:
     image(parse("x"))
 except ValueError:
     raised += 1
+try:
+    seifert._eliminate(""" + repr(NON_MINOR_ROWS) + """)
+except InternalInconsistency:
+    raised += 1
 print(raised)
 """
 
@@ -82,4 +101,4 @@ def test_checks_survive_python_dash_o():
          + CORRUPTED_UNDER_O],
         capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "3"
+    assert result.stdout.strip() == "4"

@@ -4,6 +4,7 @@ import pytest
 
 from threebraid import cli
 from threebraid.cli import main
+from threebraid.seifert import MAX_CROSSINGS
 
 
 def run(capsys, *argv):
@@ -258,7 +259,7 @@ def test_oversized_input_is_a_parse_error(tmp_path, capsys):
 
 def test_analyze_and_batch_print_the_same_line(capsys, tmp_path):
     # Hyperbolic, split, twisted, and past the oracle's crossing cap.
-    words = ["x y^-1 x y^-3", "y^3", "h^5 x y^-2", "x^3001 y"]
+    words = ["x y^-1 x y^-3", "y^3", "h^5 x y^-2", f"x^{MAX_CROSSINGS + 1} y"]
     flags = ["--json", "--torus-bundle", "--oracle"]
     path = tmp_path / "words.txt"
     path.write_text("\n".join(words) + "\n", encoding="utf-8")

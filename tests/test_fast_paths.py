@@ -4,12 +4,15 @@ The slow references live here only: the minimum over all rotations, the
 left-to-right matrix product, the per-letter permutation fold, words
 stored one letter per run, the mirror read by classifying the inverse
 of the model word, the report's closed forms read from the model word or
-the Floer module, and the token grammar behind the table-driven parse.
+the Floer module, the token grammar behind the table-driven parse, and the
+Seifert oracle's dense pair-loop construction and rational elimination.
 Short inputs are enumerated exhaustively; long words and forms are drawn
 at random.
 """
 
 import itertools
+from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -40,6 +43,7 @@ from threebraid.murasugi import (
     mirror_form,
     psl2_normal_form,
 )
+from threebraid.seifert import seifert_matrix, sym_determinant, sym_signature
 from threebraid.words import (
     MAX_LETTERS,
     BraidWord,
@@ -48,6 +52,7 @@ from threebraid.words import (
     WordTooLong,
     components,
     exponent_sum,
+    free_reduce,
     inverse,
     parse,
     permutation,
@@ -303,3 +308,127 @@ def test_table_parse_keeps_the_letter_cap():
     with pytest.raises(WordTooLong) as excinfo:
         parse("s2^-1 " * (MAX_LETTERS + 1))
     assert excinfo.value.position == MAX_LETTERS + 1
+
+
+def pair_loop_seifert(reduced):
+    """Dense V and the generators of a reduced diagram, one generator pair
+    at a time."""
+    crossings = [(0 if letter.generator == "x" else 1, letter.sign)
+                 for letter in reduced]
+    positions = {0: [], 1: []}
+    for position, (column, _) in enumerate(crossings):
+        positions[column].append(position)
+    generators = [(column, first, second) for column in (0, 1)
+                  for first, second in zip(positions[column],
+                                           positions[column][1:])]
+    sign_at = {pos: sign for pos, (_, sign) in enumerate(crossings)}
+    n = len(generators)
+    v = [[0] * n for _ in range(n)]
+    for i, (column, p1, p2) in enumerate(generators):
+        if sign_at[p1] == sign_at[p2]:
+            v[i][i] = -1 if sign_at[p1] > 0 else 1
+    for i, (column, p1, p2) in enumerate(generators):
+        for j, (column2, q1, q2) in enumerate(generators):
+            if j <= i:
+                continue
+            if column2 == column and q1 == p2:
+                if sign_at[p2] > 0:
+                    v[j][i] = 1
+                else:
+                    v[i][j] = -1
+            elif column2 == column + 1:
+                if q1 < p1 < q2 < p2:
+                    v[j][i] = 1
+                elif p1 < q1 < p2 < q2:
+                    v[j][i] = -1
+    return tuple(map(tuple, v)), tuple(generators)
+
+
+def dense_crossing_rows(entries, generators):
+    """Rows of V + V^T in crossing order, as dicts of the nonzeros."""
+    n = len(generators)
+    a = [[entries[i][j] + entries[j][i] for j in range(n)] for i in range(n)]
+    order = sorted(range(n), key=lambda i: generators[i][1])
+    return [{new: a[i][j] for new, j in enumerate(order) if a[i][j]}
+            for i in order]
+
+
+def fraction_pivots(rows):
+    """Diagonal of a congruence diagonalization over the rationals, with the
+    same zero-row, transposition and row/column-add moves."""
+    pivots = []
+
+    def eliminate(k):
+        row, rows[k] = rows[k], None
+        pivot = row.pop(k)
+        pivots.append(pivot)
+        band = [(i, x) for i, x in row.items() if x]
+        for index, (i, x) in enumerate(band):
+            del rows[i][k]
+            for j, y in band[index:]:
+                rows[i][j] = rows[j][i] = \
+                    rows[i].get(j, 0) - Fraction(x * y, pivot)
+
+    for k, row in enumerate(rows):
+        if row is None:
+            continue
+        if not row.get(k):
+            band = [j for j, x in row.items() if x and j != k]
+            if not band:
+                pivots.append(0)
+                continue
+            swap = next((j for j in band if rows[j].get(j)), None)
+            if swap is not None:
+                eliminate(swap)
+            else:
+                j = band[0]
+                for l, x in rows[j].items():
+                    if x and l != k:
+                        row[l] = rows[l][k] = row.get(l, 0) + x
+                row[k] = 2 * row[j]
+        eliminate(k)
+    return pivots
+
+
+def assert_oracle_matches_old(w):
+    """The sparse rows equal the pair loop's dense V + V^T in crossing
+    order, and the integer elimination gives the rational one's signature
+    and |det|.  Returns the matrix and the pair loop's dense V."""
+    entries, generators = pair_loop_seifert(w)
+    matrix = seifert_matrix(w)
+    assert matrix.generators == generators, w
+    expected = dense_crossing_rows(entries, generators)
+    rows = matrix._rows()
+    assert [{j: x for j, (x, _) in row.items()} for row in rows] == expected, w
+    assert all(stamp == 0 for row in rows for _, stamp in row.values()), w
+    pivots = fraction_pivots(expected)
+    assert sym_signature(matrix) == \
+        sum(1 if pivot > 0 else -1 for pivot in pivots if pivot), w
+    assert sym_determinant(matrix) == abs(prod(pivots)), w
+    assert all(type(pivot) is int for pivot in matrix._pivots), w
+    return matrix, entries
+
+
+def test_oracle_matches_old_code_on_all_short_diagrams():
+    # Every non-split word of 2-8 letters reduces to one of these.
+    level = [()]
+    checked = 0
+    for length in range(1, 9):
+        level = [letters + (letter,) for letters in level for letter in LETTERS
+                 if not letters or letters[-1] != letter.inverse()]
+        for letters in level:
+            if {letter.generator for letter in letters} == {"x", "y"}:
+                matrix, entries = assert_oracle_matches_old(BraidWord(letters))
+                assert matrix.entries == entries, letters
+                checked += 1
+    assert checked == 13_088
+
+
+@pytest.mark.parametrize("alphabet", [LETTERS, (w_.X, w_.Y), (w_.X, w_.Y_INV)],
+                         ids=["uniform", "positive", "alternating"])
+def test_oracle_matches_old_code_on_long_words(rng, alphabet):
+    for length in (10, 40, 200, 700, 2000):
+        reduced = free_reduce(BraidWord(
+            tuple(rng.choice(alphabet) for _ in range(length))))
+        if {letter.generator for letter in reduced} == {"x", "y"}:
+            assert_oracle_matches_old(reduced)

@@ -1,5 +1,6 @@
 import pytest
 
+from threebraid import murasugi
 from threebraid import words as w_
 from threebraid.homology import image
 from threebraid.murasugi import (
@@ -14,6 +15,7 @@ from threebraid.murasugi import (
     canonical_word,
     classify,
     is_conjugate,
+    least_rotation,
     mirror_form,
     psl2_normal_form,
 )
@@ -94,6 +96,23 @@ def test_family1_tuple_stored_as_least_rotation():
     assert Family1(0, (2, 1)).a == (1, 2)
     assert Family1(0, (3, 0, 1)).a == (0, 1, 3)
     assert Family1(0, (1, 1)).a == (1, 1)
+
+
+def test_one_least_rotation_per_family1_form(monkeypatch):
+    calls = []
+
+    def counting(seq):
+        calls.append(seq)
+        return least_rotation(seq)
+
+    monkeypatch.setattr(murasugi, "least_rotation", counting)
+    for text in ("y x^5", "x y^-3 x y^-1 x y^-2", "h^-2 x^2 y^-1 x y^-4"):
+        calls.clear()
+        form = classify(parse(text))
+        assert isinstance(form, Family1) and len(calls) == 1, text
+        calls.clear()
+        mirror_form(form)
+        assert len(calls) == 1, text
 
 
 def test_is_conjugate_fixtures(rng):

@@ -74,6 +74,11 @@ def test_sym_signature_small_matrices():
     hyperbolic = SeifertMatrix(((0, 1), (0, 0)), ((0, 0, 1), (0, 1, 2)))
     assert sym_signature(hyperbolic) == 0
     assert sym_determinant(hyperbolic) == 1
+    # Entries on both sides of the diagonal add up, and may cancel.
+    doubled = SeifertMatrix(((0, 1), (1, 0)), ((0, 0, 1), (0, 1, 2)))
+    assert (sym_signature(doubled), sym_determinant(doubled)) == (0, 4)
+    cancelled = SeifertMatrix(((1, 1), (-1, 0)), ((0, 0, 1), (0, 1, 2)))
+    assert (sym_signature(cancelled), sym_determinant(cancelled)) == (1, 0)
 
 
 def test_oracle_agrees_with_representation_determinant(rng):
