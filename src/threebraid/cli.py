@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 from . import invariants, murasugi, seifert
@@ -242,15 +243,22 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    command = {"analyze": _analyze, "batch": _batch,
+               "conjugate": _conjugate}[args.command]
     try:
-        if args.command == "analyze":
-            return _analyze(args)
-        if args.command == "batch":
-            return _batch(args)
-        return _conjugate(args)
+        code = command(args)
+        sys.stdout.flush()  # so that a write error surfaces here
+        return code
     except InternalInconsistency as error:
         print(f"internal inconsistency: {error}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except OSError as error:  # a closed pipe or a full device
+        if sys.stdout is sys.__stdout__:
+            # Output left in the buffer would fail again when the
+            # interpreter flushes stdout at exit; send it nowhere instead.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"cannot write output: {error}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -75,27 +75,15 @@ _GENERATOR_ENTRIES = {
 }
 
 
-def _mul(m, n):
-    p, q, r, s = m
-    a, b, c, d = n
-    return p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
-
-
 def _run_entries(generator: str, exponent: int):
-    """The image of the run generator^exponent: h^e is (-1)^e I, and a
-    generator power is taken by square-and-multiply."""
+    """The image of the run generator^exponent in closed form: h^e is
+    (-1)^e I, x^n is [[1, n], [0, 1]] and y^n is [[1, 0], [-n, 1]]."""
     if generator == "h":
         sign = -1 if exponent % 2 else 1
         return sign, 0, 0, sign
-    base = _GENERATOR_ENTRIES[generator, 1 if exponent > 0 else -1]
-    result = (1, 0, 0, 1)
-    n = abs(exponent)
-    while n:
-        if n & 1:
-            result = _mul(result, base)
-        base = _mul(base, base)
-        n >>= 1
-    return result
+    if generator == "x":
+        return 1, exponent, 0, 1
+    return 1, 0, -exponent, 1
 
 
 def image(w: BraidWord) -> SL2Matrix:

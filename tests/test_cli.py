@@ -1,7 +1,13 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import threebraid
 from threebraid import cli
 from threebraid.cli import main
 from threebraid.seifert import MAX_CROSSINGS
@@ -284,3 +290,59 @@ def test_usage_error_leaves_the_shared_parser_intact(capsys):
     fresh = run(capsys, *argv)
     assert after_error == fresh
     assert after_error[0] == 0 and "torus_bundle" in after_error[1]
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_pipe_is_an_io_error(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = main(["analyze", "x y", "--json"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_IO
+    assert "Broken pipe" in err
+    assert "Traceback" not in err
+
+
+def cli_command(*argv):
+    """The command line of a fresh interpreter running ``main``."""
+    src = str(Path(threebraid.__file__).resolve().parent.parent)
+    script = (f"import sys; sys.path.insert(0, {src!r}); "
+              "from threebraid.cli import main; sys.exit(main())")
+    return [sys.executable, "-c", script, *argv]
+
+
+def closed_pipe():
+    """A pipe whose reader is gone before the first write."""
+    read, write = os.pipe()
+    os.close(read)
+    return open(write, "w")
+
+
+def full_device():
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    return open("/dev/full", "w")
+
+
+@pytest.mark.parametrize("sink, message",
+                         [(closed_pipe, "Broken pipe"),
+                          (full_device, "No space left")],
+                         ids=["closed_pipe", "full_device"])
+def test_output_error_in_a_fresh_interpreter_is_an_io_error(sink, message):
+    # With stdout block-buffered, as it is outside a test run, output left
+    # in the buffer would fail again when the interpreter exits.
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    with sink() as stdout:
+        result = subprocess.run(cli_command("analyze", "x y", "--json"),
+                                stdout=stdout, stderr=subprocess.PIPE,
+                                text=True, env=env, timeout=60)
+    assert result.returncode == cli.EXIT_IO, result.stderr
+    assert message in result.stderr
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr

@@ -355,7 +355,8 @@ def dense_crossing_rows(entries, generators):
 
 def fraction_pivots(rows):
     """Diagonal of a congruence diagonalization over the rationals, with the
-    same zero-row, transposition and row/column-add moves."""
+    zero row, the transposition and the row/column add of the earlier
+    integer elimination."""
     pivots = []
 
     def eliminate(k):

@@ -79,6 +79,10 @@ def test_sym_signature_small_matrices():
     assert (sym_signature(doubled), sym_determinant(doubled)) == (0, 4)
     cancelled = SeifertMatrix(((1, 1), (-1, 0)), ((0, 0, 1), (0, 1, 2)))
     assert (sym_signature(cancelled), sym_determinant(cancelled)) == (1, 0)
+    # A zero diagonal whose neighbour's diagonal cancels the added link:
+    # V + V^T = [[0, 1], [1, -2]] needs the add with t = -1.
+    opposed = SeifertMatrix(((0, 1), (0, -1)), ((0, 0, 1), (0, 1, 2)))
+    assert (sym_signature(opposed), sym_determinant(opposed)) == (0, 1)
 
 
 def test_oracle_agrees_with_representation_determinant(rng):
@@ -152,7 +156,7 @@ def _descartes_signature(rows):
 
 def test_elimination_matches_brute_force_on_all_small_matrices():
     # First positions in reverse, so crossing order reverses the rows.  The
-    # inputs reach the zero-row, transposition and row/column-add moves.
+    # inputs reach the zero row and the signed add with t = 1 and t = -1.
     generators = tuple((0, first, first + 1) for first in (2, 1, 0))
     values = (-1, 0, 1)
     for a, b, c, d, e, f in itertools.product(values, repeat=6):
