@@ -15,7 +15,6 @@ Exit codes: 0 ok, 1 not conjugate, 2 parse error, 3 internal inconsistency
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -77,7 +76,8 @@ def _fraction_str(q) -> str:
 def _canonical_str(form) -> str:
     """The model word with its twist power kept as one token, ``h^d``."""
     twist = "" if form.d == 0 else "h" if form.d == 1 else f"h^{form.d}"
-    tail = str(murasugi.canonical_word(dataclasses.replace(form, d=0)))
+    runs = murasugi.canonical_word(form).runs
+    tail = str(w_.BraidWord(runs[1:] if form.d else runs))
     return " ".join(filter(None, (twist, tail))) or "(empty)"
 
 

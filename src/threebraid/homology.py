@@ -74,6 +74,25 @@ _GENERATOR_ENTRIES = {
     ("y", -1): (1, 0, 1, 1),
 }
 
+# Words are folded CHUNK letters at a time (the "Four Russians" table
+# trick of Arlazarov, Dinic, Kronrod and Faradzev, 1970): _CHUNK_ENTRIES
+# holds the image of every sequence of CHUNK letters, built at import one
+# letter longer per layer from _GENERATOR_ENTRIES.
+CHUNK = 4
+
+
+def _chunk_entries() -> dict:
+    layer = {(): (1, 0, 0, 1)}
+    for _ in range(CHUNK):
+        layer = {window + (letter,): (p * a + q * c, p * b + q * d,
+                                      r * a + s * c, r * b + s * d)
+                 for window, (p, q, r, s) in layer.items()
+                 for letter, (a, b, c, d) in _GENERATOR_ENTRIES.items()}
+    return layer
+
+
+_CHUNK_ENTRIES = _chunk_entries()
+
 
 def _run_entries(generator: str, exponent: int):
     """The image of the run generator^exponent in closed form: h^e is
@@ -83,24 +102,43 @@ def _run_entries(generator: str, exponent: int):
         return sign, 0, 0, sign
     if generator == "x":
         return 1, exponent, 0, 1
-    return 1, 0, -exponent, 1
+    if generator == "y":
+        return 1, 0, -exponent, 1
+    raise ValueError(f"malformed run {(generator, exponent)!r}")
 
 
 def image(w: BraidWord) -> SL2Matrix:
     """Product of the per-run matrices, multiplicative over concatenation.
 
+    The word is read in windows of CHUNK runs.  A window of CHUNK letters
+    is looked up in ``_CHUNK_ENTRIES`` and becomes one factor; otherwise
+    (a power run in the window, or fewer than CHUNK runs left) the first
+    run alone becomes one factor, and the next window starts after it.
+
     The product is balanced.  A binary counter holds partial products of
-    power-of-two spans of runs, at most about log2(runs) of them, and merges
-    the top two whenever their spans are equal.  Entry bit lengths grow
-    about linearly along the word, so big factors meet big factors instead
-    of one run at a time.  The determinant is checked once, on the result.
+    power-of-two spans of factors, at most about log2(factors) of them, and
+    merges the top two whenever their spans are equal.  Entry bit lengths
+    grow about linearly along the word, so big factors meet big factors
+    instead of one factor at a time.  The determinant is checked once, on
+    the result.
+
+    >>> from threebraid.words import parse
+    >>> image(parse("x y x y x y")) == -IDENTITY
+    True
     """
+    runs = w.runs
+    count = len(runs)
     stack: list[tuple[int, int, int, int, int]] = []  # (span, a, b, c, d)
-    for run in w.runs:
-        try:
-            a, b, c, d = _GENERATOR_ENTRIES[run]
-        except KeyError:  # not a letter: a power run
-            a, b, c, d = _run_entries(*run)
+    i = 0
+    while i < count:
+        entries = _CHUNK_ENTRIES.get(runs[i:i + CHUNK])
+        if entries is None:
+            run = runs[i]
+            entries = _GENERATOR_ENTRIES.get(run) or _run_entries(*run)
+            i += 1
+        else:
+            i += CHUNK
+        a, b, c, d = entries
         span = 1
         while stack and stack[-1][0] == span:
             _, p, q, r, s = stack.pop()

@@ -30,7 +30,7 @@ from typing import Sequence, Union
 
 from . import homology
 from . import words as w_
-from .homology import InternalInconsistency, SL2Matrix
+from .homology import CHUNK, InternalInconsistency, SL2Matrix
 from .words import BraidWord
 
 
@@ -89,12 +89,50 @@ _LETTER_SYLLABLES = {
 
 def _run_syllables(generator: str, exponent: int) -> tuple[tuple, int]:
     """The syllables and the exponent sum of a run.  h is central and
-    trivial in PSL(2,Z); a generator power repeats the letter's syllables."""
+    trivial in PSL(2,Z); a generator power repeats the letter's syllables,
+    which leaves them reduced."""
     if generator == "h":
         return (), 6 * exponent
+    if generator not in ("x", "y"):
+        raise ValueError(f"malformed run {(generator, exponent)!r}")
     sign = 1 if exponent > 0 else -1
     syllables, _ = _LETTER_SYLLABLES[generator, sign]
     return syllables * (exponent * sign), exponent
+
+
+def _multiply(stack: list[Syllable], syllables: tuple[Syllable, ...]) -> None:
+    """Multiply the reduced word ``stack`` by the reduced word ``syllables``
+    in place.  Both alternate S and U-powers, so cancellation happens only
+    where they meet: S cancels S, and U-powers add mod 3.  A nonzero sum is
+    pushed back and ends the merge, as the next syllable is an S."""
+    i = 0
+    while stack and i < len(syllables) and stack[-1][0] == syllables[i][0]:
+        top = stack.pop()
+        if top[0] == "u":
+            e = (top[1] + syllables[i][1]) % 3
+            if e:
+                stack.append(("u", e))
+        i += 1
+    stack.extend(syllables[i:])
+
+
+def _chunk_syllables() -> dict:
+    layer = {(): ((), 0)}
+    for _ in range(CHUNK):
+        next_layer = {}
+        for window, (syllables, weight) in layer.items():
+            for letter, (letter_syllables, sign) in _LETTER_SYLLABLES.items():
+                stack = list(syllables)
+                _multiply(stack, letter_syllables)
+                next_layer[window + (letter,)] = (tuple(stack), weight + sign)
+        layer = next_layer
+    return layer
+
+
+# The reduced syllables and the exponent sum of every sequence of CHUNK
+# letters, built at import from _LETTER_SYLLABLES alone, so that the
+# syllable pass stays a derivation independent of the matrix.
+_CHUNK_SYLLABLES = _chunk_syllables()
 
 
 @dataclass(frozen=True)
@@ -134,26 +172,32 @@ def _syllable_pass(w: BraidWord) -> tuple[FreeProductWord, int]:
     """The cyclically reduced image in Z/2 * Z/3 and the exponent sum, read
     in one pass over the runs of the word.
 
-    The stack alternates S and U-powers, so a pushed syllable meets at most
-    one syllable of its own kind: S cancels S, and U-powers add mod 3.
+    The word is read in windows of CHUNK runs.  A window of CHUNK letters
+    is looked up in ``_CHUNK_SYLLABLES``; otherwise (a power run in the
+    window, or fewer than CHUNK runs left) the first run alone is read, and
+    the next window starts after it.  Each step multiplies the reduced
+    stack by reduced syllables, which only touch the stack where the two
+    meet, and only when the stack's top has the kind of their first one.
     """
+    runs = w.runs
+    count = len(runs)
     stack: list[Syllable] = []
     exponent_sum = 0
-    for run in w.runs:
-        try:
-            syllables, weight = _LETTER_SYLLABLES[run]
-        except KeyError:  # not a letter: a power run
-            syllables, weight = _run_syllables(*run)
+    i = 0
+    while i < count:
+        chunk = _CHUNK_SYLLABLES.get(runs[i:i + CHUNK])
+        if chunk is None:
+            run = runs[i]
+            chunk = _LETTER_SYLLABLES.get(run) or _run_syllables(*run)
+            i += 1
+        else:
+            i += CHUNK
+        syllables, weight = chunk
         exponent_sum += weight
-        for syllable in syllables:
-            if not stack or stack[-1][0] != syllable[0]:
-                stack.append(syllable)
-            elif syllable[0] == "s":
-                stack.pop()
-            else:
-                e = (stack.pop()[1] + syllable[1]) % 3
-                if e:
-                    stack.append(("u", e))
+        if stack and syllables and stack[-1][0] == syllables[0][0]:
+            _multiply(stack, syllables)
+        else:
+            stack.extend(syllables)
     return FreeProductWord(tuple(_cyclic_reduce(stack))), exponent_sum
 
 
@@ -242,7 +286,7 @@ def _blocks(syllables: tuple[Syllable, ...]) -> list[int]:
         syllables = syllables[1:] + syllables[:1]
     powers = syllables[1::2]
     if len(syllables) % 2 or S in powers \
-            or any(s != S for s in syllables[0::2]):
+            or syllables[0::2].count(S) != len(syllables) // 2:
         raise InternalInconsistency(
             f"{FreeProductWord(syllables)} does not alternate S and U-powers")
     return [power for _, power in powers]

@@ -13,8 +13,8 @@ import pytest
 import threebraid
 from threebraid import homology, murasugi, seifert
 from threebraid.homology import InternalInconsistency, image
-from threebraid.murasugi import S, U
-from threebraid.words import parse
+from threebraid.murasugi import S, U, UU
+from threebraid.words import X, Y, parse
 
 
 def test_blocks_rejects_a_non_alternating_word():
@@ -24,6 +24,13 @@ def test_blocks_rejects_a_non_alternating_word():
         murasugi._blocks((S, U, U, S))
     with pytest.raises(InternalInconsistency):
         murasugi._blocks((S, U, S))
+
+
+def test_blocks_rejects_a_u_power_in_place_of_an_s():
+    # Even length and no S among the powers: only the count of S in the
+    # even places catches it.
+    with pytest.raises(InternalInconsistency):
+        murasugi._blocks((S, U, UU, U))
 
 
 def test_parabolic_invariant_rejects_a_non_primitive_fixed_vector(monkeypatch):
@@ -44,6 +51,14 @@ def test_image_checks_the_determinant_of_the_product(monkeypatch):
     monkeypatch.setitem(homology._GENERATOR_ENTRIES, ("x", 1), (1, 1, 1, 1))
     with pytest.raises(ValueError):
         image(parse("y x y"))
+
+
+def test_chunked_image_checks_the_determinant_of_the_product(monkeypatch):
+    window = (X, Y, X, Y)
+    assert len(window) == homology.CHUNK
+    monkeypatch.setitem(homology._CHUNK_ENTRIES, window, (1, 1, 1, 1))
+    with pytest.raises(ValueError):
+        image(parse("x y x y y"))
 
 
 # Sparse rows with entries (value, stamp).  The diagonal of row 2 claims to
@@ -68,7 +83,7 @@ def test_murasugi_reexports_the_same_exception():
 CORRUPTED_UNDER_O = """
 from threebraid import homology, murasugi, seifert
 from threebraid.homology import InternalInconsistency, image
-from threebraid.words import parse
+from threebraid.words import BraidWord, parse
 
 assert False, "asserts must be stripped under -O"
 raised = 0
@@ -87,6 +102,13 @@ try:
 except ValueError:
     raised += 1
 try:
+    image(BraidWord((("z", 2),)))
+except ValueError:
+    try:
+        murasugi.classify(BraidWord((("z", 2),)))
+    except ValueError:
+        raised += 1
+try:
     seifert._eliminate(""" + repr(NON_MINOR_ROWS) + """)
 except InternalInconsistency:
     raised += 1
@@ -101,4 +123,4 @@ def test_checks_survive_python_dash_o():
          + CORRUPTED_UNDER_O],
         capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "4"
+    assert result.stdout.strip() == "5"

@@ -1,8 +1,9 @@
 """Fast paths checked against the slow code they replace.
 
 The slow references live here only: the minimum over all rotations, the
-left-to-right matrix product, the per-letter permutation fold, words
-stored one letter per run, the mirror read by classifying the inverse
+left-to-right matrix product, the per-run image and the per-syllable
+PSL(2,Z) stack behind the chunk tables, the per-letter permutation fold,
+words stored one letter per run, the mirror read by classifying the inverse
 of the model word, the report's closed forms read from the model word or
 the Floer module, the token grammar behind the table-driven parse, and the
 Seifert oracle's dense pair-loop construction and rational elimination.
@@ -16,7 +17,7 @@ from math import prod
 
 import pytest
 
-from threebraid import homology
+from threebraid import homology, murasugi
 from threebraid import words as w_
 from threebraid.floer import (
     PositiveB1,
@@ -37,6 +38,7 @@ from threebraid.murasugi import (
     Family1,
     Family2,
     Family3,
+    FreeProductWord,
     canonical_word,
     classify,
     least_rotation,
@@ -166,6 +168,111 @@ def test_runs_match_letters_on_long_words(rng):
         w = BraidWord(tuple(runs))
         assert_runs_match_letters(w)
         assert parse(" ".join(f"{g}^{e}" for g, e in runs)) == w
+
+
+def per_run_image(w):
+    """The image folded one run per factor, as before the chunk table."""
+    stack = []  # (span, a, b, c, d)
+    for run in w.runs:
+        try:
+            a, b, c, d = homology._GENERATOR_ENTRIES[run]
+        except KeyError:
+            a, b, c, d = homology._run_entries(*run)
+        span = 1
+        while stack and stack[-1][0] == span:
+            _, p, q, r, s = stack.pop()
+            a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+            span *= 2
+        stack.append((span, a, b, c, d))
+    a, b, c, d = 1, 0, 0, 1
+    for _, p, q, r, s in reversed(stack):
+        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+    return SL2Matrix(a, b, c, d)
+
+
+def per_syllable_stack(runs):
+    """The freely reduced syllables and the exponent sum of a run sequence,
+    pushed one syllable at a time, as before the chunk table."""
+    stack = []
+    exponent_sum = 0
+    for run in runs:
+        try:
+            syllables, weight = murasugi._LETTER_SYLLABLES[run]
+        except KeyError:
+            syllables, weight = murasugi._run_syllables(*run)
+        exponent_sum += weight
+        for syllable in syllables:
+            if not stack or stack[-1][0] != syllable[0]:
+                stack.append(syllable)
+            elif syllable[0] == "s":
+                stack.pop()
+            else:
+                e = (stack.pop()[1] + syllable[1]) % 3
+                if e:
+                    stack.append(("u", e))
+    return tuple(stack), exponent_sum
+
+
+def per_syllable_pass(w):
+    stack, exponent_sum = per_syllable_stack(w.runs)
+    return (FreeProductWord(tuple(murasugi._cyclic_reduce(list(stack)))),
+            exponent_sum)
+
+
+def assert_chunked_fold_matches_per_run(w):
+    assert image(w) == per_run_image(w), w.runs
+    assert murasugi._syllable_pass(w) == per_syllable_pass(w), w.runs
+
+
+def test_chunk_tables_hold_the_product_of_their_letters():
+    windows = list(itertools.product(LETTERS, repeat=homology.CHUNK))
+    assert len(homology._CHUNK_ENTRIES) == len(murasugi._CHUNK_SYLLABLES) \
+        == len(windows) == 4 ** homology.CHUNK == 256
+    for window in windows:
+        assert SL2Matrix(*homology._CHUNK_ENTRIES[window]) == \
+            slow_image(window), window
+        assert murasugi._CHUNK_SYLLABLES[window] == \
+            per_syllable_stack(window), window
+    empty = {window for window, (syllables, _) in
+             murasugi._CHUNK_SYLLABLES.items() if not syllables}
+    assert len(empty) == 28
+    assert (w_.X, w_.X_INV, w_.Y, w_.Y_INV) in empty
+    assert empty == {window for window in windows
+                     if not free_reduce(BraidWord(window)).runs}
+
+
+def test_chunked_fold_on_all_words_up_to_two_windows():
+    level = [()]
+    checked = 0
+    for length in range(2 * homology.CHUNK + 1):
+        for letters in level:
+            assert_chunked_fold_matches_per_run(BraidWord(letters))
+            checked += 1
+        level = [letters + (letter,) for letters in level for letter in LETTERS]
+    assert checked == 87_381
+
+
+def test_chunked_fold_on_all_words_of_five_tokens():
+    tokens = [*LETTERS, ("h", 1), ("y", -3)]
+    checked = 0
+    for count in range(6):
+        for runs in itertools.product(tokens, repeat=count):
+            assert_chunked_fold_matches_per_run(BraidWord(runs))
+            checked += 1
+    assert checked == sum(6 ** count for count in range(6))
+
+
+@pytest.mark.parametrize("alphabet", [LETTERS, (w_.X, w_.Y), (w_.X, w_.Y_INV)],
+                         ids=["uniform", "positive", "alternating"])
+def test_chunked_fold_on_long_words_with_power_runs(rng, alphabet):
+    for length in (10, 11, 97, 1000, 10_000):
+        runs = [rng.choice(alphabet) for _ in range(length)]
+        for _ in range(rng.randint(1, 12)):
+            power = (rng.choice("xyh"), rng.choice((1, -1)) * rng.randint(1, 7))
+            runs.insert(rng.randint(0, len(runs)), power)
+        w = BraidWord(tuple(runs))
+        assert_chunked_fold_matches_per_run(w)
+        assert image(w) == slow_image(w.letters), length
 
 
 def old_canonical_letters(f):

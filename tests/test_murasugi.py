@@ -1,6 +1,6 @@
 import pytest
 
-from threebraid import murasugi
+from threebraid import cli, murasugi
 from threebraid import words as w_
 from threebraid.homology import image
 from threebraid.murasugi import (
@@ -113,6 +113,30 @@ def test_one_least_rotation_per_family1_form(monkeypatch):
         calls.clear()
         mirror_form(form)
         assert len(calls) == 1, text
+
+
+def test_one_least_rotation_per_pretty_report(monkeypatch, capsys):
+    calls = []
+
+    def counting(seq):
+        calls.append(seq)
+        return least_rotation(seq)
+
+    monkeypatch.setattr(murasugi, "least_rotation", counting)
+    for flags in ([], ["--json"]):
+        calls.clear()
+        assert cli.main(["analyze", "x y^-3 x y^-1 x y^-2", *flags]) == 0
+        assert len(calls) == 1, flags
+    assert "canonical word:      x y^-1 x y^-2 x y^-3" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("runs", [(("z", 2),), (("z", 1),),
+                                  (w_.X, w_.Y, ("z", 1), w_.X, w_.Y)])
+def test_malformed_runs_are_rejected_by_both_passes(runs):
+    w = w_.BraidWord(runs)
+    for derive in (image, classify):
+        with pytest.raises(ValueError, match="malformed run.*'z'"):
+            derive(w)
 
 
 def test_is_conjugate_fixtures(rng):
