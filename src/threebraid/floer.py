@@ -5,12 +5,12 @@ Z[U,U^-1]/(U Z[U]) with bottom element in grading d; U drops grading by 2)
 and finite free summands Z^rank in a single grading.  All gradings are exact
 rationals with denominator dividing four.
 
-The heavy lifting is done by two lookup tables: the modules of +-1/n- and
+Every module is a shifted row of one table: the modules of 1/n- and
 0-surgeries on the three genus-one fibered knots in S^3 (the two trefoils
 and the figure-eight).  Every double cover of a 3-braid closure with finite
 first homology is such a surgery on the binding of its fibered structure, so
-its module in the distinguished self-conjugate spin-c structure is a shifted
-table row.
+its module in the distinguished self-conjugate spin-c structure is a table
+row shifted by a quarter-integer read off the normal form's tail.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .murasugi import Family1, Family2, MurasugiForm
+from .murasugi import Family1, Family2, MurasugiForm, tail_exponent_sum
 
 Grading = Fraction
 
@@ -80,42 +80,52 @@ def shift(module: GradedModule, q) -> GradedModule:
     )
 
 
-def _module(towers, frees=()) -> GradedModule:
-    return GradedModule(tuple(Fraction(g) for g in towers),
-                        tuple((rank, Fraction(g)) for rank, g in frees))
-
-
 RIGHT_TREFOIL_LIKE = "RightTrefoilLike"
 LEFT_TREFOIL_LIKE = "LeftTrefoilLike"
 FIGURE_EIGHT_LIKE = "FigureEightLike"
 
-KNOT_TYPE_TAGS = (RIGHT_TREFOIL_LIKE, LEFT_TREFOIL_LIKE, FIGURE_EIGHT_LIKE)
+# The 1/n-surgery rows for n != 0, keyed by (tag, n > 0): the bottom grading
+# of the tower, the grading of the free summand, and the offset of its rank
+# |n| + offset.
+_SURGERY_ROWS = {
+    (RIGHT_TREFOIL_LIKE, True): (-2, -2, -1),
+    (RIGHT_TREFOIL_LIKE, False): (0, -1, 0),
+    (LEFT_TREFOIL_LIKE, True): (0, 0, 0),
+    (LEFT_TREFOIL_LIKE, False): (2, 1, -1),
+    (FIGURE_EIGHT_LIKE, True): (0, -1, 0),
+    (FIGURE_EIGHT_LIKE, False): (0, 0, 0),
+}
+
+
+def _row(tag: str, n: int) -> tuple[int, int, int]:
+    """(tower bottom, free grading, free rank) of 1/n-surgery on the model
+    knot; n = 0 is S^3, a bare tower at grading zero."""
+    try:
+        bottom, grading, offset = _SURGERY_ROWS[tag, n > 0]
+    except KeyError:
+        raise ValueError(f"unknown knot type tag {tag!r}") from None
+    if n == 0:
+        return 0, 0, 0
+    return bottom, grading, abs(n) + offset
+
+
+def _shifted_row(tag: str, n: int, q: Fraction) -> GradedModule:
+    bottom, grading, rank = _row(tag, n)
+    return GradedModule((bottom + q,), ((rank, grading + q),))
 
 
 def surgery_table(tag: str, n: int) -> GradedModule:
     """HF+ of 1/n-surgery on the model knot (n = 0 reads as S^3 itself)."""
-    if tag == RIGHT_TREFOIL_LIKE:
-        if n > 0:
-            return _module([-2], [(n - 1, -2)])
-        return _module([0], [(-n, -1)])
-    if tag == LEFT_TREFOIL_LIKE:
-        if n >= 0:
-            return _module([0], [(n, 0)])
-        return _module([2], [(-n - 1, 1)])
-    if tag == FIGURE_EIGHT_LIKE:
-        if n >= 0:
-            return _module([0], [(n, -1)])
-        return _module([0], [(-n, 0)])
-    raise ValueError(f"unknown knot type tag {tag!r}")
+    return _shifted_row(tag, n, Fraction(0))
 
 
 # The 0-surgery rows do not depend on n, so each is built once; a
 # GradedModule is frozen and safe to share.
 _ZERO_SURGERY_ROWS = {
-    RIGHT_TREFOIL_LIKE: _module([Fraction(-1, 2), Fraction(-3, 2)]),
-    LEFT_TREFOIL_LIKE: _module([Fraction(3, 2), Fraction(1, 2)]),
-    FIGURE_EIGHT_LIKE: _module([Fraction(1, 2), Fraction(-1, 2)],
-                               [(1, Fraction(-1, 2))]),
+    RIGHT_TREFOIL_LIKE: GradedModule((Fraction(-1, 2), Fraction(-3, 2))),
+    LEFT_TREFOIL_LIKE: GradedModule((Fraction(3, 2), Fraction(1, 2))),
+    FIGURE_EIGHT_LIKE: GradedModule((Fraction(1, 2), Fraction(-1, 2)),
+                                    ((1, Fraction(-1, 2)),)),
 }
 
 
@@ -193,47 +203,35 @@ def knot_type(f: MurasugiForm) -> str:
 def _assembly(f: MurasugiForm) -> tuple[str, int, Fraction]:
     """(table tag, surgery parameter n, grading shift) for the distinguished
     spin-c structure.  The cover is -1/k-surgery on the binding of a model
-    fibered knot, and -1/k equals 1/(-k) in the tables."""
-    if isinstance(f, Family1):
-        total = sum(f.a)
-        n_blocks = len(f.a)
-        if f.d % 2:
-            k = (f.d - 1) // 2
-            return RIGHT_TREFOIL_LIKE, -k, Fraction(n_blocks + 4 - total, 4)
-        k = f.d // 2
-        return FIGURE_EIGHT_LIKE, -k, Fraction(n_blocks - total, 4)
-    if isinstance(f, Family2):
-        if f.d % 2 == 0:
-            raise PositiveB1(
-                f"{f} has determinant zero (b1 >= 1); no surgery description")
-        k = (f.d - 1) // 2
-        return RIGHT_TREFOIL_LIKE, -k, Fraction(f.m + 4, 4)
+    fibered knot with k = floor(d/2), and -1/k equals 1/(-k) in the tables.
+    The shift is (t + c)/4, with t the exponent sum of the tail: for odd d
+    the tag is the right trefoil and c = 4 in all three families; for even d
+    it is the figure-eight with c = 0 in family 1 and the left trefoil with
+    c = 2 in family 3 (family 2 with even d has determinant zero)."""
     if f.d % 2:
-        k = (f.d - 1) // 2
-        return RIGHT_TREFOIL_LIKE, -k, Fraction(f.m + 3, 4)
-    k = f.d // 2
-    return LEFT_TREFOIL_LIKE, -k, Fraction(f.m + 1, 4)
+        tag, c = RIGHT_TREFOIL_LIKE, 4
+    elif isinstance(f, Family1):
+        tag, c = FIGURE_EIGHT_LIKE, 0
+    elif isinstance(f, Family2):
+        raise PositiveB1(
+            f"{f} has determinant zero (b1 >= 1); no surgery description")
+    else:
+        tag, c = LEFT_TREFOIL_LIKE, 2
+    return tag, -(f.d // 2), Fraction(tail_exponent_sum(f) + c, 4)
 
 
 def hf_plus_s0(f: MurasugiForm) -> GradedModule:
     """HF+ of the branched double cover in the distinguished self-conjugate
     spin-c structure, with absolute rational gradings."""
-    tag, n, delta = _assembly(f)
-    return shift(surgery_table(tag, n), delta)
+    return _shifted_row(*_assembly(f))
 
 
 def correction_term(f: MurasugiForm) -> Grading:
     """d-invariant of the cover in the distinguished spin-c structure: the
-    bottom grading of the tower of hf_plus_s0, read off the table row's
-    tower and the shift without building the module."""
-    tag, n, delta = _assembly(f)
-    if tag == RIGHT_TREFOIL_LIKE:
-        bottom = -2 if n > 0 else 0
-    elif tag == LEFT_TREFOIL_LIKE:
-        bottom = 0 if n >= 0 else 2
-    else:
-        bottom = 0
-    return bottom + delta
+    bottom grading of the tower of hf_plus_s0, read off the table row and
+    the shift without building the module."""
+    tag, n, q = _assembly(f)
+    return _row(tag, n)[0] + q
 
 
 @dataclass(frozen=True)

@@ -38,32 +38,26 @@ _UNKNOT_FORMS = (Family3(1, -3), Family3(0, -1))
 
 
 def delta(f: MurasugiForm, components: int) -> Fraction:
-    """Twice the correction term of the branched double cover; a concordance
-    homomorphism to the integers, defined for knot closures."""
+    """Twice the correction term of the branched double cover (Manolescu and
+    Owens, IMRN 2007); a concordance homomorphism to the integers, defined
+    for knot closures."""
     if components != 1:
         raise NotAKnot(f"closure has {components} components")
-    if isinstance(f, Family1):
-        n, total = len(f.a), sum(f.a)
-        if f.d % 2 == 0:
-            return Fraction(n - total, 2)
-        if f.d > 0:
-            return Fraction(n + 4 - total, 2)
-        return Fraction(n - 4 - total, 2)
-    if isinstance(f, Family3) and f.m in (-1, -3):
-        if f.d % 2:
-            return Fraction(f.m + 3, 2) if f.d > 0 else Fraction(f.m - 5, 2)
-        return Fraction(f.m + 9, 2) if f.d > 0 else Fraction(f.m + 1, 2)
-    raise FamilyNotCovered(f"no delta formula for {f}")
+    if not isinstance(f, Family1) and \
+            not (isinstance(f, Family3) and f.m in (-1, -3)):
+        raise FamilyNotCovered(f"no delta formula for {f}")
+    return 2 * floer.correction_term(f)
 
 
 def signature(f: MurasugiForm, components: int) -> int:
     """Signature of the knot closure (Erle's formula, family 1 only; other
-    families are answered by the Seifert oracle on demand)."""
+    families are answered by the Seifert oracle on demand): -4d - t, with t
+    the exponent sum of the tail."""
     if components != 1:
         raise NotAKnot(f"closure has {components} components")
     if not isinstance(f, Family1):
         raise FamilyNotCovered(f"no closed-form signature for {f}")
-    return -len(f.a) - 4 * f.d + sum(f.a)
+    return -4 * f.d - murasugi.tail_exponent_sum(f)
 
 
 def finite_order_screen(f: MurasugiForm, components: int) -> str:
@@ -76,8 +70,7 @@ def finite_order_screen(f: MurasugiForm, components: int) -> str:
         return NOT_A_KNOT
     if f in _UNKNOT_FORMS:
         return PASS
-    if isinstance(f, Family1) and f.d in (-1, 0, 1) \
-            and len(f.a) + 4 * f.d == sum(f.a):
+    if isinstance(f, Family1) and signature(f, 1) == 0 == delta(f, 1):
         return PASS
     return FAIL
 
@@ -114,20 +107,10 @@ class SteinReport:
     dehn_twist_count_bound: int
 
 
-def _model_exponent_sum(f: MurasugiForm) -> int:
-    """Exponent sum of the model word h^d x y^-a1 ... x y^-an, h^d y^m or
-    h^d x^m y^-1, with h counting 6."""
-    if isinstance(f, Family1):
-        return 6 * f.d + len(f.a) - sum(f.a)
-    if isinstance(f, Family2):
-        return 6 * f.d + f.m
-    return 6 * f.d + f.m - 1
-
-
 def stein_report(f: MurasugiForm) -> SteinReport:
     l_space = floer.is_l_space(f)
     tight = floer.is_tight(f)
-    twist_bound = _model_exponent_sum(f)
+    twist_bound = 6 * f.d + murasugi.tail_exponent_sum(f)
     if not tight:
         return SteinReport(l_space, tight, NO, None, twist_bound)
     if not l_space:

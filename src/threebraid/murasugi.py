@@ -26,6 +26,7 @@ L = SU^2 (the image of y^-1), from which the family-1 block tuple is read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence, Union
 
 from . import homology
@@ -277,7 +278,7 @@ def _sign_check(trace: int, d: int, model_trace: int) -> None:
             f"trace sign {trace} inconsistent with d = {d}")
 
 
-def _blocks(syllables: tuple[Syllable, ...]) -> list[int]:
+def _blocks(syllables: tuple[Syllable, ...]) -> bytes:
     """U-exponents of the cyclic word, rotated so that an S comes first.
 
     The word alternates S and U-powers with equal counts, so rotating by at
@@ -289,23 +290,18 @@ def _blocks(syllables: tuple[Syllable, ...]) -> list[int]:
             or syllables[0::2].count(S) != len(syllables) // 2:
         raise InternalInconsistency(
             f"{FreeProductWord(syllables)} does not alternate S and U-powers")
-    return [power for _, power in powers]
+    return bytes(map(itemgetter(1), powers))
 
 
-def _block_tuple(exponents: list[int]) -> tuple[int, ...]:
+def _block_tuple(exponents: bytes) -> tuple[int, ...]:
     """Convert a cyclic R/L word (R where e=1, L where e=2) into the family-1
     tuple: each R opens a block whose entry counts the following run of Ls.
 
     Reading from any R gives one rotation of the tuple; ``Family1`` stores
     the least of them, which is the normal form."""
     start = exponents.index(1)
-    entry: list[int] = []
-    for e in exponents[start:] + exponents[:start]:
-        if e == 1:
-            entry.append(0)
-        else:
-            entry[-1] += 1
-    return tuple(entry)
+    rotated = exponents[start:] + exponents[:start]
+    return tuple(map(len, rotated.split(b"\x01")[1:]))
 
 
 def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
@@ -336,7 +332,7 @@ def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
         return Family3(d, m)
 
     exponents = _blocks(fp.syllables)
-    if all(x == exponents[0] for x in exponents):
+    if exponents.count(exponents[0]) == len(exponents):
         # Parabolic: a pure power of R or of L.
         epsilon, m = homology.parabolic_invariant(matrix)
         if (m > 0) != (exponents[0] == 1) or abs(m) != len(exponents):
@@ -388,6 +384,20 @@ def canonical_word(f: MurasugiForm) -> BraidWord:
     return BraidWord(tuple(runs))
 
 
+def tail_exponent_sum(f: MurasugiForm) -> int:
+    """Exponent sum of the model word's tail x y^-a1 ... x y^-an, y^m or
+    x^m y^-1; the model word's is 6d more, since h counts 6.
+
+    >>> tail_exponent_sum(Family1(1, (5,)))
+    -4
+    """
+    if isinstance(f, Family1):
+        return len(f.a) - sum(f.a)
+    if isinstance(f, Family2):
+        return f.m
+    return f.m - 1
+
+
 def is_conjugate(w1: BraidWord, w2: BraidWord) -> bool:
     """Whether two words are conjugate in the 3-strand braid group.
 
@@ -410,7 +420,7 @@ def mirror_form(f: MurasugiForm) -> MurasugiForm:
     _validate(f)
     if isinstance(f, Family1):
         return Family1(-f.d, _block_tuple(
-            [e for ai in reversed(f.a) for e in (1,) * ai + (2,)]))
+            b"".join(b"\x01" * ai + b"\x02" for ai in reversed(f.a))))
     if isinstance(f, Family2):
         return Family2(-f.d, -f.m)
     return Family3(1 - f.d, -4 - f.m)

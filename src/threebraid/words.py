@@ -127,9 +127,6 @@ class BraidWord:
         return " ".join(tokens)
 
 
-EMPTY = BraidWord()
-
-
 def word(letters) -> BraidWord:
     """Build a word from any iterable of letters (or runs)."""
     return BraidWord(tuple(letters))

@@ -5,8 +5,10 @@ left-to-right matrix product, the per-run image and the per-syllable
 PSL(2,Z) stack behind the chunk tables, the per-letter permutation fold,
 words stored one letter per run, the mirror read by classifying the inverse
 of the model word, the report's closed forms read from the model word or
-the Floer module, the token grammar behind the table-driven parse, and the
-Seifert oracle's dense pair-loop construction and rational elimination.
+the Floer module, the per-family surgery rows, Floer assembly, delta and
+concordance screen behind the tail's exponent sum, the token grammar behind
+the table-driven parse, and the Seifert oracle's dense pair-loop
+construction and rational elimination.
 Short inputs are enumerated exhaustively; long words and forms are drawn
 at random.
 """
@@ -17,15 +19,21 @@ from math import prod
 
 import pytest
 
-from threebraid import homology, murasugi
+from threebraid import floer, homology, murasugi
 from threebraid import words as w_
 from threebraid.floer import (
+    FIGURE_EIGHT_LIKE,
+    LEFT_TREFOIL_LIKE,
+    RIGHT_TREFOIL_LIKE,
+    GradedModule,
     PositiveB1,
     correction_term,
     form_determinant,
     hf_plus_s0,
     is_tight,
     is_tight_inverse,
+    shift,
+    surgery_table,
 )
 from threebraid.homology import (
     SL2Matrix,
@@ -33,7 +41,15 @@ from threebraid.homology import (
     determinant_from_image,
     image,
 )
-from threebraid.invariants import analyze_word, stein_report
+from threebraid.invariants import (
+    PASS,
+    FamilyNotCovered,
+    analyze_word,
+    delta,
+    finite_order_screen,
+    signature,
+    stein_report,
+)
 from threebraid.murasugi import (
     Family1,
     Family2,
@@ -351,20 +367,101 @@ def test_mirror_form_matches_round_trip_on_long_tuples(rng):
             Family1(rng.randint(-10**6, 10**6), a + (1,)))
 
 
+def per_branch_surgery_table(tag, n):
+    """The 1/n rows written out one branch per tag and sign of n."""
+    def module(towers, frees=()):
+        return GradedModule(tuple(Fraction(g) for g in towers),
+                            tuple((rank, Fraction(g)) for rank, g in frees))
+
+    if tag == RIGHT_TREFOIL_LIKE:
+        if n > 0:
+            return module([-2], [(n - 1, -2)])
+        return module([0], [(-n, -1)])
+    if tag == LEFT_TREFOIL_LIKE:
+        if n >= 0:
+            return module([0], [(n, 0)])
+        return module([2], [(-n - 1, 1)])
+    if n >= 0:
+        return module([0], [(n, -1)])
+    return module([0], [(-n, 0)])
+
+
+def per_family_assembly(f):
+    """(tag, n, shift) written out per family and parity of d."""
+    if isinstance(f, Family1):
+        total = sum(f.a)
+        n_blocks = len(f.a)
+        if f.d % 2:
+            k = (f.d - 1) // 2
+            return RIGHT_TREFOIL_LIKE, -k, Fraction(n_blocks + 4 - total, 4)
+        k = f.d // 2
+        return FIGURE_EIGHT_LIKE, -k, Fraction(n_blocks - total, 4)
+    if isinstance(f, Family2):
+        if f.d % 2 == 0:
+            raise PositiveB1(f)
+        k = (f.d - 1) // 2
+        return RIGHT_TREFOIL_LIKE, -k, Fraction(f.m + 4, 4)
+    if f.d % 2:
+        k = (f.d - 1) // 2
+        return RIGHT_TREFOIL_LIKE, -k, Fraction(f.m + 3, 4)
+    k = f.d // 2
+    return LEFT_TREFOIL_LIKE, -k, Fraction(f.m + 1, 4)
+
+
+def per_family_delta(f):
+    """Delta of a knot closure written out per family and sign of d."""
+    if isinstance(f, Family1):
+        n, total = len(f.a), sum(f.a)
+        if f.d % 2 == 0:
+            return Fraction(n - total, 2)
+        if f.d > 0:
+            return Fraction(n + 4 - total, 2)
+        return Fraction(n - 4 - total, 2)
+    if isinstance(f, Family3) and f.m in (-1, -3):
+        if f.d % 2:
+            return Fraction(f.m + 3, 2) if f.d > 0 else Fraction(f.m - 5, 2)
+        return Fraction(f.m + 9, 2) if f.d > 0 else Fraction(f.m + 1, 2)
+    raise FamilyNotCovered(f)
+
+
+def test_surgery_rows_match_their_branches():
+    for tag in (RIGHT_TREFOIL_LIKE, LEFT_TREFOIL_LIKE, FIGURE_EIGHT_LIKE):
+        for n in (*range(-50, 51), -10**17, 10**17):
+            assert surgery_table(tag, n) == per_branch_surgery_table(tag, n), \
+                (tag, n)
+
+
 def assert_closed_forms_match_model_word(f):
     """Each value the report reads off the form equals the one the model
-    word or the Floer module gave."""
+    word, the Floer module or the per-family formulas gave."""
     model = canonical_word(f)
     assert form_determinant(f) == homology.determinant(model), f
     assert is_tight_inverse(f) == is_tight(mirror_form(f)), f
     assert stein_report(f).dehn_twist_count_bound == exponent_sum(model), f
     try:
-        bottom = min(hf_plus_s0(f).towers)
+        tag, n, q = per_family_assembly(f)
     except PositiveB1:
+        with pytest.raises(PositiveB1):
+            floer._assembly(f)
         with pytest.raises(PositiveB1):
             correction_term(f)
     else:
-        assert correction_term(f) == bottom, f
+        assert floer._assembly(f) == (tag, n, q), f
+        module = shift(per_branch_surgery_table(tag, n), q)
+        assert hf_plus_s0(f) == module, f
+        assert correction_term(f) == min(module.towers), f
+    try:
+        expected = per_family_delta(f)
+    except FamilyNotCovered:
+        with pytest.raises(FamilyNotCovered):
+            delta(f, 1)
+    else:
+        assert delta(f, 1) == expected, f
+    if isinstance(f, Family1):
+        old_signature = -len(f.a) - 4 * f.d + sum(f.a)
+        assert signature(f, 1) == old_signature, f
+        assert (finite_order_screen(f, 1) == PASS) == \
+            (f.d in (-1, 0, 1) and old_signature == 0), f
 
 
 def test_closed_forms_match_model_word_on_short_forms():

@@ -47,6 +47,15 @@ def all_forms(d_range, max_param, max_blocks=4):
     return list(dict.fromkeys(forms))
 
 
+def literature_box():
+    """The 1,364 forms with |d| <= 5: family-1 tuples of 1-4 entries over
+    0..3, family 2 with |m| <= 8, and family 3."""
+    forms = [form for form in all_forms(range(-5, 6), 3)
+             if not isinstance(form, Family2)]
+    forms += [Family2(d, m) for d in range(-5, 6) for m in range(-8, 9)]
+    return forms
+
+
 # --- the two surgery tables, verbatim ---------------------------------------
 
 RIGHT_ROWS = {
@@ -204,6 +213,21 @@ def test_tight_exclusivity_sweep():
         if form_determinant(form) == 0:
             continue
         assert not (is_tight(form) and is_tight(mirror_form(form)))
+
+
+def test_mirror_negates_the_correction_term():
+    # The mirror reverses the cover's orientation, which negates d-invariants.
+    from threebraid.murasugi import mirror_form
+    forms = literature_box()
+    assert len(forms) == 1364
+    checked = 0
+    for form in forms:
+        if form_determinant(form) == 0:
+            continue
+        assert correction_term(mirror_form(form)) == -correction_term(form), \
+            form
+        checked += 1
+    assert checked == 1279
 
 
 # --- torus bundles -------------------------------------------------------------

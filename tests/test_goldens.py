@@ -1,0 +1,25 @@
+"""Every call whose stdout digest ``bench/goldens.json`` records still prints
+that stdout byte for byte, replayed as ``bench/make_goldens.py`` records it:
+each (stratum, variant) call of each workload through ``run.Runner``."""
+
+import json
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_every_golden_call_prints_its_recorded_stdout(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import corpus
+    import run
+
+    goldens = json.loads(run.GOLDENS.read_text(encoding="utf-8"))
+    package = run.load_package()
+    replayed = 0
+    for workload in corpus.WORKLOADS.values():
+        runner = run.Runner(workload, package, tmp_path, goldens)
+        for call in workload.pool():
+            _, code, output = runner.execute(runner.argv(call))
+            assert runner.ok(call, code, output), (call.key, code)
+            replayed += 1
+    assert replayed == len(goldens) == 220

@@ -32,7 +32,7 @@ from threebraid.murasugi import (
 from threebraid.seifert import seifert_matrix, sym_signature
 from threebraid.words import components, parse
 
-from test_floer import all_forms
+from test_floer import all_forms, literature_box
 
 
 def knot_forms(d_range, max_param, max_blocks=4):
@@ -166,6 +166,21 @@ def test_signature_formula_matches_seifert_oracle():
         assert signature(form, 1) == sym_signature(seifert_matrix(word))
         checked += 1
     assert checked > 100
+
+
+def test_lisca_owens_signature_is_minus_four_correction_terms():
+    # Lisca and Owens (Proc. AMS 143, 2015): the double cover of a
+    # quasi-alternating link has d = -sigma/4 in its canonical spin-c
+    # structure, which pins the surgery rows and the grading shifts of all
+    # three families against the diagram.
+    checked = 0
+    for form in literature_box():
+        if not quasi_alternating(form):
+            continue
+        matrix = seifert_matrix(canonical_word(form))
+        assert sym_signature(matrix) == -4 * correction_term(form), form
+        checked += 1
+    assert checked == 324
 
 
 def test_report_fixture_eight_twenty():
