@@ -32,8 +32,9 @@ EXIT_INCONSISTENT = 3
 EXIT_IO = 4
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# json.dumps builds a new encoder on every call whose separators are not the
+# default; one shared encoder gives the same bytes.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _oracle_block(word, report) -> tuple[dict, bool]:

@@ -10,7 +10,13 @@ Every module is a shifted row of one table: the modules of 1/n- and
 and the figure-eight).  Every double cover of a 3-braid closure with finite
 first homology is such a surgery on the binding of its fibered structure, so
 its module in the distinguished self-conjugate spin-c structure is a table
-row shifted by a quarter-integer read off the normal form's tail.
+row shifted by a quarter-integer k/4 read off the normal form's tail.
+
+The rows are stored as integers: the 1/n rows in whole gradings, the
+0-surgery rows in quarters.  A row shifted by k/4 is built with one
+``Fraction(4g + k, 4)`` or ``Fraction(g + k, 4)`` per grading, and already
+in normal form, since adding a constant keeps the towers sorted and the free
+summands merged.
 """
 
 from __future__ import annotations
@@ -59,6 +65,18 @@ class GradedModule:
             tuple(sorted((rank, grading) for grading, rank in merged.items()
                          if rank)))
 
+    @classmethod
+    def _normal(cls, towers: tuple[Grading, ...],
+                frees: tuple[tuple[int, Grading], ...] = (),
+                absolute: bool = True) -> GradedModule:
+        """A module from parts already in normal form (towers sorted, frees
+        sorted, merged and of positive rank), stored without renormalising."""
+        module = object.__new__(cls)
+        object.__setattr__(module, "towers", towers)
+        object.__setattr__(module, "frees", frees)
+        object.__setattr__(module, "absolute", absolute)
+        return module
+
     @property
     def is_bare_tower(self) -> bool:
         return len(self.towers) == 1 and not self.frees
@@ -71,12 +89,13 @@ class GradedModule:
 
 
 def shift(module: GradedModule, q) -> GradedModule:
-    """Add q to every grading, preserving ranks."""
+    """Add q to every grading, preserving ranks; the result stays in normal
+    form."""
     q = Fraction(q)
-    return GradedModule(
-        towers=tuple(g + q for g in module.towers),
-        frees=tuple((rank, g + q) for rank, g in module.frees),
-        absolute=module.absolute,
+    return GradedModule._normal(
+        tuple(g + q for g in module.towers),
+        tuple((rank, g + q) for rank, g in module.frees),
+        module.absolute,
     )
 
 
@@ -109,32 +128,42 @@ def _row(tag: str, n: int) -> tuple[int, int, int]:
     return bottom, grading, abs(n) + offset
 
 
-def _shifted_row(tag: str, n: int, q: Fraction) -> GradedModule:
+def _shifted_row(tag: str, n: int, k: int) -> GradedModule:
+    """The 1/n row shifted by k/4: one tower, and one free summand unless
+    its rank is zero."""
     bottom, grading, rank = _row(tag, n)
-    return GradedModule((bottom + q,), ((rank, grading + q),))
+    frees = ((rank, Fraction(4 * grading + k, 4)),) if rank else ()
+    return GradedModule._normal((Fraction(4 * bottom + k, 4),), frees)
 
 
 def surgery_table(tag: str, n: int) -> GradedModule:
     """HF+ of 1/n-surgery on the model knot (n = 0 reads as S^3 itself)."""
-    return _shifted_row(tag, n, Fraction(0))
+    return _shifted_row(tag, n, 0)
 
 
-# The 0-surgery rows do not depend on n, so each is built once; a
-# GradedModule is frozen and safe to share.
+# The 0-surgery rows do not depend on n: (towers, frees) in quarters, in
+# normal form.
 _ZERO_SURGERY_ROWS = {
-    RIGHT_TREFOIL_LIKE: GradedModule((Fraction(-1, 2), Fraction(-3, 2))),
-    LEFT_TREFOIL_LIKE: GradedModule((Fraction(3, 2), Fraction(1, 2))),
-    FIGURE_EIGHT_LIKE: GradedModule((Fraction(1, 2), Fraction(-1, 2)),
-                                    ((1, Fraction(-1, 2)),)),
+    RIGHT_TREFOIL_LIKE: ((-6, -2), ()),
+    LEFT_TREFOIL_LIKE: ((2, 6), ()),
+    FIGURE_EIGHT_LIKE: ((-2, 2), ((1, -2),)),
 }
+
+
+def _shifted_zero_row(tag: str, k: int) -> GradedModule:
+    """The 0-surgery row shifted by k/4."""
+    try:
+        towers, frees = _ZERO_SURGERY_ROWS[tag]
+    except KeyError:
+        raise ValueError(f"unknown knot type tag {tag!r}") from None
+    return GradedModule._normal(
+        tuple(Fraction(g + k, 4) for g in towers),
+        tuple((rank, Fraction(g + k, 4)) for rank, g in frees))
 
 
 def zero_surgery_table(tag: str) -> GradedModule:
     """HF+ of 0-surgery on the model knot, in its supporting spin-c structure."""
-    try:
-        return _ZERO_SURGERY_ROWS[tag]
-    except KeyError:
-        raise ValueError(f"unknown knot type tag {tag!r}") from None
+    return _shifted_zero_row(tag, 0)
 
 
 def form_determinant(f: MurasugiForm) -> int:
@@ -200,14 +229,15 @@ def knot_type(f: MurasugiForm) -> str:
     return FIGURE_EIGHT_LIKE
 
 
-def _assembly(f: MurasugiForm) -> tuple[str, int, Fraction]:
-    """(table tag, surgery parameter n, grading shift) for the distinguished
-    spin-c structure.  The cover is -1/k-surgery on the binding of a model
-    fibered knot with k = floor(d/2), and -1/k equals 1/(-k) in the tables.
-    The shift is (t + c)/4, with t the exponent sum of the tail: for odd d
-    the tag is the right trefoil and c = 4 in all three families; for even d
-    it is the figure-eight with c = 0 in family 1 and the left trefoil with
-    c = 2 in family 3 (family 2 with even d has determinant zero)."""
+def _quarter_assembly(f: MurasugiForm) -> tuple[str, int, int]:
+    """(table tag, surgery parameter n, grading shift in quarters k) for the
+    distinguished spin-c structure.  The cover is -1/j-surgery on the binding
+    of a model fibered knot with j = floor(d/2), and -1/j equals 1/(-j) in
+    the tables.  The shift is k/4 with k = t + c, t the exponent sum of the
+    tail: for odd d the tag is the right trefoil and c = 4 in all three
+    families; for even d it is the figure-eight with c = 0 in family 1 and
+    the left trefoil with c = 2 in family 3 (family 2 with even d has
+    determinant zero).  Every Floer value of a form reads this one triple."""
     if f.d % 2:
         tag, c = RIGHT_TREFOIL_LIKE, 4
     elif isinstance(f, Family1):
@@ -217,21 +247,25 @@ def _assembly(f: MurasugiForm) -> tuple[str, int, Fraction]:
             f"{f} has determinant zero (b1 >= 1); no surgery description")
     else:
         tag, c = LEFT_TREFOIL_LIKE, 2
-    return tag, -(f.d // 2), Fraction(tail_exponent_sum(f) + c, 4)
+    return tag, -(f.d // 2), tail_exponent_sum(f) + c
+
+
+def _assembly(f: MurasugiForm) -> tuple[str, int, Fraction]:
+    """(table tag, surgery parameter n, grading shift k/4)."""
+    tag, n, k = _quarter_assembly(f)
+    return tag, n, Fraction(k, 4)
 
 
 def hf_plus_s0(f: MurasugiForm) -> GradedModule:
     """HF+ of the branched double cover in the distinguished self-conjugate
     spin-c structure, with absolute rational gradings."""
-    return _shifted_row(*_assembly(f))
+    return _shifted_row(*_quarter_assembly(f))
 
 
 def correction_term(f: MurasugiForm) -> Grading:
     """d-invariant of the cover in the distinguished spin-c structure: the
-    bottom grading of the tower of hf_plus_s0, read off the table row and
-    the shift without building the module."""
-    tag, n, q = _assembly(f)
-    return _row(tag, n)[0] + q
+    bottom grading of the tower of hf_plus_s0."""
+    return hf_plus_s0(f).towers[0]
 
 
 @dataclass(frozen=True)
@@ -255,17 +289,23 @@ _NON_S0_RELATIVE = GradedModule(
     (Fraction(1, 2), Fraction(-1, 2)), (), absolute=False)
 
 
+def _torus_bundle(tag: str, k: int, determinant: int) -> TorusBundleModules:
+    """The bundle's modules from the assembly's tag and shift k/4 and the
+    nonzero determinant of the closure."""
+    return TorusBundleModules(
+        s0=_shifted_zero_row(tag, k),
+        non_s0_count=determinant - 1,
+        non_s0_relative=_NON_S0_RELATIVE,
+    )
+
+
 def torus_bundle_hf(f: MurasugiForm) -> TorusBundleModules:
     determinant = form_determinant(f)
     if determinant == 0:
         raise B1NotOne(
             f"{f} has parabolic or central monodromy; the bundle's b1 is not 1")
-    tag, _, delta = _assembly(f)
-    return TorusBundleModules(
-        s0=shift(zero_surgery_table(tag), delta),
-        non_s0_count=determinant - 1,
-        non_s0_relative=_NON_S0_RELATIVE,
-    )
+    tag, _, k = _quarter_assembly(f)
+    return _torus_bundle(tag, k, determinant)
 
 
 @dataclass(frozen=True)

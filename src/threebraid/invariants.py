@@ -37,15 +37,21 @@ NOT_A_KNOT = "NotAKnot"
 _UNKNOT_FORMS = (Family3(1, -3), Family3(0, -1))
 
 
-def delta(f: MurasugiForm, components: int) -> Fraction:
-    """Twice the correction term of the branched double cover (Manolescu and
-    Owens, IMRN 2007); a concordance homomorphism to the integers, defined
-    for knot closures."""
+def _check_delta_defined(f: MurasugiForm, components: int) -> None:
+    """Raise unless the closure is a knot of family 1, or of family 3 with
+    m = -1 or -3."""
     if components != 1:
         raise NotAKnot(f"closure has {components} components")
     if not isinstance(f, Family1) and \
             not (isinstance(f, Family3) and f.m in (-1, -3)):
         raise FamilyNotCovered(f"no delta formula for {f}")
+
+
+def delta(f: MurasugiForm, components: int) -> Fraction:
+    """Twice the correction term of the branched double cover (Manolescu and
+    Owens, IMRN 2007); a concordance homomorphism to the integers, defined
+    for knot closures."""
+    _check_delta_defined(f, components)
     return 2 * floer.correction_term(f)
 
 
@@ -60,19 +66,27 @@ def signature(f: MurasugiForm, components: int) -> int:
     return -4 * f.d - murasugi.tail_exponent_sum(f)
 
 
+def _screen(f: MurasugiForm, components: int, sig: int | None,
+            delta_value: Fraction | None) -> str:
+    """The screen from the knot's signature (None unless the closure is a
+    family-1 knot) and delta."""
+    if components != 1:
+        return NOT_A_KNOT
+    if f in _UNKNOT_FORMS or sig == 0 == delta_value:
+        return PASS
+    return FAIL
+
+
 def finite_order_screen(f: MurasugiForm, components: int) -> str:
     """Necessary condition for finite smooth concordance order.
 
     Pass means only that the obstructions delta and signature both vanish;
     it is never an order claim.
     """
-    if components != 1:
-        return NOT_A_KNOT
-    if f in _UNKNOT_FORMS:
-        return PASS
-    if isinstance(f, Family1) and signature(f, 1) == 0 == delta(f, 1):
-        return PASS
-    return FAIL
+    sig = None
+    if components == 1 and isinstance(f, Family1):
+        sig = signature(f, 1)
+    return _screen(f, components, sig, delta(f, 1) if sig == 0 else None)
 
 
 def quasi_alternating(f: MurasugiForm) -> bool:
@@ -107,18 +121,27 @@ class SteinReport:
     dehn_twist_count_bound: int
 
 
-def stein_report(f: MurasugiForm) -> SteinReport:
-    l_space = floer.is_l_space(f)
-    tight = floer.is_tight(f)
+def _stein_report(f: MurasugiForm, l_space: bool, tight: bool,
+                  correction: Fraction | None) -> SteinReport:
+    """The report from the form's L-space and tightness flags and its
+    correction term, which is read only when both flags hold (and then the
+    determinant is nonzero)."""
     twist_bound = 6 * f.d + murasugi.tail_exponent_sum(f)
     if not tight:
         return SteinReport(l_space, tight, NO, None, twist_bound)
     if not l_space:
         return SteinReport(l_space, tight, UNKNOWN, None, twist_bound)
-    chi = 4 * floer.correction_term(f) + 1
+    chi = 4 * correction + 1
     if chi < 1 or chi.denominator != 1:
         return SteinReport(l_space, tight, NO, None, twist_bound)
     return SteinReport(l_space, tight, CONSTRAINED, int(chi), twist_bound)
+
+
+def stein_report(f: MurasugiForm) -> SteinReport:
+    l_space = floer.is_l_space(f)
+    tight = floer.is_tight(f)
+    correction = floer.correction_term(f) if tight and l_space else None
+    return _stein_report(f, l_space, tight, correction)
 
 
 @dataclass(frozen=True)
@@ -157,9 +180,12 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
     """Aggregate every invariant of one word into a report.
 
     The word's image in SL(2,Z) is computed once; the normal form, the
-    component count, the determinant and H1 are all read from it.  The
-    Floer and Stein values are read off the normal form, and the module
-    HF+ is built once."""
+    component count, the determinant and H1 are all read from it.  When the
+    determinant is nonzero, the form's Floer assembly (table tag, n and the
+    shift in quarters) is read once and the module HF+ is built once from
+    it.  The correction term is that module's tower bottom, delta is twice
+    it, and the screen and the Stein report are read from those values;
+    the torus bundle comes from the same assembly and the determinant."""
     matrix = homology.image(w)
     form = murasugi.classify(w, matrix)
     components = homology.components_from_image(matrix)
@@ -167,10 +193,20 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
     h1 = homology.h1_from_image(matrix)
 
     is_knot = components == 1
-    floer_defined = det != 0
-    torus_bundle = None
-    if include_torus_bundle and floer_defined:
-        torus_bundle = floer.torus_bundle_hf(form)
+    hf = correction = delta_value = sig = torus_bundle = None
+    if det != 0:
+        tag, n, k = floer._quarter_assembly(form)
+        hf = floer._shifted_row(tag, n, k)
+        correction = hf.towers[0]
+        if include_torus_bundle:
+            torus_bundle = floer._torus_bundle(tag, k, det)
+    if is_knot:
+        _check_delta_defined(form, components)
+        delta_value = 2 * correction
+        if isinstance(form, Family1):
+            sig = signature(form, components)
+    l_space = floer.is_l_space(form)
+    tight = floer.is_tight(form)
 
     return InvariantReport(
         word=str(w) if raw_text is None else raw_text,
@@ -179,19 +215,18 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
         determinant=det,
         h1=h1,
         b1=h1.free_rank,
-        l_space=floer.is_l_space(form),
-        tight=floer.is_tight(form),
+        l_space=l_space,
+        tight=tight,
         tight_inverse=floer.is_tight_inverse(form),
         knot_type_tag=floer.knot_type(form),
-        hf_plus_s0=floer.hf_plus_s0(form) if floer_defined else None,
-        spin_c_count=det if floer_defined else None,
-        correction_term=floer.correction_term(form) if floer_defined else None,
-        delta=delta(form, components) if is_knot else None,
-        signature=signature(form, components)
-        if is_knot and isinstance(form, Family1) else None,
+        hf_plus_s0=hf,
+        spin_c_count=det if hf is not None else None,
+        correction_term=correction,
+        delta=delta_value,
+        signature=sig,
         qa=quasi_alternating(form),
-        finite_order_screen=finite_order_screen(form, components),
-        stein=stein_report(form),
+        finite_order_screen=_screen(form, components, sig, delta_value),
+        stein=_stein_report(form, l_space, tight, correction),
         torus_bundle=torus_bundle,
     )
 

@@ -6,7 +6,9 @@ PSL(2,Z) stack behind the chunk tables, the per-letter permutation fold,
 words stored one letter per run, the mirror read by classifying the inverse
 of the model word, the report's closed forms read from the model word or
 the Floer module, the per-family surgery rows, Floer assembly, delta and
-concordance screen behind the tail's exponent sum, the token grammar behind
+concordance screen behind the tail's exponent sum, the shifted rows built
+by Fraction addition and renormalised by the public constructor behind the
+rows built in quarters, the token grammar behind
 the table-driven parse, and the Seifert oracle's dense pair-loop
 construction and rational elimination.
 Short inputs are enumerated exhaustively; long words and forms are drawn
@@ -26,6 +28,7 @@ from threebraid.floer import (
     LEFT_TREFOIL_LIKE,
     RIGHT_TREFOIL_LIKE,
     GradedModule,
+    B1NotOne,
     PositiveB1,
     correction_term,
     form_determinant,
@@ -34,6 +37,7 @@ from threebraid.floer import (
     is_tight_inverse,
     shift,
     surgery_table,
+    torus_bundle_hf,
 )
 from threebraid.homology import (
     SL2Matrix,
@@ -44,6 +48,7 @@ from threebraid.homology import (
 from threebraid.invariants import (
     PASS,
     FamilyNotCovered,
+    NotAKnot,
     analyze_word,
     delta,
     finite_order_screen,
@@ -479,6 +484,129 @@ def test_closed_forms_match_model_word_on_random_forms(rng):
                   Family2(d, rng.randint(-10**6, 10**6)),
                   Family3(d, rng.choice((-1, -2, -3)))):
             assert_closed_forms_match_model_word(f)
+
+
+def test_closed_forms_match_model_word_on_mid_range_twist_powers():
+    # Between the box's |d| <= 6 and the random |d| near 10^17, with one
+    # tuple longer than the random ones.
+    long_tail = tuple(i * 7 % 5 for i in range(457))
+    tails = [Family1(0, a) for a in ((1,), (0, 2), (3, 1, 0, 2), long_tail)]
+    tails += [Family2(0, m) for m in (-3, 0, 5)]
+    tails += [Family3(0, m) for m in (-1, -2, -3)]
+    for d in range(-40, 41):
+        for tail in tails:
+            f = type(tail)(d, tail.a if isinstance(tail, Family1) else tail.m)
+            assert_closed_forms_match_model_word(f)
+            assert_report_matches_per_value_and_old_path(f)
+
+
+def renormalised_shift(module, q):
+    """shift as it was: Fraction addition, renormalised by the public
+    constructor."""
+    return GradedModule(tuple(g + q for g in module.towers),
+                        tuple((rank, g + q) for rank, g in module.frees),
+                        module.absolute)
+
+
+# The 0-surgery rows as Fraction modules, before they were stored in quarters.
+FRACTION_ZERO_SURGERY_ROWS = {
+    RIGHT_TREFOIL_LIKE: GradedModule((Fraction(-1, 2), Fraction(-3, 2))),
+    LEFT_TREFOIL_LIKE: GradedModule((Fraction(3, 2), Fraction(1, 2))),
+    FIGURE_EIGHT_LIKE: GradedModule((Fraction(1, 2), Fraction(-1, 2)),
+                                    ((1, Fraction(-1, 2)),)),
+}
+
+
+def assert_same_module(module, expected):
+    """Identical field tuples, down to the type of each rank and grading."""
+    assert (module.towers, module.frees, module.absolute) == \
+        (expected.towers, expected.frees, expected.absolute)
+    assert [type(g) for g in module.towers] == \
+        [type(g) for g in expected.towers]
+    assert [(type(r), type(g)) for r, g in module.frees] == \
+        [(type(r), type(g)) for r, g in expected.frees]
+
+
+def assert_normal(module):
+    """A module built without renormalising is what the public constructor
+    makes of its own parts, with ints for ranks and Fractions for gradings."""
+    assert_same_module(
+        GradedModule(module.towers, module.frees, module.absolute), module)
+    assert all(type(g) is Fraction for g in module.towers)
+    assert all(type(rank) is int and type(g) is Fraction
+               for rank, g in module.frees)
+
+
+def assert_report_matches_per_value_and_old_path(f):
+    """Each report field equals the public function of that value, and the
+    report's modules equal the old rows shifted and renormalised."""
+    report = analyze_word(canonical_word(f), raw_text="",
+                          include_torus_bundle=True)
+    assert report.normal_form == f
+    components = report.components
+    assert report.l_space == floer.is_l_space(f), f
+    assert report.tight == is_tight(f), f
+    assert report.tight_inverse == is_tight_inverse(f), f
+    assert report.knot_type_tag == floer.knot_type(f), f
+    assert report.stein == stein_report(f), f
+    assert report.finite_order_screen == \
+        finite_order_screen(f, components), f
+    if components == 1:
+        assert report.delta == delta(f, 1), f
+        if isinstance(f, Family1):
+            assert report.signature == signature(f, 1), f
+    else:
+        assert report.delta is report.signature is None, f
+        with pytest.raises(NotAKnot):
+            delta(f, components)
+    if not report.determinant:
+        assert report.hf_plus_s0 is report.correction_term is None, f
+        assert report.torus_bundle is None, f
+        with pytest.raises(PositiveB1):
+            hf_plus_s0(f)
+        with pytest.raises(B1NotOne):
+            torus_bundle_hf(f)
+        return
+    module, bundle = report.hf_plus_s0, report.torus_bundle
+    assert_same_module(module, hf_plus_s0(f))
+    assert report.correction_term == correction_term(f) == module.towers[0]
+    assert type(report.correction_term) is Fraction, f
+    public_bundle = torus_bundle_hf(f)
+    assert bundle == public_bundle, f
+    assert_same_module(bundle.s0, public_bundle.s0)
+    for carried in (module, bundle.s0, bundle.non_s0_relative):
+        assert_normal(carried)
+    tag, n, q = per_family_assembly(f)
+    assert_same_module(
+        module, renormalised_shift(per_branch_surgery_table(tag, n), q))
+    assert_same_module(
+        bundle.s0, renormalised_shift(FRACTION_ZERO_SURGERY_ROWS[tag], q))
+
+
+def test_report_matches_per_value_and_old_path_on_short_forms():
+    forms = all_forms(range(-6, 7), 4)
+    assert len(forms) == 3094
+    for f in forms:
+        assert_report_matches_per_value_and_old_path(f)
+
+
+def test_report_matches_per_value_and_old_path_on_random_forms(rng):
+    for _ in range(50):
+        d = rng.randint(-10**17, 10**17)
+        a = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 400)))
+        for f in (Family1(d, a if any(a) else a + (1,)),
+                  Family2(d, rng.randint(-10**6, 10**6)),
+                  Family3(d, rng.choice((-1, -2, -3)))):
+            assert_report_matches_per_value_and_old_path(f)
+
+
+def test_zero_surgery_rows_match_their_fraction_modules():
+    for tag, module in FRACTION_ZERO_SURGERY_ROWS.items():
+        assert_same_module(floer.zero_surgery_table(tag), module)
+        assert_normal(floer.zero_surgery_table(tag))
+        for k in range(-9, 10):
+            assert_same_module(floer._shifted_zero_row(tag, k),
+                               renormalised_shift(module, Fraction(k, 4)))
 
 
 PARSE_TOKENS = [base + suffix for base in ("x", "y", "s1", "s2", "h")

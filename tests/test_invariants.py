@@ -247,3 +247,21 @@ def test_one_derivation_per_report(monkeypatch):
         assert calls["image"] == 1, text
         assert calls["canonical_word"] == calls["mirror_form"] == 0, text
         assert calls["hf_plus_s0"] <= 1, text
+
+
+def test_one_floer_assembly_per_report(monkeypatch):
+    """Every Floer and Stein value of a report, the torus bundle included,
+    is read from one derivation of the form's assembly."""
+    calls = []
+    quarter_assembly = floer._quarter_assembly
+
+    def counting(f):
+        calls.append(f)
+        return quarter_assembly(f)
+
+    monkeypatch.setattr(floer, "_quarter_assembly", counting)
+    for text in ("h x y^-5", "x y"):
+        calls.clear()
+        report = analyze_word(parse(text), include_torus_bundle=True)
+        assert report.delta is not None and report.torus_bundle is not None
+        assert calls == [report.normal_form], text
