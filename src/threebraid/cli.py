@@ -37,30 +37,28 @@ EXIT_IO = 4
 _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def _oracle_block(word, report) -> tuple[dict, bool]:
+def _oracle_block(word, report) -> dict:
     """Oracle determinant/signature plus an agreement verdict against the
     representation-theoretic values.  Split closures and diagrams past the
-    crossing cap get an error record."""
+    crossing cap get an error record, which has no verdict."""
     try:
         matrix = seifert.seifert_matrix(word)
     except (seifert.SplitClosure, seifert.DiagramTooLarge) as error:
-        return {"error": str(error)}, True
+        return {"error": str(error)}
     det = seifert.sym_determinant(matrix)
     sig = seifert.sym_signature(matrix)
     agrees = det == report.determinant and \
         (report.signature is None or report.signature == sig)
-    return {"determinant": det, "signature": sig, "agrees": agrees}, agrees
+    return {"determinant": det, "signature": sig, "agrees": agrees}
 
 
 def _report(text: str, args) -> tuple:
     """The per-word pipeline of analyze and batch: parse, report, and the
-    oracle block when asked.  Returns (report, oracle or None, agrees)."""
+    oracle block when asked.  Returns (report, oracle or None)."""
     word = w_.parse(text)
     report = invariants.analyze_word(word, raw_text=text,
                                      include_torus_bundle=args.torus_bundle)
-    if not args.oracle:
-        return report, None, True
-    return (report, *_oracle_block(word, report))
+    return report, _oracle_block(word, report) if args.oracle else None
 
 
 def _json_line(report, oracle: dict | None) -> str:
@@ -76,10 +74,7 @@ def _fraction_str(q) -> str:
 
 def _canonical_str(form) -> str:
     """The model word with its twist power kept as one token, ``h^d``."""
-    twist = "" if form.d == 0 else "h" if form.d == 1 else f"h^{form.d}"
-    runs = murasugi.canonical_word(form).runs
-    tail = str(w_.BraidWord(runs[1:] if form.d else runs))
-    return " ".join(filter(None, (twist, tail))) or "(empty)"
+    return w_.run_text(murasugi.canonical_word(form)) or "(empty)"
 
 
 def _pretty_report(report, oracle: dict | None,
@@ -132,7 +127,7 @@ def _pretty_report(report, oracle: dict | None,
 
 def _analyze(args) -> int:
     try:
-        report, oracle, consistent = _report(args.word, args)
+        report, oracle = _report(args.word, args)
     except ParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
         return EXIT_PARSE
@@ -140,7 +135,8 @@ def _analyze(args) -> int:
         print(_json_line(report, oracle))
     else:
         print(_pretty_report(report, oracle, torus_requested=args.torus_bundle))
-    return EXIT_OK if consistent else EXIT_INCONSISTENT
+    agrees = oracle is None or oracle.get("agrees", True)
+    return EXIT_OK if agrees else EXIT_INCONSISTENT
 
 
 def _batch_line(report, oracle: dict | None) -> str:
@@ -168,7 +164,7 @@ def _batch(args) -> int:
         if not text or text.startswith("#"):
             continue
         try:
-            report, oracle, agrees = _report(text, args)
+            report, oracle = _report(text, args)
         except (ParseError, InternalInconsistency) as error:
             failed += 1
             record = {"type": type(error).__name__}
@@ -183,7 +179,8 @@ def _batch(args) -> int:
                 print(f"{text!r}: error: {error}")
             continue
         ok += 1
-        consistent = consistent and agrees
+        consistent = consistent and \
+            (oracle is None or oracle.get("agrees", True))
         if args.json:
             print(_json_line(report, oracle))
         else:

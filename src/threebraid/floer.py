@@ -250,12 +250,6 @@ def _quarter_assembly(f: MurasugiForm) -> tuple[str, int, int]:
     return tag, -(f.d // 2), tail_exponent_sum(f) + c
 
 
-def _assembly(f: MurasugiForm) -> tuple[str, int, Fraction]:
-    """(table tag, surgery parameter n, grading shift k/4)."""
-    tag, n, k = _quarter_assembly(f)
-    return tag, n, Fraction(k, 4)
-
-
 def hf_plus_s0(f: MurasugiForm) -> GradedModule:
     """HF+ of the branched double cover in the distinguished self-conjugate
     spin-c structure, with absolute rational gradings."""

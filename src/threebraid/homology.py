@@ -60,9 +60,6 @@ class SL2Matrix:
         """The (in general singular) integer matrix M - I."""
         return ((self.a - 1, self.b), (self.c, self.d - 1))
 
-    def apply(self, v: tuple[int, int]) -> tuple[int, int]:
-        return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
-
 
 IDENTITY = SL2Matrix(1, 0, 0, 1)
 
@@ -269,51 +266,23 @@ def trace_class(m: SL2Matrix) -> TraceClass:
     return TraceClass(HYPERBOLIC, 1 if t > 0 else -1)
 
 
-def _primitive_kernel_vector(k) -> tuple[int, int]:
-    """A primitive integer vector spanning the kernel of a singular, nonzero
-    2x2 matrix given as ((a, b), (c, d))."""
-    (a, b), (c, d) = k
-    row = (a, b) if (a, b) != (0, 0) else (c, d)
-    v = (row[1], -row[0])
-    g = gcd(abs(v[0]), abs(v[1]))
-    return (v[0] // g, v[1] // g)
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def parabolic_invariant(m: SL2Matrix) -> tuple[int, int]:
     """Complete SL(2,Z)-conjugacy invariant (epsilon, k) of a parabolic matrix:
     epsilon * m is conjugate to [[1, 0], [-k, 1]] and k is unique.
 
-    Computed by extracting the primitive fixed vector v of epsilon*m,
-    completing (v, u) to a determinant-one basis, and reading off the
-    coefficient in  (epsilon*m)u = u + k v.
+    Read in closed form.  epsilon is the sign of the trace, and
+    epsilon * m - I is nilpotent of rank one, equal to
+    k * [[-q s, q^2], [-s^2, q s]] for a primitive vector (q, s).  So with
+    b and c the off-diagonal entries of epsilon * m, |k| = gcd(b, c), and
+    k > 0 exactly when b > 0 or c < 0.
+
+    >>> from threebraid.words import parse
+    >>> parabolic_invariant(image(parse("h y^-1")))
+    (-1, -1)
     """
     if trace_class(m).kind != PARABOLIC:
         raise NotParabolic(f"{m} is not parabolic")
     epsilon = 1 if m.trace > 0 else -1
-    n = m if epsilon == 1 else -m
-    v = _primitive_kernel_vector(n.minus_identity())
-    g, s, t = _extended_gcd(v[0], v[1])
-    if g != 1:
-        raise InternalInconsistency(f"fixed vector {v} of {m} is not primitive")
-    u = (-t, s)  # det of columns (v, u) is v0*s - v1*(-t) = 1
-    nu = n.apply(u)
-    w = (nu[0] - u[0], nu[1] - u[1])
-    k = w[0] // v[0] if v[0] else w[1] // v[1]
-    if w != (k * v[0], k * v[1]):
-        raise InternalInconsistency(f"{v} is not a fixed vector of {n}")
-    return epsilon, k
+    b, c = epsilon * m.b, epsilon * m.c
+    k = gcd(b, c)
+    return epsilon, k if b > 0 or c < 0 else -k

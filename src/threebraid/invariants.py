@@ -16,7 +16,7 @@ from . import floer, homology, murasugi
 from .floer import GradedModule, TorusBundleModules
 from .homology import AbelianGroup
 from .murasugi import Family1, Family2, Family3, MurasugiForm
-from .words import BraidWord
+from .words import BraidWord, run_text
 
 
 class NotAKnot(ValueError):
@@ -185,7 +185,9 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
     shift in quarters) is read once and the module HF+ is built once from
     it.  The correction term is that module's tower bottom, delta is twice
     it, and the screen and the Stein report are read from those values;
-    the torus bundle comes from the same assembly and the determinant."""
+    the torus bundle comes from the same assembly and the determinant.
+    The report's word is ``raw_text``, or else ``run_text(w)``, which keeps
+    each h run as one token."""
     matrix = homology.image(w)
     form = murasugi.classify(w, matrix)
     components = homology.components_from_image(matrix)
@@ -209,7 +211,7 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
     tight = floer.is_tight(form)
 
     return InvariantReport(
-        word=str(w) if raw_text is None else raw_text,
+        word=run_text(w) if raw_text is None else raw_text,
         normal_form=form,
         components=components,
         determinant=det,

@@ -260,7 +260,6 @@ MurasugiForm = Union[Family1, Family2, Family3]
 # residues of m - 1 mod 6 are pairwise distinct, so the exponent sum
 # corroborates it.
 _ELLIPTIC_M = {U: -1, S: -2, UU: -3}
-_ELLIPTIC_MODEL_TRACE = {-1: 1, -2: 0, -3: -1}
 
 
 def _exact_quotient(numerator: int, denominator: int) -> int:
@@ -269,13 +268,6 @@ def _exact_quotient(numerator: int, denominator: int) -> int:
         raise InternalInconsistency(
             f"twist power {numerator}/{denominator} is not an integer")
     return d
-
-
-def _sign_check(trace: int, d: int, model_trace: int) -> None:
-    expected = (-1) ** (d % 2) * model_trace
-    if (trace > 0) - (trace < 0) != (expected > 0) - (expected < 0):
-        raise InternalInconsistency(
-            f"trace sign {trace} inconsistent with d = {d}")
 
 
 def _blocks(syllables: tuple[Syllable, ...]) -> bytes:
@@ -304,10 +296,44 @@ def _block_tuple(exponents: bytes) -> tuple[int, ...]:
     return tuple(map(len, rotated.split(b"\x01")[1:]))
 
 
+def _check_image(f: MurasugiForm, matrix: SL2Matrix) -> None:
+    """Raise unless ``matrix`` lies in the SL(2,Z) class of the model word
+    of ``f``.  The model's image is (-1)^d times that of its tail, so with
+    tau = (-1)^d * trace the image fits when
+
+        central (family 2, m = 0):    it equals (-1)^d I;
+        parabolic (family 2, m != 0): its parabolic invariant is ((-1)^d, m);
+        elliptic (family 3):          tau == 2 + m;
+        hyperbolic (family 1):        tau > 2.
+
+    A parabolic form whose image is not parabolic is a misfit as well."""
+    sign = -1 if f.d % 2 else 1
+    if isinstance(f, Family1):
+        fits = sign * matrix.trace > 2
+    elif isinstance(f, Family3):
+        fits = sign * matrix.trace == 2 + f.m
+    elif f.m == 0:
+        fits = matrix == SL2Matrix(sign, 0, 0, sign)
+    else:
+        try:
+            fits = homology.parabolic_invariant(matrix) == (sign, f.m)
+        except homology.NotParabolic:
+            fits = False
+    if not fits:
+        kind = homology.trace_class(matrix).kind
+        raise InternalInconsistency(f"{kind} image does not fit {f}")
+
+
 def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
     """The conjugacy normal form of a word.
 
-    ``matrix`` is ``homology.image(w)``, computed here when not given.
+    The cyclically reduced syllables give the family and the tail: none is
+    central (tail exponent sum t = 0), one is elliptic (m from the
+    syllable, t = m - 1), and an R/L word gives t = #R - #L, which is m for
+    a pure power and n - sum(a) for a block tuple.  The twist power is
+    d = (e - t) / 6 for the word's exponent sum e, and the form is checked
+    once against ``matrix``, which is ``homology.image(w)``, computed here
+    when not given (see ``_check_image``).
 
     >>> classify(w_.parse("x x y x x"))
     Family2(d=1, m=-1)
@@ -319,35 +345,26 @@ def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
         matrix = homology.image(w)
 
     if len(fp) == 0:
-        d = _exact_quotient(e, 6)
-        expected = homology.IDENTITY if d % 2 == 0 else -homology.IDENTITY
-        if matrix != expected:
-            raise InternalInconsistency("central image does not match +-I")
-        return Family2(d, 0)
-
-    if len(fp) == 1:
+        t = 0
+    elif len(fp) == 1:
         m = _ELLIPTIC_M[fp.syllables[0]]
-        d = _exact_quotient(e - (m - 1), 6)
-        _sign_check(matrix.trace, d, _ELLIPTIC_MODEL_TRACE[m])
-        return Family3(d, m)
+        t = m - 1
+    else:
+        exponents = _blocks(fp.syllables)
+        t = exponents.count(1) - exponents.count(2)
+    d = _exact_quotient(e - t, 6)
 
-    exponents = _blocks(fp.syllables)
-    if exponents.count(exponents[0]) == len(exponents):
+    if len(fp) == 0:
+        form = Family2(d, 0)
+    elif len(fp) == 1:
+        form = Family3(d, m)
+    elif abs(t) == len(exponents):
         # Parabolic: a pure power of R or of L.
-        epsilon, m = homology.parabolic_invariant(matrix)
-        if (m > 0) != (exponents[0] == 1) or abs(m) != len(exponents):
-            raise InternalInconsistency(
-                "parabolic invariant disagrees with the free-product word")
-        d = _exact_quotient(e - m, 6)
-        if epsilon != (-1) ** (d % 2):
-            raise InternalInconsistency("parabolic sign inconsistent with d")
-        return Family2(d, m)
-
-    a = _block_tuple(exponents)
-    n = len(a)
-    d = _exact_quotient(e - n + sum(a), 6)
-    _sign_check(matrix.trace, d, 3)  # hyperbolic models have trace > 2
-    return Family1(d, a)
+        form = Family2(d, t)
+    else:
+        form = Family1(d, _block_tuple(exponents))
+    _check_image(form, matrix)
+    return form
 
 
 def _validate(f: MurasugiForm) -> None:

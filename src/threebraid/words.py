@@ -88,8 +88,8 @@ class BraidWord:
 
     Length, iteration, equality, hashing and the string are those of the
     letter sequence: ``parse("h") == word(H_LETTERS)``.  Words with equal
-    runs compare equal at once; any other comparison, and the hash, expand
-    the letters.
+    runs compare equal at once; any other comparison, the hash and the
+    string expand the letters (``run_text`` does not).
     """
 
     runs: tuple[Run, ...] = ()
@@ -119,12 +119,26 @@ class BraidWord:
         return hash(self.letters)
 
     def __str__(self) -> str:
-        tokens = []
-        for letter, group in groupby(self.letters):
-            exponent = sum(1 for _ in group) * letter.sign
-            tokens.append(letter.generator if exponent == 1
-                          else f"{letter.generator}^{exponent}")
-        return " ".join(tokens)
+        return run_text(BraidWord(self.letters))
+
+
+def run_text(w: BraidWord) -> str:
+    """The word as a string that ``parse`` reads back as an equal word:
+    one token per h run (``h``, ``h^-1`` or ``h^d``), so no letter is
+    expanded, and one per stretch of x/y runs of equal generator and sign,
+    as in ``str(w)``, which it equals on a word with no h run.
+
+    >>> run_text(parse("h^1000000000 x x y^-3"))
+    'h^1000000000 x^2 y^-3'
+    """
+    tokens = []
+    for (generator, _), group in groupby(w.runs, lambda r: (r[0], r[1] > 0)):
+        exponents = [e for _, e in group]
+        if generator != "h":
+            exponents = [sum(exponents)]
+        tokens += [generator if e == 1 else f"{generator}^{e}"
+                   for e in exponents]
+    return " ".join(tokens)
 
 
 def word(letters) -> BraidWord:

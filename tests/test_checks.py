@@ -33,18 +33,35 @@ def test_blocks_rejects_a_u_power_in_place_of_an_s():
         murasugi._blocks((S, U, UU, U))
 
 
-def test_parabolic_invariant_rejects_a_non_primitive_fixed_vector(monkeypatch):
-    monkeypatch.setattr(homology, "_primitive_kernel_vector",
-                        lambda _k: (0, 2))
-    with pytest.raises(InternalInconsistency):
-        homology.parabolic_invariant(image(parse("y^3")))
+# Each word with an image of the wrong class: the central, parabolic,
+# elliptic and hyperbolic fits of classify's image check.
+MISFIT_IMAGES = {
+    "central, not (-1)^d I": ("h", homology.IDENTITY),
+    "parabolic, wrong k": ("y^3", image(parse("y^2"))),
+    "parabolic, wrong sign": ("y^3", image(parse("h y^3"))),
+    "parabolic form, hyperbolic image": ("y^3", image(parse("x y^-1"))),
+    "elliptic, trace of the right sign": ("x^-1 y^-1",
+                                          image(parse("x y^-1 x y^-1"))),
+    "hyperbolic, trace of the right sign": ("x y^-1 x y^-2",
+                                            image(parse("y^5"))),
+    "hyperbolic, trace of the wrong sign": ("x y^-1", image(parse("h x y^-1"))),
+}
 
 
-def test_parabolic_invariant_rejects_a_vector_that_is_not_fixed(monkeypatch):
-    monkeypatch.setattr(homology, "_primitive_kernel_vector",
-                        lambda _k: (1, 1))
+@pytest.mark.parametrize("text, matrix", MISFIT_IMAGES.values(),
+                         ids=MISFIT_IMAGES.keys())
+def test_classify_rejects_an_image_that_does_not_fit(text, matrix):
+    w = parse(text)
+    murasugi.classify(w, image(w))
     with pytest.raises(InternalInconsistency):
-        homology.parabolic_invariant(image(parse("y^3")))
+        murasugi.classify(w, matrix)
+
+
+def test_classify_rejects_a_non_integer_twist_power(monkeypatch):
+    murasugi.classify(parse("x"))
+    monkeypatch.setitem(murasugi._LETTER_SYLLABLES, X, ((S, U), 2))
+    with pytest.raises(InternalInconsistency):
+        murasugi.classify(parse("x"))
 
 
 def test_image_checks_the_determinant_of_the_product(monkeypatch):
@@ -91,9 +108,8 @@ try:
     murasugi._blocks((murasugi.S, murasugi.S))
 except InternalInconsistency:
     raised += 1
-homology._primitive_kernel_vector = lambda _k: (1, 1)
 try:
-    homology.parabolic_invariant(image(parse("y^3")))
+    murasugi.classify(parse("y^3"), image(parse("x y^-1")))
 except InternalInconsistency:
     raised += 1
 homology._GENERATOR_ENTRIES[("x", 1)] = (1, 1, 1, 1)

@@ -1,7 +1,8 @@
 """Fast paths checked against the slow code they replace.
 
 The slow references live here only: the minimum over all rotations, the
-left-to-right matrix product, the per-run image and the per-syllable
+left-to-right matrix product, the parabolic invariant read by completing
+a basis, the per-run image and the per-syllable
 PSL(2,Z) stack behind the chunk tables, the per-letter permutation fold,
 words stored one letter per run, the mirror read by classifying the inverse
 of the model word, the report's closed forms read from the model word or
@@ -16,6 +17,7 @@ at random.
 """
 
 import itertools
+import math
 from fractions import Fraction
 from math import prod
 
@@ -151,6 +153,62 @@ def test_tree_product_matches_left_to_right_on_long_words(rng):
         for alphabet in (LETTERS, (w_.X, w_.Y)):
             letters = tuple(rng.choice(alphabet) for _ in range(length))
             assert image(w_.BraidWord(letters)) == slow_image(letters), length
+
+
+def basis_parabolic_invariant(m):
+    """(epsilon, k) read by completing the primitive fixed vector v of
+    epsilon * m to a determinant-one basis (v, u): (epsilon * m)u = u + k v."""
+    if homology.trace_class(m).kind != homology.PARABOLIC:
+        raise homology.NotParabolic(m)
+    epsilon = 1 if m.trace > 0 else -1
+    n = m if epsilon == 1 else -m
+    (a, b), (c, d) = n.minus_identity()
+    row = (a, b) if (a, b) != (0, 0) else (c, d)
+    g = math.gcd(*row)
+    v = (row[1] // g, -row[0] // g)
+    old_r, r, old_s, s, old_t, t = v[0], v[1], 1, 0, 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_s, old_t = -old_s, -old_t
+    u = (-old_t, old_s)
+    nu = (n.a * u[0] + n.b * u[1], n.c * u[0] + n.d * u[1])
+    w = (nu[0] - u[0], nu[1] - u[1])
+    k = w[0] // v[0] if v[0] else w[1] // v[1]
+    assert w == (k * v[0], k * v[1]) and v[0] * u[1] - v[1] * u[0] == 1, m
+    return epsilon, k
+
+
+def test_parabolic_invariant_matches_basis_completion_up_to_length_8():
+    # The distinct images of the words of up to 8 letters.
+    level = {SL2Matrix(1, 0, 0, 1)}
+    images = set(level)
+    for _ in range(8):
+        level = {m * GENERATOR[letter] for m in level for letter in LETTERS}
+        images |= level
+    parabolic = 0
+    for m in images:
+        if homology.trace_class(m).kind == homology.PARABOLIC:
+            assert homology.parabolic_invariant(m) == \
+                basis_parabolic_invariant(m), m
+            parabolic += 1
+        else:
+            with pytest.raises(homology.NotParabolic):
+                homology.parabolic_invariant(m)
+    assert (len(images), parabolic) == (2284, 232)
+
+
+def test_parabolic_invariant_matches_basis_completion_on_conjugates(rng):
+    for _ in range(500):
+        u = w_.word(rng.choice(LETTERS) for _ in range(rng.randint(0, 40)))
+        d = rng.randint(-5, 5)
+        m = rng.choice((1, -1)) * rng.randint(1, 10**rng.randint(0, 6))
+        matrix = image(w_.conjugate(BraidWord((("h", d), ("y", m))), u))
+        assert homology.parabolic_invariant(matrix) == \
+            basis_parabolic_invariant(matrix) == ((-1) ** d, m), (u, d, m)
 
 
 def assert_runs_match_letters(w):
@@ -447,11 +505,12 @@ def assert_closed_forms_match_model_word(f):
         tag, n, q = per_family_assembly(f)
     except PositiveB1:
         with pytest.raises(PositiveB1):
-            floer._assembly(f)
+            floer._quarter_assembly(f)
         with pytest.raises(PositiveB1):
             correction_term(f)
     else:
-        assert floer._assembly(f) == (tag, n, q), f
+        quarter_tag, quarter_n, k = floer._quarter_assembly(f)
+        assert (quarter_tag, quarter_n, Fraction(k, 4)) == (tag, n, q), f
         module = shift(per_branch_surgery_table(tag, n), q)
         assert hf_plus_s0(f) == module, f
         assert correction_term(f) == min(module.towers), f

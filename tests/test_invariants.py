@@ -265,3 +265,10 @@ def test_one_floer_assembly_per_report(monkeypatch):
         report = analyze_word(parse(text), include_torus_bundle=True)
         assert report.delta is not None and report.torus_bundle is not None
         assert calls == [report.normal_form], text
+
+
+def test_default_word_text_keeps_each_twist_run_as_one_token():
+    report = analyze_word(canonical_word(Family2(10**17, 5)))
+    assert report.word == "h^100000000000000000 y^5"
+    assert report.normal_form == Family2(10**17, 5)
+    assert analyze_word(parse("x x y^-1 y^-2")).word == "x^2 y^-3"

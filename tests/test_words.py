@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from threebraid import words as w_
@@ -14,6 +16,7 @@ from threebraid.words import (
     inverse,
     parse,
     permutation,
+    run_text,
 )
 
 from conftest import random_word
@@ -89,6 +92,60 @@ def test_inverse_and_free_reduce():
 def test_rendering_round_trips():
     for text in ("", "x", "x y^-2", "h x y^-5", "x^3 y^-4 x"):
         assert parse(str(parse(text))) == parse(text)
+
+
+def letter_text(w):
+    """str(w) as it was written: one token per stretch of equal letters."""
+    tokens = []
+    for letter, group in itertools.groupby(w.letters):
+        exponent = sum(1 for _ in group) * letter.sign
+        tokens.append(letter.generator if exponent == 1
+                      else f"{letter.generator}^{exponent}")
+    return " ".join(tokens)
+
+
+def assert_run_text_reads_back(w):
+    text = run_text(w)
+    assert parse(text) == w, w.runs
+    h_runs = [e for g, e in w.runs if g == "h"]
+    if h_runs:
+        assert [parse(token).runs[0][1] for token in text.split()
+                if token[0] == "h"] == h_runs, w.runs
+    else:
+        assert text == str(w) == letter_text(w), w.runs
+
+
+def test_run_text_on_all_words_up_to_length_8():
+    level = [()]
+    checked = 0
+    for length in range(9):
+        for letters in level:
+            assert_run_text_reads_back(BraidWord(letters))
+            checked += 1
+        level = [letters + (letter,) for letters in level
+                 for letter in (w_.X, w_.Y, w_.X_INV, w_.Y_INV)]
+    assert checked == 87_381
+
+
+def test_run_text_on_all_words_of_four_tokens():
+    tokens = [(g, e) for g in "xyh" for e in (1, -1, 2, -2)]
+    for count in range(5):
+        for runs in itertools.product(tokens, repeat=count):
+            assert_run_text_reads_back(BraidWord(runs))
+
+
+def test_run_text_on_random_words(rng):
+    for _ in range(200):
+        runs = [(rng.choice("xxxyyyh"), rng.choice((1, -1)) * rng.randint(1, 9))
+                for _ in range(rng.randint(0, 60))]
+        assert_run_text_reads_back(BraidWord(tuple(runs)))
+
+
+def test_run_text_keeps_a_huge_twist_power_as_one_token():
+    w = parse("h^100000000000000000 x x y^-3 h^-1")
+    assert run_text(w) == "h^100000000000000000 x^2 y^-3 h^-1"
+    assert parse(run_text(w)).runs == (("h", 10**17), ("x", 2), ("y", -3),
+                                       ("h", -1))
 
 
 def test_permutation_fixtures():
