@@ -240,6 +240,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    sys.set_int_max_str_digits(0)  # a determinant may pass 4,300 digits
     args = _parser().parse_args(argv)
     command = {"analyze": _analyze, "batch": _batch,
                "conjugate": _conjugate}[args.command]

@@ -21,12 +21,15 @@ Dictionary (fixed once, validated by tests): in PSL(2,Z)
 
 so a hyperbolic word becomes a cyclic word in R = SU (the image of x) and
 L = SU^2 (the image of y^-1), from which the family-1 block tuple is read.
+
+Syllables are the bytes S = 0, U = 1, U^2 = 2 from the letter table to the
+block tuple: the odd places of an aligned word are its R/L word (1 for R, 2
+for L), and a power run costs O(n) memcpy work at 2 bytes per letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Sequence, Union
 
 from . import homology
@@ -71,29 +74,25 @@ def least_rotation(seq: Sequence) -> tuple:
 
 # --- the free product Z/2 * Z/3 -------------------------------------------
 
-# Syllables: ("s", 1) for the involution, ("u", 1) / ("u", 2) for the two
-# nontrivial powers of the order-3 element.
-Syllable = tuple[str, int]
-
-S: Syllable = ("s", 1)
-U: Syllable = ("u", 1)
-UU: Syllable = ("u", 2)
+# Syllables: S = 0 for the involution, U = 1 and UU = 2 for the two
+# nontrivial powers of the order-3 element; a word is the bytes of them.
+S, U, UU = 0, 1, 2
 
 # The syllables and the exponent sum of each letter.
 _LETTER_SYLLABLES = {
-    w_.X: ((S, U), 1),
-    w_.X_INV: ((UU, S), -1),
-    w_.Y: ((U, S), 1),
-    w_.Y_INV: ((S, UU), -1),
+    w_.X: (bytes((S, U)), 1),
+    w_.X_INV: (bytes((UU, S)), -1),
+    w_.Y: (bytes((U, S)), 1),
+    w_.Y_INV: (bytes((S, UU)), -1),
 }
 
 
-def _run_syllables(generator: str, exponent: int) -> tuple[tuple, int]:
+def _run_syllables(generator: str, exponent: int) -> tuple[bytes, int]:
     """The syllables and the exponent sum of a run.  h is central and
     trivial in PSL(2,Z); a generator power repeats the letter's syllables,
     which leaves them reduced."""
     if generator == "h":
-        return (), 6 * exponent
+        return b"", 6 * exponent
     if generator not in ("x", "y"):
         raise ValueError(f"malformed run {(generator, exponent)!r}")
     sign = 1 if exponent > 0 else -1
@@ -101,31 +100,32 @@ def _run_syllables(generator: str, exponent: int) -> tuple[tuple, int]:
     return syllables * (exponent * sign), exponent
 
 
-def _multiply(stack: list[Syllable], syllables: tuple[Syllable, ...]) -> None:
+def _multiply(stack: bytearray, syllables: bytes) -> None:
     """Multiply the reduced word ``stack`` by the reduced word ``syllables``
     in place.  Both alternate S and U-powers, so cancellation happens only
-    where they meet: S cancels S, and U-powers add mod 3.  A nonzero sum is
-    pushed back and ends the merge, as the next syllable is an S."""
+    where they meet: two syllables of the same kind (both S or both U-powers)
+    merge to (a + b) % 3, which is 0, and dropped, for S*S and for inverse
+    U-powers.  A nonzero merge is pushed back and ends the merge, as the
+    next syllable is an S.  The rest is one bytes copy, 2 bytes a letter."""
     i = 0
-    while stack and i < len(syllables) and stack[-1][0] == syllables[i][0]:
-        top = stack.pop()
-        if top[0] == "u":
-            e = (top[1] + syllables[i][1]) % 3
-            if e:
-                stack.append(("u", e))
+    while stack and i < len(syllables) \
+            and (not stack[-1]) == (not syllables[i]):
+        e = (stack.pop() + syllables[i]) % 3
+        if e:
+            stack.append(e)
         i += 1
-    stack.extend(syllables[i:])
+    stack += syllables[i:]
 
 
 def _chunk_syllables() -> dict:
-    layer = {(): ((), 0)}
+    layer = {(): (b"", 0)}
     for _ in range(CHUNK):
         next_layer = {}
         for window, (syllables, weight) in layer.items():
             for letter, (letter_syllables, sign) in _LETTER_SYLLABLES.items():
-                stack = list(syllables)
+                stack = bytearray(syllables)
                 _multiply(stack, letter_syllables)
-                next_layer[window + (letter,)] = (tuple(stack), weight + sign)
+                next_layer[window + (letter,)] = (bytes(stack), weight + sign)
         layer = next_layer
     return layer
 
@@ -140,32 +140,29 @@ _CHUNK_SYLLABLES = _chunk_syllables()
 class FreeProductWord:
     """A cyclically reduced alternating word in Z/2 * Z/3."""
 
-    syllables: tuple[Syllable, ...] = ()
+    syllables: bytes = b""
 
     def __len__(self) -> int:
         return len(self.syllables)
 
     def __str__(self) -> str:
-        names = {S: "S", U: "U", UU: "U^2"}
-        return " ".join(names[s] for s in self.syllables) or "1"
+        return " ".join(("S", "U", "U^2")[s] for s in self.syllables) or "1"
 
-    def cyclic_key(self) -> tuple[Syllable, ...]:
+    def cyclic_key(self) -> tuple[int, ...]:
         """Canonical representative of the rotation class, for conjugacy tests."""
         return least_rotation(self.syllables)
 
 
-def _cyclic_reduce(syllables: list[Syllable]) -> list[Syllable]:
+def _cyclic_reduce(syllables: bytes) -> bytes:
     """Conjugate away matching end syllables, moving two indices inward."""
     first, last = 0, len(syllables) - 1
-    while first < last and syllables[first][0] == syllables[last][0]:
-        head, tail = syllables[first], syllables[last]
+    while first < last and (not syllables[first]) == (not syllables[last]):
+        e = (syllables[first] + syllables[last]) % 3
         first += 1
         last -= 1
-        if head[0] == "u":
-            e = (head[1] + tail[1]) % 3
-            if e:
-                # The merged power is followed by an S, so reduction stops.
-                return syllables[first:last + 1] + [("u", e)]
+        if e:
+            # The merged power is followed by an S, so reduction stops.
+            return syllables[first:last + 1] + bytes((e,))
     return syllables[first:last + 1]
 
 
@@ -182,7 +179,7 @@ def _syllable_pass(w: BraidWord) -> tuple[FreeProductWord, int]:
     """
     runs = w.runs
     count = len(runs)
-    stack: list[Syllable] = []
+    stack = bytearray()
     exponent_sum = 0
     i = 0
     while i < count:
@@ -195,11 +192,11 @@ def _syllable_pass(w: BraidWord) -> tuple[FreeProductWord, int]:
             i += CHUNK
         syllables, weight = chunk
         exponent_sum += weight
-        if stack and syllables and stack[-1][0] == syllables[0][0]:
+        if stack and syllables and (not stack[-1]) == (not syllables[0]):
             _multiply(stack, syllables)
         else:
-            stack.extend(syllables)
-    return FreeProductWord(tuple(_cyclic_reduce(stack))), exponent_sum
+            stack += syllables
+    return FreeProductWord(_cyclic_reduce(bytes(stack))), exponent_sum
 
 
 def psl2_normal_form(w: BraidWord) -> FreeProductWord:
@@ -270,19 +267,19 @@ def _exact_quotient(numerator: int, denominator: int) -> int:
     return d
 
 
-def _blocks(syllables: tuple[Syllable, ...]) -> bytes:
-    """U-exponents of the cyclic word, rotated so that an S comes first.
+def _blocks(syllables: bytes) -> bytes:
+    """The cyclic R/L word: U-exponents rotated so that an S comes first.
 
     The word alternates S and U-powers with equal counts, so rotating by at
-    most one syllable aligns it into blocks (S, U^e)."""
-    if syllables[0][0] != "s":
+    most one syllable aligns it into blocks (S, U^e), and the odd places
+    already hold the R/L word, 1 for R and 2 for L."""
+    if syllables[0] != S:
         syllables = syllables[1:] + syllables[:1]
     powers = syllables[1::2]
-    if len(syllables) % 2 or S in powers \
-            or syllables[0::2].count(S) != len(syllables) // 2:
+    if len(syllables) % 2 or S in powers or syllables.count(S) != len(powers):
         raise InternalInconsistency(
             f"{FreeProductWord(syllables)} does not alternate S and U-powers")
-    return bytes(map(itemgetter(1), powers))
+    return powers
 
 
 def _block_tuple(exponents: bytes) -> tuple[int, ...]:

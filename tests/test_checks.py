@@ -59,7 +59,7 @@ def test_classify_rejects_an_image_that_does_not_fit(text, matrix):
 
 def test_classify_rejects_a_non_integer_twist_power(monkeypatch):
     murasugi.classify(parse("x"))
-    monkeypatch.setitem(murasugi._LETTER_SYLLABLES, X, ((S, U), 2))
+    monkeypatch.setitem(murasugi._LETTER_SYLLABLES, X, (bytes((S, U)), 2))
     with pytest.raises(InternalInconsistency):
         murasugi.classify(parse("x"))
 

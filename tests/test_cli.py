@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import threebraid
-from threebraid import cli
+from threebraid import cli, homology
 from threebraid.cli import main
 from threebraid.seifert import MAX_CROSSINGS
+from threebraid.words import parse
 
 
 def run(capsys, *argv):
@@ -179,6 +180,37 @@ def test_batch_oracle_fuzz_never_disagrees(tmp_path, capsys, rng):
         record = json.loads(line)
         if "oracle" in record and "error" not in record["oracle"]:
             assert record["oracle"]["agrees"] is True
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """The interpreter's default cap on int/str conversion, which main
+    lifts for the rest of the process; restored afterwards."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
+def test_analyze_prints_a_determinant_of_more_than_4300_digits(
+        capsys, default_int_digit_limit):
+    text = "x y^-1 " * 12000
+    code, out, _ = run(capsys, "analyze", "--json", text)
+    assert code == 0
+    determinant = homology.determinant(parse(text))
+    assert len(str(determinant)) > 4300
+    assert json.loads(out)["determinant"] == determinant
+
+
+def test_batch_reports_a_determinant_of_more_than_4300_digits(
+        tmp_path, capsys, default_int_digit_limit):
+    path = tmp_path / "words.txt"
+    path.write_text("x y^-1 " * 30000 + "\n")
+    code, out, _ = run(capsys, "batch", "--json", str(path))
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[-1]) == {"summary": {"ok": 1, "failed": 0}}
 
 
 def test_internal_inconsistency_maps_to_exit_three(capsys, monkeypatch):

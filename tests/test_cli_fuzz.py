@@ -20,7 +20,7 @@ SPACES = (" ", "  ", "\t", " ", "　", "\n")
 
 # Inputs that once escaped as a traceback or exhausted memory, always run.
 FIXED = ("", "h^" + "9" * 5000, "x^999999999", "h^99999999999999999",
-         "-x", "x^-", " \t ", "h^100000000 x", "x^20000 y")
+         "-x", "x^-", " \t ", "h^100000000 x", "x^20000 y", "x y^-1 " * 12000)
 
 
 def fuzz_strings(rng, count):

@@ -2,8 +2,10 @@
 
 The slow references live here only: the minimum over all rotations, the
 left-to-right matrix product, the parabolic invariant read by completing
-a basis, the per-run image and the per-syllable
-PSL(2,Z) stack behind the chunk tables, the per-letter permutation fold,
+a basis, the per-run image, the per-syllable PSL(2,Z) stack behind the
+chunk tables, the per-kind syllable merge and branching cyclic reduction
+behind the byte alphabet (S = 0, U = 1, U^2 = 2, where a power run costs
+O(n) memcpy work at 2 bytes per letter), the per-letter permutation fold,
 words stored one letter per run, the mirror read by classifying the inverse
 of the model word, the report's closed forms read from the model word or
 the Floer module, the per-family surgery rows, Floer assembly, delta and
@@ -58,6 +60,7 @@ from threebraid.invariants import (
     stein_report,
 )
 from threebraid.murasugi import (
+    S,
     Family1,
     Family2,
     Family3,
@@ -271,7 +274,8 @@ def per_run_image(w):
 
 def per_syllable_stack(runs):
     """The freely reduced syllables and the exponent sum of a run sequence,
-    pushed one syllable at a time, as before the chunk table."""
+    pushed one syllable at a time and merged per kind, as before the chunk
+    table and the byte alphabet: S pops S, and U-powers add mod 3."""
     stack = []
     exponent_sum = 0
     for run in runs:
@@ -281,21 +285,36 @@ def per_syllable_stack(runs):
             syllables, weight = murasugi._run_syllables(*run)
         exponent_sum += weight
         for syllable in syllables:
-            if not stack or stack[-1][0] != syllable[0]:
+            if not stack or (stack[-1] == S) != (syllable == S):
                 stack.append(syllable)
-            elif syllable[0] == "s":
+            elif syllable == S:
                 stack.pop()
             else:
-                e = (stack.pop()[1] + syllable[1]) % 3
+                e = (stack.pop() + syllable) % 3
                 if e:
-                    stack.append(("u", e))
-    return tuple(stack), exponent_sum
+                    stack.append(e)
+    return bytes(stack), exponent_sum
+
+
+def branching_cyclic_reduce(syllables):
+    """Conjugate away matching end syllables, branching on their kind as
+    before the byte alphabet: S cancels S, and U-powers add mod 3."""
+    first, last = 0, len(syllables) - 1
+    while first < last and \
+            (syllables[first] == S) == (syllables[last] == S):
+        head, tail = syllables[first], syllables[last]
+        first += 1
+        last -= 1
+        if head != S:
+            e = (head + tail) % 3
+            if e:
+                return syllables[first:last + 1] + bytes((e,))
+    return syllables[first:last + 1]
 
 
 def per_syllable_pass(w):
     stack, exponent_sum = per_syllable_stack(w.runs)
-    return (FreeProductWord(tuple(murasugi._cyclic_reduce(list(stack)))),
-            exponent_sum)
+    return FreeProductWord(branching_cyclic_reduce(stack)), exponent_sum
 
 
 def assert_chunked_fold_matches_per_run(w):
@@ -352,6 +371,22 @@ def test_chunked_fold_on_long_words_with_power_runs(rng, alphabet):
         w = BraidWord(tuple(runs))
         assert_chunked_fold_matches_per_run(w)
         assert image(w) == slow_image(w.letters), length
+
+
+def test_byte_merge_matches_the_per_kind_merge(rng):
+    # Runs of 40 letters against their inverses cancel 80 syllables in one
+    # merge; the reduced products are then cyclically reduced both ways.
+    tokens = [*LETTERS, ("x", 40), ("x", -40), ("y", 40), ("y", -40)]
+    for _ in range(2000):
+        left, right = (tuple(rng.choice(tokens)
+                             for _ in range(rng.randint(0, 4)))
+                       for _ in range(2))
+        stack = bytearray(per_syllable_stack(left)[0])
+        murasugi._multiply(stack, per_syllable_stack(right)[0])
+        product = per_syllable_stack(left + right)[0]
+        assert stack == product, (left, right)
+        assert murasugi._cyclic_reduce(product) == \
+            branching_cyclic_reduce(product), (left, right)
 
 
 def old_canonical_letters(f):

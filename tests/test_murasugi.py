@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from threebraid import cli, murasugi
@@ -27,8 +29,8 @@ from conftest import random_word
 def test_dictionary_calibration():
     # The two braid generators map to the two distinct block syllables and
     # their free-product images lift to the generator matrices up to sign.
-    assert psl2_normal_form(parse("x")).syllables == (S, U)
-    assert psl2_normal_form(parse("y^-1")).syllables == (S, UU)
+    assert psl2_normal_form(parse("x")).syllables == bytes((S, U))
+    assert psl2_normal_form(parse("y^-1")).syllables == bytes((S, UU))
 
     s_matrix = ((0, -1), (1, 0))
     t_matrix = ((1, 1), (0, 1))
@@ -53,7 +55,7 @@ def test_dictionary_calibration():
 def test_psl2_normal_form_fixtures():
     assert psl2_normal_form(parse("")) == FreeProductWord()
     assert psl2_normal_form(parse("h")) == FreeProductWord()
-    assert psl2_normal_form(parse("x^-2 y^-1")).syllables == (S,)
+    assert psl2_normal_form(parse("x^-2 y^-1")).syllables == bytes((S,))
 
 
 def test_classify_fixtures():
@@ -68,6 +70,23 @@ def test_classify_boundary_conventions():
     assert classify(parse("h^3")) == Family2(3, 0)
     assert classify(parse("x^4")) == Family2(0, 4)
     assert classify(parse("y^-2")) == Family2(0, -2)
+
+
+@pytest.mark.parametrize("text, form", [
+    ("x^999999", Family2(0, 999999)),
+    ("y^-999999 x", Family1(0, (999999,))),
+])
+def test_power_run_classifies_in_bounded_memory(text, form):
+    # A run of n letters is 2n syllable bytes; a few copies of them stay
+    # far under 16 MiB, which one Python object per syllable would pass.
+    w = parse(text)
+    tracemalloc.start()
+    try:
+        assert classify(w) == form
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_canonical_word_fixtures():
