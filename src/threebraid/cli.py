@@ -240,11 +240,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    sys.set_int_max_str_digits(0)  # a determinant may pass 4,300 digits
-    args = _parser().parse_args(argv)
-    command = {"analyze": _analyze, "batch": _batch,
-               "conjugate": _conjugate}[args.command]
+    # A determinant may pass 4,300 digits.  The caller's limit is restored
+    # on every way out, argparse's SystemExit included.
+    digit_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        args = _parser().parse_args(argv)
+        command = {"analyze": _analyze, "batch": _batch,
+                   "conjugate": _conjugate}[args.command]
         code = command(args)
         sys.stdout.flush()  # so that a write error surfaces here
         return code
@@ -258,6 +261,8 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"cannot write output: {error}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -110,7 +110,8 @@ def image(w: BraidWord) -> SL2Matrix:
     The word is read in windows of CHUNK runs.  A window of CHUNK letters
     is looked up in ``_CHUNK_ENTRIES`` and becomes one factor; otherwise
     (a power run in the window, or fewer than CHUNK runs left) the first
-    run alone becomes one factor, and the next window starts after it.
+    run alone becomes one factor, in closed form, and the next window
+    starts after it.
 
     The product is balanced.  A binary counter holds partial products of
     power-of-two spans of factors, at most about log2(factors) of them, and
@@ -130,8 +131,7 @@ def image(w: BraidWord) -> SL2Matrix:
     while i < count:
         entries = _CHUNK_ENTRIES.get(runs[i:i + CHUNK])
         if entries is None:
-            run = runs[i]
-            entries = _GENERATOR_ENTRIES.get(run) or _run_entries(*run)
+            entries = _run_entries(*runs[i])
             i += 1
         else:
             i += CHUNK

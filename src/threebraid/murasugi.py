@@ -23,8 +23,9 @@ so a hyperbolic word becomes a cyclic word in R = SU (the image of x) and
 L = SU^2 (the image of y^-1), from which the family-1 block tuple is read.
 
 Syllables are the bytes S = 0, U = 1, U^2 = 2 from the letter table to the
-block tuple: the odd places of an aligned word are its R/L word (1 for R, 2
-for L), and a power run costs O(n) memcpy work at 2 bytes per letter.
+block tuple: the U-powers of a reduced word, at whichever parity holds them,
+are its R/L word (1 for R, 2 for L), and a power run costs O(n) memcpy work
+at 2 bytes per letter.
 """
 
 from __future__ import annotations
@@ -45,31 +46,36 @@ class InvalidForm(ValueError):
 def least_rotation(seq: Sequence) -> tuple:
     """The lexicographically least cyclic rotation of seq, in linear time.
 
-    Booth's algorithm ("Lexicographically least circular substrings", IPL 10,
-    1980): a Knuth-Morris-Pratt failure function over the doubled sequence,
-    reset whenever a smaller rotation start k is found.
+    Two candidate starts i != j are compared over the doubled sequence, k
+    entries agreeing so far.  At the first mismatch the start with the
+    larger entry jumps k + 1 places: if that is i, each skipped start i + p
+    (p <= k) agrees with j + p for k - p entries and is then larger, so it
+    is not least.  A least start is never skipped, so i, which moves only
+    by jumps, never passes the first one, and j passes it only by stepping
+    off i.  The scan ends with i on it: when j passes n, every other start
+    has been skipped, and when k reaches n, the rotations at i and j are
+    equal, so every start repeats one below j.  i + j + k grows at every
+    step, so the scan is O(n) and keeps no failure array.
 
     >>> least_rotation((3, 0, 1))
     (0, 1, 3)
     """
     n = len(seq)
     doubled = tuple(seq) * 2
-    failure = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        item = doubled[j]
-        i = failure[j - k - 1]
-        while i != -1 and item != doubled[k + i + 1]:
-            if item < doubled[k + i + 1]:
-                k = j - i - 1
-            i = failure[i]
-        if i == -1 and item != doubled[k]:
-            if item < doubled[k]:
-                k = j
-            failure[j - k] = -1
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
         else:
-            failure[j - k] = i + 1
-    return doubled[k:k + n]
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return doubled[i:i + n]
 
 
 # --- the free product Z/2 * Z/3 -------------------------------------------
@@ -172,10 +178,11 @@ def _syllable_pass(w: BraidWord) -> tuple[FreeProductWord, int]:
 
     The word is read in windows of CHUNK runs.  A window of CHUNK letters
     is looked up in ``_CHUNK_SYLLABLES``; otherwise (a power run in the
-    window, or fewer than CHUNK runs left) the first run alone is read, and
-    the next window starts after it.  Each step multiplies the reduced
-    stack by reduced syllables, which only touch the stack where the two
-    meet, and only when the stack's top has the kind of their first one.
+    window, or fewer than CHUNK runs left) the first run alone is read in
+    closed form, and the next window starts after it.  Each step multiplies
+    the reduced stack by reduced syllables, which only touch the stack where
+    the two meet, and only when the stack's top has the kind of their first
+    one.
     """
     runs = w.runs
     count = len(runs)
@@ -185,8 +192,7 @@ def _syllable_pass(w: BraidWord) -> tuple[FreeProductWord, int]:
     while i < count:
         chunk = _CHUNK_SYLLABLES.get(runs[i:i + CHUNK])
         if chunk is None:
-            run = runs[i]
-            chunk = _LETTER_SYLLABLES.get(run) or _run_syllables(*run)
+            chunk = _run_syllables(*runs[i])
             i += 1
         else:
             i += CHUNK
@@ -268,14 +274,13 @@ def _exact_quotient(numerator: int, denominator: int) -> int:
 
 
 def _blocks(syllables: bytes) -> bytes:
-    """The cyclic R/L word: U-exponents rotated so that an S comes first.
+    """The cyclic R/L word: the U-exponents, 1 for R and 2 for L.
 
-    The word alternates S and U-powers with equal counts, so rotating by at
-    most one syllable aligns it into blocks (S, U^e), and the odd places
-    already hold the R/L word, 1 for R and 2 for L."""
-    if syllables[0] != S:
-        syllables = syllables[1:] + syllables[:1]
-    powers = syllables[1::2]
+    The word alternates S and U-powers with equal counts, so the powers
+    fill one parity of places: the odd ones when the word starts with an S,
+    the even ones otherwise.  Read at that parity, they are the R/L word up
+    to rotation, which ``Family1`` canonicalises away."""
+    powers = syllables[1::2] if syllables[0] == S else syllables[::2]
     if len(syllables) % 2 or S in powers or syllables.count(S) != len(powers):
         raise InternalInconsistency(
             f"{FreeProductWord(syllables)} does not alternate S and U-powers")

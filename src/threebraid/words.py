@@ -286,7 +286,7 @@ class Perm3:
 
     def then(self, other: "Perm3") -> "Perm3":
         """The composite 'self first, then other'."""
-        return Perm3(tuple(other(self(i)) for i in (1, 2, 3)))
+        return Perm3(tuple([other.images[j - 1] for j in self.images]))
 
     @property
     def cycle_count(self) -> int:
@@ -307,30 +307,17 @@ IDENTITY_PERM = Perm3((1, 2, 3))
 # Both generators and their inverses act as the same transposition.
 _LETTER_PERM = {"x": Perm3((2, 1, 3)), "y": Perm3((1, 3, 2))}
 
-# S_3 as constant tables: _S3 lists the six permutations (the identity
-# first), _S3_THEN[g][i] is the index of _S3[i] followed by the transposition
-# of generator g, and _S3_CYCLES[i] is the cycle count of _S3[i].
-_S3 = (IDENTITY_PERM, Perm3((2, 1, 3)), Perm3((1, 3, 2)), Perm3((3, 2, 1)),
-       Perm3((2, 3, 1)), Perm3((3, 1, 2)))
-_S3_THEN = {generator: tuple(_S3.index(p.then(t)) for p in _S3)
-            for generator, t in _LETTER_PERM.items()}
-_S3_CYCLES = tuple(p.cycle_count for p in _S3)
-
-
-def _s3_index(w: BraidWord) -> int:
-    """h runs and even runs act trivially; an odd run acts as its letter."""
-    index = 0
-    for generator, exponent in w.runs:
-        if exponent % 2 and generator != "h":
-            index = _S3_THEN[generator][index]
-    return index
-
 
 def permutation(w: BraidWord) -> Perm3:
-    """Image under the quotient to the symmetric group on the strands."""
-    return _S3[_s3_index(w)]
+    """Image under the quotient to the symmetric group on the strands: h
+    runs and even runs act trivially, an odd run acts as its letter."""
+    perm = IDENTITY_PERM
+    for generator, exponent in w.runs:
+        if exponent % 2 and generator != "h":
+            perm = perm.then(_LETTER_PERM[generator])
+    return perm
 
 
 def components(w: BraidWord) -> int:
     """Number of components of the braid closure (cycles of the permutation)."""
-    return _S3_CYCLES[_s3_index(w)]
+    return permutation(w).cycle_count

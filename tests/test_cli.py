@@ -184,8 +184,9 @@ def test_batch_oracle_fuzz_never_disagrees(tmp_path, capsys, rng):
 
 @pytest.fixture
 def default_int_digit_limit():
-    """The interpreter's default cap on int/str conversion, which main
-    lifts for the rest of the process; restored afterwards."""
+    """The interpreter's default cap on int/str conversion, set for the
+    test, which main lifts only while it runs; the previous cap is
+    restored afterwards."""
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     yield
@@ -197,6 +198,7 @@ def test_analyze_prints_a_determinant_of_more_than_4300_digits(
     text = "x y^-1 " * 12000
     code, out, _ = run(capsys, "analyze", "--json", text)
     assert code == 0
+    sys.set_int_max_str_digits(0)  # to read the printed value back
     determinant = homology.determinant(parse(text))
     assert len(str(determinant)) > 4300
     assert json.loads(out)["determinant"] == determinant
@@ -211,6 +213,32 @@ def test_batch_reports_a_determinant_of_more_than_4300_digits(
     lines = out.strip().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[-1]) == {"summary": {"ok": 1, "failed": 0}}
+
+
+def test_main_restores_the_int_digit_limit_on_every_exit(
+        tmp_path, capsys, monkeypatch, default_int_digit_limit):
+    from threebraid import invariants
+    from threebraid.murasugi import InternalInconsistency
+
+    def explode(*_args, **_kwargs):
+        raise InternalInconsistency("forced for the test")
+
+    path = tmp_path / "words.txt"
+    path.write_bytes(b"\xff\xfe")
+    limit = 10_000  # not the default, so the caller's own is restored
+    sys.set_int_max_str_digits(limit)
+    for argv, code in ((["analyze", "x"], cli.EXIT_OK),
+                       (["conjugate", "x", "x^-1"], cli.EXIT_NOT_CONJUGATE),
+                       (["analyze", "z"], cli.EXIT_PARSE),
+                       (["batch", str(path)], cli.EXIT_IO)):
+        assert run(capsys, *argv)[0] == code
+        assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(SystemExit):
+        main(["analyze", "--no-such-flag", "x"])
+    assert sys.get_int_max_str_digits() == limit
+    monkeypatch.setattr(invariants, "analyze_word", explode)
+    assert run(capsys, "analyze", "x")[0] == cli.EXIT_INCONSISTENT
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_internal_inconsistency_maps_to_exit_three(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Fast paths checked against the slow code they replace.
 
-The slow references live here only: the minimum over all rotations, the
+The slow references live here only: the minimum over all rotations and
+Booth's failure-function scan behind the two-pointer least rotation, the
 left-to-right matrix product, the parabolic invariant read by completing
 a basis, the per-run image, the per-syllable PSL(2,Z) stack behind the
 chunk tables, the per-kind syllable merge and branching cyclic reduction
@@ -105,6 +106,30 @@ def slow_least_rotation(seq):
     return min((seq[i:] + seq[:i] for i in range(len(seq))), default=())
 
 
+def booth_least_rotation(seq):
+    """Booth's algorithm ("Lexicographically least circular substrings",
+    IPL 10, 1980): a Knuth-Morris-Pratt failure function over the doubled
+    sequence, reset whenever a smaller rotation start k is found."""
+    n = len(seq)
+    doubled = tuple(seq) * 2
+    failure = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        item = doubled[j]
+        i = failure[j - k - 1]
+        while i != -1 and item != doubled[k + i + 1]:
+            if item < doubled[k + i + 1]:
+                k = j - i - 1
+            i = failure[i]
+        if i == -1 and item != doubled[k]:
+            if item < doubled[k]:
+                k = j
+            failure[j - k] = -1
+        else:
+            failure[j - k] = i + 1
+    return doubled[k:k + n]
+
+
 def slow_image(letters):
     result = SL2Matrix(1, 0, 0, 1)
     for letter in letters:
@@ -112,16 +137,55 @@ def slow_image(letters):
     return result
 
 
-def test_booth_matches_minimum_over_rotations():
+# Periodic and near-periodic tuples of a few hundred entries, for the long
+# matches and long jumps that the short tuples do not reach.
+PERIODIC_TUPLES = {
+    "all equal": (7,) * 300,
+    "(0, 1) * k": (0, 1) * 150,
+    "((0,) * 50 + (1,)) * k": ((0,) * 50 + (1,)) * 6,
+    "single minimum at the end": (1,) * 299 + (0,),
+    "(0, 1) * k, one entry changed": (0, 1) * 75 + (0, 0) + (0, 1) * 74,
+    "((0,) * 50 + (1,)) * k, one block short":
+        ((0,) * 50 + (1,)) * 3 + (0,) * 49 + (1,) + ((0,) * 50 + (1,)) * 2,
+    "((0,) * 50 + (1,)) * k, one block long":
+        ((0,) * 50 + (1,)) * 5 + (0,) * 51 + (1,),
+}
+
+
+def test_booth_matches_minimum_over_rotations(rng):
     for length in range(9):
         for seq in itertools.product(range(3), repeat=length):
             assert least_rotation(seq) == slow_least_rotation(seq), seq
+    for name, seq in PERIODIC_TUPLES.items():
+        n = len(seq)
+        for shift in (0, 1, n // 2, n - 1, rng.randrange(n)):
+            rotated = seq[shift:] + seq[:shift]
+            assert least_rotation(rotated) == slow_least_rotation(rotated), \
+                (name, shift)
 
 
 def test_booth_on_syllables_and_lists():
     syllables = (("u", 2), ("s", 1), ("u", 1), ("s", 1))
     assert least_rotation(syllables) == slow_least_rotation(syllables)
     assert least_rotation([2, 0, 1, 0]) == (0, 1, 0, 2)
+    assert least_rotation(bytes((2, 0, 1, 0))) == (0, 1, 0, 2)
+
+
+def test_least_rotation_matches_booth_on_random_tuples(rng):
+    # Half of the tuples repeat a short block with a few entries changed,
+    # so that long matches, and long jumps, are common.
+    for trial in range(200):
+        length = rng.choice((rng.randint(1, 10**4), int(10 ** rng.uniform(0, 4))))
+        alphabet = rng.randint(1, 4)
+        if trial % 2:
+            seq = [rng.randrange(alphabet) for _ in range(length)]
+        else:
+            block = [rng.randrange(alphabet) for _ in range(rng.randint(1, 20))]
+            seq = (block * (length // len(block) + 1))[:length]
+            for _ in range(rng.randint(0, 3)):
+                seq[rng.randrange(length)] = rng.randrange(alphabet)
+        seq = tuple(seq)
+        assert least_rotation(seq) == booth_least_rotation(seq), (trial, length)
 
 
 def test_word_layer_on_all_words_up_to_length_8():
