@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .words import BraidWord
+from .words import CHUNK, PACKED_LETTERS, BraidWord
 
 
 class NotParabolic(ValueError):
@@ -72,19 +72,18 @@ _GENERATOR_ENTRIES = {
 }
 
 # Words are folded CHUNK letters at a time (the "Four Russians" table
-# trick of Arlazarov, Dinic, Kronrod and Faradzev, 1970): _CHUNK_ENTRIES
-# holds the image of every sequence of CHUNK letters, built at import one
-# letter longer per layer from _GENERATOR_ENTRIES.
-CHUNK = 4
-
-
-def _chunk_entries() -> dict:
-    layer = {(): (1, 0, 0, 1)}
+# trick of Arlazarov, Dinic, Kronrod and Faradzev, 1970).  A word packs its
+# windows of CHUNK letters into bytes once (``BraidWord._fold_keys``), and
+# _CHUNK_ENTRIES, a list of 256, holds each window's image at its byte.
+# It is built at import from _GENERATOR_ENTRIES one letter longer per
+# layer: a window's index is 4 * (its prefix's index) + its last letter's
+# code.
+def _chunk_entries() -> list[tuple[int, int, int, int]]:
+    letters = [_GENERATOR_ENTRIES[letter] for letter in PACKED_LETTERS]
+    layer = [(1, 0, 0, 1)]
     for _ in range(CHUNK):
-        layer = {window + (letter,): (p * a + q * c, p * b + q * d,
-                                      r * a + s * c, r * b + s * d)
-                 for window, (p, q, r, s) in layer.items()
-                 for letter, (a, b, c, d) in _GENERATOR_ENTRIES.items()}
+        layer = [(p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d)
+                 for p, q, r, s in layer for a, b, c, d in letters]
     return layer
 
 
@@ -107,11 +106,10 @@ def _run_entries(generator: str, exponent: int):
 def image(w: BraidWord) -> SL2Matrix:
     """Product of the per-run matrices, multiplicative over concatenation.
 
-    The word is read in windows of CHUNK runs.  A window of CHUNK letters
-    is looked up in ``_CHUNK_ENTRIES`` and becomes one factor; otherwise
-    (a power run in the window, or fewer than CHUNK runs left) the first
-    run alone becomes one factor, in closed form, and the next window
-    starts after it.
+    The factors are the word's packed fold keys (``BraidWord._fold_keys``):
+    a packed window of CHUNK letters indexes ``_CHUNK_ENTRIES``, and a run
+    (a power run, an h run, or a letter left at the end of a stretch) is
+    read in closed form.
 
     The product is balanced.  A binary counter holds partial products of
     power-of-two spans of factors, at most about log2(factors) of them, and
@@ -124,18 +122,10 @@ def image(w: BraidWord) -> SL2Matrix:
     >>> image(parse("x y x y x y")) == -IDENTITY
     True
     """
-    runs = w.runs
-    count = len(runs)
     stack: list[tuple[int, int, int, int, int]] = []  # (span, a, b, c, d)
-    i = 0
-    while i < count:
-        entries = _CHUNK_ENTRIES.get(runs[i:i + CHUNK])
-        if entries is None:
-            entries = _run_entries(*runs[i])
-            i += 1
-        else:
-            i += CHUNK
-        a, b, c, d = entries
+    for key in w._fold_keys:
+        a, b, c, d = _CHUNK_ENTRIES[key] if type(key) is int \
+            else _run_entries(*key)
         span = 1
         while stack and stack[-1][0] == span:
             _, p, q, r, s = stack.pop()
@@ -185,11 +175,13 @@ def smith_normal_form(m) -> AbelianGroup:
     """The cokernel of an integer 2x2 matrix, as an abelian group.
 
     For 2x2 matrices the invariant factors are gcd-of-entries and
-    |det| / gcd-of-entries, so no row reduction is needed.
+    |det| / gcd-of-entries, so no row reduction is needed.  The gcd is one
+    call over all four entries, so only its first step can be between two
+    huge entries.
     """
     (a, b), (c, d) = m
     det = abs(a * d - b * c)
-    entry_gcd = gcd(gcd(abs(a), abs(b)), gcd(abs(c), abs(d)))
+    entry_gcd = gcd(a, b, c, d)
     if det:
         diagonal = (entry_gcd, det // entry_gcd)
     elif entry_gcd:

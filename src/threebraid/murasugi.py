@@ -35,8 +35,8 @@ from typing import Sequence, Union
 
 from . import homology
 from . import words as w_
-from .homology import CHUNK, InternalInconsistency, SL2Matrix
-from .words import BraidWord
+from .homology import InternalInconsistency, SL2Matrix
+from .words import CHUNK, BraidWord
 
 
 class InvalidForm(ValueError):
@@ -123,22 +123,24 @@ def _multiply(stack: bytearray, syllables: bytes) -> None:
     stack += syllables[i:]
 
 
-def _chunk_syllables() -> dict:
-    layer = {(): (b"", 0)}
+def _chunk_syllables() -> list[tuple[bytes, int]]:
+    letters = [_LETTER_SYLLABLES[letter] for letter in w_.PACKED_LETTERS]
+    layer = [(b"", 0)]
     for _ in range(CHUNK):
-        next_layer = {}
-        for window, (syllables, weight) in layer.items():
-            for letter, (letter_syllables, sign) in _LETTER_SYLLABLES.items():
+        next_layer = []
+        for syllables, weight in layer:
+            for letter_syllables, sign in letters:
                 stack = bytearray(syllables)
                 _multiply(stack, letter_syllables)
-                next_layer[window + (letter,)] = (bytes(stack), weight + sign)
+                next_layer.append((bytes(stack), weight + sign))
         layer = next_layer
     return layer
 
 
-# The reduced syllables and the exponent sum of every sequence of CHUNK
-# letters, built at import from _LETTER_SYLLABLES alone, so that the
-# syllable pass stays a derivation independent of the matrix.
+# The reduced syllables and the exponent sum of every window of CHUNK
+# letters at its packed byte, laid out as ``homology._CHUNK_ENTRIES`` but
+# built at import from _LETTER_SYLLABLES alone, so that the syllable pass
+# stays a derivation independent of the matrix.
 _CHUNK_SYLLABLES = _chunk_syllables()
 
 
@@ -174,29 +176,20 @@ def _cyclic_reduce(syllables: bytes) -> bytes:
 
 def _syllable_pass(w: BraidWord) -> tuple[FreeProductWord, int]:
     """The cyclically reduced image in Z/2 * Z/3 and the exponent sum, read
-    in one pass over the runs of the word.
+    in one pass over the word.
 
-    The word is read in windows of CHUNK runs.  A window of CHUNK letters
-    is looked up in ``_CHUNK_SYLLABLES``; otherwise (a power run in the
-    window, or fewer than CHUNK runs left) the first run alone is read in
-    closed form, and the next window starts after it.  Each step multiplies
-    the reduced stack by reduced syllables, which only touch the stack where
-    the two meet, and only when the stack's top has the kind of their first
-    one.
+    The steps are the word's packed fold keys (``BraidWord._fold_keys``):
+    a packed window of CHUNK letters indexes ``_CHUNK_SYLLABLES``, and a
+    run (a power run, an h run, or a letter left at the end of a stretch)
+    is read in closed form.  Each step multiplies the reduced stack by
+    reduced syllables, which only touch the stack where the two meet, and
+    only when the stack's top has the kind of their first one.
     """
-    runs = w.runs
-    count = len(runs)
     stack = bytearray()
     exponent_sum = 0
-    i = 0
-    while i < count:
-        chunk = _CHUNK_SYLLABLES.get(runs[i:i + CHUNK])
-        if chunk is None:
-            chunk = _run_syllables(*runs[i])
-            i += 1
-        else:
-            i += CHUNK
-        syllables, weight = chunk
+    for key in w._fold_keys:
+        syllables, weight = _CHUNK_SYLLABLES[key] if type(key) is int \
+            else _run_syllables(*key)
         exponent_sum += weight
         if stack and syllables and (not stack[-1]) == (not syllables[0]):
             _multiply(stack, syllables)

@@ -15,9 +15,8 @@ letter sequence itself is expanded only on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, groupby
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 
 class ParseError(ValueError):
@@ -67,6 +66,25 @@ H_LETTERS = (X, Y, X, Y, X, Y)
 # A run: (generator, nonzero exponent), generator 'x', 'y' or 'h'.
 Run = tuple[str, int]
 
+# Letters per packed window: four 2-bit letter codes fill one byte.
+CHUNK = 4
+
+# The letters in the order of their codes.  A window of CHUNK letters packs
+# to the byte 4 * prefix + code, the first letter in the top two bits.
+PACKED_LETTERS = (X, Y, X_INV, Y_INV)
+
+
+class _Digits(dict):
+    """Each letter's code as a base-4 digit, and "-" for a run that is not
+    a letter, so that a word's digits are one ``str.join``."""
+
+    def __missing__(self, run):
+        return "-"
+
+
+_letter_digit = _Digits(
+    (letter, str(code)) for code, letter in enumerate(PACKED_LETTERS)).__getitem__
+
 
 # The letters of one run with exponent +1 and -1, by generator.
 _UNIT_LETTERS = {
@@ -82,6 +100,25 @@ def _run_letters(run: Run) -> tuple[Letter, ...]:
     return (positive if exponent > 0 else negative) * abs(exponent)
 
 
+class _cached:
+    """``functools.cached_property`` without the lock that Python 3.11 takes
+    on each first access: a word's cached values are pure functions of its
+    runs, so two threads at worst compute one twice."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, word, owner=None):
+        if word is None:
+            return self
+        value = word.__dict__[self.name] = self.func(word)
+        return value
+
+
 @dataclass(frozen=True, eq=False)
 class BraidWord:
     """An immutable word, stored as runs; the empty word is the identity.
@@ -94,14 +131,42 @@ class BraidWord:
 
     runs: tuple[Run, ...] = ()
 
-    @cached_property
+    @_cached
     def letters(self) -> tuple[Letter, ...]:
         """The letter sequence, expanded once and cached."""
         return tuple(chain.from_iterable(map(_run_letters, self.runs)))
 
-    @cached_property
+    @_cached
     def _length(self) -> int:
         return sum(6 * abs(e) if g == "h" else abs(e) for g, e in self.runs)
+
+    @_cached
+    def _fold_keys(self) -> Sequence[int | Run]:
+        """The word as the factors that both folds read, packed once: a
+        byte (an int 0-255, see ``PACKED_LETTERS``) for each aligned window
+        of CHUNK letters in a maximal stretch of letters, and the run itself
+        for the 0 to CHUNK - 1 letters left at the end of a stretch and for
+        each h run and power run.  So a word with no full window keys on its
+        runs alone.  The digits are joined at C speed and read by ``int`` in
+        base 4, a power of two, so no int-to-str digit limit applies.
+
+        >>> parse("x y x^-1 y^-1 x h^2")._fold_keys
+        [27, Letter(generator='x', sign=1), ('h', 2)]
+        """
+        runs = self.runs
+        if len(runs) < CHUNK:
+            return runs
+        keys: list[int | Run] = []
+        start = 0
+        for stretch in "".join(map(_letter_digit, runs)).split("-"):
+            length = len(stretch)
+            full = length - length % CHUNK
+            if full:
+                keys += int(stretch[:full], 4).to_bytes(full // CHUNK, "big")
+            # The letters left over and the run that ends the stretch.
+            keys += runs[start + full:start + length + 1]
+            start += length + 1
+        return keys
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)

@@ -14,7 +14,7 @@ import threebraid
 from threebraid import homology, murasugi, seifert
 from threebraid.homology import InternalInconsistency, image
 from threebraid.murasugi import S, U, UU
-from threebraid.words import X, Y, parse
+from threebraid.words import Y, parse
 
 
 def test_blocks_rejects_a_non_alternating_word():
@@ -73,11 +73,15 @@ def test_image_checks_the_determinant_of_the_product(monkeypatch):
 
 
 def test_chunked_image_checks_the_determinant_of_the_product(monkeypatch):
-    window = (X, Y, X, Y)
-    assert len(window) == homology.CHUNK
-    monkeypatch.setitem(homology._CHUNK_ENTRIES, window, (1, 1, 1, 1))
+    w = parse("x y x y y")
+    window, rest = w._fold_keys
+    assert rest == Y
+    assert parse("x y x y")._fold_keys == [window]
+    corrupted = list(homology._CHUNK_ENTRIES)
+    corrupted[window] = (1, 1, 1, 1)
+    monkeypatch.setattr(homology, "_CHUNK_ENTRIES", corrupted)
     with pytest.raises(ValueError):
-        image(parse("x y x y y"))
+        image(w)
 
 
 # Sparse rows with entries (value, stamp).  The diagonal of row 2 claims to

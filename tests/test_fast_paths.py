@@ -4,23 +4,26 @@ The slow references live here only: the minimum over all rotations and
 Booth's failure-function scan behind the two-pointer least rotation, the
 left-to-right matrix product, the parabolic invariant read by completing
 a basis, the per-run image, the per-syllable PSL(2,Z) stack behind the
-chunk tables, the per-kind syllable merge and branching cyclic reduction
-behind the byte alphabet (S = 0, U = 1, U^2 = 2, where a power run costs
-O(n) memcpy work at 2 bytes per letter), the per-letter permutation fold,
-words stored one letter per run, the mirror read by classifying the inverse
-of the model word, the report's closed forms read from the model word or
-the Floer module, the per-family surgery rows, Floer assembly, delta and
-concordance screen behind the tail's exponent sum, the shifted rows built
-by Fraction addition and renormalised by the public constructor behind the
-rows built in quarters, the token grammar behind
-the table-driven parse, and the Seifert oracle's dense pair-loop
-construction and rational elimination.
+chunk tables, the window-slicing image and syllable pass, which look up
+CHUNK runs by their letters, behind the folds over packed 4-letter bytes,
+the per-kind syllable merge and branching cyclic reduction behind the byte
+alphabet (S = 0, U = 1, U^2 = 2, where a power run costs O(n) memcpy work
+at 2 bytes per letter), the pairwise gcd of the Smith normal form, the
+per-letter permutation fold, words stored one letter per run, the mirror
+read by classifying the inverse of the model word, the report's closed
+forms read from the model word or the Floer module, the per-family
+surgery rows, Floer assembly, delta and concordance screen behind the
+tail's exponent sum, the shifted rows built by Fraction addition and
+renormalised by the public constructor behind the rows built in quarters,
+the token grammar behind the table-driven parse, and the Seifert oracle's
+dense pair-loop construction and rational elimination.
 Short inputs are enumerated exhaustively; long words and forms are drawn
 at random.
 """
 
 import itertools
 import math
+from dataclasses import astuple
 from fractions import Fraction
 from math import prod
 
@@ -74,6 +77,7 @@ from threebraid.murasugi import (
 )
 from threebraid.seifert import seifert_matrix, sym_determinant, sym_signature
 from threebraid.words import (
+    CHUNK,
     MAX_LETTERS,
     BraidWord,
     ParseError,
@@ -186,6 +190,67 @@ def test_least_rotation_matches_booth_on_random_tuples(rng):
                 seq[rng.randrange(length)] = rng.randrange(alphabet)
         seq = tuple(seq)
         assert least_rotation(seq) == booth_least_rotation(seq), (trial, length)
+
+
+def test_least_rotation_makes_linearly_many_comparisons():
+    # A single 1 between 400 and 401 zeros: a mismatch is found only after
+    # a match of up to 400, so a scan that steps one place, not k + 1, at a
+    # mismatch makes 82,205 comparisons where the two-pointer scan makes
+    # 1,605.  Counting comparisons, not time, keeps the test exact.
+    comparisons = 0
+
+    class Counted(int):
+        def __eq__(self, other):
+            nonlocal comparisons
+            comparisons += 1
+            return int.__eq__(self, other)
+
+        def __gt__(self, other):
+            nonlocal comparisons
+            comparisons += 1
+            return int.__gt__(self, other)
+
+        __hash__ = int.__hash__
+
+    m = 400
+    seq = tuple(map(Counted, (0,) * m + (1,) + (0,) * (m + 1)))
+    n = len(seq)
+    least = least_rotation(seq)
+    count = comparisons
+    assert least == (0,) * (2 * m + 1) + (1,)
+    assert count <= 3 * n, count
+
+
+def pairwise_gcd_smith_normal_form(m):
+    """The cokernel with the entry gcd taken pairwise, of absolute values."""
+    (a, b), (c, d) = m
+    g = math.gcd(math.gcd(abs(a), abs(b)), math.gcd(abs(c), abs(d)))
+    det = abs(a * d - b * c)
+    diagonal = (g, det // g) if det else (g, 0)
+    return homology.AbelianGroup(sum(e == 0 for e in diagonal),
+                                 tuple(e for e in diagonal if e >= 2))
+
+
+def test_smith_normal_form_matches_the_pairwise_gcd(rng, monkeypatch):
+    def entry():
+        bits = rng.choice((0, 1, 2, 8, 64, 10_000))
+        return rng.choice((1, -1)) * rng.getrandbits(bits)
+    gcd_calls = 0
+
+    def counted_gcd(*entries):
+        nonlocal gcd_calls
+        gcd_calls += 1
+        return math.gcd(*entries)
+
+    monkeypatch.setattr(homology, "gcd", counted_gcd)
+    for trial in range(2000):
+        factor = rng.choice((1, 1, 2, 6, rng.getrandbits(100) + 1))
+        m = tuple(tuple(factor * entry() for _ in range(2)) for _ in range(2))
+        if trial % 7 == 0:
+            m = (m[0], tuple(rng.choice((1, -1, 3)) * e for e in m[0]))
+        assert homology.smith_normal_form(m) == \
+            pairwise_gcd_smith_normal_form(m), m
+    assert gcd_calls == 2000
 
 
 def test_word_layer_on_all_words_up_to_length_8():
@@ -316,14 +381,10 @@ def test_runs_match_letters_on_long_words(rng):
         assert parse(" ".join(f"{g}^{e}" for g, e in runs)) == w
 
 
-def per_run_image(w):
-    """The image folded one run per factor, as before the chunk table."""
+def tree_product(factors):
+    """The balanced product of (a, b, c, d) factors by a binary counter."""
     stack = []  # (span, a, b, c, d)
-    for run in w.runs:
-        try:
-            a, b, c, d = homology._GENERATOR_ENTRIES[run]
-        except KeyError:
-            a, b, c, d = homology._run_entries(*run)
+    for a, b, c, d in factors:
         span = 1
         while stack and stack[-1][0] == span:
             _, p, q, r, s = stack.pop()
@@ -334,6 +395,12 @@ def per_run_image(w):
     for _, p, q, r, s in reversed(stack):
         a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
     return SL2Matrix(a, b, c, d)
+
+
+def per_run_image(w):
+    """The image folded one run per factor, as before the chunk table."""
+    return tree_product(homology._GENERATOR_ENTRIES.get(run)
+                        or homology._run_entries(*run) for run in w.runs)
 
 
 def per_syllable_stack(runs):
@@ -381,22 +448,69 @@ def per_syllable_pass(w):
     return FreeProductWord(branching_cyclic_reduce(stack)), exponent_sum
 
 
-def assert_chunked_fold_matches_per_run(w):
-    assert image(w) == per_run_image(w), w.runs
-    assert murasugi._syllable_pass(w) == per_syllable_pass(w), w.runs
+# Each window of CHUNK letters as its image and its syllables, keyed by its
+# letters, from the written-out generators and the per-syllable stack.
+WINDOW_ENTRIES = {window: astuple(slow_image(window)) for window in
+                  itertools.product(LETTERS, repeat=CHUNK)}
+WINDOW_SYLLABLES = {window: per_syllable_stack(window)
+                    for window in WINDOW_ENTRIES}
+
+
+def window_factors(runs, windows, read_run):
+    """The runs read as before the packed fold keys: CHUNK runs sliced off
+    and looked up by their letters, or, when that window is not CHUNK
+    letters, the first run alone in closed form."""
+    i = 0
+    while i < len(runs):
+        factor = windows.get(runs[i:i + CHUNK])
+        if factor is None:
+            factor = read_run(*runs[i])
+            i += 1
+        else:
+            i += CHUNK
+        yield factor
+
+
+def window_image(w):
+    return tree_product(window_factors(w.runs, WINDOW_ENTRIES,
+                                       homology._run_entries))
+
+
+def window_syllable_pass(w):
+    stack = bytearray()
+    exponent_sum = 0
+    for syllables, weight in window_factors(w.runs, WINDOW_SYLLABLES,
+                                            murasugi._run_syllables):
+        exponent_sum += weight
+        murasugi._multiply(stack, syllables)
+    return FreeProductWord(murasugi._cyclic_reduce(bytes(stack))), exponent_sum
+
+
+def assert_packed_fold_matches_references(w):
+    assert image(w) == window_image(w) == per_run_image(w), w.runs
+    assert murasugi._syllable_pass(w) == window_syllable_pass(w) == \
+        per_syllable_pass(w), w.runs
+
+
+def packed_window(byte):
+    """The letters of a packed byte, the first in the top two bits."""
+    return tuple(w_.PACKED_LETTERS[byte >> shift & 3]
+                 for shift in range(2 * CHUNK - 2, -1, -2))
 
 
 def test_chunk_tables_hold_the_product_of_their_letters():
-    windows = list(itertools.product(LETTERS, repeat=homology.CHUNK))
     assert len(homology._CHUNK_ENTRIES) == len(murasugi._CHUNK_SYLLABLES) \
-        == len(windows) == 4 ** homology.CHUNK == 256
-    for window in windows:
-        assert SL2Matrix(*homology._CHUNK_ENTRIES[window]) == \
+        == 4 ** CHUNK == 256
+    windows = [packed_window(byte) for byte in range(256)]
+    assert set(windows) == set(WINDOW_ENTRIES)
+    for byte, window in enumerate(windows):
+        assert BraidWord(window)._fold_keys == [byte], window
+        assert SL2Matrix(*homology._CHUNK_ENTRIES[byte]) == \
             slow_image(window), window
-        assert murasugi._CHUNK_SYLLABLES[window] == \
+        assert murasugi._CHUNK_SYLLABLES[byte] == \
             per_syllable_stack(window), window
     empty = {window for window, (syllables, _) in
-             murasugi._CHUNK_SYLLABLES.items() if not syllables}
+             zip(windows, murasugi._CHUNK_SYLLABLES) if not syllables}
     assert len(empty) == 28
     assert (w_.X, w_.X_INV, w_.Y, w_.Y_INV) in empty
     assert empty == {window for window in windows
@@ -406,9 +520,9 @@ def test_chunk_tables_hold_the_product_of_their_letters():
 def test_chunked_fold_on_all_words_up_to_two_windows():
     level = [()]
     checked = 0
-    for length in range(2 * homology.CHUNK + 1):
+    for length in range(2 * CHUNK + 1):
         for letters in level:
-            assert_chunked_fold_matches_per_run(BraidWord(letters))
+            assert_packed_fold_matches_references(BraidWord(letters))
             checked += 1
         level = [letters + (letter,) for letters in level for letter in LETTERS]
     assert checked == 87_381
@@ -419,9 +533,30 @@ def test_chunked_fold_on_all_words_of_five_tokens():
     checked = 0
     for count in range(6):
         for runs in itertools.product(tokens, repeat=count):
-            assert_chunked_fold_matches_per_run(BraidWord(runs))
+            assert_packed_fold_matches_references(BraidWord(runs))
             checked += 1
     assert checked == sum(6 ** count for count in range(6))
+
+
+def test_packed_fold_on_stretches_between_runs(rng):
+    # Stretches of 0-9 letters between h runs, h^-1 and power runs, so that
+    # a stretch leaves every remainder of 0 to CHUNK - 1 letters after its
+    # full windows, at each end of the word and next to each kind of run.
+    between = [("h", 1), ("h", -1), ("h", 4), ("x", 2), ("x", -5), ("y", 3),
+               ("y", -2)]
+    seen = set()
+    for _ in range(2000):
+        runs = []
+        for _ in range(rng.randint(0, 5)):
+            stretch = [rng.choice(LETTERS) for _ in range(rng.randint(0, 9))]
+            run = rng.choice(between)
+            seen.add((len(stretch) % CHUNK, runs[-1][0] if runs else "^",
+                      run[0]))
+            runs += stretch + [run]
+        stretch = [rng.choice(LETTERS) for _ in range(rng.randint(0, 9))]
+        seen.add((len(stretch) % CHUNK, runs[-1][0] if runs else "^", "$"))
+        assert_packed_fold_matches_references(BraidWord(tuple(runs + stretch)))
+    assert seen == set(itertools.product(range(CHUNK), "^hxy", "hxy$"))
 
 
 @pytest.mark.parametrize("alphabet", [LETTERS, (w_.X, w_.Y), (w_.X, w_.Y_INV)],
@@ -433,7 +568,7 @@ def test_chunked_fold_on_long_words_with_power_runs(rng, alphabet):
             power = (rng.choice("xyh"), rng.choice((1, -1)) * rng.randint(1, 7))
             runs.insert(rng.randint(0, len(runs)), power)
         w = BraidWord(tuple(runs))
-        assert_chunked_fold_matches_per_run(w)
+        assert_packed_fold_matches_references(w)
         assert image(w) == slow_image(w.letters), length
 
 

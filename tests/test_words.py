@@ -1,7 +1,9 @@
 import itertools
+import sys
 
 import pytest
 
+from threebraid import homology, murasugi
 from threebraid import words as w_
 from threebraid.words import (
     BraidWord,
@@ -194,3 +196,27 @@ def test_components_conjugation_invariant(rng):
         u = random_word(rng, 10)
         w = random_word(rng, 20)
         assert components(w_.conjugate(w, u)) == components(w)
+
+
+def test_folds_of_a_long_word_ignore_the_int_digit_limit(rng):
+    # The packing reads each stretch of letters as one base-4 integer, which
+    # the int-to-str digit limit exempts: image and classify are public, so
+    # they must not rely on the CLI lifting that limit.  Eight power and h
+    # runs split 10^5 letters, so some stretch has over 11,000 digits.
+    tokens = [rng.choice(("x", "y", "x^-1", "y^-1")) for _ in range(10**5)]
+    for run in ("x^3", "y^-2", "h^7", "h^-1") * 2:
+        tokens.insert(rng.randrange(len(tokens)), run)
+    text = " ".join(tokens)
+    w = parse(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        folded = homology.image(w), murasugi.classify(w)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert folded == (homology.image(parse(text)),
+                          murasugi.classify(parse(text)))
+    finally:
+        sys.set_int_max_str_digits(limit)
