@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .words import CHUNK, PACKED_LETTERS, BraidWord
+from .words import BraidWord, window_table
 
 
 class NotParabolic(ValueError):
@@ -63,33 +63,6 @@ class SL2Matrix:
 
 IDENTITY = SL2Matrix(1, 0, 0, 1)
 
-# The generator images as plain entries (a, b, c, d), keyed by letter.
-_GENERATOR_ENTRIES = {
-    ("x", 1): (1, 1, 0, 1),
-    ("x", -1): (1, -1, 0, 1),
-    ("y", 1): (1, 0, -1, 1),
-    ("y", -1): (1, 0, 1, 1),
-}
-
-# Words are folded CHUNK letters at a time (the "Four Russians" table
-# trick of Arlazarov, Dinic, Kronrod and Faradzev, 1970).  A word packs its
-# windows of CHUNK letters into bytes once (``BraidWord._fold_keys``), and
-# _CHUNK_ENTRIES, a list of 256, holds each window's image at its byte.
-# It is built at import from _GENERATOR_ENTRIES one letter longer per
-# layer: a window's index is 4 * (its prefix's index) + its last letter's
-# code.
-def _chunk_entries() -> list[tuple[int, int, int, int]]:
-    letters = [_GENERATOR_ENTRIES[letter] for letter in PACKED_LETTERS]
-    layer = [(1, 0, 0, 1)]
-    for _ in range(CHUNK):
-        layer = [(p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d)
-                 for p, q, r, s in layer for a, b, c, d in letters]
-    return layer
-
-
-_CHUNK_ENTRIES = _chunk_entries()
-
-
 def _run_entries(generator: str, exponent: int):
     """The image of the run generator^exponent in closed form: h^e is
     (-1)^e I, x^n is [[1, n], [0, 1]] and y^n is [[1, 0], [-n, 1]]."""
@@ -103,13 +76,24 @@ def _run_entries(generator: str, exponent: int):
     raise ValueError(f"malformed run {(generator, exponent)!r}")
 
 
+def _product(m, n):
+    """The product of two matrices given as entries (a, b, c, d)."""
+    p, q, r, s = m
+    a, b, c, d = n
+    return p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
+
+
+# The image of every window of CHUNK letters at its packed byte.
+_CHUNK_ENTRIES = window_table(_run_entries, _product, (1, 0, 0, 1))
+
+
 def image(w: BraidWord) -> SL2Matrix:
     """Product of the per-run matrices, multiplicative over concatenation.
 
     The factors are the word's packed fold keys (``BraidWord._fold_keys``):
-    a packed window of CHUNK letters indexes ``_CHUNK_ENTRIES``, and a run
-    (a power run, an h run, or a letter left at the end of a stretch) is
-    read in closed form.
+    a packed window indexes ``_CHUNK_ENTRIES``, built from ``_run_entries``
+    by ``words.window_table``, and a run (a power run, an h run, or a letter
+    left at the end of a stretch) is read in closed form.
 
     The product is balanced.  A binary counter holds partial products of
     power-of-two spans of factors, at most about log2(factors) of them, and
@@ -132,10 +116,10 @@ def image(w: BraidWord) -> SL2Matrix:
             a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
             span *= 2
         stack.append((span, a, b, c, d))
-    a, b, c, d = 1, 0, 0, 1
-    for _, p, q, r, s in reversed(stack):
-        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
-    return SL2Matrix(a, b, c, d)
+    entries = 1, 0, 0, 1
+    for _, *factor in reversed(stack):
+        entries = _product(factor, entries)
+    return SL2Matrix(*entries)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from typing import Sequence, Union
 from . import homology
 from . import words as w_
 from .homology import InternalInconsistency, SL2Matrix
-from .words import CHUNK, BraidWord
+from .words import BraidWord, window_table
 
 
 class InvalidForm(ValueError):
@@ -84,12 +84,12 @@ def least_rotation(seq: Sequence) -> tuple:
 # nontrivial powers of the order-3 element; a word is the bytes of them.
 S, U, UU = 0, 1, 2
 
-# The syllables and the exponent sum of each letter.
+# The syllables of each letter.
 _LETTER_SYLLABLES = {
-    w_.X: (bytes((S, U)), 1),
-    w_.X_INV: (bytes((UU, S)), -1),
-    w_.Y: (bytes((U, S)), 1),
-    w_.Y_INV: (bytes((S, UU)), -1),
+    w_.X: bytes((S, U)),
+    w_.X_INV: bytes((UU, S)),
+    w_.Y: bytes((U, S)),
+    w_.Y_INV: bytes((S, UU)),
 }
 
 
@@ -102,8 +102,7 @@ def _run_syllables(generator: str, exponent: int) -> tuple[bytes, int]:
     if generator not in ("x", "y"):
         raise ValueError(f"malformed run {(generator, exponent)!r}")
     sign = 1 if exponent > 0 else -1
-    syllables, _ = _LETTER_SYLLABLES[generator, sign]
-    return syllables * (exponent * sign), exponent
+    return _LETTER_SYLLABLES[generator, sign] * (exponent * sign), exponent
 
 
 def _multiply(stack: bytearray, syllables: bytes) -> None:
@@ -123,25 +122,17 @@ def _multiply(stack: bytearray, syllables: bytes) -> None:
     stack += syllables[i:]
 
 
-def _chunk_syllables() -> list[tuple[bytes, int]]:
-    letters = [_LETTER_SYLLABLES[letter] for letter in w_.PACKED_LETTERS]
-    layer = [(b"", 0)]
-    for _ in range(CHUNK):
-        next_layer = []
-        for syllables, weight in layer:
-            for letter_syllables, sign in letters:
-                stack = bytearray(syllables)
-                _multiply(stack, letter_syllables)
-                next_layer.append((bytes(stack), weight + sign))
-        layer = next_layer
-    return layer
+def _reduced_product(left, right):
+    """The product of two (reduced syllables, exponent sum) pairs."""
+    stack = bytearray(left[0])
+    _multiply(stack, right[0])
+    return bytes(stack), left[1] + right[1]
 
 
 # The reduced syllables and the exponent sum of every window of CHUNK
-# letters at its packed byte, laid out as ``homology._CHUNK_ENTRIES`` but
-# built at import from _LETTER_SYLLABLES alone, so that the syllable pass
-# stays a derivation independent of the matrix.
-_CHUNK_SYLLABLES = _chunk_syllables()
+# letters at its packed byte, from _LETTER_SYLLABLES alone, so that the
+# syllable pass stays a derivation independent of the matrix.
+_CHUNK_SYLLABLES = window_table(_run_syllables, _reduced_product, (b"", 0))
 
 
 @dataclass(frozen=True)
@@ -179,9 +170,9 @@ def _syllable_pass(w: BraidWord) -> tuple[FreeProductWord, int]:
     in one pass over the word.
 
     The steps are the word's packed fold keys (``BraidWord._fold_keys``):
-    a packed window of CHUNK letters indexes ``_CHUNK_SYLLABLES``, and a
-    run (a power run, an h run, or a letter left at the end of a stretch)
-    is read in closed form.  Each step multiplies the reduced stack by
+    a packed window indexes ``_CHUNK_SYLLABLES``, built from
+    ``_run_syllables`` by ``words.window_table``, and a run (a power run, an
+    h run, or a letter left at the end of a stretch) is read in closed form.  Each step multiplies the reduced stack by
     reduced syllables, which only touch the stack where the two meet, and
     only when the stack's top has the kind of their first one.
     """

@@ -15,7 +15,7 @@ letter sequence itself is expanded only on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 
@@ -84,6 +84,23 @@ class _Digits(dict):
 
 _letter_digit = _Digits(
     (letter, str(code)) for code, letter in enumerate(PACKED_LETTERS)).__getitem__
+
+
+def window_table(letter_value, product, identity) -> list:
+    """Each window of CHUNK letters' value at the byte ``_fold_keys``
+    packs it to, a letter's value being ``letter_value(generator, sign)``
+    (the "Four Russians" table of Arlazarov, Dinic, Kronrod and Faradzev,
+    1970).  Windows grow a letter per layer: byte = 4 * prefix + code.
+
+    >>> window_table(lambda g, s: g if s > 0 else g.upper(),
+    ...              str.__add__, "")[27]
+    'xyXY'
+    """
+    letters = [letter_value(*letter) for letter in PACKED_LETTERS]
+    layer = [identity]
+    for _ in range(CHUNK):
+        layer = [product(prefix, value) for prefix in layer for value in letters]
+    return layer
 
 
 # The letters of one run with exponent +1 and -1, by generator.
@@ -196,14 +213,19 @@ def run_text(w: BraidWord) -> str:
     >>> run_text(parse("h^1000000000 x x y^-3"))
     'h^1000000000 x^2 y^-3'
     """
+    # The token being written is (generator, exponent); an x/y run adds to
+    # it while generator and sign match.  The first entry, (None, None),
+    # is dropped.
     tokens = []
-    for (generator, _), group in groupby(w.runs, lambda r: (r[0], r[1] > 0)):
-        exponents = [e for _, e in group]
-        if generator != "h":
-            exponents = [sum(exponents)]
-        tokens += [generator if e == 1 else f"{generator}^{e}"
-                   for e in exponents]
-    return " ".join(tokens)
+    generator = exponent = None
+    for g, e in w.runs:
+        if g == generator != "h" and (e > 0) == (exponent > 0):
+            exponent += e
+        else:
+            tokens.append((generator, exponent))
+            generator, exponent = g, e
+    tokens.append((generator, exponent))
+    return " ".join([g if e == 1 else f"{g}^{e}" for g, e in tokens[1:]])
 
 
 def word(letters) -> BraidWord:
@@ -243,29 +265,35 @@ def parse(text: str) -> BraidWord:
 
 def _parse_tokens(tokens: list[str]) -> BraidWord:
     """The grammar of ``parse``, token by token; it alone raises the parse
-    errors, so their class and position do not depend on the table."""
+    errors, so their class and position do not depend on the table.  A
+    token in ``_UNIT_TOKENS`` is looked up there as one letter, and only
+    the others go through the grammar."""
     runs: list[Run] = []
     letter_count = 0
     for position, token in enumerate(tokens, start=1):
-        base, caret, exponent_text = token.partition("^")
-        exponent = _exponent(exponent_text, token, position) if caret else 1
-        try:
-            positive, negative = _BASE_UNITS[base]
-        except KeyError:
-            raise UnknownToken(f"unknown generator {base!r}", position) from None
-        if exponent == 1:
-            run = positive
-        elif exponent == -1:
-            run = negative
-        elif exponent:
-            run = (positive[0], exponent)
+        run = _UNIT_TOKENS.get(token)
+        if run is not None:
+            letter_count += 1
         else:
-            continue
-        if run[0] != "h":
-            letter_count += abs(exponent)
-            if letter_count > MAX_LETTERS:
-                raise WordTooLong(f"more than {MAX_LETTERS} x/y letters",
-                                  position)
+            base, caret, exponent_text = token.partition("^")
+            exponent = _exponent(exponent_text, token, position) if caret else 1
+            try:
+                positive, negative = _BASE_UNITS[base]
+            except KeyError:
+                raise UnknownToken(f"unknown generator {base!r}",
+                                   position) from None
+            if exponent == 1:
+                run = positive
+            elif exponent == -1:
+                run = negative
+            elif exponent:
+                run = (positive[0], exponent)
+            else:
+                continue
+            if run[0] != "h":
+                letter_count += abs(exponent)
+        if letter_count > MAX_LETTERS:
+            raise WordTooLong(f"more than {MAX_LETTERS} x/y letters", position)
         runs.append(run)
     return BraidWord(tuple(runs))
 

@@ -15,8 +15,15 @@ forms read from the model word or the Floer module, the per-family
 surgery rows, Floer assembly, delta and concordance screen behind the
 tail's exponent sum, the shifted rows built by Fraction addition and
 renormalised by the public constructor behind the rows built in quarters,
-the token grammar behind the table-driven parse, and the Seifert oracle's
-dense pair-loop construction and rational elimination.
+the token grammar on every token (``grammar_parse``) behind the
+table-driven parse and the token loop that looks unit tokens up first,
+one ``groupby`` group per generator and sign (``groupby_run_text``)
+behind the one-loop ``run_text``, and the Seifert oracle's dense
+pair-loop construction and rational elimination.  The layout that
+``words.window_table`` gives both chunk tables is pinned without matrices
+or syllables: built over letters recorded as tuples, each entry is the
+window that packs to its byte
+(``test_window_table_lays_out_windows_as_fold_keys_packs_them``).
 Short inputs are enumerated exhaustively; long words and forms are drawn
 at random.
 """
@@ -399,8 +406,7 @@ def tree_product(factors):
 
 def per_run_image(w):
     """The image folded one run per factor, as before the chunk table."""
-    return tree_product(homology._GENERATOR_ENTRIES.get(run)
-                        or homology._run_entries(*run) for run in w.runs)
+    return tree_product(homology._run_entries(*run) for run in w.runs)
 
 
 def per_syllable_stack(runs):
@@ -410,10 +416,11 @@ def per_syllable_stack(runs):
     stack = []
     exponent_sum = 0
     for run in runs:
-        try:
-            syllables, weight = murasugi._LETTER_SYLLABLES[run]
-        except KeyError:
+        syllables = murasugi._LETTER_SYLLABLES.get(run)
+        if syllables is None:
             syllables, weight = murasugi._run_syllables(*run)
+        else:
+            weight = run[1]
         exponent_sum += weight
         for syllable in syllables:
             if not stack or (stack[-1] == S) != (syllable == S):
@@ -496,6 +503,17 @@ def packed_window(byte):
     """The letters of a packed byte, the first in the top two bits."""
     return tuple(w_.PACKED_LETTERS[byte >> shift & 3]
                  for shift in range(2 * CHUNK - 2, -1, -2))
+
+
+def test_window_table_lays_out_windows_as_fold_keys_packs_them():
+    # Letters as one-letter tuples, multiplied by concatenation: each entry
+    # is the window itself, which must pack to its own index.
+    table = w_.window_table(lambda generator, sign: ((generator, sign),),
+                            tuple.__add__, ())
+    assert len(table) == 4 ** CHUNK == 256
+    for byte, window in enumerate(table):
+        assert len(window) == CHUNK, window
+        assert BraidWord(window)._fold_keys == [byte], window
 
 
 def test_chunk_tables_hold_the_product_of_their_letters():
@@ -914,18 +932,64 @@ def parse_outcome(parser, text):
         return type(error), error.position
 
 
+def grammar_parse(text):
+    """The grammar of ``parse`` on every token, as before the token loop
+    looked unit tokens up first."""
+    runs = []
+    letter_count = 0
+    for position, token in enumerate(text.split(), start=1):
+        base, caret, exponent_text = token.partition("^")
+        exponent = w_._exponent(exponent_text, token, position) if caret else 1
+        try:
+            positive, negative = w_._BASE_UNITS[base]
+        except KeyError:
+            raise w_.UnknownToken(f"unknown generator {base!r}",
+                                  position) from None
+        if exponent == 1:
+            run = positive
+        elif exponent == -1:
+            run = negative
+        elif exponent:
+            run = (positive[0], exponent)
+        else:
+            continue
+        if run[0] != "h":
+            letter_count += abs(exponent)
+            if letter_count > MAX_LETTERS:
+                raise WordTooLong(f"more than {MAX_LETTERS} x/y letters",
+                                  position)
+        runs.append(run)
+    return BraidWord(tuple(runs))
+
+
 def test_table_parse_matches_grammar_on_all_strings_of_three_tokens():
-    def grammar(text):
+    def token_loop(text):
         return w_._parse_tokens(text.split())
 
     checked = 0
     for count in range(4):
         for tokens in itertools.product(PARSE_TOKENS, repeat=count):
             text = " ".join(tokens)
-            assert parse_outcome(parse, text) == \
-                parse_outcome(grammar, text), text
+            expected = parse_outcome(grammar_parse, text)
+            assert parse_outcome(parse, text) == expected, text
+            assert parse_outcome(token_loop, text) == expected, text
             checked += 1
     assert checked == sum(34**n for n in range(4))
+
+
+def test_parse_reads_only_tokens_outside_the_table_by_the_grammar(
+        monkeypatch):
+    calls = []
+    exponent = w_._exponent
+
+    def counting_exponent(*args):
+        calls.append(args)
+        return exponent(*args)
+
+    monkeypatch.setattr(w_, "_exponent", counting_exponent)
+    w = parse("x^-1 " * 1000 + "x^2")
+    assert w.runs == (w_.X_INV,) * 1000 + (("x", 2),)
+    assert calls == [("2", "x^2", 1001)]
 
 
 def test_table_parse_keeps_the_letter_cap():
@@ -933,6 +997,32 @@ def test_table_parse_keeps_the_letter_cap():
     with pytest.raises(WordTooLong) as excinfo:
         parse("s2^-1 " * (MAX_LETTERS + 1))
     assert excinfo.value.position == MAX_LETTERS + 1
+
+
+def groupby_run_text(w):
+    """``run_text`` as one ``groupby`` group per generator and sign: an x/y
+    group is summed to one token, an h group keeps a token per run."""
+    tokens = []
+    for (generator, _), group in itertools.groupby(
+            w.runs, lambda r: (r[0], r[1] > 0)):
+        exponents = [e for _, e in group]
+        if generator != "h":
+            exponents = [sum(exponents)]
+        tokens += [generator if e == 1 else f"{generator}^{e}"
+                   for e in exponents]
+    return " ".join(tokens)
+
+
+def test_run_text_matches_groupby_on_random_words(rng):
+    # Few kinds of run, so that equal generators and signs meet often: h
+    # runs of both signs next to each other, and power runs among letters.
+    runs = [*LETTERS, ("x", 3), ("x", -2), ("y", 5), ("y", -4),
+            ("h", 1), ("h", -1), ("h", 2), ("h", -10**18)]
+    assert w_.run_text(BraidWord()) == groupby_run_text(BraidWord()) == ""
+    for _ in range(2000):
+        w = BraidWord(tuple(rng.choice(runs)
+                            for _ in range(rng.randint(0, 30))))
+        assert w_.run_text(w) == groupby_run_text(w), w.runs
 
 
 def pair_loop_seifert(reduced):
