@@ -62,10 +62,12 @@ def _report(text: str, args) -> tuple:
 
 
 def _json_line(report, oracle: dict | None) -> str:
-    payload = invariants.report_json(report)
-    if oracle is not None:
-        payload["oracle"] = oracle
-    return _dumps(payload)
+    """The report's ``--json`` line, with the oracle block as its last key
+    when there is one."""
+    line = invariants._report_line(report)
+    if oracle is None:
+        return line
+    return f'{line[:-1]},"oracle":{_dumps(oracle)}}}'
 
 
 def _fraction_str(q) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import floer, homology, murasugi
 from .floer import GradedModule, TorusBundleModules
@@ -303,3 +304,127 @@ def report_json(r: InvariantReport) -> dict:
     if r.torus_bundle is not None:
         out["torus_bundle"] = torus_bundle_json(r.torus_bundle)
     return out
+
+
+_JSON_BOOL = ("false", "true")
+
+
+def _rational_text(q: Fraction) -> str:
+    return f'{{"num":{q.numerator},"den":{q.denominator}}}'
+
+
+def _module_text(module: GradedModule) -> str:
+    towers = ",".join([_rational_text(g) for g in module.towers])
+    frees = ",".join([f'{{"rank":{rank},"num":{g.numerator},"den":{g.denominator}}}'
+                      for rank, g in module.frees])
+    return (f'{{"towers":[{towers}],"frees":[{frees}],'
+            f'"absolute":{_JSON_BOOL[module.absolute]}}}')
+
+
+def _report_line(r: InvariantReport) -> str:
+    """``report_json(r)`` as the compact JSON line that
+    ``json.dumps(report_json(r), separators=(",", ":"))`` writes, byte for
+    byte, written straight from the fields with no dict in between; a field
+    added to ``report_json`` is added here too.  The determinant is
+    rendered once, also for ``spin_c_count``, and every integer that grows
+    with it goes through ``_int_text``."""
+    f = r.normal_form
+    if isinstance(f, Family1):
+        form = f'"family":1,"d":{f.d},"a":[{",".join(map(str, f.a))}]'
+    else:
+        family = 2 if isinstance(f, Family2) else 3
+        form = f'"family":{family},"d":{f.d},"m":{f.m}'
+    determinant = _int_text(r.determinant)
+    torsion = ",".join(map(_int_text, r.h1.torsion))
+    parts = [
+        f'{{"word":{_json_string(r.word)},"normal_form":{{{form}}},'
+        f'"components":{r.components},"determinant":{determinant},'
+        f'"h1":{{"free_rank":{r.h1.free_rank},"torsion":[{torsion}]}},'
+        f'"b1":{r.b1},"l_space":{_JSON_BOOL[r.l_space]},'
+        f'"tight":{_JSON_BOOL[r.tight]},'
+        f'"tight_inverse":{_JSON_BOOL[r.tight_inverse]},'
+        f'"knot_type_tag":{_json_string(r.knot_type_tag)}']
+    if r.hf_plus_s0 is not None:
+        parts.append(f'"hf_plus_s0":{_module_text(r.hf_plus_s0)}')
+    if r.spin_c_count is not None:
+        count = r.spin_c_count
+        parts.append('"spin_c_count":' + (
+            determinant if count == r.determinant else _int_text(count)))
+    if r.correction_term is not None:
+        parts.append(f'"correction_term":{_rational_text(r.correction_term)}')
+    if r.delta is not None:
+        parts.append(f'"delta":{_rational_text(r.delta)}')
+    if r.signature is not None:
+        parts.append(f'"signature":{r.signature}')
+    s = r.stein
+    euler = "" if s.euler_char is None else f'"euler_char":{s.euler_char},'
+    parts.append(
+        f'"qa":{_JSON_BOOL[r.qa]},'
+        f'"finite_order_screen":{_json_string(r.finite_order_screen)},'
+        f'"stein":{{"l_space":{_JSON_BOOL[s.l_space]},'
+        f'"tight":{_JSON_BOOL[s.tight]},'
+        f'"fillable":{_json_string(s.fillable)},{euler}'
+        f'"dehn_twist_count_bound":{s.dehn_twist_count_bound}}}')
+    tb = r.torus_bundle
+    if tb is not None:
+        parts.append(
+            f'"torus_bundle":{{"s0":{_module_text(tb.s0)},'
+            f'"non_s0_count":{_int_text(tb.non_s0_count)},'
+            f'"non_s0_relative":{_module_text(tb.non_s0_relative)},'
+            f'"fiber_structures_vanish":'
+            f'{_JSON_BOOL[tb.fiber_structures_vanish]}}}')
+    return ",".join(parts) + "}"
+
+
+# Integers of more bits than this (about 4,900 digits) are printed by
+# divide and conquer, whose leaves have at most _LEAF_BITS bits.
+_SPLIT_BITS = 1 << 14
+_SPLIT = 1 << _SPLIT_BITS
+_LEAF_BITS = 1 << 11
+
+
+def _int_text(n: int) -> str:
+    """``str(n)``, in subquadratic time for huge n, whatever the
+    interpreter's int-to-str digit limit.
+
+    Below ``_SPLIT_BITS`` bits this is ``str``.  Above, or over the digit
+    limit, n is converted to a ``decimal.Decimal`` by divide and conquer,
+    the algorithm of ``int_to_decimal_string`` in CPython 3.12's
+    ``Lib/_pylong.py``: n = hi * 2**w + lo, both halves converted the same
+    way and joined by libmpdec's exact multiplication, whose transform
+    method makes the whole O(M(n) log n).  Here w is the largest power of
+    two below n's bit length, so the powers 2**w are few and each is
+    computed once, by squaring the one before.  ``Decimal(int)`` and
+    ``str(Decimal)`` never read the digit limit.
+
+    >>> _int_text(-(10**20000 + 1)) == "-1" + "0" * 19999 + "1"
+    True
+    """
+    if -_SPLIT < n < _SPLIT:
+        try:
+            return str(n)
+        except ValueError:  # over the int-to-str digit limit
+            pass
+    import decimal
+
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                              traps=[decimal.Inexact])
+    powers = {0: decimal.Decimal(2)}  # 2 ** 2 ** j by j
+
+    def power(j: int) -> decimal.Decimal:
+        if j not in powers:
+            half = power(j - 1)
+            powers[j] = context.multiply(half, half)
+        return powers[j]
+
+    def convert(m: int, bits: int) -> decimal.Decimal:
+        if bits <= _LEAF_BITS:
+            return decimal.Decimal(m)
+        j = (bits - 1).bit_length() - 1
+        hi = m >> (1 << j)
+        lo = m - (hi << (1 << j))
+        return context.fma(convert(hi, bits - (1 << j)), power(j),
+                           convert(lo, 1 << j))
+
+    text = str(convert(abs(n), n.bit_length()))
+    return text if n >= 0 else "-" + text

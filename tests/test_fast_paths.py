@@ -17,12 +17,14 @@ tail's exponent sum, the shifted rows built by Fraction addition and
 renormalised by the public constructor behind the rows built in quarters,
 the token grammar on every token (``grammar_parse``) behind the
 table-driven parse and the token loop that looks unit tokens up first,
-one ``groupby`` group per generator and sign (``groupby_run_text``)
-behind the one-loop ``run_text``, and the Seifert oracle's dense
-pair-loop construction and rational elimination.  The layout that
-``words.window_table`` gives both chunk tables is pinned without matrices
-or syllables: built over letters recorded as tuples, each entry is the
-window that packs to its byte
+the generic JSON encoder over ``report_json`` (``encoder_json_line``)
+behind the report writer, ``str`` behind the divide-and-conquer
+``_int_text``, one ``groupby`` group per generator and sign
+(``groupby_run_text``) behind the one-loop ``run_text``, and the Seifert
+oracle's dense pair-loop construction and rational elimination.  The
+layout that ``words.window_table`` gives both chunk tables is pinned
+without matrices or syllables: built over letters recorded as tuples, each
+entry is the window that packs to its byte
 (``test_window_table_lays_out_windows_as_fold_keys_packs_them``).
 Short inputs are enumerated exhaustively; long words and forms are drawn
 at random.
@@ -30,13 +32,14 @@ at random.
 
 import itertools
 import math
-from dataclasses import astuple
+import sys
+from dataclasses import astuple, replace
 from fractions import Fraction
 from math import prod
 
 import pytest
 
-from threebraid import floer, homology, murasugi
+from threebraid import cli, floer, homology, invariants, murasugi
 from threebraid import words as w_
 from threebraid.floer import (
     FIGURE_EIGHT_LIKE,
@@ -45,6 +48,7 @@ from threebraid.floer import (
     GradedModule,
     B1NotOne,
     PositiveB1,
+    TorusBundleModules,
     correction_term,
     form_determinant,
     hf_plus_s0,
@@ -55,6 +59,7 @@ from threebraid.floer import (
     torus_bundle_hf,
 )
 from threebraid.homology import (
+    AbelianGroup,
     SL2Matrix,
     components_from_image,
     determinant_from_image,
@@ -67,6 +72,7 @@ from threebraid.invariants import (
     analyze_word,
     delta,
     finite_order_screen,
+    report_json,
     signature,
     stein_report,
 )
@@ -918,6 +924,175 @@ def test_zero_surgery_rows_match_their_fraction_modules():
         for k in range(-9, 10):
             assert_same_module(floer._shifted_zero_row(tag, k),
                                renormalised_shift(module, Fraction(k, 4)))
+
+
+@pytest.fixture
+def no_digit_limit():
+    """No int-to-str digit limit while the test runs, so that the
+    reference encoder can print huge integers; the previous limit is
+    restored afterwards."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
+def encoder_json_line(report, oracle):
+    """The ``--json`` line as the generic encoder wrote it: the dict of
+    ``report_json``, with the oracle block added last."""
+    payload = report_json(report)
+    if oracle is not None:
+        payload["oracle"] = oracle
+    return cli._dumps(payload)
+
+
+def assert_writer_matches_encoder(report, oracle=None):
+    assert cli._json_line(report, oracle) == \
+        encoder_json_line(report, oracle), report
+
+
+def test_writer_matches_encoder_on_short_forms_and_words(no_digit_limit):
+    for f in all_forms(range(-6, 7), 4):
+        for torus in (False, True):
+            assert_writer_matches_encoder(
+                analyze_word(canonical_word(f), include_torus_bundle=torus))
+    # Every word of at most 5 letters, with its real oracle block: split
+    # closures get an error record, the others an agreeing verdict.
+    verdicts = set()
+    for length in range(6):
+        for letters in itertools.product(LETTERS, repeat=length):
+            w = w_.word(letters)
+            report = analyze_word(w, include_torus_bundle=True)
+            oracle = cli._oracle_block(w, report)
+            verdicts.add(oracle.get("agrees", "error"))
+            assert_writer_matches_encoder(report, oracle)
+    assert verdicts == {True, "error"}
+
+
+# Word characters that JSON escapes: a quote, a backslash, a control
+# character, non-ASCII whitespace and a character outside the BMP.
+AWKWARD_CHARACTERS = '"\\\x1c\u2003\u00e9\U0001f600 x'
+
+
+def random_int(rng):
+    """Mostly small, one in twenty of more than 4,300 digits, either
+    sign."""
+    bits = 20_000 if rng.random() < 0.05 else rng.choice((3, 40, 200))
+    return rng.choice((1, -1)) * rng.getrandbits(bits)
+
+
+def random_module(rng):
+    grading = lambda: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 4)))
+    return GradedModule(
+        tuple(grading() for _ in range(rng.randint(0, 3))),
+        tuple((rng.randint(1, 5), grading()) for _ in range(rng.randint(0, 3))),
+        absolute=rng.random() < 0.5)
+
+
+def random_report(rng, base):
+    """``base`` with random values, every optional field present or
+    absent at random."""
+    maybe = lambda value: value if rng.random() < 0.5 else None
+    rational = lambda: Fraction(random_int(rng), rng.choice((1, 3, 4, 8)))
+    form = rng.choice((
+        Family1(random_int(rng), tuple(rng.choice((0, 1, 7, 255, 256, 10**9))
+                                       for _ in range(rng.randint(1, 8)))),
+        Family2(random_int(rng), random_int(rng)),
+        Family3(random_int(rng), rng.choice((-1, -2, -3)))))
+    g = abs(random_int(rng)) + 2
+    torsion = rng.choice(((), (g,), (g, g * (abs(random_int(rng)) + 1))))
+    determinant = random_int(rng)
+    stein = replace(base.stein, l_space=rng.random() < 0.5,
+                    tight=rng.random() < 0.5,
+                    fillable=rng.choice(("No", "Unknown", "Constrained")),
+                    euler_char=maybe(random_int(rng)),
+                    dehn_twist_count_bound=random_int(rng))
+    bundle = TorusBundleModules(random_module(rng), random_int(rng),
+                                random_module(rng), rng.random() < 0.5)
+    return replace(
+        base,
+        word="".join(rng.choice(AWKWARD_CHARACTERS)
+                     for _ in range(rng.randint(0, 12))),
+        normal_form=form,
+        components=rng.randint(1, 3),
+        determinant=determinant,
+        h1=AbelianGroup(rng.randint(0, 2), torsion),
+        b1=rng.randint(0, 2),
+        l_space=rng.random() < 0.5,
+        tight=rng.random() < 0.5,
+        tight_inverse=rng.random() < 0.5,
+        knot_type_tag=rng.choice(("right trefoil", 'a "tag"\u2003')),
+        hf_plus_s0=maybe(random_module(rng)),
+        spin_c_count=rng.choice((None, determinant, random_int(rng))),
+        correction_term=maybe(rational()),
+        delta=maybe(rational()),
+        signature=maybe(random_int(rng)),
+        qa=rng.random() < 0.5,
+        finite_order_screen=rng.choice((PASS, "Fail", "NotAKnot")),
+        stein=stein,
+        torus_bundle=maybe(bundle),
+    )
+
+
+def test_writer_matches_encoder_on_random_reports(rng, no_digit_limit):
+    base = analyze_word(parse("h x y^-5"), include_torus_bundle=True)
+    oracles = (None, {"determinant": 9, "signature": -2, "agrees": True},
+               {"determinant": -10**5000, "signature": 0, "agrees": False},
+               {"error": 'split "closure"\u2003'})
+    for _ in range(1000):
+        assert_writer_matches_encoder(random_report(rng, base),
+                                      rng.choice(oracles))
+
+
+def test_writer_escapes_word_characters(capsys, no_digit_limit):
+    # str.split splits at non-ASCII whitespace, so this is the word x y.
+    assert cli.main(["analyze", "--json", "x\u2003y"]) == 0
+    assert capsys.readouterr().out.startswith('{"word":"x\\u2003y",')
+    report = analyze_word(parse("x y"))
+    for word in ('"', "\\", "\x1c", "\u2003", AWKWARD_CHARACTERS):
+        assert_writer_matches_encoder(replace(report, word=word))
+
+
+def test_int_text_splits_down_to_bounded_leaves(monkeypatch, rng):
+    # Leaves of at most _LEAF_BITS bits are what makes the conversion
+    # subquadratic: Decimal(int) itself is quadratic.
+    import decimal
+
+    leaf_bits = []
+    real = decimal.Decimal
+
+    def counting_decimal(value):
+        leaf_bits.append(value.bit_length())
+        return real(value)
+
+    monkeypatch.setattr(decimal, "Decimal", counting_decimal)
+    n = rng.getrandbits(300_000)
+    invariants._int_text(n)
+    assert max(leaf_bits) <= invariants._LEAF_BITS
+    assert sum(leaf_bits) <= n.bit_length() + invariants._LEAF_BITS
+
+
+def test_int_text_matches_str(rng, no_digit_limit):
+    values = [0, -1, 1]
+    for k in (1, 100, 640, 641, 4300, 4301, 4933, 10_000, 60_000):
+        values += [10**k, 10**k - 1, 10**k + 1]
+    split = invariants._SPLIT_BITS
+    for bits in (split - 1, split, split + 1, 2 * split, 2 * split + 1):
+        values += [(1 << bits) - 1, 1 << bits, rng.getrandbits(bits)]
+    for _ in range(40):
+        values.append(rng.getrandbits(int(math.exp(rng.uniform(0, 12.6)))))
+    values.append(rng.getrandbits(300_000))
+    values += [-v for v in values]
+    expected = [str(v) for v in values]
+    # A digit limit as low as the interpreter allows: the conversion may
+    # not lean on the caller lifting it.
+    sys.set_int_max_str_digits(640)
+    try:
+        texts = [invariants._int_text(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(0)
+    for value, text, reference in zip(values, texts, expected):
+        assert text == reference, value.bit_length()
 
 
 PARSE_TOKENS = [base + suffix for base in ("x", "y", "s1", "s2", "h")

@@ -9,6 +9,22 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_every_golden_call_prints_its_recorded_stdout(monkeypatch, tmp_path):
+    replay_goldens(monkeypatch, tmp_path)
+
+
+def test_goldens_print_without_the_report_dict(monkeypatch, tmp_path):
+    # The --json lines are written from the report itself, so each report
+    # is rendered once and report_json is never called on the way.
+    from threebraid import invariants
+
+    def no_dict(report):
+        raise AssertionError("report_json called while printing a report")
+
+    monkeypatch.setattr(invariants, "report_json", no_dict)
+    replay_goldens(monkeypatch, tmp_path)
+
+
+def replay_goldens(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(BENCH))
     import corpus
     import run
