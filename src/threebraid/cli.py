@@ -153,7 +153,7 @@ def _batch_line(report, oracle: dict | None) -> str:
 
 def _batch(args) -> int:
     try:
-        with open(args.path, encoding="utf-8") as handle:
+        with open(args.path, encoding="utf-8-sig") as handle:
             raw_lines = handle.read().splitlines()
     except (OSError, UnicodeDecodeError) as error:
         print(f"cannot read {args.path}: {error}", file=sys.stderr)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .homology import _balanced_product
 from .murasugi import Family1, Family2, MurasugiForm, tail_exponent_sum
 
 Grading = Fraction
@@ -170,17 +171,15 @@ def form_determinant(f: MurasugiForm) -> int:
     """Determinant of the closure of the model word of f: |2 - tr M| with
     M = (-1)^d T, since h maps to -I and the tail maps to T.
 
-    The tails x y^-a1 ... x y^-an, y^m and x^m y^-1 map to the products of
-    [[1 + ai, 1], [ai, 1]], to a matrix of trace 2, and to [[1 + m, m],
-    [1, 1]]; the family-1 trace is folded in plain ints.
+    The tails x y^-a1 ... x y^-an, y^m and x^m y^-1 map to the product of
+    [[1 + ai, 1], [ai, 1]] (multiplied by ``homology._balanced_product``),
+    to a matrix of trace 2, and to [[1 + m, m], [1, 1]].
 
     >>> form_determinant(Family1(1, (5,)))
     9
     """
     if isinstance(f, Family1):
-        a, b, c, d = 1, 0, 0, 1
-        for ai in f.a:
-            a, b, c, d = a + (a + b) * ai, a + b, c + (c + d) * ai, c + d
+        a, _, _, d = _balanced_product([(1 + ai, 1, ai, 1) for ai in f.a])
         trace = a + d
     elif isinstance(f, Family2):
         trace = 2

@@ -87,39 +87,34 @@ def _product(m, n):
 _CHUNK_ENTRIES = window_table(_run_entries, _product, (1, 0, 0, 1))
 
 
+def _balanced_product(factors):
+    """The product of (a, b, c, d) factors in order: ``_product`` of
+    adjacent pairs, level by level, an odd last factor carried up, so that
+    big factors meet big factors; (1, 0, 0, 1) for no factors."""
+    level = list(factors)
+    while len(level) > 1:
+        carried = level[-1:] if len(level) % 2 else []
+        level = [*map(_product, level[::2], level[1::2]), *carried]
+    return level[0] if level else (1, 0, 0, 1)
+
+
 def image(w: BraidWord) -> SL2Matrix:
     """Product of the per-run matrices, multiplicative over concatenation.
 
     The factors are the word's packed fold keys (``BraidWord._fold_keys``):
     a packed window indexes ``_CHUNK_ENTRIES``, built from ``_run_entries``
     by ``words.window_table``, and a run (a power run, an h run, or a letter
-    left at the end of a stretch) is read in closed form.
-
-    The product is balanced.  A binary counter holds partial products of
-    power-of-two spans of factors, at most about log2(factors) of them, and
-    merges the top two whenever their spans are equal.  Entry bit lengths
-    grow about linearly along the word, so big factors meet big factors
-    instead of one factor at a time.  The determinant is checked once, on
-    the result.
+    left at the end of a stretch) is read in closed form.  They are
+    multiplied by ``_balanced_product``, and the determinant is checked
+    once, on the result.
 
     >>> from threebraid.words import parse
     >>> image(parse("x y x y x y")) == -IDENTITY
     True
     """
-    stack: list[tuple[int, int, int, int, int]] = []  # (span, a, b, c, d)
-    for key in w._fold_keys:
-        a, b, c, d = _CHUNK_ENTRIES[key] if type(key) is int \
-            else _run_entries(*key)
-        span = 1
-        while stack and stack[-1][0] == span:
-            _, p, q, r, s = stack.pop()
-            a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
-            span *= 2
-        stack.append((span, a, b, c, d))
-    entries = 1, 0, 0, 1
-    for _, *factor in reversed(stack):
-        entries = _product(factor, entries)
-    return SL2Matrix(*entries)
+    return SL2Matrix(*_balanced_product([
+        _CHUNK_ENTRIES[key] if type(key) is int else _run_entries(*key)
+        for key in w._fold_keys]))
 
 
 @dataclass(frozen=True)
@@ -256,8 +251,10 @@ def parabolic_invariant(m: SL2Matrix) -> tuple[int, int]:
     >>> parabolic_invariant(image(parse("h y^-1")))
     (-1, -1)
     """
-    if trace_class(m).kind != PARABOLIC:
-        raise NotParabolic(f"{m} is not parabolic")
+    kind = trace_class(m).kind
+    if kind != PARABOLIC:
+        # Not the entries: they may pass the int-to-str digit limit.
+        raise NotParabolic(f"{kind} matrix is not parabolic")
     epsilon = 1 if m.trace > 0 else -1
     b, c = epsilon * m.b, epsilon * m.c
     k = gcd(b, c)

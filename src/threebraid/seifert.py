@@ -208,9 +208,10 @@ def seifert_matrix(w: BraidWord) -> SeifertMatrix:
     Raises ``DiagramTooLarge`` past ``MAX_CROSSINGS`` letters, counted
     before free reduction and from the runs, with h^d as 6|d|.
     """
-    if len(w) > MAX_CROSSINGS:
+    crossings = w._length  # not len(w), which overflows past sys.maxsize
+    if crossings > MAX_CROSSINGS:
         raise DiagramTooLarge(
-            f"{len(w)} crossings, more than the oracle's cap of {MAX_CROSSINGS}")
+            f"{crossings} crossings, more than the oracle's cap of {MAX_CROSSINGS}")
     reduced = free_reduce(w)
     signs = [letter.sign for letter in reduced]
     xs = [p for p, letter in enumerate(reduced) if letter.generator == "x"]

@@ -194,8 +194,9 @@ class BraidWord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BraidWord):
             return NotImplemented
+        # Not len(), which overflows past sys.maxsize letters.
         return self.runs == other.runs or \
-            (len(self) == len(other) and self.letters == other.letters)
+            (self._length == other._length and self.letters == other.letters)
 
     def __hash__(self) -> int:
         return hash(self.letters)

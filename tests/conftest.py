@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -23,3 +24,14 @@ def random_nonsplit_word(rng: random.Random, max_len: int) -> w_.BraidWord:
 @pytest.fixture
 def rng():
     return random.Random(0x3B41D)
+
+
+@pytest.fixture
+def default_int_digit_limit():
+    """The interpreter's default cap on int/str conversion, set for the
+    test, which main lifts only while it runs; the previous cap is
+    restored afterwards."""
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(previous)

@@ -145,6 +145,38 @@ def test_batch_with_bad_token(tmp_path, capsys):
     assert records[-1] == {"summary": {"ok": 2, "failed": 1}}
 
 
+def test_batch_skips_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "words.txt"
+    path.write_text("x y x y\nh x y^-5\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, out, _ = run(capsys, "batch", str(path))
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "2 ok, 0 failed"
+
+
+# Two twist runs of 6 * (10^18 - 1) letters each: more letters than
+# sys.maxsize, where len() of the word overflows.
+HUGE_TWISTS = "h^999999999999999999 h^999999999999999999"
+
+
+def test_analyze_oracle_past_sys_maxsize_letters_is_an_error_record(capsys):
+    assert parse(HUGE_TWISTS)._length > sys.maxsize
+    code, out, _ = run(capsys, "analyze", "--json", "--oracle", HUGE_TWISTS)
+    assert code == 0
+    assert "more than the oracle's cap" in json.loads(out)["oracle"]["error"]
+
+
+def test_batch_oracle_goes_on_past_sys_maxsize_letters(tmp_path, capsys):
+    path = tmp_path / "words.txt"
+    path.write_text(f"{HUGE_TWISTS}\nx y x y\n")
+    code, out, _ = run(capsys, "batch", "--json", "--oracle", str(path))
+    assert code == 0
+    first, second, summary = map(json.loads, out.strip().splitlines())
+    assert "error" in first["oracle"]
+    assert second["oracle"]["agrees"] is True
+    assert summary == {"summary": {"ok": 2, "failed": 0}}
+
+
 def test_batch_empty_file(tmp_path, capsys):
     path = tmp_path / "empty.txt"
     path.write_text("")
@@ -180,17 +212,6 @@ def test_batch_oracle_fuzz_never_disagrees(tmp_path, capsys, rng):
         record = json.loads(line)
         if "oracle" in record and "error" not in record["oracle"]:
             assert record["oracle"]["agrees"] is True
-
-
-@pytest.fixture
-def default_int_digit_limit():
-    """The interpreter's default cap on int/str conversion, set for the
-    test, which main lifts only while it runs; the previous cap is
-    restored afterwards."""
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    yield
-    sys.set_int_max_str_digits(previous)
 
 
 def test_analyze_prints_a_determinant_of_more_than_4300_digits(

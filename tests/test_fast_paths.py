@@ -18,7 +18,9 @@ renormalised by the public constructor behind the rows built in quarters,
 the token grammar on every token (``grammar_parse``) behind the
 table-driven parse and the token loop that looks unit tokens up first,
 the generic JSON encoder over ``report_json`` (``encoder_json_line``)
-behind the report writer, ``str`` behind the divide-and-conquer
+behind the report writer, the family-1 tail folded one block at a time
+(``sequential_family1_trace``) behind the balanced product of
+``form_determinant``, ``str`` behind the divide-and-conquer
 ``_int_text``, one ``groupby`` group per generator and sign
 (``groupby_run_text``) behind the one-loop ``run_text``, and the Seifert
 oracle's dense pair-loop construction and rational elimination.  The
@@ -815,6 +817,78 @@ def test_closed_forms_match_model_word_on_mid_range_twist_powers():
             f = type(tail)(d, tail.a if isinstance(tail, Family1) else tail.m)
             assert_closed_forms_match_model_word(f)
             assert_report_matches_per_value_and_old_path(f)
+
+
+def sequential_family1_trace(a):
+    """The trace of the family-1 tail's image, folded one block
+    [[1 + ai, 1], [ai, 1]] at a time, as before the balanced product."""
+    p, q, r, s = 1, 0, 0, 1
+    for ai in a:
+        p, q, r, s = p + (p + q) * ai, p + q, r + (r + s) * ai, r + s
+    return p + s
+
+
+def assert_form_determinant_matches_sequential_fold(f):
+    trace = sequential_family1_trace(f.a)
+    assert form_determinant(f) == abs(2 - (-trace if f.d % 2 else trace)), f
+
+
+def test_form_determinant_matches_sequential_fold_on_short_tuples():
+    assert homology._balanced_product(()) == (1, 0, 0, 1)
+    checked = 0
+    for n in range(1, 7):
+        for a in itertools.product(range(4), repeat=n):
+            for d in (0, 1):
+                assert_form_determinant_matches_sequential_fold(Family1(d, a))
+            checked += 1
+    assert checked == 4 + 4**2 + 4**3 + 4**4 + 4**5 + 4**6
+
+
+def test_form_determinant_matches_sequential_fold_on_long_tuples(rng):
+    for n in (7, 8, 9, 63, 64, 65, 1000, 4097, 10**4):
+        a = tuple(rng.randint(0, 3) for _ in range(n))
+        assert_form_determinant_matches_sequential_fold(
+            Family1(rng.randint(-10, 10), a))
+
+
+@pytest.fixture
+def product_bits(monkeypatch):
+    """Each call of ``homology._product``, logged as the larger operand's
+    largest entry bit length."""
+    bits = []
+    product = homology._product
+
+    def logged(m, n):
+        bits.append(max(abs(e).bit_length() for e in (*m, *n)))
+        return product(m, n)
+
+    monkeypatch.setattr(homology, "_product", logged)
+    return bits
+
+
+def assert_balanced(bits, factors):
+    """n factors take n - 1 products.  Balanced, each of the log2 n levels
+    sums to about half the bits of the whole product, which stays under
+    n log2 n at a few bits per factor; a left-to-right fold sums about
+    n^2 / 2 times the bits per factor.  At 4,096 family-1 blocks of
+    [[2, 1], [1, 1]] that is 35,756 bits against 11,644,741."""
+    assert len(bits) == factors - 1
+    assert sum(bits) <= factors * math.log2(factors)
+
+
+def test_image_reduces_the_fold_keys_level_by_level(product_bits, rng):
+    w = BraidWord(tuple(rng.choice((w_.X, w_.Y)) for _ in range(16_384)))
+    factors = len(w._fold_keys)
+    assert factors == 16_384 // CHUNK
+    assert image(w) == slow_image(w.letters)
+    assert_balanced(product_bits, factors)
+
+
+def test_form_determinant_reduces_the_blocks_level_by_level(product_bits):
+    f = Family1(0, (1,) * 4096)
+    determinant = form_determinant(f)
+    assert_balanced(product_bits, 4096)
+    assert determinant == sequential_family1_trace(f.a) - 2
 
 
 def renormalised_shift(module, q):

@@ -143,9 +143,12 @@ def test_parabolic_invariant_model_values():
         assert parabolic_invariant(image(parse(f"y^{m}"))) == (1, m)
 
 
-def test_parabolic_invariant_rejects_non_parabolic():
-    with pytest.raises(NotParabolic):
-        parabolic_invariant(image(parse("x y^-1")))
+def test_parabolic_invariant_rejects_non_parabolic(default_int_digit_limit):
+    # The second image's entries have more than 4,300 digits, which the
+    # message must not print under the default int-to-str limit.
+    for text in ("x y^-1", "x y^-1 " * 12000):
+        with pytest.raises(NotParabolic, match="Hyperbolic"):
+            parabolic_invariant(image(parse(text)))
 
 
 def test_trace_sign_tracks_twist_parity(rng):

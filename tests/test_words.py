@@ -79,6 +79,14 @@ def test_parse_bounds_letters_outside_h_runs():
         parse("x^999999999")
 
 
+def test_words_of_more_than_sys_maxsize_letters_compare():
+    # len() overflows on such a word, so equality must not call it.
+    huge = parse("h^999999999999999999 h^999999999999999999")
+    assert huge._length > sys.maxsize
+    assert huge != parse("x") and parse("x") != huge
+    assert huge == parse("h^999999999999999999 h^999999999999999999")
+
+
 def test_exponent_sum():
     assert exponent_sum(BraidWord()) == 0
     assert exponent_sum(parse("h")) == 6
