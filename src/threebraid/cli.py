@@ -22,6 +22,7 @@ import sys
 
 from . import invariants, murasugi, seifert
 from . import words as w_
+from .homology import _int_text
 from .murasugi import InternalInconsistency
 from .words import ParseError
 
@@ -63,15 +64,17 @@ def _report(text: str, args) -> tuple:
 
 def _json_line(report, oracle: dict | None) -> str:
     """The report's ``--json`` line, with the oracle block as its last key
-    when there is one."""
+    when there is one, written as ``_dumps(oracle)`` writes it."""
     line = invariants._report_line(report)
     if oracle is None:
         return line
-    return f'{line[:-1]},"oracle":{_dumps(oracle)}}}'
-
-
-def _fraction_str(q) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    if "error" in oracle:
+        block = f'{{"error":{invariants._json_string(oracle["error"])}}}'
+    else:
+        block = (f'{{"determinant":{_int_text(oracle["determinant"])},'
+                 f'"signature":{oracle["signature"]},'
+                 f'"agrees":{invariants._JSON_BOOL[oracle["agrees"]]}}}')
+    return f'{line[:-1]},"oracle":{block}}}'
 
 
 def _canonical_str(form) -> str:
@@ -86,7 +89,7 @@ def _pretty_report(report, oracle: dict | None,
         f"normal form:         {report.normal_form}",
         f"canonical word:      {_canonical_str(report.normal_form)}",
         f"components:          {report.components}",
-        f"determinant:         {report.determinant}",
+        f"determinant:         {_int_text(report.determinant)}",
         f"H1 of double cover:  {report.h1}",
         f"b1 of double cover:  {report.b1}",
         f"L-space:             {report.l_space}",
@@ -97,10 +100,10 @@ def _pretty_report(report, oracle: dict | None,
         lines.append("HF+ (s0):            undefined: b1 > 0")
     else:
         lines.append(f"HF+ (s0):            {report.hf_plus_s0}")
-        lines.append(f"spin-c structures:   {report.spin_c_count}")
-        lines.append(f"correction term:     {_fraction_str(report.correction_term)}")
+        lines.append(f"spin-c structures:   {_int_text(report.spin_c_count)}")
+        lines.append(f"correction term:     {report.correction_term}")
     if report.delta is not None:
-        lines.append(f"delta:               {_fraction_str(report.delta)}")
+        lines.append(f"delta:               {report.delta}")
     if report.signature is not None:
         lines.append(f"signature:           {report.signature}")
     lines.append(f"quasi-alternating:   {report.qa}")
@@ -112,7 +115,8 @@ def _pretty_report(report, oracle: dict | None,
     if report.torus_bundle is not None:
         bundle = report.torus_bundle
         lines.append(f"torus bundle (s0):   {bundle.s0}")
-        lines.append(f"  other torsion spin-c: {bundle.non_s0_count} x "
+        lines.append("  other torsion spin-c: "
+                     f"{_int_text(bundle.non_s0_count)} x "
                      f"[{bundle.non_s0_relative}]")
     elif torus_requested:
         lines.append("torus bundle:        undefined: monodromy is parabolic "
@@ -121,7 +125,8 @@ def _pretty_report(report, oracle: dict | None,
         if "error" in oracle:
             lines.append(f"oracle:              {oracle['error']}")
         else:
-            lines.append(f"oracle:              det {oracle['determinant']}, "
+            lines.append("oracle:              det "
+                         f"{_int_text(oracle['determinant'])}, "
                          f"signature {oracle['signature']}, "
                          f"{'agrees' if oracle['agrees'] else 'DISAGREES'}")
     return "\n".join(lines)
@@ -143,19 +148,22 @@ def _analyze(args) -> int:
 
 def _batch_line(report, oracle: dict | None) -> str:
     summary = (f"{report.word!r}: {report.normal_form}; "
-               f"components {report.components}; det {report.determinant}; "
+               f"components {report.components}; "
+               f"det {_int_text(report.determinant)}; "
                f"L-space {report.l_space}; tight {report.tight}; qa {report.qa}")
     if oracle is not None:
         summary += (f"; oracle error: {oracle['error']}" if "error" in oracle
-                    else f"; oracle {oracle['determinant']}")
+                    else f"; oracle {_int_text(oracle['determinant'])}")
     return summary
 
 
 def _batch(args) -> int:
     try:
         with open(args.path, encoding="utf-8-sig") as handle:
-            raw_lines = handle.read().splitlines()
-    except (OSError, UnicodeDecodeError) as error:
+            # Only at "\n", to which open maps "\r\n" and "\r": str.splitlines
+            # also splits at characters that parse reads as spaces.
+            raw_lines = handle.read().split("\n")
+    except (OSError, UnicodeError) as error:
         print(f"cannot read {args.path}: {error}", file=sys.stderr)
         return EXIT_IO
 
@@ -242,10 +250,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # A determinant may pass 4,300 digits.  The caller's limit is restored
-    # on every way out, argparse's SystemExit included.
-    digit_limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    # Every integer that may pass the int-to-str digit limit is printed by
+    # _int_text, so the caller's limit is left as it is.
     try:
         args = _parser().parse_args(argv)
         command = {"analyze": _analyze, "batch": _batch,
@@ -263,8 +269,10 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"cannot write output: {error}", file=sys.stderr)
         return EXIT_IO
-    finally:
-        sys.set_int_max_str_digits(digit_limit)
+    except UnicodeEncodeError as error:  # a character stdout cannot encode
+        # The lines before it were written; the interpreter flushes them.
+        print(f"cannot write output: {error}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

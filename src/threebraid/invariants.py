@@ -15,7 +15,9 @@ from json.encoder import encode_basestring_ascii as _json_string
 
 from . import floer, homology, murasugi
 from .floer import GradedModule, TorusBundleModules
-from .homology import AbelianGroup
+from .homology import AbelianGroup, _int_text
+# The printer's bounds, read here by its tests.
+from .homology import _LEAF_BITS, _SPLIT_BITS  # noqa: F401
 from .murasugi import Family1, Family2, Family3, MurasugiForm
 from .words import BraidWord, run_text
 
@@ -374,57 +376,3 @@ def _report_line(r: InvariantReport) -> str:
             f'"fiber_structures_vanish":'
             f'{_JSON_BOOL[tb.fiber_structures_vanish]}}}')
     return ",".join(parts) + "}"
-
-
-# Integers of more bits than this (about 4,900 digits) are printed by
-# divide and conquer, whose leaves have at most _LEAF_BITS bits.
-_SPLIT_BITS = 1 << 14
-_SPLIT = 1 << _SPLIT_BITS
-_LEAF_BITS = 1 << 11
-
-
-def _int_text(n: int) -> str:
-    """``str(n)``, in subquadratic time for huge n, whatever the
-    interpreter's int-to-str digit limit.
-
-    Below ``_SPLIT_BITS`` bits this is ``str``.  Above, or over the digit
-    limit, n is converted to a ``decimal.Decimal`` by divide and conquer,
-    the algorithm of ``int_to_decimal_string`` in CPython 3.12's
-    ``Lib/_pylong.py``: n = hi * 2**w + lo, both halves converted the same
-    way and joined by libmpdec's exact multiplication, whose transform
-    method makes the whole O(M(n) log n).  Here w is the largest power of
-    two below n's bit length, so the powers 2**w are few and each is
-    computed once, by squaring the one before.  ``Decimal(int)`` and
-    ``str(Decimal)`` never read the digit limit.
-
-    >>> _int_text(-(10**20000 + 1)) == "-1" + "0" * 19999 + "1"
-    True
-    """
-    if -_SPLIT < n < _SPLIT:
-        try:
-            return str(n)
-        except ValueError:  # over the int-to-str digit limit
-            pass
-    import decimal
-
-    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
-                              traps=[decimal.Inexact])
-    powers = {0: decimal.Decimal(2)}  # 2 ** 2 ** j by j
-
-    def power(j: int) -> decimal.Decimal:
-        if j not in powers:
-            half = power(j - 1)
-            powers[j] = context.multiply(half, half)
-        return powers[j]
-
-    def convert(m: int, bits: int) -> decimal.Decimal:
-        if bits <= _LEAF_BITS:
-            return decimal.Decimal(m)
-        j = (bits - 1).bit_length() - 1
-        hi = m >> (1 << j)
-        lo = m - (hi << (1 << j))
-        return context.fma(convert(hi, bits - (1 << j)), power(j),
-                           convert(lo, 1 << j))
-
-    text = str(convert(abs(n), n.bit_length()))
-    return text if n >= 0 else "-" + text

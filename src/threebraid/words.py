@@ -111,6 +111,29 @@ _UNIT_LETTERS = {
 }
 
 
+# The word hash is a polynomial in _HASH_BASE modulo the Mersenne prime
+# 2^61 - 1 (see BraidWord._hash).
+_HASH_MODULUS = (1 << 61) - 1
+_HASH_BASE = 1_000_003
+
+
+def _unit_hash(letters) -> tuple[int, int]:
+    """(B^n, t) for the n letters of one run unit, B the base and c their
+    hash: e units hash to c (1 + B^n + ... + B^(n (e - 1))), which is
+    t (B^(n e) - 1) with t = c / (B^n - 1) modulo the prime."""
+    c = 0
+    for letter in letters:
+        c = (c * _HASH_BASE + PACKED_LETTERS.index(letter) + 1) % _HASH_MODULUS
+    power = pow(_HASH_BASE, len(letters), _HASH_MODULUS)
+    return power, c * pow(power - 1, -1, _HASH_MODULUS) % _HASH_MODULUS
+
+
+# (B^n, t) of _unit_hash by generator and by whether the exponent is positive.
+_UNIT_HASH = {(generator, positive): _unit_hash(units[not positive])
+              for generator, units in _UNIT_LETTERS.items()
+              for positive in (True, False)}
+
+
 def _run_letters(run: Run) -> tuple[Letter, ...]:
     generator, exponent = run
     positive, negative = _UNIT_LETTERS[generator]
@@ -141,9 +164,11 @@ class BraidWord:
     """An immutable word, stored as runs; the empty word is the identity.
 
     Length, iteration, equality, hashing and the string are those of the
-    letter sequence: ``parse("h") == word(H_LETTERS)``.  Words with equal
-    runs compare equal at once; any other comparison, the hash and the
-    string expand the letters (``run_text`` does not).
+    letter sequence: ``parse("h") == word(H_LETTERS)``.  Equality compares
+    the merged runs (``_merged_runs``), the length and the hash, which is
+    read from the runs, and expands the letters only when the merged runs
+    differ and the hashes agree.  The string expands them (``run_text``
+    does not).
     """
 
     runs: tuple[Run, ...] = ()
@@ -156,6 +181,43 @@ class BraidWord:
     @_cached
     def _length(self) -> int:
         return sum(6 * abs(e) if g == "h" else abs(e) for g, e in self.runs)
+
+    @_cached
+    def _merged_runs(self) -> tuple[Run, ...]:
+        """The runs with each stretch of adjacent runs of one generator and
+        sign merged into one run: words with equal merged runs have equal
+        letters, whatever their exponents."""
+        # As in run_text, the first entry, (None, None), is dropped.
+        merged = []
+        generator = exponent = None
+        for g, e in self.runs:
+            if g == generator and (e > 0) == (exponent > 0):
+                exponent += e
+            else:
+                merged.append((generator, exponent))
+                generator, exponent = g, e
+        merged.append((generator, exponent))
+        return tuple(merged[1:])
+
+    @_cached
+    def _hash(self) -> int:
+        """The polynomial hash of the letter sequence modulo
+        ``_HASH_MODULUS``, each letter's value its code plus one: each
+        distinct run's (B^n, hash) is read in closed form once, so this is
+        O(runs) whatever the exponents."""
+        value = 0
+        terms = {}
+        for run in self.runs:
+            term = terms.get(run)
+            if term is None:
+                g, e = run
+                unit_power, unit_term = _UNIT_HASH[g, e > 0]
+                power = pow(unit_power, abs(e), _HASH_MODULUS)
+                term = terms[run] = \
+                    (power, unit_term * (power - 1) % _HASH_MODULUS)
+            power, run_hash = term
+            value = (value * power + run_hash) % _HASH_MODULUS
+        return value
 
     @_cached
     def _fold_keys(self) -> Sequence[int | Run]:
@@ -194,12 +256,16 @@ class BraidWord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BraidWord):
             return NotImplemented
+        if self.runs == other.runs:
+            return True
         # Not len(), which overflows past sys.maxsize letters.
-        return self.runs == other.runs or \
-            (self._length == other._length and self.letters == other.letters)
+        if self._length != other._length:
+            return False
+        return self._merged_runs == other._merged_runs or \
+            (self._hash == other._hash and self.letters == other.letters)
 
     def __hash__(self) -> int:
-        return hash(self.letters)
+        return self._hash
 
     def __str__(self) -> str:
         return run_text(BraidWord(self.letters))

@@ -29,8 +29,8 @@ def rng():
 @pytest.fixture
 def default_int_digit_limit():
     """The interpreter's default cap on int/str conversion, set for the
-    test, which main lifts only while it runs; the previous cap is
-    restored afterwards."""
+    test, which main leaves as it is; the previous cap is restored
+    afterwards."""
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
     yield

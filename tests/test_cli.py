@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import threebraid
-from threebraid import cli, homology
+from threebraid import cli, homology, invariants
 from threebraid.cli import main
 from threebraid.seifert import MAX_CROSSINGS
 from threebraid.words import parse
@@ -262,6 +263,85 @@ def test_main_restores_the_int_digit_limit_on_every_exit(
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_main_leaves_the_callers_int_digit_limit_alone(
+        tmp_path, capsys, monkeypatch, default_int_digit_limit):
+    seen = []
+    real = invariants.analyze_word
+
+    def spy(*args, **kwargs):
+        seen.append(sys.get_int_max_str_digits())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "analyze_word", spy)
+    path = tmp_path / "words.txt"
+    path.write_text("x y\n")
+    limit = 10_000
+    sys.set_int_max_str_digits(limit)
+    assert run(capsys, "analyze", "x y")[0] == cli.EXIT_OK
+    assert run(capsys, "batch", str(path))[0] == cli.EXIT_OK
+    assert seen == [limit, limit]
+
+
+def long_integers(text: str) -> set:
+    """Every run of more than 640 digits in text."""
+    return set(re.findall(r"[0-9]{641,}", text))
+
+
+def test_integers_past_the_lowest_digit_limit_print_exactly(
+        tmp_path, capsys, default_int_digit_limit):
+    long_text = "x y^-1 " * 4000
+    oracle_text = "x y^-1 " * 1600  # 3,200 crossings
+    report = invariants.analyze_word(parse(long_text), include_torus_bundle=True)
+    det, torsion = report.determinant, report.h1.torsion
+    oracle_det = homology.determinant(parse(oracle_text))
+    assert [len(str(n)) for n in (det, *torsion, oracle_det)] == \
+        [1672, 836, 837, 669]
+    long_path = tmp_path / "long.txt"
+    long_path.write_text(long_text + "\n")
+    oracle_path = tmp_path / "oracle.txt"
+    oracle_path.write_text(oracle_text + "\n")
+    commands = (["analyze", "--torus-bundle", long_text],
+                ["analyze", "--json", "--torus-bundle", long_text],
+                ["batch", str(long_path)],
+                ["batch", "--json", str(long_path)],
+                ["analyze", "--oracle", oracle_text],
+                ["batch", "--json", "--oracle", str(oracle_path)])
+    sys.set_int_max_str_digits(640)  # the lowest the interpreter allows
+    try:
+        results = [run(capsys, *argv) for argv in commands]
+    finally:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    assert [code for code, _, _ in results] == [cli.EXIT_OK] * len(commands)
+    pretty, json_line, batch, batch_json, oracle, oracle_json = \
+        [out for _, out, _ in results]
+    assert long_integers(pretty) == {str(det), str(det - 1), *map(str, torsion)}
+    assert long_integers(batch) == {str(det)}
+    assert long_integers(oracle) == {str(oracle_det)}
+    assert "agrees" in oracle
+    for line in (json_line, batch_json.splitlines()[0]):
+        record = json.loads(line)
+        assert record["determinant"] == record["spin_c_count"] == det
+        assert record["h1"]["torsion"] == list(torsion)
+    assert json.loads(json_line)["torus_bundle"]["non_s0_count"] == det - 1
+    assert json.loads(oracle_json.splitlines()[0])["oracle"] == \
+        {"determinant": oracle_det, "signature": 0, "agrees": True}
+
+
+def test_a_character_stdout_cannot_encode_is_an_io_error(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "words.txt"
+    path.write_text("x\n\u00e9\n", encoding="utf-8")
+    for argv in (["analyze", "x\u2003y"], ["batch", str(path)]):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write output: 'ascii' codec")
+        assert err.count("\n") == 1
+    stdout.flush()
+    assert stdout.buffer.getvalue().startswith(b"'x': family")
+
+
 def test_internal_inconsistency_maps_to_exit_three(capsys, monkeypatch):
     from threebraid import invariants
     from threebraid.murasugi import InternalInconsistency
@@ -345,8 +425,11 @@ def test_oversized_input_is_a_parse_error(tmp_path, capsys):
 
 
 def test_analyze_and_batch_print_the_same_line(capsys, tmp_path):
-    # Hyperbolic, split, twisted, and past the oracle's crossing cap.
-    words = ["x y^-1 x y^-3", "y^3", "h^5 x y^-2", f"x^{MAX_CROSSINGS + 1} y"]
+    # Hyperbolic, split, twisted, past the oracle's crossing cap, and two
+    # words with a character that parse reads as a space and splitlines as
+    # a line break.
+    words = ["x y^-1 x y^-3", "y^3", "h^5 x y^-2", f"x^{MAX_CROSSINGS + 1} y",
+             "x\fy", "x\u2028y"]
     flags = ["--json", "--torus-bundle", "--oracle"]
     path = tmp_path / "words.txt"
     path.write_text("\n".join(words) + "\n", encoding="utf-8")

@@ -87,6 +87,34 @@ def test_words_of_more_than_sys_maxsize_letters_compare():
     assert huge == parse("h^999999999999999999 h^999999999999999999")
 
 
+def test_words_with_huge_runs_compare_and_hash_from_their_runs():
+    # Neither may expand the 6 * 10^17 letters of such a word.
+    assert isinstance(hash(parse("h^99999999999999999")), int)
+    assert parse("h^99999999999999999 h^99999999999999999") == \
+        parse("h^199999999999999998")
+    assert hash(parse("h^99999999999999999 h^99999999999999999")) == \
+        hash(parse("h^199999999999999998"))
+    # Equal lengths, other letters: told apart by the hash.
+    assert BraidWord((("x", 3), ("x", -2), ("x", 10**17))) != \
+        BraidWord((("x", 10**17), ("x", -2), ("x", 3)))
+
+
+def test_words_with_other_runs_compare_by_their_letters():
+    assert parse("h") == parse("x y x y x y") == parse("h x^0")
+    assert hash(parse("h")) == hash(parse("x y x y x y"))
+    assert parse("h x") == parse("x y x y x y x")
+    assert parse("h") != parse("y x y x y x")
+    assert parse("h^-1") == parse("y^-1 x^-1 y^-1 x^-1 y^-1 x^-1")
+    assert parse("x x^-1") != BraidWord()
+
+
+def test_hash_tells_short_words_apart():
+    # A hash of the letter counts alone would give 45 values.
+    hashes = {hash(w_.word(letters)) for letters in itertools.product(
+        (w_.X, w_.Y, w_.X_INV, w_.Y_INV), repeat=8)}
+    assert len(hashes) >= 4**8 // 4
+
+
 def test_exponent_sum():
     assert exponent_sum(BraidWord()) == 0
     assert exponent_sum(parse("h")) == 6
@@ -209,7 +237,7 @@ def test_components_conjugation_invariant(rng):
 def test_folds_of_a_long_word_ignore_the_int_digit_limit(rng):
     # The packing reads each stretch of letters as one base-4 integer, which
     # the int-to-str digit limit exempts: image and classify are public, so
-    # they must not rely on the CLI lifting that limit.  Eight power and h
+    # they must work under any limit their caller sets.  Eight power and h
     # runs split 10^5 letters, so some stretch has over 11,000 digits.
     tokens = [rng.choice(("x", "y", "x^-1", "y^-1")) for _ in range(10**5)]
     for run in ("x^3", "y^-2", "h^7", "h^-1") * 2:
