@@ -172,9 +172,10 @@ def _syllable_pass(w: BraidWord) -> tuple[FreeProductWord, int]:
     The steps are the word's packed fold keys (``BraidWord._fold_keys``):
     a packed window indexes ``_CHUNK_SYLLABLES``, built from
     ``_run_syllables`` by ``words.window_table``, and a run (a power run, an
-    h run, or a letter left at the end of a stretch) is read in closed form.  Each step multiplies the reduced stack by
-    reduced syllables, which only touch the stack where the two meet, and
-    only when the stack's top has the kind of their first one.
+    h run, or a letter left at the end of a stretch) is read in closed form.
+    Each step multiplies the reduced stack by reduced syllables, which only
+    touch the stack where the two meet, and only when the stack's top has
+    the kind of their first one.
     """
     stack = bytearray()
     exponent_sum = 0
@@ -275,11 +276,11 @@ def _block_tuple(exponents: bytes) -> tuple[int, ...]:
     """Convert a cyclic R/L word (R where e=1, L where e=2) into the family-1
     tuple: each R opens a block whose entry counts the following run of Ls.
 
-    Reading from any R gives one rotation of the tuple; ``Family1`` stores
-    the least of them, which is the normal form."""
-    start = exponents.index(1)
-    rotated = exponents[start:] + exponents[:start]
-    return tuple(map(len, rotated.split(b"\x01")[1:]))
+    Reading from the first R, which the word holds, the Ls before it closing
+    the last block, gives one rotation of the tuple; ``Family1`` stores the
+    least of them, which is the normal form."""
+    parts = exponents.split(b"\x01")
+    return (*map(len, parts[1:-1]), len(parts[-1]) + len(parts[0]))
 
 
 def _check_image(f: MurasugiForm, matrix: SL2Matrix) -> None:
@@ -330,25 +331,20 @@ def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
     if matrix is None:
         matrix = homology.image(w)
 
-    if len(fp) == 0:
-        t = 0
+    if not fp:
+        family, tail, t = Family2, 0, 0
     elif len(fp) == 1:
-        m = _ELLIPTIC_M[fp.syllables[0]]
-        t = m - 1
+        tail = _ELLIPTIC_M[fp.syllables[0]]
+        family, t = Family3, tail - 1
     else:
         exponents = _blocks(fp.syllables)
         t = exponents.count(1) - exponents.count(2)
-    d = _exact_quotient(e - t, 6)
-
-    if len(fp) == 0:
-        form = Family2(d, 0)
-    elif len(fp) == 1:
-        form = Family3(d, m)
-    elif abs(t) == len(exponents):
-        # Parabolic: a pure power of R or of L.
-        form = Family2(d, t)
-    else:
-        form = Family1(d, _block_tuple(exponents))
+        if abs(t) == len(exponents):
+            # Parabolic: a pure power of R or of L.
+            family, tail = Family2, t
+        else:
+            family, tail = Family1, _block_tuple(exponents)
+    form = family(_exact_quotient(e - t, 6), tail)
     _check_image(form, matrix)
     return form
 

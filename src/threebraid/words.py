@@ -116,22 +116,43 @@ _UNIT_LETTERS = {
 _HASH_MODULUS = (1 << 61) - 1
 _HASH_BASE = 1_000_003
 
-
-def _unit_hash(letters) -> tuple[int, int]:
-    """(B^n, t) for the n letters of one run unit, B the base and c their
-    hash: e units hash to c (1 + B^n + ... + B^(n (e - 1))), which is
-    t (B^(n e) - 1) with t = c / (B^n - 1) modulo the prime."""
-    c = 0
-    for letter in letters:
-        c = (c * _HASH_BASE + PACKED_LETTERS.index(letter) + 1) % _HASH_MODULUS
-    power = pow(_HASH_BASE, len(letters), _HASH_MODULUS)
-    return power, c * pow(power - 1, -1, _HASH_MODULUS) % _HASH_MODULUS
+# 1 / (B^2 - 1) modulo the prime: k pairs of letters that each hash to p
+# hash to p (1 + B^2 + ... + B^(2 (k - 1))) = p (B^(2 k) - 1) / (B^2 - 1).
+_PAIRS = pow(_HASH_BASE**2 - 1, -1, _HASH_MODULUS)
 
 
-# (B^n, t) of _unit_hash by generator and by whether the exponent is positive.
-_UNIT_HASH = {(generator, positive): _unit_hash(units[not positive])
-              for generator, units in _UNIT_LETTERS.items()
-              for positive in (True, False)}
+def _segment(run: Run) -> tuple[Letter, Letter, int]:
+    """(a, b, n): the run's n letters alternate a, b, a, ..., starting with
+    a.  An x or y run has a == b; h^e alternates x, y and h^-e y^-1, x^-1.
+
+    >>> _segment(("h", -2))
+    (Letter(generator='y', sign=-1), Letter(generator='x', sign=-1), 12)
+    """
+    generator, exponent = run
+    unit = _UNIT_LETTERS[generator][exponent < 0]
+    return unit[0], unit[len(unit) > 1], len(unit) * abs(exponent)
+
+
+def _same_letters(u: Sequence[Run], v: Sequence[Run]) -> bool:
+    """Whether two run sequences spell the same letters.  Each step
+    compares the next k letters of both, k the shorter head's length, by
+    their first two, and drops them, which uses up at least one run: O(runs)
+    whatever the exponents."""
+    left, right = [(s for s in map(_segment, runs) if s[2]) for runs in (u, v)]
+    n = m = 0
+    while True:
+        if not n:
+            a, b, n = next(left, (None, None, 0))
+        if not m:
+            c, d, m = next(right, (None, None, 0))
+        if not (n and m):
+            return n == m
+        k = min(n, m)
+        if a != c or (k > 1 and b != d):
+            return False
+        n, m = n - k, m - k
+        if k % 2:
+            a, b, c, d = b, a, d, c
 
 
 def _run_letters(run: Run) -> tuple[Letter, ...]:
@@ -164,11 +185,10 @@ class BraidWord:
     """An immutable word, stored as runs; the empty word is the identity.
 
     Length, iteration, equality, hashing and the string are those of the
-    letter sequence: ``parse("h") == word(H_LETTERS)``.  Equality compares
-    the merged runs (``_merged_runs``), the length and the hash, which is
-    read from the runs, and expands the letters only when the merged runs
-    differ and the hashes agree.  The string expands them (``run_text``
-    does not).
+    letter sequence: ``parse("h") == word(H_LETTERS)``.  Equality walks
+    the two run sequences once (``_same_letters``) and the hash is read
+    from the runs, so neither expands a letter, whatever the exponents.
+    The string expands them (``run_text`` does not).
     """
 
     runs: tuple[Run, ...] = ()
@@ -183,38 +203,25 @@ class BraidWord:
         return sum(6 * abs(e) if g == "h" else abs(e) for g, e in self.runs)
 
     @_cached
-    def _merged_runs(self) -> tuple[Run, ...]:
-        """The runs with each stretch of adjacent runs of one generator and
-        sign merged into one run: words with equal merged runs have equal
-        letters, whatever their exponents."""
-        # As in run_text, the first entry, (None, None), is dropped.
-        merged = []
-        generator = exponent = None
-        for g, e in self.runs:
-            if g == generator and (e > 0) == (exponent > 0):
-                exponent += e
-            else:
-                merged.append((generator, exponent))
-                generator, exponent = g, e
-        merged.append((generator, exponent))
-        return tuple(merged[1:])
-
-    @_cached
     def _hash(self) -> int:
         """The polynomial hash of the letter sequence modulo
         ``_HASH_MODULUS``, each letter's value its code plus one: each
-        distinct run's (B^n, hash) is read in closed form once, so this is
-        O(runs) whatever the exponents."""
+        distinct run's (B^n, hash) is read in closed form from its
+        ``_segment`` once, so this is O(runs) whatever the exponents."""
         value = 0
         terms = {}
         for run in self.runs:
             term = terms.get(run)
             if term is None:
-                g, e = run
-                unit_power, unit_term = _UNIT_HASH[g, e > 0]
-                power = pow(unit_power, abs(e), _HASH_MODULUS)
-                term = terms[run] = \
-                    (power, unit_term * (power - 1) % _HASH_MODULUS)
+                a, b, n = _segment(run)
+                first = PACKED_LETTERS.index(a) + 1
+                pair = first * _HASH_BASE + PACKED_LETTERS.index(b) + 1
+                power = pow(_HASH_BASE, n - n % 2, _HASH_MODULUS)
+                run_hash = pair * (power - 1) * _PAIRS % _HASH_MODULUS
+                if n % 2:
+                    power *= _HASH_BASE
+                    run_hash = run_hash * _HASH_BASE + first
+                term = terms[run] = power, run_hash
             power, run_hash = term
             value = (value * power + run_hash) % _HASH_MODULUS
         return value
@@ -256,13 +263,7 @@ class BraidWord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BraidWord):
             return NotImplemented
-        if self.runs == other.runs:
-            return True
-        # Not len(), which overflows past sys.maxsize letters.
-        if self._length != other._length:
-            return False
-        return self._merged_runs == other._merged_runs or \
-            (self._hash == other._hash and self.letters == other.letters)
+        return self.runs == other.runs or _same_letters(self.runs, other.runs)
 
     def __hash__(self) -> int:
         return self._hash
@@ -307,7 +308,8 @@ def parse(text: str) -> BraidWord:
     ``x``, ``y``, ``s1``, ``s2``, ``h`` (``x`` = ``s1``, ``y`` = ``s2``,
     ``h`` = the full twist ``x y x y x y``).  Exponents may be negative and
     have at most ``MAX_EXPONENT_DIGITS`` digits.  Each token becomes one
-    run; the x/y letters of a word total at most ``MAX_LETTERS``.
+    run, except that a zero exponent (``x^0``) gives none; the x/y letters
+    of a word total at most ``MAX_LETTERS``.
 
     >>> str(parse("x y^-2"))
     'x y^-2'

@@ -108,6 +108,46 @@ def test_words_with_other_runs_compare_by_their_letters():
     assert parse("x x^-1") != BraidWord()
 
 
+def test_h_runs_moved_past_their_letters_compare_from_their_runs():
+    # Neither equality nor the hash may expand the 6 * 10^17 letters.
+    n = 99999999999999999
+    for one, other in ((f"h^{n} x y x y x y", f"x y x y x y h^{n}"),
+                       (f"h^-{n} y^-1 x^-1", f"y^-1 x^-1 h^-{n}")):
+        u, v = parse(one), parse(other)
+        assert u == v and v == u
+        assert hash(u) == hash(v)
+    assert parse(f"x h^{n}") != parse(f"h^{n} x")
+    assert parse(f"h^{n} x") != parse(f"x h^{n}")
+
+
+# Every run value the walk tells apart: both generators and signs, a power
+# run, h runs of both signs and of exponent 2, and an empty run.
+_RUNS = (w_.X, w_.X_INV, w_.Y, w_.Y_INV, ("y", -2),
+         ("h", 1), ("h", -1), ("h", 2), ("x", 0))
+
+# All 820 words of at most three of those runs.
+_SHORT_WORDS = [BraidWord(runs) for count in range(4)
+                for runs in itertools.product(_RUNS, repeat=count)]
+
+
+def test_short_words_are_equal_exactly_when_their_letters_are():
+    assert len(_SHORT_WORDS) == 820
+    hashes = {}
+    for u in _SHORT_WORDS:
+        assert hashes.setdefault(u.letters, hash(u)) == hash(u)
+        for v in _SHORT_WORDS:
+            assert (u == v) == (u.letters == v.letters), (u.runs, v.runs)
+
+
+def test_hash_is_the_polynomial_hash_of_the_letters():
+    for u in _SHORT_WORDS:
+        value = 0
+        for letter in u.letters:
+            value = (value * w_._HASH_BASE
+                     + w_.PACKED_LETTERS.index(letter) + 1) % w_._HASH_MODULUS
+        assert hash(u) == value
+
+
 def test_hash_tells_short_words_apart():
     # A hash of the letter counts alone would give 45 values.
     hashes = {hash(w_.word(letters)) for letters in itertools.product(
