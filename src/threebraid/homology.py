@@ -13,7 +13,7 @@ so all arithmetic uses Python's unbounded integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .words import BraidWord, window_table
 
@@ -192,17 +192,22 @@ class AbelianGroup:
     @property
     def order(self) -> int | None:
         """Group order, or None when infinite."""
-        if self.free_rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return None if self.free_rank else prod(self.torsion)
 
     def __str__(self) -> str:
         parts = ["Z"] * self.free_rank + \
             ["Z/" + _int_text(d) for d in self.torsion]
         return " + ".join(parts) if parts else "0"
+
+
+def _cokernel(entry_gcd: int, det: int) -> AbelianGroup:
+    """Z/entry_gcd + Z/(det / entry_gcd), from the gcd of a 2x2 matrix's
+    entries and its |det|, a zero factor being Z; gcd(0, 0, 0, 0) = 0."""
+    diagonal = (entry_gcd, det // entry_gcd if det else 0)
+    return AbelianGroup(
+        free_rank=diagonal.count(0),
+        torsion=tuple(e for e in diagonal if e >= 2),
+    )
 
 
 def smith_normal_form(m) -> AbelianGroup:
@@ -214,24 +219,16 @@ def smith_normal_form(m) -> AbelianGroup:
     huge entries.
     """
     (a, b), (c, d) = m
-    det = abs(a * d - b * c)
-    entry_gcd = gcd(a, b, c, d)
-    if det:
-        diagonal = (entry_gcd, det // entry_gcd)
-    elif entry_gcd:
-        diagonal = (entry_gcd, 0)
-    else:
-        diagonal = (0, 0)
-    return AbelianGroup(
-        free_rank=sum(1 for e in diagonal if e == 0),
-        torsion=tuple(e for e in diagonal if e >= 2),
-    )
+    return _cokernel(gcd(a, b, c, d), abs(a * d - b * c))
 
 
 def h1_from_image(m: SL2Matrix) -> AbelianGroup:
     """First homology of the branched double cover of the closure of a braid
-    with image m: the cokernel of m - I on the homology of the fiber torus."""
-    return smith_normal_form(m.minus_identity())
+    with image m: the cokernel of m - I on the homology of the fiber torus,
+    Z/g + Z/(D/g) for g the gcd of the entries of m - I and D = |2 - tr m|
+    from ``determinant_from_image``, so no two entries are multiplied."""
+    (a, b), (c, d) = m.minus_identity()
+    return _cokernel(gcd(a, b, c, d), determinant_from_image(m))
 
 
 def determinant_from_image(m: SL2Matrix) -> int:
@@ -282,14 +279,14 @@ class TraceClass:
 
 
 def trace_class(m: SL2Matrix) -> TraceClass:
+    """The conjugacy type of m, read from its entries: m is central when
+    b = c = 0, and then ad = 1 forces a = d = epsilon."""
+    if m.b == m.c == 0:
+        return TraceClass(CENTRAL, m.a)
     t = m.trace
-    if m == IDENTITY or m == -IDENTITY:
-        return TraceClass(CENTRAL, 1 if m == IDENTITY else -1)
-    if abs(t) <= 1:
-        return TraceClass(ELLIPTIC, -1 if t < 0 else 1)
-    if abs(t) == 2:
-        return TraceClass(PARABOLIC, 1 if t > 0 else -1)
-    return TraceClass(HYPERBOLIC, 1 if t > 0 else -1)
+    kind = (ELLIPTIC if abs(t) <= 1 else
+            PARABOLIC if abs(t) == 2 else HYPERBOLIC)
+    return TraceClass(kind, -1 if t < 0 else 1)
 
 
 def parabolic_invariant(m: SL2Matrix) -> tuple[int, int]:
@@ -306,11 +303,11 @@ def parabolic_invariant(m: SL2Matrix) -> tuple[int, int]:
     >>> parabolic_invariant(image(parse("h y^-1")))
     (-1, -1)
     """
-    kind = trace_class(m).kind
-    if kind != PARABOLIC:
+    tc = trace_class(m)
+    if tc.kind != PARABOLIC:
         # Not the entries: they may pass the int-to-str digit limit.
-        raise NotParabolic(f"{kind} matrix is not parabolic")
-    epsilon = 1 if m.trace > 0 else -1
+        raise NotParabolic(f"{tc.kind} matrix is not parabolic")
+    epsilon = tc.epsilon
     b, c = epsilon * m.b, epsilon * m.c
     k = gcd(b, c)
     return epsilon, k if b > 0 or c < 0 else -k

@@ -16,8 +16,6 @@ from json.encoder import encode_basestring_ascii as _json_string
 from . import floer, homology, murasugi
 from .floer import GradedModule, TorusBundleModules
 from .homology import AbelianGroup, _int_text
-# The printer's bounds, read here by its tests.
-from .homology import _LEAF_BITS, _SPLIT_BITS  # noqa: F401
 from .murasugi import Family1, Family2, Family3, MurasugiForm
 from .words import BraidWord, run_text
 

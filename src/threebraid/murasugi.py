@@ -300,7 +300,7 @@ def _check_image(f: MurasugiForm, matrix: SL2Matrix) -> None:
     elif isinstance(f, Family3):
         fits = sign * matrix.trace == 2 + f.m
     elif f.m == 0:
-        fits = matrix == SL2Matrix(sign, 0, 0, sign)
+        fits = matrix.b == matrix.c == 0 and matrix.a == sign
     else:
         try:
             fits = homology.parabolic_invariant(matrix) == (sign, f.m)

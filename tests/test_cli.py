@@ -81,6 +81,13 @@ def test_analyze_oracle_split_closure_is_surfaced(capsys):
     assert "error" in payload["oracle"]
 
 
+def test_analyze_pretty_prints_the_oracle_error(capsys):
+    code, out, _ = run(capsys, "analyze", "--oracle", "x")
+    assert code == 0
+    assert out.splitlines()[-1] == \
+        "oracle:              column 2 unused: the closure splits"
+
+
 def test_analyze_torus_bundle_block(capsys):
     code, out, _ = run(capsys, "analyze", "x y^-1 x y^-1", "--json",
                        "--torus-bundle")

@@ -9,7 +9,10 @@ CHUNK runs by their letters, behind the folds over packed 4-letter bytes,
 the per-kind syllable merge and branching cyclic reduction behind the byte
 alphabet (S = 0, U = 1, U^2 = 2, where a power run costs O(n) memcpy work
 at 2 bytes per letter), the pairwise gcd of the Smith normal form, the
-per-letter permutation fold, words stored one letter per run, the mirror
+Smith form of m - I (``smith_h1_from_image``) behind H1 read with the
+order |2 - tr m|, the trace class tested against +-I with one sign rule
+per kind (``branching_trace_class``) behind the one read from the entries,
+the per-letter permutation fold, words stored one letter per run, the mirror
 read by classifying the inverse of the model word, the report's closed
 forms read from the model word or the Floer module, the per-family
 surgery rows, Floer assembly, delta and concordance screen behind the
@@ -35,13 +38,14 @@ at random.
 import itertools
 import math
 import sys
+from collections import Counter
 from dataclasses import astuple, replace
 from fractions import Fraction
 from math import prod
 
 import pytest
 
-from threebraid import cli, floer, homology, invariants, murasugi
+from threebraid import cli, floer, homology, murasugi
 from threebraid import words as w_
 from threebraid.floer import (
     FIGURE_EIGHT_LIKE,
@@ -154,6 +158,16 @@ def slow_image(letters):
     for letter in letters:
         result = result * GENERATOR[letter]
     return result
+
+
+def short_images(max_length):
+    """The distinct images of the words of at most max_length letters."""
+    level = {SL2Matrix(1, 0, 0, 1)}
+    images = set(level)
+    for _ in range(max_length):
+        level = {m * GENERATOR[letter] for m in level for letter in LETTERS}
+        images |= level
+    return images
 
 
 # Periodic and near-periodic tuples of a few hundred entries, for the long
@@ -330,12 +344,7 @@ def basis_parabolic_invariant(m):
 
 
 def test_parabolic_invariant_matches_basis_completion_up_to_length_8():
-    # The distinct images of the words of up to 8 letters.
-    level = {SL2Matrix(1, 0, 0, 1)}
-    images = set(level)
-    for _ in range(8):
-        level = {m * GENERATOR[letter] for m in level for letter in LETTERS}
-        images |= level
+    images = short_images(8)
     parabolic = 0
     for m in images:
         if homology.trace_class(m).kind == homology.PARABOLIC:
@@ -356,6 +365,116 @@ def test_parabolic_invariant_matches_basis_completion_on_conjugates(rng):
         matrix = image(w_.conjugate(BraidWord((("h", d), ("y", m))), u))
         assert homology.parabolic_invariant(matrix) == \
             basis_parabolic_invariant(matrix) == ((-1) ** d, m), (u, d, m)
+
+
+def smith_h1_from_image(m):
+    """H1 as the Smith form of m - I, its determinant multiplied out."""
+    return homology.smith_normal_form(m.minus_identity())
+
+
+def branching_trace_class(m):
+    """The trace class with centrality tested against +-I, and one sign
+    rule per kind."""
+    identity = SL2Matrix(1, 0, 0, 1)
+    t = m.trace
+    if m == identity or m == -identity:
+        return homology.TraceClass(homology.CENTRAL,
+                                   1 if m == identity else -1)
+    if abs(t) <= 1:
+        return homology.TraceClass(homology.ELLIPTIC, -1 if t < 0 else 1)
+    if abs(t) == 2:
+        return homology.TraceClass(homology.PARABOLIC, 1 if t > 0 else -1)
+    return homology.TraceClass(homology.HYPERBOLIC, 1 if t > 0 else -1)
+
+
+def assert_matrix_layer_matches_references(m, label):
+    assert homology.h1_from_image(m) == smith_h1_from_image(m) == \
+        pairwise_gcd_smith_normal_form(m.minus_identity()), label
+    trace_class = homology.trace_class(m)
+    assert trace_class == branching_trace_class(m), label
+    if trace_class.kind == homology.PARABOLIC:
+        assert homology.parabolic_invariant(m) == \
+            basis_parabolic_invariant(m), label
+    return trace_class
+
+
+def test_matrix_layer_matches_references_on_short_images():
+    # Every image of a word of at most 8 letters, and h runs of both signs
+    # and parities, a huge one among them: +-I.
+    h_runs = (1, -1, 2, -2, 3, -4, 10**17 + 1)
+    matrices = short_images(8) | {
+        image(BraidWord((("h", e),))) for e in h_runs}
+    kinds = Counter(astuple(assert_matrix_layer_matches_references(m, m))
+                    for m in matrices)
+    assert kinds == {
+        (homology.CENTRAL, 1): 1, (homology.CENTRAL, -1): 1,
+        (homology.ELLIPTIC, 1): 118, (homology.ELLIPTIC, -1): 60,
+        (homology.PARABOLIC, 1): 120, (homology.PARABOLIC, -1): 112,
+        (homology.HYPERBOLIC, 1): 1320, (homology.HYPERBOLIC, -1): 552,
+    }, kinds
+
+
+def test_matrix_layer_matches_references_on_long_words(rng):
+    for trial in range(40):
+        length = 10**5 if trial < 2 else int(10 ** rng.uniform(0, 5))
+        runs = [rng.choice(LETTERS) for _ in range(length)]
+        if trial % 2:
+            runs.insert(rng.randint(0, length), ("h", rng.randint(-3, 3)))
+        assert_matrix_layer_matches_references(
+            image(BraidWord(tuple(runs))), (trial, length))
+
+
+def test_h1_from_image_multiplies_no_two_entries():
+    # H1 takes its order from the trace, so no entry of m or of m - I is
+    # multiplied by another: at the letter cap such a product costs more
+    # than a tenth of a second.
+    multiplications = 0
+
+    class Counted(int):
+        def __mul__(self, other):
+            nonlocal multiplications
+            multiplications += 1
+            return int.__mul__(self, other)
+
+        __rmul__ = __mul__
+
+    for text in ("", "h", "y^3", "h^-1 x^5 y^-1", "x y^-1 " * 40):
+        m = image(parse(text))
+        counted = SL2Matrix(*map(Counted, astuple(m)))
+        multiplications = 0
+        h1 = homology.h1_from_image(counted)
+        assert multiplications == 0, text
+        assert h1 == smith_h1_from_image(m), text
+
+
+def test_trace_class_and_image_fits_build_no_matrix(monkeypatch):
+    # The trace class, the parabolic invariant and the central fit of
+    # classify's image check read the entries: none of them builds -I or
+    # (-1)^d I, whose constructor multiplies entries to check det = 1.
+    forms = [Family2(d, 0) for d in (-3, -2, 0, 1)] + \
+        [Family2(d, m) for d in (-1, 2) for m in (-7, 1)] + \
+        [Family3(d, m) for d in (-1, 0) for m in (-1, -2, -3)] + \
+        [Family1(d, a) for d in (-2, 1) for a in ((1,), (0, 4, 2))]
+    checks = [(f, image(canonical_word(f))) for f in forms]
+    # Each near a central image of d = 0: -I, and b = 0 or c = 0 alone.
+    misfits = [image(parse(text)) for text in ("h", "y", "x^-2")]
+    built = 0
+    post_init = SL2Matrix.__post_init__
+
+    def counted_post_init(matrix):
+        nonlocal built
+        built += 1
+        post_init(matrix)
+
+    monkeypatch.setattr(SL2Matrix, "__post_init__", counted_post_init)
+    for f, m in checks:
+        if homology.trace_class(m).kind == homology.PARABOLIC:
+            homology.parabolic_invariant(m)
+        murasugi._check_image(f, m)
+    for m in misfits:
+        with pytest.raises(homology.InternalInconsistency):
+            murasugi._check_image(Family2(0, 0), m)
+    assert built == 0
 
 
 def assert_runs_match_letters(w):
@@ -1141,16 +1260,16 @@ def test_int_text_splits_down_to_bounded_leaves(monkeypatch, rng):
 
     monkeypatch.setattr(decimal, "Decimal", counting_decimal)
     n = rng.getrandbits(300_000)
-    invariants._int_text(n)
-    assert max(leaf_bits) <= invariants._LEAF_BITS
-    assert sum(leaf_bits) <= n.bit_length() + invariants._LEAF_BITS
+    homology._int_text(n)
+    assert max(leaf_bits) <= homology._LEAF_BITS
+    assert sum(leaf_bits) <= n.bit_length() + homology._LEAF_BITS
 
 
 def test_int_text_matches_str(rng, no_digit_limit):
     values = [0, -1, 1]
     for k in (1, 100, 640, 641, 4300, 4301, 4933, 10_000, 60_000):
         values += [10**k, 10**k - 1, 10**k + 1]
-    split = invariants._SPLIT_BITS
+    split = homology._SPLIT_BITS
     for bits in (split - 1, split, split + 1, 2 * split, 2 * split + 1):
         values += [(1 << bits) - 1, 1 << bits, rng.getrandbits(bits)]
     for _ in range(40):
@@ -1162,7 +1281,7 @@ def test_int_text_matches_str(rng, no_digit_limit):
     # not lean on the caller lifting it.
     sys.set_int_max_str_digits(640)
     try:
-        texts = [invariants._int_text(v) for v in values]
+        texts = [homology._int_text(v) for v in values]
     finally:
         sys.set_int_max_str_digits(0)
     for value, text, reference in zip(values, texts, expected):

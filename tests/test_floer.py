@@ -123,6 +123,17 @@ def test_graded_module_multiset_equality():
     assert module([0], [(0, 5)]) == module([0])
 
 
+def test_graded_module_rejects_a_negative_rank():
+    with pytest.raises(ValueError, match="negative rank -1"):
+        module([0], [(-1, 2)])
+
+
+def test_surgery_tables_reject_an_unknown_tag():
+    for table in (lambda tag: surgery_table(tag, 1), zero_surgery_table):
+        with pytest.raises(ValueError, match="unknown knot type tag 'Unknot'"):
+            table("Unknot")
+
+
 # --- predicates ---------------------------------------------------------------
 
 def test_is_l_space_fixtures():

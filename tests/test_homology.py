@@ -69,6 +69,16 @@ def test_smith_normal_form_fixtures():
     assert smith_normal_form(((0, 0), (0, 0))) == AbelianGroup(2, ())
 
 
+def test_abelian_group_checks_its_torsion():
+    with pytest.raises(ValueError, match="divisibility"):
+        AbelianGroup(0, (2, 3))
+    with pytest.raises(ValueError, match=">= 2"):
+        AbelianGroup(0, (1, 2))
+    assert AbelianGroup(0, (2, 4)).order == 8
+    assert AbelianGroup(0).order == 1
+    assert AbelianGroup(1, (3,)).order is None
+
+
 def test_h1_fixtures():
     assert h1_branched_cover(parse("h")) == AbelianGroup(0, (2, 2))
     assert h1_branched_cover(parse("y x^5")) == AbelianGroup(0, (5,))

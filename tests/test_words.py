@@ -94,7 +94,7 @@ def test_words_with_huge_runs_compare_and_hash_from_their_runs():
         parse("h^199999999999999998")
     assert hash(parse("h^99999999999999999 h^99999999999999999")) == \
         hash(parse("h^199999999999999998"))
-    # Equal lengths, other letters: told apart by the hash.
+    # Equal lengths, other letters: told apart by their letters.
     assert BraidWord((("x", 3), ("x", -2), ("x", 10**17))) != \
         BraidWord((("x", 10**17), ("x", -2), ("x", 3)))
 
@@ -153,6 +153,14 @@ def test_hash_tells_short_words_apart():
     hashes = {hash(w_.word(letters)) for letters in itertools.product(
         (w_.X, w_.Y, w_.X_INV, w_.Y_INV), repeat=8)}
     assert len(hashes) >= 4**8 // 4
+
+
+def test_word_equality_and_cached_values_against_other_objects():
+    # Against a non-word, == defers to the other side, and a cached value
+    # read on the class is its descriptor.
+    assert parse("x").__eq__(("x", 1)) is NotImplemented
+    assert parse("x") != ("x", 1)
+    assert isinstance(BraidWord.letters, w_._cached)
 
 
 def test_exponent_sum():
