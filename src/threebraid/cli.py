@@ -19,11 +19,12 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 from . import invariants, murasugi, seifert
 from . import words as w_
 from .homology import _int_text
-from .murasugi import InternalInconsistency
+from .murasugi import Family1, Family2, InternalInconsistency
 from .words import ParseError
 
 EXIT_OK = 0
@@ -62,19 +63,82 @@ def _report(text: str, args) -> tuple:
     return report, _oracle_block(word, report) if args.oracle else None
 
 
-def _json_line(report, oracle: dict | None) -> str:
-    """The report's ``--json`` line, with the oracle block as its last key
-    when there is one, written as ``_dumps(oracle)`` writes it."""
-    line = invariants._report_line(report)
-    if oracle is None:
-        return line
-    if "error" in oracle:
-        block = f'{{"error":{invariants._json_string(oracle["error"])}}}'
+_JSON_BOOL = ("false", "true")
+
+
+def _rational_text(q) -> str:
+    return f'{{"num":{q.numerator},"den":{q.denominator}}}'
+
+
+def _module_text(module) -> str:
+    towers = ",".join([_rational_text(g) for g in module.towers])
+    frees = ",".join([f'{{"rank":{rank},"num":{g.numerator},"den":{g.denominator}}}'
+                      for rank, g in module.frees])
+    return (f'{{"towers":[{towers}],"frees":[{frees}],'
+            f'"absolute":{_JSON_BOOL[module.absolute]}}}')
+
+
+def _json_line(r, oracle: dict | None) -> str:
+    """The report's ``--json`` line: what ``_dumps`` writes for
+    ``report_json(r)`` with the oracle block, when there is one, added as
+    its last key, byte for byte, but written straight from the fields with
+    no dict in between; a field added to ``report_json`` is added here too.  The determinant is
+    rendered once, also for ``spin_c_count``, and every integer that grows
+    with it goes through ``_int_text``."""
+    f = r.normal_form
+    if isinstance(f, Family1):
+        form = f'"family":1,"d":{f.d},"a":[{",".join(map(str, f.a))}]'
     else:
-        block = (f'{{"determinant":{_int_text(oracle["determinant"])},'
-                 f'"signature":{oracle["signature"]},'
-                 f'"agrees":{invariants._JSON_BOOL[oracle["agrees"]]}}}')
-    return f'{line[:-1]},"oracle":{block}}}'
+        family = 2 if isinstance(f, Family2) else 3
+        form = f'"family":{family},"d":{f.d},"m":{f.m}'
+    determinant = _int_text(r.determinant)
+    torsion = ",".join(map(_int_text, r.h1.torsion))
+    parts = [
+        f'{{"word":{_json_string(r.word)},"normal_form":{{{form}}},'
+        f'"components":{r.components},"determinant":{determinant},'
+        f'"h1":{{"free_rank":{r.h1.free_rank},"torsion":[{torsion}]}},'
+        f'"b1":{r.b1},"l_space":{_JSON_BOOL[r.l_space]},'
+        f'"tight":{_JSON_BOOL[r.tight]},'
+        f'"tight_inverse":{_JSON_BOOL[r.tight_inverse]},'
+        f'"knot_type_tag":{_json_string(r.knot_type_tag)}']
+    if r.hf_plus_s0 is not None:
+        parts.append(f'"hf_plus_s0":{_module_text(r.hf_plus_s0)}')
+    if r.spin_c_count is not None:
+        count = r.spin_c_count
+        parts.append('"spin_c_count":' + (
+            determinant if count == r.determinant else _int_text(count)))
+    if r.correction_term is not None:
+        parts.append(f'"correction_term":{_rational_text(r.correction_term)}')
+    if r.delta is not None:
+        parts.append(f'"delta":{_rational_text(r.delta)}')
+    if r.signature is not None:
+        parts.append(f'"signature":{r.signature}')
+    s = r.stein
+    euler = "" if s.euler_char is None else f'"euler_char":{s.euler_char},'
+    parts.append(
+        f'"qa":{_JSON_BOOL[r.qa]},'
+        f'"finite_order_screen":{_json_string(r.finite_order_screen)},'
+        f'"stein":{{"l_space":{_JSON_BOOL[s.l_space]},'
+        f'"tight":{_JSON_BOOL[s.tight]},'
+        f'"fillable":{_json_string(s.fillable)},{euler}'
+        f'"dehn_twist_count_bound":{s.dehn_twist_count_bound}}}')
+    tb = r.torus_bundle
+    if tb is not None:
+        parts.append(
+            f'"torus_bundle":{{"s0":{_module_text(tb.s0)},'
+            f'"non_s0_count":{_int_text(tb.non_s0_count)},'
+            f'"non_s0_relative":{_module_text(tb.non_s0_relative)},'
+            f'"fiber_structures_vanish":'
+            f'{_JSON_BOOL[tb.fiber_structures_vanish]}}}')
+    if oracle is not None:
+        if "error" in oracle:
+            parts.append(f'"oracle":{{"error":{_json_string(oracle["error"])}}}')
+        else:
+            parts.append(
+                f'"oracle":{{"determinant":{_int_text(oracle["determinant"])},'
+                f'"signature":{oracle["signature"]},'
+                f'"agrees":{_JSON_BOOL[oracle["agrees"]]}}}')
+    return ",".join(parts) + "}"
 
 
 def _canonical_str(form) -> str:

@@ -12,10 +12,9 @@ first homology is such a surgery on the binding of its fibered structure, so
 its module in the distinguished self-conjugate spin-c structure is a table
 row shifted by a quarter-integer k/4 read off the normal form's tail.
 
-The rows are stored as integers: the 1/n rows in whole gradings, the
-0-surgery rows in quarters.  A row shifted by k/4 is built with one
-``Fraction(4g + k, 4)`` or ``Fraction(g + k, 4)`` per grading, and already
-in normal form, since adding a constant keeps the towers sorted and the free
+The rows are stored as integers, every grading in quarters.  A row shifted
+by k/4 is built with one ``Fraction(g + k, 4)`` per grading, and already in
+normal form, since adding a constant keeps the towers sorted and the free
 summands merged.
 """
 
@@ -105,21 +104,22 @@ LEFT_TREFOIL_LIKE = "LeftTrefoilLike"
 FIGURE_EIGHT_LIKE = "FigureEightLike"
 
 # The 1/n-surgery rows for n != 0, keyed by (tag, n > 0): the bottom grading
-# of the tower, the grading of the free summand, and the offset of its rank
-# |n| + offset.
+# of the tower and the grading of the free summand, in quarters, and the
+# offset of its rank |n| + offset.
 _SURGERY_ROWS = {
-    (RIGHT_TREFOIL_LIKE, True): (-2, -2, -1),
-    (RIGHT_TREFOIL_LIKE, False): (0, -1, 0),
+    (RIGHT_TREFOIL_LIKE, True): (-8, -8, -1),
+    (RIGHT_TREFOIL_LIKE, False): (0, -4, 0),
     (LEFT_TREFOIL_LIKE, True): (0, 0, 0),
-    (LEFT_TREFOIL_LIKE, False): (2, 1, -1),
-    (FIGURE_EIGHT_LIKE, True): (0, -1, 0),
+    (LEFT_TREFOIL_LIKE, False): (8, 4, -1),
+    (FIGURE_EIGHT_LIKE, True): (0, -4, 0),
     (FIGURE_EIGHT_LIKE, False): (0, 0, 0),
 }
 
 
 def _row(tag: str, n: int) -> tuple[int, int, int]:
     """(tower bottom, free grading, free rank) of 1/n-surgery on the model
-    knot; n = 0 is S^3, a bare tower at grading zero."""
+    knot, the gradings in quarters; n = 0 is S^3, a bare tower at grading
+    zero."""
     try:
         bottom, grading, offset = _SURGERY_ROWS[tag, n > 0]
     except KeyError:
@@ -133,8 +133,8 @@ def _shifted_row(tag: str, n: int, k: int) -> GradedModule:
     """The 1/n row shifted by k/4: one tower, and one free summand unless
     its rank is zero."""
     bottom, grading, rank = _row(tag, n)
-    frees = ((rank, Fraction(4 * grading + k, 4)),) if rank else ()
-    return GradedModule._normal((Fraction(4 * bottom + k, 4),), frees)
+    frees = ((rank, Fraction(grading + k, 4)),) if rank else ()
+    return GradedModule._normal((Fraction(bottom + k, 4),), frees)
 
 
 def surgery_table(tag: str, n: int) -> GradedModule:

@@ -3,19 +3,19 @@
 The concordance invariant delta, the knot signature, a necessary-condition
 screen for finite smooth concordance order, quasi-alternating status, and
 Stein-filling obstructions, each a function of the conjugacy normal form.
-``analyze_word`` bundles everything into the record the command line
-serializes.
+``analyze_word`` bundles everything into one report.  The module writes
+no output: ``report_json`` is the report as a dict, the reference
+that the command line's ``--json`` writer matches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_string
 
 from . import floer, homology, murasugi
 from .floer import GradedModule, TorusBundleModules
-from .homology import AbelianGroup, _int_text
+from .homology import AbelianGroup
 from .murasugi import Family1, Family2, Family3, MurasugiForm
 from .words import BraidWord, run_text
 
@@ -126,14 +126,15 @@ def _stein_report(f: MurasugiForm, l_space: bool, tight: bool,
                   correction: Fraction | None) -> SteinReport:
     """The report from the form's L-space and tightness flags and its
     correction term, which is read only when both flags hold (and then the
-    determinant is nonzero)."""
+    determinant is nonzero).  A correction term is a row bottom shifted by
+    k/4, so 4d + 1 is an integer."""
     twist_bound = 6 * f.d + murasugi.tail_exponent_sum(f)
     if not tight:
         return SteinReport(l_space, tight, NO, None, twist_bound)
     if not l_space:
         return SteinReport(l_space, tight, UNKNOWN, None, twist_bound)
     chi = 4 * correction + 1
-    if chi < 1 or chi.denominator != 1:
+    if chi < 1:
         return SteinReport(l_space, tight, NO, None, twist_bound)
     return SteinReport(l_space, tight, CONSTRAINED, int(chi), twist_bound)
 
@@ -275,7 +276,8 @@ def torus_bundle_json(tb: TorusBundleModules) -> dict:
 
 def report_json(r: InvariantReport) -> dict:
     """The report as a JSON-ready dict: canonical key order, rationals as
-    num/den pairs, absent optionals omitted."""
+    num/den pairs, absent optionals omitted.  ``cli._json_line`` writes the
+    same record, byte for byte, without building this dict."""
     out: dict = {
         "word": r.word,
         "normal_form": normal_form_json(r.normal_form),
@@ -305,72 +307,3 @@ def report_json(r: InvariantReport) -> dict:
         out["torus_bundle"] = torus_bundle_json(r.torus_bundle)
     return out
 
-
-_JSON_BOOL = ("false", "true")
-
-
-def _rational_text(q: Fraction) -> str:
-    return f'{{"num":{q.numerator},"den":{q.denominator}}}'
-
-
-def _module_text(module: GradedModule) -> str:
-    towers = ",".join([_rational_text(g) for g in module.towers])
-    frees = ",".join([f'{{"rank":{rank},"num":{g.numerator},"den":{g.denominator}}}'
-                      for rank, g in module.frees])
-    return (f'{{"towers":[{towers}],"frees":[{frees}],'
-            f'"absolute":{_JSON_BOOL[module.absolute]}}}')
-
-
-def _report_line(r: InvariantReport) -> str:
-    """``report_json(r)`` as the compact JSON line that
-    ``json.dumps(report_json(r), separators=(",", ":"))`` writes, byte for
-    byte, written straight from the fields with no dict in between; a field
-    added to ``report_json`` is added here too.  The determinant is
-    rendered once, also for ``spin_c_count``, and every integer that grows
-    with it goes through ``_int_text``."""
-    f = r.normal_form
-    if isinstance(f, Family1):
-        form = f'"family":1,"d":{f.d},"a":[{",".join(map(str, f.a))}]'
-    else:
-        family = 2 if isinstance(f, Family2) else 3
-        form = f'"family":{family},"d":{f.d},"m":{f.m}'
-    determinant = _int_text(r.determinant)
-    torsion = ",".join(map(_int_text, r.h1.torsion))
-    parts = [
-        f'{{"word":{_json_string(r.word)},"normal_form":{{{form}}},'
-        f'"components":{r.components},"determinant":{determinant},'
-        f'"h1":{{"free_rank":{r.h1.free_rank},"torsion":[{torsion}]}},'
-        f'"b1":{r.b1},"l_space":{_JSON_BOOL[r.l_space]},'
-        f'"tight":{_JSON_BOOL[r.tight]},'
-        f'"tight_inverse":{_JSON_BOOL[r.tight_inverse]},'
-        f'"knot_type_tag":{_json_string(r.knot_type_tag)}']
-    if r.hf_plus_s0 is not None:
-        parts.append(f'"hf_plus_s0":{_module_text(r.hf_plus_s0)}')
-    if r.spin_c_count is not None:
-        count = r.spin_c_count
-        parts.append('"spin_c_count":' + (
-            determinant if count == r.determinant else _int_text(count)))
-    if r.correction_term is not None:
-        parts.append(f'"correction_term":{_rational_text(r.correction_term)}')
-    if r.delta is not None:
-        parts.append(f'"delta":{_rational_text(r.delta)}')
-    if r.signature is not None:
-        parts.append(f'"signature":{r.signature}')
-    s = r.stein
-    euler = "" if s.euler_char is None else f'"euler_char":{s.euler_char},'
-    parts.append(
-        f'"qa":{_JSON_BOOL[r.qa]},'
-        f'"finite_order_screen":{_json_string(r.finite_order_screen)},'
-        f'"stein":{{"l_space":{_JSON_BOOL[s.l_space]},'
-        f'"tight":{_JSON_BOOL[s.tight]},'
-        f'"fillable":{_json_string(s.fillable)},{euler}'
-        f'"dehn_twist_count_bound":{s.dehn_twist_count_bound}}}')
-    tb = r.torus_bundle
-    if tb is not None:
-        parts.append(
-            f'"torus_bundle":{{"s0":{_module_text(tb.s0)},'
-            f'"non_s0_count":{_int_text(tb.non_s0_count)},'
-            f'"non_s0_relative":{_module_text(tb.non_s0_relative)},'
-            f'"fiber_structures_vanish":'
-            f'{_JSON_BOOL[tb.fiber_structures_vanish]}}}')
-    return ",".join(parts) + "}"

@@ -452,16 +452,11 @@ class Perm3:
 
     @property
     def cycle_count(self) -> int:
-        seen, count = set(), 0
-        for start in (1, 2, 3):
-            if start in seen:
-                continue
-            count += 1
-            i = start
-            while i not in seen:
-                seen.add(i)
-                i = self(i)
-        return count
+        """The fixed points plus the one cycle through the moved points, if
+        any: three points leave room for no second cycle."""
+        moved = (self.images[0] != 1) + (self.images[1] != 2) + \
+            (self.images[2] != 3)
+        return 3 - moved + (moved > 0)
 
 
 IDENTITY_PERM = Perm3((1, 2, 3))

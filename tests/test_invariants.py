@@ -122,6 +122,21 @@ def test_stein_euler_characteristic_is_positive_when_constrained():
             assert report.euler_char is None
 
 
+def test_correction_terms_are_quarter_integers(rng):
+    """Every correction term is a row bottom shifted by k/4, so the Stein
+    report's Euler characteristic 4d + 1 is always an integer."""
+    forms = all_forms(range(-6, 7), 4)
+    for _ in range(50):
+        d = rng.randint(-10**17, 10**17)
+        a = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 400)))
+        forms += [Family1(d, a if any(a) else a + (1,)),
+                  Family2(d, rng.randint(-10**6, 10**6)),
+                  Family3(d, rng.choice((-1, -2, -3)))]
+    for form in forms:
+        if floer.form_determinant(form) != 0:
+            assert (4 * correction_term(form)).denominator == 1, form
+
+
 def test_screen_pass_forces_vanishing_obstructions():
     for form in knot_forms(range(-1, 2), 6, max_blocks=4):
         if finite_order_screen(form, 1) != PASS:
