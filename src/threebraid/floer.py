@@ -20,8 +20,8 @@ summands merged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .homology import _balanced_product
 from .murasugi import Family1, Family2, MurasugiForm, tail_exponent_sum
@@ -41,29 +41,40 @@ class NotLSpace(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GradedModule:
+class _GradedModuleFields(NamedTuple):
+    towers: tuple[Grading, ...]
+    frees: tuple[tuple[int, Grading], ...] = ()
+    absolute: bool = True
+
+
+class GradedModule(_GradedModuleFields):
     """Towers T+ by bottom grading plus free summands (rank, grading).
 
     Equality is multiset equality: the constructor sorts the towers, merges
     free summands in the same grading and drops rank-zero ones.
     """
 
-    towers: tuple[Grading, ...]
-    frees: tuple[tuple[int, Grading], ...] = ()
-    absolute: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "towers", tuple(sorted(self.towers)))
+    def __new__(cls, towers: tuple[Grading, ...],
+                frees: tuple[tuple[int, Grading], ...] = (),
+                absolute: bool = True) -> GradedModule:
         merged: dict[Grading, int] = {}
-        for rank, grading in self.frees:
+        for rank, grading in frees:
             if rank < 0:
                 raise ValueError(f"negative rank {rank}")
             merged[grading] = merged.get(grading, 0) + rank
-        object.__setattr__(
-            self, "frees",
+        return super().__new__(
+            cls, tuple(sorted(towers)),
             tuple(sorted((rank, grading) for grading, rank in merged.items()
-                         if rank)))
+                         if rank)),
+            absolute)
+
+    @classmethod
+    def _make(cls, iterable) -> GradedModule:
+        """Through the normalising constructor, so ``_replace`` normalises
+        too."""
+        return cls(*iterable)
 
     @classmethod
     def _normal(cls, towers: tuple[Grading, ...],
@@ -71,11 +82,7 @@ class GradedModule:
                 absolute: bool = True) -> GradedModule:
         """A module from parts already in normal form (towers sorted, frees
         sorted, merged and of positive rank), stored without renormalising."""
-        module = object.__new__(cls)
-        object.__setattr__(module, "towers", towers)
-        object.__setattr__(module, "frees", frees)
-        object.__setattr__(module, "absolute", absolute)
-        return module
+        return tuple.__new__(cls, (towers, frees, absolute))
 
     @property
     def is_bare_tower(self) -> bool:
@@ -261,8 +268,7 @@ def correction_term(f: MurasugiForm) -> Grading:
     return hf_plus_s0(f).towers[0]
 
 
-@dataclass(frozen=True)
-class TorusBundleModules:
+class TorusBundleModules(NamedTuple):
     """HF+ of the torus bundle obtained by capping the fiber and performing
     0-surgery on the binding.
 
@@ -301,8 +307,7 @@ def torus_bundle_hf(f: MurasugiForm) -> TorusBundleModules:
     return _torus_bundle(tag, k, determinant)
 
 
-@dataclass(frozen=True)
-class HfkBindingProfile:
+class HfkBindingProfile(NamedTuple):
     """Knot Floer ranks of the binding in the distinguished spin-c structure.
 
     ``ranks`` lists the ranks at Alexander gradings (+1, 0, -1); ``arrows``

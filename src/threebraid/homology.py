@@ -12,8 +12,8 @@ so all arithmetic uses Python's unbounded integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, prod
+from typing import NamedTuple
 
 from .words import BraidWord, window_table
 
@@ -28,16 +28,29 @@ class InternalInconsistency(RuntimeError):
     calibration, never bad input."""
 
 
-@dataclass(frozen=True)
-class SL2Matrix:
-    """An integer matrix [[a, b], [c, d]] of determinant one."""
-
+class _SL2Fields(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self):
+
+class SL2Matrix(_SL2Fields):
+    """An integer matrix [[a, b], [c, d]] of determinant one."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int) -> SL2Matrix:
+        matrix = super().__new__(cls, a, b, c, d)
+        matrix._check()
+        return matrix
+
+    @classmethod
+    def _make(cls, iterable) -> SL2Matrix:
+        """Through the checked constructor, so ``_replace`` checks too."""
+        return cls(*iterable)
+
+    def _check(self) -> None:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"determinant of {self} is not 1")
 
@@ -171,23 +184,33 @@ def _int_text(n: int) -> str:
     return text if n >= 0 else "-" + text
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
+class _AbelianGroupFields(NamedTuple):
+    free_rank: int
+    torsion: tuple[int, ...] = ()
+
+
+class AbelianGroup(_AbelianGroupFields):
     """A finitely generated abelian group Z^free_rank + Z/d1 + Z/d2 + ...
 
     Torsion coefficients satisfy the divisibility chain d1 | d2 | ... and
     every di is at least 2.
     """
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        for earlier, later in zip(self.torsion, self.torsion[1:]):
+    def __new__(cls, free_rank: int,
+                torsion: tuple[int, ...] = ()) -> AbelianGroup:
+        for earlier, later in zip(torsion, torsion[1:]):
             if later % earlier:
-                raise ValueError(f"torsion {self.torsion} violates divisibility")
-        if any(d < 2 for d in self.torsion):
-            raise ValueError(f"torsion coefficients must be >= 2: {self.torsion}")
+                raise ValueError(f"torsion {torsion} violates divisibility")
+        if any(d < 2 for d in torsion):
+            raise ValueError(f"torsion coefficients must be >= 2: {torsion}")
+        return super().__new__(cls, free_rank, torsion)
+
+    @classmethod
+    def _make(cls, iterable) -> AbelianGroup:
+        """Through the checked constructor, so ``_replace`` checks too."""
+        return cls(*iterable)
 
     @property
     def order(self) -> int | None:
@@ -267,8 +290,7 @@ PARABOLIC = "Parabolic"
 HYPERBOLIC = "Hyperbolic"
 
 
-@dataclass(frozen=True)
-class TraceClass:
+class TraceClass(NamedTuple):
     """Conjugacy type in PSL(2,Z) together with the trace-normalizing sign.
 
     epsilon * M has nonnegative trace (and equals +I for central matrices).

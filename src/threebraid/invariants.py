@@ -10,8 +10,8 @@ that the command line's ``--json`` writer matches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import floer, homology, murasugi
 from .floer import GradedModule, TorusBundleModules
@@ -105,8 +105,7 @@ CONSTRAINED = "Constrained"
 UNKNOWN = "Unknown"
 
 
-@dataclass(frozen=True)
-class SteinReport:
+class SteinReport(NamedTuple):
     """Stein-fillability status of the compatible contact structure.
 
     ``euler_char`` is present exactly when ``fillable`` is Constrained: every
@@ -146,8 +145,7 @@ def stein_report(f: MurasugiForm) -> SteinReport:
     return _stein_report(f, l_space, tight, correction)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Everything the toolkit knows about one braid word.
 
     Optional fields are None when undefined: the Floer block needs a

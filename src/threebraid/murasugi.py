@@ -30,8 +30,7 @@ at 2 bytes per letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import homology
 from . import words as w_
@@ -135,11 +134,20 @@ def _reduced_product(left, right):
 _CHUNK_SYLLABLES = window_table(_run_syllables, _reduced_product, (b"", 0))
 
 
-@dataclass(frozen=True)
-class FreeProductWord:
+class _FreeProductWordFields(NamedTuple):
+    syllables: bytes = b""
+
+
+class FreeProductWord(_FreeProductWordFields):
     """A cyclically reduced alternating word in Z/2 * Z/3."""
 
-    syllables: bytes = b""
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable) -> FreeProductWord:
+        """Through the constructor, so ``_replace`` works: the generated
+        one checks the field count with ``len``, here the syllable count."""
+        return cls(*iterable)
 
     def __len__(self) -> int:
         return len(self.syllables)
@@ -204,39 +212,65 @@ def psl2_normal_form(w: BraidWord) -> FreeProductWord:
 # --- the three families -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Family1:
-    """Pseudo-Anosov class h^d x y^-a1 ... x y^-an, block tuple stored in its
-    lexicographically least cyclic rotation."""
+class _Form:
+    """Equality and hash by family: a form equals only a form of its own
+    family with equal fields, never one of another family or a plain tuple,
+    as ``Family2(0, -1)`` (y^-1) and ``Family3(0, -1)`` (x^-1 y^-1) are
+    not conjugate."""
 
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash((type(self), *self))
+
+
+class _Family1Fields(NamedTuple):
     d: int
     a: tuple[int, ...]
 
-    def __post_init__(self):
-        if self.a:
-            object.__setattr__(self, "a", least_rotation(self.a))
+
+class Family1(_Form, _Family1Fields):
+    """Pseudo-Anosov class h^d x y^-a1 ... x y^-an, block tuple stored in its
+    lexicographically least cyclic rotation."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int, a: tuple[int, ...]) -> Family1:
+        return super().__new__(cls, d, least_rotation(a) if a else a)
+
+    @classmethod
+    def _make(cls, iterable) -> Family1:
+        """Through the rotating constructor, so ``_replace`` rotates too."""
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"family 1, d = {self.d}, a = {self.a}"
 
 
-@dataclass(frozen=True)
-class Family2:
-    """Central or parabolic class h^d y^m."""
-
+class _DMFields(NamedTuple):
     d: int
     m: int
+
+
+class Family2(_Form, _DMFields):
+    """Central or parabolic class h^d y^m."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"family 2, d = {self.d}, m = {self.m}"
 
 
-@dataclass(frozen=True)
-class Family3:
+class Family3(_Form, _DMFields):
     """Elliptic (finite-order) class h^d x^m y^-1 with m in {-1, -2, -3}."""
 
-    d: int
-    m: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"family 3, d = {self.d}, m = {self.m}"

@@ -14,7 +14,6 @@ letter sequence itself is expanded only on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
@@ -180,7 +179,6 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True, eq=False)
 class BraidWord:
     """An immutable word, stored as runs; the empty word is the identity.
 
@@ -191,7 +189,17 @@ class BraidWord:
     The string expands them (``run_text`` does not).
     """
 
-    runs: tuple[Run, ...] = ()
+    def __init__(self, runs: tuple[Run, ...] = ()):
+        self.__dict__["runs"] = runs
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to BraidWord.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete BraidWord.{name}")
+
+    def __repr__(self) -> str:
+        return f"BraidWord(runs={self.runs!r})"
 
     @_cached
     def letters(self) -> tuple[Letter, ...]:
@@ -437,8 +445,7 @@ def power(w: BraidWord, n: int) -> BraidWord:
     return BraidWord(w.runs * n)
 
 
-@dataclass(frozen=True)
-class Perm3:
+class Perm3(NamedTuple):
     """A permutation of the three strand positions {1, 2, 3}."""
 
     images: tuple[int, int, int]

@@ -39,7 +39,6 @@ import itertools
 import math
 import sys
 from collections import Counter
-from dataclasses import astuple, replace
 from fractions import Fraction
 from math import prod
 
@@ -404,7 +403,7 @@ def test_matrix_layer_matches_references_on_short_images():
     h_runs = (1, -1, 2, -2, 3, -4, 10**17 + 1)
     matrices = short_images(8) | {
         image(BraidWord((("h", e),))) for e in h_runs}
-    kinds = Counter(astuple(assert_matrix_layer_matches_references(m, m))
+    kinds = Counter(tuple(assert_matrix_layer_matches_references(m, m))
                     for m in matrices)
     assert kinds == {
         (homology.CENTRAL, 1): 1, (homology.CENTRAL, -1): 1,
@@ -440,7 +439,7 @@ def test_h1_from_image_multiplies_no_two_entries():
 
     for text in ("", "h", "y^3", "h^-1 x^5 y^-1", "x y^-1 " * 40):
         m = image(parse(text))
-        counted = SL2Matrix(*map(Counted, astuple(m)))
+        counted = SL2Matrix(*map(Counted, tuple(m)))
         multiplications = 0
         h1 = homology.h1_from_image(counted)
         assert multiplications == 0, text
@@ -459,14 +458,14 @@ def test_trace_class_and_image_fits_build_no_matrix(monkeypatch):
     # Each near a central image of d = 0: -I, and b = 0 or c = 0 alone.
     misfits = [image(parse(text)) for text in ("h", "y", "x^-2")]
     built = 0
-    post_init = SL2Matrix.__post_init__
+    check = SL2Matrix._check
 
-    def counted_post_init(matrix):
+    def counted_check(matrix):
         nonlocal built
         built += 1
-        post_init(matrix)
+        check(matrix)
 
-    monkeypatch.setattr(SL2Matrix, "__post_init__", counted_post_init)
+    monkeypatch.setattr(SL2Matrix, "_check", counted_check)
     for f, m in checks:
         if homology.trace_class(m).kind == homology.PARABOLIC:
             homology.parabolic_invariant(m)
@@ -584,7 +583,7 @@ def per_syllable_pass(w):
 
 # Each window of CHUNK letters as its image and its syllables, keyed by its
 # letters, from the written-out generators and the per-syllable stack.
-WINDOW_ENTRIES = {window: astuple(slow_image(window)) for window in
+WINDOW_ENTRIES = {window: tuple(slow_image(window)) for window in
                   itertools.product(LETTERS, repeat=CHUNK)}
 WINDOW_SYLLABLES = {window: per_syllable_stack(window)
                     for window in WINDOW_ENTRIES}
@@ -1195,15 +1194,15 @@ def random_report(rng, base):
     g = abs(random_int(rng)) + 2
     torsion = rng.choice(((), (g,), (g, g * (abs(random_int(rng)) + 1))))
     determinant = random_int(rng)
-    stein = replace(base.stein, l_space=rng.random() < 0.5,
-                    tight=rng.random() < 0.5,
-                    fillable=rng.choice(("No", "Unknown", "Constrained")),
-                    euler_char=maybe(random_int(rng)),
-                    dehn_twist_count_bound=random_int(rng))
+    stein = base.stein._replace(
+        l_space=rng.random() < 0.5,
+        tight=rng.random() < 0.5,
+        fillable=rng.choice(("No", "Unknown", "Constrained")),
+        euler_char=maybe(random_int(rng)),
+        dehn_twist_count_bound=random_int(rng))
     bundle = TorusBundleModules(random_module(rng), random_int(rng),
                                 random_module(rng), rng.random() < 0.5)
-    return replace(
-        base,
+    return base._replace(
         word="".join(rng.choice(AWKWARD_CHARACTERS)
                      for _ in range(rng.randint(0, 12))),
         normal_form=form,
@@ -1243,7 +1242,7 @@ def test_writer_escapes_word_characters(capsys, no_digit_limit):
     assert capsys.readouterr().out.startswith('{"word":"x\\u2003y",')
     report = analyze_word(parse("x y"))
     for word in ('"', "\\", "\x1c", "\u2003", AWKWARD_CHARACTERS):
-        assert_writer_matches_encoder(replace(report, word=word))
+        assert_writer_matches_encoder(report._replace(word=word))
 
 
 def test_int_text_splits_down_to_bounded_leaves(monkeypatch, rng):
