@@ -20,11 +20,12 @@ summands merged.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .homology import _balanced_product
 from .murasugi import Family1, Family2, MurasugiForm, tail_exponent_sum
+from .words import _Value
 
 Grading = Fraction
 
@@ -41,13 +42,8 @@ class NotLSpace(ValueError):
     pass
 
 
-class _GradedModuleFields(NamedTuple):
-    towers: tuple[Grading, ...]
-    frees: tuple[tuple[int, Grading], ...] = ()
-    absolute: bool = True
-
-
-class GradedModule(_GradedModuleFields):
+class GradedModule(_Value, namedtuple("GradedModule", "towers frees absolute",
+                                      defaults=((), True))):
     """Towers T+ by bottom grading plus free summands (rank, grading).
 
     Equality is multiset equality: the constructor sorts the towers, merges
@@ -55,6 +51,9 @@ class GradedModule(_GradedModuleFields):
     """
 
     __slots__ = ()
+    towers: tuple[Grading, ...]
+    frees: tuple[tuple[int, Grading], ...]
+    absolute: bool
 
     def __new__(cls, towers: tuple[Grading, ...],
                 frees: tuple[tuple[int, Grading], ...] = (),
@@ -69,12 +68,6 @@ class GradedModule(_GradedModuleFields):
             tuple(sorted((rank, grading) for grading, rank in merged.items()
                          if rank)),
             absolute)
-
-    @classmethod
-    def _make(cls, iterable) -> GradedModule:
-        """Through the normalising constructor, so ``_replace`` normalises
-        too."""
-        return cls(*iterable)
 
     @classmethod
     def _normal(cls, towers: tuple[Grading, ...],
@@ -224,15 +217,20 @@ def is_tight_inverse(f: MurasugiForm) -> bool:
     return f.d <= 0
 
 
+def _knot_tag(tight: bool, tight_inverse: bool) -> str:
+    """The ``knot_type`` tag from ``is_tight`` and ``is_tight_inverse``."""
+    if tight:
+        return RIGHT_TREFOIL_LIKE
+    if tight_inverse:
+        return LEFT_TREFOIL_LIKE
+    return FIGURE_EIGHT_LIKE
+
+
 def knot_type(f: MurasugiForm) -> str:
     """Which model knot the binding behaves like: the right trefoil when the
     contact structure is tight, the left trefoil when the inverse's is, and
     the figure-eight when both invariants vanish."""
-    if is_tight(f):
-        return RIGHT_TREFOIL_LIKE
-    if is_tight_inverse(f):
-        return LEFT_TREFOIL_LIKE
-    return FIGURE_EIGHT_LIKE
+    return _knot_tag(is_tight(f), is_tight_inverse(f))
 
 
 def _quarter_assembly(f: MurasugiForm) -> tuple[str, int, int]:
@@ -268,7 +266,10 @@ def correction_term(f: MurasugiForm) -> Grading:
     return hf_plus_s0(f).towers[0]
 
 
-class TorusBundleModules(NamedTuple):
+class TorusBundleModules(_Value, namedtuple(
+        "TorusBundleModules",
+        "s0 non_s0_count non_s0_relative fiber_structures_vanish",
+        defaults=(True,))):
     """HF+ of the torus bundle obtained by capping the fiber and performing
     0-surgery on the binding.
 
@@ -278,10 +279,11 @@ class TorusBundleModules(NamedTuple):
     evaluating nontrivially on the fiber has vanishing homology.
     """
 
+    __slots__ = ()
     s0: GradedModule
     non_s0_count: int
     non_s0_relative: GradedModule
-    fiber_structures_vanish: bool = True
+    fiber_structures_vanish: bool
 
 
 _NON_S0_RELATIVE = GradedModule(
@@ -307,7 +309,10 @@ def torus_bundle_hf(f: MurasugiForm) -> TorusBundleModules:
     return _torus_bundle(tag, k, determinant)
 
 
-class HfkBindingProfile(NamedTuple):
+class HfkBindingProfile(_Value, namedtuple(
+        "HfkBindingProfile",
+        "ranks arrows non_s0_count collapses_at_second_page",
+        defaults=(True,))):
     """Knot Floer ranks of the binding in the distinguished spin-c structure.
 
     ``ranks`` lists the ranks at Alexander gradings (+1, 0, -1); ``arrows``
@@ -317,10 +322,11 @@ class HfkBindingProfile(NamedTuple):
     spectral sequence collapses at the second page.
     """
 
+    __slots__ = ()
     ranks: tuple[int, int, int]
     arrows: tuple[tuple[int, int], ...]
     non_s0_count: int
-    collapses_at_second_page: bool = True
+    collapses_at_second_page: bool
 
 
 def hfk_binding(f: MurasugiForm) -> HfkBindingProfile:

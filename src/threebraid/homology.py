@@ -12,10 +12,10 @@ so all arithmetic uses Python's unbounded integers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd, prod
-from typing import NamedTuple
 
-from .words import BraidWord, window_table
+from .words import BraidWord, _Value, window_table
 
 
 class NotParabolic(ValueError):
@@ -28,33 +28,28 @@ class InternalInconsistency(RuntimeError):
     calibration, never bad input."""
 
 
-class _SL2Fields(NamedTuple):
+class SL2Matrix(_Value, namedtuple("SL2Matrix", "a b c d")):
+    """An integer matrix [[a, b], [c, d]] of determinant one.  ``*`` is the
+    matrix product, and only between two matrices."""
+
+    __slots__ = ()
     a: int
     b: int
     c: int
     d: int
-
-
-class SL2Matrix(_SL2Fields):
-    """An integer matrix [[a, b], [c, d]] of determinant one."""
-
-    __slots__ = ()
 
     def __new__(cls, a: int, b: int, c: int, d: int) -> SL2Matrix:
         matrix = super().__new__(cls, a, b, c, d)
         matrix._check()
         return matrix
 
-    @classmethod
-    def _make(cls, iterable) -> SL2Matrix:
-        """Through the checked constructor, so ``_replace`` checks too."""
-        return cls(*iterable)
-
     def _check(self) -> None:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError(f"determinant of {self} is not 1")
 
-    def __mul__(self, other: "SL2Matrix") -> "SL2Matrix":
+    def __mul__(self, other: SL2Matrix) -> SL2Matrix:
+        if not isinstance(other, SL2Matrix):
+            return NotImplemented
         return SL2Matrix(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -184,12 +179,8 @@ def _int_text(n: int) -> str:
     return text if n >= 0 else "-" + text
 
 
-class _AbelianGroupFields(NamedTuple):
-    free_rank: int
-    torsion: tuple[int, ...] = ()
-
-
-class AbelianGroup(_AbelianGroupFields):
+class AbelianGroup(_Value, namedtuple("AbelianGroup", "free_rank torsion",
+                                      defaults=((),))):
     """A finitely generated abelian group Z^free_rank + Z/d1 + Z/d2 + ...
 
     Torsion coefficients satisfy the divisibility chain d1 | d2 | ... and
@@ -197,6 +188,8 @@ class AbelianGroup(_AbelianGroupFields):
     """
 
     __slots__ = ()
+    free_rank: int
+    torsion: tuple[int, ...]
 
     def __new__(cls, free_rank: int,
                 torsion: tuple[int, ...] = ()) -> AbelianGroup:
@@ -206,11 +199,6 @@ class AbelianGroup(_AbelianGroupFields):
         if any(d < 2 for d in torsion):
             raise ValueError(f"torsion coefficients must be >= 2: {torsion}")
         return super().__new__(cls, free_rank, torsion)
-
-    @classmethod
-    def _make(cls, iterable) -> AbelianGroup:
-        """Through the checked constructor, so ``_replace`` checks too."""
-        return cls(*iterable)
 
     @property
     def order(self) -> int | None:
@@ -290,12 +278,13 @@ PARABOLIC = "Parabolic"
 HYPERBOLIC = "Hyperbolic"
 
 
-class TraceClass(NamedTuple):
+class TraceClass(_Value, namedtuple("TraceClass", "kind epsilon")):
     """Conjugacy type in PSL(2,Z) together with the trace-normalizing sign.
 
     epsilon * M has nonnegative trace (and equals +I for central matrices).
     """
 
+    __slots__ = ()
     kind: str
     epsilon: int
 

@@ -10,14 +10,14 @@ that the command line's ``--json`` writer matches.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import floer, homology, murasugi
 from .floer import GradedModule, TorusBundleModules
 from .homology import AbelianGroup
 from .murasugi import Family1, Family2, Family3, MurasugiForm
-from .words import BraidWord, run_text
+from .words import BraidWord, _Value, run_text
 
 
 class NotAKnot(ValueError):
@@ -105,7 +105,9 @@ CONSTRAINED = "Constrained"
 UNKNOWN = "Unknown"
 
 
-class SteinReport(NamedTuple):
+class SteinReport(_Value, namedtuple(
+        "SteinReport",
+        "l_space tight fillable euler_char dehn_twist_count_bound")):
     """Stein-fillability status of the compatible contact structure.
 
     ``euler_char`` is present exactly when ``fillable`` is Constrained: every
@@ -114,6 +116,7 @@ class SteinReport(NamedTuple):
     monodromy is a product of them.
     """
 
+    __slots__ = ()
     l_space: bool
     tight: bool
     fillable: str
@@ -145,7 +148,11 @@ def stein_report(f: MurasugiForm) -> SteinReport:
     return _stein_report(f, l_space, tight, correction)
 
 
-class InvariantReport(NamedTuple):
+class InvariantReport(_Value, namedtuple(
+        "InvariantReport",
+        "word normal_form components determinant h1 b1 l_space tight "
+        "tight_inverse knot_type_tag hf_plus_s0 spin_c_count correction_term "
+        "delta signature qa finite_order_screen stein torus_bundle")):
     """Everything the toolkit knows about one braid word.
 
     Optional fields are None when undefined: the Floer block needs a
@@ -154,6 +161,7 @@ class InvariantReport(NamedTuple):
     torus-bundle block is only filled on request.
     """
 
+    __slots__ = ()
     word: str
     normal_form: MurasugiForm
     components: int
@@ -209,6 +217,7 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
             sig = signature(form, components)
     l_space = floer.is_l_space(form)
     tight = floer.is_tight(form)
+    tight_inverse = floer.is_tight_inverse(form)
 
     return InvariantReport(
         word=run_text(w) if raw_text is None else raw_text,
@@ -219,8 +228,8 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
         b1=h1.free_rank,
         l_space=l_space,
         tight=tight,
-        tight_inverse=floer.is_tight_inverse(form),
-        knot_type_tag=floer.knot_type(form),
+        tight_inverse=tight_inverse,
+        knot_type_tag=floer._knot_tag(tight, tight_inverse),
         hf_plus_s0=hf,
         spin_c_count=det if hf is not None else None,
         correction_term=correction,

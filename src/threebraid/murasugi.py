@@ -30,12 +30,13 @@ at 2 bytes per letter.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence, Union
+from collections import namedtuple
+from collections.abc import Sequence
 
 from . import homology
 from . import words as w_
 from .homology import InternalInconsistency, SL2Matrix
-from .words import BraidWord, window_table
+from .words import BraidWord, _Value, window_table
 
 
 class InvalidForm(ValueError):
@@ -83,12 +84,14 @@ def least_rotation(seq: Sequence) -> tuple:
 # nontrivial powers of the order-3 element; a word is the bytes of them.
 S, U, UU = 0, 1, 2
 
-# The syllables of each letter.
+# The syllables of each letter, keyed by plain (generator, sign) pairs, so
+# that a lookup compares two plain tuples: a Letter compares through the
+# Python-level slot that its refused orderings give it.
 _LETTER_SYLLABLES = {
-    w_.X: bytes((S, U)),
-    w_.X_INV: bytes((UU, S)),
-    w_.Y: bytes((U, S)),
-    w_.Y_INV: bytes((S, UU)),
+    ("x", 1): bytes((S, U)),
+    ("x", -1): bytes((UU, S)),
+    ("y", 1): bytes((U, S)),
+    ("y", -1): bytes((S, UU)),
 }
 
 
@@ -134,20 +137,13 @@ def _reduced_product(left, right):
 _CHUNK_SYLLABLES = window_table(_run_syllables, _reduced_product, (b"", 0))
 
 
-class _FreeProductWordFields(NamedTuple):
-    syllables: bytes = b""
-
-
-class FreeProductWord(_FreeProductWordFields):
-    """A cyclically reduced alternating word in Z/2 * Z/3."""
+class FreeProductWord(_Value, namedtuple("FreeProductWord", "syllables",
+                                         defaults=(b"",))):
+    """A cyclically reduced alternating word in Z/2 * Z/3; its length is
+    the syllable count."""
 
     __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable) -> FreeProductWord:
-        """Through the constructor, so ``_replace`` works: the generated
-        one checks the field count with ``len``, here the syllable count."""
-        return cls(*iterable)
+    syllables: bytes
 
     def __len__(self) -> int:
         return len(self.syllables)
@@ -212,7 +208,7 @@ def psl2_normal_form(w: BraidWord) -> FreeProductWord:
 # --- the three families -----------------------------------------------------
 
 
-class _Form:
+class _Form(_Value):
     """Equality and hash by family: a form equals only a form of its own
     family with equal fields, never one of another family or a plain tuple,
     as ``Family2(0, -1)`` (y^-1) and ``Family3(0, -1)`` (x^-1 y^-1) are
@@ -230,53 +226,44 @@ class _Form:
         return hash((type(self), *self))
 
 
-class _Family1Fields(NamedTuple):
-    d: int
-    a: tuple[int, ...]
-
-
-class Family1(_Form, _Family1Fields):
+class Family1(_Form, namedtuple("Family1", "d a")):
     """Pseudo-Anosov class h^d x y^-a1 ... x y^-an, block tuple stored in its
     lexicographically least cyclic rotation."""
 
     __slots__ = ()
+    d: int
+    a: tuple[int, ...]
 
     def __new__(cls, d: int, a: tuple[int, ...]) -> Family1:
         return super().__new__(cls, d, least_rotation(a) if a else a)
-
-    @classmethod
-    def _make(cls, iterable) -> Family1:
-        """Through the rotating constructor, so ``_replace`` rotates too."""
-        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"family 1, d = {self.d}, a = {self.a}"
 
 
-class _DMFields(NamedTuple):
-    d: int
-    m: int
-
-
-class Family2(_Form, _DMFields):
+class Family2(_Form, namedtuple("Family2", "d m")):
     """Central or parabolic class h^d y^m."""
 
     __slots__ = ()
+    d: int
+    m: int
 
     def __str__(self) -> str:
         return f"family 2, d = {self.d}, m = {self.m}"
 
 
-class Family3(_Form, _DMFields):
+class Family3(_Form, namedtuple("Family3", "d m")):
     """Elliptic (finite-order) class h^d x^m y^-1 with m in {-1, -2, -3}."""
 
     __slots__ = ()
+    d: int
+    m: int
 
     def __str__(self) -> str:
         return f"family 3, d = {self.d}, m = {self.m}"
 
 
-MurasugiForm = Union[Family1, Family2, Family3]
+MurasugiForm = Family1 | Family2 | Family3
 
 # Elliptic classes: the single surviving syllable determines m, and the
 # residues of m - 1 mod 6 are pairwise distinct, so the exponent sum

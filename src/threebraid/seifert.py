@@ -21,8 +21,8 @@ symmetrized form) cross-check the rest of the package.
 from __future__ import annotations
 
 from bisect import bisect
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
 
 from .homology import InternalInconsistency
 from .words import BraidWord, free_reduce

@@ -14,8 +14,9 @@ letter sequence itself is expanded only on demand.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from itertools import chain
-from typing import Iterator, NamedTuple, Sequence
 
 
 class ParseError(ValueError):
@@ -45,7 +46,36 @@ MAX_EXPONENT_DIGITS = 18
 MAX_LETTERS = 10**6
 
 
-class Letter(NamedTuple):
+class _Value(tuple):
+    """The base of every value type, each written
+    ``class X(_Value, namedtuple("X", "field ..."))`` with ``__slots__ = ()``
+    and its fields annotated in its body: a record that indexes and unpacks
+    as its fields and, unless its type says otherwise, equals their tuple,
+    but refuses tuple arithmetic and ordering with ``TypeError``, so
+    ``2 * m`` or ``m < n`` never repeats, concatenates or orders fields.
+    The refusals raise: were they to return ``NotImplemented``,
+    ``(0,) + value`` would still concatenate and ``value < (0,)`` still
+    order."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through the type's own constructor, so ``_replace`` runs its
+        check, and with no field count taken by ``len``, which a type may
+        define otherwise."""
+        return cls(*iterable)
+
+    def _refuse(self, other):
+        raise TypeError(
+            f"{type(self).__name__} has no tuple arithmetic or ordering")
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _refuse
+    __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+
+class Letter(_Value, namedtuple("Letter", "generator sign")):
+    __slots__ = ()
     generator: str  # 'x' or 'y'
     sign: int       # +1 or -1
 
@@ -445,9 +475,10 @@ def power(w: BraidWord, n: int) -> BraidWord:
     return BraidWord(w.runs * n)
 
 
-class Perm3(NamedTuple):
+class Perm3(_Value, namedtuple("Perm3", "images")):
     """A permutation of the three strand positions {1, 2, 3}."""
 
+    __slots__ = ()
     images: tuple[int, int, int]
 
     def __call__(self, i: int) -> int:

@@ -15,14 +15,17 @@ def test_all_names_resolve_and_hold_no_module():
         assert isinstance(getattr(threebraid, name), types.ModuleType)
 
 
-def loaded_modules(statement: str) -> set[str]:
-    """The modules a fresh interpreter holds after running ``statement``
-    with this package first on its path."""
-    src = str(Path(threebraid.__file__).resolve().parent.parent)
-    script = f"import sys; sys.path.insert(0, {src!r}); {statement}; " \
-        "print(*sys.modules)"
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=60, check=True)
+PACKAGE = Path(threebraid.__file__).resolve().parent
+
+
+def loaded_modules(statement: str, flags: tuple[str, ...] = ()) -> set[str]:
+    """The modules a fresh interpreter, started with ``flags``, holds after
+    running ``statement`` with this package first on its path."""
+    script = f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); " \
+        f"{statement}; print(*sys.modules)"
+    done = subprocess.run([sys.executable, *flags, "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
     return set(done.stdout.split())
 
 
@@ -32,3 +35,13 @@ def test_the_command_line_imports_no_dataclasses_or_inspect():
     added = loaded_modules("import threebraid.cli") - loaded_modules("pass")
     assert "threebraid.cli" in added
     assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+def test_the_command_line_imports_no_typing():
+    # -S skips site, whose .pth files may import typing themselves.
+    loaded = loaded_modules("import threebraid.cli", ("-S",))
+    assert "threebraid.cli" in loaded
+    assert "typing" not in loaded, sorted(loaded)
+    for path in PACKAGE.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "import typing" not in text and "from typing" not in text, path

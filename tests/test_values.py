@@ -1,8 +1,9 @@
 """The value types are named tuples (``BraidWord`` a plain class): every
 construction path runs its type's check, every value survives pickling,
-none can be assigned to, and the three forms compare only within their
-family."""
+none can be assigned to, none has tuple arithmetic or ordering, and the
+three forms compare only within their family."""
 
+import operator
 import pickle
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from threebraid.murasugi import (
     classify,
     psl2_normal_form,
 )
-from threebraid.words import permutation, parse
+from threebraid.words import _Value, permutation, parse
 
 
 def test_replace_runs_the_checked_constructor():
@@ -61,6 +62,32 @@ def test_every_value_type_survives_pickling_and_refuses_assignment():
             setattr(value, field, getattr(value, field))
         with pytest.raises(AttributeError):
             value.extra = 0
+
+
+def test_values_refuse_tuple_arithmetic_and_ordering():
+    values = [value for value in every_value_type() if isinstance(value, tuple)]
+    assert len(values) == 14
+    for value in values:
+        assert isinstance(value, _Value), value
+        # The annotations document the fields, in order.
+        assert tuple(type(value).__annotations__) == value._fields, value
+        for operation in (operator.add, operator.mul, operator.lt,
+                          operator.le, operator.gt, operator.ge):
+            for left, right in ((value, (0,)), ((0,), value), (value, 2),
+                                (2, value)):
+                try:
+                    result = operation(left, right)
+                except TypeError:
+                    continue
+                pytest.fail(f"{operation.__name__}({left!r}, {right!r}) "
+                            f"returned {result!r}")
+    # The one arithmetic kept: the product of two matrices.
+    with pytest.raises(TypeError):
+        IDENTITY * 2
+    with pytest.raises(TypeError):
+        IDENTITY * (1, 0, 0, 1)
+    assert image(parse("x")) * image(parse("y")) == image(parse("x y"))
+    assert IDENTITY * IDENTITY == IDENTITY
 
 
 def test_words_refuse_assignment_and_keep_their_repr():
