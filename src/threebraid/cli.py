@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
@@ -34,11 +33,6 @@ EXIT_INCONSISTENT = 3
 EXIT_IO = 4
 
 
-# json.dumps builds a new encoder on every call whose separators are not the
-# default; one shared encoder gives the same bytes.
-_dumps = json.JSONEncoder(separators=(",", ":")).encode
-
-
 def _oracle_block(word, report) -> dict:
     """Oracle determinant/signature plus an agreement verdict against the
     representation-theoretic values.  Split closures and diagrams past the
@@ -49,8 +43,12 @@ def _oracle_block(word, report) -> dict:
         return {"error": str(error)}
     det = seifert.sym_determinant(matrix)
     sig = seifert.sym_signature(matrix)
+    # Lisca-Owens: d = -sigma/4 on quasi-alternating closures; the
+    # correction term is None exactly when the determinant is zero.
     agrees = det == report.determinant and \
-        (report.signature is None or report.signature == sig)
+        (report.signature is None or report.signature == sig) and \
+        (not report.qa or report.correction_term is None
+         or -4 * report.correction_term == sig)
     return {"determinant": det, "signature": sig, "agrees": agrees}
 
 
@@ -78,23 +76,24 @@ def _module_text(module) -> str:
             f'"absolute":{_JSON_BOOL[module.absolute]}}}')
 
 
+def _form_text(f) -> str:
+    if isinstance(f, Family1):
+        return f'{{"family":1,"d":{f.d},"a":[{",".join(map(str, f.a))}]}}'
+    family = 2 if isinstance(f, Family2) else 3
+    return f'{{"family":{family},"d":{f.d},"m":{f.m}}}'
+
+
 def _json_line(r, oracle: dict | None) -> str:
-    """The report's ``--json`` line: what ``_dumps`` writes for
-    ``report_json(r)`` with the oracle block, when there is one, added as
-    its last key, byte for byte, but written straight from the fields with
-    no dict in between; a field added to ``report_json`` is added here too.  The determinant is
+    """The report's ``--json`` line: ``json.dumps(..., separators=(",",
+    ":"))`` of ``report_json(r)`` with the oracle block, when there is one,
+    as its last key, byte for byte, but written straight from the fields;
+    a field added to ``report_json`` is added here too.  The determinant is
     rendered once, also for ``spin_c_count``, and every integer that grows
     with it goes through ``_int_text``."""
-    f = r.normal_form
-    if isinstance(f, Family1):
-        form = f'"family":1,"d":{f.d},"a":[{",".join(map(str, f.a))}]'
-    else:
-        family = 2 if isinstance(f, Family2) else 3
-        form = f'"family":{family},"d":{f.d},"m":{f.m}'
     determinant = _int_text(r.determinant)
     torsion = ",".join(map(_int_text, r.h1.torsion))
     parts = [
-        f'{{"word":{_json_string(r.word)},"normal_form":{{{form}}},'
+        f'{{"word":{_json_string(r.word)},"normal_form":{_form_text(r.normal_form)},'
         f'"components":{r.components},"determinant":{determinant},'
         f'"h1":{{"free_rank":{r.h1.free_rank},"torsion":[{torsion}]}},'
         f'"b1":{r.b1},"l_space":{_JSON_BOOL[r.l_space]},'
@@ -241,14 +240,13 @@ def _batch(args) -> int:
             report, oracle = _report(text, args)
         except (ParseError, InternalInconsistency) as error:
             failed += 1
-            record = {"type": type(error).__name__}
-            if isinstance(error, ParseError):
-                record["position"] = error.position
-            else:
-                consistent = False
-            record["message"] = str(error)
+            parse_error = isinstance(error, ParseError)
+            consistent = consistent and parse_error
             if args.json:
-                print(_dumps({"word": text, "error": record}))
+                position = f'"position":{error.position},' if parse_error else ""
+                print(f'{{"word":{_json_string(text)},"error":{{'
+                      f'"type":{_json_string(type(error).__name__)},{position}'
+                      f'"message":{_json_string(str(error))}}}}}')
             else:
                 print(f"{text!r}: error: {error}")
             continue
@@ -260,7 +258,7 @@ def _batch(args) -> int:
         else:
             print(_batch_line(report, oracle))
     if args.json:
-        print(_dumps({"summary": {"ok": ok, "failed": failed}}))
+        print(f'{{"summary":{{"ok":{ok},"failed":{failed}}}}}')
     else:
         print(f"{ok} ok, {failed} failed")
     return EXIT_OK if consistent else EXIT_INCONSISTENT
@@ -276,11 +274,9 @@ def _conjugate(args) -> int:
             return EXIT_PARSE
     conjugate = forms[0] == forms[1]
     if args.json:
-        print(_dumps({
-            "conjugate": conjugate,
-            "normal_form_1": invariants.normal_form_json(forms[0]),
-            "normal_form_2": invariants.normal_form_json(forms[1]),
-        }))
+        print(f'{{"conjugate":{_JSON_BOOL[conjugate]},'
+              f'"normal_form_1":{_form_text(forms[0])},'
+              f'"normal_form_2":{_form_text(forms[1])}}}')
     else:
         print(f"word 1: {forms[0]}")
         print(f"word 2: {forms[1]}")

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import re
@@ -9,10 +10,11 @@ from pathlib import Path
 import pytest
 
 import threebraid
-from threebraid import cli, homology, invariants
+from threebraid import cli, floer, homology, invariants, murasugi
+from threebraid import words as w_
 from threebraid.cli import main
 from threebraid.seifert import MAX_CROSSINGS
-from threebraid.words import parse
+from threebraid.words import ParseError, parse
 
 
 def run(capsys, *argv):
@@ -81,6 +83,47 @@ def test_analyze_oracle_split_closure_is_surfaced(capsys):
     assert "error" in payload["oracle"]
 
 
+def test_oracle_agrees_on_every_word_of_at_most_six_letters():
+    from conftest import LETTERS
+
+    for length in range(7):
+        for letters in itertools.product(LETTERS, repeat=length):
+            w = w_.word(letters)
+            oracle = cli._oracle_block(w, invariants.analyze_word(w))
+            assert oracle.get("agrees", True), str(w)
+
+
+def test_oracle_checks_the_correction_term_on_quasi_alternating_closures(
+        capsys, monkeypatch):
+    # h^-1 y is the quasi-alternating link Family2(-1, 1): no report
+    # signature, so only d = -sigma/4 can catch a wrong surgery row.
+    argv = ("analyze", "--json", "--oracle", "h^-1 y")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["qa"] is True and "signature" not in payload
+    assert payload["correction_term"] == {"num": -3, "den": 4}
+    assert payload["oracle"]["signature"] == 3
+    key = floer.RIGHT_TREFOIL_LIKE, True
+    bottom, grading, offset = floer._SURGERY_ROWS[key]
+    monkeypatch.setitem(floer._SURGERY_ROWS, key, (bottom + 2, grading, offset))
+    code, out, _ = run(capsys, *argv)
+    assert code == cli.EXIT_INCONSISTENT
+    assert json.loads(out)["oracle"]["agrees"] is False
+
+
+def test_oracle_skips_the_correction_term_off_quasi_alternating_closures(
+        capsys):
+    # (x y)^7 closes to the torus knot T(3,7): d = 0 but sigma = -8.
+    code, out, _ = run(capsys, "analyze", "--json", "--oracle", "x y " * 7)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["qa"] is False
+    assert payload["correction_term"] == {"num": 0, "den": 1}
+    assert payload["oracle"] == {"determinant": 1, "signature": -8,
+                                 "agrees": True}
+
+
 def test_analyze_pretty_prints_the_oracle_error(capsys):
     code, out, _ = run(capsys, "analyze", "--oracle", "x")
     assert code == 0
@@ -127,6 +170,33 @@ def test_conjugate_parse_error(capsys):
     code, _, err = run(capsys, "conjugate", "x", "q")
     assert code == 2
     assert "word 2" in err
+
+
+def dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+CONJUGATE_WORDS = ("h x y^-5", "x y^-5 h", "h^-2 x y^-1 x y^-3",
+                   "h^999999999999 x y^-3", "x x y x x", "y^-1", "h^-1 y^3",
+                   "", "x^-1 y^-1", "x y", "h^5 x y")
+
+
+def test_conjugate_json_is_the_encoders_record(capsys):
+    forms = [murasugi.classify(parse(text)) for text in CONJUGATE_WORDS]
+    assert {type(f).__name__ for f in forms} == \
+        {"Family1", "Family2", "Family3"}
+    for (text1, f1), (text2, f2) in itertools.product(
+            zip(CONJUGATE_WORDS, forms), repeat=2):
+        code, out, _ = run(capsys, "conjugate", "--json", text1, text2)
+        assert code == (cli.EXIT_OK if f1 == f2 else cli.EXIT_NOT_CONJUGATE)
+        assert out == dumps({
+            "conjugate": f1 == f2,
+            "normal_form_1": invariants.normal_form_json(f1),
+            "normal_form_2": invariants.normal_form_json(f2)}) + "\n"
+    _, out, _ = run(capsys, "conjugate", "--json", "y^-1", "x^-1 y^-1")
+    assert out == ('{"conjugate":false,'
+                   '"normal_form_1":{"family":2,"d":0,"m":-1},'
+                   '"normal_form_2":{"family":3,"d":0,"m":-1}}\n')
 
 
 def test_batch_counts_and_summary(tmp_path, capsys):
@@ -399,6 +469,52 @@ def test_batch_internal_inconsistency_is_a_line_error(tmp_path, capsys,
     assert code == 3
     assert lines[1] == "'y x': error: forced for the test"
     assert lines[-1] == "2 ok, 1 failed"
+
+
+def error_record(text: str, error: Exception) -> str:
+    """The batch error record as the generic encoder wrote it."""
+    record = {"type": type(error).__name__}
+    if isinstance(error, ParseError):
+        record["position"] = error.position
+    record["message"] = str(error)
+    return dumps({"word": text, "error": record})
+
+
+# Every ParseError subclass, with quotes, backslashes, control characters,
+# U+2028, a non-BMP character and non-ASCII digits in the word and message.
+BAD_WORDS = ('x "q\\ y', "x\x01 y", "\x7f", "x\u2028q", "\U0001F600 x",
+             "x^\u00b2", "x^\u0663", "x^-\u0663", "h^" + "9" * 5000,
+             "x^999999 y^2", "x^1.5 \"")
+
+
+def test_batch_error_records_are_the_encoders_records(tmp_path, capsys,
+                                                       monkeypatch):
+    errors = []
+    for text in BAD_WORDS:
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        errors.append(excinfo.value)
+    assert {type(error).__name__ for error in errors} == \
+        {"UnknownToken", "MalformedExponent", "WordTooLong"}
+    inconsistency = cli.InternalInconsistency(
+        'forced "\\ \x1f \u2028 \U0001F600 for the test')
+    analyze_word = invariants.analyze_word
+
+    def explode_on_y_x(word, **kwargs):
+        if str(word) == "y x":
+            raise inconsistency
+        return analyze_word(word, **kwargs)
+
+    monkeypatch.setattr(invariants, "analyze_word", explode_on_y_x)
+    words = ["x y", *BAD_WORDS, "y\u2028x"]
+    path = tmp_path / "words.txt"
+    path.write_text("\n".join(words) + "\n", encoding="utf-8")
+    code, out, _ = run(capsys, "batch", "--json", str(path))
+    assert code == cli.EXIT_INCONSISTENT
+    assert out.split("\n")[1:] == [
+        *map(error_record, BAD_WORDS, errors),
+        error_record("y\u2028x", inconsistency),
+        dumps({"summary": {"ok": 1, "failed": len(words) - 1}}), ""]
 
 
 def test_pretty_canonical_word_keeps_the_twist_as_one_token(capsys):

@@ -36,6 +36,7 @@ at random.
 """
 
 import itertools
+import json
 import math
 import sys
 from collections import Counter
@@ -1135,7 +1136,7 @@ def encoder_json_line(report, oracle):
     payload = report_json(report)
     if oracle is not None:
         payload["oracle"] = oracle
-    return cli._dumps(payload)
+    return json.dumps(payload, separators=(",", ":"))
 
 
 def assert_writer_matches_encoder(report, oracle=None):
