@@ -169,9 +169,9 @@ def _cyclic_reduce(syllables: bytes) -> bytes:
     return syllables[first:last + 1]
 
 
-def _syllable_pass(w: BraidWord) -> tuple[FreeProductWord, int]:
-    """The cyclically reduced image in Z/2 * Z/3 and the exponent sum, read
-    in one pass over the word.
+def _syllable_pass(w: BraidWord) -> tuple[bytes, int]:
+    """The syllables of the cyclically reduced image in Z/2 * Z/3, as
+    bytes, and the exponent sum, read in one pass over the word.
 
     The steps are the word's packed fold keys (``BraidWord._fold_keys``):
     a packed window indexes ``_CHUNK_SYLLABLES``, built from
@@ -191,18 +191,19 @@ def _syllable_pass(w: BraidWord) -> tuple[FreeProductWord, int]:
             _multiply(stack, syllables)
         else:
             stack += syllables
-    return FreeProductWord(_cyclic_reduce(bytes(stack))), exponent_sum
+    return _cyclic_reduce(bytes(stack)), exponent_sum
 
 
 def psl2_normal_form(w: BraidWord) -> FreeProductWord:
-    """Image of the word in PSL(2,Z), cyclically reduced in Z/2 * Z/3.
+    """Image of the word in PSL(2,Z), cyclically reduced in Z/2 * Z/3, as
+    a ``FreeProductWord`` of ``_syllable_pass``'s bytes.
 
     >>> len(psl2_normal_form(w_.parse("h")))
     0
     >>> str(psl2_normal_form(w_.parse("x^-2 y^-1")))
     'S'
     """
-    return _syllable_pass(w)[0]
+    return FreeProductWord(_syllable_pass(w)[0])
 
 
 # --- the three families -----------------------------------------------------
@@ -348,17 +349,17 @@ def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
     >>> classify(w_.parse("y x^5"))
     Family1(d=1, a=(1,))
     """
-    fp, e = _syllable_pass(w)
+    syllables, e = _syllable_pass(w)
     if matrix is None:
         matrix = homology.image(w)
 
-    if not fp:
+    if not syllables:
         family, tail, t = Family2, 0, 0
-    elif len(fp) == 1:
-        tail = _ELLIPTIC_M[fp.syllables[0]]
+    elif len(syllables) == 1:
+        tail = _ELLIPTIC_M[syllables[0]]
         family, t = Family3, tail - 1
     else:
-        exponents = _blocks(fp.syllables)
+        exponents = _blocks(syllables)
         t = exponents.count(1) - exponents.count(2)
         if abs(t) == len(exponents):
             # Parabolic: a pure power of R or of L.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
+from functools import cached_property
 from itertools import chain
 
 
@@ -132,11 +133,12 @@ def window_table(letter_value, product, identity) -> list:
     return layer
 
 
-# The letters of one run with exponent +1 and -1, by generator.
+# The letters of one run with exponent +1 and -1, by generator: only the
+# four PACKED_LETTERS, which _same_letters compares by identity.
 _UNIT_LETTERS = {
     "x": ((X,), (X_INV,)),
     "y": ((Y,), (Y_INV,)),
-    "h": (H_LETTERS, tuple(map(Letter.inverse, reversed(H_LETTERS)))),
+    "h": (H_LETTERS, (Y_INV, X_INV) * 3),
 }
 
 
@@ -166,7 +168,8 @@ def _same_letters(u: Sequence[Run], v: Sequence[Run]) -> bool:
     """Whether two run sequences spell the same letters.  Each step
     compares the next k letters of both, k the shorter head's length, by
     their first two, and drops them, which uses up at least one run: O(runs)
-    whatever the exponents."""
+    whatever the exponents.  ``_segment`` gives only the four
+    ``PACKED_LETTERS``, so letters compare by identity."""
     left, right = [(s for s in map(_segment, runs) if s[2]) for runs in (u, v)]
     n = m = 0
     while True:
@@ -177,7 +180,7 @@ def _same_letters(u: Sequence[Run], v: Sequence[Run]) -> bool:
         if not (n and m):
             return n == m
         k = min(n, m)
-        if a != c or (k > 1 and b != d):
+        if a is not c or (k > 1 and b is not d):
             return False
         n, m = n - k, m - k
         if k % 2:
@@ -188,25 +191,6 @@ def _run_letters(run: Run) -> tuple[Letter, ...]:
     generator, exponent = run
     positive, negative = _UNIT_LETTERS[generator]
     return (positive if exponent > 0 else negative) * abs(exponent)
-
-
-class _cached:
-    """``functools.cached_property`` without the lock that Python 3.11 takes
-    on each first access: a word's cached values are pure functions of its
-    runs, so two threads at worst compute one twice."""
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, word, owner=None):
-        if word is None:
-            return self
-        value = word.__dict__[self.name] = self.func(word)
-        return value
 
 
 class BraidWord:
@@ -231,16 +215,16 @@ class BraidWord:
     def __repr__(self) -> str:
         return f"BraidWord(runs={self.runs!r})"
 
-    @_cached
+    @cached_property
     def letters(self) -> tuple[Letter, ...]:
         """The letter sequence, expanded once and cached."""
         return tuple(chain.from_iterable(map(_run_letters, self.runs)))
 
-    @_cached
+    @cached_property
     def _length(self) -> int:
         return sum(6 * abs(e) if g == "h" else abs(e) for g, e in self.runs)
 
-    @_cached
+    @cached_property
     def _hash(self) -> int:
         """The polynomial hash of the letter sequence modulo
         ``_HASH_MODULUS``, each letter's value its code plus one: each
@@ -264,7 +248,7 @@ class BraidWord:
             value = (value * power + run_hash) % _HASH_MODULUS
         return value
 
-    @_cached
+    @cached_property
     def _fold_keys(self) -> Sequence[int | Run]:
         """The word as the factors that both folds read, packed once: a
         byte (an int 0-255, see ``PACKED_LETTERS``) for each aligned window

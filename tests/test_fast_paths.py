@@ -87,7 +87,6 @@ from threebraid.murasugi import (
     Family1,
     Family2,
     Family3,
-    FreeProductWord,
     canonical_word,
     classify,
     least_rotation,
@@ -579,7 +578,7 @@ def branching_cyclic_reduce(syllables):
 
 def per_syllable_pass(w):
     stack, exponent_sum = per_syllable_stack(w.runs)
-    return FreeProductWord(branching_cyclic_reduce(stack)), exponent_sum
+    return branching_cyclic_reduce(stack), exponent_sum
 
 
 # Each window of CHUNK letters as its image and its syllables, keyed by its
@@ -617,7 +616,7 @@ def window_syllable_pass(w):
                                             murasugi._run_syllables):
         exponent_sum += weight
         murasugi._multiply(stack, syllables)
-    return FreeProductWord(murasugi._cyclic_reduce(bytes(stack))), exponent_sum
+    return murasugi._cyclic_reduce(bytes(stack)), exponent_sum
 
 
 def assert_packed_fold_matches_references(w):

@@ -5,6 +5,7 @@ import pytest
 from threebraid import cli, murasugi
 from threebraid import words as w_
 from threebraid.homology import image
+from threebraid.invariants import analyze_word
 from threebraid.murasugi import (
     S,
     U,
@@ -147,6 +148,23 @@ def test_one_least_rotation_per_pretty_report(monkeypatch, capsys):
         assert cli.main(["analyze", "x y^-3 x y^-1 x y^-2", *flags]) == 0
         assert len(calls) == 1, flags
     assert "canonical word:      x y^-1 x y^-2 x y^-3" in capsys.readouterr().out
+
+
+def test_classify_builds_no_free_product_word(monkeypatch):
+    # The syllable pass hands classify bare bytes: only psl2_normal_form,
+    # which returns one, builds a FreeProductWord.
+    def refuse(*args):
+        raise AssertionError("FreeProductWord built")
+
+    monkeypatch.setattr(murasugi, "FreeProductWord", refuse)
+    for text, form in (("h^2", Family2(2, 0)), ("x^-1 y^-1", Family3(0, -1)),
+                       ("h y^3", Family2(1, 3)),
+                       ("x y^-1 x y^-2", Family1(0, (1, 2)))):
+        w = parse(text)
+        assert classify(w) == form, text
+        assert analyze_word(w, include_torus_bundle=True).normal_form == form
+        with pytest.raises(AssertionError, match="FreeProductWord built"):
+            psl2_normal_form(w)
 
 
 @pytest.mark.parametrize("runs", [(("z", 2),), (("z", 1),),

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import sys
 
@@ -160,7 +161,15 @@ def test_word_equality_and_cached_values_against_other_objects():
     # read on the class is its descriptor.
     assert parse("x").__eq__(("x", 1)) is NotImplemented
     assert parse("x") != ("x", 1)
-    assert isinstance(BraidWord.letters, w_._cached)
+    assert isinstance(BraidWord.letters, functools.cached_property)
+
+
+def test_unit_letters_are_the_packed_letters():
+    # _same_letters compares the letters of _segment by identity.
+    packed = {id(letter) for letter in w_.PACKED_LETTERS}
+    for units in w_._UNIT_LETTERS.values():
+        for unit in units:
+            assert {id(letter) for letter in unit} <= packed, unit
 
 
 def test_exponent_sum():
