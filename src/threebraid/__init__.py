@@ -60,13 +60,6 @@ from .murasugi import (
     mirror_form,
     psl2_normal_form,
 )
-from .seifert import (
-    SeifertMatrix,
-    oracle_determinant,
-    seifert_matrix,
-    sym_determinant,
-    sym_signature,
-)
 from .words import (
     BraidWord,
     Letter,
@@ -81,5 +74,26 @@ from .words import (
     word,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")
-           and not isinstance(globals()[name], _ModuleType)]
+# The Seifert-matrix oracle, loaded on first use: only ``--oracle`` reads it.
+_SEIFERT_NAMES = ("SeifertMatrix", "oracle_determinant", "seifert_matrix",
+                  "sym_determinant", "sym_signature")
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")
+                  and not isinstance(globals()[name], _ModuleType)]
+                 + list(_SEIFERT_NAMES))
+
+
+def __getattr__(name):
+    """``seifert`` and the names re-exported from it, imported when first
+    read (PEP 562)."""
+    if name != "seifert" and name not in _SEIFERT_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # Not ``from . import seifert``: that statement asks this package for
+    # the attribute first, which calls __getattr__ again, without end.
+    from importlib import import_module
+    seifert = import_module(".seifert", __name__)
+    return seifert if name == "seifert" else getattr(seifert, name)
+
+
+def __dir__():
+    return sorted({*globals(), "seifert", *_SEIFERT_NAMES})

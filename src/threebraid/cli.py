@@ -10,17 +10,28 @@ Flags: --json (machine output), --oracle (Seifert-matrix cross-check),
 
 Exit codes: 0 ok, 1 not conjugate, 2 parse error, 3 internal inconsistency
 (an oracle disagreement), 4 I/O error.
+
+An argv that is a command followed by its positionals and its own flags, in
+any order and each flag at most once, is read without argparse.  Every other
+argv, such as help, an abbreviated or repeated flag, ``--``, or a word that
+starts with "-", goes to argparse, imported then, which writes the help
+or the usage message and exits with its own code.  The Seifert oracle is
+imported only by ``--oracle``.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _json_string
+from types import SimpleNamespace
 
-from . import invariants, murasugi, seifert
+try:  # the C escaper alone, without the json package around it
+    from _json import encode_basestring_ascii as _json_string
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _json_string
+
+from . import invariants, murasugi
 from . import words as w_
 from .homology import _int_text
 from .murasugi import Family1, Family2, InternalInconsistency
@@ -37,6 +48,7 @@ def _oracle_block(word, report) -> dict:
     """Oracle determinant/signature plus an agreement verdict against the
     representation-theoretic values.  Split closures and diagrams past the
     crossing cap get an error record, which has no verdict."""
+    from . import seifert
     try:
         matrix = seifert.seifert_matrix(word)
     except (seifert.SplitClosure, seifert.DiagramTooLarge) as error:
@@ -284,28 +296,55 @@ def _conjugate(args) -> int:
     return EXIT_OK if conjugate else EXIT_NOT_CONJUGATE
 
 
+# Each command's help, positionals and flags, all of them store_true.  Both
+# readers of an argv, _fast_args and _parser, take them from here.
+_REPORT_FLAGS = ("--json", "--oracle", "--torus-bundle")
+_COMMANDS = {
+    "analyze": ("report on a single word", ("word",), _REPORT_FLAGS),
+    "batch": ("report on each word in a file", ("path",), _REPORT_FLAGS),
+    "conjugate": ("decide conjugacy of two words", ("word1", "word2"),
+                  ("--json",)),
+}
+
+
+def _fast_args(argv):
+    """The namespace argparse would make of ``argv``, read without
+    argparse, or None where argparse must read it (see the module
+    docstring)."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, names, flags = _COMMANDS[argv[0]]
+    positionals = []
+    seen = set()
+    for token in argv[1:]:
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif token in flags and token not in seen:
+            seen.add(token)
+        else:
+            return None
+    if len(positionals) != len(names):
+        return None
+    return SimpleNamespace(
+        command=argv[0], **dict(zip(names, positionals)),
+        **{flag[2:].replace("-", "_"): flag in seen for flag in flags})
+
+
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The argument parser, built on first use and shared by every later
     ``main`` call in the process."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="threebraid",
         description="Normal forms and closure invariants of 3-braid words.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="report on a single word")
-    analyze.add_argument("word")
-    batch = sub.add_parser("batch", help="report on each word in a file")
-    batch.add_argument("path")
-    for command in (analyze, batch):
-        command.add_argument("--json", action="store_true")
-        command.add_argument("--oracle", action="store_true")
-        command.add_argument("--torus-bundle", dest="torus_bundle",
-                             action="store_true")
-    conjugate = sub.add_parser("conjugate", help="decide conjugacy of two words")
-    conjugate.add_argument("word1")
-    conjugate.add_argument("word2")
-    conjugate.add_argument("--json", action="store_true")
+    for command, (help_, names, flags) in _COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_)
+        for name in names:
+            command_parser.add_argument(name)
+        for flag in flags:
+            command_parser.add_argument(flag, action="store_true")
     return parser
 
 
@@ -313,7 +352,8 @@ def main(argv=None) -> int:
     # Every integer that may pass the int-to-str digit limit is printed by
     # _int_text, so the caller's limit is left as it is.
     try:
-        args = _parser().parse_args(argv)
+        args = _fast_args(sys.argv[1:] if argv is None else argv) \
+            or _parser().parse_args(argv)
         command = {"analyze": _analyze, "batch": _batch,
                    "conjugate": _conjugate}[args.command]
         code = command(args)

@@ -155,6 +155,15 @@ def test_json_output_round_trips(capsys):
         assert json.dumps(json.loads(line), separators=(",", ":")) == line
 
 
+def test_string_escapes_are_json_dumps():
+    # Lone surrogates included: argv carries them through surrogateescape.
+    for code_point in range(sys.maxunicode + 1):
+        text = chr(code_point)
+        assert cli._json_string(text) == json.dumps(text), hex(code_point)
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert cli._json_string(text) == json.dumps(text)
+
+
 def test_conjugate_verdicts(capsys):
     code, out, _ = run(capsys, "conjugate", "x", "y")
     assert code == 0
@@ -572,6 +581,21 @@ def test_usage_error_leaves_the_shared_parser_intact(capsys):
     assert excinfo.value.code == 2
     capsys.readouterr()
     argv = ("analyze", "h x y^-5", "--json", "--torus-bundle")
+    after_error = run(capsys, *argv)
+    cli._parser.cache_clear()
+    fresh = run(capsys, *argv)
+    assert after_error == fresh
+    assert after_error[0] == 0 and "torus_bundle" in after_error[1]
+
+
+def test_usage_error_leaves_the_shared_parser_intact_for_deferred_argvs(
+        capsys):
+    # "--js" is an abbreviation, which only argparse reads.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["analyze"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
+    argv = ("analyze", "h x y^-5", "--js", "--torus-bundle")
     after_error = run(capsys, *argv)
     cli._parser.cache_clear()
     fresh = run(capsys, *argv)

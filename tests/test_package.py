@@ -45,3 +45,43 @@ def test_the_command_line_imports_no_typing():
     for path in PACKAGE.rglob("*.py"):
         text = path.read_text(encoding="utf-8")
         assert "import typing" not in text and "from typing" not in text, path
+
+
+def test_a_report_imports_no_argparse_json_or_seifert():
+    # stdout is sent to the null device for the call, so that only the
+    # module names reach loaded_modules.
+    call = ("import os; sys.stdout = open(os.devnull, 'w'); "
+            "import threebraid.cli; threebraid.cli.main({argv!r}); "
+            "sys.stdout = sys.__stdout__")
+    bare = loaded_modules("pass")
+    added = loaded_modules(call.format(
+        argv=["analyze", "--json", "--torus-bundle", "x"])) - bare
+    assert "threebraid.cli" in added
+    assert not added & {"argparse", "json", "threebraid.seifert"}, \
+        sorted(added)
+    added = loaded_modules(call.format(argv=["analyze", "--oracle", "x"])) \
+        - bare
+    assert "threebraid.seifert" in added
+    assert not added & {"argparse", "json"}, sorted(added)
+    assert "threebraid.seifert" not in loaded_modules("import threebraid")
+
+
+def test_the_seifert_names_are_exported_on_demand():
+    names = {"SeifertMatrix", "oracle_determinant", "seifert_matrix",
+             "sym_determinant", "sym_signature"}
+    assert names <= set(threebraid.__all__) and names <= set(dir(threebraid))
+    assert "seifert" in dir(threebraid)
+    namespace = {}
+    exec("from threebraid import *", namespace)
+    for name in names:
+        assert namespace[name] is getattr(threebraid.seifert, name), name
+    assert not hasattr(threebraid, "no_such_name")
+
+
+def test_the_escaper_falls_back_to_json_encoder():
+    # Without the C module, json.encoder supplies the escaper in Python.
+    loaded = loaded_modules(
+        "sys.modules['_json'] = None; from threebraid import cli; "
+        "assert cli._json_string('\\u00e9\\n\\ud800') == "
+        "'\"\\\\u00e9\\\\n\\\\ud800\"'")
+    assert "json.encoder" in loaded
