@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import floer, homology, murasugi
 from .floer import GradedModule, TorusBundleModules
-from .homology import AbelianGroup
+from .homology import AbelianGroup, InternalInconsistency
 from .murasugi import Family1, Family2, Family3, MurasugiForm
 from .words import BraidWord, _Value, run_text
 
@@ -195,12 +195,23 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
     it, and the screen and the Stein report are read from those values;
     the torus bundle comes from the same assembly and the determinant.
     The report's word is ``raw_text``, or else ``run_text(w)``, which keeps
-    each h run as one token."""
+    each h run as one token.  Two identities tie separate derivations
+    together on every report, and ``InternalInconsistency`` is raised unless
+    both hold: H1 has 2-rank ``components`` - 1, and a quasi-alternating
+    report is an L-space with a nonzero determinant."""
     matrix = homology.image(w)
     form = murasugi.classify(w, matrix)
     components = homology.components_from_image(matrix)
     det = homology.determinant_from_image(matrix)
     h1 = homology.h1_from_image(matrix)
+    # H1(Sigma_2(L); Z/2) has dimension components - 1: this ties the
+    # cokernel of M - I to the count read from M mod 2.
+    two_rank = h1.free_rank
+    for factor in h1.torsion:
+        two_rank += not factor & 1
+    if two_rank != components - 1:
+        raise InternalInconsistency(
+            f"H1 has 2-rank {two_rank} on a closure of {components} components")
 
     is_knot = components == 1
     hf = correction = delta_value = sig = torus_bundle = None
@@ -218,6 +229,12 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
     l_space = floer.is_l_space(form)
     tight = floer.is_tight(form)
     tight_inverse = floer.is_tight_inverse(form)
+    qa = quasi_alternating(form)
+    # A quasi-alternating closure has an L-space cover (Ozsvath-Szabo, Adv.
+    # Math. 194, 2005), so a nonzero determinant.
+    if qa and not (l_space and det):
+        raise InternalInconsistency(
+            "a quasi-alternating closure without an L-space double cover")
 
     return InvariantReport(
         word=run_text(w) if raw_text is None else raw_text,
@@ -235,7 +252,7 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
         correction_term=correction,
         delta=delta_value,
         signature=sig,
-        qa=quasi_alternating(form),
+        qa=qa,
         finite_order_screen=_screen(form, components, sig, delta_value),
         stein=_stein_report(form, l_space, tight, correction),
         torus_bundle=torus_bundle,

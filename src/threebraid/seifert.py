@@ -6,8 +6,9 @@ first homology is given, per generator column, by consecutive pairs of
 crossings in that column; the Seifert matrix records band linking numbers.
 A generator links only itself, the pairs next to it in its own column and
 the (at most two) pairs of the other column whose intervals hold its
-crossings, so the matrix is built sparsely in one pass over the generators,
-in O(n log n).
+crossings.  So one left-to-right pass over the reduced crossings, which
+carries the pair each column has open, writes the sparse rows of V + V^T in
+crossing order, in O(n).
 
 Everything is exact and in integers: one fraction-free congruence
 elimination of V + V^T gives both the signature and the determinant, with no
@@ -20,7 +21,6 @@ symmetrized form) cross-check the rest of the package.
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections.abc import Sequence
 from functools import cached_property
 
@@ -37,27 +37,31 @@ class DiagramTooLarge(ValueError):
     """The diagram has more than ``MAX_CROSSINGS`` crossings."""
 
 
-# The matrix of n crossings is built in O(n log n) time and O(n) memory.
-# The leading minors of its elimination grow by up to 0.6 bits per row, so
-# the elimination costs about quadratic time in bit operations: at the cap,
-# the slowest family measured, random alternating words, takes about 0.7 s
-# on one Xeon vCPU.  Larger diagrams are refused before any letter is
-# expanded.
+# The rows of n crossings are written in one O(n) pass.  The leading minors
+# of their elimination grow by up to 0.6 bits per row, so the elimination
+# costs about quadratic time in bit operations: at the cap, the slowest
+# family measured, alternating words, takes about 0.5 s (under 10 ms of it
+# the pass) on one Xeon vCPU under Python 3.11.  Larger diagrams are refused
+# before any letter is expanded.
 MAX_CROSSINGS = 6000
 
 # A sparse symmetric row: column -> (value, stamp).  The value is the entry
 # of the current trailing block scaled by the leading minor of index stamp.
 Row = dict[int, tuple[int, int]]
 
+_INEXACT = "an elimination entry is not a multiple of its leading minor"
+
 
 class SeifertMatrix:
     """Band linking matrix V plus bookkeeping for the homology generators.
 
     ``generators[i]`` is (column, first position, second position): the loop
-    through the two bands of a consecutive same-column crossing pair.  V is
-    stored as ``links``, its nonzero entries keyed by (row, column);
-    ``SeifertMatrix(entries, generators)`` takes it densely.  ``entries``
-    and ``symmetrized()`` are dense views, computed only when read.
+    through the two bands of a consecutive same-column crossing pair, x-pairs
+    first in a matrix of ``seifert_matrix``.  V is held as the sparse rows of
+    V + V^T in crossing order (generators sorted by first crossing), in
+    which it is banded; ``links`` (V's nonzeros by (row, column)),
+    ``entries`` and ``symmetrized()`` are views of it, computed when read,
+    and ``SeifertMatrix(entries, generators)`` takes V densely.
     """
 
     def __init__(self, entries: Sequence[Sequence[int]],
@@ -65,17 +69,43 @@ class SeifertMatrix:
         self.generators = tuple(generators)
         self.links = {(i, j): x for i, row in enumerate(entries)
                       for j, x in enumerate(row) if x}
-
-    @classmethod
-    def from_links(cls, links: dict[tuple[int, int], int],
-                   generators: Sequence[tuple[int, int, int]]) -> SeifertMatrix:
-        matrix = cls((), generators)
-        matrix.links = links
-        return matrix
+        n = len(self.generators)
+        order = sorted(range(n), key=lambda i: self.generators[i][1])
+        sums = [[entries[i][j] + entries[j][i] for j in order] for i in order]
+        self._crossing = [{k: (x, 0) for k, x in enumerate(row) if x}
+                          for row in sums]
 
     @property
     def size(self) -> int:
-        return len(self.generators)
+        return len(self._crossing)
+
+    @cached_property
+    def generators(self) -> tuple[tuple[int, int, int], ...]:
+        positions: tuple[list[int], list[int]] = ([], [])
+        for p, letter in enumerate(self._letters):
+            positions[letter.generator == "y"].append(p)
+        return tuple((column, p, q) for column, ps in enumerate(positions)
+                     for p, q in zip(ps, ps[1:]))
+
+    @cached_property
+    def links(self) -> dict[tuple[int, int], int]:
+        """V from the rows: half the diagonal, and each off-diagonal link
+        in the row of its y-pair, or of its later pair when positive."""
+        generators = self.generators
+        order = sorted(range(self.size), key=lambda i: generators[i][1])
+        links = {}
+        for k, row in enumerate(self._crossing):
+            g = order[k]
+            for j, (x, _) in row.items():
+                h = order[j]
+                if j == k:
+                    links[g, g] = x // 2
+                elif j > k:  # h's first crossing comes after g's
+                    if generators[g][0] != generators[h][0]:
+                        links[(g, h) if generators[g][0] else (h, g)] = x
+                    else:
+                        links[(h, g) if x > 0 else (g, h)] = x
+        return links
 
     @cached_property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -90,24 +120,9 @@ class SeifertMatrix:
                 for i in range(n)]
 
     def _rows(self) -> list[Row]:
-        """Sparse rows of V + V^T in crossing order (generators sorted by
-        their first crossing), in which the matrix is banded; every entry
+        """Fresh sparse rows of V + V^T in crossing order; every entry
         carries stamp 0."""
-        order = sorted(range(self.size), key=lambda i: self.generators[i][1])
-        rank = [0] * self.size
-        for k, i in enumerate(order):
-            rank[i] = k
-        rows: list[Row] = [{} for _ in order]
-        for (i, j), x in self.links.items():
-            i, j = rank[i], rank[j]
-            if i == j:
-                x *= 2
-            elif j in rows[i]:  # V holds both (i, j) and (j, i)
-                x += rows[i].pop(j)[0]
-                del rows[j][i]
-            if x:
-                rows[i][j] = rows[j][i] = (x, 0)
-        return rows
+        return list(map(dict, self._crossing))
 
     @cached_property
     def _pivots(self) -> tuple[int, ...]:
@@ -131,56 +146,72 @@ def _eliminate(rows: list[Row]) -> tuple[int, ...]:
 
     A row that is zero when its turn comes records a pivot 0 and leaves the
     minors as they are.  A nonzero row with a zero diagonal first gets t
-    times a neighbour's row and column added, with t = 1 or -1 chosen to
-    make the diagonal nonzero: a unimodular congruence of the trailing
-    block, so the minors stay exact.  So the relative signs of consecutive
-    nonzero pivots give the signature, and the last pivot gives |det|
-    unless a 0 was recorded.
+    times its nearest neighbour's row and column added, with t = 1 or -1
+    chosen to make the diagonal nonzero: a unimodular congruence of the
+    trailing block, so the minors stay exact.  So the relative signs of
+    consecutive nonzero pivots give the signature, and the last pivot gives
+    |det| unless a 0 was recorded.  The pivots depend on the matrix alone,
+    not on the order in which a row's entries were inserted.
     """
     minors = [1]  # minors[s] scales every entry stamped s
     pivots: list[int] = []
-
-    def current(entry: tuple[int, int]) -> int:
-        value, stamp = entry
-        if stamp == len(minors) - 1:
-            return value
-        if not stamp:
-            return value * minors[-1]  # minors[0] = 1
-        return _exact(value * minors[-1], minors[stamp])
-
     for k, row in enumerate(rows):
         if k not in row:
             if not row:
                 pivots.append(0)
                 continue
-            # Congruence by adding t times row/column j to k: the diagonal
-            # becomes 2t a[k][j] + a[j][j], and as a[k][j] is nonzero, one
-            # of t = 1, -1 makes it nonzero.
-            j = next(iter(row))
-            link, own = current(row[j]), current(rows[j].get(j, (0, 0)))
+            # Congruence by adding t times row/column j to k, j the nearest
+            # neighbour: the diagonal becomes 2t a[k][j] + a[j][j], and as
+            # a[k][j] is nonzero, one of t = 1, -1 makes it nonzero.
+            j = min(row)
+            current = _current(row, minors)
+            neighbour = _current(rows[j], minors)
+            link, own = current[j], neighbour.get(j, 0)
             t = 1 if 2 * link + own else -1
             stamp = len(minors) - 1
-            for l, y in list(rows[j].items()):  # rows[j][k] may go
+            for l, y in neighbour.items():
                 if l != k:
-                    value = (current(row[l]) if l in row else 0) \
-                        + t * current(y)
+                    value = current.get(l, 0) + t * y
                     if value:
                         row[l] = rows[l][k] = (value, stamp)
                     else:
                         del row[l], rows[l][k]
             row[k] = (2 * t * link + own, stamp)
-        pivot = current(row.pop(k))
-        band = [(i, current(x)) for i, x in row.items()]
-        previous, stamp = minors[-1], len(minors)
+        # Each entry read is rescaled inline, as in _current.
+        last, top = minors[-1], len(minors) - 1
+        band = []
+        for i, (x, s) in row.items():
+            if s != top:
+                x *= last
+                if s:
+                    x, remainder = divmod(x, minors[s])
+                    if remainder:
+                        raise InternalInconsistency(_INEXACT)
+            if i == k:
+                pivot = x
+            else:
+                band.append((i, x))
         for index, (i, x) in enumerate(band):
             target = rows[i]
             del target[k]
             for j, y in band[index:]:
                 old = target.get(j)
-                value = _exact(
-                    (pivot * current(old) if old else 0) - x * y, previous)
+                if old:
+                    value, s = old
+                    if s != top:
+                        value *= last
+                        if s:
+                            value, remainder = divmod(value, minors[s])
+                            if remainder:
+                                raise InternalInconsistency(_INEXACT)
+                    value = pivot * value - x * y
+                else:
+                    value = -x * y
+                value, remainder = divmod(value, last)
+                if remainder:
+                    raise InternalInconsistency(_INEXACT)
                 if value:
-                    target[j] = rows[j][i] = (value, stamp)
+                    target[j] = rows[j][i] = (value, top + 1)
                 elif old:
                     del target[j]
                     rows[j].pop(i, None)
@@ -189,17 +220,32 @@ def _eliminate(rows: list[Row]) -> tuple[int, ...]:
     return tuple(pivots)
 
 
-def _exact(numerator: int, denominator: int) -> int:
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise InternalInconsistency(
-            "an elimination entry is not a multiple of its leading minor")
-    return quotient
+def _current(row: Row, minors: list[int]) -> dict[int, int]:
+    """The row's entries in the current trailing block: an entry stamped s
+    is its value times the last minor over minors[s]."""
+    last, top = minors[-1], len(minors) - 1
+    values = {}
+    for i, (x, s) in row.items():
+        if s != top:
+            x *= last
+            if s:
+                x, remainder = divmod(x, minors[s])
+                if remainder:
+                    raise InternalInconsistency(_INEXACT)
+        values[i] = x
+    return values
 
 
 def seifert_matrix(w: BraidWord) -> SeifertMatrix:
-    """Seifert matrix of the closure of the freely reduced diagram, built in
-    one pass over the generators.
+    """Seifert matrix of the closure of the freely reduced diagram, written
+    in one left-to-right pass over its crossings.
+
+    A crossing of sign e closes the pair its column has open, if any, and
+    opens a new one unless it is the column's last.  The closed pair's
+    self-link is -2e on the diagonal of V + V^T when both its crossings
+    have sign e, and the pair opened at the same crossing links it by e.
+    An x-pair links the y-pairs open at its first and at its second
+    crossing, if they differ, by +1 and -1.
 
     The sign rules are pinned by two calibration fixtures in the test suite:
     the closure of (x y)^2 must have signature -2 and determinant 3, the
@@ -212,39 +258,46 @@ def seifert_matrix(w: BraidWord) -> SeifertMatrix:
     if crossings > MAX_CROSSINGS:
         raise DiagramTooLarge(
             f"{crossings} crossings, more than the oracle's cap of {MAX_CROSSINGS}")
-    reduced = free_reduce(w)
-    signs = [letter.sign for letter in reduced]
-    xs = [p for p, letter in enumerate(reduced) if letter.generator == "x"]
-    ys = [p for p, letter in enumerate(reduced) if letter.generator == "y"]
-    for column, positions in enumerate((xs, ys)):
-        if not positions:
-            raise SplitClosure(f"column {column + 1} unused: the closure splits")
+    letters = free_reduce(w).letters
+    last = {}  # per generator: its last crossing, which opens no pair
+    for p in range(len(letters) - 1, -1, -1):
+        last.setdefault(letters[p][0], p)
+        if len(last) == 2:
+            break
+    else:
+        column = 2 if "x" in last else 1
+        raise SplitClosure(f"column {column} unused: the closure splits")
+    last_x, last_y = last["x"], last["y"]
 
-    # Generators are numbered column by column; y-pair i is first_y + i.
-    generators = tuple((column, p, q)
-                       for column, positions in enumerate((xs, ys))
-                       for p, q in zip(positions, positions[1:]))
-    first_y = len(xs) - 1
-    links: dict[tuple[int, int], int] = {}
-    for g, (column, p, q) in enumerate(generators):
-        # Self-linking of a band pair: nonzero only for equal signs.
-        if signs[p] == signs[q]:
-            links[g, g] = -signs[q]
-        # The next pair of the same column shares the crossing q.
-        if g + 1 < len(generators) and generators[g + 1][0] == column:
-            if signs[q] > 0:
-                links[g + 1, g] = 1
-            else:
-                links[g, g + 1] = -1
-        # An x-pair links the y-pairs whose intervals hold its first and
-        # its second crossing, if they differ.
-        if column == 0:
-            held = bisect(ys, p) - 1, bisect(ys, q) - 1
-            if held[0] != held[1]:
-                for i, link in zip(held, (1, -1)):
-                    if 0 <= i < len(ys) - 1:
-                        links[first_y + i, g] = link
-    return SeifertMatrix.from_links(links, generators)
+    rows: list[Row] = []
+    # The row of the pair each column has open, the sign of its latest
+    # crossing, and the y-pair open at the open x-pair's first crossing.
+    x = y = held = None
+    sign_x = sign_y = 0
+    for p, (generator, sign) in enumerate(letters):
+        is_x = generator == "x"
+        closed, previous = (x, sign_x) if is_x else (y, sign_y)
+        new = None if p == (last_x if is_x else last_y) else len(rows)
+        if new is not None:
+            rows.append({})
+        if closed is not None:
+            row = rows[closed]
+            if previous == sign:
+                row[closed] = (-2 * sign, 0)
+            if new is not None:
+                row[new] = rows[new][closed] = (sign, 0)
+            if is_x and held != y:
+                if held is not None:
+                    row[held] = rows[held][closed] = (1, 0)
+                if y is not None:
+                    row[y] = rows[y][closed] = (-1, 0)
+        if is_x:
+            x, sign_x, held = new, sign, y
+        else:
+            y, sign_y = new, sign
+    matrix = SeifertMatrix.__new__(SeifertMatrix)
+    matrix._crossing, matrix._letters = rows, letters
+    return matrix
 
 
 def sym_signature(v: SeifertMatrix) -> int:

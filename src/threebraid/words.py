@@ -133,6 +133,8 @@ def window_table(letter_value, product, identity) -> list:
     return layer
 
 
+_INVERSE_LETTERS = {X: X_INV, X_INV: X, Y: Y_INV, Y_INV: Y}
+
 # The letters of one run with exponent +1 and -1, by generator: only the
 # four PACKED_LETTERS, which _same_letters compares by identity.
 _UNIT_LETTERS = {
@@ -438,19 +440,23 @@ def conjugate(w: BraidWord, u: BraidWord) -> BraidWord:
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
-    """Cancel adjacent letter/inverse pairs until none remain.
+    """Cancel adjacent letter/inverse pairs until none remain.  A word's
+    letters are the four ``PACKED_LETTERS``, so each is compared with the
+    inverse of the top of the stack by identity.
 
     >>> str(free_reduce(parse("x x^-1 y")))
     'y'
     """
-    stack: list[Letter] = []
-    for letter in w:
-        if stack and stack[-1].generator == letter.generator \
-                and stack[-1].sign == -letter.sign:
+    stack: list[Letter | None] = [None]  # a bottom that cancels nothing
+    for letter in w.letters:
+        if stack[-1] is _INVERSE_LETTERS[letter]:
             stack.pop()
         else:
             stack.append(letter)
-    return BraidWord(tuple(stack))
+    letters = tuple(stack[1:])
+    reduced = BraidWord(letters)
+    reduced.__dict__["letters"] = letters  # each run is one letter
+    return reduced
 
 
 def power(w: BraidWord, n: int) -> BraidWord:

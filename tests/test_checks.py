@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import threebraid
-from threebraid import homology, murasugi, seifert
+from threebraid import cli, homology, invariants, murasugi, seifert
 from threebraid.homology import InternalInconsistency, image
-from threebraid.murasugi import S, U, UU
+from threebraid.murasugi import Family1, S, U, UU
 from threebraid.words import Y, parse
 
 
@@ -97,6 +97,35 @@ def test_elimination_rejects_a_non_minor_entry():
     assert seifert._eliminate(rows) == (2, 1)
     with pytest.raises(InternalInconsistency):
         seifert._eliminate([dict(row) for row in NON_MINOR_ROWS])
+
+
+def test_quasi_alternating_check_catches_a_shifted_family_1_range(
+        monkeypatch, capsys):
+    # h^2 x y^-2 is Family1(2, (2,)): quasi-alternating under the mutant,
+    # not an L-space, so the report is refused without the oracle.
+    assert cli.main(["analyze", "h^2 x y^-2"]) == 0
+    quasi_alternating = invariants.quasi_alternating
+
+    def shifted(f):
+        if isinstance(f, Family1):
+            return f.d in (0, 1, 2)
+        return quasi_alternating(f)
+
+    monkeypatch.setattr(invariants, "quasi_alternating", shifted)
+    assert cli.main(["analyze", "h^2 x y^-2"]) == 3
+    assert "L-space" in capsys.readouterr().err
+
+
+def test_two_rank_check_catches_a_wrong_component_count(monkeypatch, capsys):
+    # The mutant swaps the knots' count with the two-component links'.  A
+    # knot's cover has H1 of odd order, 2-rank 0, so the count of 2 fails.
+    assert cli.main(["analyze", "x y"]) == 0
+    components = homology.components_from_image
+    monkeypatch.setattr(homology, "components_from_image",
+                        lambda m: {1: 2, 2: 1}.get(components(m), 3))
+    for text in ("x y", "x^2 y"):
+        assert cli.main(["analyze", text]) == 3
+        assert "2-rank" in capsys.readouterr().err
 
 
 def test_murasugi_reexports_the_same_exception():

@@ -25,8 +25,10 @@ behind the report writer, the family-1 tail folded one block at a time
 (``sequential_family1_trace``) behind the balanced product of
 ``form_determinant``, ``str`` behind the divide-and-conquer
 ``_int_text``, one ``groupby`` group per generator and sign
-(``groupby_run_text``) behind the one-loop ``run_text``, and the Seifert
-oracle's dense pair-loop construction and rational elimination.  The
+(``groupby_run_text``) behind the one-loop ``run_text``, the letter stack
+that compares attributes (``attribute_free_reduce``) behind the one that
+compares identities, and the Seifert oracle's dense pair-loop construction
+and rational elimination.  The
 layout that ``words.window_table`` gives both chunk tables is pinned
 without matrices or syllables: built over letters recorded as tuples, each
 entry is the window that packs to its byte
@@ -46,6 +48,7 @@ from math import prod
 import pytest
 
 from threebraid import cli, floer, homology, murasugi
+from threebraid import seifert as seifert_module
 from threebraid import words as w_
 from threebraid.floer import (
     FIGURE_EIGHT_LIKE,
@@ -93,7 +96,12 @@ from threebraid.murasugi import (
     mirror_form,
     psl2_normal_form,
 )
-from threebraid.seifert import seifert_matrix, sym_determinant, sym_signature
+from threebraid.seifert import (
+    SeifertMatrix,
+    seifert_matrix,
+    sym_determinant,
+    sym_signature,
+)
 from threebraid.words import (
     CHUNK,
     MAX_LETTERS,
@@ -1503,6 +1511,8 @@ def test_oracle_matches_old_code_on_all_short_diagrams():
             if {letter.generator for letter in letters} == {"x", "y"}:
                 matrix, entries = assert_oracle_matches_old(BraidWord(letters))
                 assert matrix.entries == entries, letters
+                assert matrix._pivots == \
+                    SeifertMatrix(entries, matrix.generators)._pivots, letters
                 checked += 1
     assert checked == 13_088
 
@@ -1515,3 +1525,66 @@ def test_oracle_matches_old_code_on_long_words(rng, alphabet):
             tuple(rng.choice(alphabet) for _ in range(length))))
         if {letter.generator for letter in reduced} == {"x", "y"}:
             assert_oracle_matches_old(reduced)
+
+
+def test_seifert_pass_makes_linearly_many_steps():
+    # In y^m x^m y^m x^m every x-pair opens and closes inside a stretch of m
+    # x crossings, so a pass that finds the open y-pair by rescanning the
+    # earlier crossings takes about m steps per x crossing.  Counting the
+    # lines run in the seifert module, not time, keeps the test exact: the
+    # words at m and 2m have the same shape, so a linear pass takes at most
+    # twice the steps.
+    path = seifert_module.__file__
+    steps = 0
+
+    def tracer(frame, event, arg):
+        nonlocal steps
+        if frame.f_code.co_filename != path:
+            return None
+        steps += event == "line"
+        return tracer
+
+    def count(m):
+        nonlocal steps
+        word = parse(f"y^{m} x^{m} y^{m} x^{m}")
+        steps = 0
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            matrix = seifert_matrix(word)
+        finally:
+            sys.settrace(previous)
+        assert matrix.size == 4 * m - 2
+        return steps
+
+    small, large = count(250), count(500)
+    assert small > 1000
+    assert large <= 2 * small, (small, large)
+
+
+def attribute_free_reduce(w):
+    """The letter stack that compares generator and sign attributes."""
+    stack = []
+    for letter in w:
+        if stack and stack[-1].generator == letter.generator \
+                and stack[-1].sign == -letter.sign:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return BraidWord(tuple(stack))
+
+
+def test_free_reduce_matches_the_attribute_stack(rng):
+    # Every word of at most 7 letters, then random run sequences with h runs
+    # and power runs of both signs.
+    words = [BraidWord(letters) for length in range(8)
+             for letters in itertools.product(LETTERS, repeat=length)]
+    runs = [*LETTERS, ("x", 3), ("x", -2), ("y", 4), ("y", -3),
+            ("h", 1), ("h", -1), ("h", -2)]
+    words += [BraidWord(tuple(rng.choice(runs)
+                              for _ in range(rng.randint(0, 40))))
+              for _ in range(2000)]
+    for w in words:
+        reduced, expected = free_reduce(w), attribute_free_reduce(w)
+        assert reduced.runs == expected.runs, w
+        assert reduced.letters == BraidWord(reduced.runs).letters, w

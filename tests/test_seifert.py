@@ -10,6 +10,7 @@ from threebraid.seifert import (
     DiagramTooLarge,
     SeifertMatrix,
     SplitClosure,
+    _eliminate,
     oracle_determinant,
     seifert_matrix,
     sym_determinant,
@@ -176,3 +177,17 @@ def test_oversized_diagrams_are_refused_before_expansion():
             seifert_matrix(parse(text))
     at_cap = seifert_matrix(parse(f"x^{half - 1} x^-{half - 1} x y"))
     assert sym_determinant(at_cap) == 1
+
+
+def test_pivots_do_not_depend_on_the_insertion_order_of_a_row(rng):
+    # The first word's rows, inserted in another order, once gave other
+    # pivots (with the same signature and |det|).
+    words = [parse("y^-1 x y^-2 x y^-1 x^-1 y^-1 x^-1 y^3 x y^-3 x^-8 y "
+                   "x^-1 y x^2 y")]
+    words += [random_nonsplit_word(rng, 40) for _ in range(300)]
+    for word in words:
+        matrix = seifert_matrix(word)
+        for _ in range(4):
+            rows = [dict(rng.sample(list(row.items()), len(row)))
+                    for row in matrix._rows()]
+            assert _eliminate(rows) == matrix._pivots, word
