@@ -31,7 +31,7 @@ try:  # the C escaper alone, without the json package around it
 except ImportError:
     from json.encoder import encode_basestring_ascii as _json_string
 
-from . import invariants, murasugi
+from . import floer, invariants, murasugi
 from . import words as w_
 from .homology import _int_text
 from .murasugi import Family1, Family2, InternalInconsistency
@@ -46,8 +46,17 @@ EXIT_IO = 4
 
 def _oracle_block(word, report) -> dict:
     """Oracle determinant/signature plus an agreement verdict against the
-    representation-theoretic values.  Split closures and diagrams past the
-    crossing cap get an error record, which has no verdict."""
+    representation-theoretic values of a public report."""
+    correction = report.correction_term
+    return _oracle(word, report,
+                   None if correction is None else 4 * correction)
+
+
+def _oracle(word, r, quarters) -> dict:
+    """The oracle block of a report or a values record ``r``, whose
+    correction term is ``quarters`` / 4 (None when the determinant is
+    zero).  Split closures and diagrams past the crossing cap get an error
+    record, which has no verdict."""
     from . import seifert
     try:
         matrix = seifert.seifert_matrix(word)
@@ -55,37 +64,66 @@ def _oracle_block(word, report) -> dict:
         return {"error": str(error)}
     det = seifert.sym_determinant(matrix)
     sig = seifert.sym_signature(matrix)
-    # Lisca-Owens: d = -sigma/4 on quasi-alternating closures; the
-    # correction term is None exactly when the determinant is zero.
-    agrees = det == report.determinant and \
-        (report.signature is None or report.signature == sig) and \
-        (not report.qa or report.correction_term is None
-         or -4 * report.correction_term == sig)
+    # Lisca-Owens: d = -sigma/4 on quasi-alternating closures.
+    agrees = det == r.determinant and \
+        (r.signature is None or r.signature == sig) and \
+        (not r.qa or quarters is None or -quarters == sig)
     return {"determinant": det, "signature": sig, "agrees": agrees}
 
 
 def _report(text: str, args) -> tuple:
-    """The per-word pipeline of analyze and batch: parse, report, and the
-    oracle block when asked.  Returns (report, oracle or None)."""
+    """The per-word pipeline of analyze and batch: parse, the values
+    record, and the oracle block when asked.  Returns (record, oracle or
+    None)."""
     word = w_.parse(text)
-    report = invariants.analyze_word(word, raw_text=text,
-                                     include_torus_bundle=args.torus_bundle)
-    return report, _oracle_block(word, report) if args.oracle else None
+    record = invariants.analyze_word(
+        word, raw_text=text, include_torus_bundle=args.torus_bundle,
+        _record=True)
+    if not args.oracle:
+        return record, None
+    return record, _oracle(word, record, record.correction_quarters)
 
 
 _JSON_BOOL = ("false", "true")
 
 
-def _rational_text(q) -> str:
-    return f'{{"num":{q.numerator},"den":{q.denominator}}}'
+def _rational_fields(q) -> str:
+    return f'"num":{q.numerator},"den":{q.denominator}'
 
 
-def _module_text(module) -> str:
-    towers = ",".join([_rational_text(g) for g in module.towers])
-    frees = ",".join([f'{{"rank":{rank},"num":{g.numerator},"den":{g.denominator}}}'
-                      for rank, g in module.frees])
+def _quarter_text(q: int) -> str:
+    """The fields of q/4 in lowest terms."""
+    if not q & 3:
+        return f'"num":{q >> 2},"den":1'
+    if not q & 1:
+        return f'"num":{q >> 1},"den":2'
+    return f'"num":{q},"den":4'
+
+
+class _QuarterFields(dict):
+    """``_quarter_text`` by the count q of quarters: the counts of at most
+    ``_SMALL_QUARTERS`` in size, which cover the reports of short words,
+    are written once at import and looked up."""
+
+    def __missing__(self, q: int) -> str:
+        return _quarter_text(q)
+
+
+_SMALL_QUARTERS = 64
+_quarter_fields = _QuarterFields(
+    {q: _quarter_text(q)
+     for q in range(-_SMALL_QUARTERS, _SMALL_QUARTERS + 1)}).__getitem__
+
+
+def _module_text(module, fields) -> str:
+    """A ``GradedModule``, or a quarter module, each grading written by
+    ``fields``."""
+    towers, frees, absolute = module
+    towers = "{" + "},{".join(map(fields, towers)) + "}" if towers else ""
+    frees = ",".join([f'{{"rank":{rank},{fields(g)}}}' for rank, g in frees]) \
+        if frees else ""
     return (f'{{"towers":[{towers}],"frees":[{frees}],'
-            f'"absolute":{_JSON_BOOL[module.absolute]}}}')
+            f'"absolute":{_JSON_BOOL[absolute]}}}')
 
 
 def _form_text(f) -> str:
@@ -95,52 +133,68 @@ def _form_text(f) -> str:
     return f'{{"family":{family},"d":{f.d},"m":{f.m}}}'
 
 
+# The one relative module of every torus bundle, as floer holds it in
+# quarters, written once.
+_NON_S0_RELATIVE_TEXT = _module_text(floer._NON_S0_RELATIVE, _quarter_fields)
+
+
 def _json_line(r, oracle: dict | None) -> str:
-    """The report's ``--json`` line: ``json.dumps(..., separators=(",",
-    ":"))`` of ``report_json(r)`` with the oracle block, when there is one,
-    as its last key, byte for byte, but written straight from the fields;
-    a field added to ``report_json`` is added here too.  The determinant is
-    rendered once, also for ``spin_c_count``, and every integer that grows
-    with it goes through ``_int_text``."""
-    determinant = _int_text(r.determinant)
-    torsion = ",".join(map(_int_text, r.h1.torsion))
+    """The public report's ``--json`` line: ``json.dumps(..., separators=(
+    ",", ":"))`` of ``report_json(r)`` with the oracle block, when there
+    is one, as its last key, byte for byte."""
+    return _line(r, _rational_fields, oracle)
+
+
+def _line(r, fields, oracle: dict | None) -> str:
+    """The ``--json`` line of a public report or of a values record, whose
+    fields are in the same order, written straight from them; ``fields``
+    writes a grading, a ``Fraction`` of the one or a count of quarters of
+    the other.  A field added to ``report_json`` is added here too.  The
+    determinant is rendered once, also for ``spin_c_count``, and every
+    integer that grows with it goes through ``_int_text``."""
+    (word, form, components, determinant, h1, b1, l_space, tight,
+     tight_inverse, tag, hf, spin_c_count, correction, delta, signature, qa,
+     screen, stein, bundle) = r
+    determinant_text = _int_text(determinant)
+    torsion = ",".join(map(_int_text, h1.torsion))
     parts = [
-        f'{{"word":{_json_string(r.word)},"normal_form":{_form_text(r.normal_form)},'
-        f'"components":{r.components},"determinant":{determinant},'
-        f'"h1":{{"free_rank":{r.h1.free_rank},"torsion":[{torsion}]}},'
-        f'"b1":{r.b1},"l_space":{_JSON_BOOL[r.l_space]},'
-        f'"tight":{_JSON_BOOL[r.tight]},'
-        f'"tight_inverse":{_JSON_BOOL[r.tight_inverse]},'
-        f'"knot_type_tag":{_json_string(r.knot_type_tag)}']
-    if r.hf_plus_s0 is not None:
-        parts.append(f'"hf_plus_s0":{_module_text(r.hf_plus_s0)}')
-    if r.spin_c_count is not None:
-        count = r.spin_c_count
+        f'{{"word":{_json_string(word)},"normal_form":{_form_text(form)},'
+        f'"components":{components},"determinant":{determinant_text},'
+        f'"h1":{{"free_rank":{h1.free_rank},"torsion":[{torsion}]}},'
+        f'"b1":{b1},"l_space":{_JSON_BOOL[l_space]},'
+        f'"tight":{_JSON_BOOL[tight]},'
+        f'"tight_inverse":{_JSON_BOOL[tight_inverse]},'
+        f'"knot_type_tag":{_json_string(tag)}']
+    if hf is not None:
+        parts.append(f'"hf_plus_s0":{_module_text(hf, fields)}')
+    if spin_c_count is not None:
         parts.append('"spin_c_count":' + (
-            determinant if count == r.determinant else _int_text(count)))
-    if r.correction_term is not None:
-        parts.append(f'"correction_term":{_rational_text(r.correction_term)}')
-    if r.delta is not None:
-        parts.append(f'"delta":{_rational_text(r.delta)}')
-    if r.signature is not None:
-        parts.append(f'"signature":{r.signature}')
-    s = r.stein
-    euler = "" if s.euler_char is None else f'"euler_char":{s.euler_char},'
+            determinant_text if spin_c_count == determinant
+            else _int_text(spin_c_count)))
+    if correction is not None:
+        parts.append(f'"correction_term":{{{fields(correction)}}}')
+    if delta is not None:
+        parts.append(f'"delta":{{{fields(delta)}}}')
+    if signature is not None:
+        parts.append(f'"signature":{signature}')
+    stein_l_space, stein_tight, fillable, euler, twist_bound = stein
+    euler = "" if euler is None else f'"euler_char":{euler},'
     parts.append(
-        f'"qa":{_JSON_BOOL[r.qa]},'
-        f'"finite_order_screen":{_json_string(r.finite_order_screen)},'
-        f'"stein":{{"l_space":{_JSON_BOOL[s.l_space]},'
-        f'"tight":{_JSON_BOOL[s.tight]},'
-        f'"fillable":{_json_string(s.fillable)},{euler}'
-        f'"dehn_twist_count_bound":{s.dehn_twist_count_bound}}}')
-    tb = r.torus_bundle
-    if tb is not None:
+        f'"qa":{_JSON_BOOL[qa]},'
+        f'"finite_order_screen":{_json_string(screen)},'
+        f'"stein":{{"l_space":{_JSON_BOOL[stein_l_space]},'
+        f'"tight":{_JSON_BOOL[stein_tight]},'
+        f'"fillable":{_json_string(fillable)},{euler}'
+        f'"dehn_twist_count_bound":{twist_bound}}}')
+    if bundle is not None:
+        s0, count, relative, vanish = bundle
+        relative = _NON_S0_RELATIVE_TEXT if relative is floer._NON_S0_RELATIVE \
+            else _module_text(relative, fields)
         parts.append(
-            f'"torus_bundle":{{"s0":{_module_text(tb.s0)},'
-            f'"non_s0_count":{_int_text(tb.non_s0_count)},'
-            f'"non_s0_relative":{_module_text(tb.non_s0_relative)},'
-            f'"fiber_structures_vanish":'
-            f'{_JSON_BOOL[tb.fiber_structures_vanish]}}}')
+            f'"torus_bundle":{{"s0":{_module_text(s0, fields)},'
+            f'"non_s0_count":{_int_text(count)},'
+            f'"non_s0_relative":{relative},'
+            f'"fiber_structures_vanish":{_JSON_BOOL[vanish]}}}')
     if oracle is not None:
         if "error" in oracle:
             parts.append(f'"oracle":{{"error":{_json_string(oracle["error"])}}}')
@@ -209,19 +263,22 @@ def _pretty_report(report, oracle: dict | None,
 
 def _analyze(args) -> int:
     try:
-        report, oracle = _report(args.word, args)
+        record, oracle = _report(args.word, args)
     except ParseError as error:
         print(f"parse error: {error}", file=sys.stderr)
         return EXIT_PARSE
     if args.json:
-        print(_json_line(report, oracle))
+        print(_line(record, _quarter_fields, oracle))
     else:
-        print(_pretty_report(report, oracle, torus_requested=args.torus_bundle))
+        print(_pretty_report(invariants._report(record), oracle,
+                             torus_requested=args.torus_bundle))
     agrees = oracle is None or oracle.get("agrees", True)
     return EXIT_OK if agrees else EXIT_INCONSISTENT
 
 
 def _batch_line(report, oracle: dict | None) -> str:
+    """The text line of a report or a values record: neither grading nor
+    module is read."""
     summary = (f"{report.word!r}: {report.normal_form}; "
                f"components {report.components}; "
                f"det {_int_text(report.determinant)}; "
@@ -249,7 +306,7 @@ def _batch(args) -> int:
         if not text or text.startswith("#"):
             continue
         try:
-            report, oracle = _report(text, args)
+            record, oracle = _report(text, args)
         except (ParseError, InternalInconsistency) as error:
             failed += 1
             parse_error = isinstance(error, ParseError)
@@ -266,9 +323,9 @@ def _batch(args) -> int:
         consistent = consistent and \
             (oracle is None or oracle.get("agrees", True))
         if args.json:
-            print(_json_line(report, oracle))
+            print(_line(record, _quarter_fields, oracle))
         else:
-            print(_batch_line(report, oracle))
+            print(_batch_line(record, oracle))
     if args.json:
         print(f'{{"summary":{{"ok":{ok},"failed":{failed}}}}}')
     else:

@@ -3,7 +3,7 @@
 A ``GradedModule`` is a formal sum of towers T+_d (one copy of
 Z[U,U^-1]/(U Z[U]) with bottom element in grading d; U drops grading by 2)
 and finite free summands Z^rank in a single grading.  All gradings are exact
-rationals with denominator dividing four.
+rationals with denominator dividing four, ``Fraction``s in a public module.
 
 Every module is a shifted row of one table: the modules of 1/n- and
 0-surgeries on the three genus-one fibered knots in S^3 (the two trefoils
@@ -13,21 +13,23 @@ its module in the distinguished self-conjugate spin-c structure is a table
 row shifted by a quarter-integer k/4 read off the normal form's tail.
 
 The rows are stored as integers, every grading in quarters.  A row shifted
-by k/4 is built with one ``Fraction(g + k, 4)`` per grading, and already in
-normal form, since adding a constant keeps the towers sorted and the free
-summands merged.
+by k/4 is a *quarter module*: a (towers, frees, absolute) tuple laid out as
+a ``GradedModule``'s fields, each grading g/4 held as the integer count g
+of quarters.  It is already in normal form, since adding a constant keeps
+the towers sorted and the free summands merged.  The report path computes
+and prints from quarter modules; ``_graded_module`` makes the public
+module, with one ``Fraction(g, 4)`` per grading, only where the library
+API returns one, so ``fractions`` is imported on first use.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
-from fractions import Fraction
 
 from .homology import _balanced_product
 from .murasugi import Family1, Family2, MurasugiForm, tail_exponent_sum
 from .words import _Value
-
-Grading = Fraction
 
 
 class PositiveB1(ValueError):
@@ -51,14 +53,14 @@ class GradedModule(_Value, namedtuple("GradedModule", "towers frees absolute",
     """
 
     __slots__ = ()
-    towers: tuple[Grading, ...]
-    frees: tuple[tuple[int, Grading], ...]
+    towers: tuple[Fraction, ...]
+    frees: tuple[tuple[int, Fraction], ...]
     absolute: bool
 
-    def __new__(cls, towers: tuple[Grading, ...],
-                frees: tuple[tuple[int, Grading], ...] = (),
+    def __new__(cls, towers: tuple[Fraction, ...],
+                frees: tuple[tuple[int, Fraction], ...] = (),
                 absolute: bool = True) -> GradedModule:
-        merged: dict[Grading, int] = {}
+        merged: dict[Fraction, int] = {}
         for rank, grading in frees:
             if rank < 0:
                 raise ValueError(f"negative rank {rank}")
@@ -70,8 +72,8 @@ class GradedModule(_Value, namedtuple("GradedModule", "towers frees absolute",
             absolute)
 
     @classmethod
-    def _normal(cls, towers: tuple[Grading, ...],
-                frees: tuple[tuple[int, Grading], ...] = (),
+    def _normal(cls, towers: tuple[Fraction, ...],
+                frees: tuple[tuple[int, Fraction], ...] = (),
                 absolute: bool = True) -> GradedModule:
         """A module from parts already in normal form (towers sorted, frees
         sorted, merged and of positive rank), stored without renormalising."""
@@ -91,6 +93,7 @@ class GradedModule(_Value, namedtuple("GradedModule", "towers frees absolute",
 def shift(module: GradedModule, q) -> GradedModule:
     """Add q to every grading, preserving ranks; the result stays in normal
     form."""
+    from fractions import Fraction
     q = Fraction(q)
     return GradedModule._normal(
         tuple(g + q for g in module.towers),
@@ -129,37 +132,49 @@ def _row(tag: str, n: int) -> tuple[int, int, int]:
     return bottom, grading, abs(n) + offset
 
 
-def _shifted_row(tag: str, n: int, k: int) -> GradedModule:
-    """The 1/n row shifted by k/4: one tower, and one free summand unless
-    its rank is zero."""
+def _graded_module(module: tuple) -> GradedModule:
+    """The public module of a quarter module: each count g of quarters
+    becomes ``Fraction(g, 4)``, and the parts are kept in their order."""
+    from fractions import Fraction
+    towers, frees, absolute = module
+    return GradedModule._normal(
+        tuple([Fraction(g, 4) for g in towers]),
+        tuple([(rank, Fraction(g, 4)) for rank, g in frees]), absolute)
+
+
+def _row_quarters(tag: str, n: int, k: int) -> tuple:
+    """The quarter module of the 1/n row shifted by k/4: one tower, and
+    one free summand unless its rank is zero."""
     bottom, grading, rank = _row(tag, n)
-    frees = ((rank, Fraction(grading + k, 4)),) if rank else ()
-    return GradedModule._normal((Fraction(bottom + k, 4),), frees)
+    return (bottom + k,), ((rank, grading + k),) if rank else (), True
 
 
 def surgery_table(tag: str, n: int) -> GradedModule:
     """HF+ of 1/n-surgery on the model knot (n = 0 reads as S^3 itself)."""
-    return _shifted_row(tag, n, 0)
+    return _graded_module(_row_quarters(tag, n, 0))
 
 
-# The 0-surgery rows do not depend on n: (towers, frees) in quarters, in
-# normal form.
+# The 0-surgery rows do not depend on n: two tower bottoms in increasing
+# order, and the grading of a rank-one free summand or None, in quarters.
 _ZERO_SURGERY_ROWS = {
-    RIGHT_TREFOIL_LIKE: ((-6, -2), ()),
-    LEFT_TREFOIL_LIKE: ((2, 6), ()),
-    FIGURE_EIGHT_LIKE: ((-2, 2), ((1, -2),)),
+    RIGHT_TREFOIL_LIKE: (-6, -2, None),
+    LEFT_TREFOIL_LIKE: (2, 6, None),
+    FIGURE_EIGHT_LIKE: (-2, 2, -2),
 }
+
+
+def _zero_row_quarters(tag: str, k: int) -> tuple:
+    """The quarter module of the 0-surgery row shifted by k/4."""
+    try:
+        low, high, free = _ZERO_SURGERY_ROWS[tag]
+    except KeyError:
+        raise ValueError(f"unknown knot type tag {tag!r}") from None
+    return (low + k, high + k), () if free is None else ((1, free + k),), True
 
 
 def _shifted_zero_row(tag: str, k: int) -> GradedModule:
     """The 0-surgery row shifted by k/4."""
-    try:
-        towers, frees = _ZERO_SURGERY_ROWS[tag]
-    except KeyError:
-        raise ValueError(f"unknown knot type tag {tag!r}") from None
-    return GradedModule._normal(
-        tuple(Fraction(g + k, 4) for g in towers),
-        tuple((rank, Fraction(g + k, 4)) for rank, g in frees))
+    return _graded_module(_zero_row_quarters(tag, k))
 
 
 def zero_surgery_table(tag: str) -> GradedModule:
@@ -257,10 +272,10 @@ def _quarter_assembly(f: MurasugiForm) -> tuple[str, int, int]:
 def hf_plus_s0(f: MurasugiForm) -> GradedModule:
     """HF+ of the branched double cover in the distinguished self-conjugate
     spin-c structure, with absolute rational gradings."""
-    return _shifted_row(*_quarter_assembly(f))
+    return _graded_module(_row_quarters(*_quarter_assembly(f)))
 
 
-def correction_term(f: MurasugiForm) -> Grading:
+def correction_term(f: MurasugiForm) -> Fraction:
     """d-invariant of the cover in the distinguished spin-c structure: the
     bottom grading of the tower of hf_plus_s0."""
     return hf_plus_s0(f).towers[0]
@@ -286,18 +301,29 @@ class TorusBundleModules(_Value, namedtuple(
     fiber_structures_vanish: bool
 
 
-_NON_S0_RELATIVE = GradedModule(
-    (Fraction(1, 2), Fraction(-1, 2)), (), absolute=False)
+# The two towers of every other torsion spin-c structure, 1 apart, as a
+# quarter module.
+_NON_S0_RELATIVE = ((-2, 2), (), False)
 
 
-def _torus_bundle(tag: str, k: int, determinant: int) -> TorusBundleModules:
-    """The bundle's modules from the assembly's tag and shift k/4 and the
-    nonzero determinant of the closure."""
-    return TorusBundleModules(
-        s0=_shifted_zero_row(tag, k),
-        non_s0_count=determinant - 1,
-        non_s0_relative=_NON_S0_RELATIVE,
-    )
+@functools.cache
+def _non_s0_relative() -> GradedModule:
+    """The public module of ``_NON_S0_RELATIVE``, built on first use."""
+    return _graded_module(_NON_S0_RELATIVE)
+
+
+def _torus_bundle(tag: str, k: int, determinant: int) -> tuple:
+    """The bundle in quarters, from the assembly's tag and shift k/4 and
+    the nonzero determinant of the closure: a tuple laid out as the fields
+    of ``TorusBundleModules``, its two modules quarter modules."""
+    return _zero_row_quarters(tag, k), determinant - 1, _NON_S0_RELATIVE, True
+
+
+def _bundle_modules(bundle: tuple) -> TorusBundleModules:
+    """The public modules of a bundle that ``_torus_bundle`` gave."""
+    s0, count, _, vanish = bundle
+    return TorusBundleModules(_graded_module(s0), count, _non_s0_relative(),
+                              vanish)
 
 
 def torus_bundle_hf(f: MurasugiForm) -> TorusBundleModules:
@@ -306,7 +332,7 @@ def torus_bundle_hf(f: MurasugiForm) -> TorusBundleModules:
         raise B1NotOne(
             f"{f} has parabolic or central monodromy; the bundle's b1 is not 1")
     tag, _, k = _quarter_assembly(f)
-    return _torus_bundle(tag, k, determinant)
+    return _bundle_modules(_torus_bundle(tag, k, determinant))
 
 
 class HfkBindingProfile(_Value, namedtuple(

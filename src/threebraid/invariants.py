@@ -3,15 +3,24 @@
 The concordance invariant delta, the knot signature, a necessary-condition
 screen for finite smooth concordance order, quasi-alternating status, and
 Stein-filling obstructions, each a function of the conjugacy normal form.
-``analyze_word`` bundles everything into one report.  The module writes
-no output: ``report_json`` is the report as a dict, the reference
-that the command line's ``--json`` writer matches.
+``analyze_word`` bundles everything into one report.
+
+Every Floer grading of a report lies in (1/4)Z, so the values stage
+(``_values``) holds each as an integer count of quarters: the correction
+term is the row's tower bottom plus the shift k, delta is twice that
+count, the Stein Euler characteristic is the count plus one, and the
+modules are ``floer``'s quarter modules.  It decides every flag, the
+screen and the Stein fields from those integers.  ``analyze_word`` is that
+stage followed by ``_report``, which makes the public ``Fraction``s; the
+command line asks ``analyze_word`` for the values record itself and
+prints from the integers, so ``fractions`` is imported on first use.  The
+module writes no output: ``report_json`` is the report as a dict, the
+reference that the command line's ``--json`` writer matches.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from . import floer, homology, murasugi
 from .floer import GradedModule, TorusBundleModules
@@ -68,9 +77,10 @@ def signature(f: MurasugiForm, components: int) -> int:
 
 
 def _screen(f: MurasugiForm, components: int, sig: int | None,
-            delta_value: Fraction | None) -> str:
+            delta_value) -> str:
     """The screen from the knot's signature (None unless the closure is a
-    family-1 knot) and delta."""
+    family-1 knot) and delta, a ``Fraction`` or a count of quarters: only
+    whether it is zero is read."""
     if components != 1:
         return NOT_A_KNOT
     if f in _UNKNOT_FORMS or sig == 0 == delta_value:
@@ -125,27 +135,29 @@ class SteinReport(_Value, namedtuple(
 
 
 def _stein_report(f: MurasugiForm, l_space: bool, tight: bool,
-                  correction: Fraction | None) -> SteinReport:
-    """The report from the form's L-space and tightness flags and its
-    correction term, which is read only when both flags hold (and then the
-    determinant is nonzero).  A correction term is a row bottom shifted by
-    k/4, so 4d + 1 is an integer."""
+                  quarters: int | None) -> tuple:
+    """The fields of the Stein report, in order, from the form's L-space
+    and tightness flags and its correction term d as a count of quarters,
+    which is read only when both flags hold (and then the determinant is
+    nonzero).  The Euler characteristic 4d + 1 is that count plus one."""
     twist_bound = 6 * f.d + murasugi.tail_exponent_sum(f)
     if not tight:
-        return SteinReport(l_space, tight, NO, None, twist_bound)
+        return l_space, tight, NO, None, twist_bound
     if not l_space:
-        return SteinReport(l_space, tight, UNKNOWN, None, twist_bound)
-    chi = 4 * correction + 1
+        return l_space, tight, UNKNOWN, None, twist_bound
+    chi = quarters + 1
     if chi < 1:
-        return SteinReport(l_space, tight, NO, None, twist_bound)
-    return SteinReport(l_space, tight, CONSTRAINED, int(chi), twist_bound)
+        return l_space, tight, NO, None, twist_bound
+    return l_space, tight, CONSTRAINED, chi, twist_bound
 
 
 def stein_report(f: MurasugiForm) -> SteinReport:
     l_space = floer.is_l_space(f)
     tight = floer.is_tight(f)
-    correction = floer.correction_term(f) if tight and l_space else None
-    return _stein_report(f, l_space, tight, correction)
+    quarters = None
+    if tight and l_space:
+        quarters = floer._row_quarters(*floer._quarter_assembly(f))[0][0]
+    return SteinReport(*_stein_report(f, l_space, tight, quarters))
 
 
 class InvariantReport(_Value, namedtuple(
@@ -183,22 +195,23 @@ class InvariantReport(_Value, namedtuple(
     torus_bundle: TorusBundleModules | None
 
 
-def analyze_word(w: BraidWord, raw_text: str | None = None,
-                 include_torus_bundle: bool = False) -> InvariantReport:
-    """Aggregate every invariant of one word into a report.
+# The values record of one word: the fields of ``InvariantReport``, in its
+# order, with each grading a count of quarters.  ``hf_plus_s0`` and the
+# bundle's modules are quarter modules, ``correction_quarters`` and
+# ``delta_quarters`` are 4d and 4 delta, ``stein`` is the tuple of the
+# ``SteinReport`` fields and ``torus_bundle`` the one of
+# ``floer._torus_bundle``.
+_Values = namedtuple(
+    "_Values",
+    "word normal_form components determinant h1 b1 l_space tight "
+    "tight_inverse knot_type_tag hf_plus_s0 spin_c_count correction_quarters "
+    "delta_quarters signature qa finite_order_screen stein torus_bundle")
 
-    The word's image in SL(2,Z) is computed once; the normal form, the
-    component count, the determinant and H1 are all read from it.  When the
-    determinant is nonzero, the form's Floer assembly (table tag, n and the
-    shift in quarters) is read once and the module HF+ is built once from
-    it.  The correction term is that module's tower bottom, delta is twice
-    it, and the screen and the Stein report are read from those values;
-    the torus bundle comes from the same assembly and the determinant.
-    The report's word is ``raw_text``, or else ``run_text(w)``, which keeps
-    each h run as one token.  Two identities tie separate derivations
-    together on every report, and ``InternalInconsistency`` is raised unless
-    both hold: H1 has 2-rank ``components`` - 1, and a quasi-alternating
-    report is an L-space with a nonzero determinant."""
+
+def _values(w: BraidWord, raw_text: str | None,
+            include_torus_bundle: bool) -> _Values:
+    """The values stage of ``analyze_word``: every value of the report,
+    each grading held as a count of quarters."""
     matrix = homology.image(w)
     form = murasugi.classify(w, matrix)
     components = homology.components_from_image(matrix)
@@ -213,17 +226,16 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
         raise InternalInconsistency(
             f"H1 has 2-rank {two_rank} on a closure of {components} components")
 
-    is_knot = components == 1
-    hf = correction = delta_value = sig = torus_bundle = None
+    hf = quarters = delta_quarters = sig = torus_bundle = None
     if det != 0:
         tag, n, k = floer._quarter_assembly(form)
-        hf = floer._shifted_row(tag, n, k)
-        correction = hf.towers[0]
+        hf = floer._row_quarters(tag, n, k)
+        quarters = hf[0][0]
         if include_torus_bundle:
             torus_bundle = floer._torus_bundle(tag, k, det)
-    if is_knot:
+    if components == 1:
         _check_delta_defined(form, components)
-        delta_value = 2 * correction
+        delta_quarters = 2 * quarters
         if isinstance(form, Family1):
             sig = signature(form, components)
     l_space = floer.is_l_space(form)
@@ -236,27 +248,58 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
         raise InternalInconsistency(
             "a quasi-alternating closure without an L-space double cover")
 
+    return _Values(
+        run_text(w) if raw_text is None else raw_text, form, components,
+        det, h1, h1.free_rank, l_space, tight, tight_inverse,
+        floer._knot_tag(tight, tight_inverse), hf,
+        det if hf is not None else None, quarters, delta_quarters, sig, qa,
+        _screen(form, components, sig, delta_quarters),
+        _stein_report(form, l_space, tight, quarters), torus_bundle)
+
+
+def _report(values: _Values) -> InvariantReport:
+    """The public report of a values record; its ``Fraction``s are made
+    here."""
+    (word, form, components, det, h1, b1, l_space, tight, tight_inverse,
+     tag, hf, spin_c_count, _, delta_quarters, sig, qa, screen, stein,
+     torus_bundle) = values
+    correction = delta_value = None
+    if hf is not None:
+        hf = floer._graded_module(hf)
+        correction = hf.towers[0]
+    if delta_quarters is not None:
+        from fractions import Fraction
+        delta_value = Fraction(delta_quarters, 4)
+    if torus_bundle is not None:
+        torus_bundle = floer._bundle_modules(torus_bundle)
     return InvariantReport(
-        word=run_text(w) if raw_text is None else raw_text,
-        normal_form=form,
-        components=components,
-        determinant=det,
-        h1=h1,
-        b1=h1.free_rank,
-        l_space=l_space,
-        tight=tight,
-        tight_inverse=tight_inverse,
-        knot_type_tag=floer._knot_tag(tight, tight_inverse),
-        hf_plus_s0=hf,
-        spin_c_count=det if hf is not None else None,
-        correction_term=correction,
-        delta=delta_value,
-        signature=sig,
-        qa=qa,
-        finite_order_screen=_screen(form, components, sig, delta_value),
-        stein=_stein_report(form, l_space, tight, correction),
-        torus_bundle=torus_bundle,
-    )
+        word, form, components, det, h1, b1, l_space, tight, tight_inverse,
+        tag, hf, spin_c_count, correction, delta_value, sig, qa, screen,
+        SteinReport(*stein), torus_bundle)
+
+
+def analyze_word(w: BraidWord, raw_text: str | None = None,
+                 include_torus_bundle: bool = False, *,
+                 _record: bool = False) -> InvariantReport:
+    """Aggregate every invariant of one word into a report.
+
+    The word's image in SL(2,Z) is computed once; the normal form, the
+    component count, the determinant and H1 are all read from it.  When the
+    determinant is nonzero, the form's Floer assembly (table tag, n and the
+    shift in quarters) is read once and the module HF+ is built once from
+    it.  The correction term is that module's tower bottom, delta is twice
+    it, and the screen and the Stein report are read from those values;
+    the torus bundle comes from the same assembly and the determinant.
+    The report's word is ``raw_text``, or else ``run_text(w)``, which keeps
+    each h run as one token.  Two identities tie separate derivations
+    together on every report, and ``InternalInconsistency`` is raised unless
+    both hold: H1 has 2-rank ``components`` - 1, and a quasi-alternating
+    report is an L-space with a nonzero determinant.
+
+    With the private ``_record``, the values record (``_Values``, every
+    grading a count of quarters) is returned instead of the report."""
+    values = _values(w, raw_text, include_torus_bundle)
+    return values if _record else _report(values)
 
 
 # --- stable JSON encoding ----------------------------------------------------

@@ -27,8 +27,12 @@ behind the report writer, the family-1 tail folded one block at a time
 ``_int_text``, one ``groupby`` group per generator and sign
 (``groupby_run_text``) behind the one-loop ``run_text``, the letter stack
 that compares attributes (``attribute_free_reduce``) behind the one that
-compares identities, and the Seifert oracle's dense pair-loop construction
-and rational elimination.  The
+compares identities, the Seifert oracle's dense pair-loop construction
+and rational elimination, the report's values computed as ``Fraction``s
+and its record built by keyword (``reference_analyze_word``) behind the
+values stage that holds every grading as a count of quarters, and every
+run expanded on its own (``per_run_letters``) behind the letters that
+look unit runs up.  The
 layout that ``words.window_table`` gives both chunk tables is pinned
 without matrices or syllables: built over letters recorded as tuples, each
 entry is the window that packs to its byte
@@ -47,7 +51,7 @@ from math import prod
 
 import pytest
 
-from threebraid import cli, floer, homology, murasugi
+from threebraid import cli, floer, homology, invariants, murasugi
 from threebraid import seifert as seifert_module
 from threebraid import words as w_
 from threebraid.floer import (
@@ -1253,6 +1257,127 @@ def test_writer_escapes_word_characters(capsys, no_digit_limit):
         assert_writer_matches_encoder(report._replace(word=word))
 
 
+def reference_analyze_word(w, raw_text=None, include_torus_bundle=False):
+    """``analyze_word`` as it was before its values were counts of
+    quarters: the rows shifted as ``Fraction``s, the bundle's zero row
+    renormalised from its ``Fraction`` module, delta twice the correction
+    term, the Stein Euler characteristic 4d + 1, the screen of the public
+    function, and the report built by keyword."""
+    matrix = image(w)
+    form = classify(w, matrix)
+    components = components_from_image(matrix)
+    det = determinant_from_image(matrix)
+    h1 = homology.h1_from_image(matrix)
+    hf = correction = delta_value = sig = bundle = None
+    if det != 0:
+        tag, n, k = floer._quarter_assembly(form)
+        bottom, grading, rank = floer._row(tag, n)
+        frees = ((rank, Fraction(grading + k, 4)),) if rank else ()
+        hf = GradedModule((Fraction(bottom + k, 4),), frees)
+        correction = hf.towers[0]
+        if include_torus_bundle:
+            bundle = TorusBundleModules(
+                s0=renormalised_shift(FRACTION_ZERO_SURGERY_ROWS[tag],
+                                      Fraction(k, 4)),
+                non_s0_count=det - 1,
+                non_s0_relative=GradedModule(
+                    (Fraction(1, 2), Fraction(-1, 2)), (), absolute=False))
+    if components == 1:
+        delta_value = 2 * correction
+        if isinstance(form, Family1):
+            sig = signature(form, components)
+    l_space, tight = floer.is_l_space(form), is_tight(form)
+    twist_bound = 6 * form.d + murasugi.tail_exponent_sum(form)
+    fillable, euler = invariants.NO, None
+    if tight and not l_space:
+        fillable = invariants.UNKNOWN
+    elif tight and 4 * correction + 1 >= 1:
+        fillable, euler = invariants.CONSTRAINED, int(4 * correction + 1)
+    return invariants.InvariantReport(
+        word=w_.run_text(w) if raw_text is None else raw_text,
+        normal_form=form,
+        components=components,
+        determinant=det,
+        h1=h1,
+        b1=h1.free_rank,
+        l_space=l_space,
+        tight=tight,
+        tight_inverse=is_tight_inverse(form),
+        knot_type_tag=floer.knot_type(form),
+        hf_plus_s0=hf,
+        spin_c_count=det if hf is not None else None,
+        correction_term=correction,
+        delta=delta_value,
+        signature=sig,
+        qa=invariants.quasi_alternating(form),
+        finite_order_screen=finite_order_screen(form, components),
+        stein=invariants.SteinReport(l_space, tight, fillable, euler,
+                                     twist_bound),
+        torus_bundle=bundle,
+    )
+
+
+def assert_record_matches_reference(w, include_torus_bundle):
+    """The public report, the report made from the values record, and the
+    record's ``--json`` line all agree with the reference, down to the
+    ``Fraction`` type of every grading."""
+    expected = reference_analyze_word(w, include_torus_bundle=include_torus_bundle)
+    record = analyze_word(w, include_torus_bundle=include_torus_bundle,
+                          _record=True)
+    for report in (invariants._report(record),
+                   analyze_word(w, include_torus_bundle=include_torus_bundle)):
+        assert report == expected, w.runs
+        for value in (report.correction_term, report.delta):
+            assert value is None or type(value) is Fraction, w.runs
+        if report.hf_plus_s0 is not None:
+            assert_same_module(report.hf_plus_s0, expected.hf_plus_s0)
+        if report.torus_bundle is not None:
+            for name in ("s0", "non_s0_relative"):
+                assert_same_module(getattr(report.torus_bundle, name),
+                                   getattr(expected.torus_bundle, name))
+    assert cli._line(record, cli._quarter_fields, None) == \
+        encoder_json_line(expected, None), w.runs
+
+
+def test_record_matches_reference_on_every_word_of_five_tokens():
+    tokens = [(g, e) for g in "xyh" for e in (1, -1)]
+    checked = 0
+    for count in range(6):
+        for runs in itertools.product(tokens, repeat=count):
+            w = parse(" ".join(g if e == 1 else f"{g}^-1" for g, e in runs))
+            for torus in (False, True):
+                assert_record_matches_reference(w, torus)
+            checked += 1
+    assert checked == sum(6**count for count in range(6))
+
+
+def test_record_matches_reference_on_long_words_and_huge_twists(
+        rng, no_digit_limit):
+    for _ in range(20):
+        length = rng.randint(200, 3000)
+        w = parse(" ".join(rng.choice(("x", "y", "x^-1", "y^-1", "h^-1", "h"))
+                           for _ in range(length)))
+        assert_record_matches_reference(w, rng.random() < 0.5)
+    for _ in range(30):
+        d = rng.randint(-10**17, 10**17)
+        a = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 60)))
+        for f in (Family1(d, a if any(a) else a + (1,)),
+                  Family2(d, rng.randint(-10**6, 10**6)),
+                  Family3(d, rng.choice((-1, -2, -3)))):
+            for torus in (False, True):
+                assert_record_matches_reference(canonical_word(f), torus)
+
+
+def test_quarter_fields_write_lowest_terms(no_digit_limit):
+    # The looked-up small counts, both sides of their edge, and huge ones.
+    edge = cli._SMALL_QUARTERS
+    for q in [*range(-edge - 9, edge + 10),
+              *(s * (2**k + r) for k in (10, 64, 200) for r in range(-5, 6)
+                for s in (1, -1))]:
+        assert cli._quarter_fields(q) == \
+            cli._rational_fields(Fraction(q, 4)), q
+
+
 def test_int_text_splits_down_to_bounded_leaves(monkeypatch, rng):
     # Leaves of at most _LEAF_BITS bits are what makes the conversion
     # subquadratic: Decimal(int) itself is quadratic.
@@ -1588,3 +1713,27 @@ def test_free_reduce_matches_the_attribute_stack(rng):
         reduced, expected = free_reduce(w), attribute_free_reduce(w)
         assert reduced.runs == expected.runs, w
         assert reduced.letters == BraidWord(reduced.runs).letters, w
+
+
+def per_run_letters(runs):
+    """The letters of a run sequence, each run expanded on its own."""
+    return tuple(itertools.chain.from_iterable(map(w_._run_letters, runs)))
+
+
+def test_letters_match_the_per_run_expansion(rng):
+    # Unit runs as parse stores them and as plain pairs, then power runs
+    # and h runs of both signs.
+    runs = [*LETTERS, ("x", 1), ("x", -1), ("y", 1), ("y", -1), ("x", 3),
+            ("x", -2), ("y", 4), ("y", -3), ("h", 1), ("h", -1), ("h", 2),
+            ("h", -3)]
+    sequences = [(), *([run] for run in runs)]
+    sequences += [tuple(rng.choice(runs) for _ in range(rng.randint(0, 60)))
+                  for _ in range(2000)]
+    sequences += [tuple(parse(" ".join(rng.choice(("x", "y^-1", "y", "x^-2",
+                                                   "h^-1"))
+                                       for _ in range(50))).runs)]
+    for runs in sequences:
+        letters, expected = BraidWord(tuple(runs)).letters, per_run_letters(runs)
+        assert letters == expected, runs
+        # free_reduce compares letters by identity.
+        assert all(a is b for a, b in zip(letters, expected)), runs

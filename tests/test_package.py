@@ -66,6 +66,25 @@ def test_a_report_imports_no_argparse_json_or_seifert():
     assert "threebraid.seifert" not in loaded_modules("import threebraid")
 
 
+def test_a_report_imports_no_fractions():
+    # The command line prints every grading from its count of quarters, so
+    # fractions, and the numbers, decimal, re and enum modules that it
+    # loads, stay out; -S skips site, whose .pth files may load re and enum.
+    # decimal still loads to print an integer of more than _SPLIT_BITS bits.
+    call = ("import os; sys.stdout = open(os.devnull, 'w'); "
+            "import threebraid.cli; threebraid.cli.main(['analyze', "
+            "'--json', '--torus-bundle', 'h x y^-5']); "
+            "sys.stdout = sys.__stdout__")
+    fraction_modules = {"fractions", "numbers", "decimal", "re", "enum"}
+    loaded = loaded_modules(call, ("-S",))
+    assert "threebraid.cli" in loaded
+    assert not loaded & fraction_modules, sorted(loaded)
+    loaded = loaded_modules(
+        call + "; from threebraid import homology; "
+        "homology._int_text(1 << homology._SPLIT_BITS + 1)", ("-S",))
+    assert "decimal" in loaded and "fractions" not in loaded, sorted(loaded)
+
+
 def test_the_seifert_names_are_exported_on_demand():
     names = {"SeifertMatrix", "oracle_determinant", "seifert_matrix",
              "sym_determinant", "sym_signature"}
