@@ -31,7 +31,7 @@ try:  # the C escaper alone, without the json package around it
 except ImportError:
     from json.encoder import encode_basestring_ascii as _json_string
 
-from . import floer, invariants, murasugi
+from . import invariants, murasugi
 from . import words as w_
 from .homology import _int_text
 from .murasugi import Family1, Family2, InternalInconsistency
@@ -100,21 +100,6 @@ def _quarter_text(q: int) -> str:
     return f'"num":{q},"den":4'
 
 
-class _QuarterFields(dict):
-    """``_quarter_text`` by the count q of quarters: the counts of at most
-    ``_SMALL_QUARTERS`` in size, which cover the reports of short words,
-    are written once at import and looked up."""
-
-    def __missing__(self, q: int) -> str:
-        return _quarter_text(q)
-
-
-_SMALL_QUARTERS = 64
-_quarter_fields = _QuarterFields(
-    {q: _quarter_text(q)
-     for q in range(-_SMALL_QUARTERS, _SMALL_QUARTERS + 1)}).__getitem__
-
-
 def _module_text(module, fields) -> str:
     """A ``GradedModule``, or a quarter module, each grading written by
     ``fields``."""
@@ -131,11 +116,6 @@ def _form_text(f) -> str:
         return f'{{"family":1,"d":{f.d},"a":[{",".join(map(str, f.a))}]}}'
     family = 2 if isinstance(f, Family2) else 3
     return f'{{"family":{family},"d":{f.d},"m":{f.m}}}'
-
-
-# The one relative module of every torus bundle, as floer holds it in
-# quarters, written once.
-_NON_S0_RELATIVE_TEXT = _module_text(floer._NON_S0_RELATIVE, _quarter_fields)
 
 
 def _json_line(r, oracle: dict | None) -> str:
@@ -188,12 +168,10 @@ def _line(r, fields, oracle: dict | None) -> str:
         f'"dehn_twist_count_bound":{twist_bound}}}')
     if bundle is not None:
         s0, count, relative, vanish = bundle
-        relative = _NON_S0_RELATIVE_TEXT if relative is floer._NON_S0_RELATIVE \
-            else _module_text(relative, fields)
         parts.append(
             f'"torus_bundle":{{"s0":{_module_text(s0, fields)},'
             f'"non_s0_count":{_int_text(count)},'
-            f'"non_s0_relative":{relative},'
+            f'"non_s0_relative":{_module_text(relative, fields)},'
             f'"fiber_structures_vanish":{_JSON_BOOL[vanish]}}}')
     if oracle is not None:
         if "error" in oracle:
@@ -268,7 +246,7 @@ def _analyze(args) -> int:
         print(f"parse error: {error}", file=sys.stderr)
         return EXIT_PARSE
     if args.json:
-        print(_line(record, _quarter_fields, oracle))
+        print(_line(record, _quarter_text, oracle))
     else:
         print(_pretty_report(invariants._report(record), oracle,
                              torus_requested=args.torus_bundle))
@@ -323,7 +301,7 @@ def _batch(args) -> int:
         consistent = consistent and \
             (oracle is None or oracle.get("agrees", True))
         if args.json:
-            print(_line(record, _quarter_fields, oracle))
+            print(_line(record, _quarter_text, oracle))
         else:
             print(_batch_line(record, oracle))
     if args.json:

@@ -275,10 +275,17 @@ def hf_plus_s0(f: MurasugiForm) -> GradedModule:
     return _graded_module(_row_quarters(*_quarter_assembly(f)))
 
 
+def _correction_quarters(tag: str, n: int, k: int) -> int:
+    """4 d, d the correction term of the assembly's row shifted by k/4:
+    the bottom of its tower, in quarters."""
+    return _row(tag, n)[0] + k
+
+
 def correction_term(f: MurasugiForm) -> Fraction:
     """d-invariant of the cover in the distinguished spin-c structure: the
     bottom grading of the tower of hf_plus_s0."""
-    return hf_plus_s0(f).towers[0]
+    from fractions import Fraction
+    return Fraction(_correction_quarters(*_quarter_assembly(f)), 4)
 
 
 class TorusBundleModules(_Value, namedtuple(

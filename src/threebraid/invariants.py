@@ -156,7 +156,7 @@ def stein_report(f: MurasugiForm) -> SteinReport:
     tight = floer.is_tight(f)
     quarters = None
     if tight and l_space:
-        quarters = floer._row_quarters(*floer._quarter_assembly(f))[0][0]
+        quarters = floer._correction_quarters(*floer._quarter_assembly(f))
     return SteinReport(*_stein_report(f, l_space, tight, quarters))
 
 
@@ -230,7 +230,7 @@ def _values(w: BraidWord, raw_text: str | None,
     if det != 0:
         tag, n, k = floer._quarter_assembly(form)
         hf = floer._row_quarters(tag, n, k)
-        quarters = hf[0][0]
+        quarters = floer._correction_quarters(tag, n, k)
         if include_torus_bundle:
             torus_bundle = floer._torus_bundle(tag, k, det)
     if components == 1:

@@ -1335,7 +1335,7 @@ def assert_record_matches_reference(w, include_torus_bundle):
             for name in ("s0", "non_s0_relative"):
                 assert_same_module(getattr(report.torus_bundle, name),
                                    getattr(expected.torus_bundle, name))
-    assert cli._line(record, cli._quarter_fields, None) == \
+    assert cli._line(record, cli._quarter_text, None) == \
         encoder_json_line(expected, None), w.runs
 
 
@@ -1368,14 +1368,12 @@ def test_record_matches_reference_on_long_words_and_huge_twists(
                 assert_record_matches_reference(canonical_word(f), torus)
 
 
-def test_quarter_fields_write_lowest_terms(no_digit_limit):
-    # The looked-up small counts, both sides of their edge, and huge ones.
-    edge = cli._SMALL_QUARTERS
-    for q in [*range(-edge - 9, edge + 10),
+def test_quarter_text_writes_lowest_terms(no_digit_limit):
+    # Every residue mod 4 with either sign, small counts and huge ones.
+    for q in [*range(-80, 81),
               *(s * (2**k + r) for k in (10, 64, 200) for r in range(-5, 6)
                 for s in (1, -1))]:
-        assert cli._quarter_fields(q) == \
-            cli._rational_fields(Fraction(q, 4)), q
+        assert cli._quarter_text(q) == cli._rational_fields(Fraction(q, 4)), q
 
 
 def test_int_text_splits_down_to_bounded_leaves(monkeypatch, rng):
