@@ -9,7 +9,10 @@ A word is stored as runs ``(generator, exponent)`` with generator ``x``,
 ``y`` or ``h`` (the full twist ``x y x y x y``), so ``x^n`` and ``h^d`` each
 cost one run whatever their exponent.  A ``Letter`` is the run
 ``(generator, +-1)``, so a letter sequence is already a run sequence.  The
-letter sequence itself is expanded only on demand.
+letter sequence itself is expanded only on demand.  A word that ``parse``
+reads from the tokens ``x``, ``y``, ``x^-1`` and ``y^-1`` alone is stored
+as its base-4 letter codes and packed windows instead; its runs, which
+are its letters, are built from the codes only when something reads them.
 """
 
 from __future__ import annotations
@@ -115,6 +118,10 @@ class _Digits(dict):
 _letter_digit = _Digits(
     (letter, str(code)) for code, letter in enumerate(PACKED_LETTERS)).__getitem__
 
+# Each letter by its code as an ASCII base-4 digit, as ``parse``'s byte
+# path stores it.
+_DIGIT_LETTERS = dict(zip(b"0123", PACKED_LETTERS))
+
 
 def window_table(letter_value, product, identity) -> list:
     """Each window of CHUNK letters' value at the byte ``_fold_keys``
@@ -216,7 +223,14 @@ class BraidWord:
     the two run sequences once (``_same_letters``) and the hash is read
     from the runs, so neither expands a letter, whatever the exponents.
     The string expands them (``run_text`` does not).
+
+    A word that ``parse`` read on its byte path (``_unit_letter_word``)
+    holds its letter codes, its length and its fold keys; its runs and
+    letters, one tuple, are built from the codes on first read.
     """
+
+    # The ASCII base-4 letter codes of a word read on parse's byte path.
+    _digits = None
 
     def __init__(self, runs: tuple[Run, ...] = ()):
         self.__dict__["runs"] = runs
@@ -231,8 +245,16 @@ class BraidWord:
         return f"BraidWord(runs={self.runs!r})"
 
     @cached_property
+    def runs(self) -> tuple[Run, ...]:
+        """Set by the constructor; only a word read on parse's byte path,
+        each of whose runs is one letter, builds them here."""
+        return self.letters
+
+    @cached_property
     def letters(self) -> tuple[Letter, ...]:
         """The letter sequence, expanded once and cached."""
+        if self._digits is not None:
+            return tuple(map(_DIGIT_LETTERS.__getitem__, self._digits))
         return tuple(chain.from_iterable(map(_letters_of_run, self.runs)))
 
     @cached_property
@@ -348,6 +370,12 @@ def parse(text: str) -> BraidWord:
     run, except that a zero exponent (``x^0``) gives none; the x/y letters
     of a word total at most ``MAX_LETTERS``.
 
+    A text whose tokens are all ``x``, ``y``, ``x^-1`` or ``y^-1``, between
+    ASCII whitespace, is read at C speed on the byte path
+    (``_unit_letter_digits``); every other text, ``s1``, ``s2`` and ``x^1``
+    spellings included, is read by the grammar (``_parse_tokens``), which
+    alone raises the parse errors.  Both give the same word.
+
     >>> str(parse("x y^-2"))
     'x y^-2'
     >>> len(parse("h"))
@@ -355,18 +383,76 @@ def parse(text: str) -> BraidWord:
     >>> parse("h^1000000000 x").runs
     (('h', 1000000000), Letter(generator='x', sign=1))
     """
-    tokens = text.split()
+    digits = _unit_letter_digits(text)
+    if digits is not None:
+        return _unit_letter_word(digits)
+    return _parse_tokens(text.split())
+
+
+# The byte path of parse reads a text as a chain of byte classes, class 0
+# the six ASCII whitespace bytes (those bytes.split splits on).  A step
+# from one byte to the next is the byte 8 * class + class before; its
+# grammar allows the steps from whitespace to whitespace, x or y, from a
+# letter to whitespace or ^, from ^ to -, from - to 1 and from 1 to
+# whitespace.  The step out of a letter tells its sign, so it is read as
+# the letter's code (PACKED_LETTERS) and the other steps are skipped.
+_SPACE, _X, _Y, _CARET, _MINUS, _ONE, _OTHER = range(7)
+_CLASS_OF_BYTE = dict.fromkeys(b" \t\n\r\v\f", _SPACE) | dict(
+    zip(b"xy^-1", (_X, _Y, _CARET, _MINUS, _ONE)))
+_BYTE_CLASSES = bytes(_CLASS_OF_BYTE.get(byte, _OTHER) for byte in range(256))
+_LETTER_STEP_DIGITS = {
+    8 * after + letter: digit
+    for (letter, after), digit in zip(
+        ((_X, _SPACE), (_Y, _SPACE), (_X, _CARET), (_Y, _CARET)), b"0123")}
+# Each step as its letter's digit, and a step off the grammar as "!".
+_STEP_DIGITS = bytes(_LETTER_STEP_DIGITS.get(step, ord("!"))
+                     for step in range(256))
+_SKIPPED_STEPS = bytes(8 * after + before for before, after in (
+    (_SPACE, _SPACE), (_SPACE, _X), (_SPACE, _Y), (_CARET, _MINUS),
+    (_MINUS, _ONE), (_ONE, _SPACE)))
+
+
+def _unit_letter_digits(text: str) -> bytes | None:
+    """The letter codes of ``text`` as ASCII base-4 digits (see
+    ``PACKED_LETTERS``) if its tokens are all ``x``, ``y``, ``x^-1`` or
+    ``y^-1`` between ASCII whitespace, and there are at most
+    ``MAX_LETTERS`` of them; else None, and the grammar reads the text.
+    With the byte classes read as one int, ``classes << 11 | classes``
+    holds each step of the text, padded with whitespace, in a byte (class
+    0 is whitespace), so that every step is read at C speed.
+
+    >>> _unit_letter_digits("x y^-1\\tx^-1\\ny")
+    b'0321'
+    >>> _unit_letter_digits("x y^-1x") is _unit_letter_digits("s1") is None
+    True
+    """
     try:
-        # A list first: a tuple grown from an iterator is resized step by
-        # step, which fragments the heap.
-        runs = tuple([_UNIT_TOKENS[token] for token in tokens])
-    except KeyError:
-        pass
-    else:
-        # Each unit token is one letter, so this is the letter count.
-        if len(runs) <= MAX_LETTERS:
-            return BraidWord(runs)
-    return _parse_tokens(tokens)
+        data = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    classes = int.from_bytes(data.translate(_BYTE_CLASSES), "big")
+    steps = (classes << 11 | classes).to_bytes(len(data) + 1, "big")
+    digits = steps.translate(_STEP_DIGITS, _SKIPPED_STEPS)
+    # Past the cap the grammar raises WordTooLong at the right token.
+    if b"!" in digits or len(digits) > MAX_LETTERS:
+        return None
+    return digits
+
+
+def _unit_letter_word(digits: bytes) -> BraidWord:
+    """The word of letter codes that ``_unit_letter_digits`` gave, holding
+    its length and the fold keys that ``BraidWord._fold_keys`` would build
+    from its runs: the packed windows read from the digits by one
+    ``int(digits, 4)``, then the 0 to CHUNK - 1 letters left."""
+    w = BraidWord.__new__(BraidWord)
+    length = len(digits)
+    full = length - length % CHUNK
+    left = tuple(map(_DIGIT_LETTERS.__getitem__, digits[full:]))
+    # A word of fewer than CHUNK runs keys on its runs, as a tuple.
+    keys = [*int(digits[:full], 4).to_bytes(full // CHUNK, "big"), *left] \
+        if full else left
+    w.__dict__.update(_digits=digits, _length=length, _fold_keys=keys)
+    return w
 
 
 def _parse_tokens(tokens: list[str]) -> BraidWord:
@@ -425,8 +511,8 @@ _BASE_UNITS = {
     "h": (("h", 1), ("h", -1)),
 }
 
-# Every x/y token with exponent 1 or -1, written out, as its run; parse
-# looks whole tokens up here before it falls back to the grammar.
+# Every x/y token with exponent 1 or -1, written out, as its run; the
+# token loop looks whole tokens up here before it reads them by the grammar.
 _UNIT_TOKENS = {
     base + suffix: units[index]
     for base, units in _BASE_UNITS.items() if base != "h"

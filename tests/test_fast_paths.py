@@ -18,8 +18,9 @@ forms read from the model word or the Floer module, the per-family
 surgery rows, Floer assembly, delta and concordance screen behind the
 tail's exponent sum, the shifted rows built by Fraction addition and
 renormalised by the public constructor behind the rows built in quarters,
-the token grammar on every token (``grammar_parse``) behind the
-table-driven parse and the token loop that looks unit tokens up first,
+the token grammar on every token (``grammar_parse``) behind parse's
+byte path and the token loop that looks unit tokens up first, ``str``
+behind the decimal decrement that writes ``non_s0_count``,
 the generic JSON encoder over ``report_json`` (``encoder_json_line``)
 behind the report writer, the family-1 tail folded one block at a time
 (``sequential_family1_trace``) behind the balanced product of
@@ -1497,6 +1498,120 @@ def test_table_parse_keeps_the_letter_cap():
     assert excinfo.value.position == MAX_LETTERS + 1
 
 
+def assert_parse_matches_grammar(text):
+    """``parse`` against the grammar on every token: the same error class,
+    position and message, or a word whose fold keys, length, hash, letters
+    and runs are those of a word built from the grammar's runs.  The fold
+    keys, length and hash are read first, while a word from the byte path
+    holds no runs yet."""
+    try:
+        expected = BraidWord(grammar_parse(text).runs)
+    except ParseError as error:
+        expected = type(error), error.position, str(error)
+    try:
+        w = parse(text)
+    except ParseError as error:
+        assert (type(error), error.position, str(error)) == expected, text
+        return
+    assert isinstance(expected, BraidWord), text
+    assert w._fold_keys == expected._fold_keys, text
+    assert len(w) == len(expected) and hash(w) == hash(expected), text
+    assert w.letters == expected.letters, text
+    # free_reduce and _same_letters compare letters by identity.
+    assert all(a is b for a, b in zip(w.letters, expected.letters)), text
+    assert w.runs == expected.runs and w == expected, text
+
+
+# The bytes of the four unit tokens, the two whitespace characters that
+# only str.split splits on (\x1c, \xa0), and three letters off the byte
+# path (X, s, h).
+PARSE_CHARACTERS = "xy^-1 \t\x1c\xa0Xsh"
+
+
+def test_byte_parse_matches_grammar_on_all_strings_of_five_characters():
+    checked = 0
+    for length in range(6):
+        for characters in itertools.product(PARSE_CHARACTERS, repeat=length):
+            assert_parse_matches_grammar("".join(characters))
+            checked += 1
+    assert checked == sum(12**n for n in range(6))
+
+
+def test_byte_parse_matches_grammar_on_long_texts(rng):
+    # Half the texts hold only the four unit tokens, between every kind of
+    # ASCII whitespace; each of the others has one other spelling and one
+    # other separator (or none) somewhere, which sends it to the grammar.
+    units = ["x", "y", "x^-1", "y^-1"]
+    others = ["s1", "s2^-1", "x^1", "y^2", "h^-3", "x^-1^-1", "xy", "X",
+              "x^01", "y^-"]
+    spaces = [" ", "\t", "\n", "\r", "\v", "\f", "  ", " \n"]
+    for index in range(300):
+        count = int(math.exp(rng.uniform(0, math.log(10**4))))
+        tokens = [rng.choice(units) for _ in range(count)]
+        separators = [rng.choice(spaces) for _ in range(count + 1)]
+        if index % 2:
+            tokens[rng.randrange(count)] = rng.choice(others)
+            separators[rng.randrange(count + 1)] = rng.choice(
+                spaces + ["\x1c", "\xa0", "\x85", ""])
+        text = "".join(itertools.chain.from_iterable(
+            zip(separators, tokens))) + separators[-1]
+        assert_parse_matches_grammar(text)
+
+
+def test_byte_parse_leaves_the_letter_cap_to_the_grammar():
+    assert len(parse("x^-1\t" * MAX_LETTERS)) == MAX_LETTERS
+    with pytest.raises(WordTooLong) as excinfo:
+        parse("y^-1 " * (MAX_LETTERS + 1))
+    assert excinfo.value.position == MAX_LETTERS + 1
+
+
+def words_line_events(action):
+    """The line events that running ``action`` makes in words.py."""
+    events = 0
+
+    def trace(frame, event, arg):
+        nonlocal events
+        if frame.f_code.co_filename != w_.__file__:
+            return None
+        events += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        action()
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+def test_byte_parse_does_constant_python_work_per_word():
+    def parse_length_and_keys(text):
+        w = parse(text)
+        len(w)
+        w._fold_keys
+        assert "runs" not in vars(w)  # len and the fold keys build no runs
+
+    # Every kind of ASCII whitespace, runs of it, and some at both ends.
+    tokens = ["x", "y^-1", "y", "x^-1"]
+    spaces = [" ", "\t", "\n  ", "\r\n", "\v", "\f"]
+    texts = [" " + "".join(f"{tokens[i % 4]}{spaces[i % 6]}"
+                           for i in range(length)) for length in (10, 10**5)]
+    counts = [words_line_events(lambda: parse_length_and_keys(text))
+              for text in texts]
+    assert counts[0] == counts[1] > 0
+
+
+def test_report_builds_no_runs_of_a_byte_parsed_word(rng):
+    text = " ".join(rng.choice(("x", "y", "x^-1", "y^-1"))
+                    for _ in range(5000))
+    w = parse(text)
+    record = analyze_word(w, raw_text=text, _record=True)
+    assert "runs" not in vars(w)
+    assert record == analyze_word(BraidWord(w.runs), raw_text=text,
+                                  _record=True)
+
+
 def groupby_run_text(w):
     """``run_text`` as one ``groupby`` group per generator and sign: an x/y
     group is summed to one token, an h group keeps a token per run."""
@@ -1521,6 +1636,49 @@ def test_run_text_matches_groupby_on_random_words(rng):
         w = BraidWord(tuple(rng.choice(runs)
                             for _ in range(rng.randint(0, 30))))
         assert w_.run_text(w) == groupby_run_text(w), w.runs
+
+
+def test_decremented_text_matches_str_on_every_small_value(no_digit_limit):
+    texts = [str(n) for n in range(10**5 + 1)]
+    sys.set_int_max_str_digits(640)
+    try:
+        for n in range(1, 10**5 + 1):
+            assert cli._decremented_text(texts[n]) == texts[n - 1], n
+    finally:
+        sys.set_int_max_str_digits(0)
+
+
+def test_decremented_text_matches_str_on_huge_values(rng, no_digit_limit):
+    # Powers of ten and one past them beyond _SPLIT_BITS bits, then random
+    # values up to 2^20 bits, some with trailing decimal 0s.
+    digits = math.ceil(homology._SPLIT_BITS * math.log10(2))
+    values = [10**k + e for k in (digits, digits + 1, 20_000) for e in (0, 1)]
+    for _ in range(20):
+        value = rng.getrandbits(int(math.exp(rng.uniform(0, math.log(2**20)))))
+        values += [value + 1, (value + 1) * 10**rng.randrange(1, 50)]
+    values.append(rng.getrandbits(2**20) | 1 << (2**20 - 1))
+    expected = [str(value - 1) for value in values]
+    sys.set_int_max_str_digits(640)
+    try:
+        texts = [cli._decremented_text(homology._int_text(value))
+                 for value in values]
+    finally:
+        sys.set_int_max_str_digits(0)
+    for value, text, reference in zip(values, texts, expected):
+        assert text == reference, value.bit_length()
+
+
+def test_line_writes_a_huge_non_s0_count_from_the_determinant(
+        capsys, no_digit_limit):
+    text = "x y^-1 " * 15000
+    sys.set_int_max_str_digits(640)
+    try:
+        assert cli.main(["analyze", "--json", "--torus-bundle", text]) == 0
+    finally:
+        sys.set_int_max_str_digits(0)
+    record = json.loads(capsys.readouterr().out)
+    assert record["determinant"] >= 1 << homology._SPLIT_BITS
+    assert record["torus_bundle"]["non_s0_count"] == record["determinant"] - 1
 
 
 def pair_loop_seifert(reduced):
