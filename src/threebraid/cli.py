@@ -44,19 +44,10 @@ EXIT_INCONSISTENT = 3
 EXIT_IO = 4
 
 
-def _oracle_block(word, report) -> dict:
+def _oracle(word, record) -> dict:
     """Oracle determinant/signature plus an agreement verdict against the
-    representation-theoretic values of a public report."""
-    correction = report.correction_term
-    return _oracle(word, report,
-                   None if correction is None else 4 * correction)
-
-
-def _oracle(word, r, quarters) -> dict:
-    """The oracle block of a report or a values record ``r``, whose
-    correction term is ``quarters`` / 4 (None when the determinant is
-    zero).  Split closures and diagrams past the crossing cap get an error
-    record, which has no verdict."""
+    values record of the same word.  Split closures and diagrams past the
+    crossing cap get an error record, which has no verdict."""
     from . import seifert
     try:
         matrix = seifert.seifert_matrix(word)
@@ -65,9 +56,10 @@ def _oracle(word, r, quarters) -> dict:
     det = seifert.sym_determinant(matrix)
     sig = seifert.sym_signature(matrix)
     # Lisca-Owens: d = -sigma/4 on quasi-alternating closures.
-    agrees = det == r.determinant and \
-        (r.signature is None or r.signature == sig) and \
-        (not r.qa or quarters is None or -quarters == sig)
+    quarters = record.correction_quarters
+    agrees = det == record.determinant and \
+        (record.signature is None or record.signature == sig) and \
+        (not record.qa or quarters is None or -quarters == sig)
     return {"determinant": det, "signature": sig, "agrees": agrees}
 
 
@@ -81,14 +73,10 @@ def _report(text: str, args) -> tuple:
         _record=True)
     if not args.oracle:
         return record, None
-    return record, _oracle(word, record, record.correction_quarters)
+    return record, _oracle(word, record)
 
 
 _JSON_BOOL = ("false", "true")
-
-
-def _rational_fields(q) -> str:
-    return f'"num":{q.numerator},"den":{q.denominator}'
 
 
 def _quarter_text(q: int) -> str:
@@ -100,12 +88,12 @@ def _quarter_text(q: int) -> str:
     return f'"num":{q},"den":4'
 
 
-def _module_text(module, fields) -> str:
-    """A ``GradedModule``, or a quarter module, each grading written by
-    ``fields``."""
+def _module_text(module) -> str:
+    """A quarter module, each grading written by ``_quarter_text``."""
     towers, frees, absolute = module
-    towers = "{" + "},{".join(map(fields, towers)) + "}" if towers else ""
-    frees = ",".join([f'{{"rank":{rank},{fields(g)}}}' for rank, g in frees]) \
+    towers = "{" + "},{".join(map(_quarter_text, towers)) + "}" if towers else ""
+    frees = ",".join([f'{{"rank":{rank},{_quarter_text(g)}}}'
+                      for rank, g in frees]) \
         if frees else ""
     return (f'{{"towers":[{towers}],"frees":[{frees}],'
             f'"absolute":{_JSON_BOOL[absolute]}}}')
@@ -118,23 +106,16 @@ def _form_text(f) -> str:
     return f'{{"family":{family},"d":{f.d},"m":{f.m}}}'
 
 
-def _json_line(r, oracle: dict | None) -> str:
-    """The public report's ``--json`` line: ``json.dumps(..., separators=(
-    ",", ":"))`` of ``report_json(r)`` with the oracle block, when there
-    is one, as its last key, byte for byte."""
-    return _line(r, _rational_fields, oracle)
-
-
-def _line(r, fields, oracle: dict | None) -> str:
-    """The ``--json`` line of a public report or of a values record, whose
-    fields are in the same order, written straight from them; ``fields``
-    writes a grading, a ``Fraction`` of the one or a count of quarters of
-    the other.  A field added to ``report_json`` is added here too.  The
-    determinant is rendered once, also for ``spin_c_count``, and every
-    integer that grows with it goes through ``_int_text``."""
+def _line(record, oracle: dict | None) -> str:
+    """The ``--json`` line of a values record, written straight from its
+    fields: ``json.dumps(report_json(invariants._report(record)),
+    separators=(",", ":"))`` with the oracle block, when there is one, as
+    its last key, byte for byte.  A field added to ``report_json`` is added
+    here too.  The determinant is rendered once, also for ``spin_c_count``,
+    and every integer that grows with it goes through ``_int_text``."""
     (word, form, components, determinant, h1, b1, l_space, tight,
      tight_inverse, tag, hf, spin_c_count, correction, delta, signature, qa,
-     screen, stein, bundle) = r
+     screen, stein, bundle) = record
     determinant_text = _int_text(determinant)
     torsion = ",".join(map(_int_text, h1.torsion))
     parts = [
@@ -146,15 +127,15 @@ def _line(r, fields, oracle: dict | None) -> str:
         f'"tight_inverse":{_JSON_BOOL[tight_inverse]},'
         f'"knot_type_tag":{_json_string(tag)}']
     if hf is not None:
-        parts.append(f'"hf_plus_s0":{_module_text(hf, fields)}')
+        parts.append(f'"hf_plus_s0":{_module_text(hf)}')
     if spin_c_count is not None:
         parts.append('"spin_c_count":' + (
             determinant_text if spin_c_count == determinant
             else _int_text(spin_c_count)))
     if correction is not None:
-        parts.append(f'"correction_term":{{{fields(correction)}}}')
+        parts.append(f'"correction_term":{{{_quarter_text(correction)}}}')
     if delta is not None:
-        parts.append(f'"delta":{{{fields(delta)}}}')
+        parts.append(f'"delta":{{{_quarter_text(delta)}}}')
     if signature is not None:
         parts.append(f'"signature":{signature}')
     stein_l_space, stein_tight, fillable, euler, twist_bound = stein
@@ -174,9 +155,9 @@ def _line(r, fields, oracle: dict | None) -> str:
             if count >= _SPLIT and count == determinant - 1 \
             else _int_text(count)
         parts.append(
-            f'"torus_bundle":{{"s0":{_module_text(s0, fields)},'
+            f'"torus_bundle":{{"s0":{_module_text(s0)},'
             f'"non_s0_count":{count_text},'
-            f'"non_s0_relative":{_module_text(relative, fields)},'
+            f'"non_s0_relative":{_module_text(relative)},'
             f'"fiber_structures_vanish":{_JSON_BOOL[vanish]}}}')
     if oracle is not None:
         if "error" in oracle:
@@ -264,7 +245,7 @@ def _analyze(args) -> int:
         print(f"parse error: {error}", file=sys.stderr)
         return EXIT_PARSE
     if args.json:
-        print(_line(record, _quarter_text, oracle))
+        print(_line(record, oracle))
     else:
         print(_pretty_report(invariants._report(record), oracle,
                              torus_requested=args.torus_bundle))
@@ -272,13 +253,13 @@ def _analyze(args) -> int:
     return EXIT_OK if agrees else EXIT_INCONSISTENT
 
 
-def _batch_line(report, oracle: dict | None) -> str:
-    """The text line of a report or a values record: neither grading nor
-    module is read."""
-    summary = (f"{report.word!r}: {report.normal_form}; "
-               f"components {report.components}; "
-               f"det {_int_text(report.determinant)}; "
-               f"L-space {report.l_space}; tight {report.tight}; qa {report.qa}")
+def _batch_line(record, oracle: dict | None) -> str:
+    """The text line of a values record: neither grading nor module is
+    read."""
+    summary = (f"{record.word!r}: {record.normal_form}; "
+               f"components {record.components}; "
+               f"det {_int_text(record.determinant)}; "
+               f"L-space {record.l_space}; tight {record.tight}; qa {record.qa}")
     if oracle is not None:
         summary += (f"; oracle error: {oracle['error']}" if "error" in oracle
                     else f"; oracle {_int_text(oracle['determinant'])}")
@@ -319,7 +300,7 @@ def _batch(args) -> int:
         consistent = consistent and \
             (oracle is None or oracle.get("agrees", True))
         if args.json:
-            print(_line(record, _quarter_text, oracle))
+            print(_line(record, oracle))
         else:
             print(_batch_line(record, oracle))
     if args.json:

@@ -24,7 +24,6 @@ API returns one, so ``fractions`` is imported on first use.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 
 from .homology import _balanced_product
@@ -313,12 +312,6 @@ class TorusBundleModules(_Value, namedtuple(
 _NON_S0_RELATIVE = ((-2, 2), (), False)
 
 
-@functools.cache
-def _non_s0_relative() -> GradedModule:
-    """The public module of ``_NON_S0_RELATIVE``, built on first use."""
-    return _graded_module(_NON_S0_RELATIVE)
-
-
 def _torus_bundle(tag: str, k: int, determinant: int) -> tuple:
     """The bundle in quarters, from the assembly's tag and shift k/4 and
     the nonzero determinant of the closure: a tuple laid out as the fields
@@ -328,9 +321,9 @@ def _torus_bundle(tag: str, k: int, determinant: int) -> tuple:
 
 def _bundle_modules(bundle: tuple) -> TorusBundleModules:
     """The public modules of a bundle that ``_torus_bundle`` gave."""
-    s0, count, _, vanish = bundle
-    return TorusBundleModules(_graded_module(s0), count, _non_s0_relative(),
-                              vanish)
+    s0, count, relative, vanish = bundle
+    return TorusBundleModules(_graded_module(s0), count,
+                              _graded_module(relative), vanish)
 
 
 def torus_bundle_hf(f: MurasugiForm) -> TorusBundleModules:

@@ -200,7 +200,8 @@ class InvariantReport(_Value, namedtuple(
 # bundle's modules are quarter modules, ``correction_quarters`` and
 # ``delta_quarters`` are 4d and 4 delta, ``stein`` is the tuple of the
 # ``SteinReport`` fields and ``torus_bundle`` the one of
-# ``floer._torus_bundle``.
+# ``floer._torus_bundle``.  It is the one form of a report that the command
+# line writes (``cli._line``) and checks (``cli._oracle``).
 _Values = namedtuple(
     "_Values",
     "word normal_form components determinant h1 b1 l_space tight "
@@ -258,15 +259,17 @@ def _values(w: BraidWord, raw_text: str | None,
 
 
 def _report(values: _Values) -> InvariantReport:
-    """The public report of a values record; its ``Fraction``s are made
-    here."""
+    """The public report of a values record, each field read from the
+    record's own field; its ``Fraction``s are made here."""
     (word, form, components, det, h1, b1, l_space, tight, tight_inverse,
-     tag, hf, spin_c_count, _, delta_quarters, sig, qa, screen, stein,
-     torus_bundle) = values
+     tag, hf, spin_c_count, correction_quarters, delta_quarters, sig, qa,
+     screen, stein, torus_bundle) = values
     correction = delta_value = None
     if hf is not None:
         hf = floer._graded_module(hf)
-        correction = hf.towers[0]
+    if correction_quarters is not None:
+        from fractions import Fraction
+        correction = Fraction(correction_quarters, 4)
     if delta_quarters is not None:
         from fractions import Fraction
         delta_value = Fraction(delta_quarters, 4)
@@ -343,8 +346,9 @@ def torus_bundle_json(tb: TorusBundleModules) -> dict:
 
 def report_json(r: InvariantReport) -> dict:
     """The report as a JSON-ready dict: canonical key order, rationals as
-    num/den pairs, absent optionals omitted.  ``cli._json_line`` writes the
-    same record, byte for byte, without building this dict."""
+    num/den pairs, absent optionals omitted.  ``cli._line`` writes the
+    dict of ``_report(record)``, byte for byte, from the values record,
+    without building this dict or the report."""
     out: dict = {
         "word": r.word,
         "normal_form": normal_form_json(r.normal_form),

@@ -202,19 +202,6 @@ def _run_letters(run: Run) -> tuple[Letter, ...]:
     return (positive if exponent > 0 else negative) * abs(exponent)
 
 
-class _RunLetters(dict):
-    """The letters of each run: the four unit runs of x and y, keyed by the
-    ``PACKED_LETTERS`` that ``parse`` stores them as, are looked up, and
-    every other run is expanded by ``_run_letters``."""
-
-    def __missing__(self, run):
-        return _run_letters(run)
-
-
-_letters_of_run = _RunLetters(
-    (letter, (letter,)) for letter in PACKED_LETTERS).__getitem__
-
-
 class BraidWord:
     """An immutable word, stored as runs; the empty word is the identity.
 
@@ -255,7 +242,7 @@ class BraidWord:
         """The letter sequence, expanded once and cached."""
         if self._digits is not None:
             return tuple(map(_DIGIT_LETTERS.__getitem__, self._digits))
-        return tuple(chain.from_iterable(map(_letters_of_run, self.runs)))
+        return tuple(chain.from_iterable(map(_run_letters, self.runs)))
 
     @cached_property
     def _length(self) -> int:

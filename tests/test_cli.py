@@ -89,7 +89,7 @@ def test_oracle_agrees_on_every_word_of_at_most_six_letters():
     for length in range(7):
         for letters in itertools.product(LETTERS, repeat=length):
             w = w_.word(letters)
-            oracle = cli._oracle_block(w, invariants.analyze_word(w))
+            oracle = cli._oracle(w, invariants.analyze_word(w, _record=True))
             assert oracle.get("agrees", True), str(w)
 
 
@@ -122,6 +122,29 @@ def test_oracle_skips_the_correction_term_off_quasi_alternating_closures(
     assert payload["correction_term"] == {"num": 0, "den": 1}
     assert payload["oracle"] == {"determinant": 1, "signature": -8,
                                  "agrees": True}
+
+
+def test_json_oracle_call_reaches_each_stage_once(capsys, monkeypatch):
+    # Each stage is reached through its module attribute, once per word,
+    # and the public report is never built on the --json path.
+    stages = [(w_, "parse"), (homology, "image"), (murasugi, "_syllable_pass"),
+              (murasugi, "classify"), (invariants, "analyze_word"),
+              (cli, "_oracle"), (cli, "_line"), (invariants, "_report")]
+    calls = {}
+
+    def counted(key, function):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for module, name in stages:
+        key = f"{module.__name__.rpartition('.')[2]}.{name}"
+        calls[key] = 0
+        monkeypatch.setattr(module, name, counted(key, getattr(module, name)))
+    code, out, _ = run(capsys, "analyze", "--json", "--oracle", "h^-1 y x y^-2")
+    assert code == 0 and json.loads(out)["oracle"]["agrees"] is True
+    assert calls == {**dict.fromkeys(calls, 1), "invariants._report": 0}, calls
 
 
 def test_analyze_pretty_prints_the_oracle_error(capsys):

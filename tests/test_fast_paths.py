@@ -22,7 +22,7 @@ the token grammar on every token (``grammar_parse``) behind parse's
 byte path and the token loop that looks unit tokens up first, ``str``
 behind the decimal decrement that writes ``non_s0_count``,
 the generic JSON encoder over ``report_json`` (``encoder_json_line``)
-behind the report writer, the family-1 tail folded one block at a time
+behind ``cli._line``, the family-1 tail folded one block at a time
 (``sequential_family1_trace``) behind the balanced product of
 ``form_determinant``, ``str`` behind the divide-and-conquer
 ``_int_text``, one ``groupby`` group per generator and sign
@@ -32,8 +32,8 @@ compares identities, the Seifert oracle's dense pair-loop construction
 and rational elimination, the report's values computed as ``Fraction``s
 and its record built by keyword (``reference_analyze_word``) behind the
 values stage that holds every grading as a count of quarters, and every
-run expanded on its own (``per_run_letters``) behind the letters that
-look unit runs up.  The
+run expanded on its own (``per_run_letters``) against the letters of a
+word built from its runs.  The
 layout that ``words.window_table`` gives both chunk tables is pinned
 without matrices or syllables: built over letters recorded as tuples, each
 entry is the window that packs to its byte
@@ -1151,26 +1151,27 @@ def encoder_json_line(report, oracle):
     return json.dumps(payload, separators=(",", ":"))
 
 
-def assert_writer_matches_encoder(report, oracle=None):
-    assert cli._json_line(report, oracle) == \
-        encoder_json_line(report, oracle), report
+def assert_writer_matches_encoder(record, oracle=None):
+    assert cli._line(record, oracle) == \
+        encoder_json_line(invariants._report(record), oracle), record
 
 
 def test_writer_matches_encoder_on_short_forms_and_words(no_digit_limit):
     for f in all_forms(range(-6, 7), 4):
         for torus in (False, True):
             assert_writer_matches_encoder(
-                analyze_word(canonical_word(f), include_torus_bundle=torus))
+                analyze_word(canonical_word(f), include_torus_bundle=torus,
+                             _record=True))
     # Every word of at most 5 letters, with its real oracle block: split
     # closures get an error record, the others an agreeing verdict.
     verdicts = set()
     for length in range(6):
         for letters in itertools.product(LETTERS, repeat=length):
             w = w_.word(letters)
-            report = analyze_word(w, include_torus_bundle=True)
-            oracle = cli._oracle_block(w, report)
+            record = analyze_word(w, include_torus_bundle=True, _record=True)
+            oracle = cli._oracle(w, record)
             verdicts.add(oracle.get("agrees", "error"))
-            assert_writer_matches_encoder(report, oracle)
+            assert_writer_matches_encoder(record, oracle)
     assert verdicts == {True, "error"}
 
 
@@ -1187,18 +1188,19 @@ def random_int(rng):
 
 
 def random_module(rng):
-    grading = lambda: Fraction(rng.randint(-40, 40), rng.choice((1, 2, 4)))
-    return GradedModule(
-        tuple(grading() for _ in range(rng.randint(0, 3))),
-        tuple((rng.randint(1, 5), grading()) for _ in range(rng.randint(0, 3))),
-        absolute=rng.random() < 0.5)
+    """A quarter module: every grading a count of quarters, of each
+    residue mod 4."""
+    grading = lambda: rng.randint(-160, 160)
+    return (tuple(grading() for _ in range(rng.randint(0, 3))),
+            tuple((rng.randint(1, 5), grading())
+                  for _ in range(rng.randint(0, 3))),
+            rng.random() < 0.5)
 
 
-def random_report(rng, base):
-    """``base`` with random values, every optional field present or
-    absent at random."""
+def random_record(rng, base):
+    """The values record ``base`` with random values, each field drawn on
+    its own and every optional field present or absent at random."""
     maybe = lambda value: value if rng.random() < 0.5 else None
-    rational = lambda: Fraction(random_int(rng), rng.choice((1, 3, 4, 8)))
     form = rng.choice((
         Family1(random_int(rng), tuple(rng.choice((0, 1, 7, 255, 256, 10**9))
                                        for _ in range(rng.randint(1, 8)))),
@@ -1207,14 +1209,11 @@ def random_report(rng, base):
     g = abs(random_int(rng)) + 2
     torsion = rng.choice(((), (g,), (g, g * (abs(random_int(rng)) + 1))))
     determinant = random_int(rng)
-    stein = base.stein._replace(
-        l_space=rng.random() < 0.5,
-        tight=rng.random() < 0.5,
-        fillable=rng.choice(("No", "Unknown", "Constrained")),
-        euler_char=maybe(random_int(rng)),
-        dehn_twist_count_bound=random_int(rng))
-    bundle = TorusBundleModules(random_module(rng), random_int(rng),
-                                random_module(rng), rng.random() < 0.5)
+    stein = (rng.random() < 0.5, rng.random() < 0.5,
+             rng.choice(("No", "Unknown", "Constrained")),
+             maybe(random_int(rng)), random_int(rng))
+    bundle = (random_module(rng), random_int(rng), random_module(rng),
+              rng.random() < 0.5)
     return base._replace(
         word="".join(rng.choice(AWKWARD_CHARACTERS)
                      for _ in range(rng.randint(0, 12))),
@@ -1229,8 +1228,8 @@ def random_report(rng, base):
         knot_type_tag=rng.choice(("right trefoil", 'a "tag"\u2003')),
         hf_plus_s0=maybe(random_module(rng)),
         spin_c_count=rng.choice((None, determinant, random_int(rng))),
-        correction_term=maybe(rational()),
-        delta=maybe(rational()),
+        correction_quarters=maybe(random_int(rng)),
+        delta_quarters=maybe(random_int(rng)),
         signature=maybe(random_int(rng)),
         qa=rng.random() < 0.5,
         finite_order_screen=rng.choice((PASS, "Fail", "NotAKnot")),
@@ -1240,12 +1239,13 @@ def random_report(rng, base):
 
 
 def test_writer_matches_encoder_on_random_reports(rng, no_digit_limit):
-    base = analyze_word(parse("h x y^-5"), include_torus_bundle=True)
+    base = analyze_word(parse("h x y^-5"), include_torus_bundle=True,
+                        _record=True)
     oracles = (None, {"determinant": 9, "signature": -2, "agrees": True},
                {"determinant": -10**5000, "signature": 0, "agrees": False},
                {"error": 'split "closure"\u2003'})
     for _ in range(1000):
-        assert_writer_matches_encoder(random_report(rng, base),
+        assert_writer_matches_encoder(random_record(rng, base),
                                       rng.choice(oracles))
 
 
@@ -1253,9 +1253,9 @@ def test_writer_escapes_word_characters(capsys, no_digit_limit):
     # str.split splits at non-ASCII whitespace, so this is the word x y.
     assert cli.main(["analyze", "--json", "x\u2003y"]) == 0
     assert capsys.readouterr().out.startswith('{"word":"x\\u2003y",')
-    report = analyze_word(parse("x y"))
+    record = analyze_word(parse("x y"), _record=True)
     for word in ('"', "\\", "\x1c", "\u2003", AWKWARD_CHARACTERS):
-        assert_writer_matches_encoder(report._replace(word=word))
+        assert_writer_matches_encoder(record._replace(word=word))
 
 
 def reference_analyze_word(w, raw_text=None, include_torus_bundle=False):
@@ -1336,7 +1336,7 @@ def assert_record_matches_reference(w, include_torus_bundle):
             for name in ("s0", "non_s0_relative"):
                 assert_same_module(getattr(report.torus_bundle, name),
                                    getattr(expected.torus_bundle, name))
-    assert cli._line(record, cli._quarter_text, None) == \
+    assert cli._line(record, None) == \
         encoder_json_line(expected, None), w.runs
 
 
@@ -1374,7 +1374,9 @@ def test_quarter_text_writes_lowest_terms(no_digit_limit):
     for q in [*range(-80, 81),
               *(s * (2**k + r) for k in (10, 64, 200) for r in range(-5, 6)
                 for s in (1, -1))]:
-        assert cli._quarter_text(q) == cli._rational_fields(Fraction(q, 4)), q
+        fraction = Fraction(q, 4)
+        assert cli._quarter_text(q) == \
+            f'"num":{fraction.numerator},"den":{fraction.denominator}', q
 
 
 def test_int_text_splits_down_to_bounded_leaves(monkeypatch, rng):

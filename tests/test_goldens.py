@@ -24,6 +24,18 @@ def test_goldens_print_without_the_report_dict(monkeypatch, tmp_path):
     replay_goldens(monkeypatch, tmp_path)
 
 
+def test_goldens_print_without_the_public_report(monkeypatch, tmp_path):
+    # The command line writes and checks the values record itself, so no
+    # golden call builds the public report with its Fractions.
+    from threebraid import invariants
+
+    def no_report(values):
+        raise AssertionError("invariants._report called on a golden call")
+
+    monkeypatch.setattr(invariants, "_report", no_report)
+    replay_goldens(monkeypatch, tmp_path)
+
+
 def replay_goldens(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(BENCH))
     import corpus
