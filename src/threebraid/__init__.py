@@ -34,7 +34,6 @@ from .homology import (
     h1_branched_cover,
     image,
     parabolic_invariant,
-    smith_normal_form,
     trace_class,
 )
 from .invariants import (
@@ -75,8 +74,8 @@ from .words import (
 )
 
 # The Seifert-matrix oracle, loaded on first use: only ``--oracle`` reads it.
-_SEIFERT_NAMES = ("SeifertMatrix", "oracle_determinant", "seifert_matrix",
-                  "sym_determinant", "sym_signature")
+_SEIFERT_NAMES = ("SeifertMatrix", "seifert_matrix", "sym_determinant",
+                  "sym_signature")
 
 __all__ = sorted([name for name in dir() if not name.startswith("_")
                   and not isinstance(globals()[name], _ModuleType)]

@@ -171,14 +171,9 @@ def _zero_row_quarters(tag: str, k: int) -> tuple:
     return (low + k, high + k), () if free is None else ((1, free + k),), True
 
 
-def _shifted_zero_row(tag: str, k: int) -> GradedModule:
-    """The 0-surgery row shifted by k/4."""
-    return _graded_module(_zero_row_quarters(tag, k))
-
-
 def zero_surgery_table(tag: str) -> GradedModule:
     """HF+ of 0-surgery on the model knot, in its supporting spin-c structure."""
-    return _shifted_zero_row(tag, 0)
+    return _graded_module(_zero_row_quarters(tag, 0))
 
 
 def form_determinant(f: MurasugiForm) -> int:

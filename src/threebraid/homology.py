@@ -211,9 +211,13 @@ class AbelianGroup(_Value, namedtuple("AbelianGroup", "free_rank torsion",
         return " + ".join(parts) if parts else "0"
 
 
-def _cokernel(entry_gcd: int, det: int) -> AbelianGroup:
-    """Z/entry_gcd + Z/(det / entry_gcd), from the gcd of a 2x2 matrix's
-    entries and its |det|, a zero factor being Z; gcd(0, 0, 0, 0) = 0."""
+def _cokernel(m, det: int) -> AbelianGroup:
+    """The cokernel of an integer 2x2 matrix m with |det m| = det:
+    Z/g + Z/(det / g) for g the gcd of m's entries, a zero factor being Z;
+    gcd(0, 0, 0, 0) = 0.  The gcd is one call over all four entries, so
+    only its first step can be between two huge entries."""
+    (a, b), (c, d) = m
+    entry_gcd = gcd(a, b, c, d)
     diagonal = (entry_gcd, det // entry_gcd if det else 0)
     return AbelianGroup(
         free_rank=diagonal.count(0),
@@ -221,25 +225,12 @@ def _cokernel(entry_gcd: int, det: int) -> AbelianGroup:
     )
 
 
-def smith_normal_form(m) -> AbelianGroup:
-    """The cokernel of an integer 2x2 matrix, as an abelian group.
-
-    For 2x2 matrices the invariant factors are gcd-of-entries and
-    |det| / gcd-of-entries, so no row reduction is needed.  The gcd is one
-    call over all four entries, so only its first step can be between two
-    huge entries.
-    """
-    (a, b), (c, d) = m
-    return _cokernel(gcd(a, b, c, d), abs(a * d - b * c))
-
-
 def h1_from_image(m: SL2Matrix) -> AbelianGroup:
     """First homology of the branched double cover of the closure of a braid
     with image m: the cokernel of m - I on the homology of the fiber torus,
-    Z/g + Z/(D/g) for g the gcd of the entries of m - I and D = |2 - tr m|
-    from ``determinant_from_image``, so no two entries are multiplied."""
-    (a, b), (c, d) = m.minus_identity()
-    return _cokernel(gcd(a, b, c, d), determinant_from_image(m))
+    whose |det| is D = |2 - tr m| from ``determinant_from_image``, so no two
+    entries are multiplied."""
+    return _cokernel(m.minus_identity(), determinant_from_image(m))
 
 
 def determinant_from_image(m: SL2Matrix) -> int:

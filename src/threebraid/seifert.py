@@ -313,13 +313,3 @@ def sym_determinant(v: SeifertMatrix) -> int:
     if 0 in pivots:
         return 0
     return abs(pivots[-1]) if pivots else 1
-
-
-def oracle_determinant(w: BraidWord) -> int:
-    """|det(V + V^T)| of the closure, from the diagram alone.
-
-    >>> from threebraid.words import parse
-    >>> oracle_determinant(parse("x y x y"))
-    3
-    """
-    return sym_determinant(seifert_matrix(w))

@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import cached_property
-from itertools import chain
+from itertools import chain, zip_longest
 
 
 class ParseError(ValueError):
@@ -143,22 +143,12 @@ def window_table(letter_value, product, identity) -> list:
 _INVERSE_LETTERS = {X: X_INV, X_INV: X, Y: Y_INV, Y_INV: Y}
 
 # The letters of one run with exponent +1 and -1, by generator: only the
-# four PACKED_LETTERS, which _same_letters compares by identity.
+# four PACKED_LETTERS, which _letter_blocks compares by identity.
 _UNIT_LETTERS = {
     "x": ((X,), (X_INV,)),
     "y": ((Y,), (Y_INV,)),
     "h": (H_LETTERS, (Y_INV, X_INV) * 3),
 }
-
-
-# The word hash is a polynomial in _HASH_BASE modulo the Mersenne prime
-# 2^61 - 1 (see BraidWord._hash).
-_HASH_MODULUS = (1 << 61) - 1
-_HASH_BASE = 1_000_003
-
-# 1 / (B^2 - 1) modulo the prime: k pairs of letters that each hash to p
-# hash to p (1 + B^2 + ... + B^(2 (k - 1))) = p (B^(2 k) - 1) / (B^2 - 1).
-_PAIRS = pow(_HASH_BASE**2 - 1, -1, _HASH_MODULUS)
 
 
 def _segment(run: Run) -> tuple[Letter, Letter, int]:
@@ -173,27 +163,38 @@ def _segment(run: Run) -> tuple[Letter, Letter, int]:
     return unit[0], unit[len(unit) > 1], len(unit) * abs(exponent)
 
 
-def _same_letters(u: Sequence[Run], v: Sequence[Run]) -> bool:
-    """Whether two run sequences spell the same letters.  Each step
-    compares the next k letters of both, k the shorter head's length, by
-    their first two, and drops them, which uses up at least one run: O(runs)
-    whatever the exponents.  ``_segment`` gives only the four
-    ``PACKED_LETTERS``, so letters compare by identity."""
-    left, right = [(s for s in map(_segment, runs) if s[2]) for runs in (u, v)]
-    n = m = 0
-    while True:
-        if not n:
-            a, b, n = next(left, (None, None, 0))
+def _letter_blocks(runs: Sequence[Run]) -> Iterator[tuple[Letter, Letter, int]]:
+    """The letters of a run sequence as maximal alternating blocks
+    (a, b, n), the n letters a, b, a, ..., read greedily from the left, a
+    one-letter block as (a, a, 1): two run sequences spell the same
+    letters exactly when they give the same blocks.  Each run's
+    ``_segment`` extends the open block by all of its letters, by its
+    first letter only, or by none, so this is O(runs) whatever the
+    exponents; its four ``PACKED_LETTERS`` compare by identity.
+
+    >>> [(a.generator + b.generator, n)
+    ...  for a, b, n in _letter_blocks(parse("x y x^2 h").runs)]
+    [('xy', 3), ('xx', 2), ('yx', 5)]
+    """
+    a, b, n = None, None, 0
+    for c, d, m in map(_segment, runs):
         if not m:
-            c, d, m = next(right, (None, None, 0))
-        if not (n and m):
-            return n == m
-        k = min(n, m)
-        if a is not c or (k > 1 and b is not d):
-            return False
-        n, m = n - k, m - k
-        if k % 2:
-            a, b, c, d = b, a, d, c
+            continue
+        if n == 1:
+            b = c  # a one-letter block goes on with any letter
+        # The block's next two letters are a, b when n is even, else b, a.
+        if n and c is (b if n % 2 else a):
+            if m == 1 or d is (a if n % 2 else b):
+                n += m
+                continue
+            # Only the run's first letter goes on with the block.
+            yield a, b, n + 1
+            c, d, m = d, c, m - 1
+        elif n:
+            yield a, b, n
+        a, b, n = c, d, m
+    if n:
+        yield a, b, n
 
 
 def _run_letters(run: Run) -> tuple[Letter, ...]:
@@ -206,8 +207,8 @@ class BraidWord:
     """An immutable word, stored as runs; the empty word is the identity.
 
     Length, iteration, equality, hashing and the string are those of the
-    letter sequence: ``parse("h") == word(H_LETTERS)``.  Equality walks
-    the two run sequences once (``_same_letters``) and the hash is read
+    letter sequence: ``parse("h") == word(H_LETTERS)``.  Equality compares
+    and the hash folds the letter blocks that ``_letter_blocks`` streams
     from the runs, so neither expands a letter, whatever the exponents.
     The string expands them (``run_text`` does not).
 
@@ -250,26 +251,10 @@ class BraidWord:
 
     @cached_property
     def _hash(self) -> int:
-        """The polynomial hash of the letter sequence modulo
-        ``_HASH_MODULUS``, each letter's value its code plus one: each
-        distinct run's (B^n, hash) is read in closed form from its
-        ``_segment`` once, so this is O(runs) whatever the exponents."""
+        """The letter blocks (``_letter_blocks``) folded into one hash."""
         value = 0
-        terms = {}
-        for run in self.runs:
-            term = terms.get(run)
-            if term is None:
-                a, b, n = _segment(run)
-                first = PACKED_LETTERS.index(a) + 1
-                pair = first * _HASH_BASE + PACKED_LETTERS.index(b) + 1
-                power = pow(_HASH_BASE, n - n % 2, _HASH_MODULUS)
-                run_hash = pair * (power - 1) * _PAIRS % _HASH_MODULUS
-                if n % 2:
-                    power *= _HASH_BASE
-                    run_hash = run_hash * _HASH_BASE + first
-                term = terms[run] = power, run_hash
-            power, run_hash = term
-            value = (value * power + run_hash) % _HASH_MODULUS
+        for block in _letter_blocks(self.runs):
+            value = hash((value, *block))
         return value
 
     @cached_property
@@ -309,7 +294,9 @@ class BraidWord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BraidWord):
             return NotImplemented
-        return self.runs == other.runs or _same_letters(self.runs, other.runs)
+        return self.runs == other.runs or all(
+            block == other_block for block, other_block in zip_longest(
+                _letter_blocks(self.runs), _letter_blocks(other.runs)))
 
     def __hash__(self) -> int:
         return self._hash

@@ -40,7 +40,6 @@ from threebraid.murasugi import (
     psl2_normal_form,
 )
 from threebraid.seifert import (
-    oracle_determinant,
     seifert_matrix,
     sym_determinant,
     sym_signature,
@@ -106,7 +105,7 @@ def test_criterion_3_determinant_oracle_equivalence():
     failures = []
     for _ in range(1_000):
         w = random_nonsplit_word(rng, 16)
-        if oracle_determinant(w) != determinant(w):
+        if sym_determinant(seifert_matrix(w)) != determinant(w):
             failures.append(str(w))
     check(3, "10^3 non-split words: Seifert oracle = representation "
              "determinant", failures)

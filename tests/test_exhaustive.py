@@ -10,7 +10,7 @@ import itertools
 from threebraid import words as w_
 from threebraid.homology import determinant, h1_branched_cover, image
 from threebraid.murasugi import canonical_word, classify, psl2_normal_form
-from threebraid.seifert import oracle_determinant
+from threebraid.seifert import seifert_matrix, sym_determinant
 from threebraid.words import components, exponent_sum
 
 LETTERS = (w_.X, w_.Y, w_.X_INV, w_.Y_INV)
@@ -41,7 +41,7 @@ def test_oracle_determinant_on_all_short_nonsplit_words():
         reduced = w_.free_reduce(w)
         if {letter.generator for letter in reduced} != {"x", "y"}:
             continue
-        assert oracle_determinant(w) == determinant(w)
+        assert sym_determinant(seifert_matrix(w)) == determinant(w)
 
 
 def test_long_words_stay_exact():

@@ -8,9 +8,10 @@ chunk tables, the window-slicing image and syllable pass, which look up
 CHUNK runs by their letters, behind the folds over packed 4-letter bytes,
 the per-kind syllable merge and branching cyclic reduction behind the byte
 alphabet (S = 0, U = 1, U^2 = 2, where a power run costs O(n) memcpy work
-at 2 bytes per letter), the pairwise gcd of the Smith normal form, the
-Smith form of m - I (``smith_h1_from_image``) behind H1 read with the
-order |2 - tr m|, the trace class tested against +-I with one sign rule
+at 2 bytes per letter), the Smith normal form of m - I with a pairwise
+gcd and its determinant multiplied out
+(``pairwise_gcd_smith_normal_form``) behind H1 read with one gcd call and
+the order |2 - tr m|, the trace class tested against +-I with one sign rule
 per kind (``branching_trace_class``) behind the one read from the entries,
 the per-letter permutation fold, words stored one letter per run, the mirror
 read by classifying the inverse of the model word, the report's closed
@@ -289,7 +290,8 @@ def test_smith_normal_form_matches_the_pairwise_gcd(rng, monkeypatch):
         m = tuple(tuple(factor * entry() for _ in range(2)) for _ in range(2))
         if trial % 7 == 0:
             m = (m[0], tuple(rng.choice((1, -1, 3)) * e for e in m[0]))
-        assert homology.smith_normal_form(m) == \
+        (a, b), (c, d) = m
+        assert homology._cokernel(m, abs(a * d - b * c)) == \
             pairwise_gcd_smith_normal_form(m), m
     assert gcd_calls == 2000
 
@@ -379,11 +381,6 @@ def test_parabolic_invariant_matches_basis_completion_on_conjugates(rng):
             basis_parabolic_invariant(matrix) == ((-1) ** d, m), (u, d, m)
 
 
-def smith_h1_from_image(m):
-    """H1 as the Smith form of m - I, its determinant multiplied out."""
-    return homology.smith_normal_form(m.minus_identity())
-
-
 def branching_trace_class(m):
     """The trace class with centrality tested against +-I, and one sign
     rule per kind."""
@@ -400,7 +397,7 @@ def branching_trace_class(m):
 
 
 def assert_matrix_layer_matches_references(m, label):
-    assert homology.h1_from_image(m) == smith_h1_from_image(m) == \
+    assert homology.h1_from_image(m) == \
         pairwise_gcd_smith_normal_form(m.minus_identity()), label
     trace_class = homology.trace_class(m)
     assert trace_class == branching_trace_class(m), label
@@ -456,7 +453,7 @@ def test_h1_from_image_multiplies_no_two_entries():
         multiplications = 0
         h1 = homology.h1_from_image(counted)
         assert multiplications == 0, text
-        assert h1 == smith_h1_from_image(m), text
+        assert h1 == pairwise_gcd_smith_normal_form(m.minus_identity()), text
 
 
 def test_trace_class_and_image_fits_build_no_matrix(monkeypatch):
@@ -1127,7 +1124,8 @@ def test_zero_surgery_rows_match_their_fraction_modules():
         assert_same_module(floer.zero_surgery_table(tag), module)
         assert_normal(floer.zero_surgery_table(tag))
         for k in range(-9, 10):
-            assert_same_module(floer._shifted_zero_row(tag, k),
+            shifted = floer._graded_module(floer._zero_row_quarters(tag, k))
+            assert_same_module(shifted,
                                renormalised_shift(module, Fraction(k, 4)))
 
 
@@ -1519,7 +1517,7 @@ def assert_parse_matches_grammar(text):
     assert w._fold_keys == expected._fold_keys, text
     assert len(w) == len(expected) and hash(w) == hash(expected), text
     assert w.letters == expected.letters, text
-    # free_reduce and _same_letters compare letters by identity.
+    # free_reduce and _letter_blocks compare letters by identity.
     assert all(a is b for a, b in zip(w.letters, expected.letters)), text
     assert w.runs == expected.runs and w == expected, text
 
@@ -1895,3 +1893,125 @@ def test_letters_match_the_per_run_expansion(rng):
         assert letters == expected, runs
         # free_reduce compares letters by identity.
         assert all(a is b for a, b in zip(letters, expected)), runs
+
+
+def walk_same_letters(u, v):
+    """Whether two run sequences spell the same letters.  Each step
+    compares the next k letters of both, k the shorter head's length, by
+    their first two, and drops them, which uses up at least one run."""
+    left, right = [(s for s in map(w_._segment, runs) if s[2])
+                   for runs in (u, v)]
+    n = m = 0
+    while True:
+        if not n:
+            a, b, n = next(left, (None, None, 0))
+        if not m:
+            c, d, m = next(right, (None, None, 0))
+        if not (n and m):
+            return n == m
+        k = min(n, m)
+        if a is not c or (k > 1 and b is not d):
+            return False
+        n, m = n - k, m - k
+        if k % 2:
+            a, b, c, d = b, a, d, c
+
+
+def letter_level_blocks(letters):
+    """The maximal alternating blocks of a letter sequence, read from the
+    left one letter at a time; a one-letter block is (a, a, 1)."""
+    blocks = []
+    for letter in letters:
+        if blocks:
+            a, b, n = blocks[-1]
+            if n == 1 or letter is (b if n % 2 else a):
+                blocks[-1] = (a, letter if n == 1 else b, n + 1)
+                continue
+        blocks.append((letter, letter, 1))
+    return blocks
+
+
+# Run values with a few letters each: both generators and signs, power
+# runs, h runs of both signs and an empty run.
+SHORT_RUNS = (*LETTERS, ("x", 2), ("x", -3), ("y", 3), ("y", -2), ("h", 1),
+              ("h", -1), ("h", 2), ("x", 0))
+
+
+def test_letter_blocks_match_the_letter_level_blocks(rng):
+    for _ in range(20_000):
+        runs = tuple(rng.choice(SHORT_RUNS) for _ in range(rng.randint(0, 12)))
+        assert list(w_._letter_blocks(runs)) == \
+            letter_level_blocks(BraidWord(runs).letters), runs
+
+
+def same_letters_variant(rng, runs):
+    """Other runs that spell the same letters: a run split in two or two
+    merged, an h run's letters written out in part, two letters moved
+    past the h run that they start, or an empty run put in."""
+    runs = list(runs)
+    i = rng.randrange(len(runs) + 1)
+    if i == len(runs):
+        runs.insert(rng.randrange(len(runs) + 1), ("x", 0))
+        return runs
+    g, e = runs[i]
+    sign = 1 if e > 0 else -1
+    unit = list(w_._UNIT_LETTERS["h"][e < 0])
+    rest = [(g, e - sign)] if abs(e) > 1 else []
+    pair = unit[:2]
+    choice = rng.randrange(4)
+    if choice == 0 and abs(e) > 1:
+        k = rng.randint(1, abs(e) - 1)
+        runs[i:i + 1] = [(g, sign * k), (g, e - sign * k)]
+    elif choice == 1 and i + 1 < len(runs) and runs[i + 1][0] == g \
+            and (runs[i + 1][1] > 0) == (e > 0):
+        runs[i:i + 2] = [(g, e + runs[i + 1][1])]
+    elif choice == 2 and g == "h":
+        runs[i:i + 1] = rng.choice((unit + rest, rest + unit,
+                                    pair + rest + unit[2:]))
+    elif choice == 3 and g == "h":
+        if runs[i + 1:i + 3] == pair:
+            runs[i:i + 3] = pair + [runs[i]]
+        elif i >= 2 and runs[i - 2:i] == pair:
+            runs[i - 2:i + 1] = [runs[i]] + pair
+    return runs
+
+
+def other_letters_variant(rng, runs):
+    """The runs with one changed: a letter's sign or generator, or an h
+    run's exponent off by one."""
+    runs = list(runs)
+    i = rng.randrange(len(runs))
+    g, e = runs[i]
+    if g == "h":
+        runs[i] = (g, e + rng.choice((1, -1)) or e + 2)
+    elif rng.random() < 0.5:
+        runs[i] = (g, -e)
+    else:
+        runs[i] = ("y" if g == "x" else "x", e)
+    return runs
+
+
+def test_word_equality_matches_the_walk_on_long_words_with_huge_twists(rng):
+    # The letters cannot be expanded: h runs have exponents up to 10^17.
+    outcomes = Counter()
+    for trial in range(400):
+        runs = []
+        for _ in range(rng.randint(1, 200)):
+            if rng.random() < 0.2:
+                runs.append(("h", rng.choice((1, -1))
+                             * rng.randint(1, 10 ** rng.randint(0, 17))))
+            else:
+                runs.append((rng.choice("xy"), rng.choice((1, -1))
+                             * rng.randint(1, 4)))
+        other = runs
+        for _ in range(rng.randint(1, 20)):
+            other = same_letters_variant(rng, other)
+        if trial % 2:
+            other = other_letters_variant(rng, other)
+        u, v = BraidWord(tuple(runs)), BraidWord(tuple(other))
+        equal = walk_same_letters(u.runs, v.runs)
+        assert (u == v) is (v == u) is equal, (runs, other)
+        if equal:
+            assert hash(u) == hash(v), (runs, other)
+        outcomes[trial % 2, equal] += 1
+    assert outcomes[0, True] == 200 and outcomes[1, False] > 150, outcomes

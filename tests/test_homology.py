@@ -13,8 +13,8 @@ from threebraid.homology import (
     determinant,
     h1_branched_cover,
     image,
+    h1_from_image,
     parabolic_invariant,
-    smith_normal_form,
     trace_class,
 )
 from threebraid.murasugi import canonical_word, classify
@@ -64,9 +64,11 @@ def test_image_has_determinant_one(rng):
 
 
 def test_smith_normal_form_fixtures():
-    assert smith_normal_form(((-2, 0), (0, -2))) == AbelianGroup(0, (2, 2))
-    assert smith_normal_form(((1, 1), (1, 0))) == AbelianGroup(0, ())
-    assert smith_normal_form(((0, 0), (0, 0))) == AbelianGroup(2, ())
+    # H1 is the cokernel of m - I: here ((-2, 0), (0, -2)), ((1, 1), (1, 0))
+    # and the zero matrix.
+    assert h1_from_image(SL2Matrix(-1, 0, 0, -1)) == AbelianGroup(0, (2, 2))
+    assert h1_from_image(SL2Matrix(2, 1, 1, 1)) == AbelianGroup(0, ())
+    assert h1_from_image(SL2Matrix(1, 0, 0, 1)) == AbelianGroup(2, ())
 
 
 def test_abelian_group_checks_its_torsion():

@@ -140,13 +140,35 @@ def test_short_words_are_equal_exactly_when_their_letters_are():
             assert (u == v) == (u.letters == v.letters), (u.runs, v.runs)
 
 
-def test_hash_is_the_polynomial_hash_of_the_letters():
-    for u in _SHORT_WORDS:
-        value = 0
-        for letter in u.letters:
-            value = (value * w_._HASH_BASE
-                     + w_.PACKED_LETTERS.index(letter) + 1) % w_._HASH_MODULUS
-        assert hash(u) == value
+# Two more run values: a positive power of each generator.
+_BLOCK_RUNS = _RUNS + (("y", 3), ("x", 2))
+
+
+def block_letters(block):
+    a, b, n = block
+    return (a, b) * (n // 2) + (a,) * (n % 2)
+
+
+def test_letter_blocks_name_each_letter_class_once():
+    # All 16,105 words of at most four runs, grouped by their letters: each
+    # class has one block stream, which spells its letters and which no
+    # other class has, and one hash.
+    classes = {}
+    for count in range(5):
+        for runs in itertools.product(_BLOCK_RUNS, repeat=count):
+            classes.setdefault(BraidWord(runs).letters, []).append(runs)
+    assert sum(map(len, classes.values())) == 16_105
+    assert len(classes) == 8_953
+    streams = set()
+    for letters, members in classes.items():
+        blocks = {tuple(w_._letter_blocks(runs)) for runs in members}
+        assert len(blocks) == 1, letters
+        (stream,) = blocks
+        assert all(a is b for a, b, n in stream if n == 1), stream
+        assert sum(map(block_letters, stream), ()) == letters, stream
+        streams.add(stream)
+        assert len({hash(BraidWord(runs)) for runs in members}) == 1, letters
+    assert len(streams) == len(classes)
 
 
 def test_hash_tells_short_words_apart():
@@ -165,7 +187,7 @@ def test_word_equality_and_cached_values_against_other_objects():
 
 
 def test_unit_letters_are_the_packed_letters():
-    # _same_letters compares the letters of _segment by identity.
+    # _letter_blocks compares the letters of _segment by identity.
     packed = {id(letter) for letter in w_.PACKED_LETTERS}
     for units in w_._UNIT_LETTERS.values():
         for unit in units:
