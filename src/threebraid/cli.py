@@ -33,7 +33,7 @@ except ImportError:
 
 from . import invariants, murasugi
 from . import words as w_
-from .homology import _SPLIT, _int_text
+from .homology import _int_text
 from .murasugi import Family1, Family2, InternalInconsistency
 from .words import ParseError
 
@@ -149,14 +149,9 @@ def _line(record, oracle: dict | None) -> str:
         f'"dehn_twist_count_bound":{twist_bound}}}')
     if bundle is not None:
         s0, count, relative, vanish = bundle
-        # The count is D - 1 (floer._torus_bundle): past the split size it
-        # is written from D's digits instead of converted a second time.
-        count_text = _decremented_text(determinant_text) \
-            if count >= _SPLIT and count == determinant - 1 \
-            else _int_text(count)
         parts.append(
             f'"torus_bundle":{{"s0":{_module_text(s0)},'
-            f'"non_s0_count":{count_text},'
+            f'"non_s0_count":{_int_text(count)},'
             f'"non_s0_relative":{_module_text(relative)},'
             f'"fiber_structures_vanish":{_JSON_BOOL[vanish]}}}')
     if oracle is not None:
@@ -168,19 +163,6 @@ def _line(record, oracle: dict | None) -> str:
                 f'"signature":{oracle["signature"]},'
                 f'"agrees":{_JSON_BOOL[oracle["agrees"]]}}}')
     return ",".join(parts) + "}"
-
-
-def _decremented_text(text: str) -> str:
-    """The decimal text of n - 1 from ``text``, that of an integer n >= 1:
-    the trailing 0s turn to 9s, the last other digit drops by one, and a
-    leading 0 that this leaves is dropped.
-
-    >>> [_decremented_text(n) for n in ("1", "10", "250", "1000")]
-    ['0', '9', '249', '999']
-    """
-    head = text.rstrip("0")
-    text = f"{head[:-1]}{int(head[-1]) - 1}{'9' * (len(text) - len(head))}"
-    return text.lstrip("0") or "0"
 
 
 def _canonical_str(form) -> str:

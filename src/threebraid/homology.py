@@ -109,12 +109,12 @@ def _balanced_product(factors):
 def image(w: BraidWord) -> SL2Matrix:
     """Product of the per-run matrices, multiplicative over concatenation.
 
-    The factors are the word's packed fold keys (``BraidWord._fold_keys``):
-    a packed window indexes ``_CHUNK_ENTRIES``, built from ``_run_entries``
-    by ``words.window_table``, and a run (a power run, an h run, or a letter
-    left at the end of a stretch) is read in closed form.  They are
-    multiplied by ``_balanced_product``, and the determinant is checked
-    once, on the result.
+    The factors are the word's fold keys (``BraidWord._fold_keys``): a
+    window that parse's byte path packed indexes ``_CHUNK_ENTRIES``, built
+    from ``_run_entries`` by ``words.window_table``, and a run (a letter
+    left after the windows, or any run of a word built from runs) is read
+    in closed form.  They are multiplied by ``_balanced_product``, and the
+    determinant is checked once, on the result.
 
     >>> from threebraid.words import parse
     >>> image(parse("x y x y x y")) == -IDENTITY

@@ -173,10 +173,11 @@ def _syllable_pass(w: BraidWord) -> tuple[bytes, int]:
     """The syllables of the cyclically reduced image in Z/2 * Z/3, as
     bytes, and the exponent sum, read in one pass over the word.
 
-    The steps are the word's packed fold keys (``BraidWord._fold_keys``):
-    a packed window indexes ``_CHUNK_SYLLABLES``, built from
-    ``_run_syllables`` by ``words.window_table``, and a run (a power run, an
-    h run, or a letter left at the end of a stretch) is read in closed form.
+    The steps are the word's fold keys (``BraidWord._fold_keys``): a
+    window that parse's byte path packed indexes ``_CHUNK_SYLLABLES``,
+    built from ``_run_syllables`` by ``words.window_table``, and a run (a
+    letter left after the windows, or any run of a word built from runs) is
+    read in closed form.
     Each step multiplies the reduced stack by reduced syllables, which only
     touch the stack where the two meet, and only when the stack's top has
     the kind of their first one.

@@ -107,24 +107,13 @@ CHUNK = 4
 PACKED_LETTERS = (X, Y, X_INV, Y_INV)
 
 
-class _Digits(dict):
-    """Each letter's code as a base-4 digit, and "-" for a run that is not
-    a letter, so that a word's digits are one ``str.join``."""
-
-    def __missing__(self, run):
-        return "-"
-
-
-_letter_digit = _Digits(
-    (letter, str(code)) for code, letter in enumerate(PACKED_LETTERS)).__getitem__
-
 # Each letter by its code as an ASCII base-4 digit, as ``parse``'s byte
 # path stores it.
 _DIGIT_LETTERS = dict(zip(b"0123", PACKED_LETTERS))
 
 
 def window_table(letter_value, product, identity) -> list:
-    """Each window of CHUNK letters' value at the byte ``_fold_keys``
+    """Each window of CHUNK letters' value at the byte parse's byte path
     packs it to, a letter's value being ``letter_value(generator, sign)``
     (the "Four Russians" table of Arlazarov, Dinic, Kronrod and Faradzev,
     1970).  Windows grow a letter per layer: byte = 4 * prefix + code.
@@ -213,8 +202,8 @@ class BraidWord:
     The string expands them (``run_text`` does not).
 
     A word that ``parse`` read on its byte path (``_unit_letter_word``)
-    holds its letter codes, its length and its fold keys; its runs and
-    letters, one tuple, are built from the codes on first read.
+    holds its letter codes, its length and its packed fold keys; its runs
+    and letters, one tuple, are built from the codes on first read.
     """
 
     # The ASCII base-4 letter codes of a word read on parse's byte path.
@@ -259,31 +248,15 @@ class BraidWord:
 
     @cached_property
     def _fold_keys(self) -> Sequence[int | Run]:
-        """The word as the factors that both folds read, packed once: a
-        byte (an int 0-255, see ``PACKED_LETTERS``) for each aligned window
-        of CHUNK letters in a maximal stretch of letters, and the run itself
-        for the 0 to CHUNK - 1 letters left at the end of a stretch and for
-        each h run and power run.  So a word with no full window keys on its
-        runs alone.  The digits are joined at C speed and read by ``int`` in
-        base 4, a power of two, so no int-to-str digit limit applies.
+        """The factors that both folds read: the runs, each read in closed
+        form, unless parse's byte path set them (``_unit_letter_word``) to a
+        byte (0-255, see ``PACKED_LETTERS``) per aligned window of CHUNK
+        letters, then the 0 to CHUNK - 1 letters left.
 
-        >>> parse("x y x^-1 y^-1 x h^2")._fold_keys
-        [27, Letter(generator='x', sign=1), ('h', 2)]
+        >>> parse("x y x^-1 y^-1 x")._fold_keys
+        [27, Letter(generator='x', sign=1)]
         """
-        runs = self.runs
-        if len(runs) < CHUNK:
-            return runs
-        keys: list[int | Run] = []
-        start = 0
-        for stretch in "".join(map(_letter_digit, runs)).split("-"):
-            length = len(stretch)
-            full = length - length % CHUNK
-            if full:
-                keys += int(stretch[:full], 4).to_bytes(full // CHUNK, "big")
-            # The letters left over and the run that ends the stretch.
-            keys += runs[start + full:start + length + 1]
-            start += length + 1
-        return keys
+        return self.runs
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
@@ -415,9 +388,9 @@ def _unit_letter_digits(text: str) -> bytes | None:
 
 def _unit_letter_word(digits: bytes) -> BraidWord:
     """The word of letter codes that ``_unit_letter_digits`` gave, holding
-    its length and the fold keys that ``BraidWord._fold_keys`` would build
-    from its runs: the packed windows read from the digits by one
-    ``int(digits, 4)``, then the 0 to CHUNK - 1 letters left."""
+    its length and its fold keys: the packed windows read from the digits
+    by one ``int(digits, 4)``, which no int-to-str digit limit applies to,
+    then the 0 to CHUNK - 1 letters left."""
     w = BraidWord.__new__(BraidWord)
     length = len(digits)
     full = length - length % CHUNK

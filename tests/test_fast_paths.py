@@ -20,12 +20,12 @@ surgery rows, Floer assembly, delta and concordance screen behind the
 tail's exponent sum, the shifted rows built by Fraction addition and
 renormalised by the public constructor behind the rows built in quarters,
 the token grammar on every token (``grammar_parse``) behind parse's
-byte path and the token loop that looks unit tokens up first, ``str``
-behind the decimal decrement that writes ``non_s0_count``,
-the generic JSON encoder over ``report_json`` (``encoder_json_line``)
-behind ``cli._line``, the family-1 tail folded one block at a time
-(``sequential_family1_trace``) behind the balanced product of
-``form_determinant``, ``str`` behind the divide-and-conquer
+byte path and the token loop that looks unit tokens up first, windows
+packed one at a time (``packed_keys``) behind the byte path's one
+``int(digits, 4)``, the generic JSON encoder over ``report_json``
+(``encoder_json_line``) behind ``cli._line``, the family-1 tail folded one
+block at a time (``sequential_family1_trace``) behind the balanced
+product of ``form_determinant``, ``str`` behind the divide-and-conquer
 ``_int_text``, one ``groupby`` group per generator and sign
 (``groupby_run_text``) behind the one-loop ``run_text``, the letter stack
 that compares attributes (``attribute_free_reduce``) behind the one that
@@ -37,7 +37,7 @@ run expanded on its own (``per_run_letters``) against the letters of a
 word built from its runs.  The
 layout that ``words.window_table`` gives both chunk tables is pinned
 without matrices or syllables: built over letters recorded as tuples, each
-entry is the window that packs to its byte
+entry is the window that parse's byte path packs to its byte
 (``test_window_table_lays_out_windows_as_fold_keys_packs_them``).
 Short inputs are enumerated exhaustively; long words and forms are drawn
 at random.
@@ -637,8 +637,34 @@ def assert_packed_fold_matches_references(w):
 
 def packed_window(byte):
     """The letters of a packed byte, the first in the top two bits."""
-    return tuple(w_.PACKED_LETTERS[byte >> shift & 3]
+    return tuple(LETTERS[byte >> shift & 3]
                  for shift in range(2 * CHUNK - 2, -1, -2))
+
+
+def packed_keys(letters):
+    """The fold keys of a word of these letters read on parse's byte path,
+    packed here a window at a time: each aligned window of CHUNK letters as
+    the byte of its codes in LETTERS, the first in the top two bits, then
+    the letters left; a word of fewer than CHUNK letters as a tuple."""
+    letters = tuple(letters)
+    full = len(letters) - len(letters) % CHUNK
+    if not full:
+        return letters
+    return [sum(LETTERS.index(letter) << 2 * (CHUNK - 1 - i)
+                for i, letter in enumerate(letters[start:start + CHUNK]))
+            for start in range(0, full, CHUNK)] + list(letters[full:])
+
+
+LETTER_TOKENS = {w_.X: "x", w_.Y: "y", w_.X_INV: "x^-1", w_.Y_INV: "y^-1"}
+
+
+def byte_path_word(letters):
+    """``parse`` of the letters spelled as unit tokens, which it reads on
+    its byte path, checked to hold the packed fold keys of its letters."""
+    w = parse(" ".join(map(LETTER_TOKENS.__getitem__, letters)))
+    assert "_digits" in vars(w), letters
+    assert w._fold_keys == packed_keys(letters), letters
+    return w
 
 
 def test_window_table_lays_out_windows_as_fold_keys_packs_them():
@@ -649,7 +675,7 @@ def test_window_table_lays_out_windows_as_fold_keys_packs_them():
     assert len(table) == 4 ** CHUNK == 256
     for byte, window in enumerate(table):
         assert len(window) == CHUNK, window
-        assert BraidWord(window)._fold_keys == [byte], window
+        assert byte_path_word(window)._fold_keys == [byte], window
 
 
 def test_chunk_tables_hold_the_product_of_their_letters():
@@ -658,7 +684,7 @@ def test_chunk_tables_hold_the_product_of_their_letters():
     windows = [packed_window(byte) for byte in range(256)]
     assert set(windows) == set(WINDOW_ENTRIES)
     for byte, window in enumerate(windows):
-        assert BraidWord(window)._fold_keys == [byte], window
+        assert byte_path_word(window)._fold_keys == [byte], window
         assert SL2Matrix(*homology._CHUNK_ENTRIES[byte]) == \
             slow_image(window), window
         assert murasugi._CHUNK_SYLLABLES[byte] == \
@@ -676,7 +702,14 @@ def test_chunked_fold_on_all_words_up_to_two_windows():
     checked = 0
     for length in range(2 * CHUNK + 1):
         for letters in level:
-            assert_packed_fold_matches_references(BraidWord(letters))
+            w = BraidWord(letters)
+            assert_packed_fold_matches_references(w)
+            # The same letters through the chunk tables, against the run
+            # folds just checked.
+            packed = byte_path_word(letters)
+            assert image(packed) == image(w), letters
+            assert murasugi._syllable_pass(packed) == \
+                murasugi._syllable_pass(w), letters
             checked += 1
         level = [letters + (letter,) for letters in level for letter in LETTERS]
     assert checked == 87_381
@@ -692,32 +725,14 @@ def test_chunked_fold_on_all_words_of_five_tokens():
     assert checked == sum(6 ** count for count in range(6))
 
 
-def test_packed_fold_on_stretches_between_runs(rng):
-    # Stretches of 0-9 letters between h runs, h^-1 and power runs, so that
-    # a stretch leaves every remainder of 0 to CHUNK - 1 letters after its
-    # full windows, at each end of the word and next to each kind of run.
-    between = [("h", 1), ("h", -1), ("h", 4), ("x", 2), ("x", -5), ("y", 3),
-               ("y", -2)]
-    seen = set()
-    for _ in range(2000):
-        runs = []
-        for _ in range(rng.randint(0, 5)):
-            stretch = [rng.choice(LETTERS) for _ in range(rng.randint(0, 9))]
-            run = rng.choice(between)
-            seen.add((len(stretch) % CHUNK, runs[-1][0] if runs else "^",
-                      run[0]))
-            runs += stretch + [run]
-        stretch = [rng.choice(LETTERS) for _ in range(rng.randint(0, 9))]
-        seen.add((len(stretch) % CHUNK, runs[-1][0] if runs else "^", "$"))
-        assert_packed_fold_matches_references(BraidWord(tuple(runs + stretch)))
-    assert seen == set(itertools.product(range(CHUNK), "^hxy", "hxy$"))
-
-
 @pytest.mark.parametrize("alphabet", [LETTERS, (w_.X, w_.Y), (w_.X, w_.Y_INV)],
                          ids=["uniform", "positive", "alternating"])
 def test_chunked_fold_on_long_words_with_power_runs(rng, alphabet):
     for length in (10, 11, 97, 1000, 10_000):
         runs = [rng.choice(alphabet) for _ in range(length)]
+        # The letters alone on the byte path: every window and the 0 to
+        # CHUNK - 1 letters left go through the chunk tables.
+        assert_packed_fold_matches_references(byte_path_word(runs))
         for _ in range(rng.randint(1, 12)):
             power = (rng.choice("xyh"), rng.choice((1, -1)) * rng.randint(1, 7))
             runs.insert(rng.randint(0, len(runs)), power)
@@ -1005,10 +1020,11 @@ def assert_balanced(bits, factors):
 
 
 def test_image_reduces_the_fold_keys_level_by_level(product_bits, rng):
-    w = BraidWord(tuple(rng.choice((w_.X, w_.Y)) for _ in range(16_384)))
+    letters = tuple(rng.choice((w_.X, w_.Y)) for _ in range(16_384))
+    w = byte_path_word(letters)
     factors = len(w._fold_keys)
     assert factors == 16_384 // CHUNK
-    assert image(w) == slow_image(w.letters)
+    assert image(w) == slow_image(letters)
     assert_balanced(product_bits, factors)
 
 
@@ -1500,10 +1516,11 @@ def test_table_parse_keeps_the_letter_cap():
 
 def assert_parse_matches_grammar(text):
     """``parse`` against the grammar on every token: the same error class,
-    position and message, or a word whose fold keys, length, hash, letters
-    and runs are those of a word built from the grammar's runs.  The fold
-    keys, length and hash are read first, while a word from the byte path
-    holds no runs yet."""
+    position and message, or a word whose length, hash, image, syllable
+    pass, letters and runs are those of a word built from the grammar's
+    runs, and whose fold keys are its runs or, on the byte path, the
+    packing of its letters.  All but the letters and runs are read first,
+    while a word from the byte path holds no runs yet."""
     try:
         expected = BraidWord(grammar_parse(text).runs)
     except ParseError as error:
@@ -1514,8 +1531,12 @@ def assert_parse_matches_grammar(text):
         assert (type(error), error.position, str(error)) == expected, text
         return
     assert isinstance(expected, BraidWord), text
-    assert w._fold_keys == expected._fold_keys, text
+    assert w._fold_keys == (packed_keys(expected.letters)
+                            if "_digits" in vars(w) else expected.runs), text
     assert len(w) == len(expected) and hash(w) == hash(expected), text
+    assert image(w) == image(expected), text
+    assert murasugi._syllable_pass(w) == murasugi._syllable_pass(expected), \
+        text
     assert w.letters == expected.letters, text
     # free_reduce and _letter_blocks compare letters by identity.
     assert all(a is b for a, b in zip(w.letters, expected.letters)), text
@@ -1636,36 +1657,6 @@ def test_run_text_matches_groupby_on_random_words(rng):
         w = BraidWord(tuple(rng.choice(runs)
                             for _ in range(rng.randint(0, 30))))
         assert w_.run_text(w) == groupby_run_text(w), w.runs
-
-
-def test_decremented_text_matches_str_on_every_small_value(no_digit_limit):
-    texts = [str(n) for n in range(10**5 + 1)]
-    sys.set_int_max_str_digits(640)
-    try:
-        for n in range(1, 10**5 + 1):
-            assert cli._decremented_text(texts[n]) == texts[n - 1], n
-    finally:
-        sys.set_int_max_str_digits(0)
-
-
-def test_decremented_text_matches_str_on_huge_values(rng, no_digit_limit):
-    # Powers of ten and one past them beyond _SPLIT_BITS bits, then random
-    # values up to 2^20 bits, some with trailing decimal 0s.
-    digits = math.ceil(homology._SPLIT_BITS * math.log10(2))
-    values = [10**k + e for k in (digits, digits + 1, 20_000) for e in (0, 1)]
-    for _ in range(20):
-        value = rng.getrandbits(int(math.exp(rng.uniform(0, math.log(2**20)))))
-        values += [value + 1, (value + 1) * 10**rng.randrange(1, 50)]
-    values.append(rng.getrandbits(2**20) | 1 << (2**20 - 1))
-    expected = [str(value - 1) for value in values]
-    sys.set_int_max_str_digits(640)
-    try:
-        texts = [cli._decremented_text(homology._int_text(value))
-                 for value in values]
-    finally:
-        sys.set_int_max_str_digits(0)
-    for value, text, reference in zip(values, texts, expected):
-        assert text == reference, value.bit_length()
 
 
 def test_line_writes_a_huge_non_s0_count_from_the_determinant(

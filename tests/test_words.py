@@ -267,6 +267,10 @@ def test_run_text_keeps_a_huge_twist_power_as_one_token():
 
 def test_permutation_fixtures():
     assert permutation(parse("h")).images == (1, 2, 3)
+    perm = permutation(parse("x y"))
+    assert perm.images == (3, 1, 2)
+    assert [perm(i) for i in (1, 2, 3)] == [3, 1, 2]
+    assert permutation(parse("y^-1"))(2) == 3
     assert components(parse("h")) == 3
     assert components(parse("x y^-5")) == 1
     assert components(parse("x^-2 y^-1")) == 2
