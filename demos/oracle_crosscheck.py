@@ -28,12 +28,12 @@ for text, expected in (("x y x y", (3, -2)), ("x y^-1 x y^-1", (5, 0))):
           f"signature {sym_signature(matrix)}   expected {expected}")
 
 print()
-print("the Seifert matrix of the trefoil closure (x y)^2")
+print("the Seifert form V + V^T of the trefoil closure (x y)^2")
 matrix = seifert_matrix(parse("x y x y"))
-for row in matrix.entries:
-    print("   ", row)
 print("generators (column, first crossing, second crossing):",
       matrix.generators)
+print(f"signature {sym_signature(matrix)}, "
+      f"determinant {sym_determinant(matrix)}")
 
 rng = random.Random(7)
 letters = (X, Y, X_INV, Y_INV)

@@ -9,7 +9,7 @@ Flags: --json (machine output), --oracle (Seifert-matrix cross-check),
 --torus-bundle (add the zero-surgery block).
 
 Exit codes: 0 ok, 1 not conjugate, 2 parse error, 3 internal inconsistency
-(an oracle disagreement), 4 I/O error.
+(an oracle disagreement, or a run-time check that failed), 4 I/O error.
 
 An argv that is a command followed by its positionals and its own flags, in
 any order and each flag at most once, is read without argparse.  Every other

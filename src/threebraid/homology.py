@@ -114,15 +114,20 @@ def image(w: BraidWord) -> SL2Matrix:
     from ``_run_entries`` by ``words.window_table``, and a run (a letter
     left after the windows, or any run of a word built from runs) is read
     in closed form.  They are multiplied by ``_balanced_product``, and the
-    determinant is checked once, on the result.
+    determinant is checked once, on the result: a product of determinant
+    other than 1 is a fault of the factors, so it raises
+    ``InternalInconsistency``, whose message does not print the entries.
 
     >>> from threebraid.words import parse
     >>> image(parse("x y x y x y")) == -IDENTITY
     True
     """
-    return SL2Matrix(*_balanced_product([
+    a, b, c, d = _balanced_product([
         _CHUNK_ENTRIES[key] if type(key) is int else _run_entries(*key)
-        for key in w._fold_keys]))
+        for key in w._fold_keys])
+    if a * d - b * c != 1:
+        raise InternalInconsistency("the image's determinant is not 1")
+    return tuple.__new__(SL2Matrix, (a, b, c, d))
 
 
 # Integers of more bits than this (about 4,900 digits) are printed by

@@ -11,11 +11,13 @@ term is the row's tower bottom plus the shift k, delta is twice that
 count, the Stein Euler characteristic is the count plus one, and the
 modules are ``floer``'s quarter modules.  It decides every flag, the
 screen and the Stein fields from those integers.  ``analyze_word`` is that
-stage followed by ``_report``, which makes the public ``Fraction``s; the
-command line asks ``analyze_word`` for the values record itself and
-prints from the integers, so ``fractions`` is imported on first use.  The
-module writes no output: ``report_json`` is the report as a dict, the
-reference that the command line's ``--json`` writer matches.
+stage followed by ``_report``, which makes the public ``Fraction``s.  The
+command line asks ``analyze_word`` for the values record itself.  The
+``--json`` line and ``batch`` print from its integers; the pretty
+``analyze`` report is built from the record through ``_report``, which
+imports ``fractions`` on first use.  The module writes no output:
+``report_json`` is the report as a dict, the reference that the command
+line's ``--json`` writer matches.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ symmetrized form) cross-check the rest of the package.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import cached_property
 
 from .homology import InternalInconsistency
@@ -53,27 +52,16 @@ _INEXACT = "an elimination entry is not a multiple of its leading minor"
 
 
 class SeifertMatrix:
-    """Band linking matrix V plus bookkeeping for the homology generators.
+    """The symmetrized Seifert form V + V^T of a reduced diagram, as the
+    sparse rows that ``seifert_matrix``'s pass writes and ``_eliminate``
+    consumes.
 
     ``generators[i]`` is (column, first position, second position): the loop
     through the two bands of a consecutive same-column crossing pair, x-pairs
-    first in a matrix of ``seifert_matrix``.  V is held as the sparse rows of
-    V + V^T in crossing order (generators sorted by first crossing), in
-    which it is banded; ``links`` (V's nonzeros by (row, column)),
-    ``entries`` and ``symmetrized()`` are views of it, computed when read,
-    and ``SeifertMatrix(entries, generators)`` takes V densely.
+    first.  The rows are in crossing order instead, that is ``generators``
+    sorted by first position, in which the form is banded; V itself is not
+    kept.
     """
-
-    def __init__(self, entries: Sequence[Sequence[int]],
-                 generators: Sequence[tuple[int, int, int]]) -> None:
-        self.generators = tuple(generators)
-        self.links = {(i, j): x for i, row in enumerate(entries)
-                      for j, x in enumerate(row) if x}
-        n = len(self.generators)
-        order = sorted(range(n), key=lambda i: self.generators[i][1])
-        sums = [[entries[i][j] + entries[j][i] for j in order] for i in order]
-        self._crossing = [{k: (x, 0) for k, x in enumerate(row) if x}
-                          for row in sums]
 
     @property
     def size(self) -> int:
@@ -86,38 +74,6 @@ class SeifertMatrix:
             positions[letter.generator == "y"].append(p)
         return tuple((column, p, q) for column, ps in enumerate(positions)
                      for p, q in zip(ps, ps[1:]))
-
-    @cached_property
-    def links(self) -> dict[tuple[int, int], int]:
-        """V from the rows: half the diagonal, and each off-diagonal link
-        in the row of its y-pair, or of its later pair when positive."""
-        generators = self.generators
-        order = sorted(range(self.size), key=lambda i: generators[i][1])
-        links = {}
-        for k, row in enumerate(self._crossing):
-            g = order[k]
-            for j, (x, _) in row.items():
-                h = order[j]
-                if j == k:
-                    links[g, g] = x // 2
-                elif j > k:  # h's first crossing comes after g's
-                    if generators[g][0] != generators[h][0]:
-                        links[(g, h) if generators[g][0] else (h, g)] = x
-                    else:
-                        links[(h, g) if x > 0 else (g, h)] = x
-        return links
-
-    @cached_property
-    def entries(self) -> tuple[tuple[int, ...], ...]:
-        dense = [[0] * self.size for _ in range(self.size)]
-        for (i, j), x in self.links.items():
-            dense[i][j] = x
-        return tuple(map(tuple, dense))
-
-    def symmetrized(self) -> list[list[int]]:
-        n = self.size
-        return [[self.entries[i][j] + self.entries[j][i] for j in range(n)]
-                for i in range(n)]
 
     def _rows(self) -> list[Row]:
         """Fresh sparse rows of V + V^T in crossing order; every entry
@@ -265,8 +221,9 @@ def seifert_matrix(w: BraidWord) -> SeifertMatrix:
         if len(last) == 2:
             break
     else:
-        column = 2 if "x" in last else 1
-        raise SplitClosure(f"column {column} unused: the closure splits")
+        unused = ("column 2" if "x" in last else "column 1" if last
+                  else "columns 1 and 2")
+        raise SplitClosure(f"{unused} unused: the closure splits")
     last_x, last_y = last["x"], last["y"]
 
     rows: list[Row] = []

@@ -68,7 +68,7 @@ def test_classify_rejects_a_non_integer_twist_power(monkeypatch):
 def test_image_checks_the_determinant_of_the_product(monkeypatch):
     monkeypatch.setattr(homology, "_run_entries",
                         lambda generator, exponent: (1, 1, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalInconsistency):
         image(parse("y x y"))
 
 
@@ -80,7 +80,7 @@ def test_chunked_image_checks_the_determinant_of_the_product(monkeypatch):
     corrupted = list(homology._CHUNK_ENTRIES)
     corrupted[window] = (1, 1, 1, 1)
     monkeypatch.setattr(homology, "_CHUNK_ENTRIES", corrupted)
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalInconsistency):
         image(w)
 
 
@@ -151,7 +151,7 @@ run_entries = homology._run_entries
 homology._run_entries = lambda generator, exponent: (1, 1, 1, 1)
 try:
     image(parse("x"))
-except ValueError:
+except InternalInconsistency:
     raised += 1
 homology._run_entries = run_entries
 try:

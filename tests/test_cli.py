@@ -503,6 +503,40 @@ def test_batch_internal_inconsistency_is_a_line_error(tmp_path, capsys,
     assert lines[-1] == "2 ok, 1 failed"
 
 
+def test_a_fold_of_determinant_other_than_1_is_an_internal_inconsistency(
+        tmp_path, capsys, monkeypatch, default_int_digit_limit):
+    # The window x y x^-1 y^-1 folds to a matrix of determinant 2, so the
+    # image of any word holding it fails its check.
+    window = parse("x y x^-1 y^-1")._fold_keys[0]
+    corrupted = list(homology._CHUNK_ENTRIES)
+    corrupted[window] = (2, 0, 0, 1)
+    monkeypatch.setattr(homology, "_CHUNK_ENTRIES", corrupted)
+    # The long word's entries reach 2^2200, past 640 digits, so a message
+    # that printed them would itself raise under the lowest digit limit.
+    long_text = "x y x^-1 y^-1 " * 2200 + "x"
+    for text, limit in (("x y x^-1 y^-1 x", None), (long_text, 640)):
+        path = tmp_path / "words.txt"
+        path.write_text(f"x y\n{text}\n")
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+        try:
+            analyze = run(capsys, "analyze", "--json", text)
+            pretty = run(capsys, "analyze", text)
+            batch = run(capsys, "batch", "--json", str(path))
+        finally:
+            sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        for code, out, err in (analyze, pretty):
+            assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+            assert err.startswith("internal inconsistency: "), err
+        code, out, _ = batch
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == cli.EXIT_INCONSISTENT
+        assert records[1] == {"word": text, "error": {
+            "type": "InternalInconsistency",
+            "message": "the image's determinant is not 1"}}
+        assert records[2] == {"summary": {"ok": 1, "failed": 1}}
+
+
 def error_record(text: str, error: Exception) -> str:
     """The batch error record as the generic encoder wrote it."""
     record = {"type": type(error).__name__}

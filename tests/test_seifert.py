@@ -58,29 +58,39 @@ def test_matrix_size_and_bookkeeping():
 
 
 def test_split_closure_errors():
-    with pytest.raises(SplitClosure):
+    with pytest.raises(SplitClosure, match="^column 1 unused"):
         seifert_matrix(parse("y^5"))
-    with pytest.raises(SplitClosure):
+    with pytest.raises(SplitClosure, match="^columns 1 and 2 unused"):
         seifert_matrix(parse(""))
-    with pytest.raises(SplitClosure):
+    with pytest.raises(SplitClosure, match="^columns 1 and 2 unused"):
+        seifert_matrix(parse("x x^-1"))
+    with pytest.raises(SplitClosure, match="^column 2 unused"):
         seifert_matrix(parse("x y y^-1 x"))  # reduces to x x
 
 
+def form(symmetric):
+    """A matrix holding the symmetric rows as its form V + V^T in crossing
+    order, as ``seifert_matrix`` writes them: nonzero entries, stamp 0."""
+    matrix = SeifertMatrix.__new__(SeifertMatrix)
+    matrix._crossing = [{j: (x, 0) for j, x in enumerate(row) if x}
+                        for row in symmetric]
+    return matrix
+
+
 def test_sym_signature_small_matrices():
-    assert sym_signature(SeifertMatrix((), ())) == 0
-    assert sym_signature(SeifertMatrix(((-1,),), ((0, 0, 1),))) == -1
+    assert (sym_signature(form(())), sym_determinant(form(()))) == (0, 1)
+    assert sym_signature(form(((-2,),))) == -1
     # Hyperbolic plane: signature zero, determinant -1.
-    hyperbolic = SeifertMatrix(((0, 1), (0, 0)), ((0, 0, 1), (0, 1, 2)))
+    hyperbolic = form(((0, 1), (1, 0)))
     assert sym_signature(hyperbolic) == 0
     assert sym_determinant(hyperbolic) == 1
-    # Entries on both sides of the diagonal add up, and may cancel.
-    doubled = SeifertMatrix(((0, 1), (1, 0)), ((0, 0, 1), (0, 1, 2)))
-    assert (sym_signature(doubled), sym_determinant(doubled)) == (0, 4)
-    cancelled = SeifertMatrix(((1, 1), (-1, 0)), ((0, 0, 1), (0, 1, 2)))
-    assert (sym_signature(cancelled), sym_determinant(cancelled)) == (1, 0)
-    # A zero diagonal whose neighbour's diagonal cancels the added link:
-    # V + V^T = [[0, 1], [1, -2]] needs the add with t = -1.
-    opposed = SeifertMatrix(((0, 1), (0, -1)), ((0, 0, 1), (0, 1, 2)))
+    # A zero row: determinant 0, the other pivot still counted.
+    zero_row = form(((2, 0), (0, 0)))
+    assert (sym_signature(zero_row), sym_determinant(zero_row)) == (1, 0)
+    # A zero diagonal takes the signed add of its neighbour's row and
+    # column: t = 1 on [[0, 1], [1, 0]] above, and t = -1 on
+    # [[0, 1], [1, -2]], whose neighbour's diagonal cancels 2 t a[0][1].
+    opposed = form(((0, 1), (1, -2)))
     assert (sym_signature(opposed), sym_determinant(opposed)) == (0, 1)
 
 
@@ -155,13 +165,13 @@ def _descartes_signature(rows):
 
 
 def test_elimination_matches_brute_force_on_all_small_matrices():
-    # First positions in reverse, so crossing order reverses the rows.  The
-    # inputs reach the zero row and the signed add with t = 1 and t = -1.
-    generators = tuple((0, first, first + 1) for first in (2, 1, 0))
+    # Every 3x3 form V + V^T of a V with entries -1, 0, 1 below or on the
+    # diagonal: diagonal -2, 0, 2 and links -1, 0, 1.  The inputs reach the
+    # zero row and the signed add with t = 1 and t = -1.
     values = (-1, 0, 1)
     for a, b, c, d, e, f in itertools.product(values, repeat=6):
-        matrix = SeifertMatrix(((a, 0, 0), (b, c, 0), (d, e, f)), generators)
-        symmetric = matrix.symmetrized()
+        symmetric = ((2 * a, b, c), (b, 2 * d, e), (c, e, 2 * f))
+        matrix = form(symmetric)
         assert sym_determinant(matrix) == abs(_leibniz(symmetric))
         assert sym_signature(matrix) == _descartes_signature(symmetric)
 
