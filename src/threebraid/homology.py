@@ -45,7 +45,8 @@ class SL2Matrix(_Value, namedtuple("SL2Matrix", "a b c d")):
 
     def _check(self) -> None:
         if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(f"determinant of {self} is not 1")
+            # No entry is printed: it may pass the int-to-str digit limit.
+            raise ValueError("the matrix's determinant is not 1")
 
     def __mul__(self, other: SL2Matrix) -> SL2Matrix:
         if not isinstance(other, SL2Matrix):

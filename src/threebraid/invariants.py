@@ -211,12 +211,16 @@ _Values = namedtuple(
     "delta_quarters signature qa finite_order_screen stein torus_bundle")
 
 
-def _values(w: BraidWord, raw_text: str | None,
-            include_torus_bundle: bool) -> _Values:
+def _values(w: BraidWord, raw_text: str | None, include_torus_bundle: bool,
+            matrix: homology.SL2Matrix | None,
+            form: MurasugiForm | None) -> _Values:
     """The values stage of ``analyze_word``: every value of the report,
-    each grading held as a count of quarters."""
-    matrix = homology.image(w)
-    form = murasugi.classify(w, matrix)
+    each grading held as a count of quarters.  The image and the normal
+    form are computed here unless given."""
+    if matrix is None:
+        matrix = homology.image(w)
+    if form is None:
+        form = murasugi.classify(w, matrix)
     components = homology.components_from_image(matrix)
     det = homology.determinant_from_image(matrix)
     h1 = homology.h1_from_image(matrix)
@@ -285,7 +289,9 @@ def _report(values: _Values) -> InvariantReport:
 
 def analyze_word(w: BraidWord, raw_text: str | None = None,
                  include_torus_bundle: bool = False, *,
-                 _record: bool = False) -> InvariantReport:
+                 _record: bool = False,
+                 _matrix: homology.SL2Matrix | None = None,
+                 _form: MurasugiForm | None = None) -> InvariantReport:
     """Aggregate every invariant of one word into a report.
 
     The word's image in SL(2,Z) is computed once; the normal form, the
@@ -302,8 +308,11 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
     report is an L-space with a nonzero determinant.
 
     With the private ``_record``, the values record (``_Values``, every
-    grading a count of quarters) is returned instead of the report."""
-    values = _values(w, raw_text, include_torus_bundle)
+    grading a count of quarters) is returned instead of the report.  The
+    private ``_matrix`` and ``_form``, which must be ``homology.image(w)``
+    and ``murasugi.classify(w, _matrix)``, are read instead of computed
+    again: ``cli``'s batch runs those stages over a chunk of words first."""
+    values = _values(w, raw_text, include_torus_bundle, _matrix, _form)
     return values if _record else _report(values)
 
 

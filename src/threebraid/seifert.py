@@ -60,8 +60,11 @@ class SeifertMatrix:
     through the two bands of a consecutive same-column crossing pair, x-pairs
     first.  The rows are in crossing order instead, that is ``generators``
     sorted by first position, in which the form is banded; V itself is not
-    kept.
+    kept.  ``seifert_matrix(w)`` is the one way to build it.
     """
+
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("a SeifertMatrix is built only by seifert_matrix(w)")
 
     @property
     def size(self) -> int:

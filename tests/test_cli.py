@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -630,6 +631,87 @@ def test_analyze_and_batch_print_the_same_line(capsys, tmp_path):
         code, out, _ = run(capsys, "analyze", *flags, text)
         assert code == 0
         assert out == line + "\n", text
+
+
+def test_batch_over_several_chunks_prints_each_words_own_line(
+        tmp_path, capsys, monkeypatch, rng):
+    # More words than one chunk holds, then a word longer than a chunk's
+    # characters, which is a chunk of its own, then a few more words.
+    tokens = ("x", "y", "x^-1", "y^-1", "x^3", "y^-2", "h", "h^-2")
+    short = [" ".join(rng.choice(tokens) for _ in range(rng.randint(1, 12)))
+             for _ in range(cli._CHUNK_WORDS + 40)]
+    long_word = " ".join(["x y^-1 x^-1 y"] * (cli._CHUNK_CHARS // 14 + 1))
+    words = [*short, long_word, "y x^4", "x z", "h^2 y"]
+    words[7] = "x^1.5 y"  # a parse error in the first chunk
+    words[cli._CHUNK_WORDS + 9] = "x ! y"  # and one in the second
+    inconsistent = words[cli._CHUNK_WORDS + 20] = "s1 s2^-1 s1^3"
+    assert len(cli._chunks(words)) == 4
+    inconsistency = cli.InternalInconsistency("forced for the test")
+    analyze_word = invariants.analyze_word
+
+    def explode_on_one(word, **kwargs):
+        if kwargs["raw_text"] == inconsistent:
+            raise inconsistency
+        return analyze_word(word, **kwargs)
+
+    monkeypatch.setattr(invariants, "analyze_word", explode_on_one)
+    lines = [*words[:500], "", "# a comment", *words[500:], "  "]
+    path = tmp_path / "words.txt"
+    path.write_text("\n".join(lines) + "\n")
+
+    def error(text):
+        try:
+            parse(text)
+        except ParseError as parse_error:
+            return parse_error
+        return inconsistency
+
+    flags = ["--json", "--torus-bundle", "--oracle"]
+    expected = []
+    for text in words:
+        code, out, _ = run(capsys, "analyze", *flags, text)
+        expected.append(out if code == cli.EXIT_OK
+                        else error_record(text, error(text)) + "\n")
+    summary = {"ok": len(words) - 4, "failed": 4}
+    code, out, _ = run(capsys, "batch", *flags, str(path))
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == "".join(expected) + dumps({"summary": summary}) + "\n"
+
+    args = SimpleNamespace(oracle=False, torus_bundle=False)
+    expected = []
+    for text in words:
+        try:
+            expected.append(cli._batch_line(*cli._report(text, args)))
+        except (ParseError, cli.InternalInconsistency) as caught:
+            expected.append(f"{text!r}: error: {caught}")
+    code, out, _ = run(capsys, "batch", str(path))
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == "\n".join(expected) + f"\n{len(words) - 4} ok, 4 failed\n"
+
+
+def test_batch_runs_each_stage_over_the_chunk_before_the_next(
+        tmp_path, capsys, monkeypatch):
+    # The parse error drops out after the first stage; no stage runs twice
+    # on a word, so the values stage folds and classifies nothing again.
+    stages = [(w_, "parse"), (homology, "image"), (murasugi, "classify"),
+              (invariants, "analyze_word"), (cli, "_oracle")]
+    calls = []
+
+    def logged(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    for module, name in stages:
+        monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
+    path = tmp_path / "words.txt"
+    path.write_text("h x y^-5\nx y x\nx z\nh^2 x y^-3\n")
+    code, out, _ = run(capsys, "batch", "--json", "--oracle", str(path))
+    assert code == cli.EXIT_OK
+    assert out.endswith('{"summary":{"ok":3,"failed":1}}\n')
+    assert calls == ["parse"] * 4 + ["image"] * 3 + ["classify"] * 3 + \
+        ["analyze_word"] * 3 + ["_oracle"] * 3
 
 
 def test_usage_error_leaves_the_shared_parser_intact(capsys):

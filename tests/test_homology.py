@@ -63,6 +63,15 @@ def test_image_has_determinant_one(rng):
         assert m.a * m.d - m.b * m.c == 1
 
 
+def test_a_bad_determinant_prints_no_entry(default_int_digit_limit):
+    # 2**2200 has 663 digits, past the lowest int-to-str limit, so a
+    # message that printed the entries would raise the conversion error.
+    import sys
+    sys.set_int_max_str_digits(640)
+    with pytest.raises(ValueError, match="^the matrix's determinant is not 1$"):
+        SL2Matrix(2**2200, 0, 0, 1)
+
+
 def test_smith_normal_form_fixtures():
     # H1 is the cokernel of m - I: here ((-2, 0), (0, -2)), ((1, 1), (1, 0))
     # and the zero matrix.

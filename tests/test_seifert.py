@@ -57,6 +57,12 @@ def test_matrix_size_and_bookkeeping():
     assert matrix.size == 1
 
 
+def test_only_seifert_matrix_builds_a_matrix():
+    for args in ((), ([{0: (-2, 0)}], ((0, 0, 1),))):
+        with pytest.raises(TypeError, match=r"seifert_matrix\(w\)"):
+            SeifertMatrix(*args)
+
+
 def test_split_closure_errors():
     with pytest.raises(SplitClosure, match="^column 1 unused"):
         seifert_matrix(parse("y^5"))
