@@ -2,10 +2,10 @@
 #
 # The package computes the determinant of a closure twice, by completely
 # independent routes: |det(image(w) - I)| from the homological
-# representation, and |det(V + V^T)| from the Seifert matrix of the braid
-# diagram.  The two agree on every non-split word; this script fuzzes that
-# agreement and shows the calibration fixtures that pin the oracle's sign
-# conventions.
+# representation, and |det G| from the Goeritz form G of the braid diagram
+# (Gordon-Litherland), which equals |det(V + V^T)| for a Seifert matrix V.
+# The two agree on every non-split word; this script fuzzes that agreement
+# and shows the calibration fixtures that pin the oracle's sign conventions.
 
 import random
 
@@ -28,12 +28,11 @@ for text, expected in (("x y x y", (3, -2)), ("x y^-1 x y^-1", (5, 0))):
           f"signature {sym_signature(matrix)}   expected {expected}")
 
 print()
-print("the Seifert form V + V^T of the trefoil closure (x y)^2")
+print("the Goeritz form G of the trefoil closure (x y)^2")
 matrix = seifert_matrix(parse("x y x y"))
-print("generators (column, first crossing, second crossing):",
-      matrix.generators)
-print(f"signature {sym_signature(matrix)}, "
-      f"determinant {sym_determinant(matrix)}")
+print("rows (column: entry), one per x crossing:", matrix.rows)
+print(f"correction term mu {matrix.mu}: signature {sym_signature(matrix)} "
+      f"= sign(G) - mu, determinant {sym_determinant(matrix)} = |det G|")
 
 rng = random.Random(7)
 letters = (X, Y, X_INV, Y_INV)

@@ -5,8 +5,8 @@ one of the three conjugacy families, then computes invariants of the braid
 closure and of its branched double cover: first homology, determinant,
 L-space and tightness status, absolutely graded Floer modules and correction
 terms, the concordance invariant delta, the knot signature,
-quasi-alternating status, and Stein-filling obstructions.  A Seifert-matrix
-oracle provides diagram-level cross-checks of the algebraic route.
+quasi-alternating status, and Stein-filling obstructions.  An oracle on the
+diagram's Goeritz form (``seifert``) cross-checks the algebraic route.
 """
 
 from types import ModuleType as _ModuleType
@@ -73,7 +73,7 @@ from .words import (
     word,
 )
 
-# The Seifert-matrix oracle, loaded on first use: only ``--oracle`` reads it.
+# The Goeritz-form oracle, loaded on first use: only ``--oracle`` reads it.
 _SEIFERT_NAMES = ("SeifertMatrix", "seifert_matrix", "sym_determinant",
                   "sym_signature")
 

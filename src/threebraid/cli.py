@@ -5,7 +5,7 @@ Commands:
     batch <file>            one report per line of a word list
     conjugate <w1> <w2>     decide conjugacy of two words
 
-Flags: --json (machine output), --oracle (Seifert-matrix cross-check),
+Flags: --json (machine output), --oracle (Goeritz-form cross-check),
 --torus-bundle (add the zero-surgery block).
 
 Exit codes: 0 ok, 1 not conjugate, 2 parse error, 3 internal inconsistency

@@ -1,22 +1,29 @@
-"""Sparse integer Seifert form of a 3-braid closure.
+"""Sparse integer Goeritz form of a 3-braid closure.
 
-Applying Seifert's algorithm to the closure of a 3-braid diagram gives three
-disks joined by one twisted band per crossing.  A basis of the surface's
-first homology is given, per generator column, by consecutive pairs of
-crossings in that column; the Seifert matrix records band linking numbers.
-A generator links only itself, the pairs next to it in its own column and
-the (at most two) pairs of the other column whose intervals hold its
-crossings.  So one left-to-right pass over the reduced crossings, which
-carries the pair each column has open, writes the sparse rows of V + V^T in
-crossing order, in O(n).
+Colour the regions of the closed 3-braid diagram like a checkerboard and
+shade the regions between the first two strands, together with the outer
+region.  The x crossings cut the first kind into one region per x crossing.
+Every crossing joins two shaded regions: an x crossing the regions before
+and after it, a y crossing the region it lies in to the outer region.  The
+Goeritz matrix G is the Laplacian of that graph, with the outer region's row
+and column deleted, where an edge weighs minus its crossing's sign for an x
+crossing and the sign itself for a y crossing.  So G has one row per x
+crossing of the reduced diagram and is cyclic tridiagonal, and one
+left-to-right pass over the reduced crossings writes its sparse rows in
+O(n).  Gordon and Litherland ("On the signature of a link", Invent. Math.
+47, 1978) give the closure's signature as sign(G) - mu, with the correction
+term mu here the exponent sum of the y letters, and its determinant as
+|det G|: the values of the symmetrized Seifert form V + V^T, from a form of
+about half its rows.  coker G presents the first homology of the branched
+double cover as well, which this module does not read.
 
 Everything is exact and in integers: one fraction-free congruence
-elimination of V + V^T gives both the signature and the determinant, with no
+elimination of G gives both the signature and the determinant, with no
 fraction and no floating point anywhere.
 
 This module is deliberately independent of the matrix-representation route:
 it sees only the diagram.  Its outputs (determinant and signature of the
-symmetrized form) cross-check the rest of the package.
+closure) cross-check the rest of the package.
 """
 
 from __future__ import annotations
@@ -24,22 +31,22 @@ from __future__ import annotations
 from functools import cached_property
 
 from .homology import InternalInconsistency
-from .words import BraidWord, free_reduce
+from .words import X, X_INV, BraidWord, free_reduce
 
 
 class SplitClosure(ValueError):
     """The reduced diagram does not use both generator columns, so the
-    closure is a split link and the surface is disconnected."""
+    closure is a split link."""
 
 
 class DiagramTooLarge(ValueError):
     """The diagram has more than ``MAX_CROSSINGS`` crossings."""
 
 
-# The rows of n crossings are written in one O(n) pass.  The leading minors
-# of their elimination grow by up to 0.6 bits per row, so the elimination
-# costs about quadratic time in bit operations: at the cap, the slowest
-# family measured, alternating words, takes about 0.5 s (under 10 ms of it
+# The rows, one per x crossing, are written in one O(n) pass.  The leading
+# minors of their elimination grow by up to 1.4 bits per row, so the
+# elimination costs about quadratic time in bit operations: at the cap, the
+# slowest family measured, alternating words, takes about 0.12 s (4 ms of it
 # the pass) on one Xeon vCPU under Python 3.11.  Larger diagrams are refused
 # before any letter is expanded.
 MAX_CROSSINGS = 6000
@@ -52,15 +59,14 @@ _INEXACT = "an elimination entry is not a multiple of its leading minor"
 
 
 class SeifertMatrix:
-    """The symmetrized Seifert form V + V^T of a reduced diagram, as the
-    sparse rows that ``seifert_matrix``'s pass writes and ``_eliminate``
-    consumes.
+    """The Goeritz form G of a reduced diagram with its correction term mu,
+    as ``seifert_matrix``'s pass writes them.
 
-    ``generators[i]`` is (column, first position, second position): the loop
-    through the two bands of a consecutive same-column crossing pair, x-pairs
-    first.  The rows are in crossing order instead, that is ``generators``
-    sorted by first position, in which the form is banded; V itself is not
-    kept.  ``seifert_matrix(w)`` is the one way to build it.
+    ``rows[r]`` maps each column to the nonzero entry of G in row r, one row
+    per x crossing, and is cyclic tridiagonal; ``mu`` is the exponent sum of
+    the y letters.  Its signature less mu and its |det| are those of the
+    symmetrized Seifert form V + V^T, whence the name.
+    ``seifert_matrix(w)`` is the one way to build it.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -68,25 +74,22 @@ class SeifertMatrix:
 
     @property
     def size(self) -> int:
-        return len(self._crossing)
+        return len(self._goeritz)
 
-    @cached_property
-    def generators(self) -> tuple[tuple[int, int, int], ...]:
-        positions: tuple[list[int], list[int]] = ([], [])
-        for p, letter in enumerate(self._letters):
-            positions[letter.generator == "y"].append(p)
-        return tuple((column, p, q) for column, ps in enumerate(positions)
-                     for p, q in zip(ps, ps[1:]))
+    @property
+    def rows(self) -> tuple[dict[int, int], ...]:
+        """G's rows, each as column -> nonzero entry."""
+        return tuple({j: x for j, (x, _) in row.items()}
+                     for row in self._goeritz)
 
     def _rows(self) -> list[Row]:
-        """Fresh sparse rows of V + V^T in crossing order; every entry
-        carries stamp 0."""
-        return list(map(dict, self._crossing))
+        """Fresh sparse rows of G; every entry carries stamp 0."""
+        return list(map(dict, self._goeritz))
 
     @cached_property
     def _pivots(self) -> tuple[int, ...]:
-        """Integer pivots of one fraction-free congruence elimination of
-        V + V^T, taken in crossing order (see ``_eliminate``)."""
+        """Integer pivots of one fraction-free congruence elimination of G,
+        taken in row order (see ``_eliminate``)."""
         return _eliminate(self._rows())
 
 
@@ -196,15 +199,16 @@ def _current(row: Row, minors: list[int]) -> dict[int, int]:
 
 
 def seifert_matrix(w: BraidWord) -> SeifertMatrix:
-    """Seifert matrix of the closure of the freely reduced diagram, written
-    in one left-to-right pass over its crossings.
+    """Goeritz form of the closure of the freely reduced diagram, written in
+    one left-to-right pass over its crossings.
 
-    A crossing of sign e closes the pair its column has open, if any, and
-    opens a new one unless it is the column's last.  The closed pair's
-    self-link is -2e on the diagonal of V + V^T when both its crossings
-    have sign e, and the pair opened at the same crossing links it by e.
-    An x-pair links the y-pairs open at its first and at its second
-    crossing, if they differ, by +1 and -1.
+    Of p x crossings, crossing r (from 0) links region r - 1 to region r,
+    indices mod p, and the y crossings before the first x crossing lie in
+    region p - 1.  An x crossing of sign e adds e to the link of its two
+    regions and -e to the diagonal of each; with p = 1 it is a loop and adds
+    nothing.  A y crossing of sign e adds e to the diagonal of its region
+    and to the correction term mu, so mu is the y letters' exponent sum.
+    Entries that cancel to zero are not kept.
 
     The sign rules are pinned by two calibration fixtures in the test suite:
     the closure of (x y)^2 must have signature -2 and determinant 3, the
@@ -218,57 +222,54 @@ def seifert_matrix(w: BraidWord) -> SeifertMatrix:
         raise DiagramTooLarge(
             f"{crossings} crossings, more than the oracle's cap of {MAX_CROSSINGS}")
     letters = free_reduce(w).letters
-    last = {}  # per generator: its last crossing, which opens no pair
-    for p in range(len(letters) - 1, -1, -1):
-        last.setdefault(letters[p][0], p)
-        if len(last) == 2:
-            break
-    else:
-        unused = ("column 2" if "x" in last else "column 1" if last
+    p = letters.count(X) + letters.count(X_INV)
+    if not p or p == len(letters):
+        unused = ("column 2" if p else "column 1" if letters
                   else "columns 1 and 2")
         raise SplitClosure(f"{unused} unused: the closure splits")
-    last_x, last_y = last["x"], last["y"]
 
-    rows: list[Row] = []
-    # The row of the pair each column has open, the sign of its latest
-    # crossing, and the y-pair open at the open x-pair's first crossing.
-    x = y = held = None
-    sign_x = sign_y = 0
-    for p, (generator, sign) in enumerate(letters):
-        is_x = generator == "x"
-        closed, previous = (x, sign_x) if is_x else (y, sign_y)
-        new = None if p == (last_x if is_x else last_y) else len(rows)
-        if new is not None:
-            rows.append({})
-        if closed is not None:
-            row = rows[closed]
-            if previous == sign:
-                row[closed] = (-2 * sign, 0)
-            if new is not None:
-                row[new] = rows[new][closed] = (sign, 0)
-            if is_x and held != y:
-                if held is not None:
-                    row[held] = rows[held][closed] = (1, 0)
-                if y is not None:
-                    row[y] = rows[y][closed] = (-1, 0)
-        if is_x:
-            x, sign_x, held = new, sign, y
+    diagonal = [0] * p
+    links: list[int] = []  # links[r]: the sign of x crossing r
+    region, mu = p - 1, 0
+    for generator, sign in letters:
+        if generator == "y":
+            diagonal[region] += sign
+            mu += sign
         else:
-            y, sign_y = new, sign
+            diagonal[region] -= sign
+            region = len(links)
+            links.append(sign)
+            diagonal[region] -= sign
+    if p == 1:  # the x crossing is a loop
+        rows = [{0: (mu, 0)} if mu else {}]
+    elif p == 2:  # both x crossings link regions 0 and 1
+        link = links[0] + links[1]
+        rows = [{j: (x, 0) for j, x in enumerate(pair) if x}
+                for pair in ((diagonal[0], link), (link, diagonal[1]))]
+    else:
+        after = links[1:] + links[:1]  # after[r]: the sign of crossing r + 1
+        rows = [{(r - 1) % p: (links[r], 0), (r + 1) % p: (after[r], 0)}
+                for r in range(p)]
+        for r, entry in enumerate(diagonal):
+            if entry:
+                rows[r][r] = (entry, 0)
     matrix = SeifertMatrix.__new__(SeifertMatrix)
-    matrix._crossing, matrix._letters = rows, letters
+    matrix._goeritz, matrix.mu = rows, mu
     return matrix
 
 
 def sym_signature(v: SeifertMatrix) -> int:
-    """Signature of V + V^T, exactly: the sign of each nonzero pivot
-    relative to the one before it (the leading minor D_0 = 1 first)."""
+    """Signature of the closure, exactly: that of G, the sign of each
+    nonzero pivot relative to the one before it (the leading minor D_0 = 1
+    first), less mu (Gordon-Litherland).  It equals the signature of
+    V + V^T."""
     signs = [1] + [1 if pivot > 0 else -1 for pivot in v._pivots if pivot]
-    return sum(a * b for a, b in zip(signs, signs[1:]))
+    return sum(a * b for a, b in zip(signs, signs[1:])) - v.mu
 
 
 def sym_determinant(v: SeifertMatrix) -> int:
-    """|det(V + V^T)|: the last leading minor, or 0 past a zero row."""
+    """|det G| = |det(V + V^T)|, the closure's determinant: the last leading
+    minor, or 0 past a zero row."""
     pivots = v._pivots
     if 0 in pivots:
         return 0

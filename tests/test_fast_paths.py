@@ -29,13 +29,15 @@ product of ``form_determinant``, ``str`` behind the divide-and-conquer
 ``_int_text``, one ``groupby`` group per generator and sign
 (``groupby_run_text``) behind the one-loop ``run_text``, the letter stack
 that compares attributes (``attribute_free_reduce``) behind the one that
-compares identities, the Seifert oracle's dense pair-loop construction
-and rational elimination, the report's values computed as ``Fraction``s
-and its record built by keyword (``reference_analyze_word``) behind the
-values stage that holds every grading as a count of quarters, and every
-run expanded on its own (``per_run_letters``) against the letters of a
-word built from its runs.  The
-layout that ``words.window_table`` gives both chunk tables is pinned
+compares identities, the Seifert form V + V^T built by a dense pair loop
+and in one pass (``one_pass_seifert_rows``) and eliminated over the
+rationals behind the oracle's Goeritz form, which is also built as the
+Tait graph's Laplacian (``tait_goeritz``), the report's values computed
+as ``Fraction``s and its record built by keyword
+(``reference_analyze_word``) behind the values stage that holds every
+grading as a count of quarters, and every run expanded on its own
+(``per_run_letters``) against the letters of a word built from its runs.
+The layout that ``words.window_table`` gives both chunk tables is pinned
 without matrices or syllables: built over letters recorded as tuples, each
 entry is the window that parse's byte path packs to its byte
 (``test_window_table_lays_out_windows_as_fold_keys_packs_them``).
@@ -1752,21 +1754,103 @@ def fraction_pivots(rows):
     return pivots
 
 
+def one_pass_seifert_rows(reduced):
+    """Rows of V + V^T in crossing order, as dicts of the nonzeros, written
+    in one left-to-right pass over the reduced crossings.  A crossing of
+    sign e closes the pair its column has open, if any, and opens a new one
+    unless it is the column's last.  The closed pair's self-link is -2e when
+    both its crossings have sign e, and the pair opened at the same
+    crossing links it by e.  An x-pair links the y-pairs open at its first
+    and at its second crossing, if they differ, by +1 and -1."""
+    last = {}  # per generator: its last crossing, which opens no pair
+    for p, letter in enumerate(reduced):
+        last[letter.generator] = p
+    rows = []
+    # The row of the pair each column has open, the sign of its latest
+    # crossing, and the y-pair open at the open x-pair's first crossing.
+    x = y = held = None
+    sign_x = sign_y = 0
+    for p, (generator, sign) in enumerate(reduced):
+        is_x = generator == "x"
+        closed, previous = (x, sign_x) if is_x else (y, sign_y)
+        new = None if p == last[generator] else len(rows)
+        if new is not None:
+            rows.append({})
+        if closed is not None:
+            row = rows[closed]
+            if previous == sign:
+                row[closed] = -2 * sign
+            if new is not None:
+                row[new] = rows[new][closed] = sign
+            if is_x and held != y:
+                if held is not None:
+                    row[held] = rows[held][closed] = 1
+                if y is not None:
+                    row[y] = rows[y][closed] = -1
+        if is_x:
+            x, sign_x, held = new, sign, y
+        else:
+            y, sign_y = new, sign
+    return rows
+
+
+def tait_goeritz(reduced):
+    """The dense Goeritz matrix and the correction term mu, built from the
+    edge list of the Tait graph.  Its vertices are the regions between the
+    first two strands, region r after x crossing r, and the outer region.
+    An x crossing joins the regions before and after it with weight minus
+    its sign, a y crossing its region to the outer one with weight its
+    sign, and mu sums the y crossings' signs.  G is the weighted Laplacian
+    with the outer region's row and column deleted."""
+    p = sum(letter.generator == "x" for letter in reduced)
+    outer = p
+    edges, mu, seen = [], 0, 0
+    for generator, sign in reduced:
+        region = (seen - 1) % p
+        if generator == "x":
+            edges.append((region, seen, -sign))
+            seen += 1
+        else:
+            edges.append((region, outer, sign))
+            mu += sign
+    laplacian = [[0] * (p + 1) for _ in range(p + 1)]
+    for a, b, weight in edges:
+        if a != b:
+            laplacian[a][a] += weight
+            laplacian[b][b] += weight
+            laplacian[a][b] -= weight
+            laplacian[b][a] -= weight
+    return [row[:p] for row in laplacian[:p]], mu
+
+
 def assert_oracle_matches_old(w):
-    """The sparse rows equal the pair loop's dense V + V^T in crossing
-    order, and the integer elimination gives the rational one's signature
-    and |det|."""
+    """The one-pass rows equal the pair loop's dense V + V^T in crossing
+    order; the Goeritz rows equal the Tait graph's Laplacian; and the
+    signature and |det| read from the Goeritz form by the integer
+    elimination are those of V + V^T, read by the rational elimination and
+    by the integer one."""
     entries, generators = pair_loop_seifert(w)
-    matrix = seifert_matrix(w)
-    assert matrix.generators == generators, w
     expected = dense_crossing_rows(entries, generators)
-    rows = matrix._rows()
-    assert [{j: x for j, (x, _) in row.items()} for row in rows] == expected, w
-    assert all(stamp == 0 for row in rows for _, stamp in row.values()), w
+    reference = one_pass_seifert_rows(w)
+    assert reference == expected, w
     pivots = fraction_pivots(expected)
-    assert sym_signature(matrix) == \
-        sum(1 if pivot > 0 else -1 for pivot in pivots if pivot), w
-    assert sym_determinant(matrix) == abs(prod(pivots)), w
+    signature = sum(1 if pivot > 0 else -1 for pivot in pivots if pivot)
+    det = abs(prod(pivots))
+    old = seifert_module._eliminate(
+        [{j: (x, 0) for j, x in row.items()} for row in reference])
+    signs = [1] + [1 if pivot > 0 else -1 for pivot in old if pivot]
+    assert sum(a * b for a, b in zip(signs, signs[1:])) == signature, w
+    assert (0 if 0 in old else abs(old[-1]) if old else 1) == det, w
+
+    matrix = seifert_matrix(w)
+    goeritz, mu = tait_goeritz(w)
+    assert matrix.rows == tuple({j: x for j, x in enumerate(row) if x}
+                                for row in goeritz), w
+    assert matrix.mu == mu, w
+    assert all(stamp == 0 for row in matrix._rows()
+               for _, stamp in row.values()), w
+    assert sym_signature(matrix) == signature, w
+    assert sym_determinant(matrix) == det, w
     assert all(type(pivot) is int for pivot in matrix._pivots), w
 
 
@@ -1795,12 +1879,12 @@ def test_oracle_matches_old_code_on_long_words(rng, alphabet):
 
 
 def test_seifert_pass_makes_linearly_many_steps():
-    # In y^m x^m y^m x^m every x-pair opens and closes inside a stretch of m
-    # x crossings, so a pass that finds the open y-pair by rescanning the
-    # earlier crossings takes about m steps per x crossing.  Counting the
-    # lines run in the seifert module, not time, keeps the test exact: the
-    # words at m and 2m have the same shape, so a linear pass takes at most
-    # twice the steps.
+    # In y^m x^m y^m x^m a pass that finds a crossing's region by counting
+    # the x crossings before it, or that builds each row by scanning the
+    # crossings, takes about m steps per crossing.  Counting the lines run
+    # in the seifert module, not time, keeps the test exact: the words at m
+    # and 2m have the same shape, so a linear pass takes at most twice the
+    # steps.
     path = seifert_module.__file__
     steps = 0
 
@@ -1821,7 +1905,7 @@ def test_seifert_pass_makes_linearly_many_steps():
             matrix = seifert_matrix(word)
         finally:
             sys.settrace(previous)
-        assert matrix.size == 4 * m - 2
+        assert matrix.size == 2 * m
         return steps
 
     small, large = count(250), count(500)

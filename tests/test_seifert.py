@@ -48,13 +48,16 @@ def test_torus_link_signatures():
 
 
 def test_matrix_size_and_bookkeeping():
+    # One row per x crossing: the trefoil's two regions are linked by both
+    # x crossings, and each holds one y crossing.
     matrix = seifert_matrix(parse("x y x y"))
-    assert matrix.size == len(parse("x y x y")) - 3 + 1
-    assert matrix.generators == ((0, 0, 2), (1, 1, 3))
+    assert matrix.size == 2
+    assert matrix.rows == ({0: -1, 1: 2}, {0: 2, 1: -1})
+    assert matrix.mu == 2
 
     # Free reduction happens first: x y y^-1 x y reduces to x x y.
     matrix = seifert_matrix(parse("x y y^-1 x y"))
-    assert matrix.size == 1
+    assert matrix.size == 2
 
 
 def test_only_seifert_matrix_builds_a_matrix():
@@ -75,11 +78,13 @@ def test_split_closure_errors():
 
 
 def form(symmetric):
-    """A matrix holding the symmetric rows as its form V + V^T in crossing
-    order, as ``seifert_matrix`` writes them: nonzero entries, stamp 0."""
+    """A matrix holding the symmetric rows as its form, as
+    ``seifert_matrix`` writes them (nonzero entries, stamp 0), with
+    correction term 0."""
     matrix = SeifertMatrix.__new__(SeifertMatrix)
-    matrix._crossing = [{j: (x, 0) for j, x in enumerate(row) if x}
-                        for row in symmetric]
+    matrix._goeritz = [{j: (x, 0) for j, x in enumerate(row) if x}
+                       for row in symmetric]
+    matrix.mu = 0
     return matrix
 
 
@@ -135,8 +140,9 @@ def test_mirror_signature_antisymmetry(rng):
 def test_signature_bounded_by_size(rng):
     for _ in range(200):
         word = random_nonsplit_word(rng, 16)
-        matrix = seifert_matrix(word)
-        assert abs(sym_signature(matrix)) <= matrix.size
+        # The rank of V + V^T, whose size is the reduced crossings less 2.
+        assert abs(sym_signature(seifert_matrix(word))) <= \
+            len(w_.free_reduce(word)) - 2
 
 
 def _leibniz(rows):
