@@ -30,7 +30,8 @@ for text, expected in (("x y x y", (3, -2)), ("x y^-1 x y^-1", (5, 0))):
 print()
 print("the Goeritz form G of the trefoil closure (x y)^2")
 matrix = seifert_matrix(parse("x y x y"))
-print("rows (column: entry), one per x crossing:", matrix.rows)
+print("rows (column: entry), one per x crossing (x cuts on a tie):",
+      matrix.rows)
 print(f"correction term mu {matrix.mu}: signature {sym_signature(matrix)} "
       f"= sign(G) - mu, determinant {sym_determinant(matrix)} = |det G|")
 

@@ -7,15 +7,16 @@ Every crossing joins two shaded regions: an x crossing the regions before
 and after it, a y crossing the region it lies in to the outer region.  The
 Goeritz matrix G is the Laplacian of that graph, with the outer region's row
 and column deleted, where an edge weighs minus its crossing's sign for an x
-crossing and the sign itself for a y crossing.  So G has one row per x
-crossing of the reduced diagram and is cyclic tridiagonal, and one
-left-to-right pass over the reduced crossings writes its sparse rows in
-O(n).  Gordon and Litherland ("On the signature of a link", Invent. Math.
-47, 1978) give the closure's signature as sign(G) - mu, with the correction
+crossing and the sign itself for a y crossing.  So G is cyclic tridiagonal,
+and one pass over the reduced crossings writes its sparse rows in O(n).
+Conjugation by the half twist Delta swaps x and y and keeps the closure, so
+the column with fewer crossings plays x, and G has at most n/2 rows.
+Gordon and Litherland ("On the signature of a link", Invent. Math. 47,
+1978) give the closure's signature as sign(G) - mu, with the correction
 term mu here the exponent sum of the y letters, and its determinant as
-|det G|: the values of the symmetrized Seifert form V + V^T, from a form of
-about half its rows.  coker G presents the first homology of the branched
-double cover as well, which this module does not read.
+|det G|: the values of the symmetrized Seifert form V + V^T, of n - 2 rows.
+coker G presents the first homology of the branched double cover as well,
+which this module does not read.
 
 Everything is exact and in integers: one fraction-free congruence
 elimination of G gives both the signature and the determinant, with no
@@ -43,12 +44,12 @@ class DiagramTooLarge(ValueError):
     """The diagram has more than ``MAX_CROSSINGS`` crossings."""
 
 
-# The rows, one per x crossing, are written in one O(n) pass.  The leading
-# minors of their elimination grow by up to 1.4 bits per row, so the
-# elimination costs about quadratic time in bit operations: at the cap, the
-# slowest family measured, alternating words, takes about 0.12 s (4 ms of it
-# the pass) on one Xeon vCPU under Python 3.11.  Larger diagrams are refused
-# before any letter is expanded.
+# The rows, at most one per two crossings, are written in one O(n) pass.
+# The leading minors of their elimination grow by up to 1.4 bits per row,
+# so the elimination costs about quadratic time in bit operations: at the
+# cap, the slowest family measured, alternating words, takes 0.12-0.18 s
+# (5-9 ms of it the pass) on one Xeon vCPU under Python 3.11.  Larger
+# diagrams are refused before any letter is expanded.
 MAX_CROSSINGS = 6000
 
 # A sparse symmetric row: column -> (value, stamp).  The value is the entry
@@ -63,10 +64,11 @@ class SeifertMatrix:
     as ``seifert_matrix``'s pass writes them.
 
     ``rows[r]`` maps each column to the nonzero entry of G in row r, one row
-    per x crossing, and is cyclic tridiagonal; ``mu`` is the exponent sum of
-    the y letters.  Its signature less mu and its |det| are those of the
-    symmetrized Seifert form V + V^T, whence the name.
-    ``seifert_matrix(w)`` is the one way to build it.
+    per crossing of the column that cuts the regions, and is cyclic
+    tridiagonal; ``mu`` is the exponent sum of the other column's letters.
+    Its signature less mu and its |det| are those of the symmetrized Seifert
+    form V + V^T, whence the name.  ``seifert_matrix(w)`` is the one way to
+    build it.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -74,12 +76,15 @@ class SeifertMatrix:
 
     @property
     def size(self) -> int:
-        return len(self._goeritz)
+        """The order of the diagram's Seifert matrix V: the reduced crossings
+        less 2, as Seifert's algorithm gives the diagram three circles.  G
+        has ``len(rows)`` rows, at most half the reduced crossings."""
+        return self._crossings - 2
 
     @property
     def rows(self) -> tuple[dict[int, int], ...]:
         """G's rows, each as column -> nonzero entry."""
-        return tuple({j: x for j, (x, _) in row.items()}
+        return tuple({j: x for j, (x, _) in sorted(row.items())}
                      for row in self._goeritz)
 
     def _rows(self) -> list[Row]:
@@ -202,13 +207,15 @@ def seifert_matrix(w: BraidWord) -> SeifertMatrix:
     """Goeritz form of the closure of the freely reduced diagram, written in
     one left-to-right pass over its crossings.
 
-    Of p x crossings, crossing r (from 0) links region r - 1 to region r,
-    indices mod p, and the y crossings before the first x crossing lie in
-    region p - 1.  An x crossing of sign e adds e to the link of its two
-    regions and -e to the diagonal of each; with p = 1 it is a loop and adds
-    nothing.  A y crossing of sign e adds e to the diagonal of its region
-    and to the correction term mu, so mu is the y letters' exponent sum.
-    Entries that cancel to zero are not kept.
+    The column with fewer crossings, x on a tie, cuts the regions; call its
+    letters x here and the others y.  Of p x crossings, crossing r (from 0)
+    links region r - 1 to region r, indices mod p, and the y crossings
+    before the first x crossing lie in region p - 1.  An x crossing of sign
+    e adds e to the link of its two regions and -e to the diagonal of each;
+    with p = 1 it is a loop and adds nothing, and with p = 2 both crossings
+    add to the same link.  A y crossing of sign e adds e to the diagonal of
+    its region and to the correction term mu, so mu is the y letters'
+    exponent sum.  Entries that cancel to zero are not kept.
 
     The sign rules are pinned by two calibration fixtures in the test suite:
     the closure of (x y)^2 must have signature -2 and determinant 3, the
@@ -228,33 +235,26 @@ def seifert_matrix(w: BraidWord) -> SeifertMatrix:
                   else "columns 1 and 2")
         raise SplitClosure(f"{unused} unused: the closure splits")
 
-    diagonal = [0] * p
-    links: list[int] = []  # links[r]: the sign of x crossing r
+    cut = "x" if 2 * p <= len(letters) else "y"
+    p = min(p, len(letters) - p)
+    entries: list[dict[int, int]] = [{} for _ in range(p)]
     region, mu = p - 1, 0
     for generator, sign in letters:
-        if generator == "y":
-            diagonal[region] += sign
+        row = entries[region]
+        if generator != cut:
+            row[region] = row.get(region, 0) + sign
             mu += sign
-        else:
-            diagonal[region] -= sign
-            region = len(links)
-            links.append(sign)
-            diagonal[region] -= sign
-    if p == 1:  # the x crossing is a loop
-        rows = [{0: (mu, 0)} if mu else {}]
-    elif p == 2:  # both x crossings link regions 0 and 1
-        link = links[0] + links[1]
-        rows = [{j: (x, 0) for j, x in enumerate(pair) if x}
-                for pair in ((diagonal[0], link), (link, diagonal[1]))]
-    else:
-        after = links[1:] + links[:1]  # after[r]: the sign of crossing r + 1
-        rows = [{(r - 1) % p: (links[r], 0), (r + 1) % p: (after[r], 0)}
-                for r in range(p)]
-        for r, entry in enumerate(diagonal):
-            if entry:
-                rows[r][r] = (entry, 0)
+            continue
+        before, region = region, region + 1 if region + 1 < p else 0
+        if before != region:  # with p = 1 the crossing is a loop
+            after = entries[region]
+            row[region] = after[before] = row.get(region, 0) + sign
+            row[before] = row.get(before, 0) - sign
+            after[region] = after.get(region, 0) - sign
     matrix = SeifertMatrix.__new__(SeifertMatrix)
-    matrix._goeritz, matrix.mu = rows, mu
+    matrix._goeritz = [{j: (x, 0) for j, x in row.items() if x}
+                       for row in entries]
+    matrix.mu, matrix._crossings = mu, len(letters)
     return matrix
 
 

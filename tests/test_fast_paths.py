@@ -1794,20 +1794,21 @@ def one_pass_seifert_rows(reduced):
     return rows
 
 
-def tait_goeritz(reduced):
+def tait_goeritz(reduced, cut):
     """The dense Goeritz matrix and the correction term mu, built from the
-    edge list of the Tait graph.  Its vertices are the regions between the
-    first two strands, region r after x crossing r, and the outer region.
-    An x crossing joins the regions before and after it with weight minus
-    its sign, a y crossing its region to the outer one with weight its
-    sign, and mu sums the y crossings' signs.  G is the weighted Laplacian
-    with the outer region's row and column deleted."""
-    p = sum(letter.generator == "x" for letter in reduced)
+    edge list of the Tait graph when the letters of column ``cut`` cut the
+    regions.  Its vertices are the regions between those crossings, region
+    r after cut crossing r, and the outer region.  A cut crossing joins the
+    regions before and after it with weight minus its sign, any other
+    crossing its region to the outer one with weight its sign, and mu sums
+    the other crossings' signs.  G is the weighted Laplacian with the outer
+    region's row and column deleted."""
+    p = sum(letter.generator == cut for letter in reduced)
     outer = p
     edges, mu, seen = [], 0, 0
     for generator, sign in reduced:
         region = (seen - 1) % p
-        if generator == "x":
+        if generator == cut:
             edges.append((region, seen, -sign))
             seen += 1
         else:
@@ -1825,8 +1826,10 @@ def tait_goeritz(reduced):
 
 def assert_oracle_matches_old(w):
     """The one-pass rows equal the pair loop's dense V + V^T in crossing
-    order; the Goeritz rows equal the Tait graph's Laplacian; and the
-    signature and |det| read from the Goeritz form by the integer
+    order; the Goeritz form of either column's shading, read by the rational
+    elimination, has V + V^T's signature and |det|; the Goeritz rows equal
+    the Tait graph's Laplacian for the column with fewer crossings, x on a
+    tie; and the signature and |det| read from them by the integer
     elimination are those of V + V^T, read by the rational elimination and
     by the integer one."""
     entries, generators = pair_loop_seifert(w)
@@ -1842,11 +1845,23 @@ def assert_oracle_matches_old(w):
     assert sum(a * b for a, b in zip(signs, signs[1:])) == signature, w
     assert (0 if 0 in old else abs(old[-1]) if old else 1) == det, w
 
+    shadings = {}
+    for cut in "xy":
+        goeritz, mu = tait_goeritz(w, cut)
+        shadings[cut] = goeritz, mu
+        rational = fraction_pivots(
+            [{j: x for j, x in enumerate(row) if x} for row in goeritz])
+        assert sum(1 if pivot > 0 else -1
+                   for pivot in rational if pivot) - mu == signature, w
+        assert abs(prod(rational)) == det, w
+
     matrix = seifert_matrix(w)
-    goeritz, mu = tait_goeritz(w)
+    xs = sum(letter.generator == "x" for letter in w)
+    goeritz, mu = shadings["x" if 2 * xs <= len(w) else "y"]
     assert matrix.rows == tuple({j: x for j, x in enumerate(row) if x}
                                 for row in goeritz), w
     assert matrix.mu == mu, w
+    assert matrix.size == len(w) - 2 == len(reference), w
     assert all(stamp == 0 for row in matrix._rows()
                for _, stamp in row.values()), w
     assert sym_signature(matrix) == signature, w
@@ -1905,7 +1920,7 @@ def test_seifert_pass_makes_linearly_many_steps():
             matrix = seifert_matrix(word)
         finally:
             sys.settrace(previous)
-        assert matrix.size == 2 * m
+        assert len(matrix.rows) == 2 * m
         return steps
 
     small, large = count(250), count(500)

@@ -48,16 +48,34 @@ def test_torus_link_signatures():
 
 
 def test_matrix_size_and_bookkeeping():
-    # One row per x crossing: the trefoil's two regions are linked by both
-    # x crossings, and each holds one y crossing.
+    # The size is that of the Seifert matrix, the reduced crossings less 2.
+    # One row of G per x crossing: the trefoil's two regions are linked by
+    # both x crossings, and each holds one y crossing.
     matrix = seifert_matrix(parse("x y x y"))
     assert matrix.size == 2
     assert matrix.rows == ({0: -1, 1: 2}, {0: 2, 1: -1})
     assert matrix.mu == 2
 
-    # Free reduction happens first: x y y^-1 x y reduces to x x y.
+    # Free reduction happens first: x y y^-1 x y reduces to x x y, whose
+    # single y crossing cuts the regions, and the x letters give mu.
     matrix = seifert_matrix(parse("x y y^-1 x y"))
-    assert matrix.size == 2
+    assert matrix.size == 1
+    assert matrix.rows == ({0: 2},)
+    assert matrix.mu == 2
+
+
+def test_the_column_with_fewer_crossings_cuts_the_regions():
+    for text, rows in (("x^5 y", 1), ("y^5 x", 1), ("x^3 y^-3", 3),
+                       ("x y^-1 x^2 y x^-1", 2)):
+        matrix = seifert_matrix(parse(text))
+        assert len(matrix.rows) == rows, text
+        assert matrix.size == len(w_.free_reduce(parse(text))) - 2, text
+    # Conjugating by Delta swaps the columns and keeps the closure.
+    for text, swapped in (("x^5 y", "y^5 x"),
+                          ("x y^-1 x^2 y x^-1", "y x^-1 y^2 x y^-1")):
+        a, b = seifert_matrix(parse(text)), seifert_matrix(parse(swapped))
+        assert (sym_signature(a), sym_determinant(a)) == \
+            (sym_signature(b), sym_determinant(b))
 
 
 def test_only_seifert_matrix_builds_a_matrix():
