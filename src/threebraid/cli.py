@@ -57,7 +57,24 @@ EXIT_IO = 4
 def _oracle(word, record) -> dict:
     """Oracle determinant/signature plus an agreement verdict against the
     values record of the same word.  Split closures and diagrams past the
-    crossing cap get an error record, which has no verdict."""
+    crossing cap get an error record, which has no verdict.
+
+    Beside the determinant and the record's signature, where it has one,
+    the verdict checks the correction term d, held as q = 4d quarters,
+    which the record has exactly when the determinant is nonzero:
+    d = -sigma/4 on quasi-alternating closures (Lisca-Owens, Proc. AMS 143,
+    2015), and q + sigma = 0 (mod 8) on all of them.  Mod 4, the grading
+    shift (c_1^2 - 2 chi - 3 sigma)/4 of Ozsvath-Szabo ("Absolutely graded
+    Floer homologies...", Adv. Math. 173, 2003) gives it: the branched
+    double cover of B^4 along a pushed-in Seifert surface is spin, as its
+    form V + V^T is even, so the spin-c structure of d extends with
+    c_1 = 0, and with b_2 = sigma (mod 2) the shift from S^3 is -sigma/4
+    (mod 1).  Mod 8 it is an identity of the closed forms: with b the
+    bottom of the surgery row, 0 or +-8, and e the twist power of the
+    normal form, q + sigma = b - 4e for even e and b + 4 - 4e for odd e,
+    on every non-split word of at most 7 letters with a nonzero
+    determinant.  So it ties the surgery rows and the assembly's shift to
+    the diagram off the quasi-alternating closures too."""
     from . import seifert
     try:
         matrix = seifert.seifert_matrix(word)
@@ -65,11 +82,11 @@ def _oracle(word, record) -> dict:
         return {"error": str(error)}
     det = seifert.sym_determinant(matrix)
     sig = seifert.sym_signature(matrix)
-    # Lisca-Owens: d = -sigma/4 on quasi-alternating closures.
     quarters = record.correction_quarters
     agrees = det == record.determinant and \
         (record.signature is None or record.signature == sig) and \
-        (not record.qa or quarters is None or -quarters == sig)
+        (quarters is None or (quarters + sig) % 8 == 0 and
+         (not record.qa or -quarters == sig))
     return {"determinant": det, "signature": sig, "agrees": agrees}
 
 

@@ -1,4 +1,4 @@
-"""Sparse integer Goeritz form of a 3-braid closure.
+"""Integer Goeritz form of a 3-braid closure, read by a three-term recurrence.
 
 Colour the regions of the closed 3-braid diagram like a checkerboard and
 shade the regions between the first two strands, together with the outer
@@ -8,7 +8,9 @@ and after it, a y crossing the region it lies in to the outer region.  The
 Goeritz matrix G is the Laplacian of that graph, with the outer region's row
 and column deleted, where an edge weighs minus its crossing's sign for an x
 crossing and the sign itself for a y crossing.  So G is cyclic tridiagonal,
-and one pass over the reduced crossings writes its sparse rows in O(n).
+and one pass over the reduced crossings records it in O(n): the sign of
+each x crossing, which links the regions before and after it, and the
+exponent sum of the y letters in each region.
 Conjugation by the half twist Delta swaps x and y and keeps the closure, so
 the column with fewer crossings plays x, and G has at most n/2 rows.
 Gordon and Litherland ("On the signature of a link", Invent. Math. 47,
@@ -18,9 +20,10 @@ term mu here the exponent sum of the y letters, and its determinant as
 coker G presents the first homology of the branched double cover as well,
 which this module does not read.
 
-Everything is exact and in integers: one fraction-free congruence
-elimination of G gives both the signature and the determinant, with no
-fraction and no floating point anywhere.
+Everything is exact, in integers and without a division: every link of G
+is +-1 once it has three rows, so its path minors follow a three-term
+recurrence, det G is read from two of them, and Jacobi's rule on the
+leading minors gives the signature (``_determinant_and_signature``).
 
 This module is deliberately independent of the matrix-representation route:
 it sees only the diagram.  Its outputs (determinant and signature of the
@@ -29,10 +32,10 @@ closure) cross-check the rest of the package.
 
 from __future__ import annotations
 
-from functools import cached_property
+from operator import ne, sub
 
 from .homology import InternalInconsistency
-from .words import X, X_INV, BraidWord, free_reduce
+from .words import BraidWord, free_reduce
 
 
 class SplitClosure(ValueError):
@@ -44,31 +47,26 @@ class DiagramTooLarge(ValueError):
     """The diagram has more than ``MAX_CROSSINGS`` crossings."""
 
 
-# The rows, at most one per two crossings, are written in one O(n) pass.
-# The leading minors of their elimination grow by up to 1.4 bits per row,
-# so the elimination costs about quadratic time in bit operations: at the
-# cap, the slowest family measured, alternating words, takes 0.12-0.18 s
-# (5-9 ms of it the pass) on one Xeon vCPU under Python 3.11.  Larger
-# diagrams are refused before any letter is expanded.
+# The pass and the recurrence each take one step per crossing, but the
+# minors grow by up to 1.4 bits per row, so a step multiplies a small
+# integer by one of O(n) bits: at the cap, the slowest family measured,
+# alternating words, takes 2.5-6 ms on one Xeon vCPU under Python 3.11,
+# about half of it the recurrence.  Larger diagrams are refused before any
+# letter is expanded.
 MAX_CROSSINGS = 6000
 
-# A sparse symmetric row: column -> (value, stamp).  The value is the entry
-# of the current trailing block scaled by the leading minor of index stamp.
-Row = dict[int, tuple[int, int]]
-
-_INEXACT = "an elimination entry is not a multiple of its leading minor"
+_NOT_UNIT = "a link of a cyclic Goeritz form of three rows or more is not +-1"
 
 
 class SeifertMatrix:
     """The Goeritz form G of a reduced diagram with its correction term mu,
-    as ``seifert_matrix``'s pass writes them.
+    as ``seifert_matrix``'s pass records them.
 
-    ``rows[r]`` maps each column to the nonzero entry of G in row r, one row
-    per crossing of the column that cuts the regions, and is cyclic
-    tridiagonal; ``mu`` is the exponent sum of the other column's letters.
-    Its signature less mu and its |det| are those of the symmetrized Seifert
-    form V + V^T, whence the name.  ``seifert_matrix(w)`` is the one way to
-    build it.
+    G has one row per crossing of the column that cuts the regions and is
+    cyclic tridiagonal (``rows``); ``mu`` is the exponent sum of the other
+    column's letters.  Its signature less mu and its |det| are those of the
+    symmetrized Seifert form V + V^T, whence the name; both are read once,
+    when it is built.  ``seifert_matrix(w)`` is the one way to build it.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -83,139 +81,99 @@ class SeifertMatrix:
 
     @property
     def rows(self) -> tuple[dict[int, int], ...]:
-        """G's rows, each as column -> nonzero entry."""
-        return tuple({j: x for j, (x, _) in sorted(row.items())}
-                     for row in self._goeritz)
+        """G's rows, each as column -> nonzero entry.  Cut crossing r of
+        sign e adds e to the link of regions r - 1 and r (indices mod p)
+        and -e to the diagonal of each; with p = 1 it is a loop and adds
+        nothing, and with p = 2 both crossings add to the same link."""
+        sums = self._sums
+        p = len(sums)
+        entries = [{r: s} for r, s in enumerate(sums)]
+        if p > 1:
+            for r, sign in enumerate(self._links):
+                before = (r - 1) % p
+                entries[before][r] = entries[r][before] = \
+                    entries[r].get(before, 0) + sign
+                entries[before][before] -= sign
+                entries[r][r] -= sign
+        return tuple({j: x for j, x in sorted(row.items()) if x}
+                     for row in entries)
 
-    def _rows(self) -> list[Row]:
-        """Fresh sparse rows of G; every entry carries stamp 0."""
-        return list(map(dict, self._goeritz))
 
-    @cached_property
-    def _pivots(self) -> tuple[int, ...]:
-        """Integer pivots of one fraction-free congruence elimination of G,
-        taken in row order (see ``_eliminate``)."""
-        return _eliminate(self._rows())
+def _determinant_and_signature(links: list[int],
+                               sums: list[int]) -> tuple[int, int]:
+    """det G and the signature of G, from the links e_r (cut crossing r
+    links regions r - 1 and r) and the region sums s_r, in O(p)
+    multiplications and no division.
 
+    With p = 1, G = (s_0).  With p = 2, its link is l = e_0 + e_1 and its
+    diagonal s_r - l.  With p >= 3 its diagonal is
+    a_r = s_r - e_r - e_(r+1 mod p), and every link is +-1, so the path
+    minors D_k of rows 0 .. k - 1 follow D_k = a_(k-1) D_(k-1) - D_(k-2)
+    from D_(-1) = 0 and D_0 = 1, and F_k of rows 1 .. k the same
+    recurrence.  Expanding det G along its corner entry gives
+    det G = D_p - F_(p-2) + 2 (-1)^(p+1) e_0 e_1 ... e_(p-1).
 
-def _eliminate(rows: list[Row]) -> tuple[int, ...]:
-    """Fraction-free symmetric elimination (Bareiss, "Sylvester's identity
-    and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-    1968) of the sparse rows, consumed in place and strictly in order.
+    D_0, ..., D_(p-1) and det G are G's leading minors.  A zero path minor
+    lies between two nonzero ones of opposite signs (D_(k+1) = -D_(k-1)),
+    and so does a zero D_(p-1) between D_(p-2) and a nonzero det G
+    (Sylvester's identity), so by Jacobi's rule, with Frobenius' rule for
+    the zeros (Gantmacher, "The Theory of Matrices" I, ch. X), G has as
+    many negative eigenvalues as the sequence has sign changes, zeros
+    dropped.  When det G = 0, G is congruent to its leading block of order
+    p - 1 plus (0) if D_(p-1) != 0, and otherwise to its leading block of
+    order p - 2 plus diag(0, M / D_(p-2)), where M = a_(p-1) D_(p-2) -
+    F_(p-3) is the minor on rows p - 1, 0, ..., p - 3, a path again.
 
-    After t pivots every entry of the trailing block is the leading minor
-    D_t times the rational Schur complement, hence an integer, and the next
-    pivot is D_(t+1).  A step touches only the pairs of the pivot row's
-    nonzeros (a few on a diagram); an entry it skips is implicitly
-    multiplied by D_(t+1)/D_t, so each entry keeps the index of the minor it
-    was last scaled by and is rescaled when it is next read.  Every division
-    is exact, and a remainder raises ``InternalInconsistency``.
-
-    A row that is zero when its turn comes records a pivot 0 and leaves the
-    minors as they are.  A nonzero row with a zero diagonal first gets t
-    times its nearest neighbour's row and column added, with t = 1 or -1
-    chosen to make the diagonal nonzero: a unimodular congruence of the
-    trailing block, so the minors stay exact.  So the relative signs of
-    consecutive nonzero pivots give the signature, and the last pivot gives
-    |det| unless a 0 was recorded.  The pivots depend on the matrix alone,
-    not on the order in which a row's entries were inserted.
+    Raises ``InternalInconsistency`` if p >= 3 and a link is not +-1.
     """
-    minors = [1]  # minors[s] scales every entry stamped s
-    pivots: list[int] = []
-    for k, row in enumerate(rows):
-        if k not in row:
-            if not row:
-                pivots.append(0)
-                continue
-            # Congruence by adding t times row/column j to k, j the nearest
-            # neighbour: the diagonal becomes 2t a[k][j] + a[j][j], and as
-            # a[k][j] is nonzero, one of t = 1, -1 makes it nonzero.
-            j = min(row)
-            current = _current(row, minors)
-            neighbour = _current(rows[j], minors)
-            link, own = current[j], neighbour.get(j, 0)
-            t = 1 if 2 * link + own else -1
-            stamp = len(minors) - 1
-            for l, y in neighbour.items():
-                if l != k:
-                    value = current.get(l, 0) + t * y
-                    if value:
-                        row[l] = rows[l][k] = (value, stamp)
-                    else:
-                        del row[l], rows[l][k]
-            row[k] = (2 * t * link + own, stamp)
-        # Each entry read is rescaled inline, as in _current.
-        last, top = minors[-1], len(minors) - 1
-        band = []
-        for i, (x, s) in row.items():
-            if s != top:
-                x *= last
-                if s:
-                    x, remainder = divmod(x, minors[s])
-                    if remainder:
-                        raise InternalInconsistency(_INEXACT)
-            if i == k:
-                pivot = x
-            else:
-                band.append((i, x))
-        for index, (i, x) in enumerate(band):
-            target = rows[i]
-            del target[k]
-            for j, y in band[index:]:
-                old = target.get(j)
-                if old:
-                    value, s = old
-                    if s != top:
-                        value *= last
-                        if s:
-                            value, remainder = divmod(value, minors[s])
-                            if remainder:
-                                raise InternalInconsistency(_INEXACT)
-                    value = pivot * value - x * y
-                else:
-                    value = -x * y
-                value, remainder = divmod(value, last)
-                if remainder:
-                    raise InternalInconsistency(_INEXACT)
-                if value:
-                    target[j] = rows[j][i] = (value, top + 1)
-                elif old:
-                    del target[j]
-                    rows[j].pop(i, None)
-        minors.append(pivot)
-        pivots.append(pivot)
-    return tuple(pivots)
+    p = len(sums)
+    if p == 1:
+        minors, det = [1], sums[0]
+    elif p == 2:
+        link = links[0] + links[1]
+        first, last = sums[0] - link, sums[1] - link
+        minors, det, f_before = [1, first], first * last - link * link, 0
+    else:
+        if links.count(1) + links.count(-1) != p:
+            raise InternalInconsistency(_NOT_UNIT)
+        diagonal = list(map(sub, map(sub, sums, links), links[1:] + links[:1]))
+        last = diagonal.pop()
+        # D_k and D_(k-1), F_(k-1) and F_(k-2), stepped together from k = 1.
+        d, before, f, f_before = diagonal[0], 1, 1, 0
+        minors = [1, d]
+        for a in diagonal[1:]:
+            d, before = a * d - before, d
+            f, f_before = a * f - f_before, f
+            minors.append(d)
+        corner = 2 if (p + links.count(-1)) % 2 else -2
+        det = last * d - before - f + corner
+    if det:
+        return det, p - 2 * _sign_changes(minors + [det])
+    if minors[-1]:
+        return 0, p - 1 - 2 * _sign_changes(minors)
+    minor = minors[-2]  # D_(p-1) = 0, so D_(p-2) != 0 and p >= 2
+    m = (last * minor - f_before) * minor
+    return 0, p - 2 - 2 * _sign_changes(minors[:-1]) + (m > 0) - (m < 0)
 
 
-def _current(row: Row, minors: list[int]) -> dict[int, int]:
-    """The row's entries in the current trailing block: an entry stamped s
-    is its value times the last minor over minors[s]."""
-    last, top = minors[-1], len(minors) - 1
-    values = {}
-    for i, (x, s) in row.items():
-        if s != top:
-            x *= last
-            if s:
-                x, remainder = divmod(x, minors[s])
-                if remainder:
-                    raise InternalInconsistency(_INEXACT)
-        values[i] = x
-    return values
+def _sign_changes(values: list[int]) -> int:
+    """The sign changes along the values, zeros dropped."""
+    signs = [value > 0 for value in values if value]
+    return sum(map(ne, signs, signs[1:]))
 
 
 def seifert_matrix(w: BraidWord) -> SeifertMatrix:
-    """Goeritz form of the closure of the freely reduced diagram, written in
-    one left-to-right pass over its crossings.
+    """Goeritz form of the closure of the freely reduced diagram, recorded
+    in one left-to-right pass over its crossings.
 
     The column with fewer crossings, x on a tie, cuts the regions; call its
     letters x here and the others y.  Of p x crossings, crossing r (from 0)
     links region r - 1 to region r, indices mod p, and the y crossings
-    before the first x crossing lie in region p - 1.  An x crossing of sign
-    e adds e to the link of its two regions and -e to the diagonal of each;
-    with p = 1 it is a loop and adds nothing, and with p = 2 both crossings
-    add to the same link.  A y crossing of sign e adds e to the diagonal of
-    its region and to the correction term mu, so mu is the y letters'
-    exponent sum.  Entries that cancel to zero are not kept.
+    before the first x crossing lie in region p - 1.  The pass records the
+    sign of each x crossing and the exponent sum of the y letters in each
+    region; mu, the correction term, is the y letters' exponent sum.  Then
+    det G and the signature of G are read from them
+    (``_determinant_and_signature``).
 
     The sign rules are pinned by two calibration fixtures in the test suite:
     the closure of (x y)^2 must have signature -2 and determinant 3, the
@@ -228,49 +186,43 @@ def seifert_matrix(w: BraidWord) -> SeifertMatrix:
     if crossings > MAX_CROSSINGS:
         raise DiagramTooLarge(
             f"{crossings} crossings, more than the oracle's cap of {MAX_CROSSINGS}")
-    letters = free_reduce(w).letters
-    p = letters.count(X) + letters.count(X_INV)
-    if not p or p == len(letters):
-        unused = ("column 2" if p else "column 1" if letters
+    # Either column may cut the regions, so the pass records both: the
+    # signs of a column's crossings, the other column's exponent sum before
+    # each, and the column's own exponent sum.
+    x_links, x_marks, y_links, y_marks = [], [], [], []
+    x_sum = y_sum = 0
+    for generator, sign in free_reduce(w).letters:
+        if generator == "x":
+            x_links.append(sign)
+            x_marks.append(y_sum)
+            x_sum += sign
+        else:
+            y_links.append(sign)
+            y_marks.append(x_sum)
+            y_sum += sign
+    if not x_links or not y_links:
+        unused = ("column 2" if x_links else "column 1" if y_links
                   else "columns 1 and 2")
         raise SplitClosure(f"{unused} unused: the closure splits")
 
-    cut = "x" if 2 * p <= len(letters) else "y"
-    p = min(p, len(letters) - p)
-    entries: list[dict[int, int]] = [{} for _ in range(p)]
-    region, mu = p - 1, 0
-    for generator, sign in letters:
-        row = entries[region]
-        if generator != cut:
-            row[region] = row.get(region, 0) + sign
-            mu += sign
-            continue
-        before, region = region, region + 1 if region + 1 < p else 0
-        if before != region:  # with p = 1 the crossing is a loop
-            after = entries[region]
-            row[region] = after[before] = row.get(region, 0) + sign
-            row[before] = row.get(before, 0) - sign
-            after[region] = after.get(region, 0) - sign
+    if len(x_links) <= len(y_links):
+        links, marks, mu = x_links, x_marks, y_sum
+    else:
+        links, marks, mu = y_links, y_marks, x_sum
+    marks.append(mu + marks[0])  # region p - 1 wraps round to the start
     matrix = SeifertMatrix.__new__(SeifertMatrix)
-    matrix._goeritz = [{j: (x, 0) for j, x in row.items() if x}
-                       for row in entries]
-    matrix.mu, matrix._crossings = mu, len(letters)
+    matrix._links, matrix._sums = links, list(map(sub, marks[1:], marks))
+    matrix.mu, matrix._crossings = mu, len(x_links) + len(y_links)
+    matrix._values = _determinant_and_signature(links, matrix._sums)
     return matrix
 
 
 def sym_signature(v: SeifertMatrix) -> int:
-    """Signature of the closure, exactly: that of G, the sign of each
-    nonzero pivot relative to the one before it (the leading minor D_0 = 1
-    first), less mu (Gordon-Litherland).  It equals the signature of
-    V + V^T."""
-    signs = [1] + [1 if pivot > 0 else -1 for pivot in v._pivots if pivot]
-    return sum(a * b for a, b in zip(signs, signs[1:])) - v.mu
+    """Signature of the closure, exactly: that of G less mu
+    (Gordon-Litherland).  It equals the signature of V + V^T."""
+    return v._values[1] - v.mu
 
 
 def sym_determinant(v: SeifertMatrix) -> int:
-    """|det G| = |det(V + V^T)|, the closure's determinant: the last leading
-    minor, or 0 past a zero row."""
-    pivots = v._pivots
-    if 0 in pivots:
-        return 0
-    return abs(pivots[-1]) if pivots else 1
+    """|det G| = |det(V + V^T)|, the closure's determinant."""
+    return abs(v._values[0])

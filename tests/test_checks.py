@@ -16,6 +16,8 @@ from threebraid.homology import InternalInconsistency, image
 from threebraid.murasugi import Family1, S, U, UU
 from threebraid.words import Y, parse
 
+from test_fast_paths import bareiss_pivots
+
 
 def test_blocks_rejects_a_non_alternating_word():
     with pytest.raises(InternalInconsistency):
@@ -93,10 +95,22 @@ NON_MINOR_ROWS = [{0: (2, 0), 1: (1, 0)},
 
 
 def test_elimination_rejects_a_non_minor_entry():
+    # The reference elimination behind the oracle's recurrence.
     rows = [{0: (2, 0), 1: (1, 0)}, {0: (1, 0), 1: (1, 0)}]
-    assert seifert._eliminate(rows) == (2, 1)
+    assert bareiss_pivots(rows) == (2, 1)
     with pytest.raises(InternalInconsistency):
-        seifert._eliminate([dict(row) for row in NON_MINOR_ROWS])
+        bareiss_pivots([dict(row) for row in NON_MINOR_ROWS])
+
+
+# Links and region sums of a three-row cyclic form whose first link is 2,
+# which no crossing gives: the recurrence's premise fails.
+NON_UNIT_LINKS = ([2, 1, 1], [0, 0, 0])
+
+
+def test_recurrence_rejects_a_link_that_is_not_a_unit():
+    assert seifert._determinant_and_signature([1, 1, 1], [1, 1, 1]) == (4, -1)
+    with pytest.raises(InternalInconsistency):
+        seifert._determinant_and_signature(*NON_UNIT_LINKS)
 
 
 def test_quasi_alternating_check_catches_a_shifted_family_1_range(
@@ -162,7 +176,7 @@ except ValueError:
     except ValueError:
         raised += 1
 try:
-    seifert._eliminate(""" + repr(NON_MINOR_ROWS) + """)
+    seifert._determinant_and_signature(*""" + repr(NON_UNIT_LINKS) + """)
 except InternalInconsistency:
     raised += 1
 print(raised)

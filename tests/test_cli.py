@@ -94,6 +94,50 @@ def test_oracle_agrees_on_every_word_of_at_most_six_letters():
             assert oracle.get("agrees", True), str(w)
 
 
+def test_correction_term_meets_the_signature_mod_8_on_short_words():
+    # 4d + sigma = 0 (mod 8) wherever the determinant is nonzero, d from
+    # the report and sigma from the oracle.
+    from conftest import LETTERS
+
+    from threebraid import seifert
+
+    checked = 0
+    for length in range(7):
+        for letters in itertools.product(LETTERS, repeat=length):
+            w = w_.word(letters)
+            record = invariants.analyze_word(w, _record=True)
+            if not record.determinant or {
+                    letter.generator
+                    for letter in w_.free_reduce(w)} != {"x", "y"}:
+                continue
+            sig = seifert.sym_signature(seifert.seifert_matrix(w))
+            assert (record.correction_quarters + sig) % 8 == 0, str(w)
+            checked += 1
+    assert checked == 3_976
+
+
+def test_oracle_checks_the_correction_term_mod_8(capsys, monkeypatch):
+    # h^-2 x y^-3 is a family-1 knot that is not quasi-alternating: only
+    # the congruence sees a figure-eight row whose bottom moved by 4
+    # quarters, as the report's signature still matches the oracle's.
+    argv = ("analyze", "--json", "--oracle", "h^-2 x y^-3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["qa"] is False
+    assert payload["correction_term"] == {"num": -1, "den": 2}
+    assert payload["oracle"]["signature"] == 10
+    key = floer.FIGURE_EIGHT_LIKE, True
+    bottom, grading, offset = floer._SURGERY_ROWS[key]
+    monkeypatch.setitem(floer._SURGERY_ROWS, key, (bottom + 4, grading, offset))
+    code, out, _ = run(capsys, *argv)
+    assert code == cli.EXIT_INCONSISTENT
+    payload = json.loads(out)
+    assert payload["correction_term"] == {"num": 1, "den": 2}
+    assert payload["signature"] == payload["oracle"]["signature"] == 10
+    assert payload["oracle"]["agrees"] is False
+
+
 def test_oracle_checks_the_correction_term_on_quasi_alternating_closures(
         capsys, monkeypatch):
     # h^-1 y is the quasi-alternating link Family2(-1, 1): no report

@@ -32,7 +32,9 @@ that compares attributes (``attribute_free_reduce``) behind the one that
 compares identities, the Seifert form V + V^T built by a dense pair loop
 and in one pass (``one_pass_seifert_rows``) and eliminated over the
 rationals behind the oracle's Goeritz form, which is also built as the
-Tait graph's Laplacian (``tait_goeritz``), the report's values computed
+Tait graph's Laplacian (``tait_goeritz``), the sparse fraction-free
+elimination (``bareiss_pivots``) behind the three-term recurrence that
+reads its determinant and signature, the report's values computed
 as ``Fraction``s and its record built by keyword
 (``reference_analyze_word``) behind the values stage that holds every
 grading as a count of quarters, and every run expanded on its own
@@ -52,6 +54,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from math import prod
+from operator import add
 
 import pytest
 
@@ -77,6 +80,7 @@ from threebraid.floer import (
 )
 from threebraid.homology import (
     AbelianGroup,
+    InternalInconsistency,
     SL2Matrix,
     components_from_image,
     determinant_from_image,
@@ -1824,14 +1828,140 @@ def tait_goeritz(reduced, cut):
     return [row[:p] for row in laplacian[:p]], mu
 
 
+INEXACT = "an elimination entry is not a multiple of its leading minor"
+
+
+def bareiss_pivots(rows):
+    """Fraction-free symmetric elimination (Bareiss, "Sylvester's identity
+    and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
+    1968) of sparse rows, consumed in place and strictly in order: the
+    oracle's general elimination behind the cyclic recurrence.  A row maps
+    each column to (value, stamp), the value being the entry of the
+    current trailing block scaled by the leading minor of index stamp.
+
+    After t pivots every entry of the trailing block is the leading minor
+    D_t times the rational Schur complement, hence an integer, and the next
+    pivot is D_(t+1).  A step touches only the pairs of the pivot row's
+    nonzeros; an entry it skips is implicitly multiplied by D_(t+1)/D_t, so
+    each entry keeps the index of the minor it was last scaled by and is
+    rescaled when it is next read.  Every division is exact, and a
+    remainder raises ``InternalInconsistency``.
+
+    A row that is zero when its turn comes records a pivot 0 and leaves the
+    minors as they are.  A nonzero row with a zero diagonal first gets t
+    times its nearest neighbour's row and column added, with t = 1 or -1
+    chosen to make the diagonal nonzero: a unimodular congruence of the
+    trailing block, so the minors stay exact.  So the relative signs of
+    consecutive nonzero pivots give the signature (``pivot_values``), and
+    the last pivot gives det unless a 0 was recorded.
+    """
+    minors = [1]  # minors[s] scales every entry stamped s
+    pivots = []
+    for k, row in enumerate(rows):
+        if k not in row:
+            if not row:
+                pivots.append(0)
+                continue
+            # Congruence by adding t times row/column j to k, j the nearest
+            # neighbour: the diagonal becomes 2t a[k][j] + a[j][j], and as
+            # a[k][j] is nonzero, one of t = 1, -1 makes it nonzero.
+            j = min(row)
+            current = current_entries(row, minors)
+            neighbour = current_entries(rows[j], minors)
+            link, own = current[j], neighbour.get(j, 0)
+            t = 1 if 2 * link + own else -1
+            stamp = len(minors) - 1
+            for l, y in neighbour.items():
+                if l != k:
+                    value = current.get(l, 0) + t * y
+                    if value:
+                        row[l] = rows[l][k] = (value, stamp)
+                    else:
+                        del row[l], rows[l][k]
+            row[k] = (2 * t * link + own, stamp)
+        # Each entry read is rescaled inline, as in current_entries.
+        last, top = minors[-1], len(minors) - 1
+        band = []
+        for i, (x, s) in row.items():
+            if s != top:
+                x *= last
+                if s:
+                    x, remainder = divmod(x, minors[s])
+                    if remainder:
+                        raise InternalInconsistency(INEXACT)
+            if i == k:
+                pivot = x
+            else:
+                band.append((i, x))
+        for index, (i, x) in enumerate(band):
+            target = rows[i]
+            del target[k]
+            for j, y in band[index:]:
+                old = target.get(j)
+                if old:
+                    value, s = old
+                    if s != top:
+                        value *= last
+                        if s:
+                            value, remainder = divmod(value, minors[s])
+                            if remainder:
+                                raise InternalInconsistency(INEXACT)
+                    value = pivot * value - x * y
+                else:
+                    value = -x * y
+                value, remainder = divmod(value, last)
+                if remainder:
+                    raise InternalInconsistency(INEXACT)
+                if value:
+                    target[j] = rows[j][i] = (value, top + 1)
+                elif old:
+                    del target[j]
+                    rows[j].pop(i, None)
+        minors.append(pivot)
+        pivots.append(pivot)
+    return tuple(pivots)
+
+
+def current_entries(row, minors):
+    """The row's entries in the current trailing block: an entry stamped s
+    is its value times the last minor over minors[s]."""
+    last, top = minors[-1], len(minors) - 1
+    values = {}
+    for i, (x, s) in row.items():
+        if s != top:
+            x *= last
+            if s:
+                x, remainder = divmod(x, minors[s])
+                if remainder:
+                    raise InternalInconsistency(INEXACT)
+        values[i] = x
+    return values
+
+
+def stamped(rows):
+    """Rows of column -> value as the elimination's sparse rows, each
+    nonzero entry stamped 0."""
+    return [{j: (x, 0) for j, x in row.items() if x} for row in rows]
+
+
+def pivot_values(pivots):
+    """(signature, |det|) of the form whose elimination gave the pivots:
+    the sign of each nonzero pivot relative to the one before it (the
+    leading minor D_0 = 1 first), and the last pivot, or 0 past a zero
+    row."""
+    signs = [1] + [1 if pivot > 0 else -1 for pivot in pivots if pivot]
+    signature = sum(a * b for a, b in zip(signs, signs[1:]))
+    return signature, 0 if 0 in pivots else abs(pivots[-1]) if pivots else 1
+
+
 def assert_oracle_matches_old(w):
     """The one-pass rows equal the pair loop's dense V + V^T in crossing
     order; the Goeritz form of either column's shading, read by the rational
     elimination, has V + V^T's signature and |det|; the Goeritz rows equal
     the Tait graph's Laplacian for the column with fewer crossings, x on a
-    tie; and the signature and |det| read from them by the integer
-    elimination are those of V + V^T, read by the rational elimination and
-    by the integer one."""
+    tie; and the signature and |det| that the recurrence reads from them
+    are those of V + V^T, read by the rational elimination and by the
+    integer one, which also reads them from the Goeritz rows."""
     entries, generators = pair_loop_seifert(w)
     expected = dense_crossing_rows(entries, generators)
     reference = one_pass_seifert_rows(w)
@@ -1839,11 +1969,8 @@ def assert_oracle_matches_old(w):
     pivots = fraction_pivots(expected)
     signature = sum(1 if pivot > 0 else -1 for pivot in pivots if pivot)
     det = abs(prod(pivots))
-    old = seifert_module._eliminate(
-        [{j: (x, 0) for j, x in row.items()} for row in reference])
-    signs = [1] + [1 if pivot > 0 else -1 for pivot in old if pivot]
-    assert sum(a * b for a, b in zip(signs, signs[1:])) == signature, w
-    assert (0 if 0 in old else abs(old[-1]) if old else 1) == det, w
+    assert pivot_values(bareiss_pivots(stamped(reference))) == \
+        (signature, det), w
 
     shadings = {}
     for cut in "xy":
@@ -1862,11 +1989,11 @@ def assert_oracle_matches_old(w):
                                 for row in goeritz), w
     assert matrix.mu == mu, w
     assert matrix.size == len(w) - 2 == len(reference), w
-    assert all(stamp == 0 for row in matrix._rows()
-               for _, stamp in row.values()), w
     assert sym_signature(matrix) == signature, w
     assert sym_determinant(matrix) == det, w
-    assert all(type(pivot) is int for pivot in matrix._pivots), w
+    assert pivot_values(bareiss_pivots(stamped(matrix.rows))) == \
+        (signature + mu, det), w
+    assert all(type(value) is int for value in matrix._values), w
 
 
 def test_oracle_matches_old_code_on_all_short_diagrams():
@@ -1926,6 +2053,95 @@ def test_seifert_pass_makes_linearly_many_steps():
     small, large = count(250), count(500)
     assert small > 1000
     assert large <= 2 * small, (small, large)
+
+
+def cyclic_form(links, diagonal):
+    """The sparse rows of the cyclic tridiagonal form with the given
+    diagonal, to which link r adds its sign between rows r - 1 and r
+    (mod p), as cut crossing r does in the oracle."""
+    p = len(diagonal)
+    rows = [{r: a} for r, a in enumerate(diagonal)]
+    if p > 1:
+        for r, sign in enumerate(links):
+            rows[r - 1][r] = rows[r][r - 1] = rows[r].get(r - 1, 0) + sign
+    return [{j % p: x for j, x in row.items()} for row in rows]
+
+
+def test_recurrence_matches_the_elimination_on_every_small_cyclic_form():
+    # Every cyclic tridiagonal form of at most 5 rows with links +-1 and
+    # diagonal -3..3, fed to the recurrence as the region sums that give
+    # that diagonal.  A diagonal congruence by +-1 changes the links but
+    # not their product, so the elimination runs once per diagonal and
+    # product (with p = 2, per link sum); the recurrence runs on every sign
+    # pattern of the links.  The leading minor of order p - 1 sorts the
+    # forms by the signature's three branches: det G != 0; det G = 0 and
+    # D_(p-1) != 0; both zero.
+    branches = Counter()
+    for p in range(1, 6):
+        patterns = [(links, sum(links) if p == 2 else prod(links),
+                     [links[r] + links[(r + 1) % p] if p > 1 else 0
+                      for r in range(p)])
+                    for links in itertools.product((1, -1), repeat=p)]
+        for diagonal in itertools.product(range(-3, 4), repeat=p):
+            leading = [{j: x for j, x in row.items() if j < p - 1}
+                       for row in cyclic_form((1,) * p, diagonal)[:p - 1]]
+            leading_zero = 0 in bareiss_pivots(stamped(leading))
+            expected = {}
+            for links, key, touching in patterns:
+                if key not in expected:
+                    pivots = bareiss_pivots(stamped(cyclic_form(links,
+                                                                diagonal)))
+                    det = 0 if 0 in pivots else pivots[-1]
+                    expected[key] = det, pivot_values(pivots)[0]
+                    branches[p, "det" if det else "last" if leading_zero
+                             else "leading"] += 1
+                sums = list(map(add, diagonal, touching))
+                assert seifert_module._determinant_and_signature(
+                    list(links), sums) == expected[key], (links, diagonal)
+    for branch in ("det", "leading", "last"):
+        assert all(branches[p, branch] for p in range(2, 6)), branches
+    assert branches[1, "last"] == 0
+
+
+def test_recurrence_makes_linearly_many_multiplications(capsys):
+    # At p = 3,000 rows a recurrence that recomputed each path minor from
+    # D_0 would make about 4.5 million multiplications; one that steps
+    # once per row makes about 2p.  Counting multiplications, not time,
+    # keeps the test exact: each arithmetic result of a counted int is one.
+    multiplications = 0
+
+    class Counted(int):
+        def __mul__(self, other):
+            nonlocal multiplications
+            multiplications += 1
+            return Counted(int.__mul__(self, other))
+
+        __rmul__ = __mul__
+
+        def __add__(self, other):
+            return Counted(int.__add__(self, other))
+
+        def __radd__(self, other):
+            return Counted(int.__radd__(self, other))
+
+        def __sub__(self, other):
+            return Counted(int.__sub__(self, other))
+
+        def __rsub__(self, other):
+            return Counted(int.__rsub__(self, other))
+
+    matrix = seifert_matrix(parse("x y^-1 " * 3000))
+    p = len(matrix._sums)
+    assert p == 3000
+    counted = seifert_module._determinant_and_signature(
+        matrix._links, list(map(Counted, matrix._sums)))
+    assert counted == matrix._values
+    assert p <= multiplications <= 3 * p, multiplications
+
+    # 5,999 alternating crossings and x^5998 y, at the crossing cap.
+    for text in ("x y^-1 " * 2999 + "x", "x^5998 y"):
+        assert cli.main(["analyze", "--json", "--oracle", text]) == 0
+        assert json.loads(capsys.readouterr().out)["oracle"]["agrees"] is True
 
 
 def attribute_free_reduce(w):

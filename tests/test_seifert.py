@@ -10,7 +10,6 @@ from threebraid.seifert import (
     DiagramTooLarge,
     SeifertMatrix,
     SplitClosure,
-    _eliminate,
     seifert_matrix,
     sym_determinant,
     sym_signature,
@@ -18,6 +17,7 @@ from threebraid.seifert import (
 from threebraid.words import parse
 
 from conftest import random_nonsplit_word, random_word
+from test_fast_paths import bareiss_pivots, pivot_values, stamped
 
 
 def test_calibration_trefoil():
@@ -96,31 +96,23 @@ def test_split_closure_errors():
 
 
 def form(symmetric):
-    """A matrix holding the symmetric rows as its form, as
-    ``seifert_matrix`` writes them (nonzero entries, stamp 0), with
-    correction term 0."""
-    matrix = SeifertMatrix.__new__(SeifertMatrix)
-    matrix._goeritz = [{j: (x, 0) for j, x in enumerate(row) if x}
-                       for row in symmetric]
-    matrix.mu = 0
-    return matrix
+    """(signature, |det|) of the symmetric matrix, read by the reference
+    elimination, which the general-matrix cases below pin."""
+    return pivot_values(bareiss_pivots(stamped(
+        [dict(enumerate(row)) for row in symmetric])))
 
 
 def test_sym_signature_small_matrices():
-    assert (sym_signature(form(())), sym_determinant(form(()))) == (0, 1)
-    assert sym_signature(form(((-2,),))) == -1
+    assert form(()) == (0, 1)
+    assert form(((-2,),))[0] == -1
     # Hyperbolic plane: signature zero, determinant -1.
-    hyperbolic = form(((0, 1), (1, 0)))
-    assert sym_signature(hyperbolic) == 0
-    assert sym_determinant(hyperbolic) == 1
+    assert form(((0, 1), (1, 0))) == (0, 1)
     # A zero row: determinant 0, the other pivot still counted.
-    zero_row = form(((2, 0), (0, 0)))
-    assert (sym_signature(zero_row), sym_determinant(zero_row)) == (1, 0)
+    assert form(((2, 0), (0, 0))) == (1, 0)
     # A zero diagonal takes the signed add of its neighbour's row and
     # column: t = 1 on [[0, 1], [1, 0]] above, and t = -1 on
     # [[0, 1], [1, -2]], whose neighbour's diagonal cancels 2 t a[0][1].
-    opposed = form(((0, 1), (1, -2)))
-    assert (sym_signature(opposed), sym_determinant(opposed)) == (0, 1)
+    assert form(((0, 1), (1, -2))) == (0, 1)
 
 
 def test_oracle_agrees_with_representation_determinant(rng):
@@ -201,9 +193,8 @@ def test_elimination_matches_brute_force_on_all_small_matrices():
     values = (-1, 0, 1)
     for a, b, c, d, e, f in itertools.product(values, repeat=6):
         symmetric = ((2 * a, b, c), (b, 2 * d, e), (c, e, 2 * f))
-        matrix = form(symmetric)
-        assert sym_determinant(matrix) == abs(_leibniz(symmetric))
-        assert sym_signature(matrix) == _descartes_signature(symmetric)
+        assert form(symmetric) == (_descartes_signature(symmetric),
+                                   abs(_leibniz(symmetric)))
 
 
 def test_oversized_diagrams_are_refused_before_expansion():
@@ -220,13 +211,17 @@ def test_oversized_diagrams_are_refused_before_expansion():
 
 def test_pivots_do_not_depend_on_the_insertion_order_of_a_row(rng):
     # The first word's rows, inserted in another order, once gave other
-    # pivots (with the same signature and |det|).
+    # pivots (with the same signature and |det|).  Those of the reference
+    # elimination are the recurrence's signature and |det| of G.
     words = [parse("y^-1 x y^-2 x y^-1 x^-1 y^-1 x^-1 y^3 x y^-3 x^-8 y "
                    "x^-1 y x^2 y")]
     words += [random_nonsplit_word(rng, 40) for _ in range(300)]
     for word in words:
         matrix = seifert_matrix(word)
+        pivots = bareiss_pivots(stamped(matrix.rows))
+        assert pivot_values(pivots) == (sym_signature(matrix) + matrix.mu,
+                                        sym_determinant(matrix)), word
         for _ in range(4):
             rows = [dict(rng.sample(list(row.items()), len(row)))
-                    for row in matrix._rows()]
-            assert _eliminate(rows) == matrix._pivots, word
+                    for row in stamped(matrix.rows)]
+            assert bareiss_pivots(rows) == pivots, word
