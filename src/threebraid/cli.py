@@ -11,15 +11,14 @@ Flags: --json (machine output), --oracle (Goeritz-form cross-check),
 Exit codes: 0 ok, 1 not conjugate, 2 parse error, 3 internal inconsistency
 (an oracle disagreement, or a run-time check that failed), 4 I/O error.
 
-``batch`` runs each stage over a chunk of words before the next stage:
-parse, the SL(2,Z) fold, ``classify``, the values record, the oracle when
-asked, and last the lines, one ``print`` each.  So a stage's code and
-tables are still in the CPU caches when the next word reaches it, where one
-word at a time through all six modules evicted them.  On the benchmark's
-100-word files of 1-40 random letters, ``batch --json --torus-bundle`` went
-from 38 to 31 µs a word (``bench/run.py --workload short_batch``, medians of
-10 runs, Python 3.11.7).  A word whose stage raises skips the later stages
-and gets its error line at its own position.
+Every command runs one staged pipeline, ``_staged_reports``: each stage
+runs over a chunk of words before the next, so its code and tables are
+still in the CPU caches when the next word reaches it.  ``analyze`` is a
+chunk of one word, ``conjugate`` stops after ``classify`` on its two words,
+and ``batch`` cuts its file into chunks: on the benchmark's 100-word files
+of 1-40 random letters, ``batch --json --torus-bundle`` went from 38 to 31
+µs a word (``bench/run.py --workload short_batch``, medians of 10 runs,
+Python 3.11.7).  A word whose stage raises skips the later stages.
 
 An argv that is a command followed by its positionals and its own flags, in
 any order and each flag at most once, is read without argparse.  Every other
@@ -88,19 +87,6 @@ def _oracle(word, record) -> dict:
         (quarters is None or (quarters + sig) % 8 == 0 and
          (not record.qa or -quarters == sig))
     return {"determinant": det, "signature": sig, "agrees": agrees}
-
-
-def _report(text: str, args) -> tuple:
-    """The pipeline of analyze: parse, the values record, and the oracle
-    block when asked.  Returns (record, oracle or None).  ``batch`` runs
-    the same stages over a chunk of words at a time (``_staged_reports``)."""
-    word = w_.parse(text)
-    record = invariants.analyze_word(
-        word, raw_text=text, include_torus_bundle=args.torus_bundle,
-        _record=True)
-    if not args.oracle:
-        return record, None
-    return record, _oracle(word, record)
 
 
 _JSON_BOOL = ("false", "true")
@@ -248,11 +234,13 @@ def _pretty_report(report, oracle: dict | None,
 
 
 def _analyze(args) -> int:
-    try:
-        record, oracle = _report(args.word, args)
-    except ParseError as error:
-        print(f"parse error: {error}", file=sys.stderr)
+    _, records, oracles, errors = _staged_reports([args.word], args)
+    if isinstance(errors[0], ParseError):
+        print(f"parse error: {errors[0]}", file=sys.stderr)
         return EXIT_PARSE
+    if errors[0] is not None:
+        raise errors[0]
+    record, oracle = records[0], oracles.get(0)
     if args.json:
         print(_line(record, oracle))
     else:
@@ -302,36 +290,47 @@ def _chunks(texts: list) -> list:
     return chunks
 
 
-def _stage(function, live, errors: list) -> dict:
-    """``{i: function(i)}`` over the indices i of ``live``, in order.  An
-    index whose call raises a word's error gets that error in ``errors``
-    and is left out, so no later stage runs on it."""
-    results = {}
-    for i in live:
+def _staged_reports(texts: list, args=None) -> tuple:
+    """Each stage over all of ``texts`` before the next: parse, the SL(2,Z)
+    fold, ``classify``, and given a report command's ``args`` the values
+    record and the oracle block when asked.  Returns (forms, records,
+    oracles, errors): results by index, and each text's error or None; no
+    later stage runs on a text that raised.  A loop per stage, in place of
+    a helper called with each stage's function, cuts the bytecodes that the
+    stages add to a one-word chunk by a third or more."""
+    errors = [None] * len(texts)
+    words, matrices, forms, records, oracles = {}, {}, {}, {}, {}
+    for i, text in enumerate(texts):
         try:
-            results[i] = function(i)
+            words[i] = w_.parse(text)
         except (ParseError, InternalInconsistency) as error:
             errors[i] = error
-    return results
-
-
-def _staged_reports(texts: list, args) -> tuple:
-    """The pipeline of ``_report`` over a chunk, one stage at a time: parse
-    every word, then fold every word, classify it, read its values record,
-    and check it with the oracle when asked.  Returns (records, oracles,
-    errors): the records and oracle blocks by index, and for each text the
-    error that stopped it, or None."""
-    errors = [None] * len(texts)
-    words = _stage(lambda i: w_.parse(texts[i]), range(len(texts)), errors)
-    matrices = _stage(lambda i: homology.image(words[i]), words, errors)
-    forms = _stage(lambda i: murasugi.classify(words[i], matrices[i]),
-                   matrices, errors)
-    records = _stage(lambda i: invariants.analyze_word(
-        words[i], raw_text=texts[i], include_torus_bundle=args.torus_bundle,
-        _record=True, _matrix=matrices[i], _form=forms[i]), forms, errors)
-    oracles = _stage(lambda i: _oracle(words[i], records[i]), records,
-                     errors) if args.oracle else {}
-    return records, oracles, errors
+    for i, word in words.items():
+        try:
+            matrices[i] = homology.image(word)
+        except (ParseError, InternalInconsistency) as error:
+            errors[i] = error
+    for i, matrix in matrices.items():
+        try:
+            forms[i] = murasugi.classify(words[i], matrix)
+        except (ParseError, InternalInconsistency) as error:
+            errors[i] = error
+    if args is None:  # conjugate reads the forms alone
+        return forms, records, oracles, errors
+    for i, form in forms.items():
+        try:
+            records[i] = invariants.analyze_word(
+                words[i], raw_text=texts[i],
+                include_torus_bundle=args.torus_bundle, _record=True,
+                _matrix=matrices[i], _form=form)
+        except (ParseError, InternalInconsistency) as error:
+            errors[i] = error
+    for i, record in (records.items() if args.oracle else ()):
+        try:
+            oracles[i] = _oracle(words[i], record)
+        except (ParseError, InternalInconsistency) as error:
+            errors[i] = error
+    return forms, records, oracles, errors
 
 
 def _batch(args) -> int:
@@ -349,7 +348,7 @@ def _batch(args) -> int:
     ok = failed = 0
     consistent = True
     for chunk in _chunks(texts):
-        records, oracles, errors = _staged_reports(chunk, args)
+        _, records, oracles, errors = _staged_reports(chunk, args)
         # One print per line, so that the lines before one that stdout
         # cannot encode are written.
         for i, text in enumerate(chunk):
@@ -384,13 +383,13 @@ def _batch(args) -> int:
 
 
 def _conjugate(args) -> int:
-    forms = []
-    for position, text in enumerate((args.word1, args.word2), start=1):
-        try:
-            forms.append(murasugi.classify(w_.parse(text)))
-        except ParseError as error:
+    forms, _, _, errors = _staged_reports([args.word1, args.word2])
+    for position, error in enumerate(errors, start=1):
+        if isinstance(error, ParseError):
             print(f"parse error in word {position}: {error}", file=sys.stderr)
             return EXIT_PARSE
+        if error is not None:
+            raise error
     conjugate = forms[0] == forms[1]
     if args.json:
         print(f'{{"conjugate":{_JSON_BOOL[conjugate]},'

@@ -245,6 +245,12 @@ def _values(w: BraidWord, raw_text: str | None, include_torus_bundle: bool,
         delta_quarters = 2 * quarters
         if isinstance(form, Family1):
             sig = signature(form, components)
+            # 4d + sigma = 0 (mod 8) on every closure with a nonzero
+            # determinant (see cli._oracle): here sigma is Erle's, which
+            # ties the surgery rows and the assembly's shift to it.
+            if (quarters + sig) % 8:
+                raise InternalInconsistency(
+                    f"4d + sigma = {quarters + sig} is not 0 mod 8 on a knot")
     l_space = floer.is_l_space(form)
     tight = floer.is_tight(form)
     tight_inverse = floer.is_tight_inverse(form)
@@ -302,16 +308,18 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
     it, and the screen and the Stein report are read from those values;
     the torus bundle comes from the same assembly and the determinant.
     The report's word is ``raw_text``, or else ``run_text(w)``, which keeps
-    each h run as one token.  Two identities tie separate derivations
-    together on every report, and ``InternalInconsistency`` is raised unless
-    both hold: H1 has 2-rank ``components`` - 1, and a quasi-alternating
-    report is an L-space with a nonzero determinant.
+    each h run as one token.  Identities tie separate derivations together,
+    and ``InternalInconsistency`` is raised unless each holds: H1 has
+    2-rank ``components`` - 1, a quasi-alternating report is an L-space
+    with a nonzero determinant, and on a family-1 knot the correction term
+    and Erle's signature meet 4d + sigma = 0 (mod 8).
 
     With the private ``_record``, the values record (``_Values``, every
     grading a count of quarters) is returned instead of the report.  The
     private ``_matrix`` and ``_form``, which must be ``homology.image(w)``
     and ``murasugi.classify(w, _matrix)``, are read instead of computed
-    again: ``cli``'s batch runs those stages over a chunk of words first."""
+    again: every ``cli`` command runs those stages over a chunk of words
+    first."""
     values = _values(w, raw_text, include_torus_bundle, _matrix, _form)
     return values if _record else _report(values)
 

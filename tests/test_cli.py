@@ -60,6 +60,25 @@ def test_analyze_parse_error_exit_code(capsys):
     assert "token 2" in err
 
 
+def test_analyze_parse_error_is_one_stderr_line(capsys):
+    for flags in ((), ("--json", "--oracle", "--torus-bundle")):
+        code, out, err = run(capsys, "analyze", *flags, "x z")
+        assert (code, out) == (cli.EXIT_PARSE, "")
+        assert err == "parse error: unknown generator 'z' (token 2)\n"
+
+
+def test_analyze_inconsistency_in_classify_is_one_stderr_line(
+        capsys, monkeypatch):
+    def explode(*_args, **_kwargs):
+        raise cli.InternalInconsistency("forced for the test")
+
+    monkeypatch.setattr(murasugi, "classify", explode)
+    for flags in ((), ("--json", "--oracle")):
+        code, out, err = run(capsys, "analyze", *flags, "x y")
+        assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+        assert err == "internal inconsistency: forced for the test\n"
+
+
 def test_analyze_non_ascii_exponent_is_a_parse_error(capsys):
     for text in ("x^\u00b2", "x^\u0663"):
         code, out, err = run(capsys, "analyze", text, "--json")
@@ -96,16 +115,21 @@ def test_oracle_agrees_on_every_word_of_at_most_six_letters():
 
 def test_correction_term_meets_the_signature_mod_8_on_short_words():
     # 4d + sigma = 0 (mod 8) wherever the determinant is nonzero, d from
-    # the report and sigma from the oracle.
+    # the report and sigma from the oracle, and from the report itself
+    # where it has one: Erle's, on a family-1 knot.
     from conftest import LETTERS
 
     from threebraid import seifert
 
-    checked = 0
+    checked = knots = 0
     for length in range(7):
         for letters in itertools.product(LETTERS, repeat=length):
             w = w_.word(letters)
             record = invariants.analyze_word(w, _record=True)
+            if record.signature is not None:
+                assert (record.correction_quarters + record.signature) \
+                    % 8 == 0, str(w)
+                knots += 1
             if not record.determinant or {
                     letter.generator
                     for letter in w_.free_reduce(w)} != {"x", "y"}:
@@ -113,29 +137,49 @@ def test_correction_term_meets_the_signature_mod_8_on_short_words():
             sig = seifert.sym_signature(seifert.seifert_matrix(w))
             assert (record.correction_quarters + sig) % 8 == 0, str(w)
             checked += 1
-    assert checked == 3_976
+    assert (checked, knots) == (3_976, 1_484)
 
 
 def test_oracle_checks_the_correction_term_mod_8(capsys, monkeypatch):
-    # h^-2 x y^-3 is a family-1 knot that is not quasi-alternating: only
-    # the congruence sees a figure-eight row whose bottom moved by 4
-    # quarters, as the report's signature still matches the oracle's.
-    argv = ("analyze", "--json", "--oracle", "h^-2 x y^-3")
+    # x^2 y^-1 x^-2 y^-1 is a 3-component link that is not
+    # quasi-alternating, so its report has no signature: only the oracle's
+    # congruence sees a right-trefoil row whose bottom moved by 4 quarters.
+    argv = ("analyze", "--json", "--oracle", "x^2 y^-1 x^-2 y^-1")
     code, out, _ = run(capsys, *argv)
     assert code == 0
     payload = json.loads(out)
-    assert payload["qa"] is False
-    assert payload["correction_term"] == {"num": -1, "den": 2}
-    assert payload["oracle"]["signature"] == 10
-    key = floer.FIGURE_EIGHT_LIKE, True
+    assert payload["qa"] is False and "signature" not in payload
+    assert payload["correction_term"] == {"num": 0, "den": 1}
+    assert payload["oracle"]["signature"] == 0
+    key = floer.RIGHT_TREFOIL_LIKE, True
     bottom, grading, offset = floer._SURGERY_ROWS[key]
     monkeypatch.setitem(floer._SURGERY_ROWS, key, (bottom + 4, grading, offset))
     code, out, _ = run(capsys, *argv)
     assert code == cli.EXIT_INCONSISTENT
     payload = json.loads(out)
-    assert payload["correction_term"] == {"num": 1, "den": 2}
-    assert payload["signature"] == payload["oracle"]["signature"] == 10
+    assert payload["correction_term"] == {"num": 1, "den": 1}
     assert payload["oracle"]["agrees"] is False
+
+
+def test_report_checks_the_correction_term_mod_8_on_knots(capsys,
+                                                           monkeypatch):
+    # h^-2 x y^-3 is a family-1 knot that is not quasi-alternating, so its
+    # report carries Erle's signature: a figure-eight row whose bottom moved
+    # by 4 quarters fails 4d + sigma = 0 (mod 8) without the oracle.
+    code, out, _ = run(capsys, "analyze", "--json", "h^-2 x y^-3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["qa"] is False
+    assert payload["correction_term"] == {"num": -1, "den": 2}
+    assert payload["signature"] == 10
+    key = floer.FIGURE_EIGHT_LIKE, True
+    bottom, grading, offset = floer._SURGERY_ROWS[key]
+    monkeypatch.setitem(floer._SURGERY_ROWS, key, (bottom + 4, grading, offset))
+    for flags in ((), ("--oracle",)):
+        code, out, err = run(capsys, "analyze", "--json", *flags, "h^-2 x y^-3")
+        assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+        assert err == ("internal inconsistency: "
+                       "4d + sigma = 12 is not 0 mod 8 on a knot\n")
 
 
 def test_oracle_checks_the_correction_term_on_quasi_alternating_closures(
@@ -247,6 +291,42 @@ def test_conjugate_parse_error(capsys):
     code, _, err = run(capsys, "conjugate", "x", "q")
     assert code == 2
     assert "word 2" in err
+    # Both words unparseable: only the first is named.
+    code, out, err = run(capsys, "conjugate", "q", "z")
+    assert (code, out) == (cli.EXIT_PARSE, "")
+    assert err == "parse error in word 1: unknown generator 'q' (token 1)\n"
+
+
+def test_conjugate_reaches_each_stage_once_per_word(capsys, monkeypatch):
+    stages = [(w_, "parse"), (homology, "image"), (murasugi, "classify")]
+    calls = dict.fromkeys((name for _, name in stages), 0)
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for module, name in stages:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    code, out, _ = run(capsys, "conjugate", "h x y^-5", "x y^-5 h")
+    assert (code, out.splitlines()[-1]) == (cli.EXIT_OK, "conjugate")
+    assert calls == {"parse": 2, "image": 2, "classify": 2}
+
+
+def test_conjugate_inconsistency_in_word_1_beats_a_parse_error_in_word_2(
+        capsys, monkeypatch):
+    classify = murasugi.classify
+
+    def explode_on_x_y(word, *args, **kwargs):
+        if str(word) == "x y":
+            raise cli.InternalInconsistency("forced for the test")
+        return classify(word, *args, **kwargs)
+
+    monkeypatch.setattr(murasugi, "classify", explode_on_x_y)
+    code, out, err = run(capsys, "conjugate", "x y", "x z")
+    assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+    assert err == "internal inconsistency: forced for the test\n"
 
 
 def dumps(obj) -> str:
@@ -721,13 +801,13 @@ def test_batch_over_several_chunks_prints_each_words_own_line(
     assert code == cli.EXIT_INCONSISTENT
     assert out == "".join(expected) + dumps({"summary": summary}) + "\n"
 
+    # Each word's text line from its own one-word chunk, as analyze runs it.
     args = SimpleNamespace(oracle=False, torus_bundle=False)
     expected = []
     for text in words:
-        try:
-            expected.append(cli._batch_line(*cli._report(text, args)))
-        except (ParseError, cli.InternalInconsistency) as caught:
-            expected.append(f"{text!r}: error: {caught}")
+        _, records, oracles, errors = cli._staged_reports([text], args)
+        expected.append(f"{text!r}: error: {errors[0]}" if errors[0]
+                        else cli._batch_line(records[0], oracles.get(0)))
     code, out, _ = run(capsys, "batch", str(path))
     assert code == cli.EXIT_INCONSISTENT
     assert out == "\n".join(expected) + f"\n{len(words) - 4} ok, 4 failed\n"
