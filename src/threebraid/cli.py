@@ -178,17 +178,14 @@ def _line(record, oracle: dict | None) -> str:
     return ",".join(parts) + "}"
 
 
-def _canonical_str(form) -> str:
-    """The model word with its twist power kept as one token, ``h^d``."""
-    return w_.run_text(murasugi.canonical_word(form)) or "(empty)"
-
-
 def _pretty_report(report, oracle: dict | None,
                    torus_requested: bool = False) -> str:
+    # The model word, its twist power kept as one token, h^d.
+    canonical = w_.run_text(murasugi.canonical_word(report.normal_form))
     lines = [
         f"word:                {report.word or '(empty)'}",
         f"normal form:         {report.normal_form}",
-        f"canonical word:      {_canonical_str(report.normal_form)}",
+        f"canonical word:      {canonical or '(empty)'}",
         f"components:          {report.components}",
         f"determinant:         {_int_text(report.determinant)}",
         f"H1 of double cover:  {report.h1}",

@@ -154,11 +154,13 @@ def _stein_report(f: MurasugiForm, l_space: bool, tight: bool,
 
 
 def stein_report(f: MurasugiForm) -> SteinReport:
+    """The Stein fillability report of a form.  Its correction term, when
+    read, is the tower bottom of the form's row in quarters."""
     l_space = floer.is_l_space(f)
     tight = floer.is_tight(f)
     quarters = None
     if tight and l_space:
-        quarters = floer._correction_quarters(*floer._quarter_assembly(f))
+        quarters = floer._row_quarters(*floer._quarter_assembly(f))[0][0]
     return SteinReport(*_stein_report(f, l_space, tight, quarters))
 
 
@@ -237,7 +239,7 @@ def _values(w: BraidWord, raw_text: str | None, include_torus_bundle: bool,
     if det != 0:
         tag, n, k = floer._quarter_assembly(form)
         hf = floer._row_quarters(tag, n, k)
-        quarters = floer._correction_quarters(tag, n, k)
+        quarters = hf[0][0]  # the correction term: the row's tower bottom
         if include_torus_bundle:
             torus_bundle = floer._torus_bundle(tag, k, det)
     if components == 1:

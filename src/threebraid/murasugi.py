@@ -237,7 +237,7 @@ class Family1(_Form, namedtuple("Family1", "d a")):
     a: tuple[int, ...]
 
     def __new__(cls, d: int, a: tuple[int, ...]) -> Family1:
-        return super().__new__(cls, d, least_rotation(a) if a else a)
+        return super().__new__(cls, d, least_rotation(a))
 
     def __str__(self) -> str:
         return f"family 1, d = {self.d}, a = {self.a}"
@@ -287,8 +287,9 @@ def _blocks(syllables: bytes) -> bytes:
     The word alternates S and U-powers with equal counts, so the powers
     fill one parity of places: the odd ones when the word starts with an S,
     the even ones otherwise.  Read at that parity, they are the R/L word up
-    to rotation, which ``Family1`` canonicalises away."""
-    powers = syllables[1::2] if syllables[0] == S else syllables[::2]
+    to rotation, which ``Family1`` canonicalises away.  The empty word is
+    the empty R/L word, the central case of a pure power."""
+    powers = syllables[1::2] if S in syllables[:1] else syllables[::2]
     if len(syllables) % 2 or S in powers or syllables.count(S) != len(powers):
         raise InternalInconsistency(
             f"{FreeProductWord(syllables)} does not alternate S and U-powers")
@@ -337,13 +338,14 @@ def _check_image(f: MurasugiForm, matrix: SL2Matrix) -> None:
 def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
     """The conjugacy normal form of a word.
 
-    The cyclically reduced syllables give the family and the tail: none is
-    central (tail exponent sum t = 0), one is elliptic (m from the
-    syllable, t = m - 1), and an R/L word gives t = #R - #L, which is m for
-    a pure power and n - sum(a) for a block tuple.  The twist power is
-    d = (e - t) / 6 for the word's exponent sum e, and the form is checked
-    once against ``matrix``, which is ``homology.image(w)``, computed here
-    when not given (see ``_check_image``).
+    The cyclically reduced syllables give the family and the tail: one is
+    elliptic (m from the syllable, t = m - 1), and any other count is an
+    R/L word, which gives t = #R - #L: m for a pure power, the empty word
+    among them as the central case t = 0, and n - sum(a) for a block
+    tuple.  The twist power is d = (e - t) / 6 for the word's exponent
+    sum e, and the form is checked once against ``matrix``, which is
+    ``homology.image(w)``, computed here when not given (see
+    ``_check_image``).
 
     >>> classify(w_.parse("x x y x x"))
     Family2(d=1, m=-1)
@@ -354,16 +356,14 @@ def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
     if matrix is None:
         matrix = homology.image(w)
 
-    if not syllables:
-        family, tail, t = Family2, 0, 0
-    elif len(syllables) == 1:
+    if len(syllables) == 1:
         tail = _ELLIPTIC_M[syllables[0]]
         family, t = Family3, tail - 1
     else:
         exponents = _blocks(syllables)
         t = exponents.count(1) - exponents.count(2)
         if abs(t) == len(exponents):
-            # Parabolic: a pure power of R or of L.
+            # A pure power of R or of L: parabolic, or central if empty.
             family, tail = Family2, t
         else:
             family, tail = Family1, _block_tuple(exponents)

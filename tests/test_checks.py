@@ -111,6 +111,9 @@ def test_recurrence_rejects_a_link_that_is_not_a_unit():
     assert seifert._determinant_and_signature([1, 1, 1], [1, 1, 1]) == (4, -1)
     with pytest.raises(InternalInconsistency):
         seifert._determinant_and_signature(*NON_UNIT_LINKS)
+    # Two rows run the same recurrence, so the premise guards them too.
+    with pytest.raises(InternalInconsistency):
+        seifert._determinant_and_signature([2, 1], [0, 0])
 
 
 def test_quasi_alternating_check_catches_a_shifted_family_1_range(
