@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, prod
 
-from .words import BraidWord, _Value, window_table
+from .words import BraidWord, _Value, fold_factors, window_table
 
 
 class NotParabolic(ValueError):
@@ -110,11 +110,9 @@ def _balanced_product(factors):
 def image(w: BraidWord) -> SL2Matrix:
     """Product of the per-run matrices, multiplicative over concatenation.
 
-    The factors are the word's fold keys (``BraidWord._fold_keys``): a
-    window that parse's byte path packed indexes ``_CHUNK_ENTRIES``, built
-    from ``_run_entries`` by ``words.window_table``, and a run (a letter
-    left after the windows, or any run of a word built from runs) is read
-    in closed form.  They are multiplied by ``_balanced_product``, and the
+    The factors are ``words.fold_factors`` of ``_CHUNK_ENTRIES``, built
+    from ``_run_entries`` by ``words.window_table``, and ``_run_entries``
+    itself.  They are multiplied by ``_balanced_product``, and the
     determinant is checked once, on the result: a product of determinant
     other than 1 is a fault of the factors, so it raises
     ``InternalInconsistency``, whose message does not print the entries.
@@ -123,9 +121,8 @@ def image(w: BraidWord) -> SL2Matrix:
     >>> image(parse("x y x y x y")) == -IDENTITY
     True
     """
-    a, b, c, d = _balanced_product([
-        _CHUNK_ENTRIES[key] if type(key) is int else _run_entries(*key)
-        for key in w._fold_keys])
+    a, b, c, d = _balanced_product(
+        fold_factors(w, _CHUNK_ENTRIES, _run_entries))
     if a * d - b * c != 1:
         raise InternalInconsistency("the image's determinant is not 1")
     return tuple.__new__(SL2Matrix, (a, b, c, d))

@@ -36,7 +36,7 @@ from collections.abc import Sequence
 from . import homology
 from . import words as w_
 from .homology import InternalInconsistency, SL2Matrix
-from .words import BraidWord, _Value, window_table
+from .words import BraidWord, _Value, fold_factors, window_table
 
 
 class InvalidForm(ValueError):
@@ -173,20 +173,17 @@ def _syllable_pass(w: BraidWord) -> tuple[bytes, int]:
     """The syllables of the cyclically reduced image in Z/2 * Z/3, as
     bytes, and the exponent sum, read in one pass over the word.
 
-    The steps are the word's fold keys (``BraidWord._fold_keys``): a
-    window that parse's byte path packed indexes ``_CHUNK_SYLLABLES``,
-    built from ``_run_syllables`` by ``words.window_table``, and a run (a
-    letter left after the windows, or any run of a word built from runs) is
-    read in closed form.
+    The steps are ``words.fold_factors`` of ``_CHUNK_SYLLABLES``, built
+    from ``_run_syllables`` by ``words.window_table``, and
+    ``_run_syllables`` itself.
     Each step multiplies the reduced stack by reduced syllables, which only
     touch the stack where the two meet, and only when the stack's top has
     the kind of their first one.
     """
     stack = bytearray()
     exponent_sum = 0
-    for key in w._fold_keys:
-        syllables, weight = _CHUNK_SYLLABLES[key] if type(key) is int \
-            else _run_syllables(*key)
+    for syllables, weight in fold_factors(w, _CHUNK_SYLLABLES,
+                                          _run_syllables):
         exponent_sum += weight
         if stack and syllables and (not stack[-1]) == (not syllables[0]):
             _multiply(stack, syllables)

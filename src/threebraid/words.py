@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterator, Sequence
 from functools import cached_property
-from itertools import chain, zip_longest
+from itertools import chain, starmap, zip_longest
 
 
 class ParseError(ValueError):
@@ -129,6 +129,20 @@ def window_table(letter_value, product, identity) -> list:
     return layer
 
 
+def fold_factors(w: BraidWord, table: Sequence, run_value) -> Iterator:
+    """The factors of both folds, in order: each window that parse's byte
+    path packed (``BraidWord._windows``) as its entry in ``table``, a
+    ``window_table``, then each run after them (``BraidWord._tail``) read
+    in closed form by ``run_value(generator, exponent)``.
+
+    >>> list(fold_factors(parse("x y x^-1 y^-1 x"), range(256),
+    ...                   lambda g, e: (g, e)))
+    [27, ('x', 1)]
+    """
+    return chain(map(table.__getitem__, w._windows),
+                 starmap(run_value, w._tail))
+
+
 _INVERSE_LETTERS = {X: X_INV, X_INV: X, Y: Y_INV, Y_INV: Y}
 
 # The letters of one run with exponent +1 and -1, by generator: only the
@@ -201,16 +215,20 @@ class BraidWord:
     from the runs, so neither expands a letter, whatever the exponents.
     The string expands them (``run_text`` does not).
 
-    A word that ``parse`` read on its byte path (``_unit_letter_word``)
-    holds its letter codes, its length and its packed fold keys; its runs
-    and letters, one tuple, are built from the codes on first read.
+    Both folds read two plain fields (``fold_factors``): ``_windows``, the
+    CHUNK-letter windows that parse's byte path packed, as bytes, and
+    ``_tail``, the runs after them, which are all the runs of a word built
+    from runs.  A word that ``parse`` read on its byte path
+    (``_unit_letter_word``) also holds its letter codes and its length;
+    its runs and letters, one tuple, are built from the codes on first read.
     """
 
     # The ASCII base-4 letter codes of a word read on parse's byte path.
     _digits = None
+    _windows = b""
 
     def __init__(self, runs: tuple[Run, ...] = ()):
-        self.__dict__["runs"] = runs
+        self.__dict__["runs"] = self.__dict__["_tail"] = runs
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to BraidWord.{name}")
@@ -245,18 +263,6 @@ class BraidWord:
         for block in _letter_blocks(self.runs):
             value = hash((value, *block))
         return value
-
-    @cached_property
-    def _fold_keys(self) -> Sequence[int | Run]:
-        """The factors that both folds read: the runs, each read in closed
-        form, unless parse's byte path set them (``_unit_letter_word``) to a
-        byte (0-255, see ``PACKED_LETTERS``) per aligned window of CHUNK
-        letters, then the 0 to CHUNK - 1 letters left.
-
-        >>> parse("x y x^-1 y^-1 x")._fold_keys
-        [27, Letter(generator='x', sign=1)]
-        """
-        return self.runs
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
@@ -388,17 +394,16 @@ def _unit_letter_digits(text: str) -> bytes | None:
 
 def _unit_letter_word(digits: bytes) -> BraidWord:
     """The word of letter codes that ``_unit_letter_digits`` gave, holding
-    its length and its fold keys: the packed windows read from the digits
-    by one ``int(digits, 4)``, which no int-to-str digit limit applies to,
-    then the 0 to CHUNK - 1 letters left."""
+    its length and its fold input: the packed windows read from the digits
+    by one ``int(b"0" + digits, 4)``, which no int-to-str digit limit
+    applies to, then the 0 to CHUNK - 1 letters left as its tail."""
     w = BraidWord.__new__(BraidWord)
     length = len(digits)
     full = length - length % CHUNK
-    left = tuple(map(_DIGIT_LETTERS.__getitem__, digits[full:]))
-    # A word of fewer than CHUNK runs keys on its runs, as a tuple.
-    keys = [*int(digits[:full], 4).to_bytes(full // CHUNK, "big"), *left] \
-        if full else left
-    w.__dict__.update(_digits=digits, _length=length, _fold_keys=keys)
+    w.__dict__.update(
+        _digits=digits, _length=length,
+        _windows=int(b"0" + digits[:full], 4).to_bytes(full // CHUNK, "big"),
+        _tail=tuple(map(_DIGIT_LETTERS.__getitem__, digits[full:])))
     return w
 
 

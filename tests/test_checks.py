@@ -76,9 +76,10 @@ def test_image_checks_the_determinant_of_the_product(monkeypatch):
 
 def test_chunked_image_checks_the_determinant_of_the_product(monkeypatch):
     w = parse("x y x y y")
-    window, rest = w._fold_keys
+    (window,), (rest,) = w._windows, w._tail
     assert rest == Y
-    assert parse("x y x y")._fold_keys == [window]
+    u = parse("x y x y")
+    assert (u._windows, u._tail) == (bytes([window]), ())
     corrupted = list(homology._CHUNK_ENTRIES)
     corrupted[window] = (1, 1, 1, 1)
     monkeypatch.setattr(homology, "_CHUNK_ENTRIES", corrupted)

@@ -632,7 +632,7 @@ def test_a_fold_of_determinant_other_than_1_is_an_internal_inconsistency(
         tmp_path, capsys, monkeypatch, default_int_digit_limit):
     # The window x y x^-1 y^-1 folds to a matrix of determinant 2, so the
     # image of any word holding it fails its check.
-    window = parse("x y x^-1 y^-1")._fold_keys[0]
+    window = parse("x y x^-1 y^-1")._windows[0]
     corrupted = list(homology._CHUNK_ENTRIES)
     corrupted[window] = (2, 0, 0, 1)
     monkeypatch.setattr(homology, "_CHUNK_ENTRIES", corrupted)

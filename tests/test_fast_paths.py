@@ -47,6 +47,7 @@ Short inputs are enumerated exhaustively; long words and forms are drawn
 at random.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -647,17 +648,15 @@ def packed_window(byte):
 
 
 def packed_keys(letters):
-    """The fold keys of a word of these letters read on parse's byte path,
-    packed here a window at a time: each aligned window of CHUNK letters as
-    the byte of its codes in LETTERS, the first in the top two bits, then
-    the letters left; a word of fewer than CHUNK letters as a tuple."""
+    """The fold input (windows, tail) of a word of these letters read on
+    parse's byte path, packed here a window at a time: each aligned window
+    of CHUNK letters as the byte of its codes in LETTERS, the first in the
+    top two bits, then the letters left."""
     letters = tuple(letters)
     full = len(letters) - len(letters) % CHUNK
-    if not full:
-        return letters
-    return [sum(LETTERS.index(letter) << 2 * (CHUNK - 1 - i)
-                for i, letter in enumerate(letters[start:start + CHUNK]))
-            for start in range(0, full, CHUNK)] + list(letters[full:])
+    return bytes(sum(LETTERS.index(letter) << 2 * (CHUNK - 1 - i)
+                     for i, letter in enumerate(letters[start:start + CHUNK]))
+                 for start in range(0, full, CHUNK)), letters[full:]
 
 
 LETTER_TOKENS = {w_.X: "x", w_.Y: "y", w_.X_INV: "x^-1", w_.Y_INV: "y^-1"}
@@ -665,10 +664,10 @@ LETTER_TOKENS = {w_.X: "x", w_.Y: "y", w_.X_INV: "x^-1", w_.Y_INV: "y^-1"}
 
 def byte_path_word(letters):
     """``parse`` of the letters spelled as unit tokens, which it reads on
-    its byte path, checked to hold the packed fold keys of its letters."""
+    its byte path, checked to hold the packed fold input of its letters."""
     w = parse(" ".join(map(LETTER_TOKENS.__getitem__, letters)))
     assert "_digits" in vars(w), letters
-    assert w._fold_keys == packed_keys(letters), letters
+    assert (w._windows, w._tail) == packed_keys(letters), letters
     return w
 
 
@@ -680,7 +679,12 @@ def test_window_table_lays_out_windows_as_fold_keys_packs_them():
     assert len(table) == 4 ** CHUNK == 256
     for byte, window in enumerate(table):
         assert len(window) == CHUNK, window
-        assert byte_path_word(window)._fold_keys == [byte], window
+        w = byte_path_word(window)
+        assert (w._windows, w._tail) == (bytes([byte]), ()), window
+    # Words of 0 to 9 letters: a window per CHUNK letters, then the rest.
+    for length in range(10):
+        w = byte_path_word((LETTERS * 3)[:length])
+        assert (len(w._windows), len(w._tail)) == divmod(len(w), CHUNK)
 
 
 def test_chunk_tables_hold_the_product_of_their_letters():
@@ -689,7 +693,8 @@ def test_chunk_tables_hold_the_product_of_their_letters():
     windows = [packed_window(byte) for byte in range(256)]
     assert set(windows) == set(WINDOW_ENTRIES)
     for byte, window in enumerate(windows):
-        assert byte_path_word(window)._fold_keys == [byte], window
+        w = byte_path_word(window)
+        assert (w._windows, w._tail) == (bytes([byte]), ()), window
         assert SL2Matrix(*homology._CHUNK_ENTRIES[byte]) == \
             slow_image(window), window
         assert murasugi._CHUNK_SYLLABLES[byte] == \
@@ -1027,7 +1032,7 @@ def assert_balanced(bits, factors):
 def test_image_reduces_the_fold_keys_level_by_level(product_bits, rng):
     letters = tuple(rng.choice((w_.X, w_.Y)) for _ in range(16_384))
     w = byte_path_word(letters)
-    factors = len(w._fold_keys)
+    factors = len(w._windows) + len(w._tail)
     assert factors == 16_384 // CHUNK
     assert image(w) == slow_image(letters)
     assert_balanced(product_bits, factors)
@@ -1523,7 +1528,7 @@ def assert_parse_matches_grammar(text):
     """``parse`` against the grammar on every token: the same error class,
     position and message, or a word whose length, hash, image, syllable
     pass, letters and runs are those of a word built from the grammar's
-    runs, and whose fold keys are its runs or, on the byte path, the
+    runs, and whose fold input is its runs or, on the byte path, the
     packing of its letters.  All but the letters and runs are read first,
     while a word from the byte path holds no runs yet."""
     try:
@@ -1536,8 +1541,9 @@ def assert_parse_matches_grammar(text):
         assert (type(error), error.position, str(error)) == expected, text
         return
     assert isinstance(expected, BraidWord), text
-    assert w._fold_keys == (packed_keys(expected.letters)
-                            if "_digits" in vars(w) else expected.runs), text
+    assert (w._windows, w._tail) == (
+        packed_keys(expected.letters) if "_digits" in vars(w)
+        else (b"", expected.runs)), text
     assert len(w) == len(expected) and hash(w) == hash(expected), text
     assert image(w) == image(expected), text
     assert murasugi._syllable_pass(w) == murasugi._syllable_pass(expected), \
@@ -1615,8 +1621,8 @@ def test_byte_parse_does_constant_python_work_per_word():
     def parse_length_and_keys(text):
         w = parse(text)
         len(w)
-        w._fold_keys
-        assert "runs" not in vars(w)  # len and the fold keys build no runs
+        w._windows, w._tail
+        assert "runs" not in vars(w)  # len and the fold input build no runs
 
     # Every kind of ASCII whitespace, runs of it, and some at both ends.
     tokens = ["x", "y^-1", "y", "x^-1"]
@@ -1626,6 +1632,27 @@ def test_byte_parse_does_constant_python_work_per_word():
     counts = [words_line_events(lambda: parse_length_and_keys(text))
               for text in texts]
     assert counts[0] == counts[1] > 0
+
+
+def test_analyze_reads_the_fold_input_through_no_cached_property(capsys):
+    # The fold input is two plain fields on a word built from runs and on
+    # one read on parse's byte path alike.
+    getter = functools.cached_property.__get__.__code__
+    for text in ("h^-3000 x^-2 y^-1", "x y^-1 x^-1 y x"):
+        calls = 0
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            calls += event == "call" and frame.f_code is getter
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            code = cli.main(["analyze", "--json", "--torus-bundle", text])
+        finally:
+            sys.setprofile(previous)
+        assert code == 0 and calls == 0, text
+    assert capsys.readouterr().out.count("\n") == 2
 
 
 def test_report_builds_no_runs_of_a_byte_parsed_word(rng):
