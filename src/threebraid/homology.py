@@ -294,15 +294,20 @@ def trace_class(m: SL2Matrix) -> TraceClass:
     return TraceClass(kind, -1 if t < 0 else 1)
 
 
+def _nilpotent_power(b: int, c: int) -> int:
+    """The k of a nilpotent k * [[-q s, q^2], [-s^2, q s]], (q, s) primitive,
+    read from its off-diagonal entries b and c: |k| = gcd(b, c), and k > 0
+    exactly when b > 0 or c < 0, so the zero matrix gives k = 0."""
+    k = gcd(b, c)
+    return k if b > 0 or c < 0 else -k
+
+
 def parabolic_invariant(m: SL2Matrix) -> tuple[int, int]:
     """Complete SL(2,Z)-conjugacy invariant (epsilon, k) of a parabolic matrix:
     epsilon * m is conjugate to [[1, 0], [-k, 1]] and k is unique.
 
-    Read in closed form.  epsilon is the sign of the trace, and
-    epsilon * m - I is nilpotent of rank one, equal to
-    k * [[-q s, q^2], [-s^2, q s]] for a primitive vector (q, s).  So with
-    b and c the off-diagonal entries of epsilon * m, |k| = gcd(b, c), and
-    k > 0 exactly when b > 0 or c < 0.
+    Read in closed form.  epsilon is the sign of the trace, and k is the
+    ``_nilpotent_power`` of epsilon * m - I, which is nilpotent of rank one.
 
     >>> from threebraid.words import parse
     >>> parabolic_invariant(image(parse("h y^-1")))
@@ -312,7 +317,4 @@ def parabolic_invariant(m: SL2Matrix) -> tuple[int, int]:
     if tc.kind != PARABOLIC:
         # Not the entries: they may pass the int-to-str digit limit.
         raise NotParabolic(f"{tc.kind} matrix is not parabolic")
-    epsilon = tc.epsilon
-    b, c = epsilon * m.b, epsilon * m.c
-    k = gcd(b, c)
-    return epsilon, k if b > 0 or c < 0 else -k
+    return tc.epsilon, _nilpotent_power(tc.epsilon * m.b, tc.epsilon * m.c)

@@ -306,27 +306,27 @@ def _block_tuple(exponents: bytes) -> tuple[int, ...]:
 
 def _check_image(f: MurasugiForm, matrix: SL2Matrix) -> None:
     """Raise unless ``matrix`` lies in the SL(2,Z) class of the model word
-    of ``f``.  The model's image is (-1)^d times that of its tail, so with
-    tau = (-1)^d * trace the image fits when
+    of ``f``.  The model's image is s = (-1)^d times that of its tail, so
+    with tau = s * trace the image fits when
 
-        central (family 2, m = 0):    it equals (-1)^d I;
-        parabolic (family 2, m != 0): its parabolic invariant is ((-1)^d, m);
-        elliptic (family 3):          tau == 2 + m;
-        hyperbolic (family 1):        tau > 2.
+        family 1, tail x y^-a1 ... x y^-an:  tau > 2;
+        family 2, tail y^m:  tau == 2 and s * matrix - I has
+            ``homology._nilpotent_power`` m, so matrix = s I at m = 0;
+        family 3, tail x^m y^-1:  tau == 2 + m and s * c > 0.
 
-    A parabolic form whose image is not parabolic is a misfit as well."""
+    The tail x^m y^-1 maps to [[1 + m, m], [1, 1]], whose c is 1.  An
+    elliptic matrix's c has the sign of its definite form
+    c x^2 + (d - a) x y - b y^2, which conjugation keeps, and with the
+    trace that sign is a complete invariant."""
     sign = -1 if f.d % 2 else 1
+    tau = sign * matrix.trace
     if isinstance(f, Family1):
-        fits = sign * matrix.trace > 2
+        fits = tau > 2
     elif isinstance(f, Family3):
-        fits = sign * matrix.trace == 2 + f.m
-    elif f.m == 0:
-        fits = matrix.b == matrix.c == 0 and matrix.a == sign
+        fits = tau == 2 + f.m and sign * matrix.c > 0
     else:
-        try:
-            fits = homology.parabolic_invariant(matrix) == (sign, f.m)
-        except homology.NotParabolic:
-            fits = False
+        fits = tau == 2 and homology._nilpotent_power(
+            sign * matrix.b, sign * matrix.c) == f.m
     if not fits:
         kind = homology.trace_class(matrix).kind
         raise InternalInconsistency(f"{kind} image does not fit {f}")

@@ -21,9 +21,9 @@ coker G presents the first homology of the branched double cover as well,
 which this module does not read.
 
 Everything is exact, in integers and without a division: every crossing
-sign is +-1, so for p >= 2 rows the path minors of G follow a three-term
-recurrence in them, det G is read from two of them, and Jacobi's rule on
-the leading minors gives the signature (``_determinant_and_signature``).
+sign is +-1, so the path minors of G follow a three-term recurrence in
+them, det G is read from two of them, and Jacobi's rule on the leading
+minors gives the signature (``_determinant_and_signature``).
 
 This module is deliberately independent of the matrix-representation route:
 it sees only the diagram.  Its outputs (determinant and signature of the
@@ -55,7 +55,7 @@ class DiagramTooLarge(ValueError):
 # letter is expanded.
 MAX_CROSSINGS = 6000
 
-_NOT_UNIT = "a crossing sign of a Goeritz form of two rows or more is not +-1"
+_NOT_UNIT = "a crossing sign of a Goeritz form is not +-1"
 
 
 class SeifertMatrix:
@@ -105,14 +105,15 @@ def _determinant_and_signature(links: list[int],
     links regions r - 1 and r) and the region sums s_r, in O(p)
     multiplications and no division.
 
-    With p = 1, G = (s_0).  With p >= 2 its diagonal is
-    a_r = s_r - e_r - e_(r+1 mod p), and every sign e_r is +-1, so the
-    path minors D_k of rows 0 .. k - 1 follow D_k = a_(k-1) D_(k-1) -
-    D_(k-2) from D_(-1) = 0 and D_0 = 1, and F_k of rows 1 .. k the same
-    recurrence.  Expanding det G along its corner entry gives
+    G's diagonal is a_r = s_r - e_r - e_(r+1 mod p), and every sign e_r
+    is +-1, so the path minors D_k of rows 0 .. k - 1 follow
+    D_k = a_(k-1) D_(k-1) - D_(k-2) from D_(-1) = 0 and D_0 = 1, and F_k
+    of rows 1 .. k the same recurrence from F_(-2) = -1 and F_(-1) = 0.
+    Expanding det G along its corner entry gives
     det G = D_p - F_(p-2) + 2 (-1)^(p+1) e_0 e_1 ... e_(p-1).  At p = 2
     that is a_0 a_1 - 2 - 2 e_0 e_1 = a_0 a_1 - (e_0 + e_1)^2, as the
-    two crossings add to the one link e_0 + e_1.
+    two crossings add to the one link e_0 + e_1, and at p = 1 it is
+    (s_0 - 2 e_0) + 2 e_0 = s_0, as a loop adds nothing to G = (s_0).
 
     D_0, ..., D_(p-1) and det G are G's leading minors.  A zero path minor
     lies between two nonzero ones of opposite signs (D_(k+1) = -D_(k-1)),
@@ -125,7 +126,7 @@ def _determinant_and_signature(links: list[int],
     order p - 2 plus diag(0, M / D_(p-2)), where M = a_(p-1) D_(p-2) -
     F_(p-3) is the minor on rows p - 1, 0, ..., p - 3, a path again.
 
-    Raises ``InternalInconsistency`` if p >= 2 and a sign is not +-1.
+    Raises ``InternalInconsistency`` if a sign is not +-1.
 
     The trefoil, the closure of (x y)^2, has two rows: |det G| = 3 and
     sign(G) - mu = 0 - 2.
@@ -134,22 +135,19 @@ def _determinant_and_signature(links: list[int],
     (-3, 0)
     """
     p = len(sums)
-    if p == 1:
-        minors, det = [1], sums[0]
-    else:
-        if links.count(1) + links.count(-1) != p:
-            raise InternalInconsistency(_NOT_UNIT)
-        diagonal = list(map(sub, map(sub, sums, links), links[1:] + links[:1]))
-        last = diagonal.pop()
-        # D_k and D_(k-1), F_(k-1) and F_(k-2), stepped together from k = 1.
-        d, before, f, f_before = diagonal[0], 1, 1, 0
-        minors = [1, d]
-        for a in diagonal[1:]:
-            d, before = a * d - before, d
-            f, f_before = a * f - f_before, f
-            minors.append(d)
-        corner = 2 if (p + links.count(-1)) % 2 else -2
-        det = last * d - before - f + corner
+    if links.count(1) + links.count(-1) != p:
+        raise InternalInconsistency(_NOT_UNIT)
+    diagonal = list(map(sub, map(sub, sums, links), links[1:] + links[:1]))
+    last = diagonal.pop()
+    # D_k and D_(k-1), F_(k-1) and F_(k-2), stepped together from k = 0.
+    d, before, f, f_before = 1, 0, 0, -1
+    minors = [1]
+    for a in diagonal:
+        d, before = a * d - before, d
+        f, f_before = a * f - f_before, f
+        minors.append(d)
+    corner = 2 if (p + links.count(-1)) % 2 else -2
+    det = last * d - before - f + corner
     if det:
         return det, p - 2 * _sign_changes(minors + [det])
     if minors[-1]:

@@ -44,6 +44,8 @@ MISFIT_IMAGES = {
     "parabolic form, hyperbolic image": ("y^3", image(parse("x y^-1"))),
     "elliptic, trace of the right sign": ("x^-1 y^-1",
                                           image(parse("x y^-1 x y^-1"))),
+    "elliptic, trace 0, wrong orientation": ("x^-2 y^-1",
+                                             image(parse("h x^-2 y^-1"))),
     "hyperbolic, trace of the right sign": ("x y^-1 x y^-2",
                                             image(parse("y^5"))),
     "hyperbolic, trace of the wrong sign": ("x y^-1", image(parse("h x y^-1"))),
@@ -112,9 +114,12 @@ def test_recurrence_rejects_a_link_that_is_not_a_unit():
     assert seifert._determinant_and_signature([1, 1, 1], [1, 1, 1]) == (4, -1)
     with pytest.raises(InternalInconsistency):
         seifert._determinant_and_signature(*NON_UNIT_LINKS)
-    # Two rows run the same recurrence, so the premise guards them too.
+    # One and two rows run the same recurrence, so the premise guards
+    # them too.
     with pytest.raises(InternalInconsistency):
         seifert._determinant_and_signature([2, 1], [0, 0])
+    with pytest.raises(InternalInconsistency):
+        seifert._determinant_and_signature([2], [0])
 
 
 def test_quasi_alternating_check_catches_a_shifted_family_1_range(

@@ -628,6 +628,32 @@ def test_batch_internal_inconsistency_is_a_line_error(tmp_path, capsys,
     assert lines[-1] == "2 ok, 1 failed"
 
 
+def test_an_inconsistency_in_the_oracle_stage_is_the_words_error(
+        tmp_path, capsys, monkeypatch):
+    from threebraid import seifert
+
+    _, second, _ = run(capsys, "analyze", "--json", "--oracle", "x y^-1")
+    seifert_matrix = seifert.seifert_matrix
+
+    def explode_on_four_letters(word):
+        if len(word) == 4:
+            raise cli.InternalInconsistency("forced")
+        return seifert_matrix(word)
+
+    monkeypatch.setattr(seifert, "seifert_matrix", explode_on_four_letters)
+    path = tmp_path / "words.txt"
+    path.write_text("x y x y\nx y^-1\n")
+    code, out, err = run(capsys, "batch", "--json", "--oracle", str(path))
+    assert (code, err) == (cli.EXIT_INCONSISTENT, "")
+    assert out.splitlines(keepends=True) == [
+        dumps({"word": "x y x y", "error": {
+            "type": "InternalInconsistency", "message": "forced"}}) + "\n",
+        second,
+        dumps({"summary": {"ok": 1, "failed": 1}}) + "\n"]
+    assert run(capsys, "analyze", "--json", "--oracle", "x y x y") == \
+        (cli.EXIT_INCONSISTENT, "", "internal inconsistency: forced\n")
+
+
 def test_a_fold_of_determinant_other_than_1_is_an_internal_inconsistency(
         tmp_path, capsys, monkeypatch, default_int_digit_limit):
     # The window x y x^-1 y^-1 folds to a matrix of determinant 2, so the

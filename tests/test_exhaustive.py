@@ -7,9 +7,23 @@ oracle on short inputs is caught unconditionally.
 
 import itertools
 
+import pytest
+
+from threebraid import murasugi
 from threebraid import words as w_
-from threebraid.homology import determinant, h1_branched_cover, image
-from threebraid.murasugi import canonical_word, classify, psl2_normal_form
+from threebraid.homology import (
+    InternalInconsistency,
+    determinant,
+    h1_branched_cover,
+    image,
+)
+from threebraid.murasugi import (
+    Family2,
+    Family3,
+    canonical_word,
+    classify,
+    psl2_normal_form,
+)
 from threebraid.seifert import seifert_matrix, sym_determinant
 from threebraid.words import components, exponent_sum
 
@@ -34,6 +48,32 @@ def test_classifier_consistency_on_all_short_words():
         assert image(model).trace == image(w).trace
         assert psl2_normal_form(model).cyclic_key() == \
             psl2_normal_form(w).cyclic_key()
+
+
+def test_image_check_rejects_each_neighbour_of_a_family_2_or_3_form():
+    # The image check of families 2 and 3 reads a complete conjugacy
+    # invariant, so a word's image fits its form and no form next to it.
+    checked = 0
+    for w in all_words(7):
+        form = classify(w)
+        if isinstance(form, Family3):
+            neighbours = [Family3(form.d + 1, form.m),
+                          Family3(form.d - 1, form.m)] + \
+                [Family3(form.d, m) for m in (-1, -2, -3) if m != form.m]
+        elif isinstance(form, Family2):
+            neighbours = [Family2(form.d + 1, form.m),
+                          Family2(form.d - 1, form.m),
+                          Family2(form.d, form.m + 1),
+                          Family2(form.d, form.m - 1)]
+        else:
+            continue
+        m = image(w)
+        murasugi._check_image(form, m)
+        for neighbour in neighbours:
+            with pytest.raises(InternalInconsistency):
+                murasugi._check_image(neighbour, m)
+        checked += 1
+    assert checked == 13485
 
 
 def test_oracle_determinant_on_all_short_nonsplit_words():
