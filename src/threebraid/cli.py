@@ -112,9 +112,23 @@ def _module_text(module) -> str:
             f'"absolute":{_JSON_BOOL[absolute]}}}')
 
 
+class _Decimals(dict):
+    """``str(i)`` of an integer i, held for 0-255 and written, not stored,
+    for any other, so that nothing grows between calls."""
+
+    def __missing__(self, entry) -> str:
+        return str(entry)
+
+
+# The decimal text of a family-1 entry, which counts the y^-1 letters of
+# its block and is mostly small.
+_DECIMAL = _Decimals((i, str(i)) for i in range(256))
+
+
 def _form_text(f) -> str:
     if isinstance(f, Family1):
-        return f'{{"family":1,"d":{f.d},"a":[{",".join(map(str, f.a))}]}}'
+        entries = ",".join(map(_DECIMAL.__getitem__, f.a))
+        return f'{{"family":1,"d":{f.d},"a":[{entries}]}}'
     family = 2 if isinstance(f, Family2) else 3
     return f'{{"family":{family},"d":{f.d},"m":{f.m}}}'
 

@@ -107,28 +107,42 @@ def _run_syllables(generator: str, exponent: int) -> tuple[bytes, int]:
     return _LETTER_SYLLABLES[generator, sign] * (exponent * sign), exponent
 
 
-def _multiply(stack: bytearray, syllables: bytes) -> None:
-    """Multiply the reduced word ``stack`` by the reduced word ``syllables``
-    in place.  Both alternate S and U-powers, so cancellation happens only
-    where they meet: two syllables of the same kind (both S or both U-powers)
-    merge to (a + b) % 3, which is 0, and dropped, for S*S and for inverse
-    U-powers.  A nonzero merge is pushed back and ends the merge, as the
-    next syllable is an S.  The rest is one bytes copy, 2 bytes a letter."""
-    i = 0
-    while stack and i < len(syllables) \
-            and (not stack[-1]) == (not syllables[i]):
-        e = (stack.pop() + syllables[i]) % 3
-        if e:
-            stack.append(e)
-        i += 1
-    stack += syllables[i:]
+def _fold_syllables(stack: bytearray, factors) -> int:
+    """Multiply the reduced word ``stack`` in place by the reduced
+    syllables of each (syllables, weight) factor in turn, and return the
+    sum of the weights.  Both words alternate S and U-powers, so
+    cancellation happens only where they meet, and only when the stack's
+    top has the kind of the factor's first syllable: two syllables of the
+    same kind merge to (a + b) % 3, which is 0, and dropped, for S*S and
+    for inverse U-powers.  After a drop the next two have one kind again.
+    A nonzero merge is pushed back and ends the merge, as the next
+    syllable is an S.  The rest is one bytes copy, 2 bytes a letter."""
+    total = 0
+    pop, push = stack.pop, stack.append
+    for syllables, weight in factors:
+        total += weight
+        if stack and syllables and (not stack[-1]) == (not syllables[0]):
+            i = 0
+            for syllable in syllables:
+                i += 1
+                e = (pop() + syllable) % 3
+                if e:
+                    push(e)
+                    break
+                if not stack:
+                    break
+            stack += syllables[i:]
+        else:
+            stack += syllables
+    return total
 
 
 def _reduced_product(left, right):
-    """The product of two (reduced syllables, exponent sum) pairs."""
+    """The product of two (reduced syllables, exponent sum) pairs: the
+    right one folded onto the left one's syllables by ``_fold_syllables``."""
     stack = bytearray(left[0])
-    _multiply(stack, right[0])
-    return bytes(stack), left[1] + right[1]
+    weight = _fold_syllables(stack, (right,))
+    return bytes(stack), left[1] + weight
 
 
 # The reduced syllables and the exponent sum of every window of CHUNK
@@ -173,22 +187,16 @@ def _syllable_pass(w: BraidWord) -> tuple[bytes, int]:
     """The syllables of the cyclically reduced image in Z/2 * Z/3, as
     bytes, and the exponent sum, read in one pass over the word.
 
-    The steps are ``words.fold_factors`` of ``_CHUNK_SYLLABLES``, built
-    from ``_run_syllables`` by ``words.window_table``, and
-    ``_run_syllables`` itself.
-    Each step multiplies the reduced stack by reduced syllables, which only
-    touch the stack where the two meet, and only when the stack's top has
-    the kind of their first one.
+    One ``_fold_syllables`` loop multiplies the empty stack by every factor
+    of ``words.fold_factors``: each packed window's entry in
+    ``_CHUNK_SYLLABLES``, built from ``_run_syllables`` by
+    ``words.window_table``, then each run of the tail by ``_run_syllables``
+    itself.  It makes no Python call per factor, so the Python calls of a
+    word read on parse's byte path do not grow with its length.
     """
     stack = bytearray()
-    exponent_sum = 0
-    for syllables, weight in fold_factors(w, _CHUNK_SYLLABLES,
-                                          _run_syllables):
-        exponent_sum += weight
-        if stack and syllables and (not stack[-1]) == (not syllables[0]):
-            _multiply(stack, syllables)
-        else:
-            stack += syllables
+    exponent_sum = _fold_syllables(
+        stack, fold_factors(w, _CHUNK_SYLLABLES, _run_syllables))
     return _cyclic_reduce(bytes(stack)), exponent_sum
 
 

@@ -333,9 +333,12 @@ def dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+# The family-1 words at the end hold entries 0, 255, 256 and 100,000, the
+# edges of the writer's decimal table and one far past it.
 CONJUGATE_WORDS = ("h x y^-5", "x y^-5 h", "h^-2 x y^-1 x y^-3",
                    "h^999999999999 x y^-3", "x x y x x", "y^-1", "h^-1 y^3",
-                   "", "x^-1 y^-1", "x y", "h^5 x y")
+                   "", "x^-1 y^-1", "x y", "h^5 x y", "x y^-255",
+                   "x y^-256 x", "x y^-100000 x y^-3 x")
 
 
 def test_conjugate_json_is_the_encoders_record(capsys):

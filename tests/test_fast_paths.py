@@ -8,7 +8,9 @@ chunk tables, the window-slicing image and syllable pass, which look up
 CHUNK runs by their letters, behind the folds over packed 4-letter bytes,
 the per-kind syllable merge and branching cyclic reduction behind the byte
 alphabet (S = 0, U = 1, U^2 = 2, where a power run costs O(n) memcpy work
-at 2 bytes per letter), the Smith normal form of m - I with a pairwise
+at 2 bytes per letter), a merge call per factor that checks the kinds of
+every pair (``multiply``) behind the one merge loop of
+``murasugi._fold_syllables``, the Smith normal form of m - I with a pairwise
 gcd and its determinant multiplied out
 (``pairwise_gcd_smith_normal_form``) behind H1 read with one gcd call and
 the order |2 - tr m|, the trace class tested against +-I with one sign rule
@@ -625,13 +627,28 @@ def window_image(w):
                                        homology._run_entries))
 
 
+def multiply(stack, syllables):
+    """Multiply the reduced word ``stack`` by the reduced word ``syllables``
+    in place, one call per factor, checking the kinds of every pair: two
+    syllables of the same kind merge to (a + b) % 3, which is dropped when
+    0, and a nonzero merge is pushed back and ends the merge."""
+    i = 0
+    while stack and i < len(syllables) \
+            and (not stack[-1]) == (not syllables[i]):
+        e = (stack.pop() + syllables[i]) % 3
+        if e:
+            stack.append(e)
+        i += 1
+    stack += syllables[i:]
+
+
 def window_syllable_pass(w):
     stack = bytearray()
     exponent_sum = 0
     for syllables, weight in window_factors(w.runs, WINDOW_SYLLABLES,
                                             murasugi._run_syllables):
         exponent_sum += weight
-        murasugi._multiply(stack, syllables)
+        multiply(stack, syllables)
     return murasugi._cyclic_reduce(bytes(stack)), exponent_sum
 
 
@@ -760,11 +777,62 @@ def test_byte_merge_matches_the_per_kind_merge(rng):
                              for _ in range(rng.randint(0, 4)))
                        for _ in range(2))
         stack = bytearray(per_syllable_stack(left)[0])
-        murasugi._multiply(stack, per_syllable_stack(right)[0])
+        multiply(stack, per_syllable_stack(right)[0])
         product = per_syllable_stack(left + right)[0]
         assert stack == product, (left, right)
+        # The fold's merge, on the same pair, returns the factor's weight.
+        folded = bytearray(per_syllable_stack(left)[0])
+        factor = per_syllable_stack(right)
+        assert murasugi._fold_syllables(folded, [factor]) == factor[1]
+        assert folded == product, (left, right)
         assert murasugi._cyclic_reduce(product) == \
             branching_cyclic_reduce(product), (left, right)
+
+
+def test_deep_cascades_unwind_the_whole_stack(rng):
+    # u u^-1 unwinds every syllable that u pushed, window by window, and
+    # u x u^-1 every one but x's.  The cyclic reduction of the conjugate may
+    # leave a rotation of x's syllables, so the forms are compared.
+    u = [rng.choice(LETTERS) for _ in range(10_000)]
+    u_inv = [letter.inverse() for letter in reversed(u)]
+    w = byte_path_word(u + u_inv)
+    assert murasugi._syllable_pass(w) == (b"", 0)
+    assert_packed_fold_matches_references(w)
+    for x in ((w_.X, w_.Y_INV, w_.X, w_.Y_INV, w_.Y_INV, w_.Y_INV),
+              (w_.X_INV, w_.X_INV, w_.Y_INV), (w_.Y,) * 5,
+              tuple(rng.choice(LETTERS) for _ in range(37))):
+        conjugate = byte_path_word(u + list(x) + u_inv)
+        assert classify(conjugate) == classify(byte_path_word(x)), x
+        assert_packed_fold_matches_references(conjugate)
+
+
+def syllable_pass_calls(w):
+    """The Python calls, profile events of kind "call", that
+    ``murasugi._syllable_pass(w)`` makes, itself included."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        murasugi._syllable_pass(w)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.mark.parametrize("alphabet", [LETTERS, (w_.X, w_.Y)],
+                         ids=["uniform", "positive"])
+def test_syllable_pass_makes_no_python_call_per_window(rng, alphabet):
+    # Lengths divisible by CHUNK leave no tail, so every factor is a
+    # window; a call per merging window would grow with the length.
+    counts = [syllable_pass_calls(byte_path_word(
+        [rng.choice(alphabet) for _ in range(length)]))
+        for length in (40, 40_000)]
+    assert counts[0] == counts[1] > 0, counts
 
 
 def old_canonical_letters(f):
@@ -1197,6 +1265,13 @@ def test_writer_matches_encoder_on_short_forms_and_words(no_digit_limit):
             verdicts.add(oracle.get("agrees", "error"))
             assert_writer_matches_encoder(record, oracle)
     assert verdicts == {True, "error"}
+    # Family-1 entries at the edges of the writer's decimal table, which
+    # holds 0-255: 0, 255, 256 and one far past it.
+    for text in ("x y^-255", "x y^-256 x", "x y^-100000 x y^-3 x"):
+        for torus in (False, True):
+            assert_writer_matches_encoder(
+                analyze_word(parse(text), include_torus_bundle=torus,
+                             _record=True))
 
 
 # Word characters that JSON escapes: a quote, a backslash, a control
