@@ -51,12 +51,7 @@ class SL2Matrix(_Value, namedtuple("SL2Matrix", "a b c d")):
     def __mul__(self, other: SL2Matrix) -> SL2Matrix:
         if not isinstance(other, SL2Matrix):
             return NotImplemented
-        return SL2Matrix(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        return SL2Matrix(*_product(self, other))
 
     def __neg__(self) -> "SL2Matrix":
         return SL2Matrix(-self.a, -self.b, -self.c, -self.d)
@@ -214,26 +209,19 @@ class AbelianGroup(_Value, namedtuple("AbelianGroup", "free_rank torsion",
         return " + ".join(parts) if parts else "0"
 
 
-def _cokernel(m, det: int) -> AbelianGroup:
-    """The cokernel of an integer 2x2 matrix m with |det m| = det:
-    Z/g + Z/(det / g) for g the gcd of m's entries, a zero factor being Z;
-    gcd(0, 0, 0, 0) = 0.  The gcd is one call over all four entries, so
-    only its first step can be between two huge entries."""
-    (a, b), (c, d) = m
-    entry_gcd = gcd(a, b, c, d)
-    diagonal = (entry_gcd, det // entry_gcd if det else 0)
-    return AbelianGroup(
-        free_rank=diagonal.count(0),
-        torsion=tuple(e for e in diagonal if e >= 2),
-    )
-
-
 def h1_from_image(m: SL2Matrix) -> AbelianGroup:
     """First homology of the branched double cover of the closure of a braid
     with image m: the cokernel of m - I on the homology of the fiber torus,
-    whose |det| is D = |2 - tr m| from ``determinant_from_image``, so no two
-    entries are multiplied."""
-    return _cokernel(m.minus_identity(), determinant_from_image(m))
+    Z/g + Z/(D / g) for g = gcd(a - 1, b, c, d - 1) and D = |2 - tr m| from
+    ``determinant_from_image``, a zero factor being Z.  At m = I both are 0
+    (Z + Z).  The gcd is one call over the four entries of m - I, so only
+    its first step can be between two huge entries, and no two entries are
+    multiplied."""
+    g = gcd(m.a - 1, m.b, m.c, m.d - 1)
+    det = determinant_from_image(m)
+    diagonal = (g, det // g if det else 0)
+    return AbelianGroup(free_rank=diagonal.count(0),
+                        torsion=tuple(e for e in diagonal if e >= 2))
 
 
 def determinant_from_image(m: SL2Matrix) -> int:

@@ -235,6 +235,15 @@ def _values(w: BraidWord, raw_text: str | None, include_torus_bundle: bool,
         raise InternalInconsistency(
             f"H1 has 2-rank {two_rank} on a closure of {components} components")
 
+    # The form fits the matrix before any form-level read, whose errors
+    # name public arguments (``floer.PositiveB1``, ``FamilyNotCovered``).
+    if (det == 0) != (isinstance(form, Family2) and not form.d % 2):
+        raise InternalInconsistency(
+            f"determinant {'zero' if det == 0 else 'nonzero'} on {form}")
+    if components == 1 and not isinstance(form, Family1) and \
+            not (isinstance(form, Family3) and form.m % 2):
+        raise InternalInconsistency(f"a knot closure of {form}")
+
     hf = quarters = delta_quarters = sig = torus_bundle = None
     if det != 0:
         tag, n, k = floer._quarter_assembly(form)
@@ -243,7 +252,6 @@ def _values(w: BraidWord, raw_text: str | None, include_torus_bundle: bool,
         if include_torus_bundle:
             torus_bundle = floer._torus_bundle(tag, k, det)
     if components == 1:
-        _check_delta_defined(form, components)
         delta_quarters = 2 * quarters
         if isinstance(form, Family1):
             sig = signature(form, components)
@@ -312,9 +320,11 @@ def analyze_word(w: BraidWord, raw_text: str | None = None,
     The report's word is ``raw_text``, or else ``run_text(w)``, which keeps
     each h run as one token.  Identities tie separate derivations together,
     and ``InternalInconsistency`` is raised unless each holds: H1 has
-    2-rank ``components`` - 1, a quasi-alternating report is an L-space
-    with a nonzero determinant, and on a family-1 knot the correction term
-    and Erle's signature meet 4d + sigma = 0 (mod 8).
+    2-rank ``components`` - 1, the determinant is zero exactly on family 2
+    with even d, a knot's form is of family 1 or of family 3 with odd m,
+    a quasi-alternating report is an L-space with a nonzero determinant,
+    and on a family-1 knot the correction term and Erle's signature meet
+    4d + sigma = 0 (mod 8).
 
     With the private ``_record``, the values record (``_Values``, every
     grading a count of quarters) is returned instead of the report.  The

@@ -4,6 +4,7 @@ Each check is fed a corrupted input that can only arise from a bug, and
 must raise rather than return a wrong answer.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import pytest
 import threebraid
 from threebraid import cli, homology, invariants, murasugi, seifert
 from threebraid.homology import InternalInconsistency, image
-from threebraid.murasugi import Family1, S, U, UU
+from threebraid.murasugi import Family1, Family2, S, U, UU
 from threebraid.words import Y, parse
 
 from test_fast_paths import bareiss_pivots
@@ -149,6 +150,31 @@ def test_two_rank_check_catches_a_wrong_component_count(monkeypatch, capsys):
     for text in ("x y", "x^2 y"):
         assert cli.main(["analyze", text]) == 3
         assert "2-rank" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", [Family2(0, 1), Family2(1, 1)])
+def test_values_stage_rejects_a_form_that_does_not_fit(
+        form, monkeypatch, capsys, tmp_path):
+    # x y closes to a knot of determinant 1.  Under the mutant its form is
+    # Family2(0, 1), of determinant zero, or Family2(1, 1), a form with no
+    # delta formula: the values stage refuses both before the Floer
+    # assembly or delta reads them, so neither PositiveB1 nor
+    # FamilyNotCovered escapes the command line.
+    classify = murasugi.classify
+    knot = parse("x y")
+    monkeypatch.setattr(murasugi, "classify", lambda w, matrix=None:
+                        form if w == knot else classify(w, matrix))
+    assert cli.main(["analyze", "--json", "x y"]) == 3
+    assert "internal inconsistency" in capsys.readouterr().err
+    words = tmp_path / "words.txt"
+    words.write_text("x y\nh x y^-5\n", encoding="utf-8")
+    assert cli.main(["batch", "--json", str(words)]) == 3
+    error, report, summary = map(json.loads,
+                                 capsys.readouterr().out.splitlines())
+    assert error["word"] == "x y"
+    assert error["error"]["type"] == "InternalInconsistency"
+    assert report["word"] == "h x y^-5"
+    assert summary == {"summary": {"ok": 1, "failed": 1}}
 
 
 def test_murasugi_reexports_the_same_exception():

@@ -174,10 +174,19 @@ def booth_least_rotation(seq):
     return doubled[k:k + n]
 
 
+def matrix_product(m, n):
+    """The 2x2 product, written out here, so that no reference for
+    ``image`` goes through ``homology._product`` or ``SL2Matrix.__mul__``."""
+    p, q, r, s = m
+    a, b, c, d = n
+    return SL2Matrix(p * a + q * c, p * b + q * d, r * a + s * c,
+                     r * b + s * d)
+
+
 def slow_image(letters):
     result = SL2Matrix(1, 0, 0, 1)
     for letter in letters:
-        result = result * GENERATOR[letter]
+        result = matrix_product(result, GENERATOR[letter])
     return result
 
 
@@ -186,7 +195,8 @@ def short_images(max_length):
     level = {SL2Matrix(1, 0, 0, 1)}
     images = set(level)
     for _ in range(max_length):
-        level = {m * GENERATOR[letter] for m in level for letter in LETTERS}
+        level = {matrix_product(m, GENERATOR[letter])
+                 for m in level for letter in LETTERS}
         images |= level
     return images
 
@@ -282,9 +292,19 @@ def pairwise_gcd_smith_normal_form(m):
 
 
 def test_smith_normal_form_matches_the_pairwise_gcd(rng, monkeypatch):
-    def entry():
-        bits = rng.choice((0, 1, 2, 8, 64, 10_000))
-        return rng.choice((1, -1)) * rng.getrandbits(bits)
+    # H1 of SL(2,Z) images: I, -I, parabolics of trace 2 and -2, and words
+    # of 1 to about 25,000 letters, some repeated so that the entries of
+    # m - I share a factor, whose entries run from a few bits to over 10^4.
+    matrices = [SL2Matrix(1, 0, 0, 1), SL2Matrix(-1, 0, 0, -1),
+                image(parse("x^12")), image(parse("h y^-6"))]
+    for trial in range(300):
+        tokens = ("x", "y^-1") if trial % 2 else ("x", "y", "x^-1", "y^-1")
+        text = " ".join(rng.choice(tokens)
+                        for _ in range(int(10 ** rng.uniform(0, 4.4))))
+        matrices.append(image(parse(" ".join(
+            (text,) * rng.choice((1, 2, 3, 6))))))
+    bits = [max(abs(e) for e in m).bit_length() for m in matrices]
+    assert min(bits) <= 4 and max(bits) > 10_000, (min(bits), max(bits))
     gcd_calls = 0
 
     def counted_gcd(*entries):
@@ -293,15 +313,10 @@ def test_smith_normal_form_matches_the_pairwise_gcd(rng, monkeypatch):
         return math.gcd(*entries)
 
     monkeypatch.setattr(homology, "gcd", counted_gcd)
-    for trial in range(2000):
-        factor = rng.choice((1, 1, 2, 6, rng.getrandbits(100) + 1))
-        m = tuple(tuple(factor * entry() for _ in range(2)) for _ in range(2))
-        if trial % 7 == 0:
-            m = (m[0], tuple(rng.choice((1, -1, 3)) * e for e in m[0]))
-        (a, b), (c, d) = m
-        assert homology._cokernel(m, abs(a * d - b * c)) == \
-            pairwise_gcd_smith_normal_form(m), m
-    assert gcd_calls == 2000
+    for m in matrices:
+        assert homology.h1_from_image(m) == \
+            pairwise_gcd_smith_normal_form(m.minus_identity()), m
+    assert gcd_calls == len(matrices)
 
 
 def test_word_layer_on_all_words_up_to_length_8():
@@ -323,7 +338,7 @@ def test_word_layer_on_all_words_up_to_length_8():
         if length < 8:
             level = {
                 letters + (letter,): (
-                    matrix * GENERATOR[letter],
+                    matrix_product(matrix, GENERATOR[letter]),
                     perm.then(TRANSPOSITION[letter.generator]))
                 for letters, (matrix, perm) in level.items()
                 for letter in LETTERS
@@ -1104,6 +1119,16 @@ def test_image_reduces_the_fold_keys_level_by_level(product_bits, rng):
     assert factors == 16_384 // CHUNK
     assert image(w) == slow_image(letters)
     assert_balanced(product_bits, factors)
+
+
+def test_matrix_product_is_the_one_product(product_bits):
+    x, y = image(parse("x")), image(parse("y"))
+    for m, n, expected in ((homology.IDENTITY, homology.IDENTITY,
+                            SL2Matrix(1, 0, 0, 1)),
+                           (x, y, SL2Matrix(0, 1, -1, 1))):
+        product_bits.clear()
+        assert m * n == expected
+        assert len(product_bits) == 1
 
 
 def test_form_determinant_reduces_the_blocks_level_by_level(product_bits):

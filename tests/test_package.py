@@ -70,15 +70,19 @@ def test_a_report_imports_no_fractions():
     # The command line prints every grading from its count of quarters, so
     # fractions, and the numbers, decimal, re and enum modules that it
     # loads, stay out; -S skips site, whose .pth files may load re and enum.
-    # decimal still loads to print an integer of more than _SPLIT_BITS bits.
+    # Nor does a report load dataclasses, inspect, typing, json, argparse or
+    # the Seifert oracle.  decimal still loads to print an integer of more
+    # than _SPLIT_BITS bits.
     call = ("import os; sys.stdout = open(os.devnull, 'w'); "
             "import threebraid.cli; threebraid.cli.main(['analyze', "
             "'--json', '--torus-bundle', 'h x y^-5']); "
             "sys.stdout = sys.__stdout__")
-    fraction_modules = {"fractions", "numbers", "decimal", "re", "enum"}
+    forbidden = {"dataclasses", "inspect", "typing", "json", "argparse",
+                 "threebraid.seifert",
+                 "fractions", "numbers", "decimal", "re", "enum"}
     loaded = loaded_modules(call, ("-S",))
     assert "threebraid.cli" in loaded
-    assert not loaded & fraction_modules, sorted(loaded)
+    assert not loaded & forbidden, sorted(loaded)
     loaded = loaded_modules(
         call + "; from threebraid import homology; "
         "homology._int_text(1 << homology._SPLIT_BITS + 1)", ("-S",))
@@ -88,8 +92,7 @@ def test_a_report_imports_no_fractions():
 def test_the_oracle_and_batch_paths_import_no_fractions(tmp_path):
     # The oracle checks the values record's quarter count, and batch
     # writes each line from its record, so the oracle adds only the Seifert
-    # module: none of the modules that the console-script step of CI
-    # forbids on these paths.
+    # module: none of the modules that a report without it leaves out.
     words = tmp_path / "words.txt"
     words.write_text("h x y^-5\nx y x\nh^2 x y^-3\n", encoding="utf-8")
     forbidden = {"dataclasses", "inspect", "typing", "json", "argparse",
