@@ -53,6 +53,14 @@ EXIT_INCONSISTENT = 3
 EXIT_IO = 4
 
 
+@functools.cache
+def _seifert():
+    """The oracle's module, imported by the first ``--oracle`` call and
+    shared by every later one in the process."""
+    from . import seifert
+    return seifert
+
+
 def _oracle(word, record) -> dict:
     """Oracle determinant/signature plus an agreement verdict against the
     values record of the same word.  Split closures and diagrams past the
@@ -74,7 +82,7 @@ def _oracle(word, record) -> dict:
     on every non-split word of at most 7 letters with a nonzero
     determinant.  So it ties the surgery rows and the assembly's shift to
     the diagram off the quasi-alternating closures too."""
-    from . import seifert
+    seifert = _seifert()
     try:
         matrix = seifert.seifert_matrix(word)
     except (seifert.SplitClosure, seifert.DiagramTooLarge) as error:
@@ -263,14 +271,18 @@ def _analyze(args) -> int:
 
 def _batch_line(record, oracle: dict | None) -> str:
     """The text line of a values record: neither grading nor module is
-    read."""
+    read.  An oracle that disagrees with the record says so."""
     summary = (f"{record.word!r}: {record.normal_form}; "
                f"components {record.components}; "
                f"det {_int_text(record.determinant)}; "
                f"L-space {record.l_space}; tight {record.tight}; qa {record.qa}")
     if oracle is not None:
-        summary += (f"; oracle error: {oracle['error']}" if "error" in oracle
-                    else f"; oracle {_int_text(oracle['determinant'])}")
+        if "error" in oracle:
+            summary += f"; oracle error: {oracle['error']}"
+        else:
+            summary += f"; oracle {_int_text(oracle['determinant'])}"
+            if not oracle["agrees"]:
+                summary += " DISAGREES"
     return summary
 
 

@@ -8,9 +8,9 @@ and after it, a y crossing the region it lies in to the outer region.  The
 Goeritz matrix G is the Laplacian of that graph, with the outer region's row
 and column deleted, where an edge weighs minus its crossing's sign for an x
 crossing and the sign itself for a y crossing.  So G is cyclic tridiagonal,
-and one pass over the reduced crossings records it in O(n): the sign of
-each x crossing, which links the regions before and after it, and the
-exponent sum of the y letters in each region.
+and one pass over the reduced diagram's letter codes records it in O(n):
+the sign of each x crossing, which links the regions before and after it,
+and the exponent sum of the y letters in each region.
 Conjugation by the half twist Delta swaps x and y and keeps the closure, so
 the column with fewer crossings plays x, and G has at most n/2 rows.
 Gordon and Litherland ("On the signature of a link", Invent. Math. 47,
@@ -32,10 +32,11 @@ closure) cross-check the rest of the package.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import ne, sub
 
 from .homology import InternalInconsistency
-from .words import BraidWord, free_reduce
+from .words import CODE_DIGITS, PACKED_LETTERS, BraidWord, reduced_digits
 
 
 class SplitClosure(ValueError):
@@ -50,12 +51,24 @@ class DiagramTooLarge(ValueError):
 # The pass and the recurrence each take one step per crossing, but the
 # minors grow by up to 1.4 bits per row, so a step multiplies a small
 # integer by one of O(n) bits: at the cap, the slowest family measured,
-# alternating words, takes 2.5-6 ms on one Xeon vCPU under Python 3.11,
-# about half of it the recurrence.  Larger diagrams are refused before any
-# letter is expanded.
+# alternating words, takes about 2 ms from parse to the values (3.9 ms a
+# whole `analyze --json --oracle` call) on a 2-vCPU host under Python
+# 3.11.7, three quarters of it the recurrence.  Larger diagrams are refused
+# before any letter code is built.
 MAX_CROSSINGS = 6000
 
 _NOT_UNIT = "a crossing sign of a Goeritz form is not +-1"
+
+# Each letter code's sign, and whether it is a letter of each column, by
+# its digit (words.CODE_DIGITS): lists indexed by byte, which the pass
+# reads faster than dicts.  Then the digits of the x codes.
+_SIGNS = [0] * 256
+_IN_COLUMN = {"x": [False] * 256, "y": [False] * 256}
+for _digit, (_generator, _sign) in zip(CODE_DIGITS, PACKED_LETTERS):
+    _SIGNS[_digit] = _sign
+    _IN_COLUMN[_generator][_digit] = True
+del _digit, _generator, _sign
+_X_DIGITS = bytes(compress(range(256), _IN_COLUMN["x"]))
 
 
 class SeifertMatrix:
@@ -165,16 +178,19 @@ def _sign_changes(values: list[int]) -> int:
 
 def seifert_matrix(w: BraidWord) -> SeifertMatrix:
     """Goeritz form of the closure of the freely reduced diagram, recorded
-    in one left-to-right pass over its crossings.
+    in one left-to-right pass over its letter codes
+    (``words.reduced_digits``), ints whose meaning ``words.PACKED_LETTERS``
+    gives.
 
     The column with fewer crossings, x on a tie, cuts the regions; call its
-    letters x here and the others y.  Of p x crossings, crossing r (from 0)
-    links region r - 1 to region r, indices mod p, and the y crossings
-    before the first x crossing lie in region p - 1.  The pass records the
-    sign of each x crossing and the exponent sum of the y letters in each
-    region; mu, the correction term, is the y letters' exponent sum.  Then
-    det G and the signature of G are read from them
-    (``_determinant_and_signature``).
+    letters x here and the others y.  The codes are counted by column
+    first, at C speed.  Of p x crossings, crossing r (from 0) links region
+    r - 1 to region r, indices mod p, and the y crossings before the first
+    x crossing lie in region p - 1.  The pass records the sign of each x
+    crossing and the exponent sum of the y letters before it; their
+    differences are the sums of the regions, and mu, the correction term,
+    is the y letters' exponent sum.  Then det G and the signature of G are
+    read from them (``_determinant_and_signature``).
 
     The sign rules are pinned by two calibration fixtures in the test suite:
     the closure of (x y)^2 must have signature -2 and determinant 3, the
@@ -187,33 +203,27 @@ def seifert_matrix(w: BraidWord) -> SeifertMatrix:
     if crossings > MAX_CROSSINGS:
         raise DiagramTooLarge(
             f"{crossings} crossings, more than the oracle's cap of {MAX_CROSSINGS}")
-    # Either column may cut the regions, so the pass records both: the
-    # signs of a column's crossings, the other column's exponent sum before
-    # each, and the column's own exponent sum.
-    x_links, x_marks, y_links, y_marks = [], [], [], []
-    x_sum = y_sum = 0
-    for generator, sign in free_reduce(w).letters:
-        if generator == "x":
-            x_links.append(sign)
-            x_marks.append(y_sum)
-            x_sum += sign
-        else:
-            y_links.append(sign)
-            y_marks.append(x_sum)
-            y_sum += sign
-    if not x_links or not y_links:
-        unused = ("column 2" if x_links else "column 1" if y_links
+    digits = reduced_digits(w)
+    y_count = len(digits.translate(None, _X_DIGITS))
+    x_count = len(digits) - y_count
+    if not x_count or not y_count:
+        unused = ("column 2" if x_count else "column 1" if y_count
                   else "columns 1 and 2")
         raise SplitClosure(f"{unused} unused: the closure splits")
 
-    if len(x_links) <= len(y_links):
-        links, marks, mu = x_links, x_marks, y_sum
-    else:
-        links, marks, mu = y_links, y_marks, x_sum
+    cuts = _IN_COLUMN["x" if x_count <= y_count else "y"]
+    links, marks = [], []
+    mu = 0
+    for code in digits:
+        if cuts[code]:
+            links.append(_SIGNS[code])
+            marks.append(mu)
+        else:
+            mu += _SIGNS[code]
     marks.append(mu + marks[0])  # region p - 1 wraps round to the start
     matrix = SeifertMatrix.__new__(SeifertMatrix)
     matrix._links, matrix._sums = links, list(map(sub, marks[1:], marks))
-    matrix.mu, matrix._crossings = mu, len(x_links) + len(y_links)
+    matrix.mu, matrix._crossings = mu, len(digits)
     matrix._values = _determinant_and_signature(links, matrix._sums)
     return matrix
 

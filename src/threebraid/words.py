@@ -10,9 +10,10 @@ A word is stored as runs ``(generator, exponent)`` with generator ``x``,
 cost one run whatever their exponent.  A ``Letter`` is the run
 ``(generator, +-1)``, so a letter sequence is already a run sequence.  The
 letter sequence itself is expanded only on demand.  A word that ``parse``
-reads from the tokens ``x``, ``y``, ``x^-1`` and ``y^-1`` alone is stored
-as its base-4 letter codes and packed windows instead; its runs, which
-are its letters, are built from the codes only when something reads them.
+reads from the tokens ``x``, ``y``, ``x^-1`` and ``y^-1`` alone, and every
+word that ``free_reduce`` returns, is stored as its base-4 letter codes and
+packed windows instead; its runs, which are its letters, are built from
+the codes only when something reads them.
 """
 
 from __future__ import annotations
@@ -103,13 +104,16 @@ Run = tuple[str, int]
 CHUNK = 4
 
 # The letters in the order of their codes.  A window of CHUNK letters packs
-# to the byte 4 * prefix + code, the first letter in the top two bits.
+# to the byte 4 * prefix + code, the first letter in the top two bits.  Each
+# letter is two codes from its inverse, so code ^ 2 is the inverse's code.
 PACKED_LETTERS = (X, Y, X_INV, Y_INV)
 
+# Each code as the ASCII base-4 digit that ``BraidWord._digits`` holds; bit
+# 1 of a digit is that of its code, so digit ^ 2 is the inverse's digit too.
+CODE_DIGITS = b"0123"
 
-# Each letter by its code as an ASCII base-4 digit, as ``parse``'s byte
-# path stores it.
-_DIGIT_LETTERS = dict(zip(b"0123", PACKED_LETTERS))
+# Each letter by its code's digit.
+_DIGIT_LETTERS = dict(zip(CODE_DIGITS, PACKED_LETTERS))
 
 
 def window_table(letter_value, product, identity) -> list:
@@ -143,14 +147,20 @@ def fold_factors(w: BraidWord, table: Sequence, run_value) -> Iterator:
                  starmap(run_value, w._tail))
 
 
-_INVERSE_LETTERS = {X: X_INV, X_INV: X, Y: Y_INV, Y_INV: Y}
-
 # The letters of one run with exponent +1 and -1, by generator: only the
 # four PACKED_LETTERS, which _letter_blocks compares by identity.
 _UNIT_LETTERS = {
     "x": ((X,), (X_INV,)),
     "y": ((Y,), (Y_INV,)),
     "h": (H_LETTERS, (Y_INV, X_INV) * 3),
+}
+
+# The same units as code digits: a run's codes are one of them repeated.
+_LETTER_DIGITS = {letter: digit for digit, letter in _DIGIT_LETTERS.items()}
+_UNIT_DIGITS = {
+    generator: tuple(bytes(map(_LETTER_DIGITS.__getitem__, unit))
+                     for unit in units)
+    for generator, units in _UNIT_LETTERS.items()
 }
 
 
@@ -218,12 +228,13 @@ class BraidWord:
     Both folds read two plain fields (``fold_factors``): ``_windows``, the
     CHUNK-letter windows that parse's byte path packed, as bytes, and
     ``_tail``, the runs after them, which are all the runs of a word built
-    from runs.  A word that ``parse`` read on its byte path
-    (``_unit_letter_word``) also holds its letter codes and its length;
-    its runs and letters, one tuple, are built from the codes on first read.
+    from runs.  A word of letter codes (``_unit_letter_word``), which
+    parse's byte path and ``free_reduce`` build, also holds its codes and
+    its length; its runs and letters, one tuple, are built from the codes
+    on first read.
     """
 
-    # The ASCII base-4 letter codes of a word read on parse's byte path.
+    # The ASCII base-4 letter codes (CODE_DIGITS) of a word of letter codes.
     _digits = None
     _windows = b""
 
@@ -241,8 +252,8 @@ class BraidWord:
 
     @cached_property
     def runs(self) -> tuple[Run, ...]:
-        """Set by the constructor; only a word read on parse's byte path,
-        each of whose runs is one letter, builds them here."""
+        """Set by the constructor; only a word of letter codes, each of
+        whose runs is one letter, builds them here."""
         return self.letters
 
     @cached_property
@@ -356,7 +367,7 @@ _BYTE_CLASSES = bytes(_CLASS_OF_BYTE.get(byte, _OTHER) for byte in range(256))
 _LETTER_STEP_DIGITS = {
     8 * after + letter: digit
     for (letter, after), digit in zip(
-        ((_X, _SPACE), (_Y, _SPACE), (_X, _CARET), (_Y, _CARET)), b"0123")}
+        ((_X, _SPACE), (_Y, _SPACE), (_X, _CARET), (_Y, _CARET)), CODE_DIGITS)}
 # Each step as its letter's digit, and a step off the grammar as "!".
 _STEP_DIGITS = bytes(_LETTER_STEP_DIGITS.get(step, ord("!"))
                      for step in range(256))
@@ -393,10 +404,11 @@ def _unit_letter_digits(text: str) -> bytes | None:
 
 
 def _unit_letter_word(digits: bytes) -> BraidWord:
-    """The word of letter codes that ``_unit_letter_digits`` gave, holding
-    its length and its fold input: the packed windows read from the digits
-    by one ``int(b"0" + digits, 4)``, which no int-to-str digit limit
-    applies to, then the 0 to CHUNK - 1 letters left as its tail."""
+    """The word of letter codes that ``_unit_letter_digits`` or
+    ``reduced_digits`` gave, holding its length and its fold input: the
+    packed windows read from the digits by one ``int(b"0" + digits, 4)``,
+    which no int-to-str digit limit applies to, then the 0 to CHUNK - 1
+    letters left as its tail."""
     w = BraidWord.__new__(BraidWord)
     length = len(digits)
     full = length - length % CHUNK
@@ -490,24 +502,40 @@ def conjugate(w: BraidWord, u: BraidWord) -> BraidWord:
     return concat(concat(u, w), inverse(u))
 
 
+def reduced_digits(w: BraidWord) -> bytes:
+    """The letter codes of the freely reduced word, as ``CODE_DIGITS``:
+    the codes that parse's byte path stored, else each run's codes
+    repeated.  Codes that hold none of the four cancelling pairs (x x^-1,
+    x^-1 x, y y^-1, y^-1 y) are reduced already and come back as they are;
+    otherwise a stack cancels each code against its top, which is its
+    inverse when the two digits differ by 2 (``PACKED_LETTERS``).
+
+    >>> reduced_digits(parse("x y y^-1 h^-1"))
+    b'0323232'
+    """
+    digits = w._digits
+    if digits is None:
+        digits = b"".join([_UNIT_DIGITS[g][e < 0] * abs(e) for g, e in w.runs])
+    if not (b"02" in digits or b"20" in digits or b"13" in digits
+            or b"31" in digits):
+        return digits
+    stack = [0]  # a bottom that cancels nothing
+    for code in digits:
+        if stack[-1] == code ^ 2:
+            stack.pop()
+        else:
+            stack.append(code)
+    return bytes(stack[1:])
+
+
 def free_reduce(w: BraidWord) -> BraidWord:
-    """Cancel adjacent letter/inverse pairs until none remain.  A word's
-    letters are the four ``PACKED_LETTERS``, so each is compared with the
-    inverse of the top of the stack by identity.
+    """Cancel adjacent letter/inverse pairs until none remain: the word of
+    ``reduced_digits(w)``, held as parse's byte path holds its codes.
 
     >>> str(free_reduce(parse("x x^-1 y")))
     'y'
     """
-    stack: list[Letter | None] = [None]  # a bottom that cancels nothing
-    for letter in w.letters:
-        if stack[-1] is _INVERSE_LETTERS[letter]:
-            stack.pop()
-        else:
-            stack.append(letter)
-    letters = tuple(stack[1:])
-    reduced = BraidWord(letters)
-    reduced.__dict__["letters"] = letters  # each run is one letter
-    return reduced
+    return _unit_letter_word(reduced_digits(w))
 
 
 def power(w: BraidWord, n: int) -> BraidWord:

@@ -415,6 +415,28 @@ def test_batch_oracle_goes_on_past_sys_maxsize_letters(tmp_path, capsys):
     assert summary == {"summary": {"ok": 2, "failed": 0}}
 
 
+def test_text_batch_names_each_oracle_disagreement(tmp_path, capsys,
+                                                   monkeypatch):
+    # With the oracle's determinant 3 read as 4, the trefoil's line says
+    # that its oracle disagrees, as --json's "agrees":false does; the
+    # figure-eight's line does not, and the batch exits 3.
+    path = tmp_path / "words.txt"
+    path.write_text("x y x y\nx y^-1 x y^-1\n")
+    code, clean, _ = run(capsys, "batch", "--oracle", str(path))
+    assert code == 0 and "DISAGREES" not in clean
+    seifert = cli._seifert()
+    determinant = seifert.sym_determinant
+    monkeypatch.setattr(seifert, "sym_determinant",
+                        lambda v: determinant(v) + (determinant(v) == 3))
+    code, out, _ = run(capsys, "batch", "--oracle", str(path))
+    trefoil, figure_eight, summary = out.splitlines()
+    assert code == cli.EXIT_INCONSISTENT
+    assert trefoil.endswith("; oracle 4 DISAGREES")
+    assert figure_eight == clean.splitlines()[1]
+    assert figure_eight.endswith("; oracle 5")
+    assert summary == "2 ok, 0 failed"
+
+
 def test_batch_empty_file(tmp_path, capsys):
     path = tmp_path / "empty.txt"
     path.write_text("")

@@ -39,8 +39,12 @@ elimination (``bareiss_pivots``) behind the three-term recurrence that
 reads its determinant and signature, the report's values computed
 as ``Fraction``s and its record built by keyword
 (``reference_analyze_word``) behind the values stage that holds every
-grading as a count of quarters, and every run expanded on its own
-(``per_run_letters``) against the letters of a word built from its runs.
+grading as a count of quarters, every run expanded on its own
+(``per_run_letters``) against the letters of a word built from its runs,
+and the stack over a word's Letter tuple that compares letters by identity
+(``letter_stack_free_reduce``) and the oracle's pass over each Letter
+(``per_letter_seifert_fields``) behind the free reduction and the pass
+over letter codes.
 The layout that ``words.window_table`` gives both chunk tables is pinned
 without matrices or syllables: built over letters recorded as tuples, each
 entry is the window that parse's byte path packs to its byte
@@ -57,7 +61,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from math import prod
-from operator import add
+from operator import add, is_
 
 import pytest
 
@@ -2297,6 +2301,201 @@ def test_free_reduce_matches_the_attribute_stack(rng):
         reduced, expected = free_reduce(w), attribute_free_reduce(w)
         assert reduced.runs == expected.runs, w
         assert reduced.letters == BraidWord(reduced.runs).letters, w
+
+
+# Each letter's inverse among the four PACKED_LETTERS, as the letter
+# stack compares it by identity.
+INVERSE_LETTERS = {w_.X: w_.X_INV, w_.X_INV: w_.X, w_.Y: w_.Y_INV,
+                   w_.Y_INV: w_.Y}
+
+
+def letter_stack_free_reduce(w):
+    """The reduced letters, by a stack over the word's Letter tuple that
+    compares each letter with the inverse of its top by identity."""
+    stack = [None]  # a bottom that cancels nothing
+    for letter in w.letters:
+        if stack[-1] is INVERSE_LETTERS[letter]:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return tuple(stack[1:])
+
+
+def per_letter_seifert_fields(letters):
+    """(_links, _sums, mu, _crossings) of the oracle's Goeritz form, read
+    by one pass per Letter that records both columns, or the message of
+    the split closure."""
+    x_links, x_marks, y_links, y_marks = [], [], [], []
+    x_sum = y_sum = 0
+    for generator, sign in letters:
+        if generator == "x":
+            x_links.append(sign)
+            x_marks.append(y_sum)
+            x_sum += sign
+        else:
+            y_links.append(sign)
+            y_marks.append(x_sum)
+            y_sum += sign
+    if not x_links or not y_links:
+        unused = ("column 2" if x_links else "column 1" if y_links
+                  else "columns 1 and 2")
+        return f"{unused} unused: the closure splits"
+    if len(x_links) <= len(y_links):
+        links, marks, mu = x_links, x_marks, y_sum
+    else:
+        links, marks, mu = y_links, y_marks, x_sum
+    marks.append(mu + marks[0])
+    sums = [after - before for before, after in zip(marks, marks[1:])]
+    return links, sums, mu, len(letters)
+
+
+def assert_codes_match_letters(letters, *words):
+    """The reduced codes, free_reduce and the oracle's fields of each word,
+    whose letters are given, equal the Letter stack's and the per-Letter
+    pass's, and the oracle builds no Letter tuple of the word."""
+    reduced_letters = letter_stack_free_reduce(BraidWord(letters))
+    expected_codes = bytes(map(CODE_DIGIT.__getitem__, reduced_letters))
+    expected = per_letter_seifert_fields(reduced_letters)
+    if not isinstance(expected, str):
+        links, sums, mu, crossings = expected
+        expected = (links, sums, mu, crossings,
+                    seifert_module._determinant_and_signature(links, sums))
+    for w in words:
+        codes = w_.reduced_digits(w)
+        assert codes == expected_codes, w
+        try:
+            matrix = seifert_matrix(w)
+        except seifert_module.SplitClosure as error:
+            assert str(error) == expected, w
+        else:
+            assert (matrix._links, matrix._sums, matrix.mu,
+                    matrix._crossings, matrix._values) == expected, w
+        assert "letters" not in vars(w), w
+        reduced = free_reduce(w)
+        assert reduced._digits == codes, w
+        assert reduced.letters == reduced_letters, w
+        assert all(map(is_, reduced.letters, reduced_letters)), w
+
+
+# Each letter's code digit and token.
+CODE_DIGIT = dict(zip(w_.PACKED_LETTERS, w_.CODE_DIGITS))
+TOKEN = {w_.X: "x", w_.Y: "y", w_.X_INV: "x^-1", w_.Y_INV: "y^-1"}
+
+
+def test_codes_match_the_letters_on_every_short_word():
+    # Every word of at most 8 letters, parsed on the byte path and built
+    # from runs, each stretch of one letter as one power run.
+    for length in range(9):
+        for letters in itertools.product(LETTERS, repeat=length):
+            assert_codes_match_letters(
+                letters, parse(" ".join(map(TOKEN.__getitem__, letters))),
+                BraidWord(tuple(
+                    (letter.generator, letter.sign * len(list(group)))
+                    for letter, group in itertools.groupby(letters))))
+
+
+def test_codes_match_the_letters_on_random_run_words(rng):
+    # Runs of every kind, zero exponents included, with u u^-1 pasted in
+    # at random places, up to the oracle's crossing cap; each word built
+    # from its runs, parsed from its run text and parsed from its letters.
+    def random_runs(budget):
+        runs = []
+        while True:
+            run = rng.choice((*LETTERS, ("x", rng.randint(-9, 9)),
+                              ("y", rng.randint(-9, 9)),
+                              ("h", rng.choice((-2, -1, 1, 2)))))
+            budget -= BraidWord((run,))._length
+            if budget < 0:
+                return runs
+            runs.append(run)
+
+    for size in (10, 100, 1000, seifert_module.MAX_CROSSINGS):
+        for _ in range(20):
+            runs = random_runs(size // 2)
+            for _ in range(rng.randint(0, 4)):
+                u = random_runs(rng.randint(1, max(1, size // 16)))
+                at = rng.randint(0, len(runs))
+                runs[at:at] = u + list(inverse(BraidWord(tuple(u))).runs)
+            w = BraidWord(tuple(runs))
+            assert w._length <= seifert_module.MAX_CROSSINGS
+            letters = per_run_letters(runs)
+            assert_codes_match_letters(
+                letters, w, parse(w_.run_text(w)),
+                parse(" ".join(map(TOKEN.__getitem__, letters))))
+    # At the cap: a word that cancels to nothing, and power and h runs.
+    for text in ("x y " * 1500 + "y^-1 x^-1 " * 1500, "x^5998 y^-2",
+                 "h^999 x y^-1 x^-1 y x^2", "y^-3 h^-998 x y x^-2 y^-5"):
+        assert len(parse(text)) == seifert_module.MAX_CROSSINGS, text
+        assert_codes_match_letters(parse(text).letters, parse(text))
+
+
+def test_the_oracle_builds_no_letter_tuple():
+    # Neither on the byte path nor for a word built by the token grammar.
+    for text in ("x y^-1 x y^-1", "x y x^-1 y^-1 y x", "x^2 y^-1 h",
+                 "s1 s2^-1 x^1", "h^-1 x"):
+        w = parse(text)
+        seifert_matrix(w)
+        assert "letters" not in vars(w), text
+
+
+def test_a_second_oracle_call_imports_nothing(capsys):
+    # The first --oracle call imports the oracle's module; a later one
+    # finds it bound and runs no from-import machinery.
+    argv = ["analyze", "--json", "--oracle", "x y^-1 x y^-1"]
+    assert cli.main(argv) == 0
+    called = set()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        code = cli.main(argv)
+    finally:
+        sys.setprofile(previous)
+    assert code == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])[
+        "oracle"]["agrees"] is True
+    assert "seifert_matrix" in called
+    assert "_handle_fromlist" not in called
+
+
+def test_free_reduction_makes_linearly_many_steps():
+    # u u^-1 of m letters cancels to nothing, and the stack grows to m/2
+    # codes and unwinds.  A stack that copies itself in Python on a pop, or
+    # a pass that starts over after a cancellation, takes about m steps per
+    # code.  Counting the lines run in words and seifert, not time, keeps
+    # the test exact: at 2m a linear reduction takes at most twice the
+    # steps.
+    paths = {w_.__file__, seifert_module.__file__}
+    steps = 0
+
+    def tracer(frame, event, arg):
+        nonlocal steps
+        if frame.f_code.co_filename not in paths:
+            return None
+        steps += event == "line"
+        return tracer
+
+    def count(m):
+        nonlocal steps
+        word = parse("x y " * (m // 4) + "y^-1 x^-1 " * (m // 4))
+        steps = 0
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            with pytest.raises(seifert_module.SplitClosure,
+                               match="columns 1 and 2 unused"):
+                seifert_matrix(word)
+        finally:
+            sys.settrace(previous)
+        return steps
+
+    small, large = count(1000), count(2000)
+    assert small > 1000
+    assert large <= 2 * small, (small, large)
 
 
 def per_run_letters(runs):

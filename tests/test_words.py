@@ -206,6 +206,13 @@ def test_inverse_and_free_reduce():
     assert free_reduce(concat(parse("x"), parse("x^-1"))) == BraidWord()
 
 
+def test_each_letter_code_is_two_from_its_inverse():
+    # reduced_digits cancels two codes whose digits differ by 2.
+    for code, letter in enumerate(w_.PACKED_LETTERS):
+        assert w_.PACKED_LETTERS[code ^ 2] == letter.inverse()
+        assert w_.CODE_DIGITS[code] ^ 2 == w_.CODE_DIGITS[code ^ 2]
+
+
 def test_rendering_round_trips():
     for text in ("", "x", "x y^-2", "h x y^-5", "x^3 y^-4 x"):
         assert parse(str(parse(text))) == parse(text)
