@@ -42,6 +42,7 @@ except ImportError:
 
 from . import homology, invariants, murasugi
 from . import words as w_
+from .floer import _NON_S0_RELATIVE
 from .homology import _int_text
 from .murasugi import Family1, Family2, InternalInconsistency
 from .words import ParseError
@@ -109,15 +110,23 @@ def _quarter_text(q: int) -> str:
     return f'"num":{q},"den":4'
 
 
+def _free_text(free) -> str:
+    """A free summand of a quarter module: its rank and its grading."""
+    rank, g = free
+    return f'{{"rank":{rank},{_quarter_text(g)}}}'
+
+
 def _module_text(module) -> str:
     """A quarter module, each grading written by ``_quarter_text``."""
     towers, frees, absolute = module
     towers = "{" + "},{".join(map(_quarter_text, towers)) + "}" if towers else ""
-    frees = ",".join([f'{{"rank":{rank},{_quarter_text(g)}}}'
-                      for rank, g in frees]) \
-        if frees else ""
+    frees = ",".join(map(_free_text, frees))
     return (f'{{"towers":[{towers}],"frees":[{frees}],'
             f'"absolute":{_JSON_BOOL[absolute]}}}')
+
+
+# The relative module that every torus bundle shares, written once.
+_NON_S0_RELATIVE_TEXT = _module_text(_NON_S0_RELATIVE)
 
 
 class _Decimals(dict):
@@ -147,7 +156,10 @@ def _line(record, oracle: dict | None) -> str:
     separators=(",", ":"))`` with the oracle block, when there is one, as
     its last key, byte for byte.  A field added to ``report_json`` is added
     here too.  The determinant is rendered once, also for ``spin_c_count``,
-    and every integer that grows with it goes through ``_int_text``."""
+    and every integer that grows with it goes through ``_int_text``.  The
+    bundle's relative module, which is ``floer._NON_S0_RELATIVE`` itself on
+    every bundle that ``floer`` builds, is written from its text held at
+    import."""
     (word, form, components, determinant, h1, b1, l_space, tight,
      tight_inverse, tag, hf, spin_c_count, correction, delta, signature, qa,
      screen, stein, bundle) = record
@@ -184,10 +196,12 @@ def _line(record, oracle: dict | None) -> str:
         f'"dehn_twist_count_bound":{twist_bound}}}')
     if bundle is not None:
         s0, count, relative, vanish = bundle
+        relative = _NON_S0_RELATIVE_TEXT if relative is _NON_S0_RELATIVE \
+            else _module_text(relative)
         parts.append(
             f'"torus_bundle":{{"s0":{_module_text(s0)},'
             f'"non_s0_count":{_int_text(count)},'
-            f'"non_s0_relative":{_module_text(relative)},'
+            f'"non_s0_relative":{relative},'
             f'"fiber_structures_vanish":{_JSON_BOOL[vanish]}}}')
     if oracle is not None:
         if "error" in oracle:
@@ -434,29 +448,37 @@ _COMMANDS = {
     "conjugate": ("decide conjugacy of two words", ("word1", "word2"),
                   ("--json",)),
 }
+# Each flag's attribute, as argparse names it, and each command's flag
+# attributes at their default, False.
+_FLAG_ATTRIBUTES = {flag: flag[2:].replace("-", "_") for flag in _REPORT_FLAGS}
+_FLAG_DEFAULTS = {
+    command: dict.fromkeys(map(_FLAG_ATTRIBUTES.get, flags), False)
+    for command, (_, _, flags) in _COMMANDS.items()}
 
 
 def _fast_args(argv):
     """The namespace argparse would make of ``argv``, read without
     argparse, or None where argparse must read it (see the module
-    docstring)."""
+    docstring).  The namespace starts as a copy of the command's
+    ``_FLAG_DEFAULTS``, and each flag read sets its own attribute, so a
+    flag repeated finds its attribute already set and defers."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     _, names, flags = _COMMANDS[argv[0]]
+    args = SimpleNamespace(command=argv[0], **_FLAG_DEFAULTS[argv[0]])
+    namespace = vars(args)
     positionals = []
-    seen = set()
     for token in argv[1:]:
         if not token.startswith("-"):
             positionals.append(token)
-        elif token in flags and token not in seen:
-            seen.add(token)
+        elif token in flags and not namespace[_FLAG_ATTRIBUTES[token]]:
+            namespace[_FLAG_ATTRIBUTES[token]] = True
         else:
             return None
     if len(positionals) != len(names):
         return None
-    return SimpleNamespace(
-        command=argv[0], **dict(zip(names, positionals)),
-        **{flag[2:].replace("-", "_"): flag in seen for flag in flags})
+    namespace.update(zip(names, positionals))
+    return args
 
 
 @functools.cache

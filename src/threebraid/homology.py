@@ -126,7 +126,6 @@ def image(w: BraidWord) -> SL2Matrix:
 # Integers of more bits than this (about 4,900 digits) are printed by
 # divide and conquer, whose leaves have at most _LEAF_BITS bits.
 _SPLIT_BITS = 1 << 14
-_SPLIT = 1 << _SPLIT_BITS
 _LEAF_BITS = 1 << 11
 
 
@@ -134,20 +133,21 @@ def _int_text(n: int) -> str:
     """``str(n)``, in subquadratic time for huge n, whatever the
     interpreter's int-to-str digit limit.
 
-    Below ``_SPLIT_BITS`` bits this is ``str``.  Above, or over the digit
-    limit, n is converted to a ``decimal.Decimal`` by divide and conquer,
-    the algorithm of ``int_to_decimal_string`` in CPython 3.12's
-    ``Lib/_pylong.py``: n = hi * 2**w + lo, both halves converted the same
-    way and joined by libmpdec's exact multiplication, whose transform
-    method makes the whole O(M(n) log n).  Here w is the largest power of
-    two below n's bit length, so the powers 2**w are few and each is
-    computed once, by squaring the one before.  ``Decimal(int)`` and
-    ``str(Decimal)`` never read the digit limit.
+    Up to ``_SPLIT_BITS`` bits this is ``str``: the cut reads n's bit
+    length, so no integer of that size is built to compare n with.  Above,
+    or over the digit limit, n is converted to a ``decimal.Decimal`` by
+    divide and conquer, the algorithm of ``int_to_decimal_string`` in
+    CPython 3.12's ``Lib/_pylong.py``: n = hi * 2**w + lo, both halves
+    converted the same way and joined by libmpdec's exact multiplication,
+    whose transform method makes the whole O(M(n) log n).  Here w is the
+    largest power of two below n's bit length, so the powers 2**w are few
+    and each is computed once, by squaring the one before.
+    ``Decimal(int)`` and ``str(Decimal)`` never read the digit limit.
 
     >>> _int_text(-(10**20000 + 1)) == "-1" + "0" * 19999 + "1"
     True
     """
-    if -_SPLIT < n < _SPLIT:
+    if n.bit_length() <= _SPLIT_BITS:
         try:
             return str(n)
         except ValueError:  # over the int-to-str digit limit
@@ -182,7 +182,8 @@ class AbelianGroup(_Value, namedtuple("AbelianGroup", "free_rank torsion",
     """A finitely generated abelian group Z^free_rank + Z/d1 + Z/d2 + ...
 
     Torsion coefficients satisfy the divisibility chain d1 | d2 | ... and
-    every di is at least 2.
+    every di is at least 2.  One loop checks both, each coefficient's size
+    first, so a zero is refused as too small and never divided by.
     """
 
     __slots__ = ()
@@ -191,11 +192,14 @@ class AbelianGroup(_Value, namedtuple("AbelianGroup", "free_rank torsion",
 
     def __new__(cls, free_rank: int,
                 torsion: tuple[int, ...] = ()) -> AbelianGroup:
-        for earlier, later in zip(torsion, torsion[1:]):
-            if later % earlier:
+        earlier = 1
+        for d in torsion:
+            if d < 2:
+                raise ValueError(
+                    f"torsion coefficients must be >= 2: {torsion}")
+            if d % earlier:
                 raise ValueError(f"torsion {torsion} violates divisibility")
-        if any(d < 2 for d in torsion):
-            raise ValueError(f"torsion coefficients must be >= 2: {torsion}")
+            earlier = d
         return super().__new__(cls, free_rank, torsion)
 
     @property
@@ -216,12 +220,16 @@ def h1_from_image(m: SL2Matrix) -> AbelianGroup:
     ``determinant_from_image``, a zero factor being Z.  At m = I both are 0
     (Z + Z).  The gcd is one call over the four entries of m - I, so only
     its first step can be between two huge entries, and no two entries are
-    multiplied."""
+    multiplied.  g^2 divides D, so for g >= 2 both factors are torsion;
+    for g = 1 only D can be, and g = 0 only at m = I."""
     g = gcd(m.a - 1, m.b, m.c, m.d - 1)
     det = determinant_from_image(m)
-    diagonal = (g, det // g if det else 0)
-    return AbelianGroup(free_rank=diagonal.count(0),
-                        torsion=tuple(e for e in diagonal if e >= 2))
+    if det:
+        return AbelianGroup(0, (g, det // g) if g > 1 else
+                            (det,) if det > 1 else ())
+    if g:
+        return AbelianGroup(1, (g,) if g > 1 else ())
+    return AbelianGroup(2)
 
 
 def determinant_from_image(m: SL2Matrix) -> int:

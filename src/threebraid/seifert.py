@@ -172,7 +172,7 @@ def _determinant_and_signature(links: list[int],
 
 def _sign_changes(values: list[int]) -> int:
     """The sign changes along the values, zeros dropped."""
-    signs = [value > 0 for value in values if value]
+    signs = list(map((0).__lt__, filter(None, values)))
     return sum(map(ne, signs, signs[1:]))
 
 

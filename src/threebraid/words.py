@@ -338,7 +338,9 @@ def parse(text: str) -> BraidWord:
     ASCII whitespace, is read at C speed on the byte path
     (``_unit_letter_digits``); every other text, ``s1``, ``s2`` and ``x^1``
     spellings included, is read by the grammar (``_parse_tokens``), which
-    alone raises the parse errors.  Both give the same word.
+    alone raises the parse errors.  Both give the same word.  A text that
+    holds an ``h`` is never on the byte path, so it goes to the grammar
+    before any byte is translated.
 
     >>> str(parse("x y^-2"))
     'x y^-2'
@@ -347,9 +349,10 @@ def parse(text: str) -> BraidWord:
     >>> parse("h^1000000000 x").runs
     (('h', 1000000000), Letter(generator='x', sign=1))
     """
-    digits = _unit_letter_digits(text)
-    if digits is not None:
-        return _unit_letter_word(digits)
+    if "h" not in text:
+        digits = _unit_letter_digits(text)
+        if digits is not None:
+            return _unit_letter_word(digits)
     return _parse_tokens(text.split())
 
 

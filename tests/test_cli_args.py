@@ -69,6 +69,14 @@ def test_the_fast_path_takes_the_usual_argvs():
         assert cli._fast_args(argv) is None, argv
 
 
+def test_each_fast_namespace_starts_from_the_defaults():
+    # A flag set in one namespace is not left set in the next.
+    assert cli._fast_args(["analyze", "--json", "x"]).json is True
+    assert vars(cli._fast_args(["analyze", "x"])) == {
+        "command": "analyze", "word": "x", "json": False, "oracle": False,
+        "torus_bundle": False}
+
+
 def run(capsys, argv):
     """(exit code, stdout, stderr) of ``main(argv)``, also when it exits."""
     try:

@@ -85,6 +85,9 @@ def test_abelian_group_checks_its_torsion():
         AbelianGroup(0, (2, 3))
     with pytest.raises(ValueError, match=">= 2"):
         AbelianGroup(0, (1, 2))
+    # A zero is refused for its size before anything is divided by it.
+    with pytest.raises(ValueError, match=">= 2"):
+        AbelianGroup(0, (0, 3))
     assert AbelianGroup(0, (2, 4)).order == 8
     assert AbelianGroup(0).order == 1
     assert AbelianGroup(1, (3,)).order is None

@@ -89,6 +89,21 @@ def test_a_report_imports_no_fractions():
     assert "decimal" in loaded and "fractions" not in loaded, sorted(loaded)
 
 
+def test_the_widest_integer_str_writes_imports_no_decimal():
+    # The cut is at _SPLIT_BITS bits inclusive: with the digit limit
+    # lifted, +-(2**16384 - 1) is written by str, and +-2**16384 by
+    # divide and conquer.
+    for sign in ("", "-"):
+        for value, divided in (("(1 << 16384) - 1", False),
+                               ("1 << 16384", True)):
+            loaded = loaded_modules(
+                "sys.set_int_max_str_digits(0); "
+                "from threebraid import homology; "
+                f"text = homology._int_text({sign}({value})); "
+                f"assert text == str({sign}({value}))", ("-S",))
+            assert ("decimal" in loaded) is divided, (sign, value)
+
+
 def test_the_oracle_and_batch_paths_import_no_fractions(tmp_path):
     # The oracle checks the values record's quarter count, and batch
     # writes each line from its record, so the oracle adds only the Seifert
