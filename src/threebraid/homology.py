@@ -200,7 +200,9 @@ class AbelianGroup(_Value, namedtuple("AbelianGroup", "free_rank torsion",
             if d % earlier:
                 raise ValueError(f"torsion {torsion} violates divisibility")
             earlier = d
-        return super().__new__(cls, free_rank, torsion)
+        # tuple.__new__ itself, as image builds an SL2Matrix: the
+        # namedtuple's __new__ is a lambda, a frame per group.
+        return tuple.__new__(cls, (free_rank, torsion))
 
     @property
     def order(self) -> int | None:

@@ -271,13 +271,15 @@ def _values(w: BraidWord, raw_text: str | None, include_torus_bundle: bool,
         raise InternalInconsistency(
             "a quasi-alternating closure without an L-space double cover")
 
-    return _Values(
+    # Built by tuple.__new__, as the namedtuple's __new__ is a lambda, a
+    # frame per record.
+    return tuple.__new__(_Values, (
         run_text(w) if raw_text is None else raw_text, form, components,
         det, h1, h1.free_rank, l_space, tight, tight_inverse,
         floer._knot_tag(tight, tight_inverse), hf,
         det if hf is not None else None, quarters, delta_quarters, sig, qa,
         _screen(form, components, sig, delta_quarters),
-        _stein_report(form, l_space, tight, quarters), torus_bundle)
+        _stein_report(form, l_space, tight, quarters), torus_bundle))
 
 
 def _report(values: _Values) -> InvariantReport:

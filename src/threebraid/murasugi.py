@@ -57,6 +57,12 @@ def least_rotation(seq: Sequence) -> tuple:
     equal, so every start repeats one below j.  i + j + k grows at every
     step, so the scan is O(n) and keeps no failure array.
 
+    It runs in a Python step per entry.  ``classify`` calls it on the
+    block tuple of an R/L word shorter than ``_SEARCH_CUT`` bytes, or of
+    one whose longest R-runs tie more than ``_TIED_RUNS`` times; on a
+    longer word it finds the rotation by ``_least_start`` instead.
+    ``Family1(d, a)`` and ``FreeProductWord.cyclic_key`` call it always.
+
     >>> least_rotation((3, 0, 1))
     (0, 1, 3)
     """
@@ -95,60 +101,83 @@ _LETTER_SYLLABLES = {
 }
 
 
-def _run_syllables(generator: str, exponent: int) -> tuple[bytes, int]:
-    """The syllables and the exponent sum of a run.  h is central and
-    trivial in PSL(2,Z); a generator power repeats the letter's syllables,
-    which leaves them reduced."""
+# The kind of each syllable, by its byte: 1 for S, 2 for a U-power.  Two
+# syllables merge only when their kinds are equal; kind 0 stands for no
+# syllable, the first or last of an empty factor or the top of an empty
+# stack.
+_KINDS = (1, 2, 2)
+
+
+def _run_syllables(generator: str,
+                   exponent: int) -> tuple[bytes, int, int, int]:
+    """The fold factor of a run: its syllables, its exponent sum, and the
+    kinds (``_KINDS``) of its first and last syllable, 0 for none.  h is
+    central and trivial in PSL(2,Z); a generator power repeats the
+    letter's two syllables, which leaves them reduced."""
     if generator == "h":
-        return b"", 6 * exponent
+        return b"", 6 * exponent, 0, 0
     if generator not in ("x", "y"):
         raise ValueError(f"malformed run {(generator, exponent)!r}")
     sign = 1 if exponent > 0 else -1
-    return _LETTER_SYLLABLES[generator, sign] * (exponent * sign), exponent
+    first, last = syllables = _LETTER_SYLLABLES[generator, sign]
+    return (syllables * (exponent * sign), exponent, _KINDS[first],
+            _KINDS[last])
 
 
 def _fold_syllables(stack: bytearray, factors) -> int:
     """Multiply the reduced word ``stack`` in place by the reduced
-    syllables of each (syllables, weight) factor in turn, and return the
-    sum of the weights.  Both words alternate S and U-powers, so
-    cancellation happens only where they meet, and only when the stack's
-    top has the kind of the factor's first syllable: two syllables of the
-    same kind merge to (a + b) % 3, which is 0, and dropped, for S*S and
-    for inverse U-powers.  After a drop the next two have one kind again.
-    A nonzero merge is pushed back and ends the merge, as the next
-    syllable is an S.  The rest is one bytes copy, 2 bytes a letter."""
+    syllables of each (syllables, weight, first kind, last kind) factor in
+    turn, and return the sum of the weights.  Both words alternate S and
+    U-powers, so cancellation happens only where they meet, and only when
+    the stack's top has the kind of the factor's first syllable.  That
+    kind is held in ``top`` (``_KINDS``, 0 on an empty stack), so a factor
+    of another kind, or an empty one, costs one compare and one bytes copy,
+    2 bytes a letter, after which the top has the factor's last kind, or
+    keeps its own after an empty factor.  Two
+    syllables of the same kind merge to (a + b) % 3, which is 0, and
+    dropped, for S*S and for inverse U-powers.  After a drop the next two
+    have one kind again.  A nonzero merge is pushed back and ends the
+    merge, as the next syllable is an S; after a merge the top's kind is
+    read off the stack."""
     total = 0
     pop, push = stack.pop, stack.append
-    for syllables, weight in factors:
+    top = _KINDS[stack[-1]] if stack else 0
+    for syllables, weight, first, last in factors:
         total += weight
-        if stack and syllables and (not stack[-1]) == (not syllables[0]):
-            i = 0
-            for syllable in syllables:
-                i += 1
-                e = (pop() + syllable) % 3
-                if e:
-                    push(e)
-                    break
-                if not stack:
-                    break
-            stack += syllables[i:]
-        else:
+        if first != top:
             stack += syllables
+            top = last or top
+            continue
+        i = 0
+        for syllable in syllables:
+            i += 1
+            e = (pop() + syllable) % 3
+            if e:
+                push(e)
+                break
+            if not stack:
+                break
+        stack += syllables[i:]
+        top = _KINDS[stack[-1]] if stack else 0
     return total
 
 
 def _reduced_product(left, right):
-    """The product of two (reduced syllables, exponent sum) pairs: the
-    right one folded onto the left one's syllables by ``_fold_syllables``."""
+    """The product of two fold factors: the right one folded onto the left
+    one's syllables by ``_fold_syllables``, with the kinds of the result's
+    ends."""
     stack = bytearray(left[0])
-    weight = _fold_syllables(stack, (right,))
-    return bytes(stack), left[1] + weight
+    weight = left[1] + _fold_syllables(stack, (right,))
+    if not stack:
+        return b"", weight, 0, 0
+    return bytes(stack), weight, _KINDS[stack[0]], _KINDS[stack[-1]]
 
 
-# The reduced syllables and the exponent sum of every window of CHUNK
-# letters at its packed byte, from _LETTER_SYLLABLES alone, so that the
-# syllable pass stays a derivation independent of the matrix.
-_CHUNK_SYLLABLES = window_table(_run_syllables, _reduced_product, (b"", 0))
+# The fold factor (syllables, exponent sum, first and last kind) of every
+# window of CHUNK letters at its packed byte, from _LETTER_SYLLABLES alone,
+# so that the syllable pass stays a derivation independent of the matrix.
+_CHUNK_SYLLABLES = window_table(_run_syllables, _reduced_product,
+                                (b"", 0, 0, 0))
 
 
 class FreeProductWord(_Value, namedtuple("FreeProductWord", "syllables",
@@ -232,17 +261,26 @@ class _Form(_Value):
     def __hash__(self) -> int:
         return hash((type(self), *self))
 
+    @classmethod
+    def _normal(cls, d: int, tail) -> _Form:
+        """A form from fields already in normal form, a family-1 tuple in
+        its least rotation among them, stored without the constructor's
+        rotation."""
+        return tuple.__new__(cls, (d, tail))
+
 
 class Family1(_Form, namedtuple("Family1", "d a")):
     """Pseudo-Anosov class h^d x y^-a1 ... x y^-an, block tuple stored in its
-    lexicographically least cyclic rotation."""
+    lexicographically least cyclic rotation: the constructor rotates it by
+    ``least_rotation``, and ``classify``, which finds that rotation itself,
+    builds the form by ``_normal``."""
 
     __slots__ = ()
     d: int
     a: tuple[int, ...]
 
     def __new__(cls, d: int, a: tuple[int, ...]) -> Family1:
-        return super().__new__(cls, d, least_rotation(a))
+        return tuple.__new__(cls, (d, least_rotation(a)))
 
     def __str__(self) -> str:
         return f"family 1, d = {self.d}, a = {self.a}"
@@ -292,8 +330,8 @@ def _blocks(syllables: bytes) -> bytes:
     The word alternates S and U-powers with equal counts, so the powers
     fill one parity of places: the odd ones when the word starts with an S,
     the even ones otherwise.  Read at that parity, they are the R/L word up
-    to rotation, which ``Family1`` canonicalises away.  The empty word is
-    the empty R/L word, the central case of a pure power."""
+    to rotation, which ``_least_blocks`` canonicalises away.  The empty
+    word is the empty R/L word, the central case of a pure power."""
     powers = syllables[1::2] if S in syllables[:1] else syllables[::2]
     if len(syllables) % 2 or S in powers or syllables.count(S) != len(powers):
         raise InternalInconsistency(
@@ -306,10 +344,80 @@ def _block_tuple(exponents: bytes) -> tuple[int, ...]:
     tuple: each R opens a block whose entry counts the following run of Ls.
 
     Reading from the first R, which the word holds, the Ls before it closing
-    the last block, gives one rotation of the tuple; ``Family1`` stores the
-    least of them, which is the normal form."""
+    the last block, gives one rotation of the tuple; the normal form holds
+    the least of them, which ``_least_blocks`` reads."""
     parts = exponents.split(b"\x01")
     return (*map(len, parts[1:-1]), len(parts[-1]) + len(parts[0]))
+
+
+# R/L words of at least this many bytes have their least rotation found by
+# _least_start; shorter ones, where its fixed cost loses to the Python steps
+# of least_rotation, and words with more than _TIED_RUNS tied longest
+# R-runs, such as (R L)^k, take least_rotation of the block tuple.
+_SEARCH_CUT = 64
+_TIED_RUNS = 8
+
+
+def _least_start(exponents: bytes) -> int | None:
+    """The start of the least rotation of a cyclic R/L word that holds both
+    letters, or None when more than ``_TIED_RUNS`` runs tie for it.
+
+    R (1) is less than L (2), so the least rotation opens with a longest
+    cyclic run of R, at the start of one of the runs of that length; the
+    least of those rotations is picked by comparing them as bytes.  Each
+    step is a bytes search at C speed.  In the doubled word, which holds
+    every cyclic run whole since the word holds an L, the longest run is
+    read by records: the first run, then the first run longer than the
+    longest so far, found by one search that resumes past it, which lands
+    on the start of a run, as a first match after an L.  The runs of the
+    longest length are then found in turn at starts 1 to n of the doubled
+    word, n the word's length, so each cyclic run once, and at most
+    ``_TIED_RUNS`` + 1 rotations are copied.  Each series of searches
+    scans the doubled word once, and each pattern is at most one longer
+    than a run already read, those runs lying apart, so the whole is
+    linear.
+
+    Read from an R, a rotation is the block tuple's rotation that starts
+    at that block: two such rotations first differ where one block's
+    L-run ends, with an R, and the other's goes on, with an L, so the one
+    with the shorter block, the smaller entry, is less.  So the least
+    rotation of the word gives the least rotation of the tuple.
+
+    >>> _least_start(bytes((2, 1, 2, 1, 1, 2)))
+    3
+    """
+    n = len(exponents)
+    doubled = exponents * 2
+    run, start = 0, doubled.find(1)
+    while start >= 0:
+        end = doubled.find(2, start)
+        run = end - start
+        start = doubled.find(b"\x01" * (run + 1), end, n + run + 1)
+    longest = b"\x01" * run
+    found = doubled.find(longest, 1, n + run)
+    best, least, ties = found, doubled[found:found + n], 1
+    found = doubled.find(longest, found + run, n + run)
+    while found >= 0:
+        ties += 1
+        if ties > _TIED_RUNS:
+            return None
+        rotation = doubled[found:found + n]
+        if rotation < least:
+            best, least = found, rotation
+        found = doubled.find(longest, found + run, n + run)
+    return best % n
+
+
+def _least_blocks(exponents: bytes) -> tuple[int, ...]:
+    """The family-1 block tuple of a cyclic R/L word that holds both
+    letters, in its least rotation: read at ``_least_start`` from a word
+    of at least ``_SEARCH_CUT`` bytes, else, or when the start is None,
+    ``least_rotation`` of the tuple read from the word as it is."""
+    if len(exponents) >= _SEARCH_CUT:
+        start = _least_start(exponents)
+        if start is not None:
+            return _block_tuple(exponents[start:] + exponents[:start])
+    return least_rotation(_block_tuple(exponents))
 
 
 def _check_image(f: MurasugiForm, matrix: SL2Matrix) -> None:
@@ -347,10 +455,13 @@ def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
     elliptic (m from the syllable, t = m - 1), and any other count is an
     R/L word, which gives t = #R - #L: m for a pure power, the empty word
     among them as the central case t = 0, and n - sum(a) for a block
-    tuple.  The twist power is d = (e - t) / 6 for the word's exponent
-    sum e, and the form is checked once against ``matrix``, which is
-    ``homology.image(w)``, computed here when not given (see
-    ``_check_image``).
+    tuple.  The tuple is read in its least rotation by ``_least_blocks``:
+    from the start that the bytes search ``_least_start`` finds on an R/L
+    word of at least ``_SEARCH_CUT`` bytes, else by ``least_rotation``.
+    The twist power is d = (e - t) / 6 for the word's exponent sum e, the
+    form is built by ``_normal``, with no second rotation, and it is
+    checked once against ``matrix``, which is ``homology.image(w)``,
+    computed here when not given (see ``_check_image``).
 
     >>> classify(w_.parse("x x y x x"))
     Family2(d=1, m=-1)
@@ -371,8 +482,8 @@ def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
             # A pure power of R or of L: parabolic, or central if empty.
             family, tail = Family2, t
         else:
-            family, tail = Family1, _block_tuple(exponents)
-    form = family(_exact_quotient(e - t, 6), tail)
+            family, tail = Family1, _least_blocks(exponents)
+    form = family._normal(_exact_quotient(e - t, 6), tail)
     _check_image(form, matrix)
     return form
 

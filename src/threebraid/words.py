@@ -265,7 +265,12 @@ class BraidWord:
 
     @cached_property
     def _length(self) -> int:
-        return sum(6 * abs(e) if g == "h" else abs(e) for g, e in self.runs)
+        """The letter count, 6 for each twist of an h run, summed in a plain
+        loop, which enters no generator frame."""
+        length = 0
+        for g, e in self.runs:
+            length += 6 * abs(e) if g == "h" else abs(e)
+        return length
 
     @cached_property
     def _hash(self) -> int:
@@ -518,7 +523,11 @@ def reduced_digits(w: BraidWord) -> bytes:
     """
     digits = w._digits
     if digits is None:
-        digits = b"".join([_UNIT_DIGITS[g][e < 0] * abs(e) for g, e in w.runs])
+        # A plain loop, which enters no comprehension frame.
+        parts = []
+        for g, e in w.runs:
+            parts.append(_UNIT_DIGITS[g][e < 0] * abs(e))
+        digits = b"".join(parts)
     if not (b"02" in digits or b"20" in digits or b"13" in digits
             or b"31" in digits):
         return digits

@@ -65,7 +65,7 @@ def test_classify_rejects_an_image_that_does_not_fit(text, matrix):
 def test_classify_rejects_a_non_integer_twist_power(monkeypatch):
     murasugi.classify(parse("x"))
     monkeypatch.setattr(murasugi, "_run_syllables",
-                        lambda generator, exponent: (bytes((S, U)), 2))
+                        lambda generator, exponent: (bytes((S, U)), 2, 1, 2))
     with pytest.raises(InternalInconsistency):
         murasugi.classify(parse("x"))
 

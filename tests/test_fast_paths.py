@@ -285,6 +285,76 @@ def test_least_rotation_makes_linearly_many_comparisons():
     assert count <= 3 * n, count
 
 
+def test_the_run_search_reads_the_least_block_rotation(monkeypatch):
+    # With no cap on tied runs, the block tuple read from the search's
+    # start is the least rotation of the one read from the word as it
+    # stands, on every R/L word (R = 1, L = 2) of 2 to 14 letters that
+    # holds both letters: ties, runs across the wrap and every start.
+    monkeypatch.setattr(murasugi, "_TIED_RUNS", math.inf)
+    checked = 0
+    for length in range(2, 15):
+        for letters in itertools.product(b"\x01\x02", repeat=length):
+            exponents = bytes(letters)
+            if 1 in exponents and 2 in exponents:
+                start = murasugi._least_start(exponents)
+                assert murasugi._block_tuple(
+                    exponents[start:] + exponents[:start]) == \
+                    slow_least_rotation(murasugi._block_tuple(exponents)), \
+                    exponents
+                checked += 1
+    assert checked == 32_738
+
+
+def test_tied_runs_past_the_cap_stop_the_search():
+    # (x y^-1)^k is the R/L word (R L)^k, whose k runs of R all tie: the
+    # search gives up after _TIED_RUNS + 1 of them, so a periodic word
+    # costs a few bytes searches, counted here, and not k slice
+    # comparisons of k bytes each.
+    finds = 0
+
+    def profiler(frame, event, arg):
+        nonlocal finds
+        if event == "c_call" and arg.__name__ == "find":
+            finds += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        start = murasugi._least_start(b"\x01\x02" * 5000)
+    finally:
+        sys.setprofile(previous)
+    assert start is None
+    assert finds <= murasugi._TIED_RUNS + 4, finds
+
+
+def test_classify_on_long_words_matches_the_scan(rng, monkeypatch):
+    # Words of 10^3 to 10^5 letters take the search, and periodic ones,
+    # whose longest runs tie more than _TIED_RUNS times, the scan; the
+    # forms equal those of the scan alone, with the cut past every word.
+    alphabets = (("x", "y", "x^-1", "y^-1"), ("x", "y"),
+                 ("x", "y^-1", "x^3", "y^-2", "h"),
+                 ("x", "y", "x^-1", "y^-1", "x^4", "y^-3", "h^-2"))
+    searched = [" ".join(rng.choice(alphabet)
+                         for _ in range(int(10 ** rng.uniform(3, 5))))
+                for alphabet in alphabets for _ in range(2)]
+    # Five tied runs of R R, each rotation equal: still the search.
+    searched.append(("x y^-1 " * 50 + "x^2 y^-1 ") * 5)
+    periodic = ["x y^-1 " * 5000, ("x y^-1 " * 50 + "x^2 y^-1 ") * 100,
+                "h^3 " + "x^2 y^-1 x y^-1 " * 2000]
+    forms = {}
+    for text in searched + periodic:
+        w = parse(text)
+        exponents = murasugi._blocks(murasugi._syllable_pass(w)[0])
+        assert len(exponents) >= murasugi._SEARCH_CUT, text[:40]
+        taken = murasugi._least_start(exponents)
+        assert (taken is None) == (text in periodic), text[:40]
+        forms[text] = classify(w)
+        assert isinstance(forms[text], Family1), text[:40]
+    monkeypatch.setattr(murasugi, "_SEARCH_CUT", sys.maxsize)
+    for text, form in forms.items():
+        assert classify(parse(text)) == form, text[:40]
+
+
 def pairwise_gcd_smith_normal_form(m):
     """The cokernel with the entry gcd taken pairwise, of absolute values."""
     (a, b), (c, d) = m
@@ -581,7 +651,7 @@ def per_syllable_stack(runs):
     for run in runs:
         syllables = murasugi._LETTER_SYLLABLES.get(run)
         if syllables is None:
-            syllables, weight = murasugi._run_syllables(*run)
+            syllables, weight = murasugi._run_syllables(*run)[:2]
         else:
             weight = run[1]
         exponent_sum += weight
@@ -611,6 +681,14 @@ def branching_cyclic_reduce(syllables):
             if e:
                 return syllables[first:last + 1] + bytes((e,))
     return syllables[first:last + 1]
+
+
+def end_kinds(syllables):
+    """The kinds of the first and last syllable, written out: 1 for S and
+    2 for a U-power, 0 for none."""
+    if not syllables:
+        return 0, 0
+    return (1 if syllables[0] == S else 2), (1 if syllables[-1] == S else 2)
 
 
 def per_syllable_pass(w):
@@ -664,8 +742,9 @@ def multiply(stack, syllables):
 def window_syllable_pass(w):
     stack = bytearray()
     exponent_sum = 0
-    for syllables, weight in window_factors(w.runs, WINDOW_SYLLABLES,
-                                            murasugi._run_syllables):
+    for factor in window_factors(w.runs, WINDOW_SYLLABLES,
+                                 murasugi._run_syllables):
+        syllables, weight = factor[:2]
         exponent_sum += weight
         multiply(stack, syllables)
     return murasugi._cyclic_reduce(bytes(stack)), exponent_sum
@@ -733,9 +812,15 @@ def test_chunk_tables_hold_the_product_of_their_letters():
         assert (w._windows, w._tail) == (bytes([byte]), ()), window
         assert SL2Matrix(*homology._CHUNK_ENTRIES[byte]) == \
             slow_image(window), window
-        assert murasugi._CHUNK_SYLLABLES[byte] == \
-            per_syllable_stack(window), window
-    empty = {window for window, (syllables, _) in
+        entry = murasugi._CHUNK_SYLLABLES[byte]
+        assert entry[:2] == per_syllable_stack(window), window
+        assert entry[2:] == end_kinds(entry[0]), window
+    # Each tail-run factor holds its ends' kinds too.
+    for run in (("x", 3), ("x", -2), ("y", 1), ("y", -5), ("h", 2)):
+        factor = murasugi._run_syllables(*run)
+        assert factor[:2] == per_syllable_stack((run,)), run
+        assert factor[2:] == end_kinds(factor[0]), run
+    empty = {window for window, (syllables, *_) in
              zip(windows, murasugi._CHUNK_SYLLABLES) if not syllables}
     assert len(empty) == 28
     assert (w_.X, w_.X_INV, w_.Y, w_.Y_INV) in empty
@@ -799,11 +884,16 @@ def test_byte_merge_matches_the_per_kind_merge(rng):
         multiply(stack, per_syllable_stack(right)[0])
         product = per_syllable_stack(left + right)[0]
         assert stack == product, (left, right)
-        # The fold's merge, on the same pair, returns the factor's weight.
+        # The fold's merge, on the same pair, returns the factor's weight,
+        # and the product of the two factors holds the kinds of its ends.
         folded = bytearray(per_syllable_stack(left)[0])
-        factor = per_syllable_stack(right)
+        left_factor, factor = ((*stack, *end_kinds(stack[0])) for stack in
+                               map(per_syllable_stack, (left, right)))
         assert murasugi._fold_syllables(folded, [factor]) == factor[1]
         assert folded == product, (left, right)
+        assert murasugi._reduced_product(left_factor, factor) == (
+            product, left_factor[1] + factor[1], *end_kinds(product)), \
+            (left, right)
         assert murasugi._cyclic_reduce(product) == \
             branching_cyclic_reduce(product), (left, right)
 

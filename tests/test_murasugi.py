@@ -133,6 +133,10 @@ def test_one_least_rotation_per_family1_form(monkeypatch):
         calls.clear()
         mirror_form(form)
         assert len(calls) == 1, text
+    # A long word has its rotation found by the bytes search alone.
+    calls.clear()
+    form = classify(parse("x y^-1 x^2 y^-3 " * 40 + "x^3 y^-1"))
+    assert isinstance(form, Family1) and calls == []
 
 
 def test_one_least_rotation_per_pretty_report(monkeypatch, capsys):

@@ -1,10 +1,11 @@
 """The fixed cost that every report pays after the two folds.
 
 A generator expression gets a frame of its own on every interpreter, and a
-comprehension one up to Python 3.11, so a report path that builds one per
-word pays a frame call per word whatever the word's length.  These tests
-count such calls with ``sys.setprofile``: a batch costs the same count
-whatever its number of words, and a warm one-word report costs none.
+comprehension one up to Python 3.11, as does a namedtuple's ``__new__``,
+which is a ``lambda``, so a report path that builds one per word pays a
+frame call per word whatever the word's length.  These tests count such
+calls with ``sys.setprofile``: a batch costs the same count whatever its
+number of words, and a warm one-word report costs none.
 """
 
 import io
@@ -16,13 +17,15 @@ from contextlib import redirect_stdout
 
 from threebraid import cli, floer, homology, invariants, words as w_
 
-COMPREHENSIONS = {"<genexpr>", "<listcomp>", "<dictcomp>", "<setcomp>"}
+COMPREHENSIONS = {"<genexpr>", "<listcomp>", "<dictcomp>", "<setcomp>",
+                  "<lambda>"}
 
 
 def comprehension_calls(argv) -> Counter:
-    """The comprehension and generator frames that ``cli.main(argv)``
-    enters or resumes, by code name and first line, after one warm-up call
-    has done whatever a first call does once (a codec or module import)."""
+    """The comprehension, generator and lambda frames that
+    ``cli.main(argv)`` enters or resumes, by code name and first line,
+    after one warm-up call has done whatever a first call does once (a
+    codec or module import)."""
     calls = Counter()
 
     def profiler(frame, event, arg):
@@ -63,7 +66,12 @@ def test_a_warm_report_makes_no_comprehension_frame():
     for argv in (["analyze", "--json", "--torus-bundle", "h^-3000 x^-2 y^-1"],
                  # A reduced diagram on the byte path, through the oracle.
                  ["analyze", "--json", "--oracle",
-                  "x y^-1 x y x^-1 y^-1 x y x y^-1 x^-1 y"]):
+                  "x y^-1 x y x^-1 y^-1 x y x y^-1 x^-1 y"],
+                 # A word of runs, through the oracle's free reduction.
+                 ["analyze", "--json", "--oracle", "x^2 y^-3 x y s1"],
+                 # The normal form, H1 and the values record of a family-1
+                 # word, each built once.
+                 ["analyze", "--json", "--torus-bundle", "x y^-1 x y"]):
         assert comprehension_calls(argv) == Counter(), argv
 
 
