@@ -32,8 +32,6 @@ from threebraid.invariants import (
 )
 from threebraid.murasugi import (
     Family1,
-    Family2,
-    Family3,
     canonical_word,
     classify,
     mirror_form,
@@ -44,26 +42,21 @@ from threebraid.seifert import (
     sym_determinant,
     sym_signature,
 )
-from threebraid.words import components, exponent_sum, parse
+from threebraid.words import exponent_sum, parse
 
-from conftest import random_nonsplit_word, random_word
-from test_floer import all_forms, module
+from conftest import (
+    all_forms,
+    knot_forms,
+    random_nonsplit_word,
+    random_word,
+)
+from reference import FRACTION_ZERO_SURGERY_ROWS, per_branch_surgery_table
 
 
 def check(criterion: int, description: str, failures: list) -> None:
     status = "PASS" if not failures else f"FAIL ({len(failures)} violations)"
     print(f"[acceptance] criterion {criterion}: {status} - {description}")
     assert not failures, failures[:5]
-
-
-def knot_forms(d_range, max_param, max_blocks):
-    for form in all_forms(d_range, max_param, max_blocks=max_blocks):
-        if isinstance(form, Family2):
-            continue
-        if isinstance(form, Family3) and form.m == -2:
-            continue
-        if components(canonical_word(form)) == 1:
-            yield form
 
 
 def test_criterion_1_normal_form_round_trip():
@@ -150,26 +143,15 @@ def test_criterion_4c_eight_twenty_mirror():
 
 def test_criterion_4d_surgery_table_goldens():
     failures = []
+    tags = {"right": RIGHT_TREFOIL_LIKE, "left": LEFT_TREFOIL_LIKE,
+            "eight": FIGURE_EIGHT_LIKE}
     for n in range(-6, 7):
-        expected = module([-2], [(n - 1, -2)]) if n > 0 \
-            else module([0], [(-n, -1)])
-        if surgery_table(RIGHT_TREFOIL_LIKE, n) != expected:
-            failures.append(("right", n))
-        expected = module([0], [(n, 0)]) if n >= 0 \
-            else module([2], [(-n - 1, 1)])
-        if surgery_table(LEFT_TREFOIL_LIKE, n) != expected:
-            failures.append(("left", n))
-        expected = module([0], [(n, -1)]) if n >= 0 \
-            else module([0], [(-n, 0)])
-        if surgery_table(FIGURE_EIGHT_LIKE, n) != expected:
-            failures.append(("eight", n))
-    if zero_surgery_table(RIGHT_TREFOIL_LIKE) != module([Q(-1, 2), Q(-3, 2)]):
-        failures.append("zero right")
-    if zero_surgery_table(LEFT_TREFOIL_LIKE) != module([Q(3, 2), Q(1, 2)]):
-        failures.append("zero left")
-    if zero_surgery_table(FIGURE_EIGHT_LIKE) != \
-            module([Q(1, 2), Q(-1, 2)], [(1, Q(-1, 2))]):
-        failures.append("zero eight")
+        for name, tag in tags.items():
+            if surgery_table(tag, n) != per_branch_surgery_table(tag, n):
+                failures.append((name, n))
+    for name, tag in tags.items():
+        if zero_surgery_table(tag) != FRACTION_ZERO_SURGERY_ROWS[tag]:
+            failures.append(f"zero {name}")
     check(4, "(d) the 1/n- and 0-surgery tables, verbatim", failures)
 
 

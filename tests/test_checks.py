@@ -17,8 +17,6 @@ from threebraid.homology import InternalInconsistency, image
 from threebraid.murasugi import Family1, Family2, S, U, UU
 from threebraid.words import Y, parse
 
-from test_fast_paths import bareiss_pivots
-
 
 def test_blocks_rejects_a_non_alternating_word():
     with pytest.raises(InternalInconsistency):
@@ -88,22 +86,6 @@ def test_chunked_image_checks_the_determinant_of_the_product(monkeypatch):
     monkeypatch.setattr(homology, "_CHUNK_ENTRIES", corrupted)
     with pytest.raises(InternalInconsistency):
         image(w)
-
-
-# Sparse rows with entries (value, stamp).  The diagonal of row 2 claims to
-# be scaled by the first leading minor, 2, which it is not a multiple of, so
-# the second step's division is inexact.
-NON_MINOR_ROWS = [{0: (2, 0), 1: (1, 0)},
-                  {0: (1, 0), 1: (1, 0), 2: (1, 0)},
-                  {1: (1, 0), 2: (1, 1)}]
-
-
-def test_elimination_rejects_a_non_minor_entry():
-    # The reference elimination behind the oracle's recurrence.
-    rows = [{0: (2, 0), 1: (1, 0)}, {0: (1, 0), 1: (1, 0)}]
-    assert bareiss_pivots(rows) == (2, 1)
-    with pytest.raises(InternalInconsistency):
-        bareiss_pivots([dict(row) for row in NON_MINOR_ROWS])
 
 
 # Links and region sums of a three-row cyclic form whose first link is 2,

@@ -17,6 +17,8 @@ from threebraid.cli import main
 from threebraid.seifert import MAX_CROSSINGS
 from threebraid.words import ParseError, parse
 
+from reference import up_to
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -103,40 +105,35 @@ def test_analyze_oracle_split_closure_is_surfaced(capsys):
     assert "error" in payload["oracle"]
 
 
-def test_oracle_agrees_on_every_word_of_at_most_six_letters():
-    from conftest import LETTERS
-
-    for length in range(7):
-        for letters in itertools.product(LETTERS, repeat=length):
-            w = w_.word(letters)
-            oracle = cli._oracle(w, invariants.analyze_word(w, _record=True))
-            assert oracle.get("agrees", True), str(w)
+def test_oracle_agrees_on_every_word_of_at_most_six_letters(short_words):
+    for word in up_to(short_words, 6):
+        w = w_.word(word.letters)
+        oracle = cli._oracle(w, invariants.analyze_word(w, _record=True))
+        assert oracle.get("agrees", True), str(w)
 
 
-def test_correction_term_meets_the_signature_mod_8_on_short_words():
+def test_correction_term_meets_the_signature_mod_8_on_short_words(
+        short_words):
     # 4d + sigma = 0 (mod 8) wherever the determinant is nonzero, d from
     # the report and sigma from the oracle, and from the report itself
     # where it has one: Erle's, on a family-1 knot.
-    from conftest import LETTERS
-
     from threebraid import seifert
 
     checked = knots = 0
-    for length in range(7):
-        for letters in itertools.product(LETTERS, repeat=length):
-            w = w_.word(letters)
-            record = invariants.analyze_word(w, _record=True)
-            if record.signature is not None:
-                assert (record.correction_quarters + record.signature) \
-                    % 8 == 0, str(w)
-                knots += 1
-            if not record.determinant or {
-                    letter.generator
-                    for letter in w_.free_reduce(w)} != {"x", "y"}:
-                continue
-            sig = seifert.sym_signature(seifert.seifert_matrix(w))
-            assert (record.correction_quarters + sig) % 8 == 0, str(w)
-            checked += 1
+    for word in up_to(short_words, 6):
+        w = w_.word(word.letters)
+        record = invariants.analyze_word(w, _record=True)
+        if record.signature is not None:
+            assert (record.correction_quarters + record.signature) \
+                % 8 == 0, str(w)
+            knots += 1
+        if not record.determinant or {
+                letter.generator
+                for letter in w_.free_reduce(w)} != {"x", "y"}:
+            continue
+        sig = seifert.sym_signature(seifert.seifert_matrix(w))
+        assert (record.correction_quarters + sig) % 8 == 0, str(w)
+        checked += 1
     assert (checked, knots) == (3_976, 1_484)
 
 

@@ -5,8 +5,6 @@ length is enumerated, so any systematic defect in the classifier or the
 oracle on short inputs is caught unconditionally.
 """
 
-import itertools
-
 import pytest
 
 from threebraid import murasugi
@@ -27,17 +25,16 @@ from threebraid.murasugi import (
 from threebraid.seifert import seifert_matrix, sym_determinant
 from threebraid.words import components, exponent_sum
 
-LETTERS = (w_.X, w_.Y, w_.X_INV, w_.Y_INV)
+from reference import up_to
 
 
-def all_words(max_len):
-    for length in range(max_len + 1):
-        for letters in itertools.product(LETTERS, repeat=length):
-            yield w_.BraidWord(letters)
+def all_words(short_words, max_len):
+    for word in up_to(short_words, max_len):
+        yield w_.BraidWord(word.letters)
 
 
-def test_classifier_consistency_on_all_short_words():
-    for w in all_words(7):
+def test_classifier_consistency_on_all_short_words(short_words):
+    for w in all_words(short_words, 7):
         form = classify(w)
         model = canonical_word(form)
         assert classify(model) == form
@@ -50,11 +47,12 @@ def test_classifier_consistency_on_all_short_words():
             psl2_normal_form(w).cyclic_key()
 
 
-def test_image_check_rejects_each_neighbour_of_a_family_2_or_3_form():
+def test_image_check_rejects_each_neighbour_of_a_family_2_or_3_form(
+        short_words):
     # The image check of families 2 and 3 reads a complete conjugacy
     # invariant, so a word's image fits its form and no form next to it.
     checked = 0
-    for w in all_words(7):
+    for w in all_words(short_words, 7):
         form = classify(w)
         if isinstance(form, Family3):
             neighbours = [Family3(form.d + 1, form.m),
@@ -76,8 +74,8 @@ def test_image_check_rejects_each_neighbour_of_a_family_2_or_3_form():
     assert checked == 13485
 
 
-def test_oracle_determinant_on_all_short_nonsplit_words():
-    for w in all_words(6):
+def test_oracle_determinant_on_all_short_nonsplit_words(short_words):
+    for w in all_words(short_words, 6):
         reduced = w_.free_reduce(w)
         if {letter.generator for letter in reduced} != {"x", "y"}:
             continue

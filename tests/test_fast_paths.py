@@ -1,56 +1,9 @@
-"""Fast paths checked against the slow code they replace.
+"""Fast paths checked against the references of ``reference.py``.
 
-The slow references live here only: the minimum over all rotations and
-Booth's failure-function scan behind the two-pointer least rotation, the
-left-to-right matrix product, the parabolic invariant read by completing
-a basis, the per-run image, the per-syllable PSL(2,Z) stack behind the
-chunk tables, the window-slicing image and syllable pass, which look up
-CHUNK runs by their letters, behind the folds over packed 4-letter bytes,
-the per-kind syllable merge and branching cyclic reduction behind the byte
-alphabet (S = 0, U = 1, U^2 = 2, where a power run costs O(n) memcpy work
-at 2 bytes per letter), a merge call per factor that checks the kinds of
-every pair (``multiply``) behind the one merge loop of
-``murasugi._fold_syllables``, the Smith normal form of m - I with a pairwise
-gcd and its determinant multiplied out
-(``pairwise_gcd_smith_normal_form``) behind H1 read with one gcd call and
-the order |2 - tr m|, the trace class tested against +-I with one sign rule
-per kind (``branching_trace_class``) behind the one read from the entries,
-the per-letter permutation fold, words stored one letter per run, the mirror
-read by classifying the inverse of the model word, the report's closed
-forms read from the model word or the Floer module, the per-family
-surgery rows, Floer assembly, delta and concordance screen behind the
-tail's exponent sum, the shifted rows built by Fraction addition and
-renormalised by the public constructor behind the rows built in quarters,
-the token grammar on every token (``grammar_parse``) behind parse's
-byte path and the token loop that looks unit tokens up first, windows
-packed one at a time (``packed_keys``) behind the byte path's one
-``int(digits, 4)``, the generic JSON encoder over ``report_json``
-(``encoder_json_line``) behind ``cli._line``, the family-1 tail folded one
-block at a time (``sequential_family1_trace``) behind the balanced
-product of ``form_determinant``, ``str`` behind the divide-and-conquer
-``_int_text``, one ``groupby`` group per generator and sign
-(``groupby_run_text``) behind the one-loop ``run_text``, the letter stack
-that compares attributes (``attribute_free_reduce``) behind the one that
-compares identities, the Seifert form V + V^T built by a dense pair loop
-and in one pass (``one_pass_seifert_rows``) and eliminated over the
-rationals behind the oracle's Goeritz form, which is also built as the
-Tait graph's Laplacian (``tait_goeritz``), the sparse fraction-free
-elimination (``bareiss_pivots``) behind the three-term recurrence that
-reads its determinant and signature, the report's values computed
-as ``Fraction``s and its record built by keyword
-(``reference_analyze_word``) behind the values stage that holds every
-grading as a count of quarters, every run expanded on its own
-(``per_run_letters``) against the letters of a word built from its runs,
-and the stack over a word's Letter tuple that compares letters by identity
-(``letter_stack_free_reduce``) and the oracle's pass over each Letter
-(``per_letter_seifert_fields``) behind the free reduction and the pass
-over letter codes.
-The layout that ``words.window_table`` gives both chunk tables is pinned
-without matrices or syllables: built over letters recorded as tuples, each
-entry is the window that parse's byte path packs to its byte
-(``test_window_table_lays_out_windows_as_fold_keys_packs_them``).
-Short inputs are enumerated exhaustively; long words and forms are drawn
-at random.
+Words of at most 8 letters come from the session's ``short_words``; other
+short inputs are enumerated here, and long words and forms are drawn at
+random.  A test that pins a property of an algorithm itself (a count of
+comparisons, calls, lines or products) keeps its own helper.
 """
 
 import functools
@@ -75,7 +28,6 @@ from threebraid.floer import (
     GradedModule,
     B1NotOne,
     PositiveB1,
-    TorusBundleModules,
     correction_term,
     form_determinant,
     hf_plus_s0,
@@ -87,7 +39,6 @@ from threebraid.floer import (
 )
 from threebraid.homology import (
     AbelianGroup,
-    InternalInconsistency,
     SL2Matrix,
     components_from_image,
     determinant_from_image,
@@ -100,12 +51,10 @@ from threebraid.invariants import (
     analyze_word,
     delta,
     finite_order_screen,
-    report_json,
     signature,
     stein_report,
 )
 from threebraid.murasugi import (
-    S,
     Family1,
     Family2,
     Family3,
@@ -125,7 +74,6 @@ from threebraid.words import (
     MAX_LETTERS,
     BraidWord,
     ParseError,
-    Perm3,
     WordTooLong,
     components,
     exponent_sum,
@@ -135,75 +83,44 @@ from threebraid.words import (
     permutation,
 )
 
-from test_floer import all_forms
-
-LETTERS = (w_.X, w_.Y, w_.X_INV, w_.Y_INV)
-
-# The generator matrices and transpositions, written out independently of
-# the package's tables.
-GENERATOR = {
-    w_.X: SL2Matrix(1, 1, 0, 1),
-    w_.X_INV: SL2Matrix(1, -1, 0, 1),
-    w_.Y: SL2Matrix(1, 0, -1, 1),
-    w_.Y_INV: SL2Matrix(1, 0, 1, 1),
-}
-TRANSPOSITION = {"x": Perm3((2, 1, 3)), "y": Perm3((1, 3, 2))}
-
-
-def slow_least_rotation(seq):
-    return min((seq[i:] + seq[:i] for i in range(len(seq))), default=())
-
-
-def booth_least_rotation(seq):
-    """Booth's algorithm ("Lexicographically least circular substrings",
-    IPL 10, 1980): a Knuth-Morris-Pratt failure function over the doubled
-    sequence, reset whenever a smaller rotation start k is found."""
-    n = len(seq)
-    doubled = tuple(seq) * 2
-    failure = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        item = doubled[j]
-        i = failure[j - k - 1]
-        while i != -1 and item != doubled[k + i + 1]:
-            if item < doubled[k + i + 1]:
-                k = j - i - 1
-            i = failure[i]
-        if i == -1 and item != doubled[k]:
-            if item < doubled[k]:
-                k = j
-            failure[j - k] = -1
-        else:
-            failure[j - k] = i + 1
-    return doubled[k:k + n]
-
-
-def matrix_product(m, n):
-    """The 2x2 product, written out here, so that no reference for
-    ``image`` goes through ``homology._product`` or ``SL2Matrix.__mul__``."""
-    p, q, r, s = m
-    a, b, c, d = n
-    return SL2Matrix(p * a + q * c, p * b + q * d, r * a + s * c,
-                     r * b + s * d)
-
-
-def slow_image(letters):
-    result = SL2Matrix(1, 0, 0, 1)
-    for letter in letters:
-        result = matrix_product(result, GENERATOR[letter])
-    return result
-
-
-def short_images(max_length):
-    """The distinct images of the words of at most max_length letters."""
-    level = {SL2Matrix(1, 0, 0, 1)}
-    images = set(level)
-    for _ in range(max_length):
-        level = {matrix_product(m, GENERATOR[letter])
-                 for m in level for letter in LETTERS}
-        images |= level
-    return images
-
+from conftest import all_forms
+from reference import (
+    FRACTION_ZERO_SURGERY_ROWS,
+    LETTERS,
+    OracleValues,
+    TOKEN,
+    attribute_free_reduce,
+    basis_parabolic_invariant,
+    booth_least_rotation,
+    branching_cyclic_reduce,
+    branching_trace_class,
+    dense_crossing_rows,
+    encoder_json_line,
+    end_kinds,
+    fraction_pivots,
+    grammar_parse,
+    groupby_run_text,
+    letter_level_blocks,
+    model_letters,
+    oracle_reference,
+    oracle_rows,
+    packed_keys,
+    pair_loop_seifert,
+    pairwise_gcd_smith_normal_form,
+    per_branch_surgery_table,
+    per_family_assembly,
+    per_family_delta,
+    per_run_letters,
+    per_syllable_stack,
+    rational_form,
+    reference_analyze_word,
+    renormalised_shift,
+    slow_image,
+    slow_least_rotation,
+    slow_mirror_form,
+    tait_goeritz,
+    walk_same_letters,
+)
 
 # Periodic and near-periodic tuples of a few hundred entries, for the long
 # matches and long jumps that the short tuples do not reach.
@@ -355,16 +272,6 @@ def test_classify_on_long_words_matches_the_scan(rng, monkeypatch):
         assert classify(parse(text)) == form, text[:40]
 
 
-def pairwise_gcd_smith_normal_form(m):
-    """The cokernel with the entry gcd taken pairwise, of absolute values."""
-    (a, b), (c, d) = m
-    g = math.gcd(math.gcd(abs(a), abs(b)), math.gcd(abs(c), abs(d)))
-    det = abs(a * d - b * c)
-    diagonal = (g, det // g) if det else (g, 0)
-    return homology.AbelianGroup(sum(e == 0 for e in diagonal),
-                                 tuple(e for e in diagonal if e >= 2))
-
-
 def test_smith_normal_form_matches_the_pairwise_gcd(rng, monkeypatch):
     # H1 of SL(2,Z) images: I, -I, parabolics of trace 2 and -2, and words
     # of 1 to about 25,000 letters, some repeated so that the entries of
@@ -393,30 +300,21 @@ def test_smith_normal_form_matches_the_pairwise_gcd(rng, monkeypatch):
     assert gcd_calls == len(matrices)
 
 
-def test_word_layer_on_all_words_up_to_length_8():
-    # Each level extends the previous one by a letter, so the references
-    # cost one multiplication per word.
-    level = {(): (SL2Matrix(1, 0, 0, 1), Perm3((1, 2, 3)))}
+def test_word_layer_on_all_words_up_to_length_8(short_words):
+    # image(w) == word.image on these words is checked, with the same words,
+    # by test_chunked_fold_on_all_words_up_to_two_windows; here the values
+    # read off the image are checked on the reference image.
     checked = 0
-    for length in range(9):
-        for letters, (matrix, perm) in level.items():
-            w = w_.BraidWord(letters)
-            m = image(w)
-            assert m == matrix, letters
-            assert permutation(w) == perm, letters
-            assert components(w) == perm.cycle_count, letters
-            assert components_from_image(m) == perm.cycle_count, letters
-            (a, b), (c, d) = m.minus_identity()
-            assert determinant_from_image(m) == abs(a * d - b * c), letters
-            checked += 1
-        if length < 8:
-            level = {
-                letters + (letter,): (
-                    matrix_product(matrix, GENERATOR[letter]),
-                    perm.then(TRANSPOSITION[letter.generator]))
-                for letters, (matrix, perm) in level.items()
-                for letter in LETTERS
-            }
+    for word in short_words:
+        w = w_.BraidWord(word.letters)
+        m = word.image
+        assert permutation(w) == word.permutation, word.letters
+        assert components(w) == word.permutation.cycle_count, word.letters
+        assert components_from_image(m) == word.permutation.cycle_count, \
+            word.letters
+        (a, b), (c, d) = m.minus_identity()
+        assert determinant_from_image(m) == abs(a * d - b * c), word.letters
+        checked += 1
     assert checked == 87_381
 
 
@@ -427,35 +325,9 @@ def test_tree_product_matches_left_to_right_on_long_words(rng):
             assert image(w_.BraidWord(letters)) == slow_image(letters), length
 
 
-def basis_parabolic_invariant(m):
-    """(epsilon, k) read by completing the primitive fixed vector v of
-    epsilon * m to a determinant-one basis (v, u): (epsilon * m)u = u + k v."""
-    if homology.trace_class(m).kind != homology.PARABOLIC:
-        raise homology.NotParabolic(m)
-    epsilon = 1 if m.trace > 0 else -1
-    n = m if epsilon == 1 else -m
-    (a, b), (c, d) = n.minus_identity()
-    row = (a, b) if (a, b) != (0, 0) else (c, d)
-    g = math.gcd(*row)
-    v = (row[1] // g, -row[0] // g)
-    old_r, r, old_s, s, old_t, t = v[0], v[1], 1, 0, 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    u = (-old_t, old_s)
-    nu = (n.a * u[0] + n.b * u[1], n.c * u[0] + n.d * u[1])
-    w = (nu[0] - u[0], nu[1] - u[1])
-    k = w[0] // v[0] if v[0] else w[1] // v[1]
-    assert w == (k * v[0], k * v[1]) and v[0] * u[1] - v[1] * u[0] == 1, m
-    return epsilon, k
-
-
-def test_parabolic_invariant_matches_basis_completion_up_to_length_8():
-    images = short_images(8)
+def test_parabolic_invariant_matches_basis_completion_up_to_length_8(
+        short_words):
+    images = {word.image for word in short_words}
     parabolic = 0
     for m in images:
         if homology.trace_class(m).kind == homology.PARABOLIC:
@@ -478,21 +350,6 @@ def test_parabolic_invariant_matches_basis_completion_on_conjugates(rng):
             basis_parabolic_invariant(matrix) == ((-1) ** d, m), (u, d, m)
 
 
-def branching_trace_class(m):
-    """The trace class with centrality tested against +-I, and one sign
-    rule per kind."""
-    identity = SL2Matrix(1, 0, 0, 1)
-    t = m.trace
-    if m == identity or m == -identity:
-        return homology.TraceClass(homology.CENTRAL,
-                                   1 if m == identity else -1)
-    if abs(t) <= 1:
-        return homology.TraceClass(homology.ELLIPTIC, -1 if t < 0 else 1)
-    if abs(t) == 2:
-        return homology.TraceClass(homology.PARABOLIC, 1 if t > 0 else -1)
-    return homology.TraceClass(homology.HYPERBOLIC, 1 if t > 0 else -1)
-
-
 def assert_matrix_layer_matches_references(m, label):
     assert homology.h1_from_image(m) == \
         pairwise_gcd_smith_normal_form(m.minus_identity()), label
@@ -504,11 +361,11 @@ def assert_matrix_layer_matches_references(m, label):
     return trace_class
 
 
-def test_matrix_layer_matches_references_on_short_images():
+def test_matrix_layer_matches_references_on_short_images(short_words):
     # Every image of a word of at most 8 letters, and h runs of both signs
     # and parities, a huge one among them: +-I.
     h_runs = (1, -1, 2, -2, 3, -4, 10**17 + 1)
-    matrices = short_images(8) | {
+    matrices = {word.image for word in short_words} | {
         image(BraidWord((("h", e),))) for e in h_runs}
     kinds = Counter(tuple(assert_matrix_layer_matches_references(m, m))
                     for m in matrices)
@@ -621,139 +478,13 @@ def test_runs_match_letters_on_long_words(rng):
         assert parse(" ".join(f"{g}^{e}" for g, e in runs)) == w
 
 
-def tree_product(factors):
-    """The balanced product of (a, b, c, d) factors by a binary counter."""
-    stack = []  # (span, a, b, c, d)
-    for a, b, c, d in factors:
-        span = 1
-        while stack and stack[-1][0] == span:
-            _, p, q, r, s = stack.pop()
-            a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
-            span *= 2
-        stack.append((span, a, b, c, d))
-    a, b, c, d = 1, 0, 0, 1
-    for _, p, q, r, s in reversed(stack):
-        a, b, c, d = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
-    return SL2Matrix(a, b, c, d)
-
-
-def per_run_image(w):
-    """The image folded one run per factor, as before the chunk table."""
-    return tree_product(homology._run_entries(*run) for run in w.runs)
-
-
-def per_syllable_stack(runs):
-    """The freely reduced syllables and the exponent sum of a run sequence,
-    pushed one syllable at a time and merged per kind, as before the chunk
-    table and the byte alphabet: S pops S, and U-powers add mod 3."""
-    stack = []
-    exponent_sum = 0
-    for run in runs:
-        syllables = murasugi._LETTER_SYLLABLES.get(run)
-        if syllables is None:
-            syllables, weight = murasugi._run_syllables(*run)[:2]
-        else:
-            weight = run[1]
-        exponent_sum += weight
-        for syllable in syllables:
-            if not stack or (stack[-1] == S) != (syllable == S):
-                stack.append(syllable)
-            elif syllable == S:
-                stack.pop()
-            else:
-                e = (stack.pop() + syllable) % 3
-                if e:
-                    stack.append(e)
-    return bytes(stack), exponent_sum
-
-
-def branching_cyclic_reduce(syllables):
-    """Conjugate away matching end syllables, branching on their kind as
-    before the byte alphabet: S cancels S, and U-powers add mod 3."""
-    first, last = 0, len(syllables) - 1
-    while first < last and \
-            (syllables[first] == S) == (syllables[last] == S):
-        head, tail = syllables[first], syllables[last]
-        first += 1
-        last -= 1
-        if head != S:
-            e = (head + tail) % 3
-            if e:
-                return syllables[first:last + 1] + bytes((e,))
-    return syllables[first:last + 1]
-
-
-def end_kinds(syllables):
-    """The kinds of the first and last syllable, written out: 1 for S and
-    2 for a U-power, 0 for none."""
-    if not syllables:
-        return 0, 0
-    return (1 if syllables[0] == S else 2), (1 if syllables[-1] == S else 2)
-
-
-def per_syllable_pass(w):
-    stack, exponent_sum = per_syllable_stack(w.runs)
-    return branching_cyclic_reduce(stack), exponent_sum
-
-
-# Each window of CHUNK letters as its image and its syllables, keyed by its
-# letters, from the written-out generators and the per-syllable stack.
-WINDOW_ENTRIES = {window: tuple(slow_image(window)) for window in
-                  itertools.product(LETTERS, repeat=CHUNK)}
-WINDOW_SYLLABLES = {window: per_syllable_stack(window)
-                    for window in WINDOW_ENTRIES}
-
-
-def window_factors(runs, windows, read_run):
-    """The runs read as before the packed fold keys: CHUNK runs sliced off
-    and looked up by their letters, or, when that window is not CHUNK
-    letters, the first run alone in closed form."""
-    i = 0
-    while i < len(runs):
-        factor = windows.get(runs[i:i + CHUNK])
-        if factor is None:
-            factor = read_run(*runs[i])
-            i += 1
-        else:
-            i += CHUNK
-        yield factor
-
-
-def window_image(w):
-    return tree_product(window_factors(w.runs, WINDOW_ENTRIES,
-                                       homology._run_entries))
-
-
-def multiply(stack, syllables):
-    """Multiply the reduced word ``stack`` by the reduced word ``syllables``
-    in place, one call per factor, checking the kinds of every pair: two
-    syllables of the same kind merge to (a + b) % 3, which is dropped when
-    0, and a nonzero merge is pushed back and ends the merge."""
-    i = 0
-    while stack and i < len(syllables) \
-            and (not stack[-1]) == (not syllables[i]):
-        e = (stack.pop() + syllables[i]) % 3
-        if e:
-            stack.append(e)
-        i += 1
-    stack += syllables[i:]
-
-
-def window_syllable_pass(w):
-    stack = bytearray()
-    exponent_sum = 0
-    for factor in window_factors(w.runs, WINDOW_SYLLABLES,
-                                 murasugi._run_syllables):
-        syllables, weight = factor[:2]
-        exponent_sum += weight
-        multiply(stack, syllables)
-    return murasugi._cyclic_reduce(bytes(stack)), exponent_sum
-
-
 def assert_packed_fold_matches_references(w):
-    assert image(w) == window_image(w) == per_run_image(w), w.runs
-    assert murasugi._syllable_pass(w) == window_syllable_pass(w) == \
-        per_syllable_pass(w), w.runs
+    """The image and the syllable pass against the letter-by-letter image
+    and the per-syllable stack over the word's runs."""
+    assert image(w) == slow_image(w.letters), w.runs
+    stack, exponent_sum = per_syllable_stack(w.runs)
+    assert murasugi._syllable_pass(w) == \
+        (branching_cyclic_reduce(stack), exponent_sum), w.runs
 
 
 def packed_window(byte):
@@ -762,25 +493,10 @@ def packed_window(byte):
                  for shift in range(2 * CHUNK - 2, -1, -2))
 
 
-def packed_keys(letters):
-    """The fold input (windows, tail) of a word of these letters read on
-    parse's byte path, packed here a window at a time: each aligned window
-    of CHUNK letters as the byte of its codes in LETTERS, the first in the
-    top two bits, then the letters left."""
-    letters = tuple(letters)
-    full = len(letters) - len(letters) % CHUNK
-    return bytes(sum(LETTERS.index(letter) << 2 * (CHUNK - 1 - i)
-                     for i, letter in enumerate(letters[start:start + CHUNK]))
-                 for start in range(0, full, CHUNK)), letters[full:]
-
-
-LETTER_TOKENS = {w_.X: "x", w_.Y: "y", w_.X_INV: "x^-1", w_.Y_INV: "y^-1"}
-
-
 def byte_path_word(letters):
     """``parse`` of the letters spelled as unit tokens, which it reads on
     its byte path, checked to hold the packed fold input of its letters."""
-    w = parse(" ".join(map(LETTER_TOKENS.__getitem__, letters)))
+    w = parse(" ".join(map(TOKEN.__getitem__, letters)))
     assert "_digits" in vars(w), letters
     assert (w._windows, w._tail) == packed_keys(letters), letters
     return w
@@ -806,7 +522,7 @@ def test_chunk_tables_hold_the_product_of_their_letters():
     assert len(homology._CHUNK_ENTRIES) == len(murasugi._CHUNK_SYLLABLES) \
         == 4 ** CHUNK == 256
     windows = [packed_window(byte) for byte in range(256)]
-    assert set(windows) == set(WINDOW_ENTRIES)
+    assert set(windows) == set(itertools.product(LETTERS, repeat=CHUNK))
     for byte, window in enumerate(windows):
         w = byte_path_word(window)
         assert (w._windows, w._tail) == (bytes([byte]), ()), window
@@ -828,21 +544,17 @@ def test_chunk_tables_hold_the_product_of_their_letters():
                      if not free_reduce(BraidWord(window)).runs}
 
 
-def test_chunked_fold_on_all_words_up_to_two_windows():
-    level = [()]
+def test_chunked_fold_on_all_words_up_to_two_windows(short_words):
+    # Every word of at most two windows, built from its letters and read on
+    # parse's byte path, through the chunk tables.
+    assert len(short_words[-1].letters) == 2 * CHUNK
     checked = 0
-    for length in range(2 * CHUNK + 1):
-        for letters in level:
-            w = BraidWord(letters)
-            assert_packed_fold_matches_references(w)
-            # The same letters through the chunk tables, against the run
-            # folds just checked.
-            packed = byte_path_word(letters)
-            assert image(packed) == image(w), letters
-            assert murasugi._syllable_pass(packed) == \
-                murasugi._syllable_pass(w), letters
-            checked += 1
-        level = [letters + (letter,) for letters in level for letter in LETTERS]
+    for word in short_words:
+        expected = branching_cyclic_reduce(word.stack), word.exponent_sum
+        for w in (BraidWord(word.letters), byte_path_word(word.letters)):
+            assert image(w) == word.image, word.letters
+            assert murasugi._syllable_pass(w) == expected, word.letters
+        checked += 1
     assert checked == 87_381
 
 
@@ -867,9 +579,7 @@ def test_chunked_fold_on_long_words_with_power_runs(rng, alphabet):
         for _ in range(rng.randint(1, 12)):
             power = (rng.choice("xyh"), rng.choice((1, -1)) * rng.randint(1, 7))
             runs.insert(rng.randint(0, len(runs)), power)
-        w = BraidWord(tuple(runs))
-        assert_packed_fold_matches_references(w)
-        assert image(w) == slow_image(w.letters), length
+        assert_packed_fold_matches_references(BraidWord(tuple(runs)))
 
 
 def test_byte_merge_matches_the_per_kind_merge(rng):
@@ -880,12 +590,9 @@ def test_byte_merge_matches_the_per_kind_merge(rng):
         left, right = (tuple(rng.choice(tokens)
                              for _ in range(rng.randint(0, 4)))
                        for _ in range(2))
-        stack = bytearray(per_syllable_stack(left)[0])
-        multiply(stack, per_syllable_stack(right)[0])
         product = per_syllable_stack(left + right)[0]
-        assert stack == product, (left, right)
-        # The fold's merge, on the same pair, returns the factor's weight,
-        # and the product of the two factors holds the kinds of its ends.
+        # The fold's merge returns the factor's weight, and the product of
+        # the two factors holds the kinds of its ends.
         folded = bytearray(per_syllable_stack(left)[0])
         left_factor, factor = ((*stack, *end_kinds(stack[0])) for stack in
                                map(per_syllable_stack, (left, right)))
@@ -944,20 +651,6 @@ def test_syllable_pass_makes_no_python_call_per_window(rng, alphabet):
     assert counts[0] == counts[1] > 0, counts
 
 
-def old_canonical_letters(f):
-    """The model word as it was built letter by letter: h^d expanded, then
-    the tail."""
-    letters = list(w_.power(w_.word(w_.H_LETTERS), f.d).letters)
-    if isinstance(f, Family1):
-        for ai in f.a:
-            letters += [w_.X] + [w_.Y_INV] * ai
-    elif isinstance(f, Family2):
-        letters += [w_.Y if f.m > 0 else w_.Y_INV] * abs(f.m)
-    else:
-        letters += [w_.X_INV] * -f.m + [w_.Y_INV]
-    return tuple(letters)
-
-
 def test_canonical_word_expands_to_the_old_model_word():
     for d in range(-5, 6):
         forms = [Family1(d, a) for a in ((1,), (0, 2), (3, 1, 0))]
@@ -965,7 +658,7 @@ def test_canonical_word_expands_to_the_old_model_word():
         forms += [Family3(d, m) for m in (-1, -2, -3)]
         for f in forms:
             model = canonical_word(f)
-            assert model.letters == old_canonical_letters(f), f
+            assert model.letters == model_letters(f), f
             assert len(model) == len(model.letters), f
             assert sum(1 for g, _ in model.runs if g == "h") == (d != 0), f
 
@@ -988,10 +681,6 @@ def test_huge_twist_power_is_classified_from_one_run():
     w = parse("h^100000000000000000 x y^-3 x y^-1")
     assert w.runs[0] == ("h", 10**17)
     assert analyze_word(w, raw_text="").normal_form == Family1(10**17, (1, 3))
-
-
-def slow_mirror_form(f):
-    return classify(inverse(canonical_word(f)))
 
 
 def assert_mirror_matches_round_trip(f):
@@ -1018,63 +707,6 @@ def test_mirror_form_matches_round_trip_on_long_tuples(rng):
         a = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 400)))
         assert_mirror_matches_round_trip(
             Family1(rng.randint(-10**6, 10**6), a + (1,)))
-
-
-def per_branch_surgery_table(tag, n):
-    """The 1/n rows written out one branch per tag and sign of n."""
-    def module(towers, frees=()):
-        return GradedModule(tuple(Fraction(g) for g in towers),
-                            tuple((rank, Fraction(g)) for rank, g in frees))
-
-    if tag == RIGHT_TREFOIL_LIKE:
-        if n > 0:
-            return module([-2], [(n - 1, -2)])
-        return module([0], [(-n, -1)])
-    if tag == LEFT_TREFOIL_LIKE:
-        if n >= 0:
-            return module([0], [(n, 0)])
-        return module([2], [(-n - 1, 1)])
-    if n >= 0:
-        return module([0], [(n, -1)])
-    return module([0], [(-n, 0)])
-
-
-def per_family_assembly(f):
-    """(tag, n, shift) written out per family and parity of d."""
-    if isinstance(f, Family1):
-        total = sum(f.a)
-        n_blocks = len(f.a)
-        if f.d % 2:
-            k = (f.d - 1) // 2
-            return RIGHT_TREFOIL_LIKE, -k, Fraction(n_blocks + 4 - total, 4)
-        k = f.d // 2
-        return FIGURE_EIGHT_LIKE, -k, Fraction(n_blocks - total, 4)
-    if isinstance(f, Family2):
-        if f.d % 2 == 0:
-            raise PositiveB1(f)
-        k = (f.d - 1) // 2
-        return RIGHT_TREFOIL_LIKE, -k, Fraction(f.m + 4, 4)
-    if f.d % 2:
-        k = (f.d - 1) // 2
-        return RIGHT_TREFOIL_LIKE, -k, Fraction(f.m + 3, 4)
-    k = f.d // 2
-    return LEFT_TREFOIL_LIKE, -k, Fraction(f.m + 1, 4)
-
-
-def per_family_delta(f):
-    """Delta of a knot closure written out per family and sign of d."""
-    if isinstance(f, Family1):
-        n, total = len(f.a), sum(f.a)
-        if f.d % 2 == 0:
-            return Fraction(n - total, 2)
-        if f.d > 0:
-            return Fraction(n + 4 - total, 2)
-        return Fraction(n - 4 - total, 2)
-    if isinstance(f, Family3) and f.m in (-1, -3):
-        if f.d % 2:
-            return Fraction(f.m + 3, 2) if f.d > 0 else Fraction(f.m - 5, 2)
-        return Fraction(f.m + 9, 2) if f.d > 0 else Fraction(f.m + 1, 2)
-    raise FamilyNotCovered(f)
 
 
 def test_surgery_rows_match_their_branches():
@@ -1149,18 +781,11 @@ def test_closed_forms_match_model_word_on_mid_range_twist_powers():
             assert_report_matches_per_value_and_old_path(f)
 
 
-def sequential_family1_trace(a):
-    """The trace of the family-1 tail's image, folded one block
-    [[1 + ai, 1], [ai, 1]] at a time, as before the balanced product."""
-    p, q, r, s = 1, 0, 0, 1
-    for ai in a:
-        p, q, r, s = p + (p + q) * ai, p + q, r + (r + s) * ai, r + s
-    return p + s
-
-
-def assert_form_determinant_matches_sequential_fold(f):
-    trace = sequential_family1_trace(f.a)
-    assert form_determinant(f) == abs(2 - (-trace if f.d % 2 else trace)), f
+def assert_form_determinant_matches_the_model_image(f):
+    """|2 - tr| of the model word's image, multiplied out letter by
+    letter."""
+    assert form_determinant(f) == \
+        abs(2 - slow_image(model_letters(f)).trace), f
 
 
 def test_form_determinant_matches_sequential_fold_on_short_tuples():
@@ -1169,7 +794,7 @@ def test_form_determinant_matches_sequential_fold_on_short_tuples():
     for n in range(1, 7):
         for a in itertools.product(range(4), repeat=n):
             for d in (0, 1):
-                assert_form_determinant_matches_sequential_fold(Family1(d, a))
+                assert_form_determinant_matches_the_model_image(Family1(d, a))
             checked += 1
     assert checked == 4 + 4**2 + 4**3 + 4**4 + 4**5 + 4**6
 
@@ -1177,7 +802,7 @@ def test_form_determinant_matches_sequential_fold_on_short_tuples():
 def test_form_determinant_matches_sequential_fold_on_long_tuples(rng):
     for n in (7, 8, 9, 63, 64, 65, 1000, 4097, 10**4):
         a = tuple(rng.randint(0, 3) for _ in range(n))
-        assert_form_determinant_matches_sequential_fold(
+        assert_form_determinant_matches_the_model_image(
             Family1(rng.randint(-10, 10), a))
 
 
@@ -1229,24 +854,7 @@ def test_form_determinant_reduces_the_blocks_level_by_level(product_bits):
     f = Family1(0, (1,) * 4096)
     determinant = form_determinant(f)
     assert_balanced(product_bits, 4096)
-    assert determinant == sequential_family1_trace(f.a) - 2
-
-
-def renormalised_shift(module, q):
-    """shift as it was: Fraction addition, renormalised by the public
-    constructor."""
-    return GradedModule(tuple(g + q for g in module.towers),
-                        tuple((rank, g + q) for rank, g in module.frees),
-                        module.absolute)
-
-
-# The 0-surgery rows as Fraction modules, before they were stored in quarters.
-FRACTION_ZERO_SURGERY_ROWS = {
-    RIGHT_TREFOIL_LIKE: GradedModule((Fraction(-1, 2), Fraction(-3, 2))),
-    LEFT_TREFOIL_LIKE: GradedModule((Fraction(3, 2), Fraction(1, 2))),
-    FIGURE_EIGHT_LIKE: GradedModule((Fraction(1, 2), Fraction(-1, 2)),
-                                    ((1, Fraction(-1, 2)),)),
-}
+    assert determinant == slow_image(model_letters(f)).trace - 2
 
 
 def assert_same_module(module, expected):
@@ -1271,7 +879,7 @@ def assert_normal(module):
 
 def assert_report_matches_per_value_and_old_path(f):
     """Each report field equals the public function of that value, and the
-    report's modules equal the old rows shifted and renormalised."""
+    report's modules equal the per-branch rows shifted and renormalised."""
     report = analyze_word(canonical_word(f), raw_text="",
                           include_torus_bundle=True)
     assert report.normal_form == f
@@ -1353,21 +961,13 @@ def no_digit_limit():
     sys.set_int_max_str_digits(previous)
 
 
-def encoder_json_line(report, oracle):
-    """The ``--json`` line as the generic encoder wrote it: the dict of
-    ``report_json``, with the oracle block added last."""
-    payload = report_json(report)
-    if oracle is not None:
-        payload["oracle"] = oracle
-    return json.dumps(payload, separators=(",", ":"))
-
-
 def assert_writer_matches_encoder(record, oracle=None):
     assert cli._line(record, oracle) == \
         encoder_json_line(invariants._report(record), oracle), record
 
 
-def test_writer_matches_encoder_on_short_forms_and_words(no_digit_limit):
+def test_writer_matches_encoder_on_short_forms_and_words(short_words,
+                                                        no_digit_limit):
     for f in all_forms(range(-6, 7), 4):
         for torus in (False, True):
             assert_writer_matches_encoder(
@@ -1376,13 +976,14 @@ def test_writer_matches_encoder_on_short_forms_and_words(no_digit_limit):
     # Every word of at most 5 letters, with its real oracle block: split
     # closures get an error record, the others an agreeing verdict.
     verdicts = set()
-    for length in range(6):
-        for letters in itertools.product(LETTERS, repeat=length):
-            w = w_.word(letters)
-            record = analyze_word(w, include_torus_bundle=True, _record=True)
-            oracle = cli._oracle(w, record)
-            verdicts.add(oracle.get("agrees", "error"))
-            assert_writer_matches_encoder(record, oracle)
+    for word in short_words:
+        if len(word.letters) > 5:
+            break
+        w = w_.word(word.letters)
+        record = analyze_word(w, include_torus_bundle=True, _record=True)
+        oracle = cli._oracle(w, record)
+        verdicts.add(oracle.get("agrees", "error"))
+        assert_writer_matches_encoder(record, oracle)
     assert verdicts == {True, "error"}
     # Family-1 entries at the edges of the writer's decimal table, which
     # holds 0-255: 0, 255, 256 and one far past it.
@@ -1474,66 +1075,6 @@ def test_writer_escapes_word_characters(capsys, no_digit_limit):
     record = analyze_word(parse("x y"), _record=True)
     for word in ('"', "\\", "\x1c", "\u2003", AWKWARD_CHARACTERS):
         assert_writer_matches_encoder(record._replace(word=word))
-
-
-def reference_analyze_word(w, raw_text=None, include_torus_bundle=False):
-    """``analyze_word`` as it was before its values were counts of
-    quarters: the rows shifted as ``Fraction``s, the bundle's zero row
-    renormalised from its ``Fraction`` module, delta twice the correction
-    term, the Stein Euler characteristic 4d + 1, the screen of the public
-    function, and the report built by keyword."""
-    matrix = image(w)
-    form = classify(w, matrix)
-    components = components_from_image(matrix)
-    det = determinant_from_image(matrix)
-    h1 = homology.h1_from_image(matrix)
-    hf = correction = delta_value = sig = bundle = None
-    if det != 0:
-        tag, n, k = floer._quarter_assembly(form)
-        bottom, grading, rank = floer._row(tag, n)
-        frees = ((rank, Fraction(grading + k, 4)),) if rank else ()
-        hf = GradedModule((Fraction(bottom + k, 4),), frees)
-        correction = hf.towers[0]
-        if include_torus_bundle:
-            bundle = TorusBundleModules(
-                s0=renormalised_shift(FRACTION_ZERO_SURGERY_ROWS[tag],
-                                      Fraction(k, 4)),
-                non_s0_count=det - 1,
-                non_s0_relative=GradedModule(
-                    (Fraction(1, 2), Fraction(-1, 2)), (), absolute=False))
-    if components == 1:
-        delta_value = 2 * correction
-        if isinstance(form, Family1):
-            sig = signature(form, components)
-    l_space, tight = floer.is_l_space(form), is_tight(form)
-    twist_bound = 6 * form.d + murasugi.tail_exponent_sum(form)
-    fillable, euler = invariants.NO, None
-    if tight and not l_space:
-        fillable = invariants.UNKNOWN
-    elif tight and 4 * correction + 1 >= 1:
-        fillable, euler = invariants.CONSTRAINED, int(4 * correction + 1)
-    return invariants.InvariantReport(
-        word=w_.run_text(w) if raw_text is None else raw_text,
-        normal_form=form,
-        components=components,
-        determinant=det,
-        h1=h1,
-        b1=h1.free_rank,
-        l_space=l_space,
-        tight=tight,
-        tight_inverse=is_tight_inverse(form),
-        knot_type_tag=floer.knot_type(form),
-        hf_plus_s0=hf,
-        spin_c_count=det if hf is not None else None,
-        correction_term=correction,
-        delta=delta_value,
-        signature=sig,
-        qa=invariants.quasi_alternating(form),
-        finite_order_screen=finite_order_screen(form, components),
-        stein=invariants.SteinReport(l_space, tight, fillable, euler,
-                                     twist_bound),
-        torus_bundle=bundle,
-    )
 
 
 def assert_record_matches_reference(w, include_torus_bundle):
@@ -1651,36 +1192,6 @@ def parse_outcome(parser, text):
         return type(error), error.position
 
 
-def grammar_parse(text):
-    """The grammar of ``parse`` on every token, as before the token loop
-    looked unit tokens up first."""
-    runs = []
-    letter_count = 0
-    for position, token in enumerate(text.split(), start=1):
-        base, caret, exponent_text = token.partition("^")
-        exponent = w_._exponent(exponent_text, token, position) if caret else 1
-        try:
-            positive, negative = w_._BASE_UNITS[base]
-        except KeyError:
-            raise w_.UnknownToken(f"unknown generator {base!r}",
-                                  position) from None
-        if exponent == 1:
-            run = positive
-        elif exponent == -1:
-            run = negative
-        elif exponent:
-            run = (positive[0], exponent)
-        else:
-            continue
-        if run[0] != "h":
-            letter_count += abs(exponent)
-            if letter_count > MAX_LETTERS:
-                raise WordTooLong(f"more than {MAX_LETTERS} x/y letters",
-                                  position)
-        runs.append(run)
-    return BraidWord(tuple(runs))
-
-
 def test_table_parse_matches_grammar_on_all_strings_of_three_tokens():
     def token_loop(text):
         return w_._parse_tokens(text.split())
@@ -1791,13 +1302,14 @@ def test_byte_parse_leaves_the_letter_cap_to_the_grammar():
     assert excinfo.value.position == MAX_LETTERS + 1
 
 
-def words_line_events(action):
-    """The line events that running ``action`` makes in words.py."""
+def line_events(paths, action):
+    """The line events that running ``action`` makes in the files
+    ``paths``."""
     events = 0
 
     def trace(frame, event, arg):
         nonlocal events
-        if frame.f_code.co_filename != w_.__file__:
+        if frame.f_code.co_filename not in paths:
             return None
         events += event == "line"
         return trace
@@ -1823,7 +1335,8 @@ def test_byte_parse_does_constant_python_work_per_word():
     spaces = [" ", "\t", "\n  ", "\r\n", "\v", "\f"]
     texts = [" " + "".join(f"{tokens[i % 4]}{spaces[i % 6]}"
                            for i in range(length)) for length in (10, 10**5)]
-    counts = [words_line_events(lambda: parse_length_and_keys(text))
+    counts = [line_events({w_.__file__},
+                          lambda: parse_length_and_keys(text))
               for text in texts]
     assert counts[0] == counts[1] > 0
 
@@ -1859,20 +1372,6 @@ def test_report_builds_no_runs_of_a_byte_parsed_word(rng):
                                   _record=True)
 
 
-def groupby_run_text(w):
-    """``run_text`` as one ``groupby`` group per generator and sign: an x/y
-    group is summed to one token, an h group keeps a token per run."""
-    tokens = []
-    for (generator, _), group in itertools.groupby(
-            w.runs, lambda r: (r[0], r[1] > 0)):
-        exponents = [e for _, e in group]
-        if generator != "h":
-            exponents = [sum(exponents)]
-        tokens += [generator if e == 1 else f"{generator}^{e}"
-                   for e in exponents]
-    return " ".join(tokens)
-
-
 def test_run_text_matches_groupby_on_random_words(rng):
     # Few kinds of run, so that equal generators and signs meet often: h
     # runs of both signs next to each other, and power runs among letters.
@@ -1898,336 +1397,45 @@ def test_line_writes_a_huge_non_s0_count_from_the_determinant(
     assert record["torus_bundle"]["non_s0_count"] == record["determinant"] - 1
 
 
-def pair_loop_seifert(reduced):
-    """Dense V and the generators of a reduced diagram, one generator pair
-    at a time."""
-    crossings = [(0 if letter.generator == "x" else 1, letter.sign)
-                 for letter in reduced]
-    positions = {0: [], 1: []}
-    for position, (column, _) in enumerate(crossings):
-        positions[column].append(position)
-    generators = [(column, first, second) for column in (0, 1)
-                  for first, second in zip(positions[column],
-                                           positions[column][1:])]
-    sign_at = {pos: sign for pos, (_, sign) in enumerate(crossings)}
-    n = len(generators)
-    v = [[0] * n for _ in range(n)]
-    for i, (column, p1, p2) in enumerate(generators):
-        if sign_at[p1] == sign_at[p2]:
-            v[i][i] = -1 if sign_at[p1] > 0 else 1
-    for i, (column, p1, p2) in enumerate(generators):
-        for j, (column2, q1, q2) in enumerate(generators):
-            if j <= i:
-                continue
-            if column2 == column and q1 == p2:
-                if sign_at[p2] > 0:
-                    v[j][i] = 1
-                else:
-                    v[i][j] = -1
-            elif column2 == column + 1:
-                if q1 < p1 < q2 < p2:
-                    v[j][i] = 1
-                elif p1 < q1 < p2 < q2:
-                    v[j][i] = -1
-    return tuple(map(tuple, v)), tuple(generators)
-
-
-def dense_crossing_rows(entries, generators):
-    """Rows of V + V^T in crossing order, as dicts of the nonzeros."""
-    n = len(generators)
-    a = [[entries[i][j] + entries[j][i] for j in range(n)] for i in range(n)]
-    order = sorted(range(n), key=lambda i: generators[i][1])
-    return [{new: a[i][j] for new, j in enumerate(order) if a[i][j]}
-            for i in order]
-
-
-def fraction_pivots(rows):
-    """Diagonal of a congruence diagonalization over the rationals, with the
-    zero row, the transposition and the row/column add of the earlier
-    integer elimination."""
-    pivots = []
-
-    def eliminate(k):
-        row, rows[k] = rows[k], None
-        pivot = row.pop(k)
-        pivots.append(pivot)
-        band = [(i, x) for i, x in row.items() if x]
-        for index, (i, x) in enumerate(band):
-            del rows[i][k]
-            for j, y in band[index:]:
-                rows[i][j] = rows[j][i] = \
-                    rows[i].get(j, 0) - Fraction(x * y, pivot)
-
-    for k, row in enumerate(rows):
-        if row is None:
-            continue
-        if not row.get(k):
-            band = [j for j, x in row.items() if x and j != k]
-            if not band:
-                pivots.append(0)
-                continue
-            swap = next((j for j in band if rows[j].get(j)), None)
-            if swap is not None:
-                eliminate(swap)
-            else:
-                j = band[0]
-                for l, x in rows[j].items():
-                    if x and l != k:
-                        row[l] = rows[l][k] = row.get(l, 0) + x
-                row[k] = 2 * row[j]
-        eliminate(k)
-    return pivots
-
-
-def one_pass_seifert_rows(reduced):
-    """Rows of V + V^T in crossing order, as dicts of the nonzeros, written
-    in one left-to-right pass over the reduced crossings.  A crossing of
-    sign e closes the pair its column has open, if any, and opens a new one
-    unless it is the column's last.  The closed pair's self-link is -2e when
-    both its crossings have sign e, and the pair opened at the same
-    crossing links it by e.  An x-pair links the y-pairs open at its first
-    and at its second crossing, if they differ, by +1 and -1."""
-    last = {}  # per generator: its last crossing, which opens no pair
-    for p, letter in enumerate(reduced):
-        last[letter.generator] = p
-    rows = []
-    # The row of the pair each column has open, the sign of its latest
-    # crossing, and the y-pair open at the open x-pair's first crossing.
-    x = y = held = None
-    sign_x = sign_y = 0
-    for p, (generator, sign) in enumerate(reduced):
-        is_x = generator == "x"
-        closed, previous = (x, sign_x) if is_x else (y, sign_y)
-        new = None if p == last[generator] else len(rows)
-        if new is not None:
-            rows.append({})
-        if closed is not None:
-            row = rows[closed]
-            if previous == sign:
-                row[closed] = -2 * sign
-            if new is not None:
-                row[new] = rows[new][closed] = sign
-            if is_x and held != y:
-                if held is not None:
-                    row[held] = rows[held][closed] = 1
-                if y is not None:
-                    row[y] = rows[y][closed] = -1
-        if is_x:
-            x, sign_x, held = new, sign, y
-        else:
-            y, sign_y = new, sign
-    return rows
-
-
-def tait_goeritz(reduced, cut):
-    """The dense Goeritz matrix and the correction term mu, built from the
-    edge list of the Tait graph when the letters of column ``cut`` cut the
-    regions.  Its vertices are the regions between those crossings, region
-    r after cut crossing r, and the outer region.  A cut crossing joins the
-    regions before and after it with weight minus its sign, any other
-    crossing its region to the outer one with weight its sign, and mu sums
-    the other crossings' signs.  G is the weighted Laplacian with the outer
-    region's row and column deleted."""
-    p = sum(letter.generator == cut for letter in reduced)
-    outer = p
-    edges, mu, seen = [], 0, 0
-    for generator, sign in reduced:
-        region = (seen - 1) % p
-        if generator == cut:
-            edges.append((region, seen, -sign))
-            seen += 1
-        else:
-            edges.append((region, outer, sign))
-            mu += sign
-    laplacian = [[0] * (p + 1) for _ in range(p + 1)]
-    for a, b, weight in edges:
-        if a != b:
-            laplacian[a][a] += weight
-            laplacian[b][b] += weight
-            laplacian[a][b] -= weight
-            laplacian[b][a] -= weight
-    return [row[:p] for row in laplacian[:p]], mu
-
-
-INEXACT = "an elimination entry is not a multiple of its leading minor"
-
-
-def bareiss_pivots(rows):
-    """Fraction-free symmetric elimination (Bareiss, "Sylvester's identity
-    and multistep integer-preserving Gaussian elimination", Math. Comp. 22,
-    1968) of sparse rows, consumed in place and strictly in order: the
-    oracle's general elimination behind the cyclic recurrence.  A row maps
-    each column to (value, stamp), the value being the entry of the
-    current trailing block scaled by the leading minor of index stamp.
-
-    After t pivots every entry of the trailing block is the leading minor
-    D_t times the rational Schur complement, hence an integer, and the next
-    pivot is D_(t+1).  A step touches only the pairs of the pivot row's
-    nonzeros; an entry it skips is implicitly multiplied by D_(t+1)/D_t, so
-    each entry keeps the index of the minor it was last scaled by and is
-    rescaled when it is next read.  Every division is exact, and a
-    remainder raises ``InternalInconsistency``.
-
-    A row that is zero when its turn comes records a pivot 0 and leaves the
-    minors as they are.  A nonzero row with a zero diagonal first gets t
-    times its nearest neighbour's row and column added, with t = 1 or -1
-    chosen to make the diagonal nonzero: a unimodular congruence of the
-    trailing block, so the minors stay exact.  So the relative signs of
-    consecutive nonzero pivots give the signature (``pivot_values``), and
-    the last pivot gives det unless a 0 was recorded.
-    """
-    minors = [1]  # minors[s] scales every entry stamped s
-    pivots = []
-    for k, row in enumerate(rows):
-        if k not in row:
-            if not row:
-                pivots.append(0)
-                continue
-            # Congruence by adding t times row/column j to k, j the nearest
-            # neighbour: the diagonal becomes 2t a[k][j] + a[j][j], and as
-            # a[k][j] is nonzero, one of t = 1, -1 makes it nonzero.
-            j = min(row)
-            current = current_entries(row, minors)
-            neighbour = current_entries(rows[j], minors)
-            link, own = current[j], neighbour.get(j, 0)
-            t = 1 if 2 * link + own else -1
-            stamp = len(minors) - 1
-            for l, y in neighbour.items():
-                if l != k:
-                    value = current.get(l, 0) + t * y
-                    if value:
-                        row[l] = rows[l][k] = (value, stamp)
-                    else:
-                        del row[l], rows[l][k]
-            row[k] = (2 * t * link + own, stamp)
-        # Each entry read is rescaled inline, as in current_entries.
-        last, top = minors[-1], len(minors) - 1
-        band = []
-        for i, (x, s) in row.items():
-            if s != top:
-                x *= last
-                if s:
-                    x, remainder = divmod(x, minors[s])
-                    if remainder:
-                        raise InternalInconsistency(INEXACT)
-            if i == k:
-                pivot = x
-            else:
-                band.append((i, x))
-        for index, (i, x) in enumerate(band):
-            target = rows[i]
-            del target[k]
-            for j, y in band[index:]:
-                old = target.get(j)
-                if old:
-                    value, s = old
-                    if s != top:
-                        value *= last
-                        if s:
-                            value, remainder = divmod(value, minors[s])
-                            if remainder:
-                                raise InternalInconsistency(INEXACT)
-                    value = pivot * value - x * y
-                else:
-                    value = -x * y
-                value, remainder = divmod(value, last)
-                if remainder:
-                    raise InternalInconsistency(INEXACT)
-                if value:
-                    target[j] = rows[j][i] = (value, top + 1)
-                elif old:
-                    del target[j]
-                    rows[j].pop(i, None)
-        minors.append(pivot)
-        pivots.append(pivot)
-    return tuple(pivots)
-
-
-def current_entries(row, minors):
-    """The row's entries in the current trailing block: an entry stamped s
-    is its value times the last minor over minors[s]."""
-    last, top = minors[-1], len(minors) - 1
-    values = {}
-    for i, (x, s) in row.items():
-        if s != top:
-            x *= last
-            if s:
-                x, remainder = divmod(x, minors[s])
-                if remainder:
-                    raise InternalInconsistency(INEXACT)
-        values[i] = x
-    return values
-
-
-def stamped(rows):
-    """Rows of column -> value as the elimination's sparse rows, each
-    nonzero entry stamped 0."""
-    return [{j: (x, 0) for j, x in row.items() if x} for row in rows]
-
-
-def pivot_values(pivots):
-    """(signature, |det|) of the form whose elimination gave the pivots:
-    the sign of each nonzero pivot relative to the one before it (the
-    leading minor D_0 = 1 first), and the last pivot, or 0 past a zero
-    row."""
-    signs = [1] + [1 if pivot > 0 else -1 for pivot in pivots if pivot]
-    signature = sum(a * b for a, b in zip(signs, signs[1:]))
-    return signature, 0 if 0 in pivots else abs(pivots[-1]) if pivots else 1
-
-
-def assert_oracle_matches_old(w):
-    """The one-pass rows equal the pair loop's dense V + V^T in crossing
-    order; the Goeritz form of either column's shading, read by the rational
-    elimination, has V + V^T's signature and |det|; the Goeritz rows equal
-    the Tait graph's Laplacian for the column with fewer crossings, x on a
-    tie; and the signature and |det| that the recurrence reads from them
-    are those of V + V^T, read by the rational elimination and by the
-    integer one, which also reads them from the Goeritz rows."""
+def assert_oracle_matches_references(w, expected=None):
+    """The oracle on a reduced diagram that uses both columns, against its
+    two references.  V + V^T of the pair loop, in crossing order and
+    eliminated over the rationals, gives the closure's signature and |det|,
+    and so does the Goeritz form of either column's shading: sign(G) - mu
+    and |det G| (Gordon-Litherland).  The oracle reads the Goeritz rows and
+    mu of the column with fewer crossings, x on a tie, which
+    ``oracle_reference`` (or ``expected``) eliminates, and from them that
+    signature and |det|."""
+    if expected is None:
+        expected = oracle_reference(w)
     entries, generators = pair_loop_seifert(w)
-    expected = dense_crossing_rows(entries, generators)
-    reference = one_pass_seifert_rows(w)
-    assert reference == expected, w
-    pivots = fraction_pivots(expected)
-    signature = sum(1 if pivot > 0 else -1 for pivot in pivots if pivot)
-    det = abs(prod(pivots))
-    assert pivot_values(bareiss_pivots(stamped(reference))) == \
-        (signature, det), w
-
-    shadings = {}
-    for cut in "xy":
-        goeritz, mu = tait_goeritz(w, cut)
-        shadings[cut] = goeritz, mu
-        rational = fraction_pivots(
-            [{j: x for j, x in enumerate(row) if x} for row in goeritz])
-        assert sum(1 if pivot > 0 else -1
-                   for pivot in rational if pivot) - mu == signature, w
-        assert abs(prod(rational)) == det, w
+    rows = dense_crossing_rows(entries, generators)
+    size = len(rows)
+    signature, det = rational_form(rows)
+    det = abs(det)
+    assert (expected.signature, expected.determinant) == (signature, det), w
+    # The other column's shading.
+    xs = sum(letter.generator == "x" for letter in w)
+    goeritz, mu = tait_goeritz(w, "y" if 2 * xs <= len(w) else "x")
+    other_signature, other_det = rational_form(goeritz)
+    assert other_signature - mu == signature, w
+    assert abs(other_det) == det, w
 
     matrix = seifert_matrix(w)
-    xs = sum(letter.generator == "x" for letter in w)
-    goeritz, mu = shadings["x" if 2 * xs <= len(w) else "y"]
-    assert matrix.rows == tuple({j: x for j, x in enumerate(row) if x}
-                                for row in goeritz), w
-    assert matrix.mu == mu, w
-    assert matrix.size == len(w) - 2 == len(reference), w
+    assert matrix.rows == expected.rows, w
+    assert matrix.mu == expected.mu, w
+    assert matrix.size == len(w) - 2 == size, w
     assert sym_signature(matrix) == signature, w
     assert sym_determinant(matrix) == det, w
-    assert pivot_values(bareiss_pivots(stamped(matrix.rows))) == \
-        (signature + mu, det), w
     assert all(type(value) is int for value in matrix._values), w
 
 
-def test_oracle_matches_old_code_on_all_short_diagrams():
+def test_oracle_matches_old_code_on_all_short_diagrams(short_diagrams):
     # Every non-split word of 2-8 letters reduces to one of these.
-    level = [()]
     checked = 0
-    for length in range(1, 9):
-        level = [letters + (letter,) for letters in level for letter in LETTERS
-                 if not letters or letters[-1] != letter.inverse()]
-        for letters in level:
-            if {letter.generator for letter in letters} == {"x", "y"}:
-                assert_oracle_matches_old(BraidWord(letters))
-                checked += 1
+    for letters, expected in short_diagrams.items():
+        assert_oracle_matches_references(BraidWord(letters), expected)
+        checked += 1
     assert checked == 13_088
 
 
@@ -2238,7 +1446,7 @@ def test_oracle_matches_old_code_on_long_words(rng, alphabet):
         reduced = free_reduce(BraidWord(
             tuple(rng.choice(alphabet) for _ in range(length))))
         if {letter.generator for letter in reduced} == {"x", "y"}:
-            assert_oracle_matches_old(reduced)
+            assert_oracle_matches_references(reduced)
 
 
 def test_seifert_pass_makes_linearly_many_steps():
@@ -2248,27 +1456,12 @@ def test_seifert_pass_makes_linearly_many_steps():
     # in the seifert module, not time, keeps the test exact: the words at m
     # and 2m have the same shape, so a linear pass takes at most twice the
     # steps.
-    path = seifert_module.__file__
-    steps = 0
-
-    def tracer(frame, event, arg):
-        nonlocal steps
-        if frame.f_code.co_filename != path:
-            return None
-        steps += event == "line"
-        return tracer
-
     def count(m):
-        nonlocal steps
         word = parse(f"y^{m} x^{m} y^{m} x^{m}")
-        steps = 0
-        previous = sys.gettrace()
-        sys.settrace(tracer)
-        try:
-            matrix = seifert_matrix(word)
-        finally:
-            sys.settrace(previous)
-        assert len(matrix.rows) == 2 * m
+        matrices = []
+        steps = line_events({seifert_module.__file__},
+                            lambda: matrices.append(seifert_matrix(word)))
+        assert len(matrices[0].rows) == 2 * m
         return steps
 
     small, large = count(250), count(500)
@@ -2292,33 +1485,40 @@ def test_recurrence_matches_the_elimination_on_every_small_cyclic_form():
     # Every cyclic tridiagonal form of at most 5 rows with links +-1 and
     # diagonal -3..3, fed to the recurrence as the region sums that give
     # that diagonal.  A diagonal congruence by +-1 changes the links but
-    # not their product, so the elimination runs once per diagonal and
-    # product (with p = 2, per link sum); the recurrence runs on every sign
-    # pattern of the links.  The leading minor of order p - 1 sorts the
-    # forms by the signature's three branches: det G != 0; det G = 0 and
-    # D_(p-1) != 0; both zero.
+    # not their product, and a rotation of the rows changes neither, so the
+    # elimination runs once per rotation class of the diagonal and product
+    # (with p = 2, per link sum); the recurrence runs on every diagonal and
+    # every sign pattern of the links.  The leading minor of order p - 1,
+    # read once per first p - 1 diagonal entries, sorts the forms by the
+    # signature's three branches: det G != 0; det G = 0 and D_(p-1) != 0;
+    # both zero.
     branches = Counter()
+    values, leading_zero = {}, {}
     for p in range(1, 6):
-        patterns = [(links, sum(links) if p == 2 else prod(links),
+        patterns = [(list(links), sum(links) if p == 2 else prod(links),
                      [links[r] + links[(r + 1) % p] if p > 1 else 0
                       for r in range(p)])
                     for links in itertools.product((1, -1), repeat=p)]
         for diagonal in itertools.product(range(-3, 4), repeat=p):
-            leading = [{j: x for j, x in row.items() if j < p - 1}
-                       for row in cyclic_form((1,) * p, diagonal)[:p - 1]]
-            leading_zero = 0 in bareiss_pivots(stamped(leading))
+            head = diagonal[:p - 1]
+            if head not in leading_zero:
+                leading = [{j: x for j, x in row.items() if j < p - 1}
+                           for row in cyclic_form((1,) * p, diagonal)[:p - 1]]
+                leading_zero[head] = 0 in fraction_pivots(leading)
+            turn = min(diagonal[i:] + diagonal[:i] for i in range(p))
             expected = {}
             for links, key, touching in patterns:
                 if key not in expected:
-                    pivots = bareiss_pivots(stamped(cyclic_form(links,
-                                                                diagonal)))
-                    det = 0 if 0 in pivots else pivots[-1]
-                    expected[key] = det, pivot_values(pivots)[0]
-                    branches[p, "det" if det else "last" if leading_zero
+                    if (turn, key) not in values:
+                        signature, det = rational_form(cyclic_form(links,
+                                                                   turn))
+                        values[turn, key] = det, signature
+                    expected[key] = det, signature = values[turn, key]
+                    branches[p, "det" if det else "last" if leading_zero[head]
                              else "leading"] += 1
                 sums = list(map(add, diagonal, touching))
                 assert seifert_module._determinant_and_signature(
-                    list(links), sums) == expected[key], (links, diagonal)
+                    links, sums) == expected[key], (links, diagonal)
     for branch in ("det", "leading", "last"):
         assert all(branches[p, branch] for p in range(2, 6)), branches
     assert branches[1, "last"] == 0
@@ -2365,123 +1565,98 @@ def test_recurrence_makes_linearly_many_multiplications(capsys):
         assert json.loads(capsys.readouterr().out)["oracle"]["agrees"] is True
 
 
-def attribute_free_reduce(w):
-    """The letter stack that compares generator and sign attributes."""
-    stack = []
-    for letter in w:
-        if stack and stack[-1].generator == letter.generator \
-                and stack[-1].sign == -letter.sign:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return BraidWord(tuple(stack))
-
-
-def test_free_reduce_matches_the_attribute_stack(rng):
+def test_free_reduce_matches_the_attribute_stack(short_words, rng):
     # Every word of at most 7 letters, then random run sequences with h runs
     # and power runs of both signs.
-    words = [BraidWord(letters) for length in range(8)
-             for letters in itertools.product(LETTERS, repeat=length)]
+    cases = [(BraidWord(word.letters), word.reduced) for word in short_words
+             if len(word.letters) <= 7]
     runs = [*LETTERS, ("x", 3), ("x", -2), ("y", 4), ("y", -3),
             ("h", 1), ("h", -1), ("h", -2)]
-    words += [BraidWord(tuple(rng.choice(runs)
-                              for _ in range(rng.randint(0, 40))))
-              for _ in range(2000)]
-    for w in words:
-        reduced, expected = free_reduce(w), attribute_free_reduce(w)
-        assert reduced.runs == expected.runs, w
+    for _ in range(2000):
+        w = BraidWord(tuple(rng.choice(runs)
+                            for _ in range(rng.randint(0, 40))))
+        cases.append((w, attribute_free_reduce(w.letters)))
+    for w, expected in cases:
+        reduced = free_reduce(w)
+        assert reduced.runs == BraidWord(expected).runs, w
         assert reduced.letters == BraidWord(reduced.runs).letters, w
 
 
-# Each letter's inverse among the four PACKED_LETTERS, as the letter
-# stack compares it by identity.
-INVERSE_LETTERS = {w_.X: w_.X_INV, w_.X_INV: w_.X, w_.Y: w_.Y_INV,
-                   w_.Y_INV: w_.Y}
+def split_message(reduced):
+    """The oracle's message for a reduced diagram that leaves a column
+    unused."""
+    generators = {letter.generator for letter in reduced}
+    unused = ("column 2" if generators == {"x"} else
+              "column 1" if generators == {"y"} else "columns 1 and 2")
+    return f"{unused} unused: the closure splits"
 
 
-def letter_stack_free_reduce(w):
-    """The reduced letters, by a stack over the word's Letter tuple that
-    compares each letter with the inverse of its top by identity."""
-    stack = [None]  # a bottom that cancels nothing
-    for letter in w.letters:
-        if stack[-1] is INVERSE_LETTERS[letter]:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return tuple(stack[1:])
+def expected_oracle(reduced, values=True):
+    """The references' ``OracleValues`` of a reduced diagram, None for a
+    split one; without ``values``, the signature and determinant are None
+    and only the rows and mu are compared."""
+    if {letter.generator for letter in reduced} != {"x", "y"}:
+        return None
+    if values:
+        return oracle_reference(reduced)
+    return OracleValues(*oracle_rows(reduced), None, None)
 
 
-def per_letter_seifert_fields(letters):
-    """(_links, _sums, mu, _crossings) of the oracle's Goeritz form, read
-    by one pass per Letter that records both columns, or the message of
-    the split closure."""
-    x_links, x_marks, y_links, y_marks = [], [], [], []
-    x_sum = y_sum = 0
-    for generator, sign in letters:
-        if generator == "x":
-            x_links.append(sign)
-            x_marks.append(y_sum)
-            x_sum += sign
-        else:
-            y_links.append(sign)
-            y_marks.append(x_sum)
-            y_sum += sign
-    if not x_links or not y_links:
-        unused = ("column 2" if x_links else "column 1" if y_links
-                  else "columns 1 and 2")
-        return f"{unused} unused: the closure splits"
-    if len(x_links) <= len(y_links):
-        links, marks, mu = x_links, x_marks, y_sum
-    else:
-        links, marks, mu = y_links, y_marks, x_sum
-    marks.append(mu + marks[0])
-    sums = [after - before for before, after in zip(marks, marks[1:])]
-    return links, sums, mu, len(letters)
-
-
-def assert_codes_match_letters(letters, *words):
-    """The reduced codes, free_reduce and the oracle's fields of each word,
-    whose letters are given, equal the Letter stack's and the per-Letter
-    pass's, and the oracle builds no Letter tuple of the word."""
-    reduced_letters = letter_stack_free_reduce(BraidWord(letters))
-    expected_codes = bytes(map(CODE_DIGIT.__getitem__, reduced_letters))
-    expected = per_letter_seifert_fields(reduced_letters)
-    if not isinstance(expected, str):
-        links, sums, mu, crossings = expected
-        expected = (links, sums, mu, crossings,
-                    seifert_module._determinant_and_signature(links, sums))
+def assert_codes_match_references(reduced, expected, *words, seen=None):
+    """The reduced codes, free_reduce and the oracle of each word, whose
+    freely reduced letters are ``reduced``, agree with the references: the
+    oracle reads the diagram of ``expected`` (``expected_oracle``), or
+    reports the split closure, and it builds no Letter tuple of the word.
+    With a dict ``seen``, the oracle of a diagram already checked need only
+    hold the same fields as the first one."""
+    expected_codes = bytes(map(CODE_DIGIT.__getitem__, reduced))
     for w in words:
-        codes = w_.reduced_digits(w)
-        assert codes == expected_codes, w
         try:
             matrix = seifert_matrix(w)
         except seifert_module.SplitClosure as error:
-            assert str(error) == expected, w
+            assert expected is None, w
+            assert str(error) == split_message(reduced), w
         else:
-            assert (matrix._links, matrix._sums, matrix.mu,
-                    matrix._crossings, matrix._values) == expected, w
+            fields = (matrix._links, matrix._sums, matrix.mu,
+                      matrix._crossings, matrix._values)
+            if seen is not None and reduced in seen:
+                assert fields == seen[reduced], w
+            else:
+                assert (matrix.rows, matrix.mu, matrix._crossings) == \
+                    (expected.rows, expected.mu, len(reduced)), w
+                if expected.signature is not None:
+                    assert (sym_signature(matrix),
+                            sym_determinant(matrix)) == \
+                        (expected.signature, expected.determinant), w
+                if seen is not None:
+                    seen[reduced] = fields
         assert "letters" not in vars(w), w
-        reduced = free_reduce(w)
-        assert reduced._digits == codes, w
-        assert reduced.letters == reduced_letters, w
-        assert all(map(is_, reduced.letters, reduced_letters)), w
+        # free_reduce holds the codes of reduced_digits.
+        reduced_word = free_reduce(w)
+        assert reduced_word._digits == expected_codes, w
+        assert reduced_word.letters == reduced, w
+        assert all(map(is_, reduced_word.letters, reduced)), w
 
 
-# Each letter's code digit and token.
+# Each letter's code digit.
 CODE_DIGIT = dict(zip(w_.PACKED_LETTERS, w_.CODE_DIGITS))
-TOKEN = {w_.X: "x", w_.Y: "y", w_.X_INV: "x^-1", w_.Y_INV: "y^-1"}
 
 
-def test_codes_match_the_letters_on_every_short_word():
+def test_codes_match_the_letters_on_every_short_word(short_words,
+                                                     short_diagrams):
     # Every word of at most 8 letters, parsed on the byte path and built
     # from runs, each stretch of one letter as one power run.
-    for length in range(9):
-        for letters in itertools.product(LETTERS, repeat=length):
-            assert_codes_match_letters(
-                letters, parse(" ".join(map(TOKEN.__getitem__, letters))),
-                BraidWord(tuple(
-                    (letter.generator, letter.sign * len(list(group)))
-                    for letter, group in itertools.groupby(letters))))
+    seen = {}
+    for word in short_words:
+        letters = word.letters
+        assert_codes_match_references(
+            word.reduced, short_diagrams.get(word.reduced),
+            parse(" ".join(map(TOKEN.__getitem__, letters))),
+            BraidWord(tuple(
+                (letter.generator, letter.sign * len(list(group)))
+                for letter, group in itertools.groupby(letters))),
+            seen=seen)
+    assert len(seen) == len(short_diagrams) == 13_088
 
 
 def test_codes_match_the_letters_on_random_run_words(rng):
@@ -2509,14 +1684,19 @@ def test_codes_match_the_letters_on_random_run_words(rng):
             w = BraidWord(tuple(runs))
             assert w._length <= seifert_module.MAX_CROSSINGS
             letters = per_run_letters(runs)
-            assert_codes_match_letters(
-                letters, w, parse(w_.run_text(w)),
+            reduced = attribute_free_reduce(letters)
+            assert_codes_match_references(
+                reduced, expected_oracle(
+                    reduced, values=size < seifert_module.MAX_CROSSINGS),
+                w, parse(w_.run_text(w)),
                 parse(" ".join(map(TOKEN.__getitem__, letters))))
     # At the cap: a word that cancels to nothing, and power and h runs.
     for text in ("x y " * 1500 + "y^-1 x^-1 " * 1500, "x^5998 y^-2",
                  "h^999 x y^-1 x^-1 y x^2", "y^-3 h^-998 x y x^-2 y^-5"):
         assert len(parse(text)) == seifert_module.MAX_CROSSINGS, text
-        assert_codes_match_letters(parse(text).letters, parse(text))
+        reduced = attribute_free_reduce(parse(text).letters)
+        assert_codes_match_references(
+            reduced, expected_oracle(reduced, values=False), parse(text))
 
 
 def test_the_oracle_builds_no_letter_tuple():
@@ -2559,38 +1739,19 @@ def test_free_reduction_makes_linearly_many_steps():
     # code.  Counting the lines run in words and seifert, not time, keeps
     # the test exact: at 2m a linear reduction takes at most twice the
     # steps.
-    paths = {w_.__file__, seifert_module.__file__}
-    steps = 0
-
-    def tracer(frame, event, arg):
-        nonlocal steps
-        if frame.f_code.co_filename not in paths:
-            return None
-        steps += event == "line"
-        return tracer
-
     def count(m):
-        nonlocal steps
         word = parse("x y " * (m // 4) + "y^-1 x^-1 " * (m // 4))
-        steps = 0
-        previous = sys.gettrace()
-        sys.settrace(tracer)
-        try:
+
+        def reduce():
             with pytest.raises(seifert_module.SplitClosure,
                                match="columns 1 and 2 unused"):
                 seifert_matrix(word)
-        finally:
-            sys.settrace(previous)
-        return steps
+
+        return line_events({w_.__file__, seifert_module.__file__}, reduce)
 
     small, large = count(1000), count(2000)
     assert small > 1000
     assert large <= 2 * small, (small, large)
-
-
-def per_run_letters(runs):
-    """The letters of a run sequence, each run expanded on its own."""
-    return tuple(itertools.chain.from_iterable(map(w_._run_letters, runs)))
 
 
 def test_letters_match_the_per_run_expansion(rng):
@@ -2610,42 +1771,6 @@ def test_letters_match_the_per_run_expansion(rng):
         assert letters == expected, runs
         # free_reduce compares letters by identity.
         assert all(a is b for a, b in zip(letters, expected)), runs
-
-
-def walk_same_letters(u, v):
-    """Whether two run sequences spell the same letters.  Each step
-    compares the next k letters of both, k the shorter head's length, by
-    their first two, and drops them, which uses up at least one run."""
-    left, right = [(s for s in map(w_._segment, runs) if s[2])
-                   for runs in (u, v)]
-    n = m = 0
-    while True:
-        if not n:
-            a, b, n = next(left, (None, None, 0))
-        if not m:
-            c, d, m = next(right, (None, None, 0))
-        if not (n and m):
-            return n == m
-        k = min(n, m)
-        if a is not c or (k > 1 and b is not d):
-            return False
-        n, m = n - k, m - k
-        if k % 2:
-            a, b, c, d = b, a, d, c
-
-
-def letter_level_blocks(letters):
-    """The maximal alternating blocks of a letter sequence, read from the
-    left one letter at a time; a one-letter block is (a, a, 1)."""
-    blocks = []
-    for letter in letters:
-        if blocks:
-            a, b, n = blocks[-1]
-            if n == 1 or letter is (b if n % 2 else a):
-                blocks[-1] = (a, letter if n == 1 else b, n + 1)
-                continue
-        blocks.append((letter, letter, 1))
-    return blocks
 
 
 # Run values with a few letters each: both generators and signs, power

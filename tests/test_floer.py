@@ -7,7 +7,6 @@ from threebraid.floer import (
     LEFT_TREFOIL_LIKE,
     RIGHT_TREFOIL_LIKE,
     B1NotOne,
-    GradedModule,
     HfkBindingProfile,
     NotLSpace,
     PositiveB1,
@@ -25,35 +24,8 @@ from threebraid.floer import (
 )
 from threebraid.murasugi import Family1, Family2, Family3
 
-
-def module(towers, frees=()):
-    return GradedModule(tuple(Q(t) for t in towers),
-                        tuple((r, Q(g)) for r, g in frees))
-
-
-def all_forms(d_range, max_param, max_blocks=4):
-    """Every normal form with d in d_range and parameters bounded by
-    max_param, deduplicated by canonical rotation."""
-    tuples = {(a,) for a in range(1, max_param + 1)}
-    frontier = [(a,) for a in range(0, max_param + 1)]
-    for _ in range(max_blocks - 1):
-        frontier = [t + (a,) for t in frontier for a in range(0, max_param + 1)]
-        tuples.update(t for t in frontier if any(t))
-    forms = []
-    for d in d_range:
-        forms.extend(Family1(d, t) for t in tuples)
-        forms.extend(Family2(d, m) for m in range(-max_param, max_param + 1))
-        forms.extend(Family3(d, m) for m in (-1, -2, -3))
-    return list(dict.fromkeys(forms))
-
-
-def literature_box():
-    """The 1,364 forms with |d| <= 5: family-1 tuples of 1-4 entries over
-    0..3, family 2 with |m| <= 8, and family 3."""
-    forms = [form for form in all_forms(range(-5, 6), 3)
-             if not isinstance(form, Family2)]
-    forms += [Family2(d, m) for d in range(-5, 6) for m in range(-8, 9)]
-    return forms
+from conftest import all_forms, literature_box
+from reference import module
 
 
 # --- the two surgery tables, verbatim ---------------------------------------

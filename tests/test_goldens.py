@@ -9,54 +9,68 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from threebraid import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_every_golden_call_prints_its_recorded_stdout(monkeypatch, tmp_path):
-    replay_goldens(monkeypatch, tmp_path)
-
-
-def test_goldens_print_without_the_report_dict(monkeypatch, tmp_path):
-    # The --json lines are written from the report itself, so each report
-    # is rendered once and report_json is never called on the way.
+@pytest.fixture(scope="module")
+def golden_replay(tmp_path_factory):
+    """All 220 golden calls replayed once, with ``report_json`` and
+    ``invariants._report`` wrapped to note the key of each call that reaches
+    them: [(key, exit code, ok)] and {name: [keys]}."""
     from threebraid import invariants
 
-    def no_dict(report):
-        raise AssertionError("report_json called while printing a report")
+    reached = {"report_json": [], "_report": []}
+    current = [None]
 
-    monkeypatch.setattr(invariants, "report_json", no_dict)
-    replay_goldens(monkeypatch, tmp_path)
+    def noting(name, original):
+        def wrapper(*args, **kwargs):
+            reached[name].append(current[0])
+            return original(*args, **kwargs)
+        return wrapper
+
+    results = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(BENCH))
+        import corpus
+        import run
+
+        goldens = json.loads(run.GOLDENS.read_text(encoding="utf-8"))
+        for name in reached:
+            patch.setattr(invariants, name,
+                          noting(name, getattr(invariants, name)))
+        package = run.load_package()
+        tmp_path = tmp_path_factory.mktemp("goldens")
+        for workload in corpus.WORKLOADS.values():
+            runner = run.Runner(workload, package, tmp_path, goldens)
+            for call in workload.pool():
+                current[0] = call.key
+                _, code, output = runner.execute(runner.argv(call))
+                results.append((call.key, code,
+                                runner.ok(call, code, output)))
+    return goldens, results, reached
 
 
-def test_goldens_print_without_the_public_report(monkeypatch, tmp_path):
+def test_every_golden_call_prints_its_recorded_stdout(golden_replay):
+    goldens, results, _ = golden_replay
+    assert len(results) == len(goldens) == 220
+    failed = [(key, code) for key, code, ok in results if not ok]
+    assert not failed
+
+
+def test_goldens_print_without_the_report_dict(golden_replay):
+    # The --json lines are written from the values record itself, so each
+    # report is rendered once and report_json is never called on the way.
+    assert golden_replay[2]["report_json"] == []
+
+
+def test_goldens_print_without_the_public_report(golden_replay):
     # The command line writes and checks the values record itself, so no
     # golden call builds the public report with its Fractions.
-    from threebraid import invariants
-
-    def no_report(values):
-        raise AssertionError("invariants._report called on a golden call")
-
-    monkeypatch.setattr(invariants, "_report", no_report)
-    replay_goldens(monkeypatch, tmp_path)
-
-
-def replay_goldens(monkeypatch, tmp_path):
-    monkeypatch.syspath_prepend(str(BENCH))
-    import corpus
-    import run
-
-    goldens = json.loads(run.GOLDENS.read_text(encoding="utf-8"))
-    package = run.load_package()
-    replayed = 0
-    for workload in corpus.WORKLOADS.values():
-        runner = run.Runner(workload, package, tmp_path, goldens)
-        for call in workload.pool():
-            _, code, output = runner.execute(runner.argv(call))
-            assert runner.ok(call, code, output), (call.key, code)
-            replayed += 1
-    assert replayed == len(goldens) == 220
+    assert golden_replay[2]["_report"] == []
 
 
 # The text goldens: the pretty ``analyze`` report, the ``batch`` text lines

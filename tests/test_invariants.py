@@ -32,17 +32,7 @@ from threebraid.murasugi import (
 from threebraid.seifert import seifert_matrix, sym_signature
 from threebraid.words import components, parse
 
-from test_floer import all_forms, literature_box
-
-
-def knot_forms(d_range, max_param, max_blocks=4):
-    for form in all_forms(d_range, max_param, max_blocks=max_blocks):
-        if isinstance(form, Family2):
-            continue
-        if isinstance(form, Family3) and form.m == -2:
-            continue
-        if components(canonical_word(form)) == 1:
-            yield form
+from conftest import all_forms, knot_forms, literature_box
 
 
 def test_delta_fixtures():

@@ -17,7 +17,7 @@ from threebraid.seifert import (
 from threebraid.words import parse
 
 from conftest import random_nonsplit_word, random_word
-from test_fast_paths import bareiss_pivots, pivot_values, stamped
+from reference import fraction_pivots, rational_form
 
 
 def test_calibration_trefoil():
@@ -98,8 +98,9 @@ def test_split_closure_errors():
 def form(symmetric):
     """(signature, |det|) of the symmetric matrix, read by the reference
     elimination, which the general-matrix cases below pin."""
-    return pivot_values(bareiss_pivots(stamped(
-        [dict(enumerate(row)) for row in symmetric])))
+    signature, det = rational_form(
+        [{j: x for j, x in enumerate(row) if x} for row in symmetric])
+    return signature, abs(det)
 
 
 def test_sym_signature_small_matrices():
@@ -211,17 +212,19 @@ def test_oversized_diagrams_are_refused_before_expansion():
 
 def test_pivots_do_not_depend_on_the_insertion_order_of_a_row(rng):
     # The first word's rows, inserted in another order, once gave other
-    # pivots (with the same signature and |det|).  Those of the reference
-    # elimination are the recurrence's signature and |det| of G.
+    # pivots (with the same signature and |det|) in an earlier elimination.
+    # The reference elimination's values are the recurrence's signature and
+    # |det| of G.
     words = [parse("y^-1 x y^-2 x y^-1 x^-1 y^-1 x^-1 y^3 x y^-3 x^-8 y "
                    "x^-1 y x^2 y")]
     words += [random_nonsplit_word(rng, 40) for _ in range(300)]
     for word in words:
         matrix = seifert_matrix(word)
-        pivots = bareiss_pivots(stamped(matrix.rows))
-        assert pivot_values(pivots) == (sym_signature(matrix) + matrix.mu,
-                                        sym_determinant(matrix)), word
+        signature, det = rational_form([dict(row) for row in matrix.rows])
+        assert (signature, abs(det)) == (sym_signature(matrix) + matrix.mu,
+                                         sym_determinant(matrix)), word
+        pivots = fraction_pivots([dict(row) for row in matrix.rows])
         for _ in range(4):
             rows = [dict(rng.sample(list(row.items()), len(row)))
-                    for row in stamped(matrix.rows)]
-            assert bareiss_pivots(rows) == pivots, word
+                    for row in matrix.rows]
+            assert fraction_pivots(rows) == pivots, word

@@ -23,6 +23,7 @@ from threebraid.words import (
 )
 
 from conftest import random_word
+from reference import groupby_run_text
 
 
 def test_parse_negative_exponent():
@@ -171,10 +172,10 @@ def test_letter_blocks_name_each_letter_class_once():
     assert len(streams) == len(classes)
 
 
-def test_hash_tells_short_words_apart():
+def test_hash_tells_short_words_apart(short_words):
     # A hash of the letter counts alone would give 45 values.
-    hashes = {hash(w_.word(letters)) for letters in itertools.product(
-        (w_.X, w_.Y, w_.X_INV, w_.Y_INV), repeat=8)}
+    hashes = {hash(w_.word(word.letters)) for word in short_words
+              if len(word.letters) == 8}
     assert len(hashes) >= 4**8 // 4
 
 
@@ -218,16 +219,6 @@ def test_rendering_round_trips():
         assert parse(str(parse(text))) == parse(text)
 
 
-def letter_text(w):
-    """str(w) as it was written: one token per stretch of equal letters."""
-    tokens = []
-    for letter, group in itertools.groupby(w.letters):
-        exponent = sum(1 for _ in group) * letter.sign
-        tokens.append(letter.generator if exponent == 1
-                      else f"{letter.generator}^{exponent}")
-    return " ".join(tokens)
-
-
 def assert_run_text_reads_back(w):
     text = run_text(w)
     assert parse(text) == w, w.runs
@@ -236,18 +227,14 @@ def assert_run_text_reads_back(w):
         assert [parse(token).runs[0][1] for token in text.split()
                 if token[0] == "h"] == h_runs, w.runs
     else:
-        assert text == str(w) == letter_text(w), w.runs
+        assert text == str(w) == groupby_run_text(w), w.runs
 
 
-def test_run_text_on_all_words_up_to_length_8():
-    level = [()]
+def test_run_text_on_all_words_up_to_length_8(short_words):
     checked = 0
-    for length in range(9):
-        for letters in level:
-            assert_run_text_reads_back(BraidWord(letters))
-            checked += 1
-        level = [letters + (letter,) for letters in level
-                 for letter in (w_.X, w_.Y, w_.X_INV, w_.Y_INV)]
+    for word in short_words:
+        assert_run_text_reads_back(BraidWord(word.letters))
+        checked += 1
     assert checked == 87_381
 
 
