@@ -13,7 +13,10 @@ letter sequence itself is expanded only on demand.  A word that ``parse``
 reads from the tokens ``x``, ``y``, ``x^-1`` and ``y^-1`` alone, and every
 word that ``free_reduce`` returns, is stored as its base-4 letter codes and
 packed windows instead; its runs, which are its letters, are built from
-the codes only when something reads them.
+the codes only when something reads them.  The windows of a long word from
+``parse`` are packed from its codes after two passes that delete adjacent
+inverse letters (``_fold_digits``), which neither fold can see; all else
+reads the word's own codes.
 """
 
 from __future__ import annotations
@@ -137,7 +140,9 @@ def fold_factors(w: BraidWord, table: Sequence, run_value) -> Iterator:
     """The factors of both folds, in order: each window that parse's byte
     path packed (``BraidWord._windows``) as its entry in ``table``, a
     ``window_table``, then each run after them (``BraidWord._tail``) read
-    in closed form by ``run_value(generator, exponent)``.
+    in closed form by ``run_value(generator, exponent)``.  Both folds are
+    homomorphisms, so the windows may be packed from the word's letters
+    with cancelling pairs deleted (``_fold_digits``).
 
     >>> list(fold_factors(parse("x y x^-1 y^-1 x"), range(256),
     ...                   lambda g, e: (g, e)))
@@ -221,9 +226,10 @@ class BraidWord:
 
     Length, iteration, equality, hashing and the string are those of the
     letter sequence: ``parse("h") == word(H_LETTERS)``.  Equality compares
-    and the hash folds the letter blocks that ``_letter_blocks`` streams
-    from the runs, so neither expands a letter, whatever the exponents.
-    The string expands them (``run_text`` does not).
+    the lengths, then the letter blocks that ``_letter_blocks`` streams
+    from the runs, which the hash folds, so neither expands a letter,
+    whatever the exponents.  The string expands them (``run_text`` does
+    not).
 
     Both folds read two plain fields (``fold_factors``): ``_windows``, the
     CHUNK-letter windows that parse's byte path packed, as bytes, and
@@ -231,7 +237,9 @@ class BraidWord:
     from runs.  A word of letter codes (``_unit_letter_word``), which
     parse's byte path and ``free_reduce`` build, also holds its codes and
     its length; its runs and letters, one tuple, are built from the codes
-    on first read.
+    on first read.  Its windows and tail are packed from the codes that
+    ``_fold_digits`` leaves, which on parse's byte path may lack some
+    cancelling pairs of its letters.
     """
 
     # The ASCII base-4 letter codes (CODE_DIGITS) of a word of letter codes.
@@ -289,6 +297,8 @@ class BraidWord:
     def __eq__(self, other) -> bool:
         if not isinstance(other, BraidWord):
             return NotImplemented
+        if self._length != other._length:
+            return False
         return self.runs == other.runs or all(
             block == other_block for block, other_block in zip_longest(
                 _letter_blocks(self.runs), _letter_blocks(other.runs)))
@@ -345,7 +355,9 @@ def parse(text: str) -> BraidWord:
     spellings included, is read by the grammar (``_parse_tokens``), which
     alone raises the parse errors.  Both give the same word.  A text that
     holds an ``h`` is never on the byte path, so it goes to the grammar
-    before any byte is translated.
+    before any byte is translated.  The byte path packs the fold input from
+    the codes that ``_fold_digits`` leaves: on a long word with inverse
+    letters, two C-speed passes first delete adjacent cancelling pairs.
 
     >>> str(parse("x y^-2"))
     'x y^-2'
@@ -357,7 +369,7 @@ def parse(text: str) -> BraidWord:
     if "h" not in text:
         digits = _unit_letter_digits(text)
         if digits is not None:
-            return _unit_letter_word(digits)
+            return _unit_letter_word(digits, _fold_digits(digits))
     return _parse_tokens(text.split())
 
 
@@ -411,19 +423,75 @@ def _unit_letter_digits(text: str) -> bytes | None:
     return digits
 
 
-def _unit_letter_word(digits: bytes) -> BraidWord:
-    """The word of letter codes that ``_unit_letter_digits`` or
-    ``reduced_digits`` gave, holding its length and its fold input: the
-    packed windows read from the digits by one ``int(b"0" + digits, 4)``,
-    which no int-to-str digit limit applies to, then the 0 to CHUNK - 1
-    letters left as its tail."""
-    w = BraidWord.__new__(BraidWord)
+# Letter codes of at least CANCEL_CUT letters that hold an inverse letter
+# are folded after CANCEL_PASSES passes of _cancel_pairs: below the cut the
+# passes cost more than the windows they save, and a third pass saves about
+# what it costs (README's Library section gives the crossover).
+CANCEL_CUT = 256
+CANCEL_PASSES = 2
+
+# Two adjacent digits XOR to 2 exactly when their letters cancel; such an
+# XOR reads as the flag 4, every other as 0.  A digit ORed with the flag is
+# one of _CANCELLED, which no digit is.
+_PAIR_FLAGS = bytes(4 * (byte == 2) for byte in range(256))
+_CANCELLED = b"4567"
+
+
+def _cancel_pairs(digits: bytes) -> bytes:
+    """One pass over the letter codes, at C speed: each digit that cancels
+    the one before it is flagged, the first flag of each run of adjacent
+    flags is kept, so that no two kept pairs overlap, and both digits of
+    each kept pair are deleted.  A pass that flags nothing returns
+    ``digits`` itself.
+
+    >>> _cancel_pairs(b"0120200")
+    b'01200'
+    """
     length = len(digits)
+    codes = int.from_bytes(digits, "big")
+    # Byte j of codes ^ codes >> 8 is digit j XOR digit j - 1; byte 0, the
+    # first digit itself, is never flagged.
+    flags = (codes ^ codes >> 8).to_bytes(length, "big").translate(
+        _PAIR_FLAGS)
+    if 4 not in flags:
+        return digits
+    flags = int.from_bytes(flags, "big")
+    # The flags whose predecessor is not flagged (flags & ~(flags >> 8),
+    # in fewer int operations), each marking its digit and the one before.
+    kept = flags ^ (flags & flags >> 8)
+    return (codes | kept | kept << 8).to_bytes(length, "big").translate(
+        None, _CANCELLED)
+
+
+def _fold_digits(digits: bytes) -> bytes:
+    """The letter codes that parse's byte path packs for both folds: what
+    CANCEL_PASSES passes of ``_cancel_pairs`` leave when there are at least
+    CANCEL_CUT of them and one is an inverse letter, else ``digits``
+    itself.  Both folds are homomorphisms, so a cancelled pair changes
+    neither; the word keeps its own codes for everything else."""
+    if len(digits) >= CANCEL_CUT and (b"2" in digits or b"3" in digits):
+        for _ in range(CANCEL_PASSES):
+            passed = _cancel_pairs(digits)
+            if passed is digits:
+                break
+            digits = passed
+    return digits
+
+
+def _unit_letter_word(digits: bytes, fold_digits: bytes) -> BraidWord:
+    """The word of the letter codes ``digits``, holding them and its
+    length, with its fold input packed from ``fold_digits``: ``digits``
+    itself, or what ``_fold_digits`` left of them.  The windows are read by
+    one ``int(b"0" + fold_digits, 4)``, which no int-to-str digit limit
+    applies to, and the 0 to CHUNK - 1 letters left are the tail."""
+    w = BraidWord.__new__(BraidWord)
+    length = len(fold_digits)
     full = length - length % CHUNK
     w.__dict__.update(
-        _digits=digits, _length=length,
-        _windows=int(b"0" + digits[:full], 4).to_bytes(full // CHUNK, "big"),
-        _tail=tuple(map(_DIGIT_LETTERS.__getitem__, digits[full:])))
+        _digits=digits, _length=len(digits),
+        _windows=int(b"0" + fold_digits[:full], 4).to_bytes(
+            full // CHUNK, "big"),
+        _tail=tuple(map(_DIGIT_LETTERS.__getitem__, fold_digits[full:])))
     return w
 
 
@@ -547,7 +615,8 @@ def free_reduce(w: BraidWord) -> BraidWord:
     >>> str(free_reduce(parse("x x^-1 y")))
     'y'
     """
-    return _unit_letter_word(reduced_digits(w))
+    digits = reduced_digits(w)
+    return _unit_letter_word(digits, digits)
 
 
 def power(w: BraidWord, n: int) -> BraidWord:

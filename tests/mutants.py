@@ -11,9 +11,16 @@ probe; ``mutant_sweep.py`` runs the whole suite on each copy, to show which
 tests catch it.
 """
 
+import random
 from collections import namedtuple
 
 Mutant = namedtuple("Mutant", "name module old new argv exit")
+
+# A fixed uniform word of 300 letters: past the cut (words.CANCEL_CUT) of
+# the byte path's cancelling passes, and under the oracle's crossing cap.
+_rng = random.Random(2)
+UNIFORM_WORD = " ".join(_rng.choice(("x", "y", "x^-1", "y^-1"))
+                        for _ in range(300))
 
 MUTANTS = (
     Mutant(
@@ -50,6 +57,17 @@ MUTANTS = (
         "(_Y, _CARET)), CODE_DIGITS)}",
         "(_Y, _CARET)), b\"0103\")}",
         ("analyze", "--json", "--oracle", "x y^-1 x^-1 y^-1"), 0),
+    # The passes also delete x next to y and its kin, so both folds read
+    # another word: determinant 10,559,005 against the oracle's
+    # 693,961,259,504.  The oracle reduces the word's own codes, so it
+    # catches the fault; without --oracle the probe exits 0, as the row
+    # above does.
+    Mutant(
+        "cancelling passes delete adjacent letters of both columns",
+        "words.py",
+        "_PAIR_FLAGS = bytes(4 * (byte == 2) for byte in range(256))\n",
+        "_PAIR_FLAGS = bytes(4 * (byte in (1, 2)) for byte in range(256))\n",
+        ("analyze", "--json", "--oracle", UNIFORM_WORD), 3),
     Mutant(
         "left-trefoil bottom moved from 8 to 16 quarters", "floer.py",
         "    (LEFT_TREFOIL_LIKE, False): (8, 4, -1),\n",

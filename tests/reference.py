@@ -15,8 +15,9 @@ Each reference is the plain, letter-by-letter computation of its stage:
 - free reduction: ``attribute_free_reduce``;
 - letters and equality of words built from runs: ``per_run_letters``,
   ``letter_level_blocks`` and ``walk_same_letters``;
-- parse: ``grammar_parse``, with ``packed_keys`` for the byte path's windows
-  and ``groupby_run_text`` for the text of a word;
+- parse: ``grammar_parse``, with ``packed_keys`` for the byte path's windows,
+  ``fold_letters`` (by ``cancelling_pass``) for the letters it packs, and
+  ``groupby_run_text`` for the text of a word;
 - model word and mirror: ``model_letters`` and
   ``slow_mirror_form``;
 - report: ``reference_analyze_word``, its rows read from
@@ -345,6 +346,34 @@ def packed_keys(letters):
     return bytes(sum(LETTERS.index(letter) << 2 * (chunk - 1 - i)
                      for i, letter in enumerate(letters[start:start + chunk]))
                  for start in range(0, full, chunk)), letters[full:]
+
+
+def cancelling_pass(letters):
+    """One pass of parse's byte path over a word's letters, a letter at a
+    time: a letter that is the inverse of the one before it is flagged,
+    and each flagged letter whose predecessor is not flagged is deleted
+    with that predecessor."""
+    flags = [False] + [b.generator == a.generator and b.sign == -a.sign
+                       for a, b in zip(letters, letters[1:])]
+    deleted = set()
+    for j in range(1, len(letters)):
+        if flags[j] and not flags[j - 1]:
+            deleted |= {j - 1, j}
+    return tuple(letter for j, letter in enumerate(letters)
+                 if j not in deleted)
+
+
+def fold_letters(letters):
+    """The letters whose packing is the fold input of a word of these
+    letters read on parse's byte path: CANCEL_PASSES ``cancelling_pass``es
+    when there are at least CANCEL_CUT letters and one has sign -1, else the
+    letters themselves."""
+    letters = tuple(letters)
+    if len(letters) >= w_.CANCEL_CUT and any(
+            letter.sign < 0 for letter in letters):
+        for _ in range(w_.CANCEL_PASSES):
+            letters = cancelling_pass(letters)
+    return letters
 
 
 def groupby_run_text(w):

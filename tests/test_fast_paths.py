@@ -94,9 +94,11 @@ from reference import (
     booth_least_rotation,
     branching_cyclic_reduce,
     branching_trace_class,
+    cancelling_pass,
     dense_crossing_rows,
     encoder_json_line,
     end_kinds,
+    fold_letters,
     fraction_pivots,
     grammar_parse,
     groupby_run_text,
@@ -495,10 +497,12 @@ def packed_window(byte):
 
 def byte_path_word(letters):
     """``parse`` of the letters spelled as unit tokens, which it reads on
-    its byte path, checked to hold the packed fold input of its letters."""
+    its byte path, checked to hold the packed fold input of its letters
+    (``fold_letters``)."""
     w = parse(" ".join(map(TOKEN.__getitem__, letters)))
     assert "_digits" in vars(w), letters
-    assert (w._windows, w._tail) == packed_keys(letters), letters
+    assert (w._windows, w._tail) == packed_keys(fold_letters(letters)), \
+        letters
     return w
 
 
@@ -643,11 +647,13 @@ def syllable_pass_calls(w):
 @pytest.mark.parametrize("alphabet", [LETTERS, (w_.X, w_.Y)],
                          ids=["uniform", "positive"])
 def test_syllable_pass_makes_no_python_call_per_window(rng, alphabet):
-    # Lengths divisible by CHUNK leave no tail, so every factor is a
-    # window; a call per merging window would grow with the length.
-    counts = [syllable_pass_calls(byte_path_word(
-        [rng.choice(alphabet) for _ in range(length)]))
-        for length in (40, 40_000)]
+    # Lengths divisible by CHUNK leave no tail of their own, so every factor
+    # is a window or, past the cancelling passes, one of the 0 to CHUNK - 1
+    # tail letters, a call each; a call per merging window would grow with
+    # the length.
+    words = [byte_path_word([rng.choice(alphabet) for _ in range(length)])
+             for length in (40, 40_000)]
+    counts = [syllable_pass_calls(w) - len(w._tail) for w in words]
     assert counts[0] == counts[1] > 0, counts
 
 
@@ -1234,8 +1240,8 @@ def assert_parse_matches_grammar(text):
     position and message, or a word whose length, hash, image, syllable
     pass, letters and runs are those of a word built from the grammar's
     runs, and whose fold input is its runs or, on the byte path, the
-    packing of its letters.  All but the letters and runs are read first,
-    while a word from the byte path holds no runs yet."""
+    packing of its ``fold_letters``.  All but the letters and runs are read
+    first, while a word from the byte path holds no runs yet."""
     try:
         expected = BraidWord(grammar_parse(text).runs)
     except ParseError as error:
@@ -1247,7 +1253,7 @@ def assert_parse_matches_grammar(text):
         return
     assert isinstance(expected, BraidWord), text
     assert (w._windows, w._tail) == (
-        packed_keys(expected.letters) if "_digits" in vars(w)
+        packed_keys(fold_letters(expected.letters)) if "_digits" in vars(w)
         else (b"", expected.runs)), text
     assert len(w) == len(expected) and hash(w) == hash(expected), text
     assert image(w) == image(expected), text
@@ -1338,6 +1344,77 @@ def test_byte_parse_does_constant_python_work_per_word():
     counts = [line_events({w_.__file__},
                           lambda: parse_length_and_keys(text))
               for text in texts]
+    # Only the longer text is past CANCEL_CUT, so only its codes go through
+    # the cancelling passes, whose own count is constant too (see
+    # test_cancelling_passes_do_constant_python_work_on_nested_words).
+    passes = [line_events({w_.__file__}, functools.partial(
+        w_._fold_digits, w_._unit_letter_digits(text))) for text in texts]
+    assert passes[0] < passes[1]
+    assert counts[0] - passes[0] == counts[1] - passes[1] > 0
+
+
+def code_letters(digits):
+    """The letters of ASCII letter codes, as ``words.CODE_DIGITS`` reads
+    them."""
+    return tuple(LETTERS[digit - ord("0")] for digit in digits)
+
+
+def test_cancelling_pass_matches_the_letter_pass_on_every_short_word(
+        short_words):
+    # One pass on every code string of at most 8 letters.  A second pass
+    # reads what the first left, another of these strings, so the stack
+    # free reduction of two passes is checked against the word's own.
+    checked = 0
+    for word in short_words:
+        digits = bytes(map(CODE_DIGIT.__getitem__, word.letters))
+        passed = w_._cancel_pairs(digits)
+        expected = cancelling_pass(word.letters)
+        assert code_letters(passed) == expected, word.letters
+        # A pass that deletes nothing returns its input itself.
+        assert (passed is digits) == (len(expected) == len(digits)), \
+            word.letters
+        assert attribute_free_reduce(code_letters(
+            w_._cancel_pairs(passed))) == word.reduced, word.letters
+        # Below CANCEL_CUT the byte path packs the codes as they are.
+        assert w_._fold_digits(digits) is digits
+        checked += 1
+    assert checked == 87_381
+
+
+def test_cancelling_passes_match_the_letter_passes_on_long_words(rng):
+    # Uniform words on both sides of the cut and past it, words that
+    # alternate a letter and its inverse in runs, and words of one sign,
+    # which the passes leave alone.
+    cases = [[rng.choice(LETTERS) for _ in range(length)]
+             for length in (255, 256, 257, 1000, 10_000)]
+    for _ in range(20):
+        letters = []
+        while len(letters) < 2000:
+            a = rng.choice(LETTERS)
+            letters += [a, a.inverse()] * rng.randint(1, 5) + \
+                [a] * rng.randint(0, 2)
+        cases.append(letters)
+    cases += [[rng.choice(alphabet) for _ in range(1000)] for alphabet in
+              ((w_.X, w_.Y), (w_.X_INV, w_.Y_INV))]
+    for letters in cases:
+        # byte_path_word checks the fold input against fold_letters.
+        w = byte_path_word(letters)
+        assert attribute_free_reduce(code_letters(w_._fold_digits(
+            w._digits))) == code_letters(w_.reduced_digits(w)), letters
+
+
+def test_cancelling_passes_do_constant_python_work_on_nested_words():
+    # x^k x^-k, spelled as unit tokens, cancels one pair a pass, at the
+    # middle: passes run until nothing cancels would make k of them, each
+    # over all the letters.
+    counts = []
+    for k in (10**3, 10**4):
+        text = "x " * k + "x^-1 " * k
+        counts.append(line_events({w_.__file__}, functools.partial(
+            parse, text)))
+        w = parse(text)
+        assert (len(w), len(w._windows) * CHUNK + len(w._tail)) == \
+            (2 * k, 2 * k - 2 * w_.CANCEL_PASSES)
     assert counts[0] == counts[1] > 0
 
 
