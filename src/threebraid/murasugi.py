@@ -57,11 +57,11 @@ def least_rotation(seq: Sequence) -> tuple:
     equal, so every start repeats one below j.  i + j + k grows at every
     step, so the scan is O(n) and keeps no failure array.
 
-    It runs in a Python step per entry.  ``classify`` calls it on the
-    block tuple of an R/L word shorter than ``_SEARCH_CUT`` bytes, or of
-    one whose longest R-runs tie more than ``_TIED_RUNS`` times; on a
-    longer word it finds the rotation by ``_least_start`` instead.
-    ``Family1(d, a)`` and ``FreeProductWord.cyclic_key`` call it always.
+    It runs in a Python step per entry.  ``classify`` and
+    ``mirror_form`` call it on the block tuple of an R/L word shorter than
+    ``_SEARCH_CUT`` bytes, and on a longer one on the ``bytes`` tokens
+    between its longest R-runs (``_least_word``).  ``Family1(d, a)`` and
+    ``FreeProductWord.cyclic_key`` call it always.
 
     >>> least_rotation((3, 0, 1))
     (0, 1, 3)
@@ -344,47 +344,46 @@ def _block_tuple(exponents: bytes) -> tuple[int, ...]:
     tuple: each R opens a block whose entry counts the following run of Ls.
 
     Reading from the first R, which the word holds, the Ls before it closing
-    the last block, gives one rotation of the tuple; the normal form holds
-    the least of them, which ``_least_blocks`` reads."""
+    the last block, gives one rotation of the tuple.  Two rotations of the
+    word that start at an R first differ where one block's L-run ends,
+    with an R, and the other's goes on, with an L, so the one with the
+    smaller entry is less: the least rotation of the word gives the least
+    rotation of the tuple, which the normal form holds and
+    ``_least_blocks`` reads."""
     parts = exponents.split(b"\x01")
     return (*map(len, parts[1:-1]), len(parts[-1]) + len(parts[0]))
 
 
-# R/L words of at least this many bytes have their least rotation found by
-# _least_start; shorter ones, where its fixed cost loses to the Python steps
-# of least_rotation, and words with more than _TIED_RUNS tied longest
-# R-runs, such as (R L)^k, take least_rotation of the block tuple.
+# R/L words of at least this many bytes have their least rotation read by
+# _least_word; shorter ones, where its fixed cost loses to the Python steps
+# of least_rotation on the block tuple, take that scan.
 _SEARCH_CUT = 64
-_TIED_RUNS = 8
 
 
-def _least_start(exponents: bytes) -> int | None:
-    """The start of the least rotation of a cyclic R/L word that holds both
-    letters, or None when more than ``_TIED_RUNS`` runs tie for it.
+def _least_word(exponents: bytes) -> bytes:
+    """The least rotation of a cyclic R/L word that holds both letters.
 
     R (1) is less than L (2), so the least rotation opens with a longest
-    cyclic run of R, at the start of one of the runs of that length; the
-    least of those rotations is picked by comparing them as bytes.  Each
-    step is a bytes search at C speed.  In the doubled word, which holds
-    every cyclic run whole since the word holds an L, the longest run is
-    read by records: the first run, then the first run longer than the
-    longest so far, found by one search that resumes past it, which lands
-    on the start of a run, as a first match after an L.  The runs of the
-    longest length are then found in turn at starts 1 to n of the doubled
-    word, n the word's length, so each cyclic run once, and at most
-    ``_TIED_RUNS`` + 1 rotations are copied.  Each series of searches
-    scans the doubled word once, and each pattern is at most one longer
-    than a run already read, those runs lying apart, so the whole is
-    linear.
+    cyclic run R^r.  In the doubled word, which holds every cyclic run
+    whole since the word holds an L, r is read by records at C speed: the
+    first run, then the first run longer than the longest so far, found by
+    one ``bytes.find`` that resumes past it and lands on the start of a
+    run, as a first match after an L.  Each pattern is at most one longer
+    than a run already read, those runs lying apart, so the searches scan
+    the doubled word once.
 
-    Read from an R, a rotation is the block tuple's rotation that starts
-    at that block: two such rotations first differ where one block's
-    L-run ends, with an R, and the other's goes on, with an L, so the one
-    with the shorter block, the smaller entry, is less.  So the least
-    rotation of the word gives the least rotation of the tuple.
+    The word is rotated to one run R^r and split at every R^r, each of
+    which is a whole run, into the tokens that follow them; each token
+    opens and closes with an L.  Two rotations that start at an R^r
+    compare as their token sequences do: at the first unequal pair, a
+    token that is a proper prefix of the other is followed by R^r, which
+    sorts below what the longer one holds there, an L or a run of R
+    shorter than r.  So one ``least_rotation`` of the tokens, whose
+    entries compare at C speed, reads the least rotation in linear time,
+    however many runs tie.
 
-    >>> _least_start(bytes((2, 1, 2, 1, 1, 2)))
-    3
+    >>> list(_least_word(bytes((2, 1, 2, 1, 1, 2))))
+    [1, 1, 2, 2, 1, 2]
     """
     n = len(exponents)
     doubled = exponents * 2
@@ -394,29 +393,18 @@ def _least_start(exponents: bytes) -> int | None:
         run = end - start
         start = doubled.find(b"\x01" * (run + 1), end, n + run + 1)
     longest = b"\x01" * run
-    found = doubled.find(longest, 1, n + run)
-    best, least, ties = found, doubled[found:found + n], 1
-    found = doubled.find(longest, found + run, n + run)
-    while found >= 0:
-        ties += 1
-        if ties > _TIED_RUNS:
-            return None
-        rotation = doubled[found:found + n]
-        if rotation < least:
-            best, least = found, rotation
-        found = doubled.find(longest, found + run, n + run)
-    return best % n
+    first = doubled.find(longest, 1, n + run)
+    tokens = doubled[first + run:first + n].split(longest)
+    return longest + longest.join(least_rotation(tokens))
 
 
 def _least_blocks(exponents: bytes) -> tuple[int, ...]:
     """The family-1 block tuple of a cyclic R/L word that holds both
-    letters, in its least rotation: read at ``_least_start`` from a word
-    of at least ``_SEARCH_CUT`` bytes, else, or when the start is None,
-    ``least_rotation`` of the tuple read from the word as it is."""
+    letters, in its least rotation: read from ``_least_word`` on a word of
+    at least ``_SEARCH_CUT`` bytes, else ``least_rotation`` of the tuple
+    read from the word as it is."""
     if len(exponents) >= _SEARCH_CUT:
-        start = _least_start(exponents)
-        if start is not None:
-            return _block_tuple(exponents[start:] + exponents[:start])
+        return _block_tuple(_least_word(exponents))
     return least_rotation(_block_tuple(exponents))
 
 
@@ -456,8 +444,8 @@ def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
     R/L word, which gives t = #R - #L: m for a pure power, the empty word
     among them as the central case t = 0, and n - sum(a) for a block
     tuple.  The tuple is read in its least rotation by ``_least_blocks``:
-    from the start that the bytes search ``_least_start`` finds on an R/L
-    word of at least ``_SEARCH_CUT`` bytes, else by ``least_rotation``.
+    from the least rotation of an R/L word of at least ``_SEARCH_CUT``
+    bytes, which ``_least_word`` reads, else by ``least_rotation``.
     The twist power is d = (e - t) / 6 for the word's exponent sum e, the
     form is built by ``_normal``, with no second rotation, and it is
     checked once against ``matrix``, which is ``homology.image(w)``,
@@ -549,15 +537,17 @@ def is_conjugate(w1: BraidWord, w2: BraidWord) -> bool:
 
 def mirror_form(f: MurasugiForm) -> MurasugiForm:
     """Normal form of the inverse mapping class (mirror of the closure), in
-    O(n + sum(a)) with no word built.  Inversion reverses the cyclic R/L
-    word R L^a1 ... R L^an of a family-1 form and swaps R and L.
+    O(n + sum(a)) with no braid word built.  Inversion reverses the cyclic
+    R/L word R L^a1 ... R L^an of a family-1 form and swaps R and L; the
+    word holds both letters, since the form is valid, and
+    ``_least_blocks`` reads its tuple in the least rotation.
 
     >>> mirror_form(Family1(1, (5,)))
     Family1(d=-1, a=(0, 0, 0, 0, 1))
     """
     _validate(f)
     if isinstance(f, Family1):
-        return Family1(-f.d, _block_tuple(
+        return Family1._normal(-f.d, _least_blocks(
             b"".join(b"\x01" * ai + b"\x02" for ai in reversed(f.a))))
     if isinstance(f, Family2):
         return Family2(-f.d, -f.m)

@@ -156,6 +156,10 @@ def test_booth_on_syllables_and_lists():
     assert least_rotation(syllables) == slow_least_rotation(syllables)
     assert least_rotation([2, 0, 1, 0]) == (0, 1, 0, 2)
     assert least_rotation(bytes((2, 0, 1, 0))) == (0, 1, 0, 2)
+    # Tokens between longest R-runs, each a proper prefix of the next.
+    tokens = (b"\x02\x01\x02", b"\x02", b"\x02\x01\x02\x02", b"\x02\x01")
+    assert least_rotation(tokens) == slow_least_rotation(tokens) == \
+        (b"\x02", b"\x02\x01\x02\x02", b"\x02\x01", b"\x02\x01\x02")
 
 
 def test_least_rotation_matches_booth_on_random_tuples(rng):
@@ -204,59 +208,69 @@ def test_least_rotation_makes_linearly_many_comparisons():
     assert count <= 3 * n, count
 
 
-def test_the_run_search_reads_the_least_block_rotation(monkeypatch):
-    # With no cap on tied runs, the block tuple read from the search's
-    # start is the least rotation of the one read from the word as it
-    # stands, on every R/L word (R = 1, L = 2) of 2 to 14 letters that
-    # holds both letters: ties, runs across the wrap and every start.
-    monkeypatch.setattr(murasugi, "_TIED_RUNS", math.inf)
+def test_the_run_search_reads_the_least_block_rotation():
+    # The block tuple of the least rotation that the search reads is the
+    # least rotation of the one read from the word as it stands, on every
+    # R/L word (R = 1, L = 2) of 2 to 14 letters that holds both letters:
+    # ties, runs across the wrap and every start.
     checked = 0
     for length in range(2, 15):
         for letters in itertools.product(b"\x01\x02", repeat=length):
             exponents = bytes(letters)
             if 1 in exponents and 2 in exponents:
-                start = murasugi._least_start(exponents)
                 assert murasugi._block_tuple(
-                    exponents[start:] + exponents[:start]) == \
+                    murasugi._least_word(exponents)) == \
                     slow_least_rotation(murasugi._block_tuple(exponents)), \
                     exponents
                 checked += 1
     assert checked == 32_738
 
 
-def test_tied_runs_past_the_cap_stop_the_search():
-    # (x y^-1)^k is the R/L word (R L)^k, whose k runs of R all tie: the
-    # search gives up after _TIED_RUNS + 1 of them, so a periodic word
-    # costs a few bytes searches, counted here, and not k slice
-    # comparisons of k bytes each.
-    finds = 0
+def test_tied_runs_cost_one_scan_of_the_tokens(monkeypatch):
+    # (x y^-1)^k is the R/L word (R L)^k, whose k runs of R all tie, here
+    # read from an L: the search makes as many bytes searches and splits
+    # at k = 10^3 as at 10^4, counted here, and one least_rotation of the k tokens, not k
+    # slice comparisons of k bytes each.
+    scans = []
+
+    def counting(seq):
+        scans.append(len(seq))
+        return least_rotation(seq)
+
+    monkeypatch.setattr(murasugi, "least_rotation", counting)
+    c_calls = Counter()
 
     def profiler(frame, event, arg):
-        nonlocal finds
-        if event == "c_call" and arg.__name__ == "find":
-            finds += 1
+        if event == "c_call" and arg.__name__ in ("find", "split"):
+            c_calls[arg.__name__] += 1
 
-    previous = sys.getprofile()
-    sys.setprofile(profiler)
-    try:
-        start = murasugi._least_start(b"\x01\x02" * 5000)
-    finally:
-        sys.setprofile(previous)
-    assert start is None
-    assert finds <= murasugi._TIED_RUNS + 4, finds
+    counts = []
+    for k in (10**3, 10**4):
+        c_calls.clear()
+        scans.clear()
+        previous = sys.getprofile()
+        sys.setprofile(profiler)
+        try:
+            least = murasugi._least_word(b"\x02\x01" * k)
+        finally:
+            sys.setprofile(previous)
+        assert least == b"\x01\x02" * k
+        assert scans == [k], scans
+        counts.append(dict(c_calls))
+    assert counts[0] == counts[1] and counts[0]["split"] == 1, counts
 
 
 def test_classify_on_long_words_matches_the_scan(rng, monkeypatch):
-    # Words of 10^3 to 10^5 letters take the search, and periodic ones,
-    # whose longest runs tie more than _TIED_RUNS times, the scan; the
-    # forms equal those of the scan alone, with the cut past every word.
+    # Words of 10^3 to 10^5 letters, and periodic ones whose longest runs
+    # tie 100 to 5,000 times, take the search; the forms equal those of
+    # the scan alone, with the cut past every word.
     alphabets = (("x", "y", "x^-1", "y^-1"), ("x", "y"),
                  ("x", "y^-1", "x^3", "y^-2", "h"),
                  ("x", "y", "x^-1", "y^-1", "x^4", "y^-3", "h^-2"))
     searched = [" ".join(rng.choice(alphabet)
                          for _ in range(int(10 ** rng.uniform(3, 5))))
                 for alphabet in alphabets for _ in range(2)]
-    # Five tied runs of R R, each rotation equal: still the search.
+    # Five tied runs of R R, each rotation equal.
     searched.append(("x y^-1 " * 50 + "x^2 y^-1 ") * 5)
     periodic = ["x y^-1 " * 5000, ("x y^-1 " * 50 + "x^2 y^-1 ") * 100,
                 "h^3 " + "x^2 y^-1 x y^-1 " * 2000]
@@ -265,8 +279,6 @@ def test_classify_on_long_words_matches_the_scan(rng, monkeypatch):
         w = parse(text)
         exponents = murasugi._blocks(murasugi._syllable_pass(w)[0])
         assert len(exponents) >= murasugi._SEARCH_CUT, text[:40]
-        taken = murasugi._least_start(exponents)
-        assert (taken is None) == (text in periodic), text[:40]
         forms[text] = classify(w)
         assert isinstance(forms[text], Family1), text[:40]
     monkeypatch.setattr(murasugi, "_SEARCH_CUT", sys.maxsize)
