@@ -43,8 +43,10 @@ class InvalidForm(ValueError):
     pass
 
 
-def least_rotation(seq: Sequence) -> tuple:
-    """The lexicographically least cyclic rotation of seq, in linear time.
+def _least_start(doubled: Sequence, n: int) -> int:
+    """Where the lexicographically least cyclic rotation of the n entries
+    of ``doubled``, which holds them twice, starts, in linear time: the
+    package's one least-rotation scan.
 
     Two candidate starts i != j are compared over the doubled sequence, k
     entries agreeing so far.  At the first mismatch the start with the
@@ -55,19 +57,9 @@ def least_rotation(seq: Sequence) -> tuple:
     off i.  The scan ends with i on it: when j passes n, every other start
     has been skipped, and when k reaches n, the rotations at i and j are
     equal, so every start repeats one below j.  i + j + k grows at every
-    step, so the scan is O(n) and keeps no failure array.
-
-    It runs in a Python step per entry.  ``classify`` and
-    ``mirror_form`` call it on the block tuple of an R/L word shorter than
-    ``_SEARCH_CUT`` bytes, and on a longer one on the ``bytes`` tokens
-    between its longest R-runs (``_least_word``).  ``Family1(d, a)`` and
-    ``FreeProductWord.cyclic_key`` call it always.
-
-    >>> least_rotation((3, 0, 1))
-    (0, 1, 3)
+    step, so the scan is O(n) and keeps no failure array.  It runs in a
+    Python step per entry.
     """
-    n = len(seq)
-    doubled = tuple(seq) * 2
     i, j, k = 0, 1, 0
     while j < n and k < n:
         a, b = doubled[i + k], doubled[j + k]
@@ -81,7 +73,25 @@ def least_rotation(seq: Sequence) -> tuple:
         if i == j:
             j += 1
         k = 0
-    return doubled[i:i + n]
+    return i
+
+
+def least_rotation(seq: Sequence) -> tuple:
+    """The lexicographically least cyclic rotation of seq, in linear time:
+    the doubled tuple sliced where ``_least_start`` finds it.
+
+    ``classify`` and ``mirror_form`` call it on the block tuple of an R/L
+    word shorter than ``_SEARCH_CUT`` bytes; a longer one is sliced by
+    ``_least_word``.  ``Family1(d, a)`` and ``FreeProductWord.cyclic_key``
+    call it always.
+
+    >>> least_rotation((3, 0, 1))
+    (0, 1, 3)
+    """
+    n = len(seq)
+    doubled = tuple(seq) * 2
+    start = _least_start(doubled, n)
+    return doubled[start:start + n]
 
 
 # --- the free product Z/2 * Z/3 -------------------------------------------
@@ -112,12 +122,15 @@ def _run_syllables(generator: str,
                    exponent: int) -> tuple[bytes, int, int, int]:
     """The fold factor of a run: its syllables, its exponent sum, and the
     kinds (``_KINDS``) of its first and last syllable, 0 for none.  h is
-    central and trivial in PSL(2,Z); a generator power repeats the
-    letter's two syllables, which leaves them reduced."""
+    central and trivial in PSL(2,Z), and a zero exponent is the empty
+    word; a generator power repeats the letter's two syllables, which
+    leaves them reduced."""
     if generator == "h":
         return b"", 6 * exponent, 0, 0
     if generator not in ("x", "y"):
         raise ValueError(f"malformed run {(generator, exponent)!r}")
+    if not exponent:
+        return b"", 0, 0, 0
     sign = 1 if exponent > 0 else -1
     first, last = syllables = _LETTER_SYLLABLES[generator, sign]
     return (syllables * (exponent * sign), exponent, _KINDS[first],
@@ -378,9 +391,13 @@ def _least_word(exponents: bytes) -> bytes:
     compare as their token sequences do: at the first unequal pair, a
     token that is a proper prefix of the other is followed by R^r, which
     sorts below what the longer one holds there, an L or a run of R
-    shorter than r.  So one ``least_rotation`` of the tokens, whose
-    entries compare at C speed, reads the least rotation in linear time,
-    however many runs tie.
+    shorter than r.  So one ``_least_start`` scan of the tokens, whose
+    entries compare at C speed, finds the least token rotation in linear
+    time, however many runs tie.  The doubled word is sliced at the start
+    of that token rotation, the R^r before its first token: ``first``
+    plus r and the token's length for each token before it.  ``first`` is
+    the first R^r at 1 or later, so every R^r starts between first and n,
+    and the slice lies inside the doubled word.
 
     >>> list(_least_word(bytes((2, 1, 2, 1, 1, 2))))
     [1, 1, 2, 2, 1, 2]
@@ -395,14 +412,17 @@ def _least_word(exponents: bytes) -> bytes:
     longest = b"\x01" * run
     first = doubled.find(longest, 1, n + run)
     tokens = doubled[first + run:first + n].split(longest)
-    return longest + longest.join(least_rotation(tokens))
+    least = _least_start(tokens * 2, len(tokens))
+    start = first + least * run + sum(map(len, tokens[:least]))
+    return doubled[start:start + n]
 
 
 def _least_blocks(exponents: bytes) -> tuple[int, ...]:
     """The family-1 block tuple of a cyclic R/L word that holds both
-    letters, in its least rotation: read from ``_least_word`` on a word of
-    at least ``_SEARCH_CUT`` bytes, else ``least_rotation`` of the tuple
-    read from the word as it is."""
+    letters, in its least rotation: on a word of at least ``_SEARCH_CUT``
+    bytes, read from ``_least_word``, which slices its doubled word at the
+    start of its least token rotation, else ``least_rotation`` of the
+    tuple read from the word as it is."""
     if len(exponents) >= _SEARCH_CUT:
         return _block_tuple(_least_word(exponents))
     return least_rotation(_block_tuple(exponents))

@@ -314,7 +314,8 @@ def run_text(w: BraidWord) -> str:
     """The word as a string that ``parse`` reads back as an equal word:
     one token per h run (``h``, ``h^-1`` or ``h^d``), so no letter is
     expanded, and one per stretch of x/y runs of equal generator and sign,
-    as in ``str(w)``, which it equals on a word with no h run.
+    as in ``str(w)``, which it equals on a word with no h run.  A run of
+    exponent 0 is the empty word and writes nothing.
 
     >>> run_text(parse("h^1000000000 x x y^-3"))
     'h^1000000000 x^2 y^-3'
@@ -325,6 +326,8 @@ def run_text(w: BraidWord) -> str:
     tokens = []
     generator = exponent = None
     for g, e in w.runs:
+        if not e:
+            continue
         if g == generator != "h" and (e > 0) == (exponent > 0):
             exponent += e
         else:

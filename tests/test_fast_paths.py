@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import prod
@@ -60,6 +61,7 @@ from threebraid.murasugi import (
     Family3,
     canonical_word,
     classify,
+    is_conjugate,
     least_rotation,
     mirror_form,
     psl2_normal_form,
@@ -229,15 +231,16 @@ def test_the_run_search_reads_the_least_block_rotation():
 def test_tied_runs_cost_one_scan_of_the_tokens(monkeypatch):
     # (x y^-1)^k is the R/L word (R L)^k, whose k runs of R all tie, here
     # read from an L: the search makes as many bytes searches and splits
-    # at k = 10^3 as at 10^4, counted here, and one least_rotation of the k tokens, not k
-    # slice comparisons of k bytes each.
+    # at k = 10^3 as at 10^4, counted here, and one _least_start scan of
+    # the k tokens, not k slice comparisons of k bytes each.
     scans = []
+    least_start = murasugi._least_start
 
-    def counting(seq):
-        scans.append(len(seq))
-        return least_rotation(seq)
+    def counting(doubled, n):
+        scans.append(n)
+        return least_start(doubled, n)
 
-    monkeypatch.setattr(murasugi, "least_rotation", counting)
+    monkeypatch.setattr(murasugi, "_least_start", counting)
     c_calls = Counter()
 
     def profiler(frame, event, arg):
@@ -258,6 +261,22 @@ def test_tied_runs_cost_one_scan_of_the_tokens(monkeypatch):
         assert scans == [k], scans
         counts.append(dict(c_calls))
     assert counts[0] == counts[1] and counts[0]["split"] == 1, counts
+
+
+def test_the_run_search_holds_no_buffer_per_token():
+    # (R L)^k splits into k one-byte tokens.  Slicing the doubled word
+    # peaks at about 28 bytes a token; a join of the tokens would hold an
+    # 80-byte buffer per token, about 102 bytes a token in all.
+    k = 10**5
+    exponents = b"\x01\x02" * k
+    tracemalloc.start()
+    try:
+        blocks = murasugi._least_blocks(exponents)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert blocks == (1,) * k
+    assert peak < 60 * k, peak / k
 
 
 def test_classify_on_long_words_matches_the_scan(rng, monkeypatch):
@@ -479,6 +498,26 @@ def test_runs_match_letters_on_all_words_of_three_tokens():
             assert_runs_match_letters(BraidWord(runs))
             checked += 1
     assert checked == 1 + 18 + 18**2 + 18**3
+
+
+def test_zero_runs_are_the_empty_word():
+    # A run of exponent 0 anywhere, first on the empty syllable stack
+    # among the places, is the empty word to every stage, and run_text
+    # writes nothing for it.
+    tokens = [*LETTERS, ("x", 2), ("y", -3), ("h", 1), ("h", -1), ("x", 0),
+              ("y", 0)]
+    checked = 0
+    for count in range(5):
+        for runs in itertools.product(tokens, repeat=count):
+            w = BraidWord(runs)
+            assert_runs_match_letters(w)
+            assert is_conjugate(w, BraidWord(w.letters)), runs
+            text = w_.run_text(w)
+            assert parse(text) == w and "^0" not in text, (runs, text)
+            if all(g != "h" for g, _ in runs):
+                assert text == str(w), (runs, text)
+            checked += 1
+    assert checked == 11_111
 
 
 def test_runs_match_letters_on_long_words(rng):

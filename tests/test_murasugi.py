@@ -120,12 +120,13 @@ def test_family1_tuple_stored_as_least_rotation():
 
 def test_one_least_rotation_per_family1_form(monkeypatch):
     calls = []
+    least_start = murasugi._least_start
 
-    def counting(seq):
-        calls.append(seq)
-        return least_rotation(seq)
+    def counting(doubled, n):
+        calls.append((doubled, n))
+        return least_start(doubled, n)
 
-    monkeypatch.setattr(murasugi, "least_rotation", counting)
+    monkeypatch.setattr(murasugi, "_least_start", counting)
     for text in ("y x^5", "x y^-3 x y^-1 x y^-2", "h^-2 x^2 y^-1 x y^-4"):
         calls.clear()
         form = classify(parse(text))
@@ -134,11 +135,13 @@ def test_one_least_rotation_per_family1_form(monkeypatch):
         mirror_form(form)
         assert len(calls) == 1, text
     # A long word has its rotation found by one scan of the bytes tokens
-    # between its longest R-runs.
+    # between its longest R-runs: here the one R^3, of x^3, so one token.
     calls.clear()
     form = classify(parse("x y^-1 x^2 y^-3 " * 40 + "x^3 y^-1"))
     assert isinstance(form, Family1) and len(calls) == 1
-    assert all(type(token) is bytes for token in calls[0]), calls
+    (doubled, n), = calls
+    assert n == 1 and len(doubled) == 2, calls
+    assert all(type(token) is bytes for token in doubled), calls
 
 
 def test_one_least_rotation_per_pretty_report(monkeypatch, capsys):
