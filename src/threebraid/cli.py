@@ -157,9 +157,9 @@ def _line(record, oracle: dict | None) -> str:
     its last key, byte for byte.  A field added to ``report_json`` is added
     here too.  The determinant is rendered once, also for ``spin_c_count``,
     and every integer that grows with it goes through ``_int_text``.  The
-    bundle's relative module, which is ``floer._NON_S0_RELATIVE`` itself on
-    every bundle that ``floer`` builds, is written from its text held at
-    import."""
+    record's bundle is its s0 module alone: ``non_s0_count`` is the
+    determinant less one, and the relative module and the vanishing flag,
+    the same on every bundle, are written from text held at import."""
     (word, form, components, determinant, h1, b1, l_space, tight,
      tight_inverse, tag, hf, spin_c_count, correction, delta, signature, qa,
      screen, stein, bundle) = record
@@ -195,14 +195,11 @@ def _line(record, oracle: dict | None) -> str:
         f'"fillable":{_json_string(fillable)},{euler}'
         f'"dehn_twist_count_bound":{twist_bound}}}')
     if bundle is not None:
-        s0, count, relative, vanish = bundle
-        relative = _NON_S0_RELATIVE_TEXT if relative is _NON_S0_RELATIVE \
-            else _module_text(relative)
         parts.append(
-            f'"torus_bundle":{{"s0":{_module_text(s0)},'
-            f'"non_s0_count":{_int_text(count)},'
-            f'"non_s0_relative":{relative},'
-            f'"fiber_structures_vanish":{_JSON_BOOL[vanish]}}}')
+            f'"torus_bundle":{{"s0":{_module_text(bundle)},'
+            f'"non_s0_count":{_int_text(determinant - 1)},'
+            f'"non_s0_relative":{_NON_S0_RELATIVE_TEXT},'
+            '"fiber_structures_vanish":true}')
     if oracle is not None:
         if "error" in oracle:
             parts.append(f'"oracle":{{"error":{_json_string(oracle["error"])}}}')

@@ -302,18 +302,13 @@ class TorusBundleModules(_Value, namedtuple(
 _NON_S0_RELATIVE = ((-2, 2), (), False)
 
 
-def _torus_bundle(tag: str, k: int, determinant: int) -> tuple:
-    """The bundle in quarters, from the assembly's tag and shift k/4 and
-    the nonzero determinant of the closure: a tuple laid out as the fields
-    of ``TorusBundleModules``, its two modules quarter modules."""
-    return _zero_row_quarters(tag, k), determinant - 1, _NON_S0_RELATIVE, True
-
-
-def _bundle_modules(bundle: tuple) -> TorusBundleModules:
-    """The public modules of a bundle that ``_torus_bundle`` gave."""
-    s0, count, relative, vanish = bundle
-    return TorusBundleModules(_graded_module(s0), count,
-                              _graded_module(relative), vanish)
+def _bundle_modules(s0: tuple, determinant: int) -> TorusBundleModules:
+    """The public modules of the bundle whose s0 quarter module is ``s0``,
+    the 0-surgery row shifted by the assembly's k/4, over a closure of
+    nonzero ``determinant``: each of the other determinant - 1 torsion
+    spin-c structures carries ``_NON_S0_RELATIVE``."""
+    return TorusBundleModules(_graded_module(s0), determinant - 1,
+                              _graded_module(_NON_S0_RELATIVE))
 
 
 def torus_bundle_hf(f: MurasugiForm) -> TorusBundleModules:
@@ -322,7 +317,7 @@ def torus_bundle_hf(f: MurasugiForm) -> TorusBundleModules:
         raise B1NotOne(
             f"{f} has parabolic or central monodromy; the bundle's b1 is not 1")
     tag, _, k = _quarter_assembly(f)
-    return _bundle_modules(_torus_bundle(tag, k, determinant))
+    return _bundle_modules(_zero_row_quarters(tag, k), determinant)
 
 
 class HfkBindingProfile(_Value, namedtuple(

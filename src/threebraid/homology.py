@@ -181,9 +181,10 @@ class AbelianGroup(_Value, namedtuple("AbelianGroup", "free_rank torsion",
                                       defaults=((),))):
     """A finitely generated abelian group Z^free_rank + Z/d1 + Z/d2 + ...
 
-    Torsion coefficients satisfy the divisibility chain d1 | d2 | ... and
-    every di is at least 2.  One loop checks both, each coefficient's size
-    first, so a zero is refused as too small and never divided by.
+    The free rank is not negative.  Torsion coefficients satisfy the
+    divisibility chain d1 | d2 | ... and every di is at least 2.  One loop
+    checks both, each coefficient's size first, so a zero is refused as too
+    small and never divided by.
     """
 
     __slots__ = ()
@@ -192,6 +193,8 @@ class AbelianGroup(_Value, namedtuple("AbelianGroup", "free_rank torsion",
 
     def __new__(cls, free_rank: int,
                 torsion: tuple[int, ...] = ()) -> AbelianGroup:
+        if free_rank < 0:
+            raise ValueError(f"negative free rank {free_rank}")
         earlier = 1
         for d in torsion:
             if d < 2:

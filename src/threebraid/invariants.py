@@ -200,12 +200,13 @@ class InvariantReport(_Value, namedtuple(
 
 
 # The values record of one word: the fields of ``InvariantReport``, in its
-# order, with each grading a count of quarters.  ``hf_plus_s0`` and the
-# bundle's modules are quarter modules, ``correction_quarters`` and
-# ``delta_quarters`` are 4d and 4 delta, ``stein`` is the tuple of the
-# ``SteinReport`` fields and ``torus_bundle`` the one of
-# ``floer._torus_bundle``.  It is the one form of a report that the command
-# line writes (``cli._line``) and checks (``cli._oracle``).
+# order, with each grading a count of quarters.  ``hf_plus_s0`` is a
+# quarter module, ``correction_quarters`` and ``delta_quarters`` are 4d
+# and 4 delta, ``stein`` is the tuple of the ``SteinReport`` fields, and
+# ``torus_bundle`` is the bundle's s0 quarter module alone, a function of
+# the form: its other fields follow from the determinant
+# (``floer._bundle_modules``).  It is the one form of a report that the
+# command line writes (``cli._line``) and checks (``cli._oracle``).
 _Values = namedtuple(
     "_Values",
     "word normal_form components determinant h1 b1 l_space tight "
@@ -250,7 +251,7 @@ def _values(w: BraidWord, raw_text: str | None, include_torus_bundle: bool,
         hf = floer._row_quarters(tag, n, k)
         quarters = hf[0][0]  # the correction term: the row's tower bottom
         if include_torus_bundle:
-            torus_bundle = floer._torus_bundle(tag, k, det)
+            torus_bundle = floer._zero_row_quarters(tag, k)
     if components == 1:
         delta_quarters = 2 * quarters
         if isinstance(form, Family1):
@@ -298,7 +299,7 @@ def _report(values: _Values) -> InvariantReport:
         from fractions import Fraction
         delta_value = Fraction(delta_quarters, 4)
     if torus_bundle is not None:
-        torus_bundle = floer._bundle_modules(torus_bundle)
+        torus_bundle = floer._bundle_modules(torus_bundle, det)
     return InvariantReport(
         word, form, components, det, h1, b1, l_space, tight, tight_inverse,
         tag, hf, spin_c_count, correction, delta_value, sig, qa, screen,

@@ -278,13 +278,14 @@ class _Form(_Value):
     def _normal(cls, d: int, tail) -> _Form:
         """A form from fields already in normal form, a family-1 tuple in
         its least rotation among them, stored without the constructor's
-        rotation."""
+        check and rotation."""
         return tuple.__new__(cls, (d, tail))
 
 
 class Family1(_Form, namedtuple("Family1", "d a")):
     """Pseudo-Anosov class h^d x y^-a1 ... x y^-an, block tuple stored in its
-    lexicographically least cyclic rotation: the constructor rotates it by
+    lexicographically least cyclic rotation: the constructor refuses a
+    tuple with a negative entry or none positive and rotates it by
     ``least_rotation``, and ``classify``, which finds that rotation itself,
     builds the form by ``_normal``."""
 
@@ -293,6 +294,8 @@ class Family1(_Form, namedtuple("Family1", "d a")):
     a: tuple[int, ...]
 
     def __new__(cls, d: int, a: tuple[int, ...]) -> Family1:
+        if not any(a) or min(a) < 0:
+            raise InvalidForm(f"bad family-1 tuple {a}")
         return tuple.__new__(cls, (d, least_rotation(a)))
 
     def __str__(self) -> str:
@@ -311,11 +314,17 @@ class Family2(_Form, namedtuple("Family2", "d m")):
 
 
 class Family3(_Form, namedtuple("Family3", "d m")):
-    """Elliptic (finite-order) class h^d x^m y^-1 with m in {-1, -2, -3}."""
+    """Elliptic (finite-order) class h^d x^m y^-1 with m in {-1, -2, -3};
+    the constructor refuses any other m."""
 
     __slots__ = ()
     d: int
     m: int
+
+    def __new__(cls, d: int, m: int) -> Family3:
+        if m not in (-1, -2, -3):
+            raise InvalidForm(f"family-3 m must be in -1..-3, got {m}")
+        return tuple.__new__(cls, (d, m))
 
     def __str__(self) -> str:
         return f"family 3, d = {self.d}, m = {self.m}"
@@ -497,13 +506,9 @@ def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
 
 
 def _validate(f: MurasugiForm) -> None:
-    if isinstance(f, Family1):
-        if not f.a or any(x < 0 for x in f.a) or not any(f.a):
-            raise InvalidForm(f"bad family-1 tuple {f.a}")
-    elif isinstance(f, Family3):
-        if f.m not in (-1, -2, -3):
-            raise InvalidForm(f"family-3 m must be in -1..-3, got {f.m}")
-    elif not isinstance(f, Family2):
+    """Refuse a value that is not a form; the constructors of the
+    families refuse invalid fields."""
+    if not isinstance(f, (Family1, Family2, Family3)):
         raise InvalidForm(f"not a normal form: {f!r}")
 
 
@@ -571,4 +576,4 @@ def mirror_form(f: MurasugiForm) -> MurasugiForm:
             b"".join(b"\x01" * ai + b"\x02" for ai in reversed(f.a))))
     if isinstance(f, Family2):
         return Family2(-f.d, -f.m)
-    return Family3(1 - f.d, -4 - f.m)
+    return Family3._normal(1 - f.d, -4 - f.m)

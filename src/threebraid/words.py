@@ -427,11 +427,10 @@ def _unit_letter_digits(text: str) -> bytes | None:
 
 
 # Letter codes of at least CANCEL_CUT letters that hold an inverse letter
-# are folded after CANCEL_PASSES passes of _cancel_pairs: below the cut the
-# passes cost more than the windows they save, and a third pass saves about
-# what it costs (README's Library section gives the crossover).
+# are folded after two passes of _cancel_pairs: below the cut the passes
+# cost more than the windows they save, and a third pass saves about what
+# it costs (README's Library section gives the crossover).
 CANCEL_CUT = 256
-CANCEL_PASSES = 2
 
 # Two adjacent digits XOR to 2 exactly when their letters cancel; such an
 # XOR reads as the flag 4, every other as 0.  A digit ORed with the flag is
@@ -468,16 +467,15 @@ def _cancel_pairs(digits: bytes) -> bytes:
 
 def _fold_digits(digits: bytes) -> bytes:
     """The letter codes that parse's byte path packs for both folds: what
-    CANCEL_PASSES passes of ``_cancel_pairs`` leave when there are at least
+    two passes of ``_cancel_pairs`` leave when there are at least
     CANCEL_CUT of them and one is an inverse letter, else ``digits``
-    itself.  Both folds are homomorphisms, so a cancelled pair changes
-    neither; the word keeps its own codes for everything else."""
+    itself.  A pass deletes no pair that overlaps another, so a second
+    pass finds the pairs the first one's deletions brought together, and a
+    pass that finds nothing returns its input.  Both folds are
+    homomorphisms, so a cancelled pair changes neither; the word keeps its
+    own codes for everything else."""
     if len(digits) >= CANCEL_CUT and (b"2" in digits or b"3" in digits):
-        for _ in range(CANCEL_PASSES):
-            passed = _cancel_pairs(digits)
-            if passed is digits:
-                break
-            digits = passed
+        return _cancel_pairs(_cancel_pairs(digits))
     return digits
 
 
@@ -501,8 +499,9 @@ def _unit_letter_word(digits: bytes, fold_digits: bytes) -> BraidWord:
 def _parse_tokens(tokens: list[str]) -> BraidWord:
     """The grammar of ``parse``, token by token; it alone raises the parse
     errors, so their class and position do not depend on the table.  A
-    token in ``_UNIT_TOKENS`` is looked up there as one letter, and only
-    the others go through the grammar."""
+    token in ``_UNIT_TOKENS`` is looked up there as one letter; any other
+    becomes the run (generator, exponent), or none when its exponent is
+    0."""
     runs: list[Run] = []
     letter_count = 0
     for position, token in enumerate(tokens, start=1):
@@ -513,20 +512,15 @@ def _parse_tokens(tokens: list[str]) -> BraidWord:
             base, caret, exponent_text = token.partition("^")
             exponent = _exponent(exponent_text, token, position) if caret else 1
             try:
-                positive, negative = _BASE_UNITS[base]
+                generator = _GENERATORS[base]
             except KeyError:
                 raise UnknownToken(f"unknown generator {base!r}",
                                    position) from None
-            if exponent == 1:
-                run = positive
-            elif exponent == -1:
-                run = negative
-            elif exponent:
-                run = (positive[0], exponent)
-            else:
+            if not exponent:
                 continue
-            if run[0] != "h":
+            if generator != "h":
                 letter_count += abs(exponent)
+            run = generator, exponent
         if letter_count > MAX_LETTERS:
             raise WordTooLong(f"more than {MAX_LETTERS} x/y letters", position)
         runs.append(run)
@@ -545,21 +539,16 @@ def _exponent(text: str, token: str, position: int) -> int:
     return int(text)
 
 
-# Each base token as its runs with exponent +1 and -1.
-_BASE_UNITS = {
-    "x": (X, X_INV),
-    "s1": (X, X_INV),
-    "y": (Y, Y_INV),
-    "s2": (Y, Y_INV),
-    "h": (("h", 1), ("h", -1)),
-}
+# Each base token as its generator.
+_GENERATORS = {"x": "x", "s1": "x", "y": "y", "s2": "y", "h": "h"}
 
-# Every x/y token with exponent 1 or -1, written out, as its run; the
+# Every x/y token with exponent 1 or -1, written out, as its letter; the
 # token loop looks whole tokens up here before it reads them by the grammar.
 _UNIT_TOKENS = {
-    base + suffix: units[index]
-    for base, units in _BASE_UNITS.items() if base != "h"
-    for suffix, index in (("", 0), ("^1", 0), ("^-1", 1))
+    base + suffix: letter
+    for letter in PACKED_LETTERS
+    for base, generator in _GENERATORS.items() if generator == letter.generator
+    for suffix in (("", "^1") if letter.sign > 0 else ("^-1",))
 }
 
 

@@ -7,15 +7,18 @@ Each reference is the plain, letter-by-letter computation of its stage:
   (``matrix_product``), and the letters' transpositions (``TRANSPOSITION``);
 - values read off the image: ``pairwise_gcd_smith_normal_form`` (H1),
   ``branching_trace_class`` and ``basis_parabolic_invariant``;
-- syllables: ``per_syllable_stack`` and ``branching_cyclic_reduce``;
+- syllables: ``per_syllable_stack``, by its own ``LETTER_SYLLABLES``, and
+  ``branching_cyclic_reduce``;
 - least rotation: ``slow_least_rotation``, the minimum over all rotations.
   ``booth_least_rotation`` stays for
   ``test_least_rotation_matches_booth_on_random_tuples``, whose 200 tuples of
   up to 10^4 entries the quadratic minimum cannot afford;
 - free reduction: ``attribute_free_reduce``;
-- letters and equality of words built from runs: ``per_run_letters``,
-  ``letter_level_blocks`` and ``walk_same_letters``;
-- parse: ``grammar_parse``, with ``packed_keys`` for the byte path's windows,
+- letters and equality of words built from runs: ``per_run_letters`` (by
+  ``unit_letters``), ``letter_level_blocks`` and ``walk_same_letters`` (by
+  ``run_segment``);
+- parse: ``grammar_parse``, by its own ``GENERATOR_OF_BASE`` and
+  ``literal_exponent``, with ``packed_keys`` for the byte path's windows,
   ``fold_letters`` (by ``cancelling_pass``) for the letters it packs, and
   ``groupby_run_text`` for the text of a word;
 - model word and mirror: ``model_letters`` and
@@ -28,6 +31,10 @@ Each reference is the plain, letter-by-letter computation of its stage:
   (``fraction_pivots``), the one derivation independent of the Goeritz
   route, which checks Gordon-Litherland's sign(G) - mu = sign(V + V^T); and
   ``tait_goeritz``, the Tait graph's Laplacian, which pins the oracle's rows.
+
+No reference reads a private name of the package, which would make it
+call the code it checks (``test_package.py`` walks this file to keep it
+so).
 
 The rule: a new fast path joins or replaces its stage's reference here, and
 never adds a chain; the code it replaces does not stay as a second reference
@@ -58,7 +65,9 @@ from threebraid.floer import (
 from threebraid.homology import SL2Matrix
 from threebraid.invariants import FamilyNotCovered
 from threebraid.murasugi import (
+    UU,
     S,
+    U,
     Family1,
     Family2,
     Family3,
@@ -89,6 +98,22 @@ GENERATOR = {
     w_.Y_INV: SL2Matrix(1, 0, 1, 1),
 }
 TRANSPOSITION = {"x": Perm3((2, 1, 3)), "y": Perm3((1, 3, 2))}
+
+# Each letter's inverse, as the package's own letter objects, which
+# ``free_reduce`` and ``_letter_blocks`` compare by identity.
+INVERSE = {w_.X: w_.X_INV, w_.X_INV: w_.X, w_.Y: w_.Y_INV, w_.Y_INV: w_.Y}
+
+# The letters of the runs x, y and h = x y x y x y, written out here.
+POSITIVE_UNITS = {"x": (w_.X,), "y": (w_.Y,), "h": (w_.X, w_.Y) * 3}
+
+
+def unit_letters(generator, sign):
+    """The letters of the run (generator, sign), sign +1 or -1: the
+    positive unit, or for -1 its inverse, the unit's letters reversed and
+    each inverted."""
+    unit = POSITIVE_UNITS[generator]
+    return unit if sign > 0 else tuple(map(INVERSE.__getitem__,
+                                           reversed(unit)))
 
 
 # --- image ---------------------------------------------------------------
@@ -167,19 +192,21 @@ def branching_trace_class(m):
 
 # --- syllables -----------------------------------------------------------
 
+# Each letter's two syllables, x = S U and y = U S, an inverse reversed
+# with each U-power inverted.
+LETTER_SYLLABLES = {w_.X: (S, U), w_.Y: (U, S), w_.X_INV: (UU, S),
+                    w_.Y_INV: (S, UU)}
+
+
 def per_syllable_stack(runs, stack=b"", exponent_sum=0):
     """The freely reduced syllables and the exponent sum of a run sequence
-    appended to ``stack``, pushed one syllable at a time and merged per kind:
-    S pops S, and U-powers add mod 3."""
+    appended to ``stack``, each run expanded to its letters
+    (``per_run_letters``) and pushed one syllable at a time, merged per
+    kind: S pops S, and U-powers add mod 3."""
     stack = list(stack)
-    for run in runs:
-        syllables = murasugi._LETTER_SYLLABLES.get(run)
-        if syllables is None:
-            syllables, weight = murasugi._run_syllables(*run)[:2]
-        else:
-            weight = run[1]
-        exponent_sum += weight
-        for syllable in syllables:
+    for letter in per_run_letters(runs):
+        exponent_sum += letter.sign
+        for syllable in LETTER_SYLLABLES[letter]:
             if not stack or (stack[-1] == S) != (syllable == S):
                 stack.append(syllable)
             elif syllable == S:
@@ -264,15 +291,25 @@ def attribute_free_reduce(letters, reduced=()):
 # --- letters of runs and word equality ----------------------------------
 
 def per_run_letters(runs):
-    """The letters of a run sequence, each run expanded on its own."""
-    return tuple(itertools.chain.from_iterable(map(w_._run_letters, runs)))
+    """The letters of a run sequence, each run expanded on its own: its
+    ``unit_letters`` repeated |exponent| times."""
+    return tuple(itertools.chain.from_iterable(
+        unit_letters(g, e) * abs(e) for g, e in runs))
+
+
+def run_segment(run):
+    """(a, b, n): the n letters of a run alternate a, b, a, ..., a and b
+    read off the first two letters of its unit (one letter for x or y)."""
+    generator, exponent = run
+    unit = unit_letters(generator, -1 if exponent < 0 else 1)
+    return unit[0], unit[len(unit) > 1], len(unit) * abs(exponent)
 
 
 def walk_same_letters(u, v):
     """Whether two run sequences spell the same letters.  Each step
     compares the next k letters of both, k the shorter head's length, by
     their first two, and drops them, which uses up at least one run."""
-    left, right = [(s for s in map(w_._segment, runs) if s[2])
+    left, right = [(s for s in map(run_segment, runs) if s[2])
                    for runs in (u, v)]
     n = m = 0
     while True:
@@ -306,32 +343,45 @@ def letter_level_blocks(letters):
 
 # --- parse ---------------------------------------------------------------
 
+# Each base token as its generator, and the exponent literal.
+GENERATOR_OF_BASE = {"x": "x", "s1": "x", "y": "y", "s2": "y", "h": "h"}
+ASCII_DIGITS = frozenset("0123456789")
+
+
+def literal_exponent(text, token, position):
+    """The exponent literal ``-?[0-9]+`` of at most MAX_EXPONENT_DIGITS
+    ASCII digits, or the grammar's ``MalformedExponent``."""
+    digits = text[1:] if text[:1] == "-" else text
+    if not digits or not set(digits) <= ASCII_DIGITS:
+        raise w_.MalformedExponent(f"bad exponent {text!r} in {token!r}",
+                                   position)
+    if len(digits) > w_.MAX_EXPONENT_DIGITS:
+        raise w_.MalformedExponent(
+            f"exponent has more than {w_.MAX_EXPONENT_DIGITS} digits",
+            position)
+    return int(text)
+
+
 def grammar_parse(text):
-    """The grammar of ``parse`` on every token."""
+    """The grammar of ``parse`` on every token: each becomes the run
+    (generator, exponent), none when its exponent is 0."""
     runs = []
     letter_count = 0
     for position, token in enumerate(text.split(), start=1):
         base, caret, exponent_text = token.partition("^")
-        exponent = w_._exponent(exponent_text, token, position) if caret else 1
-        try:
-            positive, negative = w_._BASE_UNITS[base]
-        except KeyError:
-            raise w_.UnknownToken(f"unknown generator {base!r}",
-                                  position) from None
-        if exponent == 1:
-            run = positive
-        elif exponent == -1:
-            run = negative
-        elif exponent:
-            run = (positive[0], exponent)
-        else:
+        exponent = literal_exponent(exponent_text, token, position) \
+            if caret else 1
+        if base not in GENERATOR_OF_BASE:
+            raise w_.UnknownToken(f"unknown generator {base!r}", position)
+        if not exponent:
             continue
-        if run[0] != "h":
+        generator = GENERATOR_OF_BASE[base]
+        if generator != "h":
             letter_count += abs(exponent)
             if letter_count > MAX_LETTERS:
                 raise WordTooLong(f"more than {MAX_LETTERS} x/y letters",
                                   position)
-        runs.append(run)
+        runs.append((generator, exponent))
     return BraidWord(tuple(runs))
 
 
@@ -365,23 +415,23 @@ def cancelling_pass(letters):
 
 def fold_letters(letters):
     """The letters whose packing is the fold input of a word of these
-    letters read on parse's byte path: CANCEL_PASSES ``cancelling_pass``es
-    when there are at least CANCEL_CUT letters and one has sign -1, else the
+    letters read on parse's byte path: two ``cancelling_pass``es when
+    there are at least CANCEL_CUT letters and one has sign -1, else the
     letters themselves."""
     letters = tuple(letters)
     if len(letters) >= w_.CANCEL_CUT and any(
             letter.sign < 0 for letter in letters):
-        for _ in range(w_.CANCEL_PASSES):
-            letters = cancelling_pass(letters)
+        return cancelling_pass(cancelling_pass(letters))
     return letters
 
 
 def groupby_run_text(w):
-    """``run_text`` as one ``groupby`` group per generator and sign: an x/y
-    group is summed to one token, an h group keeps a token per run."""
+    """``run_text`` as one ``groupby`` group per generator and sign, zero
+    runs dropped first: an x/y group is summed to one token, an h group
+    keeps a token per run."""
     tokens = []
     for (generator, _), group in itertools.groupby(
-            w.runs, lambda r: (r[0], r[1] > 0)):
+            [run for run in w.runs if run[1]], lambda r: (r[0], r[1] > 0)):
         exponents = [e for _, e in group]
         if generator != "h":
             exponents = [sum(exponents)]

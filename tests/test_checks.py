@@ -14,7 +14,7 @@ import pytest
 import threebraid
 from threebraid import cli, homology, invariants, murasugi, seifert
 from threebraid.homology import InternalInconsistency, image
-from threebraid.murasugi import Family1, Family2, S, U, UU
+from threebraid.murasugi import Family1, Family2, Family3, InvalidForm, S, U, UU
 from threebraid.words import Y, parse
 
 
@@ -157,6 +157,31 @@ def test_values_stage_rejects_a_form_that_does_not_fit(
     assert error["error"]["type"] == "InternalInconsistency"
     assert report["word"] == "h x y^-5"
     assert summary == {"summary": {"ok": 1, "failed": 1}}
+
+
+# Fields that make no normal form: the model word of Family1(0, (0, 0)),
+# x^2, closes to three components of determinant 0, yet hf_plus_s0 read a
+# module off it while the constructor let it through.
+INVALID_FORMS = {
+    "family 1, no entry": lambda: Family1(0, ()),
+    "family 1, no positive entry": lambda: Family1(0, (0, 0)),
+    "family 1, a negative entry": lambda: Family1(1, (2, -1)),
+    "family 3, m below -3": lambda: Family3(0, -4),
+    "family 3, m of 0": lambda: Family3(2, 0),
+}
+
+
+@pytest.mark.parametrize("build", INVALID_FORMS.values(),
+                         ids=INVALID_FORMS.keys())
+def test_an_invalid_form_is_refused_where_it_is_built(build):
+    with pytest.raises(InvalidForm):
+        build()
+
+
+def test_a_negative_free_rank_is_refused():
+    assert str(homology.AbelianGroup(0)) == "0"
+    with pytest.raises(ValueError, match="negative free rank"):
+        homology.AbelianGroup(-1)
 
 
 def test_murasugi_reexports_the_same_exception():

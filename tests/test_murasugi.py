@@ -98,18 +98,20 @@ def test_canonical_word_fixtures():
 
 
 def test_canonical_word_rejects_invalid_forms():
-    with pytest.raises(InvalidForm):
-        canonical_word(Family1(0, ()))
-    with pytest.raises(InvalidForm):
-        canonical_word(Family1(1, (0, 0)))
-    with pytest.raises(InvalidForm):
-        canonical_word(Family1(1, (2, -1)))
-    with pytest.raises(InvalidForm):
-        canonical_word(Family3(0, -4))
-    for form in (Family1(0, ()), Family1(1, (0, 0)), Family1(1, (2, -1)),
-                 Family3(0, -4), Family3(2, 0), (0, 1)):
+    # An invalid form is refused where it is built, so canonical_word and
+    # mirror_form see only forms, and refuse any other value.
+    for build in (lambda: Family1(0, ()), lambda: Family1(1, (0, 0)),
+                  lambda: Family1(1, (2, -1)), lambda: Family3(0, -4),
+                  lambda: Family3(2, 0),
+                  lambda: Family1(0, (1,))._replace(a=(0,)),
+                  lambda: Family3(0, -1)._replace(m=0)):
         with pytest.raises(InvalidForm):
-            mirror_form(form)
+            build()
+    for value in ((0, 1), (0, (1,))):
+        with pytest.raises(InvalidForm):
+            canonical_word(value)
+        with pytest.raises(InvalidForm):
+            mirror_form(value)
 
 
 def test_family1_tuple_stored_as_least_rotation():

@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 import types
@@ -141,3 +142,42 @@ def test_the_escaper_falls_back_to_json_encoder():
         "assert cli._json_string('\\u00e9\\n\\ud800') == "
         "'\"\\\\u00e9\\\\n\\\\ud800\"'")
     assert "json.encoder" in loaded
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_package_reads(source: str) -> list[str]:
+    """Each name with one leading underscore that ``source`` imports from
+    the package or reads as an attribute of a name it imported from it."""
+    tree = ast.parse(source)
+    imported, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0]
+                            for alias in node.names
+                            if alias.name.partition(".")[0] == "threebraid")
+        elif isinstance(node, ast.ImportFrom) and \
+                (node.module or "").partition(".")[0] == "threebraid":
+            for alias in node.names:
+                imported.add(alias.asname or alias.name)
+                private += [alias.name] * is_private(alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and \
+                node.value.id in imported and is_private(node.attr):
+            private.append(f"{node.value.id}.{node.attr}")
+    return private
+
+
+def test_no_reference_reads_a_private_name_of_the_package():
+    # A reference that calls the code it checks agrees with it whatever
+    # that code does.
+    assert private_package_reads(
+        "from threebraid import words as w_\n"
+        "from threebraid.murasugi import _LETTER_SYLLABLES\n"
+        "w_._segment, w_.__file__, w_.X") == \
+        ["_LETTER_SYLLABLES", "w_._segment"]
+    reference = Path(__file__).with_name("reference.py")
+    assert private_package_reads(reference.read_text(encoding="utf-8")) == []

@@ -9,13 +9,14 @@ number of words, and a warm one-word report costs none.
 """
 
 import io
+import json
 import random
 import sys
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stdout
 
-from threebraid import cli, floer, homology, invariants, words as w_
+from threebraid import cli, homology, invariants, words as w_
 
 COMPREHENSIONS = {"<genexpr>", "<listcomp>", "<dictcomp>", "<setcomp>",
                   "<lambda>"}
@@ -88,26 +89,31 @@ def test_a_small_integer_is_written_without_a_big_one():
     assert peak < 1024, peak
 
 
-def test_the_shared_relative_module_is_written_as_any_equal_one(capsys):
-    word = w_.parse("h x y^-5")
-    record = invariants.analyze_word(word, include_torus_bundle=True,
-                                     _record=True)
-    s0, count, relative, vanish = record.torus_bundle
-    assert relative is floer._NON_S0_RELATIVE
-    (towers, frees, absolute) = relative
-    equal = (tuple(list(towers)), tuple(list(frees)), absolute)
-    assert equal == relative and equal is not relative
+def test_the_shared_relative_module_is_written_from_text_held_at_import(
+        monkeypatch):
+    # The record holds the bundle's s0 module alone.  The line writes the
+    # other torsion structures' count from the determinant, and their
+    # relative module and the vanishing flag, the same on every bundle,
+    # from text, so it writes two modules: hf_plus_s0 and s0.
+    record = invariants.analyze_word(w_.parse("h x y^-5"),
+                                     include_torus_bundle=True, _record=True)
+    written = []
+    module_text = cli._module_text
+
+    def counted(module):
+        written.append(module)
+        return module_text(module)
+
+    monkeypatch.setattr(cli, "_module_text", counted)
     line = cli._line(record, None)
-    assert cli._line(record._replace(
-        torus_bundle=(s0, count, equal, vanish)), None) == line
-    assert '"non_s0_relative":{"towers":[{"num":-1,"den":2},' \
-        '{"num":1,"den":2}],"frees":[],"absolute":false}' in line
-    # A relative module of other gradings is written from its own fields.
-    other = ((-2, 6), ((1, 3),), True)
-    assert '"non_s0_relative":{"towers":[{"num":-1,"den":2},' \
-        '{"num":3,"den":2}],"frees":[{"rank":1,"num":3,"den":4}],' \
-        '"absolute":true}' in cli._line(record._replace(
-            torus_bundle=(s0, count, other, vanish)), None)
+    assert written == [record.hf_plus_s0, record.torus_bundle]
+    assert cli._NON_S0_RELATIVE_TEXT == \
+        '{"towers":[{"num":-1,"den":2},{"num":1,"den":2}],"frees":[],' \
+        '"absolute":false}'
+    assert f'"non_s0_relative":{cli._NON_S0_RELATIVE_TEXT},' \
+        '"fiber_structures_vanish":true}' in line
+    assert json.loads(line)["torus_bundle"]["non_s0_count"] == \
+        record.determinant - 1 == 8
 
 
 def test_a_text_with_an_h_skips_the_byte_path(monkeypatch):
