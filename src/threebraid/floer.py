@@ -25,6 +25,7 @@ API returns one, so ``fractions`` is imported on first use.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat, starmap
 
 from .homology import _balanced_product
 from .murasugi import Family1, Family2, MurasugiForm, tail_exponent_sum
@@ -64,27 +65,19 @@ class GradedModule(_Value, namedtuple("GradedModule", "towers frees absolute",
             if rank < 0:
                 raise ValueError(f"negative rank {rank}")
             merged[grading] = merged.get(grading, 0) + rank
-        return super().__new__(
-            cls, tuple(sorted(towers)),
+        return cls._normal((
+            tuple(sorted(towers)),
             tuple(sorted((rank, grading) for grading, rank in merged.items()
                          if rank)),
-            absolute)
-
-    @classmethod
-    def _normal(cls, towers: tuple[Fraction, ...],
-                frees: tuple[tuple[int, Fraction], ...] = (),
-                absolute: bool = True) -> GradedModule:
-        """A module from parts already in normal form (towers sorted, frees
-        sorted, merged and of positive rank), stored without renormalising."""
-        return tuple.__new__(cls, (towers, frees, absolute))
+            absolute))
 
     @property
     def is_bare_tower(self) -> bool:
         return len(self.towers) == 1 and not self.frees
 
     def __str__(self) -> str:
-        parts = [f"T+_{{{g}}}" for g in self.towers]
-        parts += [f"Z^{rank}_{{{g}}}" for rank, g in self.frees]
+        parts = list(map("T+_{{{}}}".format, self.towers))
+        parts += starmap("Z^{}_{{{}}}".format, self.frees)
         suffix = "" if self.absolute else "  (relative grading only)"
         return (" + ".join(parts) if parts else "0") + suffix
 
@@ -94,11 +87,11 @@ def shift(module: GradedModule, q) -> GradedModule:
     form."""
     from fractions import Fraction
     q = Fraction(q)
-    return GradedModule._normal(
+    return GradedModule._normal((
         tuple(g + q for g in module.towers),
         tuple((rank, g + q) for rank, g in module.frees),
         module.absolute,
-    )
+    ))
 
 
 RIGHT_TREFOIL_LIKE = "RightTrefoilLike"
@@ -136,9 +129,11 @@ def _graded_module(module: tuple) -> GradedModule:
     becomes ``Fraction(g, 4)``, and the parts are kept in their order."""
     from fractions import Fraction
     towers, frees, absolute = module
-    return GradedModule._normal(
-        tuple([Fraction(g, 4) for g in towers]),
-        tuple([(rank, Fraction(g, 4)) for rank, g in frees]), absolute)
+    public_frees = []
+    for rank, g in frees:
+        public_frees.append((rank, Fraction(g, 4)))
+    return GradedModule._normal((tuple(map(Fraction, towers, repeat(4))),
+                                 tuple(public_frees), absolute))
 
 
 def _row_quarters(tag: str, n: int, k: int) -> tuple:
@@ -307,8 +302,8 @@ def _bundle_modules(s0: tuple, determinant: int) -> TorusBundleModules:
     the 0-surgery row shifted by the assembly's k/4, over a closure of
     nonzero ``determinant``: each of the other determinant - 1 torsion
     spin-c structures carries ``_NON_S0_RELATIVE``."""
-    return TorusBundleModules(_graded_module(s0), determinant - 1,
-                              _graded_module(_NON_S0_RELATIVE))
+    return TorusBundleModules._normal((_graded_module(s0), determinant - 1,
+                                       _graded_module(_NON_S0_RELATIVE), True))
 
 
 def torus_bundle_hf(f: MurasugiForm) -> TorusBundleModules:

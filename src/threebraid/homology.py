@@ -39,7 +39,7 @@ class SL2Matrix(_Value, namedtuple("SL2Matrix", "a b c d")):
     d: int
 
     def __new__(cls, a: int, b: int, c: int, d: int) -> SL2Matrix:
-        matrix = super().__new__(cls, a, b, c, d)
+        matrix = cls._normal((a, b, c, d))
         matrix._check()
         return matrix
 
@@ -120,7 +120,7 @@ def image(w: BraidWord) -> SL2Matrix:
         fold_factors(w, _CHUNK_ENTRIES, _run_entries))
     if a * d - b * c != 1:
         raise InternalInconsistency("the image's determinant is not 1")
-    return tuple.__new__(SL2Matrix, (a, b, c, d))
+    return SL2Matrix._normal((a, b, c, d))
 
 
 # Integers of more bits than this (about 4,900 digits) are printed by
@@ -203,9 +203,7 @@ class AbelianGroup(_Value, namedtuple("AbelianGroup", "free_rank torsion",
             if d % earlier:
                 raise ValueError(f"torsion {torsion} violates divisibility")
             earlier = d
-        # tuple.__new__ itself, as image builds an SL2Matrix: the
-        # namedtuple's __new__ is a lambda, a frame per group.
-        return tuple.__new__(cls, (free_rank, torsion))
+        return cls._normal((free_rank, torsion))
 
     @property
     def order(self) -> int | None:
@@ -213,8 +211,8 @@ class AbelianGroup(_Value, namedtuple("AbelianGroup", "free_rank torsion",
         return None if self.free_rank else prod(self.torsion)
 
     def __str__(self) -> str:
-        parts = ["Z"] * self.free_rank + \
-            ["Z/" + _int_text(d) for d in self.torsion]
+        parts = ["Z"] * self.free_rank
+        parts += map("Z/".__add__, map(_int_text, self.torsion))
         return " + ".join(parts) if parts else "0"
 
 
@@ -288,11 +286,11 @@ def trace_class(m: SL2Matrix) -> TraceClass:
     """The conjugacy type of m, read from its entries: m is central when
     b = c = 0, and then ad = 1 forces a = d = epsilon."""
     if m.b == m.c == 0:
-        return TraceClass(CENTRAL, m.a)
+        return TraceClass._normal((CENTRAL, m.a))
     t = m.trace
     kind = (ELLIPTIC if abs(t) <= 1 else
             PARABOLIC if abs(t) == 2 else HYPERBOLIC)
-    return TraceClass(kind, -1 if t < 0 else 1)
+    return TraceClass._normal((kind, -1 if t < 0 else 1))
 
 
 def _nilpotent_power(b: int, c: int) -> int:

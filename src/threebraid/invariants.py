@@ -161,7 +161,7 @@ def stein_report(f: MurasugiForm) -> SteinReport:
     quarters = None
     if tight and l_space:
         quarters = floer._row_quarters(*floer._quarter_assembly(f))[0][0]
-    return SteinReport(*_stein_report(f, l_space, tight, quarters))
+    return SteinReport._normal(_stein_report(f, l_space, tight, quarters))
 
 
 class InvariantReport(_Value, namedtuple(
@@ -206,12 +206,15 @@ class InvariantReport(_Value, namedtuple(
 # ``torus_bundle`` is the bundle's s0 quarter module alone, a function of
 # the form: its other fields follow from the determinant
 # (``floer._bundle_modules``).  It is the one form of a report that the
-# command line writes (``cli._line``) and checks (``cli._oracle``).
-_Values = namedtuple(
-    "_Values",
-    "word normal_form components determinant h1 b1 l_space tight "
-    "tight_inverse knot_type_tag hf_plus_s0 spin_c_count correction_quarters "
-    "delta_quarters signature qa finite_order_screen stein torus_bundle")
+# command line writes (``cli._line``) and checks (``cli._oracle``), and a
+# value type like the others, built by ``_normal``.
+class _Values(_Value, namedtuple(
+        "_Values",
+        "word normal_form components determinant h1 b1 l_space tight "
+        "tight_inverse knot_type_tag hf_plus_s0 spin_c_count "
+        "correction_quarters delta_quarters signature qa finite_order_screen "
+        "stein torus_bundle")):
+    __slots__ = ()
 
 
 def _values(w: BraidWord, raw_text: str | None, include_torus_bundle: bool,
@@ -272,9 +275,7 @@ def _values(w: BraidWord, raw_text: str | None, include_torus_bundle: bool,
         raise InternalInconsistency(
             "a quasi-alternating closure without an L-space double cover")
 
-    # Built by tuple.__new__, as the namedtuple's __new__ is a lambda, a
-    # frame per record.
-    return tuple.__new__(_Values, (
+    return _Values._normal((
         run_text(w) if raw_text is None else raw_text, form, components,
         det, h1, h1.free_rank, l_space, tight, tight_inverse,
         floer._knot_tag(tight, tight_inverse), hf,
@@ -300,10 +301,10 @@ def _report(values: _Values) -> InvariantReport:
         delta_value = Fraction(delta_quarters, 4)
     if torus_bundle is not None:
         torus_bundle = floer._bundle_modules(torus_bundle, det)
-    return InvariantReport(
+    return InvariantReport._normal((
         word, form, components, det, h1, b1, l_space, tight, tight_inverse,
         tag, hf, spin_c_count, correction, delta_value, sig, qa, screen,
-        SteinReport(*stein), torus_bundle)
+        SteinReport._normal(stein), torus_bundle))
 
 
 def analyze_word(w: BraidWord, raw_text: str | None = None,

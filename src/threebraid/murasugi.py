@@ -274,20 +274,13 @@ class _Form(_Value):
     def __hash__(self) -> int:
         return hash((type(self), *self))
 
-    @classmethod
-    def _normal(cls, d: int, tail) -> _Form:
-        """A form from fields already in normal form, a family-1 tuple in
-        its least rotation among them, stored without the constructor's
-        check and rotation."""
-        return tuple.__new__(cls, (d, tail))
-
 
 class Family1(_Form, namedtuple("Family1", "d a")):
     """Pseudo-Anosov class h^d x y^-a1 ... x y^-an, block tuple stored in its
     lexicographically least cyclic rotation: the constructor refuses a
     tuple with a negative entry or none positive and rotates it by
     ``least_rotation``, and ``classify``, which finds that rotation itself,
-    builds the form by ``_normal``."""
+    builds the form by ``_normal`` alone."""
 
     __slots__ = ()
     d: int
@@ -296,7 +289,7 @@ class Family1(_Form, namedtuple("Family1", "d a")):
     def __new__(cls, d: int, a: tuple[int, ...]) -> Family1:
         if not any(a) or min(a) < 0:
             raise InvalidForm(f"bad family-1 tuple {a}")
-        return tuple.__new__(cls, (d, least_rotation(a)))
+        return cls._normal((d, least_rotation(a)))
 
     def __str__(self) -> str:
         return f"family 1, d = {self.d}, a = {self.a}"
@@ -324,7 +317,7 @@ class Family3(_Form, namedtuple("Family3", "d m")):
     def __new__(cls, d: int, m: int) -> Family3:
         if m not in (-1, -2, -3):
             raise InvalidForm(f"family-3 m must be in -1..-3, got {m}")
-        return tuple.__new__(cls, (d, m))
+        return cls._normal((d, m))
 
     def __str__(self) -> str:
         return f"family 3, d = {self.d}, m = {self.m}"
@@ -500,7 +493,7 @@ def classify(w: BraidWord, matrix: SL2Matrix | None = None) -> MurasugiForm:
             family, tail = Family2, t
         else:
             family, tail = Family1, _least_blocks(exponents)
-    form = family._normal(_exact_quotient(e - t, 6), tail)
+    form = family._normal((_exact_quotient(e - t, 6), tail))
     _check_image(form, matrix)
     return form
 
@@ -572,8 +565,8 @@ def mirror_form(f: MurasugiForm) -> MurasugiForm:
     """
     _validate(f)
     if isinstance(f, Family1):
-        return Family1._normal(-f.d, _least_blocks(
-            b"".join(b"\x01" * ai + b"\x02" for ai in reversed(f.a))))
+        return Family1._normal((-f.d, _least_blocks(
+            b"".join(b"\x01" * ai + b"\x02" for ai in reversed(f.a)))))
     if isinstance(f, Family2):
-        return Family2(-f.d, -f.m)
-    return Family3._normal(1 - f.d, -4 - f.m)
+        return Family2._normal((-f.d, -f.m))
+    return Family3._normal((1 - f.d, -4 - f.m))

@@ -63,9 +63,15 @@ class _Value(tuple):
     ``2 * m`` or ``m < n`` never repeats, concatenates or orders fields.
     The refusals raise: were they to return ``NotImplemented``,
     ``(0,) + value`` would still concatenate and ``value < (0,)`` still
-    order."""
+    order.  A checked ``__new__`` checks the fields, then returns
+    ``cls._normal(fields)``; a build from fields already valid calls
+    ``X._normal(fields)`` alone.  It is ``tuple.__new__``, which builds in
+    C: it enters no frame, as the namedtuple's ``__new__``, a ``lambda``,
+    does."""
 
     __slots__ = ()
+
+    _normal = classmethod(tuple.__new__)
 
     @classmethod
     def _make(cls, iterable):
@@ -88,7 +94,7 @@ class Letter(_Value, namedtuple("Letter", "generator sign")):
     sign: int       # +1 or -1
 
     def inverse(self) -> "Letter":
-        return Letter(self.generator, -self.sign)
+        return Letter._normal((self.generator, -self.sign))
 
 
 X = Letter("x", 1)
@@ -334,7 +340,10 @@ def run_text(w: BraidWord) -> str:
             tokens.append((generator, exponent))
             generator, exponent = g, e
     tokens.append((generator, exponent))
-    return " ".join([g if e == 1 else f"{g}^{e}" for g, e in tokens[1:]])
+    texts = []
+    for g, e in tokens[1:]:
+        texts.append(g if e == 1 else f"{g}^{e}")
+    return " ".join(texts)
 
 
 def word(letters) -> BraidWord:
@@ -628,7 +637,7 @@ class Perm3(_Value, namedtuple("Perm3", "images")):
 
     def then(self, other: "Perm3") -> "Perm3":
         """The composite 'self first, then other'."""
-        return Perm3(tuple([other.images[j - 1] for j in self.images]))
+        return Perm3._normal((tuple(map(other, self.images)),))
 
     @property
     def cycle_count(self) -> int:

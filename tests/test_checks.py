@@ -13,7 +13,9 @@ import pytest
 
 import threebraid
 from threebraid import cli, homology, invariants, murasugi, seifert
-from threebraid.homology import InternalInconsistency, image
+from threebraid.floer import GradedModule
+from threebraid.homology import (IDENTITY, AbelianGroup, InternalInconsistency,
+                                 SL2Matrix, image)
 from threebraid.murasugi import Family1, Family2, Family3, InvalidForm, S, U, UU
 from threebraid.words import Y, parse
 
@@ -161,13 +163,21 @@ def test_values_stage_rejects_a_form_that_does_not_fit(
 
 # Fields that make no normal form: the model word of Family1(0, (0, 0)),
 # x^2, closes to three components of determinant 0, yet hf_plus_s0 read a
-# module off it while the constructor let it through.
+# module off it while the constructor let it through.  Each comes once
+# from the constructor and once from ``_replace`` on a valid form.
 INVALID_FORMS = {
     "family 1, no entry": lambda: Family1(0, ()),
     "family 1, no positive entry": lambda: Family1(0, (0, 0)),
     "family 1, a negative entry": lambda: Family1(1, (2, -1)),
     "family 3, m below -3": lambda: Family3(0, -4),
     "family 3, m of 0": lambda: Family3(2, 0),
+    "family 1, no entry, replaced": lambda: Family1(0, (1,))._replace(a=()),
+    "family 1, no positive entry, replaced":
+        lambda: Family1(0, (1,))._replace(a=(0, 0)),
+    "family 1, a negative entry, replaced":
+        lambda: Family1(1, (2,))._replace(a=(2, -1)),
+    "family 3, m below -3, replaced": lambda: Family3(0, -1)._replace(m=-4),
+    "family 3, m of 0, replaced": lambda: Family3(2, -1)._replace(m=0),
 }
 
 
@@ -175,6 +185,26 @@ INVALID_FORMS = {
                          ids=INVALID_FORMS.keys())
 def test_an_invalid_form_is_refused_where_it_is_built(build):
     with pytest.raises(InvalidForm):
+        build()
+
+
+# Fields that the other checked constructors refuse, each with the
+# ValueError that names the broken condition.
+INVALID_VALUES = {
+    "matrix of determinant 0": (lambda: SL2Matrix(1, 1, 1, 1), "determinant"),
+    "matrix of determinant 2, replaced": (lambda: IDENTITY._replace(a=2),
+                                          "determinant"),
+    "torsion off the divisibility chain": (lambda: AbelianGroup(0, (2, 3)),
+                                           "divisibility"),
+    "free summand of negative rank": (lambda: GradedModule((), ((-1, 0),)),
+                                      "negative rank"),
+}
+
+
+@pytest.mark.parametrize("build, message", INVALID_VALUES.values(),
+                         ids=INVALID_VALUES.keys())
+def test_an_invalid_value_is_refused_where_it_is_built(build, message):
+    with pytest.raises(ValueError, match=message):
         build()
 
 

@@ -182,22 +182,6 @@ def test_gradings_have_denominator_dividing_four():
             assert 4 % g.denominator == 0
 
 
-def test_l_space_iff_bare_tower_sweep():
-    for form in all_forms(range(-5, 6), 8, max_blocks=4):
-        if form_determinant(form) == 0:
-            assert not is_l_space(form)
-            continue
-        assert is_l_space(form) == hf_plus_s0(form).is_bare_tower
-
-
-def test_tight_exclusivity_sweep():
-    from threebraid.murasugi import mirror_form
-    for form in all_forms(range(-5, 6), 8, max_blocks=4):
-        if form_determinant(form) == 0:
-            continue
-        assert not (is_tight(form) and is_tight(mirror_form(form)))
-
-
 def test_mirror_negates_the_correction_term():
     # The mirror reverses the cover's orientation, which negates d-invariants.
     from threebraid.murasugi import mirror_form

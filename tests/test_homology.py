@@ -126,24 +126,6 @@ def test_lens_space_family_h1_orders():
         assert group.order == m + 4
 
 
-def test_determinant_increment_constant_in_last_block(rng):
-    # Extending the final block of a positive-twist pseudo-Anosov word by one
-    # negative twist increases the determinant by a constant amount.
-    for _ in range(50):
-        n = rng.randint(1, 4)
-        prefix = [rng.randint(0, 5) for _ in range(n - 1)]
-
-        def word_for(last):
-            blocks = "".join(f" x y^-{a}" if a else " x"
-                             for a in prefix + [last])
-            return parse("h" + blocks)
-
-        values = [determinant(word_for(a)) for a in range(1, 8)]
-        steps = {b - a for a, b in zip(values, values[1:])}
-        assert len(steps) == 1
-        assert steps.pop() > 0
-
-
 def test_trace_class_fixtures():
     minus_identity = SL2Matrix(-1, 0, 0, -1)
     assert trace_class(minus_identity).kind == CENTRAL

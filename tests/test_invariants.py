@@ -157,22 +157,6 @@ def test_thin_relation_for_quasi_alternating_family1_knots():
         assert delta(form, 1) == Q(-signature(form, 1), 2)
 
 
-def test_delta_is_twice_correction_term():
-    for form in knot_forms(range(-6, 7), 5, max_blocks=5):
-        assert delta(form, 1) == 2 * correction_term(form)
-
-
-def test_signature_formula_matches_seifert_oracle():
-    checked = 0
-    for form in knot_forms(range(-2, 3), 4, max_blocks=4):
-        if not isinstance(form, Family1):
-            continue
-        word = canonical_word(form)
-        assert signature(form, 1) == sym_signature(seifert_matrix(word))
-        checked += 1
-    assert checked > 100
-
-
 def test_lisca_owens_signature_is_minus_four_correction_terms():
     # Lisca and Owens (Proc. AMS 143, 2015): the double cover of a
     # quasi-alternating link has d = -sigma/4 in its canonical spin-c

@@ -181,3 +181,46 @@ def test_no_reference_reads_a_private_name_of_the_package():
         ["_LETTER_SYLLABLES", "w_._segment"]
     reference = Path(__file__).with_name("reference.py")
     assert private_package_reads(reference.read_text(encoding="utf-8")) == []
+
+
+def value_type_faults(source: str) -> list[str]:
+    """Each call of ``tuple.__new__`` or ``super().__new__`` in ``source``,
+    and each ``namedtuple(...)`` that is not a base of a class on
+    ``_Value`` (or on a class of ``source`` that is): a value is built by
+    ``_Value._normal`` alone, and every record type is a ``_Value``."""
+    faults, values, value_bases = [], {"_Value"}, set()
+    # ast.walk reaches a class before its bases, and a module's classes in
+    # their order.
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            if values.intersection(map(ast.unparse, node.bases)):
+                values.add(node.name)
+                value_bases.update(node.bases)
+        elif not isinstance(node, ast.Call):
+            continue
+        elif isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "__new__" and \
+                ast.unparse(node.func.value) in ("tuple", "super()"):
+            faults.append((node.lineno, ast.unparse(node.func)))
+        elif ast.unparse(node.func) == "namedtuple" and \
+                node not in value_bases:
+            faults.append((node.lineno, "namedtuple"))
+    return [f"{fault} at {line}" for line, fault in sorted(faults)]
+
+
+def test_every_value_is_built_by_one_constructor():
+    assert value_type_faults(
+        "class A(namedtuple('A', 'x')):\n"
+        "    def __new__(cls, x):\n"
+        "        return super().__new__(cls, x)\n"
+        "class B(_Value, namedtuple('B', 'x')):\n"
+        "    _normal = classmethod(tuple.__new__)\n"
+        "class C(B, namedtuple('C', 'y')):\n"
+        "    pass\n"
+        "D = namedtuple('D', 'z')\n"
+        "tuple.__new__(C, (1,))\n") == \
+        ["namedtuple at 1", "super().__new__ at 3", "namedtuple at 8",
+         "tuple.__new__ at 9"]
+    for path in sorted(PACKAGE.rglob("*.py")):
+        assert value_type_faults(path.read_text(encoding="utf-8")) == [], \
+            path.name

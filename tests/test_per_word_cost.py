@@ -54,13 +54,13 @@ def byte_path_words(rng: random.Random, count: int) -> str:
 
 
 def test_a_batch_makes_no_comprehension_frame_per_word(rng, tmp_path):
-    counts = []
-    for count in (10, 100):
-        path = tmp_path / f"words-{count}.txt"
-        path.write_text(byte_path_words(rng, count), encoding="utf-8")
-        counts.append(comprehension_calls(
-            ["batch", "--json", "--torus-bundle", str(path)]))
-    assert counts[0] == counts[1], counts
+    for flags in (["--json", "--torus-bundle"], ["--torus-bundle"]):
+        counts = []
+        for count in (10, 100):
+            path = tmp_path / f"words-{count}.txt"
+            path.write_text(byte_path_words(rng, count), encoding="utf-8")
+            counts.append(comprehension_calls(["batch", *flags, str(path)]))
+        assert counts[0] == counts[1], (flags, counts)
 
 
 def test_a_warm_report_makes_no_comprehension_frame():
@@ -72,7 +72,10 @@ def test_a_warm_report_makes_no_comprehension_frame():
                  ["analyze", "--json", "--oracle", "x^2 y^-3 x y s1"],
                  # The normal form, H1 and the values record of a family-1
                  # word, each built once.
-                 ["analyze", "--json", "--torus-bundle", "x y^-1 x y"]):
+                 ["analyze", "--json", "--torus-bundle", "x y^-1 x y"],
+                 # The pretty report: the word's text, H1 and the modules.
+                 ["analyze", "x y^-1 x y"],
+                 ["analyze", "--torus-bundle", "--oracle", "h x y^-5"]):
         assert comprehension_calls(argv) == Counter(), argv
 
 
