@@ -237,15 +237,17 @@ def knot_type(f: MurasugiForm) -> str:
     return _knot_tag(is_tight(f), is_tight_inverse(f))
 
 
-def _quarter_assembly(f: MurasugiForm) -> tuple[str, int, int]:
+def _quarter_assembly(f: MurasugiForm, tail: int) -> tuple[str, int, int]:
     """(table tag, surgery parameter n, grading shift in quarters k) for the
     distinguished spin-c structure.  The cover is -1/j-surgery on the binding
     of a model fibered knot with j = floor(d/2), and -1/j equals 1/(-j) in
-    the tables.  The shift is k/4 with k = t + c, t the exponent sum of the
-    tail: for odd d the tag is the right trefoil and c = 4 in all three
-    families; for even d it is the figure-eight with c = 0 in family 1 and
-    the left trefoil with c = 2 in family 3 (family 2 with even d has
-    determinant zero).  Every Floer value of a form reads this one triple."""
+    the tables.  The shift is k/4 with k = t + c, t = ``tail``, the
+    exponent sum of the tail (``tail_exponent_sum(f)``, which a report
+    reads once): for odd d the tag is the right trefoil and c = 4 in all
+    three families; for even d it is the figure-eight with c = 0 in family
+    1 and the left trefoil with c = 2 in family 3 (family 2 with even d has
+    determinant zero).  Every Floer value of a form reads this one
+    triple."""
     if f.d % 2:
         tag, c = RIGHT_TREFOIL_LIKE, 4
     elif isinstance(f, Family1):
@@ -255,13 +257,14 @@ def _quarter_assembly(f: MurasugiForm) -> tuple[str, int, int]:
             f"{f} has determinant zero (b1 >= 1); no surgery description")
     else:
         tag, c = LEFT_TREFOIL_LIKE, 2
-    return tag, -(f.d // 2), tail_exponent_sum(f) + c
+    return tag, -(f.d // 2), tail + c
 
 
 def hf_plus_s0(f: MurasugiForm) -> GradedModule:
     """HF+ of the branched double cover in the distinguished self-conjugate
     spin-c structure, with absolute rational gradings."""
-    return _graded_module(_row_quarters(*_quarter_assembly(f)))
+    return _graded_module(
+        _row_quarters(*_quarter_assembly(f, tail_exponent_sum(f))))
 
 
 def correction_term(f: MurasugiForm) -> Fraction:
@@ -269,7 +272,8 @@ def correction_term(f: MurasugiForm) -> Fraction:
     bottom grading of the tower of hf_plus_s0, read off the row's quarter
     module."""
     from fractions import Fraction
-    return Fraction(_row_quarters(*_quarter_assembly(f))[0][0], 4)
+    return Fraction(
+        _row_quarters(*_quarter_assembly(f, tail_exponent_sum(f)))[0][0], 4)
 
 
 class TorusBundleModules(_Value, namedtuple(
@@ -311,7 +315,7 @@ def torus_bundle_hf(f: MurasugiForm) -> TorusBundleModules:
     if determinant == 0:
         raise B1NotOne(
             f"{f} has parabolic or central monodromy; the bundle's b1 is not 1")
-    tag, _, k = _quarter_assembly(f)
+    tag, _, k = _quarter_assembly(f, tail_exponent_sum(f))
     return _bundle_modules(_zero_row_quarters(tag, k), determinant)
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd, prod
 
-from .words import BraidWord, _Value, fold_factors, window_table
+from .words import (BraidWord, _Value, fold_factors, positive_table,
+                    window_table)
 
 
 class NotParabolic(ValueError):
@@ -87,8 +88,11 @@ def _product(m, n):
     return p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d
 
 
-# The image of every window of CHUNK letters at its packed byte.
+# The image of every window of CHUNK letters at its packed byte, and of
+# every window of POSITIVE_CHUNK positive letters at its byte, the product
+# of its two halves' images.
 _CHUNK_ENTRIES = window_table(_run_entries, _product, (1, 0, 0, 1))
+_POSITIVE_ENTRIES = positive_table(_CHUNK_ENTRIES, _product)
 
 
 def _balanced_product(factors):
@@ -106,9 +110,11 @@ def image(w: BraidWord) -> SL2Matrix:
     """Product of the per-run matrices, multiplicative over concatenation.
 
     The factors are ``words.fold_factors`` of ``_CHUNK_ENTRIES``, built
-    from ``_run_entries`` by ``words.window_table``, and ``_run_entries``
-    itself.  They are multiplied by ``_balanced_product``, and the
-    determinant is checked once, on the result: a product of determinant
+    from ``_run_entries`` by ``words.window_table``, of
+    ``_POSITIVE_ENTRIES``, built from it by ``words.positive_table``, and
+    of ``_run_entries`` itself.  They are multiplied by
+    ``_balanced_product``, and the determinant is checked once, on the
+    result: a product of determinant
     other than 1 is a fault of the factors, so it raises
     ``InternalInconsistency``, whose message does not print the entries.
 
@@ -117,7 +123,7 @@ def image(w: BraidWord) -> SL2Matrix:
     True
     """
     a, b, c, d = _balanced_product(
-        fold_factors(w, _CHUNK_ENTRIES, _run_entries))
+        fold_factors(w, _CHUNK_ENTRIES, _POSITIVE_ENTRIES, _run_entries))
     if a * d - b * c != 1:
         raise InternalInconsistency("the image's determinant is not 1")
     return SL2Matrix._normal((a, b, c, d))

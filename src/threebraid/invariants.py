@@ -137,12 +137,13 @@ class SteinReport(_Value, namedtuple(
 
 
 def _stein_report(f: MurasugiForm, l_space: bool, tight: bool,
-                  quarters: int | None) -> tuple:
+                  quarters: int | None, tail: int) -> tuple:
     """The fields of the Stein report, in order, from the form's L-space
-    and tightness flags and its correction term d as a count of quarters,
+    and tightness flags, its correction term d as a count of quarters,
     which is read only when both flags hold (and then the determinant is
-    nonzero).  The Euler characteristic 4d + 1 is that count plus one."""
-    twist_bound = 6 * f.d + murasugi.tail_exponent_sum(f)
+    nonzero), and its tail's exponent sum (``tail_exponent_sum``).  The
+    Euler characteristic 4d + 1 is that count plus one."""
+    twist_bound = 6 * f.d + tail
     if not tight:
         return l_space, tight, NO, None, twist_bound
     if not l_space:
@@ -158,10 +159,13 @@ def stein_report(f: MurasugiForm) -> SteinReport:
     read, is the tower bottom of the form's row in quarters."""
     l_space = floer.is_l_space(f)
     tight = floer.is_tight(f)
+    tail = murasugi.tail_exponent_sum(f)
     quarters = None
     if tight and l_space:
-        quarters = floer._row_quarters(*floer._quarter_assembly(f))[0][0]
-    return SteinReport._normal(_stein_report(f, l_space, tight, quarters))
+        quarters = floer._row_quarters(
+            *floer._quarter_assembly(f, tail))[0][0]
+    return SteinReport._normal(
+        _stein_report(f, l_space, tight, quarters, tail))
 
 
 class InvariantReport(_Value, namedtuple(
@@ -248,9 +252,12 @@ def _values(w: BraidWord, raw_text: str | None, include_torus_bundle: bool,
             not (isinstance(form, Family3) and form.m % 2):
         raise InternalInconsistency(f"a knot closure of {form}")
 
+    # The tail's exponent sum, read once for the assembly, the signature
+    # and the Stein report's twist bound: an O(n) sum on a family-1 form.
+    tail = murasugi.tail_exponent_sum(form)
     hf = quarters = delta_quarters = sig = torus_bundle = None
     if det != 0:
-        tag, n, k = floer._quarter_assembly(form)
+        tag, n, k = floer._quarter_assembly(form, tail)
         hf = floer._row_quarters(tag, n, k)
         quarters = hf[0][0]  # the correction term: the row's tower bottom
         if include_torus_bundle:
@@ -258,7 +265,7 @@ def _values(w: BraidWord, raw_text: str | None, include_torus_bundle: bool,
     if components == 1:
         delta_quarters = 2 * quarters
         if isinstance(form, Family1):
-            sig = signature(form, components)
+            sig = -4 * form.d - tail  # Erle's formula, as in signature
             # 4d + sigma = 0 (mod 8) on every closure with a nonzero
             # determinant (see cli._oracle): here sigma is Erle's, which
             # ties the surgery rows and the assembly's shift to it.
@@ -281,7 +288,7 @@ def _values(w: BraidWord, raw_text: str | None, include_torus_bundle: bool,
         floer._knot_tag(tight, tight_inverse), hf,
         det if hf is not None else None, quarters, delta_quarters, sig, qa,
         _screen(form, components, sig, delta_quarters),
-        _stein_report(form, l_space, tight, quarters), torus_bundle))
+        _stein_report(form, l_space, tight, quarters, tail), torus_bundle))
 
 
 def _report(values: _Values) -> InvariantReport:

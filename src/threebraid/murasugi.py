@@ -36,7 +36,8 @@ from collections.abc import Sequence
 from . import homology
 from . import words as w_
 from .homology import InternalInconsistency, SL2Matrix
-from .words import BraidWord, _Value, fold_factors, window_table
+from .words import (BraidWord, _Value, fold_factors, positive_table,
+                    window_table)
 
 
 class InvalidForm(ValueError):
@@ -187,10 +188,12 @@ def _reduced_product(left, right):
 
 
 # The fold factor (syllables, exponent sum, first and last kind) of every
-# window of CHUNK letters at its packed byte, from _LETTER_SYLLABLES alone,
+# window of CHUNK letters at its packed byte, and of every window of
+# POSITIVE_CHUNK positive letters at its byte, from _LETTER_SYLLABLES alone,
 # so that the syllable pass stays a derivation independent of the matrix.
 _CHUNK_SYLLABLES = window_table(_run_syllables, _reduced_product,
                                 (b"", 0, 0, 0))
+_POSITIVE_SYLLABLES = positive_table(_CHUNK_SYLLABLES, _reduced_product)
 
 
 class FreeProductWord(_Value, namedtuple("FreeProductWord", "syllables",
@@ -232,13 +235,16 @@ def _syllable_pass(w: BraidWord) -> tuple[bytes, int]:
     One ``_fold_syllables`` loop multiplies the empty stack by every factor
     of ``words.fold_factors``: each packed window's entry in
     ``_CHUNK_SYLLABLES``, built from ``_run_syllables`` by
-    ``words.window_table``, then each run of the tail by ``_run_syllables``
-    itself.  It makes no Python call per factor, so the Python calls of a
-    word read on parse's byte path do not grow with its length.
+    ``words.window_table``, or in ``_POSITIVE_SYLLABLES``, built from it by
+    ``words.positive_table``, then each run of the tail by
+    ``_run_syllables`` itself.  It makes no Python call per factor, so
+    the Python calls of a word read on parse's byte path do not grow with
+    its length.
     """
     stack = bytearray()
     exponent_sum = _fold_syllables(
-        stack, fold_factors(w, _CHUNK_SYLLABLES, _run_syllables))
+        stack, fold_factors(w, _CHUNK_SYLLABLES, _POSITIVE_SYLLABLES,
+                            _run_syllables))
     return _cyclic_reduce(bytes(stack)), exponent_sum
 
 

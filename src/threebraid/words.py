@@ -16,7 +16,8 @@ packed windows instead; its runs, which are its letters, are built from
 the codes only when something reads them.  The windows of a long word from
 ``parse`` are packed from its codes after two passes that delete adjacent
 inverse letters (``_fold_digits``), which neither fold can see; all else
-reads the word's own codes.
+reads the word's own codes.  A long word of x and y alone packs eight
+letters a window, one bit each, instead of four.
 """
 
 from __future__ import annotations
@@ -109,8 +110,13 @@ H_LETTERS = (X, Y, X, Y, X, Y)
 # A run: (generator, nonzero exponent), generator 'x', 'y' or 'h'.
 Run = tuple[str, int]
 
-# Letters per packed window: four 2-bit letter codes fill one byte.
+# Letters per packed window: four 2-bit letter codes fill one byte.  Only
+# the fold codes of a long positive word pack wider (POSITIVE_CHUNK).
 CHUNK = 4
+
+# Letters per packed window of at least CANCEL_CUT fold codes of x and y
+# alone: their codes, 0 and 1, are one bit each, so eight fill one byte.
+POSITIVE_CHUNK = 8
 
 # The letters in the order of their codes.  A window of CHUNK letters packs
 # to the byte 4 * prefix + code, the first letter in the top two bits.  Each
@@ -125,36 +131,63 @@ CODE_DIGITS = b"0123"
 _DIGIT_LETTERS = dict(zip(CODE_DIGITS, PACKED_LETTERS))
 
 
+def _squared(layer: list, product) -> list:
+    """Each product of two windows of ``layer``, the first times the
+    second, at ``len(layer) * first + second``: the windows of twice the
+    letters, by the one rule that lays out every window table."""
+    return [product(first, second) for first in layer for second in layer]
+
+
 def window_table(letter_value, product, identity) -> list:
     """Each window of CHUNK letters' value at the byte parse's byte path
     packs it to, a letter's value being ``letter_value(generator, sign)``
     (the "Four Russians" table of Arlazarov, Dinic, Kronrod and Faradzev,
-    1970).  Windows grow a letter per layer: byte = 4 * prefix + code.
+    1970): the letters, each the product of the empty window ``identity``
+    and its value, squared to the 16 windows of two letters and those
+    squared again, so that byte = 16 * first pair + second pair.
 
     >>> window_table(lambda g, s: g if s > 0 else g.upper(),
     ...              str.__add__, "")[27]
     'xyXY'
     """
-    letters = [letter_value(*letter) for letter in PACKED_LETTERS]
-    layer = [identity]
-    for _ in range(CHUNK):
-        layer = [product(prefix, value) for prefix in layer for value in letters]
-    return layer
+    letters = [product(identity, letter_value(*letter))
+               for letter in PACKED_LETTERS]
+    return _squared(_squared(letters, product), product)
 
 
-def fold_factors(w: BraidWord, table: Sequence, run_value) -> Iterator:
+def positive_table(table: list, product) -> list:
+    """Each window of POSITIVE_CHUNK positive letters' value at the byte
+    parse's byte path packs it to, one bit a letter, the first in the top
+    bit: the 16 positive windows of CHUNK letters, read from ``table``, a
+    ``window_table``, at the bytes whose base-4 digits are their bits,
+    squared, so that byte = 16 * first half + second half.
+
+    >>> positive_table(window_table(lambda g, s: g, str.__add__, ""),
+    ...                str.__add__)[0b00011011]
+    'xxxyyxyy'
+    """
+    halves = [table[int(f"{bits:0{CHUNK}b}", 4)]
+              for bits in range(2 ** CHUNK)]
+    return _squared(halves, product)
+
+
+def fold_factors(w: BraidWord, table: Sequence, positive: Sequence,
+                 run_value) -> Iterator:
     """The factors of both folds, in order: each window that parse's byte
     path packed (``BraidWord._windows``) as its entry in ``table``, a
-    ``window_table``, then each run after them (``BraidWord._tail``) read
-    in closed form by ``run_value(generator, exponent)``.  Both folds are
-    homomorphisms, so the windows may be packed from the word's letters
-    with cancelling pairs deleted (``_fold_digits``).
+    ``window_table``, or in ``positive``, its ``positive_table``, when the
+    word's windows are of POSITIVE_CHUNK letters (``BraidWord._positive``),
+    then each run after them (``BraidWord._tail``) read in closed form by
+    ``run_value(generator, exponent)``.  Both folds are homomorphisms, so
+    the windows may be packed from the word's letters with cancelling
+    pairs deleted (``_fold_digits``).
 
-    >>> list(fold_factors(parse("x y x^-1 y^-1 x"), range(256),
+    >>> list(fold_factors(parse("x y x^-1 y^-1 x"), range(256), None,
     ...                   lambda g, e: (g, e)))
     [27, ('x', 1)]
     """
-    return chain(map(table.__getitem__, w._windows),
+    return chain(map((positive if w._positive else table).__getitem__,
+                     w._windows),
                  starmap(run_value, w._tail))
 
 
@@ -237,20 +270,22 @@ class BraidWord:
     whatever the exponents.  The string expands them (``run_text`` does
     not).
 
-    Both folds read two plain fields (``fold_factors``): ``_windows``, the
-    CHUNK-letter windows that parse's byte path packed, as bytes, and
-    ``_tail``, the runs after them, which are all the runs of a word built
-    from runs.  A word of letter codes (``_unit_letter_word``), which
-    parse's byte path and ``free_reduce`` build, also holds its codes and
-    its length; its runs and letters, one tuple, are built from the codes
-    on first read.  Its windows and tail are packed from the codes that
-    ``_fold_digits`` leaves, which on parse's byte path may lack some
-    cancelling pairs of its letters.
+    Both folds read three plain fields (``fold_factors``): ``_windows``,
+    the windows that parse's byte path packed, as bytes, ``_positive``,
+    whether they are of POSITIVE_CHUNK positive letters rather than of
+    CHUNK letters, and ``_tail``, the runs after them, which are all the
+    runs of a word built from runs.  A word of letter codes
+    (``_unit_letter_word``), which parse's byte path and ``free_reduce``
+    build, also holds its codes and its length; its runs and letters, one
+    tuple, are built from the codes on first read.  Its windows and tail
+    are packed from the codes that ``_fold_digits`` leaves, which on
+    parse's byte path may lack some cancelling pairs of its letters.
     """
 
     # The ASCII base-4 letter codes (CODE_DIGITS) of a word of letter codes.
     _digits = None
     _windows = b""
+    _positive = False
 
     def __init__(self, runs: tuple[Run, ...] = ()):
         self.__dict__["runs"] = self.__dict__["_tail"] = runs
@@ -491,16 +526,24 @@ def _fold_digits(digits: bytes) -> bytes:
 def _unit_letter_word(digits: bytes, fold_digits: bytes) -> BraidWord:
     """The word of the letter codes ``digits``, holding them and its
     length, with its fold input packed from ``fold_digits``: ``digits``
-    itself, or what ``_fold_digits`` left of them.  The windows are read by
-    one ``int(b"0" + fold_digits, 4)``, which no int-to-str digit limit
-    applies to, and the 0 to CHUNK - 1 letters left are the tail."""
+    itself, or what ``_fold_digits`` left of them.  At least CANCEL_CUT
+    fold codes of x and y alone, 0 and 1, are packed POSITIVE_CHUNK to a
+    byte, one bit each, by one ``int(b"0" + fold_digits, 2)``; any others
+    CHUNK to a byte by one ``int(b"0" + fold_digits, 4)``.  No int-to-str
+    digit limit applies to either, and the letters left, fewer than a
+    window, are the tail.  The wider windows pay at every length; the cut
+    is the cancelling passes' (README's Library section gives the sweep).
+    ``_positive`` records which packing the windows hold."""
     w = BraidWord.__new__(BraidWord)
     length = len(fold_digits)
-    full = length - length % CHUNK
+    positive = length >= CANCEL_CUT and not (
+        b"2" in fold_digits or b"3" in fold_digits)
+    chunk, base = (POSITIVE_CHUNK, 2) if positive else (CHUNK, 4)
+    full = length - length % chunk
     w.__dict__.update(
-        _digits=digits, _length=len(digits),
-        _windows=int(b"0" + fold_digits[:full], 4).to_bytes(
-            full // CHUNK, "big"),
+        _digits=digits, _length=len(digits), _positive=positive,
+        _windows=int(b"0" + fold_digits[:full], base).to_bytes(
+            full // chunk, "big"),
         _tail=tuple(map(_DIGIT_LETTERS.__getitem__, fold_digits[full:])))
     return w
 

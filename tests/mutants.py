@@ -21,6 +21,9 @@ Mutant = namedtuple("Mutant", "name module old new argv exit")
 _rng = random.Random(2)
 UNIFORM_WORD = " ".join(_rng.choice(("x", "y", "x^-1", "y^-1"))
                         for _ in range(300))
+# A fixed positive word of 300 letters, x and y alone: past the cut, so the
+# byte path packs it a window per 8 letters (words.POSITIVE_CHUNK).
+POSITIVE_WORD = " ".join(_rng.choice(("x", "y")) for _ in range(300))
 
 MUTANTS = (
     Mutant(
@@ -68,6 +71,23 @@ MUTANTS = (
         "_PAIR_FLAGS = bytes(4 * (byte == 2) for byte in range(256))\n",
         "_PAIR_FLAGS = bytes(4 * (byte in (1, 2)) for byte in range(256))\n",
         ("analyze", "--json", "--oracle", UNIFORM_WORD), 3),
+    # Each positive window's image is the product of its halves' images
+    # taken in the wrong order, so the image is that of another positive
+    # word, while the syllable pass reads its own table.  On this word
+    # _check_image catches it: d = 49 is odd, and the wrong image's trace
+    # is positive.  A family-1 image only needs (-1)^d times its trace
+    # above 2, so on another word the fault can pass that check, and the
+    # oracle's determinant, read from the word's own codes, catches it: the
+    # 300 letters x/y of random.Random(3) exit 0 without --oracle and 3
+    # with it (determinant 210,211,082,382,425,428 against the oracle's
+    # 139,524,532,028,532).
+    Mutant(
+        "positive windows multiply their halves in the wrong order",
+        "homology.py",
+        "_POSITIVE_ENTRIES = positive_table(_CHUNK_ENTRIES, _product)\n",
+        "_POSITIVE_ENTRIES = positive_table(_CHUNK_ENTRIES,\n"
+        "                                   lambda m, n: _product(n, m))\n",
+        ("analyze", "--json", "--oracle", POSITIVE_WORD), 3),
     Mutant(
         "left-trefoil bottom moved from 8 to 16 quarters", "floer.py",
         "    (LEFT_TREFOIL_LIKE, False): (8, 4, -1),\n",

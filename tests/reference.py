@@ -389,11 +389,16 @@ def packed_keys(letters):
     """The fold input (windows, tail) of a word of these letters read on
     parse's byte path, packed here a window at a time: each aligned window
     of CHUNK letters as the byte of its codes in LETTERS, the first in the
-    top two bits, then the letters left."""
-    chunk = w_.CHUNK
+    top two bits, then the letters left.  At least CANCEL_CUT letters of
+    sign +1 alone, whose codes are 0 and 1, pack POSITIVE_CHUNK letters to
+    a window, a bit each."""
     letters = tuple(letters)
+    chunk, bits = w_.CHUNK, 2
+    if len(letters) >= w_.CANCEL_CUT and all(
+            letter.sign > 0 for letter in letters):
+        chunk, bits = w_.POSITIVE_CHUNK, 1
     full = len(letters) - len(letters) % chunk
-    return bytes(sum(LETTERS.index(letter) << 2 * (chunk - 1 - i)
+    return bytes(sum(LETTERS.index(letter) << bits * (chunk - 1 - i)
                      for i, letter in enumerate(letters[start:start + chunk]))
                  for start in range(0, full, chunk)), letters[full:]
 

@@ -72,8 +72,10 @@ from threebraid.seifert import (
     sym_signature,
 )
 from threebraid.words import (
+    CANCEL_CUT,
     CHUNK,
     MAX_LETTERS,
+    POSITIVE_CHUNK,
     BraidWord,
     ParseError,
     WordTooLong,
@@ -600,6 +602,89 @@ def test_chunk_tables_hold_the_product_of_their_letters():
                      if not free_reduce(BraidWord(window)).runs}
 
 
+def positive_window(byte):
+    """The POSITIVE_CHUNK positive letters of a byte, a bit each, the
+    first in the top bit."""
+    return tuple(LETTERS[byte >> shift & 1]
+                 for shift in range(POSITIVE_CHUNK - 1, -1, -1))
+
+
+# Each fold's (window table, positive table, run value).
+FOLD_TABLES = (
+    (homology._CHUNK_ENTRIES, homology._POSITIVE_ENTRIES,
+     homology._run_entries),
+    (murasugi._CHUNK_SYLLABLES, murasugi._POSITIVE_SYLLABLES,
+     murasugi._run_syllables),
+)
+
+
+def test_positive_tables_hold_the_product_of_their_letters():
+    assert len(homology._POSITIVE_ENTRIES) == \
+        len(murasugi._POSITIVE_SYLLABLES) == 2 ** POSITIVE_CHUNK == 256
+    windows = [positive_window(byte) for byte in range(256)]
+    assert set(windows) == set(
+        itertools.product((w_.X, w_.Y), repeat=POSITIVE_CHUNK))
+    repeats = CANCEL_CUT // POSITIVE_CHUNK
+    for byte, window in enumerate(windows):
+        # CANCEL_CUT letters that repeat the window pack it to its byte.
+        w = byte_path_word(window * repeats)
+        assert w._positive and (w._windows, w._tail) == \
+            (bytes([byte]) * repeats, ()), window
+        assert SL2Matrix(*homology._POSITIVE_ENTRIES[byte]) == \
+            slow_image(window), window
+        entry = murasugi._POSITIVE_SYLLABLES[byte]
+        assert entry[:2] == per_syllable_stack(window), window
+        assert entry[2:] == end_kinds(entry[0]), window
+
+
+def test_positive_words_pack_a_window_per_eight_letters_from_the_cut(rng):
+    # Below CANCEL_CUT a positive word packs a window per CHUNK letters;
+    # from the cut on, parse's byte path and free_reduce pack one per
+    # POSITIVE_CHUNK, at every residue, and both folds read the windows and
+    # then the letters left, one factor each.
+    lengths = [CANCEL_CUT - 1, *range(CANCEL_CUT, CANCEL_CUT + POSITIVE_CHUNK),
+               10_001]
+    for length in lengths:
+        letters = [rng.choice((w_.X, w_.Y)) for _ in range(length)]
+        chunk = POSITIVE_CHUNK if length >= CANCEL_CUT else CHUNK
+        for w in (byte_path_word(letters), free_reduce(w_.word(letters))):
+            assert w._positive == (chunk == POSITIVE_CHUNK), length
+            assert (len(w._windows), len(w._tail)) == \
+                divmod(length, chunk), length
+            for tables in FOLD_TABLES:
+                assert len(list(w_.fold_factors(w, *tables))) == \
+                    length // chunk + length % chunk, length
+        # An inverse letter that the passes keep: a window per CHUNK letters.
+        w = byte_path_word(letters + [w_.Y, w_.X_INV])
+        assert not w._positive, length
+        assert (len(w._windows), len(w._tail)) == \
+            divmod(length + 2, CHUNK), length
+
+
+def test_positive_words_fold_through_the_positive_tables(rng):
+    # Every residue mod POSITIVE_CHUNK on both sides of the cut and at
+    # 1,000 letters, and 10^5 letters.  Each word is read as it is and with
+    # 20 cancelling pairs, a a^-1 or a b b^-1 a^-1, put between its
+    # letters: the two passes delete every one of them, so its fold input
+    # is the positive word again.
+    lengths = [*range(CANCEL_CUT - 1, CANCEL_CUT + POSITIVE_CHUNK),
+               *range(1000, 1000 + POSITIVE_CHUNK), 10**5]
+    for length in lengths:
+        letters = [rng.choice((w_.X, w_.Y)) for _ in range(length)]
+        cancelling = list(letters)
+        for gap in sorted(rng.sample(range(1, length), 20), reverse=True):
+            a, b = rng.choice((w_.X, w_.Y)), rng.choice((w_.X, w_.Y))
+            cancelling[gap:gap] = rng.choice(
+                ([a, a.inverse()], [a, b, b.inverse(), a.inverse()]))
+        for word_letters in (letters, cancelling):
+            # byte_path_word checks the fold input against fold_letters.
+            w = byte_path_word(word_letters)
+            assert w._positive == (length >= CANCEL_CUT), length
+            assert len(w._windows) == length // (
+                POSITIVE_CHUNK if w._positive else CHUNK), length
+            assert_packed_fold_matches_references(w)
+
+
 def test_chunked_fold_on_all_words_up_to_two_windows(short_words):
     # Every word of at most two windows, built from its letters and read on
     # parse's byte path, through the chunk tables.
@@ -785,11 +870,12 @@ def assert_closed_forms_match_model_word(f):
         tag, n, q = per_family_assembly(f)
     except PositiveB1:
         with pytest.raises(PositiveB1):
-            floer._quarter_assembly(f)
+            floer._quarter_assembly(f, murasugi.tail_exponent_sum(f))
         with pytest.raises(PositiveB1):
             correction_term(f)
     else:
-        quarter_tag, quarter_n, k = floer._quarter_assembly(f)
+        quarter_tag, quarter_n, k = floer._quarter_assembly(
+            f, murasugi.tail_exponent_sum(f))
         assert (quarter_tag, quarter_n, Fraction(k, 4)) == (tag, n, q), f
         module = shift(per_branch_surgery_table(tag, n), q)
         assert hf_plus_s0(f) == module, f
@@ -896,7 +982,7 @@ def test_image_reduces_the_fold_keys_level_by_level(product_bits, rng):
     letters = tuple(rng.choice((w_.X, w_.Y)) for _ in range(16_384))
     w = byte_path_word(letters)
     factors = len(w._windows) + len(w._tail)
-    assert factors == 16_384 // CHUNK
+    assert w._positive and factors == 16_384 // POSITIVE_CHUNK
     assert image(w) == slow_image(letters)
     assert_balanced(product_bits, factors)
 

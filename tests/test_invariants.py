@@ -244,15 +244,35 @@ def test_one_floer_assembly_per_report(monkeypatch):
     calls = []
     quarter_assembly = floer._quarter_assembly
 
-    def counting(f):
+    def counting(f, tail):
         calls.append(f)
-        return quarter_assembly(f)
+        return quarter_assembly(f, tail)
 
     monkeypatch.setattr(floer, "_quarter_assembly", counting)
     for text in ("h x y^-5", "x y"):
         calls.clear()
         report = analyze_word(parse(text), include_torus_bundle=True)
         assert report.delta is not None and report.torus_bundle is not None
+        assert calls == [report.normal_form], text
+
+
+def test_one_tail_exponent_sum_per_report(monkeypatch):
+    """A report reads the tail's exponent sum once, for the assembly, the
+    signature and the Stein report's twist bound: on a family-1 form it
+    is a sum over the block tuple."""
+    calls = []
+    tail_exponent_sum = murasugi.tail_exponent_sum
+
+    def counting(f):
+        calls.append(f)
+        return tail_exponent_sum(f)
+
+    monkeypatch.setattr(murasugi, "tail_exponent_sum", counting)
+    monkeypatch.setattr(floer, "tail_exponent_sum", counting)
+    # A family-1 knot, a family-3 knot and a family-1 link.
+    for text in ("h x y^-5", "x y", "x^2 y^-1 x y^-3"):
+        calls.clear()
+        report = analyze_word(parse(text), include_torus_bundle=True)
         assert calls == [report.normal_form], text
 
 
